@@ -398,8 +398,26 @@ impl Cluster {
             ev0: self.sim.events_executed(),
             clamp0: self.sim.schedule_past_clamped(),
         };
+        // One graph pass buckets tasks and producer-less versions by node
+        // (ascending within each) instead of every node scanning the whole
+        // graph; init still runs in ascending node order, so event sequence
+        // numbers — and virtual time — are unchanged.
+        let mut tasks = vec![Vec::new(); self.cfg.nodes];
+        let mut sources = vec![Vec::new(); self.cfg.nodes];
+        {
+            let g = graph.get();
+            for i in 0..g.task_count() {
+                tasks[g.task(i).node].push(i);
+            }
+            for i in 0..g.version_count() {
+                let v = g.version(i);
+                if v.producer.is_none() {
+                    sources[v.home].push(i);
+                }
+            }
+        }
         for rt in node_rts.iter().flatten() {
-            NodeRt::init(rt, &mut self.sim);
+            NodeRt::init(rt, &mut self.sim, &tasks[rt.node], &sources[rt.node]);
         }
         baseline
     }

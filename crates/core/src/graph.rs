@@ -404,8 +404,8 @@ impl TaskGraph {
 
     /// Drop a version's consumer list without retiring it. Windowed-mode
     /// only, once the producer's completion announce has been sent and its
-    /// coverage recorded: every later-discovered consumer is handled
-    /// through the store-presence check and the coverage set, never this
+    /// holders recorded: every later-discovered consumer is handled
+    /// through the store-presence check and the holder list, never this
     /// list. For tile Cholesky the never-superseded final tiles otherwise
     /// keep O(nt³) consumer entries live to the end of the run.
     pub(crate) fn prune_consumers(&mut self, id: usize) {

@@ -106,14 +106,6 @@ impl VersionStore {
         }
     }
 
-    fn ensure_len(&mut self, n: usize) {
-        if let VersionStore::Dense { state, .. } = self {
-            if state.len() < n {
-                state.resize(n, V_VACANT);
-            }
-        }
-    }
-
     fn get(&self, v: usize) -> u8 {
         match self {
             VersionStore::Dense { state, .. } => state.get(v).copied().unwrap_or(V_VACANT),
@@ -137,11 +129,17 @@ impl VersionStore {
         }
     }
 
-    /// Write state byte `to` for `v`, returning the previous byte.
-    /// Dense mode requires `v` to be covered by `ensure_len`.
+    /// Write state byte `to` for `v`, returning the previous byte. The
+    /// dense table grows on write (`get` reads past its end as vacant), so
+    /// a node's table covers the versions it touched, not all that exist.
     fn set(&mut self, v: usize, to: u8) -> u8 {
         match self {
-            VersionStore::Dense { state, .. } => std::mem::replace(&mut state[v], to),
+            VersionStore::Dense { state, .. } => {
+                if state.len() <= v {
+                    state.resize(v + 1, V_VACANT);
+                }
+                std::mem::replace(&mut state[v], to)
+            }
             VersionStore::Sparse { state, .. } => state.insert(v, to).unwrap_or(V_VACANT),
             VersionStore::Reference(_) => unreachable!("reference store has no byte states"),
         }
@@ -248,6 +246,19 @@ impl VersionStore {
             }
         }
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Store lookups issued by windowed retirement plus graph entries
+    /// visited by init; tests compare the count across cluster sizes.
+    pub(crate) static SWEEP_PROBES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+#[inline]
+pub(crate) fn sweep_probe() {
+    #[cfg(test)]
+    SWEEP_PROBES.with(|c| c.set(c.get() + 1));
 }
 
 /// A pending GET DATA request (queued behind the in-flight window).
@@ -408,25 +419,21 @@ impl NodeRt {
 
     /// Initialize local state: resident initial data, dependence counters,
     /// initially-ready tasks, and ACTIVATEs for initial data needed
-    /// remotely.
-    pub fn init(rt: &RtHandle, sim: &mut Sim) {
-        let node = rt.node;
+    /// remotely. `tasks` are this node's tasks and `sources` the
+    /// producer-less versions homed here, both ascending — bucketed by one
+    /// cluster-level graph pass, so init costs O(local) per node.
+    pub fn init(rt: &RtHandle, sim: &mut Sim, tasks: &[TaskId], sources: &[usize]) {
         {
             let g = rt.graph.get();
             let mut s = rt.state.borrow_mut();
-            s.remaining = vec![0; g.local_task_count(node)];
-            s.store.ensure_len(g.version_count());
-            for i in 0..g.version_count() {
-                let v = g.version(i);
-                if v.producer.is_none() && v.home == node {
-                    s.store.insert_present(i, v.initial.clone());
-                }
+            s.remaining = vec![0; g.local_task_count(rt.node)];
+            for &i in sources {
+                sweep_probe();
+                s.store.insert_present(i, g.version(i).initial.clone());
             }
-            for i in 0..g.task_count() {
+            for &i in tasks {
+                sweep_probe();
                 let t = g.task(i);
-                if t.node != node {
-                    continue;
-                }
                 let missing = t.inputs.iter().filter(|v| !s.store.is_present(v.0)).count();
                 s.remaining[t.local_ix as usize] = missing as u32;
                 if missing == 0 {
@@ -437,16 +444,8 @@ impl NodeRt {
         }
         // Announce initial data to remote consumers (pseudo-completion of a
         // "source" task at t=0).
-        let nversions = rt.graph.get().version_count();
-        for i in 0..nversions {
-            let local_source = {
-                let g = rt.graph.get();
-                let v = g.version(i);
-                v.producer.is_none() && v.home == node
-            };
-            if local_source {
-                NodeRt::announce(rt, sim, VersionId(i), None);
-            }
+        for &i in sources {
+            NodeRt::announce(rt, sim, VersionId(i), None);
         }
         NodeRt::dispatch(rt, sim);
     }
@@ -1097,14 +1096,6 @@ impl NodeRt {
 
     // ---- windowed-discovery hooks (window.rs) -----------------------
 
-    /// Grow the dense version table to cover newly discovered versions.
-    /// (`remaining` is local_ix-indexed and grown per admitted local task
-    /// by [`NodeRt::window_admit_local`] — sizing it to the *global* task
-    /// count here would cost O(nodes × tasks) across the cluster.)
-    pub(crate) fn window_ensure(&self, nversions: usize) {
-        self.state.borrow_mut().store.ensure_len(nversions);
-    }
-
     /// Seed a newly declared producer-less version at its home node.
     pub(crate) fn window_seed_initial(&self, version: usize, bytes: Option<Bytes>) {
         let fresh = self.state.borrow_mut().store.insert_present(version, bytes);
@@ -1133,6 +1124,7 @@ impl NodeRt {
 
     /// Release a retired version's payload bytes (windowed reclamation).
     pub(crate) fn window_drop_payload(&self, version: usize) {
+        sweep_probe();
         self.state.borrow_mut().store.drop_payload(version);
     }
 

@@ -762,11 +762,15 @@ impl crate::GraphSource for ChainSource {
     }
 }
 
-fn chain_graph(len: usize) -> crate::TaskGraph {
-    let mut g = GraphBuilder::new(3);
-    let mut src = ChainSource { len, next: 0 };
-    while crate::GraphSource::next_task(&mut src, &mut g) {}
+/// Fully unroll `src` — the graph a covering window executes.
+fn unroll(nodes: usize, mut src: impl crate::GraphSource) -> crate::TaskGraph {
+    let mut g = GraphBuilder::new(nodes);
+    while src.next_task(&mut g) {}
     g.build()
+}
+
+fn chain_graph(len: usize) -> crate::TaskGraph {
+    unroll(3, ChainSource { len, next: 0 })
 }
 
 #[test]
@@ -799,6 +803,129 @@ fn windowed_small_window_completes_with_identical_payloads() {
             "window {window}: final payload diverged"
         );
     }
+}
+
+/// Broadcast stages for the holder-list tests: stage `s` is one writer on
+/// node `s % spread` renaming key 0 (every other stage it also reads the
+/// shared initial key 99), then `spread - 1` readers, one per other node,
+/// each reading the stage's key-0 version and renaming a node-local key.
+/// Every key-0 version therefore lives on all `spread` nodes. A window of
+/// a full stage or more announces it through the multicast tree (relays
+/// forward to their subtrees); a smaller one discovers the readers after
+/// the writer completed — the late-ACTIVATE path.
+struct BroadcastStages {
+    spread: usize,
+    stages: usize,
+    next: usize,
+}
+
+impl crate::GraphSource for BroadcastStages {
+    fn next_task(&mut self, g: &mut GraphBuilder) -> bool {
+        let (stage, pos) = (self.next / self.spread, self.next % self.spread);
+        if stage >= self.stages {
+            return false;
+        }
+        if self.next == 0 {
+            g.data(0, 8, 0, Some(Bytes::from(vec![1u8; 8])));
+            g.data(99, 8, 0, Some(Bytes::from(vec![7u8; 8])));
+            for n in 0..self.spread {
+                g.data(100 + n as u64, 8, n, Some(Bytes::from(vec![n as u8; 8])));
+            }
+        }
+        let add = |ins: &[Bytes]| {
+            let extra = ins[1..].iter().fold(0u8, |a, b| a.wrapping_add(b[0]));
+            let out = ins[0].iter().map(|b| b.wrapping_add(1).wrapping_add(extra));
+            vec![Bytes::from(out.collect::<Vec<u8>>())]
+        };
+        let node = (stage + pos) % self.spread;
+        let mut d = TaskDesc::new("stage").on_node(node).flops(1e5);
+        if pos == 0 {
+            d = d.read_key(0);
+            if stage.is_multiple_of(2) {
+                d = d.read_key(99);
+            }
+            d = d.write(0, 8);
+        } else {
+            let own = 100 + node as u64;
+            d = d.read_key(own).read_key(0).write(own, 8);
+        }
+        g.insert(d.kernel(add));
+        self.next += 1;
+        true
+    }
+}
+
+fn broadcast_stages(spread: usize, stages: usize) -> Box<BroadcastStages> {
+    Box::new(BroadcastStages {
+        spread,
+        stages,
+        next: 0,
+    })
+}
+
+/// Retirement drops a version's payload at its home and its holder list
+/// only. After a Numeric run through multicast relays and late
+/// activations no retired version may keep bytes on *any* node (debug
+/// builds also assert this at every retirement), and every final version
+/// must match the sequential oracle.
+#[test]
+fn windowed_retirement_drops_every_payload_copy_it_created() {
+    let nodes = 8;
+    let full_graph = unroll(nodes, *broadcast_stages(nodes, 12));
+    let oracle = full_graph.sequential_oracle();
+    let mut final_of = std::collections::HashMap::new();
+    for (i, v) in full_graph.versions().enumerate() {
+        final_of.insert(v.key, i);
+    }
+    for window in [1, 3, 7, 20, 1000] {
+        let mut cfg = small_cfg(BackendKind::Lci, nodes);
+        cfg.mode = ExecMode::Numeric;
+        cfg.bcast_tree_min = Some(2);
+        let mut win = Cluster::new(cfg);
+        let report = win.execute_windowed(broadcast_stages(nodes, 12), window);
+        assert!(report.complete(), "window {window}: {report:?}");
+        assert_eq!(report.tasks_total as usize, full_graph.task_count());
+        for (i, v) in full_graph.versions().enumerate() {
+            let id = crate::VersionId(i);
+            if final_of[&v.key] == i {
+                assert_eq!(
+                    win.data(id).as_deref(),
+                    oracle.get(&id).map(|b| &b[..]),
+                    "window {window}: final version {i} of key {} diverged",
+                    v.key
+                );
+            } else {
+                assert!(
+                    win.data(id).is_none(),
+                    "window {window}: retired version {i} of key {} kept payload bytes",
+                    v.key
+                );
+            }
+        }
+    }
+}
+
+/// ROADMAP aim 1 (gate on counts, not wall-clock): the bookkeeping work of
+/// init and retirement — graph entries visited, store lookups issued — is a
+/// function of the graph, not of the cluster it runs on. The same graph on
+/// 4 nodes of an 8-node and of a 256-node cluster costs the same probes.
+#[test]
+fn init_and_retirement_probes_do_not_grow_with_cluster_size() {
+    use crate::node::SWEEP_PROBES;
+    let probes = |nodes: usize| {
+        SWEEP_PROBES.with(|c| c.set(0));
+        let mut win = Cluster::new(small_cfg(BackendKind::Lci, nodes));
+        let report = win.execute_windowed(broadcast_stages(4, 30), 9);
+        assert!(report.complete(), "nodes {nodes}: {report:?}");
+        SWEEP_PROBES.with(|c| c.get())
+    };
+    let small = probes(8);
+    assert!(small > 0, "the counter must see init and retirement");
+    assert_eq!(
+        small,
+        probes(256),
+        "host bookkeeping scaled with the node count"
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@
 //! * a remote input that is already present at its home node (the
 //!   producer-side announce predates this consumer's discovery) triggers a
 //!   *late* direct ACTIVATE from the home node, deduplicated per
-//!   (version, node) through the coverage set;
+//!   (version, node) through the version's holder list;
 //! * a remote input whose producer is still pending needs nothing — the
 //!   consumer is registered in the version's consumer list, so the
 //!   producer's completion announce covers it.
@@ -27,14 +27,17 @@
 //! producer and every discovered consumer have completed. Retirement only
 //! releases memory; it never touches the simulator, so a window at least
 //! as large as the full graph is byte-identical to full unrolling.
+//! Every step touches only the nodes a version lives on (its home plus its
+//! holder list), never the whole cluster: host work per task does not grow
+//! with the simulated node count.
 
 use std::cell::RefCell;
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use amt_simnet::Sim;
 
-use crate::graph::{GraphBuilder, GraphHandle, GraphSource, TaskId, GRAPH_CHUNK};
+use crate::graph::{GraphBuilder, GraphHandle, GraphSource, TaskGraph, TaskId, GRAPH_CHUNK};
 use crate::node::{NodeRt, RtHandle};
 
 /// The windowed-discovery driver, shared by every node runtime of one
@@ -69,15 +72,19 @@ struct WindowInner {
     /// Per version chunk: freed (all entries retired, or the stragglers
     /// evacuated to the graph's side table).
     version_chunk_freed: Vec<bool>,
-    /// (version, node) pairs an ACTIVATE has been sent for (or will be, by
-    /// the init announce) — dedups late activations.
-    covered: HashSet<(usize, usize)>,
+    /// Per version: the remote nodes an ACTIVATE has been sent to (or will
+    /// be, by the init announce), ascending. Dedups late activations, and —
+    /// with the home node — is everywhere the version's payload can live.
+    holders: HashMap<usize, Vec<usize>>,
     admitted_tasks: usize,
     seeded_versions: usize,
     /// Scratch: versions touched by the current completion.
     retire_scratch: Vec<usize>,
     /// Scratch: late activations collected under the graph borrow.
     late_scratch: Vec<(usize, usize, usize, usize, i64)>,
+    /// Scratch, one use at a time: the remote consumer nodes of a version
+    /// being announced, or the finals surviving a chunk evacuation.
+    ids_scratch: Vec<usize>,
 }
 
 impl WindowCtl {
@@ -106,11 +113,12 @@ impl WindowCtl {
                 task_chunk_retired: Vec::new(),
                 version_chunk_retired: Vec::new(),
                 version_chunk_freed: Vec::new(),
-                covered: HashSet::new(),
+                holders: HashMap::new(),
                 admitted_tasks: 0,
                 seeded_versions: 0,
                 retire_scratch: Vec::new(),
                 late_scratch: Vec::new(),
+                ids_scratch: Vec::new(),
             }),
         })
     }
@@ -144,15 +152,8 @@ impl WindowCtl {
         // currently known remote consumer nodes.
         let g = handle.get();
         for i in 0..g.version_count() {
-            let v = g.version(i);
-            if v.producer.is_some() {
-                continue;
-            }
-            for &c in &v.consumers {
-                let n = g.task(c).node;
-                if n != v.home {
-                    inner.covered.insert((i, n));
-                }
+            if g.version(i).producer.is_none() {
+                inner.cover_consumers(&g, i);
             }
         }
     }
@@ -178,12 +179,7 @@ impl WindowCtl {
             for &v in &t.outputs {
                 // The completion announce (already sent by task_done)
                 // covered every currently known remote consumer node.
-                for &c in &g.version(v.0).consumers {
-                    let n = g.task(c).node;
-                    if n != t.node {
-                        inner.covered.insert((v.0, n));
-                    }
-                }
+                inner.cover_consumers(&g, v.0);
                 candidates.push(v.0);
             }
         }
@@ -239,9 +235,6 @@ impl WindowInner {
         self.version_chunk_freed
             .resize(nversions.div_ceil(GRAPH_CHUNK), false);
         if self.live {
-            for rt in &self.rts {
-                rt.window_ensure(nversions);
-            }
             // Seed newly declared producer-less versions at their home.
             for i in self.seeded_versions..nversions {
                 let (producer_less, home, initial) = {
@@ -281,10 +274,14 @@ impl WindowInner {
                     if ver.home == node {
                         continue; // local producer pending
                     }
-                    if self.rts[ver.home].store_is_present(v.0) && self.covered.insert((v.0, node))
-                    {
+                    if !self.rts[ver.home].store_is_present(v.0) {
+                        continue; // remote producer pending: its announce covers us
+                    }
+                    let held = self.holders.entry(v.0).or_default();
+                    if let Err(at) = held.binary_search(&node) {
                         // Producer-side announce predates this consumer's
                         // discovery: late direct ACTIVATE from the home.
+                        held.insert(at, node);
                         let size = self.rts[ver.home].announce_size(v.0, ver.size);
                         late.push((ver.home, node, v.0, size, task.priority));
                     }
@@ -313,22 +310,44 @@ impl WindowInner {
         }
     }
 
+    /// An announce from `v`'s home (the init announce of a producer-less
+    /// version, or its producer's completion announce) reaches every
+    /// currently known remote consumer node: they become `v`'s holders.
+    fn cover_consumers(&mut self, g: &TaskGraph, v: usize) {
+        let ver = g.version(v);
+        let mut nodes = std::mem::take(&mut self.ids_scratch);
+        nodes.clear();
+        let consumer_nodes = ver.consumers.iter().map(|&c| g.task(c).node);
+        nodes.extend(consumer_nodes.filter(|&n| n != ver.home));
+        nodes.sort_unstable();
+        nodes.dedup();
+        if !nodes.is_empty() {
+            // Kept sorted and duplicate-free for the late-activation binary
+            // search (a no-op pass unless an earlier announce listed some).
+            let held = self.holders.entry(v).or_default();
+            held.extend_from_slice(&nodes);
+            held.sort_unstable();
+            held.dedup();
+        }
+        self.ids_scratch = nodes;
+    }
+
     /// Retire `v` if nothing can ever read it again: superseded, producer
     /// completed, every discovered consumer completed. Drops payload bytes
-    /// on every node and frees the version's graph chunk once its whole
-    /// chunk has retired.
+    /// at its home and its holders — O(fan-out), not O(nodes) — and frees
+    /// the version's graph chunk once its whole chunk has retired.
     fn maybe_retire_version(&mut self, handle: &GraphHandle, v: usize) {
         if self.retired_version[v] || self.open_consumers[v] != 0 {
             return;
         }
-        {
+        let home = {
             let g = handle.get();
-            if let Some(p) = g.version(v).producer {
-                if !self.done[p] {
-                    return;
-                }
+            let ver = g.version(v);
+            if ver.producer.is_some_and(|p| !self.done[p]) {
+                return;
             }
-        }
+            ver.home
+        };
         if !self.superseded[v] {
             // Final and drained: producer done, every discovered consumer
             // completed (so its data already arrived — no in-flight
@@ -339,13 +358,17 @@ impl WindowInner {
             handle.get_mut().prune_consumers(v);
             return;
         }
-        for rt in &self.rts {
-            rt.window_drop_payload(v);
+        // The version can never be announced again: its holder list goes
+        // with the payload copies it names.
+        self.rts[home].window_drop_payload(v);
+        for n in self.holders.remove(&v).unwrap_or_default() {
+            self.rts[n].window_drop_payload(v);
         }
-        // The version can never be announced again: drop its coverage
-        // marks so the set tracks only the live window.
-        for n in 0..self.rts.len() {
-            self.covered.remove(&(v, n));
+        // Debug oracle for the holder invariant: the old all-node sweep.
+        #[cfg(debug_assertions)]
+        for (n, rt) in self.rts.iter().enumerate() {
+            let stray = rt.data(crate::graph::VersionId(v)).is_some();
+            assert!(!stray, "retired version {v} kept payload bytes on node {n}");
         }
         handle.get_mut().retire_version(v);
         self.retired_version[v] = true;
@@ -368,40 +391,41 @@ impl WindowInner {
     /// final factor tiles — interspersed through discovery order — pin
     /// every chunk forever.
     fn maybe_evacuate_version_chunk(&mut self, handle: &GraphHandle, chunk: usize) {
-        if self.version_chunk_freed[chunk] {
-            return;
-        }
         let lo = chunk * GRAPH_CHUNK;
         let hi = lo + GRAPH_CHUNK;
-        if hi > self.retired_version.len() {
-            return; // tail chunk, still filling
+        if self.version_chunk_freed[chunk] || hi > self.retired_version.len() {
+            return; // already freed, or the tail chunk is still filling
         }
-        let mut keep: Vec<usize> = Vec::new();
-        {
+        let mut keep = std::mem::take(&mut self.ids_scratch);
+        keep.clear();
+        let settled = 'scan: {
             let g = handle.get();
             for v in lo..hi {
                 if self.retired_version[v] {
                     continue;
                 }
-                // Superseded or consumers still open: it will retire (or
-                // come back here) through the normal path — wait.
-                if self.superseded[v] || self.open_consumers[v] != 0 {
-                    return;
+                // Superseded, consumers still open or producer pending: it
+                // will retire (or come back here) through the normal path.
+                if self.superseded[v]
+                    || self.open_consumers[v] != 0
+                    || g.version(v).producer.is_some_and(|p| !self.done[p])
+                {
+                    break 'scan false;
                 }
-                match g.version(v).producer {
-                    Some(p) if !self.done[p] => return,
-                    _ => keep.push(v),
-                }
+                keep.push(v);
             }
+            true
+        };
+        // A chunk of nothing but finals has nothing to reclaim; the side
+        // table would only add overhead.
+        if settled && keep.len() < GRAPH_CHUNK {
+            if keep.is_empty() {
+                handle.get_mut().free_version_chunk(chunk);
+            } else {
+                handle.get_mut().evacuate_version_chunk(chunk, &keep);
+            }
+            self.version_chunk_freed[chunk] = true;
         }
-        if keep.len() == GRAPH_CHUNK {
-            return; // nothing to reclaim; the side table would only add overhead
-        }
-        if keep.is_empty() {
-            handle.get_mut().free_version_chunk(chunk);
-        } else {
-            handle.get_mut().evacuate_version_chunk(chunk, &keep);
-        }
-        self.version_chunk_freed[chunk] = true;
+        self.ids_scratch = keep;
     }
 }

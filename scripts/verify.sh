@@ -236,6 +236,19 @@ for islands in 1 2 4; do
 done
 echo "golden fig4 report is byte-identical (jobs 1, 3; islands 1, 2, 4)"
 
+echo "== benchmark of record: its own tests + sim_scale --quick smoke =="
+cargo test --quiet --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+    --quick --workload sim_scale --trace 0 > "$TMP_DIR/benchmark_smoke.txt"
+tail -n 1 "$TMP_DIR/benchmark_smoke.txt" | python3 -c '
+import json, sys
+d = json.loads(sys.stdin.read())
+assert d["correct"] is True and d["failed"] == 0, d
+m = d["metrics"]
+print("benchmark sim_scale --quick: correct, %d checks, %.0f tasks/s"
+      % (d["attempted"], m["tasks_per_s"]["value"]))
+'
+
 echo "== observability: example run with --trace-out/--metrics-out =="
 cargo run --release --quiet --example quickstart -- \
     --trace-out "$TMP_DIR/trace.json" --metrics-out "$TMP_DIR/metrics.json"

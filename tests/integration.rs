@@ -421,6 +421,32 @@ fn windowed_retirement_survives_late_arrivals_at_scale() {
     }
 }
 
+/// Golden for the windowed path (the benchmark of record's
+/// `sim_scale --quick` shape): virtual time is byte-identical by contract,
+/// so host-side changes to discovery, retirement or init must reproduce
+/// this report exactly, with either store. Captured at commit e47e57f.
+#[test]
+fn windowed_report_matches_golden() {
+    use amtlc::tlr::TlrCholeskySource;
+
+    let nodes = 64;
+    for flyweight in [true, false] {
+        let mut cluster = Cluster::new(ClusterConfig {
+            flyweight,
+            mode: ExecMode::CostOnly,
+            get_window_bytes: 2 << 20,
+            ..ClusterConfig::expanse(BackendKind::Lci, nodes)
+        });
+        let source = TlrCholeskySource::cost_only(TlrProblem::new(12 * 1200, 1200), nodes);
+        let report = cluster.execute_windowed(Box::new(source), 150);
+        assert_eq!(
+            report.to_json(),
+            include_str!("../results/golden_windowed.txt").trim_end(),
+            "flyweight={flyweight}: windowed report diverged from results/golden_windowed.txt"
+        );
+    }
+}
+
 /// AM batching and multicast activation trees are pure message-layer
 /// optimizations: with them on, a Numeric-mode TLR Cholesky produces
 /// factor tiles bitwise identical to the flat defaults — on every virtual
