@@ -202,7 +202,6 @@ fn main() {
             n: 72_000,
             tile_size: 1200,
             multithread_am: mt,
-            tuning: Default::default(),
         })
         .req_us
     });

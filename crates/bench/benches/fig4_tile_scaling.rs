@@ -14,76 +14,30 @@ use amt_bench::tlrrun::{run_tlr, TlrRunCfg, N_FULL, N_SCALED, TILE_SIZES};
 use amt_bench::{backend_arg, full_scale, harness_args, jobs_arg, run_sweep, ObsSink};
 use amt_comm::BackendKind;
 
-/// `-- --golden [--jobs N] [--islands K]`: run one fixed, scaled fig4
-/// point on every backend and print the exact virtual-time results
-/// (integer nanoseconds). verify.sh diffs this output against
-/// `results/golden_fig4.txt` — at several `--jobs` settings and several
-/// `--islands` counts — to prove engine changes alter no virtual-time
-/// behaviour, that the sweep runner's parallelism cannot leak into
-/// results, and that the island-parallel DES reproduces the monolithic
-/// engine byte for byte.
-fn golden_point(jobs: usize, islands: Option<usize>) {
+/// `-- --golden [--jobs N]`: run one fixed, scaled fig4 point on every
+/// backend and print the exact virtual-time results (integer nanoseconds).
+/// verify.sh diffs this output against `results/golden_fig4.txt` — at
+/// several `--jobs` settings — to prove engine changes alter no
+/// virtual-time behaviour and that the sweep runner's parallelism cannot
+/// leak into results.
+fn golden_point(jobs: usize) {
     println!("golden fig4 point: N=24000 nodes=4 ts=3000 mt=false");
     let backends = [BackendKind::Lci, BackendKind::LciDirect, BackendKind::Mpi];
-    let runs: Vec<_> = match islands {
-        // Island-parallel DES path: same cluster configuration as
-        // `run_tlr`, executed over `k` node islands. The printed lines
-        // must match the monolithic golden file exactly.
-        Some(k) => {
-            use amt_core::{execute_islands, ClusterConfig, ExecMode};
-            use amt_tlr::{TlrCholesky, TlrProblem};
-            let nodes = 4;
-            backends
-                .iter()
-                .map(|&backend| {
-                    let cfg = ClusterConfig {
-                        mode: ExecMode::CostOnly,
-                        get_window_bytes: 2 << 20,
-                        ..ClusterConfig::expanse(backend, nodes)
-                    };
-                    let problem = TlrProblem::new(24_000, 3000);
-                    let report = execute_islands(&cfg, k, |g| {
-                        TlrCholesky::build_cost_only_into(problem.clone(), nodes, g);
-                    });
-                    assert!(report.complete(), "island golden run incomplete");
-                    let mean = |s: &amt_simnet::OnlineStats| {
-                        if s.count() > 0 {
-                            s.mean()
-                        } else {
-                            0.0
-                        }
-                    };
-                    (
-                        report.makespan.as_ns(),
-                        report.tasks_executed,
-                        mean(&report.e2e_latency_us),
-                        mean(&report.msg_latency_us),
-                        mean(&report.request_latency_us),
-                    )
-                })
-                .collect()
-        }
-        None => {
-            let cfgs: Vec<TlrRunCfg> = backends
-                .iter()
-                .map(|&backend| TlrRunCfg {
-                    backend,
-                    nodes: 4,
-                    n: 24_000,
-                    tile_size: 3000,
-                    multithread_am: false,
-                    tuning: Default::default(),
-                })
-                .collect();
-            run_sweep(&cfgs, jobs, run_tlr)
-                .into_iter()
-                .map(|r| (r.makespan_ns, r.tasks, r.e2e_us, r.msg_us, r.req_us))
-                .collect()
-        }
-    };
-    for (backend, (makespan_ns, tasks, e2e_us, msg_us, req_us)) in backends.iter().zip(runs) {
+    let cfgs: Vec<TlrRunCfg> = backends
+        .iter()
+        .map(|&backend| TlrRunCfg {
+            backend,
+            nodes: 4,
+            n: 24_000,
+            tile_size: 3000,
+            multithread_am: false,
+        })
+        .collect();
+    let runs = run_sweep(&cfgs, jobs, run_tlr);
+    for (backend, r) in backends.iter().zip(runs) {
         println!(
-            "{backend} makespan_ns={makespan_ns} tasks={tasks} e2e_us={e2e_us:.6} msg_us={msg_us:.6} req_us={req_us:.6}"
+            "{backend} makespan_ns={} tasks={} e2e_us={:.6} msg_us={:.6} req_us={:.6}",
+            r.makespan_ns, r.tasks, r.e2e_us, r.msg_us, r.req_us
         );
     }
 }
@@ -91,7 +45,7 @@ fn golden_point(jobs: usize, islands: Option<usize>) {
 fn main() {
     let args = harness_args();
     if args.iter().any(|a| a == "--golden") {
-        golden_point(jobs_arg(&args), amt_bench::num_flag(&args, "--islands"));
+        golden_point(jobs_arg(&args));
         return;
     }
     ObsSink::install(&args);
@@ -124,7 +78,6 @@ fn main() {
                     n,
                     tile_size: ts,
                     multithread_am: mt,
-                    tuning: Default::default(),
                 });
             }
         }

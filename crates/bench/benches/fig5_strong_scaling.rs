@@ -12,9 +12,7 @@
 
 use amt_bench::table::{banner, cell, header, row};
 use amt_bench::tlrrun::{run_tlr, TlrRunCfg, TlrRunResult, N_FULL, N_SCALED, TILE_SIZES};
-use amt_bench::{
-    backend_arg, comm_tuning_args, full_scale, harness_args, jobs_arg, run_sweep, ObsSink,
-};
+use amt_bench::{backend_arg, full_scale, harness_args, jobs_arg, run_sweep, ObsSink};
 use amt_comm::BackendKind;
 
 const NODE_COUNTS: [usize; 6] = [1, 2, 4, 8, 16, 32];
@@ -38,17 +36,8 @@ fn main() {
         Some(b) => b,
     };
 
-    // Message-layer tuning knobs (`--batch-bytes`, `--batch-window-ns`,
-    // `--multicast-k`) select the ablation series: the LCI backend re-run
-    // at its chosen tile sizes with the knobs applied, reported as an
-    // extra column against the flat defaults.
-    let tuning = comm_tuning_args(&args);
-
     println!("TLR Cholesky strong scaling, N = {n}, maxrank 150, acc 1e-8, band 1");
     println!("LCI series backend: {lci_kind}");
-    if !tuning.is_default() {
-        println!("ablation series: {}", tuning.describe());
-    }
 
     let jobs = jobs_arg(&args);
     let cfg_of = |backend: BackendKind, nodes: usize, ts: usize| TlrRunCfg {
@@ -57,7 +46,6 @@ fn main() {
         n,
         tile_size: ts,
         multithread_am: false,
-        tuning: Default::default(),
     };
 
     // Phase 1: the per-(backend, nodes) tile-size candidates — the full
@@ -106,23 +94,6 @@ fn main() {
     }
     let results2 = run_sweep(&phase2, jobs, run_tlr);
     let pool2: Vec<(TlrRunCfg, TlrRunResult)> = phase2.into_iter().zip(results2).collect();
-
-    // Ablation phase: the LCI series again at its chosen tile sizes, with
-    // the tuning knobs overlaid (skipped entirely when no knob is active,
-    // keeping the default output byte-identical to the knobless harness).
-    let tuned: Vec<TlrRunCfg> = if tuning.is_default() {
-        Vec::new()
-    } else {
-        NODE_COUNTS
-            .iter()
-            .map(|&nodes| TlrRunCfg {
-                tuning: tuning.clone(),
-                ..cfg_of(lci_kind, nodes, best_for(lci_kind, nodes).0)
-            })
-            .collect()
-    };
-    let tuned_results = run_sweep(&tuned, jobs, run_tlr);
-    let tuned_pool: Vec<(TlrRunCfg, TlrRunResult)> = tuned.into_iter().zip(tuned_results).collect();
 
     let mut table2: Vec<(usize, usize, usize)> = Vec::new();
     let mut rows = Vec::new();
@@ -181,33 +152,6 @@ fn main() {
             cell(format!("{lci_lat:.1}"), 9),
             cell(format!("{mpi_lat:.1}"), 9),
         ]);
-    }
-
-    if !tuned_pool.is_empty() {
-        banner(&format!("Ablation: LCI series with {}", tuning.describe()));
-        header(&[
-            ("nodes", 6),
-            ("flat", 9),
-            ("tuned", 9),
-            ("speedup", 8),
-            ("lat flat", 9),
-            ("lat tuned", 10),
-        ]);
-        for &(nodes, _, lci_tts, _, _, _, lci_lat, _) in &rows {
-            let t = tuned_pool
-                .iter()
-                .find(|(c, _)| c.nodes == nodes)
-                .map(|(_, r)| r)
-                .expect("ablation covered every node count");
-            row(&[
-                cell(format!("{nodes}"), 6),
-                cell(format!("{lci_tts:.3}"), 9),
-                cell(format!("{:.3}", t.tts_s), 9),
-                cell(format!("{:.2}x", lci_tts / t.tts_s), 8),
-                cell(format!("{lci_lat:.1}"), 9),
-                cell(format!("{:.1}", t.req_us), 10),
-            ]);
-        }
     }
 
     banner("Table 2: tile size with lowest time-to-solution");

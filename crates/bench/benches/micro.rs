@@ -305,7 +305,6 @@ fn engine_suite(quick: bool, out: &std::path::Path) {
             n: if quick { 12_000 } else { 24_000 },
             tile_size: 3000,
             multithread_am: false,
-            tuning: Default::default(),
         };
         let mut events = 0u64;
         let secs = median_secs(if quick { 1 } else { 3 }, || {

@@ -1,7 +1,7 @@
 //! Cluster-scale benchmark → `BENCH_scale.json`.
 //!
 //! PRs 1–8 validated the runtime at the paper's 32-node envelope; this
-//! bench measures the three mechanisms that push the *simulated* cluster
+//! bench measures the mechanisms that push the *simulated* cluster
 //! 10–100× past it, on one box:
 //!
 //! * **scaling** — windowed CostOnly TLR Cholesky at 32 → 1024 simulated
@@ -20,13 +20,6 @@
 //!   end-to-end; at those shapes per-node engine state, not the version
 //!   table, dominates the footprint.)
 //!
-//! * **islands** — the conservative-lookahead island-parallel DES at 1,
-//!   2, and 4 islands on the same workload: the reports must be
-//!   byte-identical (the determinism contract), and the wall-clock
-//!   speedup is recorded together with `threads_available` — on a
-//!   single-core host the honest expectation is ≈ 1.0×, and verify.sh
-//!   gates ≥ 1.5× at 4 islands only when at least 4 cores exist.
-//!
 //! * **million_task** — the headline capacity point: a million-task TLR
 //!   Cholesky on 1024 simulated nodes, windowed + flyweight, completing
 //!   in bounded memory.
@@ -41,10 +34,8 @@ use std::time::Instant;
 use amt_bench::alloc_count::{peak_live_bytes, reset_peak_live_bytes, CountingAlloc};
 use amt_bench::harness_args;
 use amt_comm::BackendKind;
-use amt_core::{
-    execute_islands, Cluster, ClusterConfig, ExecMode, GraphBuilder, GraphSource, TaskDesc,
-};
-use amt_tlr::{TlrCholesky, TlrCholeskySource, TlrProblem};
+use amt_core::{Cluster, ClusterConfig, ExecMode, GraphBuilder, GraphSource, TaskDesc};
+use amt_tlr::{TlrCholeskySource, TlrProblem};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -183,8 +174,6 @@ fn main() {
         &[(32, 24), (128, 40), (512, 64), (1024, 80)]
     };
     let mem_chain = if quick { 100 } else { 2000 };
-    let island_nt = if quick { 12 } else { 24 };
-    let island_counts: &[usize] = &[1, 2, 4];
     // nt = 181 → 181 + 181·180 + 181·180·179/6 = 1,004,731 tasks.
     let million_nt = if quick { 16 } else { 181 };
 
@@ -211,34 +200,6 @@ fn main() {
         "chain={mem_chain}/node ({dense_tasks} tasks): dense {:.1} MiB   flyweight {:.1} MiB   ratio {mem_ratio:.3}",
         mib(dense_peak),
         mib(fly_peak),
-    );
-
-    println!("== island-parallel DES: byte-identity and speedup ==");
-    let island_nodes = 32;
-    let island_cfg = scale_cfg(island_nodes, false);
-    let island_problem = TlrProblem::new(island_nt * TS, TS);
-    let mut island_runs: Vec<(usize, f64, String)> = Vec::new();
-    for &k in island_counts {
-        let problem = island_problem.clone();
-        let t0 = Instant::now();
-        let report = execute_islands(&island_cfg, k, |g| {
-            TlrCholesky::build_cost_only_into(problem.clone(), island_nodes, g);
-        });
-        let wall = t0.elapsed().as_secs_f64();
-        assert!(report.complete(), "islands={k} incomplete");
-        println!(
-            "islands={k}  makespan {:>8.3} s  wall {:>6.2} s",
-            report.makespan.as_secs_f64(),
-            wall
-        );
-        island_runs.push((k, wall, report.to_json()));
-    }
-    let byte_identical = island_runs.iter().all(|(_, _, j)| *j == island_runs[0].2);
-    assert!(byte_identical, "island reports diverged");
-    let speedup_at_max = island_runs[0].1 / island_runs.last().expect("non-empty").1.max(1e-9);
-    println!(
-        "byte-identical at every island count; {}-island speedup {speedup_at_max:.2}x on {threads_available} core(s)",
-        island_counts.last().expect("non-empty"),
     );
 
     println!("== million-task capacity point: 1024 nodes, windowed + flyweight ==");
@@ -281,16 +242,6 @@ fn main() {
     json.push_str(&format!(
         "  \"flyweight_memory\": {{\"nodes\": {mem_nodes}, \"chain_per_node\": {mem_chain}, \"tasks\": {dense_tasks}, \"dense_peak_bytes\": {dense_peak}, \"flyweight_peak_bytes\": {fly_peak}, \"ratio\": {mem_ratio:.4}}},\n",
     ));
-    json.push_str(&format!(
-        "  \"islands\": {{\"nodes\": {island_nodes}, \"tile_count\": {island_nt}, \"byte_identical\": {byte_identical}, \"speedup_at_max\": {speedup_at_max:.3}, \"runs\": [",
-    ));
-    for (i, (k, wall, _)) in island_runs.iter().enumerate() {
-        json.push_str(&format!(
-            "{{\"islands\": {k}, \"wall_s\": {wall:.3}}}{}",
-            if i + 1 == island_runs.len() { "" } else { ", " }
-        ));
-    }
-    json.push_str("]},\n");
     json.push_str(&format!("  \"million_task\": {}\n", row_json(&million)));
     json.push_str("}\n");
     std::fs::write(&out_path, json).expect("write BENCH_scale.json");

@@ -47,7 +47,7 @@ static OBS: Mutex<Option<ObsSink>> = Mutex::new(None);
 
 /// Parse a `--name <path>` / `--name=<path>` flag.
 /// Parse a `--name <path>` / `--name=<path>` flag.
-pub fn path_flag(args: &[String], name: &str) -> Option<PathBuf> {
+fn path_flag(args: &[String], name: &str) -> Option<PathBuf> {
     let eq = format!("{name}=");
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -332,7 +332,7 @@ pub fn backend_arg(args: &[String]) -> Option<amt_comm::BackendKind> {
 }
 
 /// Parse a `--name N` / `--name=N` numeric flag.
-pub fn num_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T>
+fn num_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T>
 where
     T::Err: std::fmt::Display,
 {
@@ -374,51 +374,24 @@ pub struct CommTuning {
     pub multicast_k: Option<usize>,
     /// `--adaptive`: run the online per-destination controller
     /// ([`amt_comm::TuneConfig`]) — AIMD adaptation of the eager-put
-    /// ceiling, batching window, and GET window during the run.
+    /// ceiling during the run.
     pub adaptive: bool,
-    /// `--tuned <file>`: best-found knobs from an `--autotune-out` sweep
-    /// (`amtlc-tune-v1`), applied before any explicit knob flags.
-    pub tuned: Option<amt_core::TuneProfile>,
 }
 
 /// Parse the [`CommTuning`] flags from harness/example arguments,
 /// validating eagerly: `--multicast-k` below 2 cannot form a tree and is
 /// rejected here rather than at cluster construction.
-///
-/// `--tuned` together with `--cost-model` is legal — the explicit cost
-/// model's charges win, the profile only sets knobs — but when the
-/// profile was searched under *different* charges the knobs are stale
-/// evidence, so that combination warns on stderr instead of silently
-/// proceeding.
 pub fn comm_tuning_args(args: &[String]) -> CommTuning {
     let t = CommTuning {
         batch_bytes: num_flag(args, "--batch-bytes"),
         batch_window_ns: num_flag(args, "--batch-window-ns"),
         multicast_k: num_flag(args, "--multicast-k"),
         adaptive: args.iter().any(|a| a == "--adaptive"),
-        tuned: tuned_arg(args),
     };
     if let Some(k) = t.multicast_k {
         assert!(k >= 2, "--multicast-k must be at least 2 (got {k})");
     }
-    let explicit = path_flag(args, "--cost-model").map(|p| p.display().to_string());
-    if let Some(warning) = t.cost_model_warning(explicit.as_deref()) {
-        eprintln!("warning: {warning}");
-    }
     t
-}
-
-/// Parse the `--tuned <file>` / `--tuned=<file>` flag: load an
-/// `amtlc-tune-v1` profile (written by the autotune sweep's
-/// `--autotune-out`). Panics loudly on a missing or malformed file.
-pub fn tuned_arg(args: &[String]) -> Option<amt_core::TuneProfile> {
-    let path = path_flag(args, "--tuned")?;
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("--tuned {}: {e}", path.display()));
-    Some(
-        amt_core::TuneProfile::from_json(&text)
-            .unwrap_or_else(|e| panic!("--tuned {}: {e}", path.display())),
-    )
 }
 
 impl CommTuning {
@@ -427,23 +400,10 @@ impl CommTuning {
         *self == CommTuning::default()
     }
 
-    /// Delegate to [`amt_core::TuneProfile::cost_model_conflict`] for the
-    /// loaded profile (if any): the warning to print when an explicit
-    /// `--cost-model` overrides the charges the profile was searched under.
-    pub fn cost_model_warning(&self, explicit_cost_model: Option<&str>) -> Option<String> {
-        self.tuned
-            .as_ref()
-            .and_then(|p| p.cost_model_conflict(explicit_cost_model))
-    }
-
-    /// Overlay the present knobs onto `cfg`. The `--tuned` profile goes
-    /// first, then explicit flags override it. A `--batch-bytes` without a
+    /// Overlay the present knobs onto `cfg`. A `--batch-bytes` without a
     /// window gets a 1 µs default window so the threshold can act at all;
     /// an explicit `--batch-window-ns 0` keeps batching off.
     pub fn apply(&self, cfg: &mut ClusterConfig) {
-        if let Some(profile) = &self.tuned {
-            profile.apply(cfg);
-        }
         if self.batch_bytes.is_some() || self.batch_window_ns.is_some() {
             let window = self
                 .batch_window_ns
@@ -475,12 +435,6 @@ impl CommTuning {
         }
         if let Some(k) = self.multicast_k {
             parts.push(format!("multicast {k}-ary trees"));
-        }
-        if let Some(p) = &self.tuned {
-            parts.push(format!(
-                "tuned profile (eager {} B, window {} ns, GET window {})",
-                p.eager_put_max, p.batch_window_ns, p.get_window
-            ));
         }
         if self.adaptive {
             parts.push("adaptive controller".to_string());
@@ -702,52 +656,11 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_and_tuned_flags_compose() {
-        use amt_core::TuneProfile;
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-
-        // --adaptive alone turns the online controller on.
-        let t = comm_tuning_args(&args(&["--adaptive"]));
+    fn adaptive_flag_turns_the_controller_on() {
+        let t = comm_tuning_args(&["--adaptive".to_string()]);
         assert!(t.adaptive && !t.is_default());
         let mut cfg = ClusterConfig::default();
         t.apply(&mut cfg);
         assert!(cfg.engine.tune.enabled);
-
-        // --tuned loads a profile and applies its knobs; explicit knob
-        // flags still win over the profile.
-        let profile = TuneProfile {
-            eager_put_max: 8192,
-            batch_window_ns: 150_000,
-            get_window: 128,
-            ..Default::default()
-        };
-        let dir = std::env::temp_dir().join("amtlc-tuned-flag-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("tune.json");
-        std::fs::write(&path, profile.to_json()).expect("write profile");
-        let t = comm_tuning_args(&args(&[&format!("--tuned={}", path.display())]));
-        assert_eq!(t.tuned.as_ref(), Some(&profile));
-        let mut cfg = ClusterConfig::default();
-        t.apply(&mut cfg);
-        assert_eq!(cfg.engine.eager_put_max, 8192);
-        assert_eq!(cfg.engine.batch_window_ns, 150_000);
-        assert_eq!(cfg.get_window, 128);
-        assert!(!cfg.engine.tune.enabled, "profile had adaptive off");
-        let mut cfg = ClusterConfig::default();
-        let t = comm_tuning_args(&args(&[
-            &format!("--tuned={}", path.display()),
-            "--batch-window-ns=9000",
-        ]));
-        t.apply(&mut cfg);
-        assert_eq!(cfg.engine.batch_window_ns, 9_000, "explicit flag wins");
-
-        // --cost-model precedence: same tag is quiet, a different tag
-        // (charges the sweep never saw) warns instead of silently drifting.
-        assert!(t.cost_model_warning(None).is_none());
-        assert!(t.cost_model_warning(Some("default")).is_none());
-        let warn = t
-            .cost_model_warning(Some("calib/other.json"))
-            .expect("mismatched charges warn");
-        assert!(warn.contains("overrides"), "{warn}");
     }
 }

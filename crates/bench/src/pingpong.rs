@@ -337,7 +337,6 @@ mod diag3 {
                 n: 360_000,
                 tile_size: 1200,
                 multithread_am: false,
-                tuning: Default::default(),
             });
             println!(
                 "{backend:?}: tts={:.3}s e2e={:.0}us msg={:.0}us tasks={} wutil={:.2} cutil={:.2} wall={:.1}s",

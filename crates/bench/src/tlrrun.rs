@@ -12,9 +12,6 @@ pub struct TlrRunCfg {
     pub n: usize,
     pub tile_size: usize,
     pub multithread_am: bool,
-    /// Message-layer tuning overlay (AM batching, multicast trees); the
-    /// default leaves the paper configuration untouched.
-    pub tuning: crate::CommTuning,
 }
 
 /// Measured outcome.
@@ -50,7 +47,6 @@ pub fn run_tlr(cfg: &TlrRunCfg) -> TlrRunResult {
         get_window_bytes: 2 << 20,
         ..ClusterConfig::expanse(cfg.backend, cfg.nodes)
     };
-    cfg.tuning.apply(&mut ccfg);
     crate::ObsSink::arm(&mut ccfg);
     let mut cluster = Cluster::new(ccfg);
     let report = cluster.execute(graph);
@@ -110,7 +106,6 @@ mod tests {
             n: 24_000,
             tile_size: 3000,
             multithread_am: false,
-            tuning: Default::default(),
         });
         assert!(r.tts_s > 0.0);
         assert!(r.e2e_us > 0.0);

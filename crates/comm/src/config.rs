@@ -121,10 +121,7 @@ pub struct EngineConfig {
     /// engine's [`amt_simnet::MetricsRegistry`]. Off by default.
     pub metrics: bool,
     /// Self-tuning controller (see [`crate::tune`]): per-destination AIMD
-    /// adaptation of the eager-put threshold, the batching window and the
-    /// GET-window depth, fed by the lifecycle histograms. Off by default;
-    /// when enabled the engine records lifecycle stages even with
-    /// `metrics` off (the controller reads them as its congestion signal).
+    /// adaptation of the eager-put threshold. Off by default.
     pub tune: TuneConfig,
 }
 
@@ -232,19 +229,6 @@ impl EngineConfig {
             .iter()
             .find(|&&(t, _)| t == tag)
             .map_or(self.batch_window_ns, |&(_, w)| w)
-    }
-
-    /// Enable (or disable) the self-tuning controller with its default
-    /// cadence and bounds.
-    pub fn with_tuning(mut self, on: bool) -> Self {
-        self.tune.enabled = on;
-        self
-    }
-
-    /// True when the engine must record lifecycle-stage histograms: either
-    /// the user asked for metrics or the controller needs them as input.
-    pub fn stages_enabled(&self) -> bool {
-        self.metrics || self.tune.enabled
     }
 
     /// Effective byte threshold of the batching layer.

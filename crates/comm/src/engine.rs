@@ -187,8 +187,8 @@ pub struct CommEngine {
     /// `msg.<class>.msgs_on_wire` / `records_per_msg` metrics.
     tag_labels: RefCell<HashMap<u64, &'static str>>,
     /// Self-tuning controller (`cfg.tune.enabled`): per-destination AIMD
-    /// adaptation of the eager threshold, batching window and fetch
-    /// windows, stepped lazily on the submission paths.
+    /// adaptation of the eager-put threshold, stepped lazily on the
+    /// submission paths.
     tuner: Option<RefCell<Tuner>>,
 }
 
@@ -206,15 +206,10 @@ impl CommWorld {
             let progress_cores = (0..backend.progress_threads())
                 .map(|i| CoreResource::new_shared(format!("n{node}.prog{i}")))
                 .collect();
-            let tuner = cfg.tune.enabled.then(|| {
-                RefCell::new(Tuner::new(
-                    cfg.tune.clone(),
-                    cfg.eager_put_max,
-                    cfg.batch_window_ns,
-                    0,
-                    cfg.max_concurrent_transfers as u64,
-                ))
-            });
+            let tuner = cfg
+                .tune
+                .enabled
+                .then(|| RefCell::new(Tuner::new(&cfg.tune, cfg.eager_put_max)));
             let eng = Rc::new(CommEngine {
                 node,
                 cfg: cfg.clone(),
@@ -223,7 +218,7 @@ impl CommWorld {
                 backend,
                 inner: RefCell::new(Inner::new()),
                 trace: shared(Trace::new(cfg.trace)),
-                metrics: shared(MetricsRegistry::new(cfg.stages_enabled())),
+                metrics: shared(MetricsRegistry::new(cfg.metrics)),
                 overlap: RefCell::new(None),
                 comm_track: format!("n{node}.comm"),
                 prog_track: format!("n{node}.prog"),
@@ -325,10 +320,9 @@ impl CommEngine {
         }
     }
 
-    /// Record a lifecycle-stage duration (no-op when neither metrics nor
-    /// the adaptive controller need the histograms).
+    /// Record a lifecycle-stage duration (no-op when metrics are disabled).
     pub(crate) fn record_stage(&self, name: &str, dt: SimTime) {
-        if self.cfg.stages_enabled() {
+        if self.cfg.metrics {
             self.metrics.borrow_mut().record_time(name, dt);
         }
     }
@@ -338,16 +332,11 @@ impl CommEngine {
     // ------------------------------------------------------------------
 
     /// Lazily step the adaptive controller to the epoch containing `now`.
-    /// Called on the submission paths; reads the AM and put wire-stage
-    /// lifecycle histograms as the congestion signals. No-op when the
-    /// controller is off.
+    /// Called on the submission paths. No-op when the controller is off.
     pub(crate) fn tick_tune(&self, now: SimTime) {
-        let Some(t) = &self.tuner else { return };
-        let (am_wire, put_wire) = {
-            let m = self.metrics.borrow();
-            (m.hist_totals("am.wire_ns"), m.hist_totals("put.wire_ns"))
-        };
-        t.borrow_mut().maybe_epoch(now.as_ns(), am_wire, put_wire);
+        if let Some(t) = &self.tuner {
+            t.borrow_mut().maybe_epoch(now.as_ns());
+        }
     }
 
     /// Effective eager-put ceiling towards `dst`: the adaptive
@@ -360,43 +349,6 @@ impl CommEngine {
         }
     }
 
-    /// Effective batching window towards `dst` for `tag`. An explicit
-    /// per-tag override always wins (it encodes user intent, e.g.
-    /// exempting GET DATA from hold-back); otherwise the controller's
-    /// per-destination window when it is on, the static global window when
-    /// off.
-    pub fn batch_window_for(&self, dst: NodeId, tag: u64) -> u64 {
-        if let Some(t) = &self.tuner {
-            let explicit = self
-                .cfg
-                .batch_window_overrides
-                .iter()
-                .find(|&&(tg, _)| tg == tag);
-            return match explicit {
-                Some(&(_, w)) => w,
-                None => t.borrow().batch_window(dst),
-            };
-        }
-        self.cfg.batch_window_for(tag)
-    }
-
-    /// Effective consumer-side GET window given the substrate's static
-    /// base (`ClusterConfig::get_window`).
-    pub fn tuned_get_window(&self, base: usize) -> usize {
-        match &self.tuner {
-            Some(t) => t.borrow_mut().get_window_base(base as u64) as usize,
-            None => base,
-        }
-    }
-
-    /// Effective concurrent-transfer depth (MPI backend slot cap).
-    pub fn max_transfers_now(&self) -> usize {
-        match &self.tuner {
-            Some(t) => t.borrow().max_transfers() as usize,
-            None => self.cfg.max_concurrent_transfers,
-        }
-    }
-
     /// Account back-pressure towards `dst` (backend send retry, deferred
     /// transfer) — the controller's multiplicative-decrease signal.
     pub(crate) fn note_pressure(&self, dst: NodeId) {
@@ -406,8 +358,8 @@ impl CommEngine {
     }
 
     /// `tune.*` counters for `metrics_report`: adaptation-event totals and
-    /// the current per-destination knob values, or the all-zero aggregate
-    /// set when the controller is off.
+    /// the current per-destination eager thresholds, or the all-zero
+    /// aggregate set when the controller is off.
     pub fn tune_counters(&self) -> Vec<(String, u64)> {
         match &self.tuner {
             Some(t) => t.borrow().report_counters(self.node),
@@ -491,15 +443,12 @@ impl CommEngine {
         assert!(tag < RESERVED_TAG_BASE, "tag {tag} is reserved");
         self.inner.borrow_mut().stats.am_submitted.inc();
         self.tick_tune(sim.now());
-        if let Some(t) = &self.tuner {
-            t.borrow_mut().note_am(dst);
-        }
         // Engine-level batching: hold the record in a per-(dst, tag) buffer
         // until its window expires or its byte threshold fills. Checked
         // *before* the in-context fast path so sends issued from inside a
         // communication-thread callback (GET issuance, tree forwarding) —
         // which would otherwise go straight to the wire — coalesce too.
-        if aggregate && self.batch_window_for(dst, tag) > 0 {
+        if aggregate && self.cfg.batch_window_for(tag) > 0 {
             self.batch_am(sim, dst, tag, size, data);
             return;
         }
@@ -602,7 +551,7 @@ impl CommEngine {
                     );
                     flush_now = size >= flush_at;
                     if !flush_now {
-                        let window = SimTime::from_ns(self.batch_window_for(dst, tag));
+                        let window = SimTime::from_ns(self.cfg.batch_window_for(tag));
                         let earliest = inner
                             .batch_last_flush
                             .get(&(dst, tag))

@@ -65,7 +65,7 @@ pub use engine::{
 };
 pub use shm::{ShmMsg, ShmNode, ShmWorld};
 pub use stats::EngineStats;
-pub use tune::{TuneConfig, TuneEvents, Tuner, WindowBounds, WindowState};
+pub use tune::{TuneConfig, TuneEvents, Tuner};
 
 #[cfg(test)]
 mod tests;

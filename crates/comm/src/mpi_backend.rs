@@ -317,7 +317,7 @@ impl MpiBackend {
             },
             seq,
         };
-        if st.slots_in_use < eng.max_transfers_now() {
+        if st.slots_in_use < eng.cfg.max_concurrent_transfers {
             st.slots_in_use += 1;
             st.tracked.push(tracked);
             st.progress_queued = true;
@@ -342,7 +342,7 @@ impl MpiBackend {
             }
             let next = {
                 let mut st = self.st.borrow_mut();
-                if st.slots_in_use >= eng.max_transfers_now() {
+                if st.slots_in_use >= eng.cfg.max_concurrent_transfers {
                     Next::None
                 } else {
                     let pseq = st.deferred_puts.front().map(|(s, _)| *s);
@@ -453,7 +453,7 @@ impl CommBackend for MpiBackend {
         eng.inner.borrow_mut().stats.puts_started.inc();
         {
             let mut st = self.st.borrow_mut();
-            if st.slots_in_use >= eng.max_transfers_now() {
+            if st.slots_in_use >= eng.cfg.max_concurrent_transfers {
                 st.stat_deferred.inc();
                 let seq = st.bump_seq();
                 let dst = req.dst;

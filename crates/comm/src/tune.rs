@@ -1,79 +1,43 @@
 //! Self-tuning comm-engine controller: per-destination AIMD adaptation of
-//! the engine's tuning knobs, driven by the lifecycle metrics layer.
+//! the eager-put threshold.
 //!
-//! The LCI v2 line of work argues the knobs that dominate real deployments
-//! — the eager/rendezvous threshold, the aggregation window, the fetch
-//! depth — must track the workload, not a static config. This module is
-//! that feedback loop:
-//!
-//! * **Eager-put threshold** (per destination): rendezvous puts that would
-//!   have fit under the eager ceiling are *near misses* — each one paid an
-//!   RTS/RTR round trip a buffered send would have avoided. A near-miss
-//!   epoch raises the destination's threshold additively; packet-pool
-//!   back-pressure (send retries, deferred puts) cuts it multiplicatively.
-//! * **Batching window** (per destination): batching trades per-record
-//!   latency for wire message rate, so a hot link (many AM records per
-//!   epoch) only grows its rate-limit window while the AM wire-stage mean
-//!   shows *sustained* degradation ([`CongestionMeter`]) — a rate-bound
-//!   control plane. Links that went quiet shed theirs so sporadic
-//!   critical-path sends pay no hold-back.
-//! * **GET window / transfer depth** (per node): the consumer-side fetch
-//!   window widens while the put wire-stage latency (from the
-//!   `MetricsRegistry` lifecycle histograms) holds, and halves when the
-//!   epoch-over-epoch mean degrades — classic AIMD on a congestion signal.
+//! The LCI v2 line of work argues the eager/rendezvous threshold must track
+//! the workload, not a static config. Rendezvous puts that would have fit
+//! under the eager ceiling are *near misses* — each one paid an RTS/RTR
+//! round trip a buffered send would have avoided. A near-miss epoch raises
+//! the destination's threshold additively; packet-pool back-pressure (send
+//! retries, deferred puts) cuts it multiplicatively.
 //!
 //! Decisions are keyed to `(node, epoch)` where `epoch = now / epoch_ns`
 //! in **virtual time**: every signal is node-local and per-node event
-//! order is byte-reproducible at any `--jobs` or `--islands` count, so an
-//! adaptive run is exactly as deterministic as a static one. Epochs are
-//! evaluated lazily on the submission paths — the controller schedules no
-//! events of its own, so quiescence detection and the island lookahead
-//! rounds see an unchanged simulation. The same [`WindowState`] controller
-//! runs wall-clock-sampled on the real substrate (`real.rs` samples it
-//! from the shared-memory GET gate).
+//! order is byte-reproducible at any `--jobs` count, so an adaptive run is
+//! exactly as deterministic as a static one. Epochs are evaluated lazily
+//! on the submission paths — the controller schedules no events of its
+//! own, so quiescence detection sees an unchanged simulation.
 
 use std::collections::HashMap;
 
 use amt_netmodel::NodeId;
 
-/// Controller parameters. Defaults keep the controller **off**; bounds and
-/// steps apply to both the virtual-time and wall-clock instances.
+/// Eager-put threshold floor, bytes.
+pub const EAGER_MIN: u64 = 1024;
+/// Eager-put threshold ceiling, bytes. `LciCosts::buf_max` is 12 KiB
+/// (asserted by `sendb`) and the put handshake adds a ~32-byte header:
+/// stay safely inside it.
+pub const EAGER_MAX: u64 = 12 * 1024 - 256;
+/// Additive raise per near-miss epoch, bytes.
+pub const EAGER_STEP: u64 = 2048;
+
+/// Controller parameters. The default keeps the controller **off**.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TuneConfig {
-    /// Master switch. Off ⇒ every knob stays at its static configuration
-    /// and the engine's behaviour is byte-identical to a build without the
-    /// controller.
+    /// Master switch. Off ⇒ the eager threshold stays at its static
+    /// configuration and the engine's behaviour is byte-identical to a
+    /// build without the controller.
     pub enabled: bool,
     /// Adaptation cadence: decisions fire on the first submission after
-    /// each `epoch_ns` boundary (virtual ns in the simulator, wall-clock
-    /// ns on the real substrate).
+    /// each `epoch_ns` boundary (virtual ns).
     pub epoch_ns: u64,
-    /// Eager-put threshold bounds and additive step, bytes. `eager_max`
-    /// must stay under the LCI buffered-send ceiling minus the handshake
-    /// header (`LciCosts::buf_max` is asserted by `sendb`).
-    pub eager_min: usize,
-    pub eager_max: usize,
-    pub eager_step: usize,
-    /// Batching-window bounds and additive step, virtual ns.
-    pub window_min_ns: u64,
-    pub window_max_ns: u64,
-    pub window_step_ns: u64,
-    /// AM records per epoch that make a link *hot* (raise its window);
-    /// links at or below a quarter of this cut theirs.
-    pub window_hot_records: u64,
-    /// GET-window bounds and additive step, flows.
-    pub get_window_min: u64,
-    pub get_window_max: u64,
-    pub get_window_step: u64,
-    /// MPI concurrent-transfer depth bounds and additive step, slots.
-    pub xfer_min: u64,
-    pub xfer_max: u64,
-    pub xfer_step: u64,
-    /// Relative wire-latency degradation (in 1/8ths) that counts as one
-    /// epoch of growth: `4` means a mean more than 50% above the previous
-    /// epoch's. Two consecutive growth epochs ([`CongestionMeter`]) make a
-    /// congestion event; single-epoch spikes are workload-phase noise.
-    pub congestion_eighths: u64,
 }
 
 impl Default for TuneConfig {
@@ -81,69 +45,23 @@ impl Default for TuneConfig {
         TuneConfig {
             enabled: false,
             epoch_ns: 200_000,
-            eager_min: 1024,
-            // LciCosts::buf_max is 12 KiB and the put handshake adds a
-            // ~32-byte header: stay safely inside the sendb assert.
-            eager_max: 12 * 1024 - 256,
-            eager_step: 2048,
-            window_min_ns: 0,
-            window_max_ns: 1_000_000,
-            window_step_ns: 100_000,
-            window_hot_records: 8,
-            get_window_min: 4,
-            get_window_max: 4096,
-            get_window_step: 32,
-            xfer_min: 4,
-            xfer_max: 256,
-            xfer_step: 8,
-            congestion_eighths: 4,
         }
     }
 }
 
 impl TuneConfig {
-    /// An enabled controller with the default cadence and bounds.
+    /// An enabled controller with the default cadence.
     pub fn enabled() -> Self {
         TuneConfig {
             enabled: true,
             ..Default::default()
         }
     }
-
-    /// AIMD bounds of the consumer-side GET window.
-    pub fn get_window_bounds(&self) -> WindowBounds {
-        WindowBounds {
-            min: self.get_window_min,
-            max: self.get_window_max,
-            step: self.get_window_step,
-            congestion_eighths: self.congestion_eighths,
-        }
-    }
-
-    /// AIMD bounds of the MPI concurrent-transfer depth.
-    pub fn xfer_bounds(&self) -> WindowBounds {
-        WindowBounds {
-            min: self.xfer_min,
-            max: self.xfer_max,
-            step: self.xfer_step,
-            congestion_eighths: self.congestion_eighths,
-        }
-    }
-}
-
-/// Clamp range, additive step and congestion tolerance of one
-/// [`WindowState`] controller.
-#[derive(Debug, Clone, Copy)]
-pub struct WindowBounds {
-    pub min: u64,
-    pub max: u64,
-    pub step: u64,
-    pub congestion_eighths: u64,
 }
 
 /// One additive-increase / multiplicative-decrease step: `cut` halves the
 /// value (it wins over `raise`), `raise` adds `step`; the result is clamped
-/// to `[min, max]`. Pure integer arithmetic — both substrates share it.
+/// to `[min, max]`.
 pub fn aimd_step(value: u64, raise: bool, cut: bool, step: u64, min: u64, max: u64) -> u64 {
     let v = if cut {
         value / 2
@@ -155,96 +73,14 @@ pub fn aimd_step(value: u64, raise: bool, cut: bool, step: u64, min: u64, max: u
     v.clamp(min, max)
 }
 
-/// Sustained-growth detector over a stream of per-epoch latency means.
-/// One epoch of growth is indistinguishable from workload-phase noise
-/// (e.g. a TLR factorization moving to larger tiles); two consecutive
-/// epochs each growing beyond the tolerance is treated as congestion.
-/// Detection re-arms itself, so a sustained plateau after a multiplicative
-/// cut does not trigger again until the mean *resumes* growing.
-#[derive(Debug, Clone, Default)]
-pub struct CongestionMeter {
-    last_mean_ns: u64,
-    streak: u8,
-}
-
-impl CongestionMeter {
-    /// Feed one epoch's flow count and latency sum; `true` on the epoch
-    /// that completes two consecutive beyond-tolerance growth steps. An
-    /// idle epoch (no flows) drops the stale baseline.
-    pub fn epoch(&mut self, eighths: u64, flows: u64, lat_sum_ns: u64) -> bool {
-        if flows == 0 {
-            self.last_mean_ns = 0;
-            self.streak = 0;
-            return false;
-        }
-        let mean = lat_sum_ns / flows;
-        let prev = self.last_mean_ns;
-        self.last_mean_ns = mean;
-        let grew = prev > 0 && mean > prev + prev * eighths / 8;
-        self.streak = if grew {
-            self.streak.saturating_add(1)
-        } else {
-            0
-        };
-        if self.streak >= 2 {
-            self.streak = 0;
-            return true;
-        }
-        false
-    }
-}
-
-/// The window controller shared by both substrates: feed it one epoch's
-/// flow count and latency sum and it AIMD-adjusts the window — raise while
-/// the per-flow mean holds, halve on sustained degradation beyond the
-/// configured congestion fraction ([`CongestionMeter`]). On the real
-/// substrate the "latency" is wall-clock ns per completed flow (inverse
-/// goodput), sampled from the shared-memory GET gate.
-#[derive(Debug, Clone)]
-pub struct WindowState {
-    pub window: u64,
-    meter: CongestionMeter,
-}
-
-impl WindowState {
-    pub fn new(start: u64) -> Self {
-        WindowState {
-            window: start,
-            meter: CongestionMeter::default(),
-        }
-    }
-
-    /// Close one epoch. Returns `+1` (raised), `-1` (cut) or `0`
-    /// (unchanged — e.g. an idle epoch, which also resets the baseline).
-    pub fn epoch(&mut self, b: &WindowBounds, flows: u64, lat_sum_ns: u64) -> i8 {
-        if flows == 0 {
-            self.meter.epoch(b.congestion_eighths, 0, 0);
-            return 0;
-        }
-        let congested = self.meter.epoch(b.congestion_eighths, flows, lat_sum_ns);
-        let next = aimd_step(self.window, !congested, congested, b.step, b.min, b.max);
-        let dir = match next.cmp(&self.window) {
-            std::cmp::Ordering::Greater => 1,
-            std::cmp::Ordering::Less => -1,
-            std::cmp::Ordering::Equal => 0,
-        };
-        self.window = next;
-        dir
-    }
-}
-
 /// Per-destination adaptive state plus its epoch accumulators.
 #[derive(Debug, Clone)]
 struct LinkState {
     /// Current eager-put ceiling for this destination, bytes.
     eager: u64,
-    /// Current batching window for this destination, ns.
-    window_ns: u64,
     /// Epoch accumulators, reset at every decision.
-    puts: u64,
     near_miss: u64,
     pressure: u64,
-    records: u64,
 }
 
 /// Lifetime adaptation-event counts, surfaced as `tune.*` counters in
@@ -254,87 +90,38 @@ pub struct TuneEvents {
     pub epochs: u64,
     pub eager_raise: u64,
     pub eager_cut: u64,
-    pub window_raise: u64,
-    pub window_cut: u64,
-    pub getwin_raise: u64,
-    pub getwin_cut: u64,
-    pub xfer_raise: u64,
-    pub xfer_cut: u64,
 }
 
 /// The per-engine (per-node) controller. Owned by `CommEngine` behind a
 /// `RefCell`; every method is cheap and allocation-free on the hot path.
 #[derive(Debug)]
 pub struct Tuner {
-    cfg: TuneConfig,
-    /// Static starting points, copied from the engine configuration.
+    epoch_ns: u64,
+    /// Static starting point, copied from the engine configuration.
     base_eager: u64,
-    base_window_ns: u64,
     /// Index of the last epoch a decision ran for.
     epoch: u64,
     links: HashMap<NodeId, LinkState>,
-    /// Consumer-side GET window (flows), stepped on the put wire signal.
-    get_window: WindowState,
-    /// MPI concurrent-transfer depth (slots), same put wire signal.
-    xfer: WindowState,
-    /// AM wire-latency congestion detector: hot links only grow batching
-    /// windows while the *control plane* shows sustained degradation —
-    /// batching trades latency for message rate, so a latency-bound
-    /// workload (hot links, healthy wire) must not start coalescing.
-    am_meter: CongestionMeter,
-    /// Wire-stage histogram positions at the last epoch: (count, sum_ns)
-    /// of delivered AM records / put flows, from the `MetricsRegistry`.
-    am_seen: (u64, u64),
-    put_seen: (u64, u64),
     pub events: TuneEvents,
 }
 
 impl Tuner {
-    /// `get_window = 0` leaves the GET window uninitialized: the first
-    /// [`Tuner::get_window_base`] query adopts the substrate's static base
-    /// (the engine does not know the cluster's GET window at build time).
-    pub fn new(
-        cfg: TuneConfig,
-        eager_put_max: usize,
-        batch_window_ns: u64,
-        get_window: u64,
-        max_transfers: u64,
-    ) -> Self {
-        let base_eager = (eager_put_max as u64).clamp(cfg.eager_min as u64, cfg.eager_max as u64);
-        let get0 = if get_window == 0 {
-            0
-        } else {
-            get_window.clamp(cfg.get_window_min, cfg.get_window_max)
-        };
-        let xfer0 = max_transfers.clamp(cfg.xfer_min, cfg.xfer_max);
+    pub fn new(cfg: &TuneConfig, eager_put_max: usize) -> Self {
         Tuner {
-            base_eager,
-            base_window_ns: batch_window_ns.clamp(cfg.window_min_ns, cfg.window_max_ns),
+            epoch_ns: cfg.epoch_ns,
+            base_eager: (eager_put_max as u64).clamp(EAGER_MIN, EAGER_MAX),
             epoch: 0,
             links: HashMap::new(),
-            get_window: WindowState::new(get0),
-            xfer: WindowState::new(xfer0),
-            am_meter: CongestionMeter::default(),
-            am_seen: (0, 0),
-            put_seen: (0, 0),
             events: TuneEvents::default(),
-            cfg,
         }
     }
 
-    pub fn config(&self) -> &TuneConfig {
-        &self.cfg
-    }
-
     fn link(&mut self, dst: NodeId) -> &mut LinkState {
-        let (eager, window_ns) = (self.base_eager, self.base_window_ns);
+        let eager = self.base_eager;
         self.links.entry(dst).or_insert_with(|| LinkState {
             eager,
-            window_ns,
-            puts: 0,
             near_miss: 0,
             pressure: 0,
-            records: 0,
         })
     }
 
@@ -343,48 +130,14 @@ impl Tuner {
         self.links.get(&dst).map_or(self.base_eager, |l| l.eager) as usize
     }
 
-    /// Current batching window towards `dst`, ns.
-    pub fn batch_window(&self, dst: NodeId) -> u64 {
-        self.links
-            .get(&dst)
-            .map_or(self.base_window_ns, |l| l.window_ns)
-    }
-
-    /// Current consumer-side GET window, flows.
-    pub fn get_window(&self) -> u64 {
-        self.get_window.window
-    }
-
-    /// Consumer-side GET window, adopting `base` on the first query if the
-    /// controller was built without one.
-    pub fn get_window_base(&mut self, base: u64) -> u64 {
-        if self.get_window.window == 0 && base > 0 {
-            self.get_window.window = base.clamp(self.cfg.get_window_min, self.cfg.get_window_max);
-        }
-        self.get_window.window
-    }
-
-    /// Current MPI concurrent-transfer depth, slots.
-    pub fn max_transfers(&self) -> u64 {
-        self.xfer.window
-    }
-
     /// Account one put submission towards `dst`. A rendezvous put that
     /// would have fit under the adaptive ceiling is a near miss — the
     /// raise signal for the eager threshold.
     pub fn note_put(&mut self, dst: NodeId, size: usize) {
-        let eager_max = self.cfg.eager_max as u64;
         let l = self.link(dst);
-        l.puts += 1;
-        if (size as u64) > l.eager && (size as u64) <= eager_max {
+        if (size as u64) > l.eager && (size as u64) <= EAGER_MAX {
             l.near_miss += 1;
         }
-    }
-
-    /// Account one AM record submitted towards `dst` (the batching-window
-    /// heat signal).
-    pub fn note_am(&mut self, dst: NodeId) {
-        self.link(dst).records += 1;
     }
 
     /// Account back-pressure towards `dst`: a backend send retry or a
@@ -394,121 +147,51 @@ impl Tuner {
     }
 
     /// Lazily advance to the epoch containing `now_ns`, running one AIMD
-    /// decision round if a boundary was crossed. `am_wire` / `put_wire`
-    /// are the current (count, sum_ns) of the AM and put wire-stage
-    /// lifecycle histograms; deltas since the previous round are the
-    /// congestion signals (AM → batching windows, put → GET window and
-    /// transfer depth). Returns `true` when a decision round ran.
-    pub fn maybe_epoch(&mut self, now_ns: u64, am_wire: (u64, u64), put_wire: (u64, u64)) -> bool {
-        let e = now_ns / self.cfg.epoch_ns;
+    /// decision round if a boundary was crossed. Returns `true` when a
+    /// decision round ran.
+    pub fn maybe_epoch(&mut self, now_ns: u64) -> bool {
+        let e = now_ns / self.epoch_ns;
         if e <= self.epoch {
             return false;
         }
         self.epoch = e;
         self.events.epochs += 1;
-        let cfg = self.cfg.clone();
-
-        // Control-plane congestion: sustained growth of the AM wire mean.
-        let dam = (
-            am_wire.0.saturating_sub(self.am_seen.0),
-            am_wire.1.saturating_sub(self.am_seen.1),
-        );
-        self.am_seen = am_wire;
-        let am_congested = self.am_meter.epoch(cfg.congestion_eighths, dam.0, dam.1);
-
-        // Per-destination knobs.
         for l in self.links.values_mut() {
-            let cut = l.pressure > 0;
-            let next_eager = aimd_step(
+            let next = aimd_step(
                 l.eager,
                 l.near_miss > 0,
-                cut,
-                cfg.eager_step as u64,
-                cfg.eager_min as u64,
-                cfg.eager_max as u64,
+                l.pressure > 0,
+                EAGER_STEP,
+                EAGER_MIN,
+                EAGER_MAX,
             );
-            match next_eager.cmp(&l.eager) {
+            match next.cmp(&l.eager) {
                 std::cmp::Ordering::Greater => self.events.eager_raise += 1,
                 std::cmp::Ordering::Less => self.events.eager_cut += 1,
                 std::cmp::Ordering::Equal => {}
             }
-            l.eager = next_eager;
-
-            // Batching trades per-record latency for wire message rate:
-            // grow a hot link's window only while the control plane shows
-            // sustained congestion (rate-bound); shed it as soon as the
-            // link's record stream thins out.
-            let hot = l.records >= cfg.window_hot_records;
-            let cold = l.records > 0 && l.records <= cfg.window_hot_records / 4;
-            let next_window = aimd_step(
-                l.window_ns,
-                hot && am_congested,
-                cold,
-                cfg.window_step_ns,
-                cfg.window_min_ns,
-                cfg.window_max_ns,
-            );
-            match next_window.cmp(&l.window_ns) {
-                std::cmp::Ordering::Greater => self.events.window_raise += 1,
-                std::cmp::Ordering::Less => self.events.window_cut += 1,
-                std::cmp::Ordering::Equal => {}
-            }
-            l.window_ns = next_window;
-
-            l.puts = 0;
+            l.eager = next;
             l.near_miss = 0;
             l.pressure = 0;
-            l.records = 0;
-        }
-
-        // Node-level windows off the put wire-stage histogram delta.
-        let (count, sum) = put_wire;
-        let dcount = count.saturating_sub(self.put_seen.0);
-        let dsum = sum.saturating_sub(self.put_seen.1);
-        self.put_seen = (count, sum);
-        // An uninitialized GET window (no query yet) is left alone.
-        if self.get_window.window > 0 {
-            match self
-                .get_window
-                .epoch(&cfg.get_window_bounds(), dcount, dsum)
-            {
-                1 => self.events.getwin_raise += 1,
-                -1 => self.events.getwin_cut += 1,
-                _ => {}
-            }
-        }
-        match self.xfer.epoch(&cfg.xfer_bounds(), dcount, dsum) {
-            1 => self.events.xfer_raise += 1,
-            -1 => self.events.xfer_cut += 1,
-            _ => {}
         }
         true
     }
 
-    /// Aggregate event counters plus the current per-destination knob
-    /// values, named for `metrics_report`. Per-destination entries carry
-    /// the owning node in the name so cross-node registry merges stay
+    /// Aggregate event counters plus the current per-destination
+    /// thresholds, named for `metrics_report`. Per-destination entries
+    /// carry the owning node in the name so cross-node registry merges stay
     /// meaningful; they are sorted for stable output.
     pub fn report_counters(&self, node: NodeId) -> Vec<(String, u64)> {
         let mut out = vec![
             ("tune.epochs".to_string(), self.events.epochs),
             ("tune.eager_raise".to_string(), self.events.eager_raise),
             ("tune.eager_cut".to_string(), self.events.eager_cut),
-            ("tune.window_raise".to_string(), self.events.window_raise),
-            ("tune.window_cut".to_string(), self.events.window_cut),
-            ("tune.getwin_raise".to_string(), self.events.getwin_raise),
-            ("tune.getwin_cut".to_string(), self.events.getwin_cut),
-            ("tune.xfer_raise".to_string(), self.events.xfer_raise),
-            ("tune.xfer_cut".to_string(), self.events.xfer_cut),
-            (format!("tune.n{node}.get_window"), self.get_window.window),
-            (format!("tune.n{node}.max_transfers"), self.xfer.window),
         ];
         let mut dsts: Vec<_> = self.links.keys().copied().collect();
         dsts.sort_unstable();
         for d in dsts {
             let l = &self.links[&d];
             out.push((format!("tune.n{node}.d{d}.eager_put_max"), l.eager));
-            out.push((format!("tune.n{node}.d{d}.batch_window_ns"), l.window_ns));
         }
         out
     }
@@ -516,20 +199,10 @@ impl Tuner {
     /// The aggregate counter names, all zero — what `metrics_report` shows
     /// when the controller is off.
     pub fn zero_counters() -> Vec<(String, u64)> {
-        [
-            "tune.epochs",
-            "tune.eager_raise",
-            "tune.eager_cut",
-            "tune.window_raise",
-            "tune.window_cut",
-            "tune.getwin_raise",
-            "tune.getwin_cut",
-            "tune.xfer_raise",
-            "tune.xfer_cut",
-        ]
-        .iter()
-        .map(|n| (n.to_string(), 0))
-        .collect()
+        ["tune.epochs", "tune.eager_raise", "tune.eager_cut"]
+            .iter()
+            .map(|n| (n.to_string(), 0))
+            .collect()
     }
 }
 
@@ -549,17 +222,17 @@ mod tests {
     #[test]
     fn near_misses_raise_eager_until_pressure_cuts() {
         let cfg = TuneConfig::enabled();
-        let mut t = Tuner::new(cfg.clone(), 4096, 0, 512, 30);
+        let mut t = Tuner::new(&cfg, 4096);
         // Epoch 1: 6 KiB rendezvous puts are near misses → raise.
         t.note_put(1, 6 * 1024);
-        assert!(t.maybe_epoch(cfg.epoch_ns + 1, (0, 0), (0, 0)));
-        assert_eq!(t.eager_put_max(1), 4096 + cfg.eager_step);
+        assert!(t.maybe_epoch(cfg.epoch_ns + 1));
+        assert_eq!(t.eager_put_max(1), 4096 + EAGER_STEP as usize);
         // Same epoch index: no second decision.
-        assert!(!t.maybe_epoch(cfg.epoch_ns + 2, (0, 0), (0, 0)));
+        assert!(!t.maybe_epoch(cfg.epoch_ns + 2));
         // Back-pressure halves, clamped to the floor.
         t.note_pressure(1);
-        t.maybe_epoch(2 * cfg.epoch_ns + 1, (0, 0), (0, 0));
-        assert_eq!(t.eager_put_max(1), (4096 + cfg.eager_step) / 2);
+        t.maybe_epoch(2 * cfg.epoch_ns + 1);
+        assert_eq!(t.eager_put_max(1), (4096 + EAGER_STEP as usize) / 2);
         assert_eq!(t.events.eager_raise, 1);
         assert_eq!(t.events.eager_cut, 1);
         // Untouched destinations stay at the static base.
@@ -569,92 +242,37 @@ mod tests {
     #[test]
     fn eager_converges_just_past_the_observed_mode() {
         let cfg = TuneConfig::enabled();
-        let mut t = Tuner::new(cfg.clone(), 4096, 0, 512, 30);
+        let mut t = Tuner::new(&cfg, 4096);
         for e in 1..=16 {
             t.note_put(2, 8 * 1024);
-            t.maybe_epoch(e * cfg.epoch_ns + 1, (0, 0), (0, 0));
+            t.maybe_epoch(e * cfg.epoch_ns + 1);
         }
         // 4096 → 6144 → 8192; at 8192 an 8 KiB put is no longer a near
         // miss, so the threshold settles exactly where it covers the mode
         // instead of running to the ceiling.
         assert_eq!(t.eager_put_max(2), 8 * 1024);
         t.note_put(2, 8 * 1024);
-        t.maybe_epoch(20 * cfg.epoch_ns + 1, (0, 0), (0, 0));
+        t.maybe_epoch(20 * cfg.epoch_ns + 1);
         assert_eq!(t.eager_put_max(2), 8 * 1024);
     }
 
     #[test]
     fn oversize_puts_are_not_near_misses() {
         let cfg = TuneConfig::enabled();
-        let mut t = Tuner::new(cfg.clone(), 4096, 0, 512, 30);
+        let mut t = Tuner::new(&cfg, 4096);
         // A put beyond any eager ceiling can never go eager: no raise.
         t.note_put(1, 1 << 20);
-        t.maybe_epoch(cfg.epoch_ns + 1, (0, 0), (0, 0));
+        t.maybe_epoch(cfg.epoch_ns + 1);
         assert_eq!(t.eager_put_max(1), 4096);
-    }
-
-    #[test]
-    fn windows_grow_only_on_hot_links_under_sustained_congestion() {
-        let cfg = TuneConfig::enabled();
-        let mut t = Tuner::new(cfg.clone(), 4096, 0, 512, 30);
-        // Two epochs of hot records over a healthy control plane: a
-        // latency-bound workload must not start coalescing.
-        for _ in 0..cfg.window_hot_records {
-            t.note_am(3);
-        }
-        t.maybe_epoch(cfg.epoch_ns + 1, (10, 10_000), (0, 0));
-        assert_eq!(t.batch_window(3), 0);
-        // AM wire mean doubles (1000 → 2000 ns): one growth epoch, still
-        // below the sustained-congestion bar.
-        for _ in 0..cfg.window_hot_records {
-            t.note_am(3);
-        }
-        t.maybe_epoch(2 * cfg.epoch_ns + 1, (20, 30_000), (0, 0));
-        assert_eq!(t.batch_window(3), 0);
-        // Second consecutive growth epoch (2000 → 4000 ns): the control
-        // plane is rate-bound, the hot link grows its window.
-        for _ in 0..cfg.window_hot_records {
-            t.note_am(3);
-        }
-        t.maybe_epoch(3 * cfg.epoch_ns + 1, (30, 70_000), (0, 0));
-        assert_eq!(t.batch_window(3), cfg.window_step_ns);
-        // One stray record: cold → halve, congestion or not.
-        t.note_am(3);
-        t.maybe_epoch(4 * cfg.epoch_ns + 1, (30, 70_000), (0, 0));
-        assert_eq!(t.batch_window(3), cfg.window_step_ns / 2);
-        // Idle links are left alone.
-        t.maybe_epoch(5 * cfg.epoch_ns + 1, (30, 70_000), (0, 0));
-        assert_eq!(t.batch_window(3), cfg.window_step_ns / 2);
-    }
-
-    #[test]
-    fn get_window_raises_on_steady_wire_and_cuts_on_sustained_congestion() {
-        let cfg = TuneConfig::enabled();
-        let mut t = Tuner::new(cfg.clone(), 4096, 0, 512, 30);
-        // Epoch 1: first active epoch sets the baseline and raises.
-        t.maybe_epoch(cfg.epoch_ns + 1, (0, 0), (10, 10_000));
-        assert_eq!(t.get_window(), 512 + cfg.get_window_step);
-        // Epoch 2: same mean → raise again.
-        t.maybe_epoch(2 * cfg.epoch_ns + 1, (0, 0), (20, 20_000));
-        assert_eq!(t.get_window(), 512 + 2 * cfg.get_window_step);
-        // Epoch 3: mean 1000 → 2500 ns. One growth epoch is phase noise,
-        // not congestion — still a raise.
-        t.maybe_epoch(3 * cfg.epoch_ns + 1, (0, 0), (30, 45_000));
-        assert_eq!(t.get_window(), 512 + 3 * cfg.get_window_step);
-        assert_eq!(t.events.getwin_cut, 0);
-        // Epoch 4: 2500 → 6000 ns, second consecutive growth → halve.
-        t.maybe_epoch(4 * cfg.epoch_ns + 1, (0, 0), (40, 105_000));
-        assert_eq!(t.get_window(), (512 + 3 * cfg.get_window_step) / 2);
-        assert_eq!(t.events.getwin_cut, 1);
     }
 
     #[test]
     fn report_counters_are_stable_and_node_scoped() {
         let cfg = TuneConfig::enabled();
-        let mut t = Tuner::new(cfg.clone(), 4096, 0, 512, 30);
+        let mut t = Tuner::new(&cfg, 4096);
         t.note_put(2, 6 * 1024);
         t.note_put(1, 6 * 1024);
-        t.maybe_epoch(cfg.epoch_ns + 1, (0, 0), (0, 0));
+        t.maybe_epoch(cfg.epoch_ns + 1);
         let c = t.report_counters(7);
         let names: Vec<&str> = c.iter().map(|(n, _)| n.as_str()).collect();
         assert!(names.contains(&"tune.epochs"));

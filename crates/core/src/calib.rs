@@ -153,28 +153,28 @@ impl CalibrationProfile {
 // schema (objects, strings, unsigned integers). No serde in this
 // workspace by design.
 
-pub(crate) enum JVal {
+enum JVal {
     Obj(Vec<(String, JVal)>),
     Num(u64),
     Str(String),
 }
 
 impl JVal {
-    pub(crate) fn as_obj(&self, what: &str) -> Result<&Vec<(String, JVal)>, String> {
+    fn as_obj(&self, what: &str) -> Result<&Vec<(String, JVal)>, String> {
         match self {
             JVal::Obj(o) => Ok(o),
             _ => Err(format!("{what}: expected an object")),
         }
     }
 
-    pub(crate) fn as_str(&self, what: &str) -> Result<&str, String> {
+    fn as_str(&self, what: &str) -> Result<&str, String> {
         match self {
             JVal::Str(s) => Ok(s),
             _ => Err(format!("{what}: expected a string")),
         }
     }
 
-    pub(crate) fn as_u64(&self, what: &str) -> Result<u64, String> {
+    fn as_u64(&self, what: &str) -> Result<u64, String> {
         match self {
             JVal::Num(n) => Ok(*n),
             _ => Err(format!("{what}: expected an unsigned integer")),
@@ -182,14 +182,14 @@ impl JVal {
     }
 }
 
-pub(crate) fn get<'a>(obj: &'a [(String, JVal)], key: &str) -> Result<&'a JVal, String> {
+fn get<'a>(obj: &'a [(String, JVal)], key: &str) -> Result<&'a JVal, String> {
     obj.iter()
         .find(|(k, _)| k == key)
         .map(|(_, v)| v)
         .ok_or_else(|| format!("missing key {key:?}"))
 }
 
-pub(crate) fn parse_json(text: &str) -> Result<JVal, String> {
+fn parse_json(text: &str) -> Result<JVal, String> {
     let b = text.as_bytes();
     let mut pos = 0;
     let v = parse_value(b, &mut pos)?;

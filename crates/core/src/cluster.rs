@@ -2,11 +2,10 @@
 //! the run report benches consume.
 
 use std::cell::RefCell;
-use std::ops::Range;
 use std::rc::Rc;
 
 use amt_comm::{CommEngine, CommWorld, EngineStats};
-use amt_netmodel::{Fabric, FabricHandle};
+use amt_netmodel::Fabric;
 use amt_simnet::{
     shared, CoreHandle, CoreResource, OnlineStats, OverlapTracker, Shared, Sim, SimTime, Trace,
 };
@@ -135,53 +134,14 @@ impl RunReport {
     }
 }
 
-/// Counter snapshot taken at the start of an execution; run deltas are
-/// computed against it.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ExecBaseline {
-    pub(crate) t0: SimTime,
-    ev0: u64,
-    clamp0: u64,
-}
-
-/// Everything one island contributes to the merged [`RunReport`]. Plain
-/// `Send` data: per-node samples are kept separate so the coordinator can
-/// reproduce the monolithic report's merge order (global node order)
-/// bit-for-bit.
-pub(crate) struct IslandPartial {
-    /// The island's clock after its queue drained (global makespan is the
-    /// max across islands).
-    pub(crate) final_now: SimTime,
-    pub(crate) sim_events: u64,
-    pub(crate) schedule_past_clamped: u64,
-    pub(crate) tasks_total: u64,
-    /// Per resident node, in node order: (executed, worker_busy,
-    /// e2e, msg, req).
-    pub(crate) node_stats: Vec<(u64, SimTime, OnlineStats, OnlineStats, OnlineStats)>,
-    pub(crate) classes: Vec<(&'static str, u64, SimTime)>,
-    /// Per resident node: engine counters.
-    pub(crate) engine_stats: Vec<EngineStats>,
-    /// Per resident node: communication-core busy time and (LCI) the
-    /// progress core's busy time, for utilization at the *global* end time.
-    pub(crate) core_busy: Vec<(SimTime, Option<SimTime>)>,
-}
-
 /// A simulated cluster ready to execute task graphs.
 pub struct Cluster {
     sim: Sim,
-    fabric: FabricHandle,
     engines: Vec<Rc<CommEngine>>,
     workers: Vec<Vec<CoreHandle>>,
     cfg: ClusterConfig,
-    /// Nodes resident on this instance. `0..cfg.nodes` for a monolithic
-    /// cluster; a sub-range when this instance is one island of a
-    /// partitioned run (see [`crate::island`]). Non-resident slots hold
-    /// inert engines (their handlers never fire: the fabric diverts chunks
-    /// for non-resident destinations to its outbox) and no `NodeRt`.
-    local: Range<usize>,
-    /// Active per-node runtimes (set during/after `execute`); indexed by
-    /// global node id, `None` outside `local`.
-    rts: Rc<RefCell<Option<Vec<Option<RtHandle>>>>>,
+    /// Active per-node runtimes (set during/after `execute`).
+    rts: Rc<RefCell<Option<Vec<RtHandle>>>>,
     /// Cluster-wide wire/compute concurrency integrator (Fig. 3).
     overlap: Shared<OverlapTracker>,
     /// NIC queue-depth counter samples from the fabric.
@@ -197,17 +157,6 @@ pub struct Cluster {
 
 impl Cluster {
     pub fn new(cfg: ClusterConfig) -> Self {
-        let nodes = cfg.nodes;
-        Self::new_partition(cfg, 0..nodes)
-    }
-
-    /// A cluster instance hosting only the nodes in `local` — one island of
-    /// a partitioned run. The fabric and engines span the full cluster so
-    /// global node ids stay valid end to end, but only resident nodes get
-    /// runtimes, registered handlers, and init events; chunks addressed to
-    /// non-resident nodes accumulate in the fabric outbox for the island
-    /// coordinator to forward.
-    pub(crate) fn new_partition(cfg: ClusterConfig, local: Range<usize>) -> Self {
         if let Some(k) = cfg.multicast_k {
             assert!(k >= 2, "multicast_k must be at least 2 (got {k})");
         }
@@ -220,7 +169,7 @@ impl Cluster {
         engine_cfg.metrics = cfg.metrics;
 
         let mut sim = Sim::new();
-        let fabric = Fabric::new_partition(fabric_cfg, local.clone());
+        let fabric = Fabric::new(fabric_cfg);
         let net_trace = shared(Trace::new(cfg.trace));
         if cfg.trace {
             fabric.borrow_mut().set_trace(net_trace.clone());
@@ -240,15 +189,11 @@ impl Cluster {
             })
             .collect();
 
-        let rts: Rc<RefCell<Option<Vec<Option<RtHandle>>>>> = Rc::new(RefCell::new(None));
-        let resolve =
-            |slot: &Rc<RefCell<Option<Vec<Option<RtHandle>>>>>, node: usize| -> RtHandle {
-                slot.borrow().as_ref().expect("no active execution")[node]
-                    .clone()
-                    .expect("message delivered to non-resident node")
-            };
-        for node in local.clone() {
-            let engine = &engines[node];
+        let rts: Rc<RefCell<Option<Vec<RtHandle>>>> = Rc::new(RefCell::new(None));
+        let resolve = |slot: &Rc<RefCell<Option<Vec<RtHandle>>>>, node: usize| -> RtHandle {
+            slot.borrow().as_ref().expect("no active execution")[node].clone()
+        };
+        for (node, engine) in engines.iter().enumerate() {
             engine.label_tag(AM_ACTIVATE, "activate");
             engine.label_tag(AM_GETDATA, "get");
             let slot = rts.clone();
@@ -272,11 +217,9 @@ impl Cluster {
 
         Cluster {
             sim,
-            fabric,
             engines,
             workers,
             cfg,
-            local,
             rts,
             overlap,
             net_trace,
@@ -331,77 +274,52 @@ impl Cluster {
         report
     }
 
-    /// [`Cluster::execute_real`] over a [`GraphSource`]: the source is
-    /// fully unrolled first (real execution needs no discovery window —
-    /// memory is bounded by the machine, not the simulator).
-    pub fn execute_real_source(
-        &mut self,
-        mut source: Box<dyn GraphSource>,
-        threads: usize,
-    ) -> RunReport {
-        let mut b = crate::graph::GraphBuilder::new(self.cfg.nodes);
-        while source.next_task(&mut b) {}
-        self.execute_real(b.build(), threads)
-    }
-
     fn execute_handle(&mut self, graph: GraphHandle, window: Option<Rc<WindowCtl>>) -> RunReport {
-        let start = self.begin_execution(&graph, window);
-        self.sim.run();
-        self.finish_execution(&graph, start)
-    }
-
-    /// Stand up per-node runtimes for the resident range and seed their
-    /// initial events; returns the counter baseline for the run deltas.
-    /// The caller drives the event loop (monolithic: [`Sim::run`] to drain;
-    /// islands: horizon-bounded rounds) and then calls
-    /// [`Cluster::finish_execution`] or [`Cluster::collect_partial`].
-    pub(crate) fn begin_execution(
-        &mut self,
-        graph: &GraphHandle,
-        window: Option<Rc<WindowCtl>>,
-    ) -> ExecBaseline {
         self.real_data = None;
         self.real_obs = None;
-        // One shared config allocation for every runtime on this instance.
+        // One shared config allocation for every runtime.
         let shared_cfg = Rc::new(self.cfg.clone());
-        let node_rts: Vec<Option<RtHandle>> = (0..self.cfg.nodes)
+        let node_rts: Vec<RtHandle> = (0..self.cfg.nodes)
             .map(|n| {
-                self.local.contains(&n).then(|| {
-                    Rc::new(NodeRt::new(
-                        n,
-                        graph.clone(),
-                        self.engines[n].clone(),
-                        shared_cfg.clone(),
-                        self.workers[n].clone(),
-                        self.cfg.metrics.then(|| self.overlap.clone()),
-                    ))
-                })
+                Rc::new(NodeRt::new(
+                    n,
+                    graph.clone(),
+                    self.engines[n].clone(),
+                    shared_cfg.clone(),
+                    self.workers[n].clone(),
+                    self.cfg.metrics.then(|| self.overlap.clone()),
+                ))
             })
             .collect();
         *self.rts.borrow_mut() = Some(node_rts.clone());
         if let Some(ctl) = &window {
-            assert_eq!(
-                self.local,
-                0..self.cfg.nodes,
-                "windowed discovery is cluster-global and incompatible with island partitions"
-            );
-            let dense: Vec<RtHandle> = node_rts.iter().map(|rt| rt.clone().unwrap()).collect();
-            ctl.attach(&dense);
-            for rt in &dense {
+            ctl.attach(&node_rts);
+            for rt in &node_rts {
                 rt.set_window(Some(ctl.clone()));
             }
             ctl.prefill(&mut self.sim);
         }
 
-        let baseline = ExecBaseline {
-            t0: self.sim.now(),
-            ev0: self.sim.events_executed(),
-            clamp0: self.sim.schedule_past_clamped(),
-        };
-        // One graph pass buckets tasks and producer-less versions by node
-        // (ascending within each) instead of every node scanning the whole
-        // graph; init still runs in ascending node order, so event sequence
-        // numbers — and virtual time — are unchanged.
+        let t0 = self.sim.now();
+        let ev0 = self.sim.events_executed();
+        let clamp0 = self.sim.schedule_past_clamped();
+        self.init_nodes(&graph, &node_rts);
+        self.sim.run();
+        self.finish_execution(
+            &graph,
+            &node_rts,
+            self.sim.now() - t0,
+            self.sim.events_executed() - ev0,
+            self.sim.schedule_past_clamped() - clamp0,
+        )
+    }
+
+    /// Seed every node's initial events. One graph pass buckets tasks and
+    /// producer-less versions by node (ascending within each) instead of
+    /// every node scanning the whole graph; init still runs in ascending
+    /// node order, so event sequence numbers — and virtual time — are
+    /// unchanged. The buckets are O(tasks) and die here, before the run.
+    fn init_nodes(&mut self, graph: &GraphHandle, node_rts: &[RtHandle]) {
         let mut tasks = vec![Vec::new(); self.cfg.nodes];
         let mut sources = vec![Vec::new(); self.cfg.nodes];
         {
@@ -416,20 +334,22 @@ impl Cluster {
                 }
             }
         }
-        for rt in node_rts.iter().flatten() {
+        for rt in node_rts {
             NodeRt::init(rt, &mut self.sim, &tasks[rt.node], &sources[rt.node]);
         }
-        baseline
     }
 
-    fn finish_execution(&mut self, graph: &GraphHandle, start: ExecBaseline) -> RunReport {
-        let makespan = self.sim.now() - start.t0;
-        let sim_events = self.sim.events_executed() - start.ev0;
-        let schedule_past_clamped = self.sim.schedule_past_clamped() - start.clamp0;
-        let rts = self.rts.borrow();
-        let node_rts = rts.as_ref().expect("no active execution");
+    /// Assemble the report of a drained run.
+    fn finish_execution(
+        &self,
+        graph: &GraphHandle,
+        node_rts: &[RtHandle],
+        makespan: SimTime,
+        sim_events: u64,
+        schedule_past_clamped: u64,
+    ) -> RunReport {
         // Break the NodeRt → WindowCtl → NodeRt reference cycle.
-        for rt in node_rts.iter().flatten() {
+        for rt in node_rts {
             rt.set_window(None);
         }
         // After the run: in windowed mode the graph now holds every task
@@ -443,7 +363,7 @@ impl Cluster {
         let mut worker_busy = SimTime::ZERO;
         let mut classes: std::collections::HashMap<&'static str, (u64, SimTime)> =
             std::collections::HashMap::new();
-        for rt in node_rts.iter().flatten() {
+        for rt in node_rts {
             rt.merge_stats(&mut e2e, &mut msg, &mut req, &mut classes);
             executed += rt.executed();
             worker_busy += rt.worker_busy();
@@ -489,63 +409,6 @@ impl Cluster {
         }
     }
 
-    /// The island-side counterpart of [`Cluster::finish_execution`]: per-node
-    /// samples kept separate (and core busy times instead of utilizations)
-    /// so the coordinator can assemble a [`RunReport`] whose merge order and
-    /// floating-point operations match a monolithic run exactly.
-    pub(crate) fn collect_partial(
-        &mut self,
-        graph: &GraphHandle,
-        start: ExecBaseline,
-    ) -> IslandPartial {
-        let rts = self.rts.borrow();
-        let node_rts = rts.as_ref().expect("no active execution");
-        let mut node_stats = Vec::new();
-        let mut classes: std::collections::HashMap<&'static str, (u64, SimTime)> =
-            std::collections::HashMap::new();
-        for rt in node_rts.iter().flatten() {
-            let mut e2e = OnlineStats::new();
-            let mut msg = OnlineStats::new();
-            let mut req = OnlineStats::new();
-            rt.merge_stats(&mut e2e, &mut msg, &mut req, &mut classes);
-            node_stats.push((rt.executed(), rt.worker_busy(), e2e, msg, req));
-        }
-        let engine_stats = self
-            .local
-            .clone()
-            .map(|n| self.engines[n].stats())
-            .collect();
-        let core_busy = self
-            .local
-            .clone()
-            .map(|n| {
-                let e = &self.engines[n];
-                (
-                    e.comm_core().borrow().busy_time(),
-                    e.progress_core().map(|c| c.borrow().busy_time()),
-                )
-            })
-            .collect();
-        IslandPartial {
-            final_now: self.sim.now(),
-            sim_events: self.sim.events_executed() - start.ev0,
-            schedule_past_clamped: self.sim.schedule_past_clamped() - start.clamp0,
-            tasks_total: graph.get().task_count() as u64,
-            node_stats,
-            classes: classes.into_iter().map(|(k, (n, b))| (k, n, b)).collect(),
-            engine_stats,
-            core_busy,
-        }
-    }
-
-    pub(crate) fn sim_mut(&mut self) -> &mut Sim {
-        &mut self.sim
-    }
-
-    pub(crate) fn fabric_handle(&self) -> FabricHandle {
-        self.fabric.clone()
-    }
-
     /// Engine events executed over this cluster's lifetime.
     pub fn events_executed(&self) -> u64 {
         self.sim.events_executed()
@@ -576,7 +439,7 @@ impl Cluster {
         let rts = self.rts.borrow();
         let rts = rts.as_ref()?;
         let mut merged = Trace::new(true);
-        for rt in rts.iter().flatten() {
+        for rt in rts {
             rt.merge_trace_into(&mut merged);
         }
         for engine in &self.engines {
@@ -676,7 +539,7 @@ impl Cluster {
         }
         let rts = self.rts.borrow();
         let rts = rts.as_ref()?;
-        rts.iter().flatten().find_map(|rt| rt.data(version))
+        rts.iter().find_map(|rt| rt.data(version))
     }
 }
 

@@ -71,13 +71,11 @@ mod cluster;
 mod config;
 mod dist;
 mod graph;
-mod island;
 mod metrics;
 mod node;
 mod queue;
 mod real;
 mod records;
-mod tune;
 mod window;
 
 pub use calib::{
@@ -90,10 +88,8 @@ pub use dist::{Cyclic1d, DataDist, TileDist2d};
 pub use graph::{
     DataKey, GraphBuilder, GraphHandle, GraphSource, Kernel, TaskDesc, TaskGraph, TaskId, VersionId,
 };
-pub use island::{execute_islands, island_range};
 pub use metrics::{LatencySummary, MetricsReport};
 pub use records::{tree_children, tree_children_k};
-pub use tune::{TuneProfile, TUNE_COST_DEFAULT, TUNE_SCHEMA};
 
 #[cfg(test)]
 mod tests;

@@ -915,13 +915,9 @@ impl NodeRt {
     fn pump_gets(rt: &RtHandle, sim: &mut Sim) -> SimTime {
         let mut cost = SimTime::ZERO;
         loop {
-            // With the adaptive controller on, the engine narrows or widens
-            // the flow window around the configured base as wire congestion
-            // moves; off, this is exactly `rt.cfg.get_window`.
-            let window = rt.engine.tuned_get_window(rt.cfg.get_window);
             let get = {
                 let mut s = rt.state.borrow_mut();
-                if s.inflight_gets >= window {
+                if s.inflight_gets >= rt.cfg.get_window {
                     return cost;
                 }
                 let next_size = match s.pending_gets.peek() {
@@ -949,7 +945,7 @@ impl NodeRt {
             // GETs issue from communication-thread context and historically
             // never aggregate; with a batching window configured for their
             // tag they are batch-eligible like any other record.
-            let batch = engine.batch_window_for(get.src, AM_GETDATA) > 0;
+            let batch = engine.config().batch_window_for(AM_GETDATA) > 0;
             engine.send_am_opts(
                 sim,
                 get.src,

@@ -21,13 +21,9 @@
 //!
 //! ## Differences from the virtual path (by design)
 //!
-//! * No engine-level AM aggregation: that is an engine behavior under
-//!   *study* in the simulator; here every record travels as its own wire
-//!   message. GETs issue immediately by default; with the adaptive
-//!   controller on (`cfg.engine.tune.enabled`) a per-node gate caps
-//!   concurrent fetches and AIMD-adjusts the cap from wall-clock
-//!   completion rate — the same [`amt_comm::WindowState`] the virtual
-//!   engines step in virtual time, fed inverse goodput here.
+//! * No GET-window throttling and no engine-level AM aggregation: those
+//!   are engine behaviors under *study* in the simulator; here every GET
+//!   issues immediately and every record travels as its own wire message.
 //! * Multicast *is* honored: with `bcast_tree_min` set, wide announces
 //!   fan out over the same forward-list trees as the virtual engines
 //!   (binomial halving, or k-ary under `multicast_k`). Control flows
@@ -52,13 +48,11 @@
 //! dependence, so no floating-point reduction order ever varies — only
 //! scheduling order does.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
 
-use amt_comm::{
-    kary_children, EngineStats, ReduceStep, ShmMsg, ShmWorld, TreeReduce, WindowBounds, WindowState,
-};
+use amt_comm::{kary_children, EngineStats, ReduceStep, ShmMsg, ShmWorld, TreeReduce};
 use amt_exec::{Pool, TraceEvent};
 use amt_simnet::{MetricsRegistry, OnlineStats, SimTime, Substrate, Trace};
 use bytes::{Buf, BufMut, Bytes, Frames};
@@ -93,35 +87,6 @@ struct NodeStore {
     /// Multicast subtrees (`(forward list, priority)`) this node must
     /// relay once the version's data arrives.
     pending_forwards: HashMap<usize, (Vec<u32>, i64)>,
-}
-
-/// Per-node adaptive GET gate (real path, controller on only): caps the
-/// number of concurrent payload fetches and widens or halves the cap from
-/// the wall-clock completion rate. Deferred GETs drain on completions, and
-/// the window never drops below the configured floor (≥ 1), so every
-/// deferred fetch eventually issues — no protocol stall.
-struct GetGate {
-    inflight: u64,
-    deferred: VecDeque<(usize, GetRec)>,
-    win: WindowState,
-    epoch_start_ns: u64,
-    completed: u64,
-    raises: u64,
-    cuts: u64,
-}
-
-impl GetGate {
-    fn new(start: u64) -> Self {
-        GetGate {
-            inflight: 0,
-            deferred: VecDeque::new(),
-            win: WindowState::new(start),
-            epoch_start_ns: 0,
-            completed: 0,
-            raises: 0,
-            cuts: 0,
-        }
-    }
 }
 
 /// Per-worker execution accounting (merged into the report at the end).
@@ -188,11 +153,6 @@ struct RealRun {
     /// Gate for handler timing and calibration sampling; `false` keeps
     /// the unobserved hot path free of extra clock reads and locks.
     metrics_on: bool,
-    /// Adaptive GET gates (`Some` only when `cfg.engine.tune.enabled`),
-    /// with the shared AIMD bounds and wall-clock epoch length.
-    get_gates: Option<Vec<Mutex<GetGate>>>,
-    tune_bounds: WindowBounds,
-    tune_epoch_ns: u64,
     calib: Mutex<CalibSamples>,
 }
 
@@ -263,15 +223,6 @@ impl RealRun {
             multicast_k: cfg.multicast_k,
             coll_k,
             metrics_on: metrics,
-            get_gates: cfg.engine.tune.enabled.then(|| {
-                let b = cfg.engine.tune.get_window_bounds();
-                let start = (cfg.get_window as u64).clamp(b.min, b.max);
-                (0..nodes)
-                    .map(|_| Mutex::new(GetGate::new(start)))
-                    .collect()
-            }),
-            tune_bounds: cfg.engine.tune.get_window_bounds(),
-            tune_epoch_ns: cfg.engine.tune.epoch_ns,
             calib: Mutex::new(CalibSamples::default()),
             graph,
         }
@@ -725,66 +676,10 @@ fn on_activate(
         version: rec.version,
         activate_sent_at_ns: rec.sent_at_ns,
     };
-    send_get(sub, run, node, src, get);
-}
-
-/// Issue one GET DATA request, or defer it when the node's adaptive gate
-/// (controller on only) is at its in-flight cap.
-fn send_get(sub: &mut dyn Substrate, run: &Arc<RealRun>, node: usize, src: usize, get: GetRec) {
-    if let Some(gates) = &run.get_gates {
-        let mut g = gates[node].lock().expect("get gate");
-        if g.inflight >= g.win.window {
-            g.deferred.push_back((src, get));
-            return;
-        }
-        g.inflight += 1;
-    }
     let frame = get.encode_shared(run.shm.node(node).pool());
     run.shm
         .send_am(node, src, AM_GETDATA, Frames::One(frame), sub.now().as_ns());
     spawn_progress(sub, run, src);
-}
-
-/// Account one completed GET at the node's gate: close the wall-clock
-/// epoch when due (AIMD on inverse goodput — ns per completed flow) and
-/// drain deferred fetches into the freed window.
-fn complete_get(sub: &mut dyn Substrate, run: &Arc<RealRun>, node: usize) {
-    let Some(gates) = &run.get_gates else {
-        return;
-    };
-    let now = sub.now().as_ns();
-    let mut release = Vec::new();
-    {
-        let mut g = gates[node].lock().expect("get gate");
-        g.inflight = g.inflight.saturating_sub(1);
-        g.completed += 1;
-        let elapsed = now.saturating_sub(g.epoch_start_ns);
-        if elapsed >= run.tune_epoch_ns {
-            let flows = g.completed;
-            match g.win.epoch(&run.tune_bounds, flows, elapsed) {
-                1 => g.raises += 1,
-                -1 => g.cuts += 1,
-                _ => {}
-            }
-            g.completed = 0;
-            g.epoch_start_ns = now;
-        }
-        while g.inflight < g.win.window {
-            match g.deferred.pop_front() {
-                Some(d) => {
-                    g.inflight += 1;
-                    release.push(d);
-                }
-                None => break,
-            }
-        }
-    }
-    for (src, get) in release {
-        let frame = get.encode_shared(run.shm.node(node).pool());
-        run.shm
-            .send_am(node, src, AM_GETDATA, Frames::One(frame), sub.now().as_ns());
-        spawn_progress(sub, run, src);
-    }
 }
 
 /// GET DATA at the owner: answer with a one-sided put of the payload.
@@ -832,7 +727,6 @@ fn on_data(
             .record_time_us(SimTime::from_ns(now.saturating_sub(cb.activate_sent_at_ns)));
     }
     let v = cb.version as usize;
-    complete_get(sub, run, node);
     let ready = run.fulfill_local(node, v, data);
     for t in ready {
         spawn_task(sub, run, t);
@@ -1044,27 +938,11 @@ pub(crate) fn run(
         }
         profile
     });
-    let mut metrics = if cfg.metrics {
+    let metrics = if cfg.metrics {
         run.shm.merged_metrics()
     } else {
         MetricsRegistry::new(false)
     };
-    // Controller state into the report (mirrors the virtual engines'
-    // `tune.*` counters): final per-node GET window plus adaptation
-    // event totals. Metrics mode with the controller off reports zeros.
-    if cfg.metrics {
-        let (mut raises, mut cuts) = (0u64, 0u64);
-        if let Some(gates) = &run.get_gates {
-            for (n, g) in gates.iter().enumerate() {
-                let g = g.lock().expect("get gate");
-                metrics.count(&format!("tune.real.n{n}.get_window"), g.win.window);
-                raises += g.raises;
-                cuts += g.cuts;
-            }
-        }
-        metrics.count("tune.real.getwin_raise", raises);
-        metrics.count("tune.real.getwin_cut", cuts);
-    }
 
     let report = RunReport {
         makespan,

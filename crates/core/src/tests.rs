@@ -471,13 +471,6 @@ fn report_utilizations_are_sane() {
 /// bucketed ready queue, and CTL flows.
 fn stress_graph(nodes: usize) -> crate::TaskGraph {
     let mut g = GraphBuilder::new(nodes);
-    stress_build(&mut g, nodes);
-    g.build()
-}
-
-/// The body of [`stress_graph`] as a builder closure (island runs build one
-/// graph per island).
-fn stress_build(g: &mut GraphBuilder, nodes: usize) {
     for k in 0..4u64 {
         g.data(k, 256 + 64 * k as usize, (k as usize) % nodes, None);
     }
@@ -509,36 +502,45 @@ fn stress_build(g: &mut GraphBuilder, nodes: usize) {
             );
         }
     }
+    g.build()
 }
 
 #[test]
-fn island_execution_matches_on_fat_tree() {
-    // Same byte-identity over the contended fat-tree fabric, with islands
-    // aligned to pod boundaries (8 nodes, 4 pods of 2).
+fn fat_tree_runs_are_byte_identical() {
+    // Same-instant arrivals at the shared pod up/down links drain in
+    // (src, chunk-seq) calendar order, so two runs over the contended
+    // fat-tree fabric (8 nodes, 4 pods of 2) make identical decisions.
     use amt_netmodel::{FatTreeConfig, Topology};
     for backend in backends() {
-        let mut cfg = ClusterConfig {
-            nodes: 8,
-            workers_per_node: 2,
-            backend,
-            mode: ExecMode::CostOnly,
-            bcast_tree_min: Some(2),
-            ..Default::default()
-        };
-        cfg.fabric.topology = Topology::FatTree(FatTreeConfig {
-            pods: 4,
-            ..Default::default()
-        });
-        let mono = {
-            let mut cluster = Cluster::new(cfg.clone());
-            let report = cluster.execute(stress_graph(8));
+        let run = |topology: Topology| {
+            let mut cfg = ClusterConfig {
+                nodes: 8,
+                workers_per_node: 2,
+                backend,
+                mode: ExecMode::CostOnly,
+                bcast_tree_min: Some(2),
+                ..Default::default()
+            };
+            cfg.fabric.topology = topology;
+            let report = Cluster::new(cfg).execute(stress_graph(8));
             assert!(report.complete(), "{backend}");
             report.to_json()
         };
-        for islands in [2, 4] {
-            let report = crate::execute_islands(&cfg, islands, |g| stress_build(g, 8));
-            assert_eq!(report.to_json(), mono, "{backend} islands={islands}");
-        }
+        let fat_tree = || {
+            Topology::FatTree(FatTreeConfig {
+                pods: 4,
+                ..Default::default()
+            })
+        };
+        let first = run(fat_tree());
+        assert_eq!(first, run(fat_tree()), "{backend}");
+        // Intra-pod traffic behaves exactly like `Flat`, so a differing
+        // report means chunks did cross the pod links.
+        assert_ne!(
+            first,
+            run(Topology::Flat),
+            "{backend}: no cross-pod traffic"
+        );
     }
 }
 
@@ -588,34 +590,6 @@ fn flyweight_store_is_byte_identical_to_dense() {
         };
         assert_eq!(run(false, false), run(true, false), "{backend}");
         assert_eq!(run(false, true), run(true, true), "{backend} windowed");
-    }
-}
-
-#[test]
-fn island_execution_is_byte_identical_to_monolithic() {
-    // The conservative-lookahead island runner must reproduce the
-    // monolithic engine's report — makespan, event count, every latency
-    // statistic — byte-for-byte at any island count, on every backend.
-    for backend in backends() {
-        let cfg = ClusterConfig {
-            nodes: 8,
-            workers_per_node: 2,
-            backend,
-            mode: ExecMode::CostOnly,
-            bcast_tree_min: Some(2),
-            ..Default::default()
-        };
-        let mono = {
-            let mut cluster = Cluster::new(cfg.clone());
-            let report = cluster.execute(stress_graph(8));
-            assert!(report.complete(), "{backend}");
-            report.to_json()
-        };
-        for islands in [1, 2, 4, 8] {
-            let report = crate::execute_islands(&cfg, islands, |g| stress_build(g, 8));
-            assert!(report.complete(), "{backend} islands={islands}");
-            assert_eq!(report.to_json(), mono, "{backend} islands={islands}");
-        }
     }
 }
 
@@ -1082,7 +1056,7 @@ fn real_exec_source_unrolls_and_matches_windowed() {
     let last = crate::VersionId(full_graph.version_count() - 1);
     let oracle = full_graph.sequential_oracle();
     let mut real = Cluster::new(small_cfg(BackendKind::Lci, 3));
-    let report = real.execute_real_source(Box::new(ChainSource { len: 30, next: 0 }), 2);
+    let report = real.execute_real(unroll(3, ChainSource { len: 30, next: 0 }), 2);
     assert!(report.complete());
     assert_eq!(report.tasks_total, 30);
     assert_eq!(
@@ -1121,11 +1095,12 @@ fn real_then_virtual_data_stores_supersede_each_other() {
 // Self-tuning controller (engine.tune)
 // ---------------------------------------------------------------------
 
-/// Like [`stress_build`] but with ~6 KB version payloads: above the
+/// Like [`stress_graph`] but with ~6 KB version payloads: above the
 /// static 4 KiB eager-put ceiling, below the adaptive one — every remote
 /// fetch is a near-miss until the controller raises the destination's
 /// threshold mid-run.
-fn adaptive_build(g: &mut GraphBuilder, nodes: usize) {
+fn adaptive_graph(nodes: usize) -> crate::TaskGraph {
+    let mut g = GraphBuilder::new(nodes);
     for k in 0..4u64 {
         g.data(k, 6_000, (k as usize) % nodes, None);
     }
@@ -1154,6 +1129,7 @@ fn adaptive_build(g: &mut GraphBuilder, nodes: usize) {
             );
         }
     }
+    g.build()
 }
 
 /// A tuning config that reaches several adaptation epochs inside a short
@@ -1162,46 +1138,38 @@ fn fast_tune() -> amt_comm::TuneConfig {
     amt_comm::TuneConfig {
         enabled: true,
         epoch_ns: 20_000,
-        ..Default::default()
     }
 }
 
 #[test]
-fn adaptive_runs_are_byte_identical_at_any_island_count() {
+fn adaptive_runs_are_byte_identical_run_to_run() {
     // An adapting run must stay exactly as deterministic as a static one:
     // every controller signal is node-local and epochs are virtual-time
-    // keyed, so the island runner reproduces the monolithic report
-    // byte-for-byte — on every backend.
+    // keyed — on every backend.
     for backend in backends() {
-        let mut cfg = ClusterConfig {
-            nodes: 8,
-            workers_per_node: 2,
-            backend,
-            mode: ExecMode::CostOnly,
-            bcast_tree_min: Some(2),
-            ..Default::default()
-        };
-        cfg.engine.tune = fast_tune();
-        let mono = {
-            let mut cluster = Cluster::new(cfg.clone());
-            let mut g = GraphBuilder::new(8);
-            adaptive_build(&mut g, 8);
-            let report = cluster.execute(g.build());
+        let run = || {
+            let mut cfg = ClusterConfig {
+                nodes: 8,
+                workers_per_node: 2,
+                backend,
+                mode: ExecMode::CostOnly,
+                bcast_tree_min: Some(2),
+                ..Default::default()
+            };
+            cfg.engine.tune = fast_tune();
+            let report = Cluster::new(cfg).execute(adaptive_graph(8));
             assert!(report.complete(), "{backend}");
             report.to_json()
         };
-        for islands in [1, 2, 4] {
-            let report = crate::execute_islands(&cfg, islands, |g| adaptive_build(g, 8));
-            assert_eq!(report.to_json(), mono, "{backend} islands={islands}");
-        }
+        assert_eq!(run(), run(), "{backend}");
     }
 }
 
 #[test]
 fn adaptive_thresholds_never_change_delivered_bytes() {
-    // The controller moves protocol choices (eager vs rendezvous, batching,
-    // fetch depth) — never payloads. Delivered put bytes must match the
-    // static run on every backend, and agree across backends.
+    // The controller moves a protocol choice (eager vs rendezvous) — never
+    // payloads. Delivered put bytes must match the static run on every
+    // backend, and agree across backends.
     let mut delivered = Vec::new();
     for backend in backends() {
         let run = |adaptive: bool| {
@@ -1215,9 +1183,7 @@ fn adaptive_thresholds_never_change_delivered_bytes() {
             if adaptive {
                 cfg.engine.tune = fast_tune();
             }
-            let mut g = GraphBuilder::new(4);
-            adaptive_build(&mut g, 4);
-            let report = Cluster::new(cfg).execute(g.build());
+            let report = Cluster::new(cfg).execute(adaptive_graph(4));
             assert!(report.complete(), "{backend} adaptive={adaptive}");
             report.bytes_transferred()
         };
@@ -1289,5 +1255,93 @@ fn adaptive_controller_converges_on_the_6k_mode() {
     assert!(
         (6_000..=12_032).contains(&(threshold as usize)),
         "producer threshold {threshold} does not cover the 6 KB mode"
+    );
+}
+
+#[test]
+fn adaptive_controller_beats_static_on_bimodal_sizes() {
+    // The result that keeps the eager-ceiling loop: waves of two ~6 KB
+    // payloads from node 0 to node 1, each wave gated on the previous one
+    // by a zero-byte token flowing back, so the smalls' put latency IS the
+    // critical path. Every fourth wave a 256 KiB payload crosses the same
+    // link off-gate. Under the static 4 KiB ceiling every small pays the
+    // rendezvous RTS/RTR round trip; once the controller raises the
+    // ceiling past the 6 KB mode they ride inside the handshake.
+    const ROUNDS: u64 = 96;
+    const STRIDE: u64 = 4;
+    let (small, large, token) = (
+        |r: u64, s: u64| r * STRIDE + s,
+        |r: u64| r * STRIDE + 2,
+        |r: u64| r * STRIDE + 3,
+    );
+    let graph = || {
+        let mut g = GraphBuilder::new(2);
+        let gated = |d: TaskDesc, r: u64| if r > 0 { d.read_key(token(r - 1)) } else { d };
+        for r in 0..ROUNDS {
+            for s in 0..2 {
+                let d = TaskDesc::new("smallprod")
+                    .on_node(0)
+                    .flops(1e4)
+                    .write(small(r, s), 6_000);
+                g.insert(gated(d, r));
+            }
+            if r % 4 == 0 {
+                let d = TaskDesc::new("largeprod")
+                    .on_node(0)
+                    .flops(1e5)
+                    .write(large(r), 256 << 10);
+                g.insert(gated(d, r));
+                g.insert(
+                    TaskDesc::new("drain")
+                        .on_node(1)
+                        .flops(1e3)
+                        .read_key(large(r)),
+                );
+            }
+            g.insert(
+                TaskDesc::new("sync")
+                    .on_node(1)
+                    .flops(1e3)
+                    .read_key(small(r, 0))
+                    .read_key(small(r, 1))
+                    .write(token(r), 0),
+            );
+        }
+        g.build()
+    };
+    let run = |adaptive: bool| {
+        let mut cfg = ClusterConfig {
+            mode: ExecMode::CostOnly,
+            ..ClusterConfig::expanse(BackendKind::Lci, 2)
+        };
+        cfg.engine.tune.enabled = adaptive;
+        let mut cluster = Cluster::new(cfg);
+        let report = cluster.execute(graph());
+        assert!(report.complete(), "adaptive={adaptive}");
+        let msgs: u64 = report.engine_stats.iter().map(|s| s.am_sent.get()).sum();
+        let m = cluster.metrics_report(&report);
+        let tune: Vec<(String, u64)> = m
+            .stages
+            .counters()
+            .filter(|(n, _)| n.starts_with("tune."))
+            .map(|(n, v)| (n.to_string(), v))
+            .collect();
+        (report.makespan, msgs, tune)
+    };
+    let (static_tts, static_msgs, _) = run(false);
+    let (adaptive_tts, adaptive_msgs, tune) = run(true);
+    assert!(
+        adaptive_tts < static_tts,
+        "adaptive {adaptive_tts} not below static {static_tts}"
+    );
+    assert_eq!(adaptive_msgs, static_msgs, "same AM messages on the wire");
+    // The eager loop did it, and it is the only loop there is.
+    assert!(
+        tune.iter().any(|(n, v)| n == "tune.eager_raise" && *v > 0),
+        "{tune:?}"
+    );
+    assert!(
+        !tune.iter().any(|(n, _)| n.starts_with("tune.window_")),
+        "{tune:?}"
     );
 }

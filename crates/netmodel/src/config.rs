@@ -29,7 +29,8 @@ pub struct FatTreeConfig {
     /// direction is an independent serial resource).
     pub link_bandwidth_gbps: f64,
     /// One-way latency across the spine (up-link exit → down-link entry).
-    /// Must be nonzero: it is the conservative lookahead between pods.
+    /// Must be nonzero: a post-spine arrival is always a strictly-future
+    /// slot of the down-link calendar.
     pub spine_latency: SimTime,
 }
 
@@ -146,18 +147,6 @@ impl FabricConfig {
                 Hop::PodDown(dp),
                 Hop::DstNic(dst),
             ]
-        }
-    }
-
-    /// Conservative lookahead between node partitions: the minimum latency
-    /// any message experiences after the last event on its source partition
-    /// (tx-done or up-link completion) before it can affect another
-    /// partition. Pod-aligned partitions under `FatTree` are separated by
-    /// at least the spine latency; under `Flat`, by the wire latency.
-    pub fn lookahead(&self) -> SimTime {
-        match &self.topology {
-            Topology::Flat => self.wire_latency,
-            Topology::FatTree(ft) => ft.spine_latency,
         }
     }
 

@@ -8,17 +8,13 @@
 //! for resource `R` at instant `T` are buffered under `(R, T)` and charged
 //! by a single drain event in ascending `(src, per-src chunk seq)` order.
 //! That key is a pure function of the traffic (not of simulator event
-//! sequence numbers), so the charge order for same-instant arrivals is
-//! identical whether the cluster runs in one event queue or is partitioned
-//! into node islands (`Fabric::new_partition`) — the property the
-//! conservative-lookahead parallel engine relies on for byte-identical
-//! results at any island count (DESIGN.md §3.10).
+//! sequence numbers): it *is* the model's same-instant order, pinned by the
+//! golden reports (DESIGN.md §3.10).
 
 use std::any::Any;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
-use std::ops::Range;
 use std::rc::Rc;
 
 use amt_simnet::{CoreResource, Counter, EventFn, Shared, Sim, SimTime, Trace};
@@ -30,20 +26,18 @@ use crate::config::{FabricConfig, Topology};
 pub type NodeId = usize;
 
 /// Unique id of a message on the fabric (tracing / debugging). Encodes the
-/// source: `(src << 40) | per-src counter`, so ids are identical whether
-/// the fabric runs whole or partitioned into islands.
+/// source: `(src << 40) | per-src counter`.
 pub type MsgId = u64;
 
 /// What a message carries. The fabric is payload-agnostic; communication
-/// libraries layered on top define their own protocol structures. Payloads
-/// are `Send` so messages can cross island boundaries between threads.
+/// libraries layered on top define their own protocol structures.
 pub enum Payload {
     /// No payload (pure control signal; the wire size is still accounted).
     Empty,
     /// Real data bytes (zero-copy shared).
     Bytes(Bytes),
     /// An arbitrary protocol structure.
-    Any(Box<dyn Any + Send>),
+    Any(Box<dyn Any>),
 }
 
 impl Payload {
@@ -117,25 +111,13 @@ struct Transfer {
 }
 
 /// Total order on same-instant arrivals at a shared resource:
-/// `(src, per-src chunk sequence)` — island-invariant by construction.
+/// `(src, per-src chunk sequence)`.
 type ChunkKey = (NodeId, u64);
 
-/// The tx-done callback slot of a [`ChunkRec`]. `EventFn` is not `Send`,
-/// but the callback fires — and the slot empties — the instant the chunk
-/// leaves its source NIC, strictly before the chunk can enter an island
-/// outbox: a chunk crossing a thread boundary always carries `None`
-/// (debug-asserted at both outbox sites).
-struct TxDoneSlot(Option<TxDone>);
-
-// SAFETY: the slot is `None` whenever its `ChunkRec` moves between
-// threads; see the type docs.
-unsafe impl Send for TxDoneSlot {}
-
 /// One chunk in flight past its source NIC. Boxed when created (one
-/// allocation per chunk); `Send`, so it can cross island boundaries. The
-/// calendar key and tx-done callback ride inside the box so every
-/// per-chunk event captures only the fabric handle plus the box and stays
-/// inline in its `EventFn` slot.
+/// allocation per chunk). The calendar key and tx-done callback ride
+/// inside the box so every per-chunk event captures only the fabric handle
+/// plus the box and stays inline in its `EventFn` slot.
 struct ChunkRec {
     key: ChunkKey,
     msg_id: MsgId,
@@ -146,42 +128,9 @@ struct ChunkRec {
     chunk_bytes: usize,
     first_chunk: bool,
     /// Fires when this (final) chunk leaves the sender's NIC.
-    on_tx_done: TxDoneSlot,
+    on_tx_done: Option<TxDone>,
     /// Present only on the final chunk; its receive completion delivers.
     finale: Option<Payload>,
-}
-
-/// Which calendar a cross-island chunk enters on the destination island.
-enum RemoteStage {
-    /// Flat (or intra-pod) wire: straight into the destination NIC's
-    /// receive calendar.
-    Rx,
-    /// Fat-tree spine crossing: into the destination pod's down-link
-    /// calendar.
-    Down(usize),
-}
-
-/// A chunk crossing an island boundary: drained from the source island's
-/// outbox, injected into the destination island at `t` (which the
-/// conservative lookahead guarantees lies at or beyond the destination's
-/// synchronization horizon).
-pub struct RemoteChunk {
-    stage: RemoteStage,
-    t: SimTime,
-    rec: Box<ChunkRec>,
-}
-
-impl RemoteChunk {
-    /// The destination node (routes the chunk to its owning island).
-    pub fn dst(&self) -> NodeId {
-        self.rec.dst
-    }
-
-    /// The virtual instant at which the chunk enters the destination
-    /// island (arrival-calendar timestamp).
-    pub fn arrives_at(&self) -> SimTime {
-        self.t
-    }
 }
 
 /// An arrival calendar: chunks buffered per `(resource, instant)`, drained
@@ -288,12 +237,6 @@ pub struct Fabric {
     trace: Option<Shared<Trace>>,
     /// Fat-tree pod links (empty under `Topology::Flat`).
     pods: Vec<PodLinks>,
-    /// Nodes simulated by this fabric instance (the whole cluster unless
-    /// partitioned into islands).
-    local: Range<NodeId>,
-    /// Chunks bound for other islands, drained by the coordinator at
-    /// synchronization barriers.
-    outbox: Vec<RemoteChunk>,
     /// Destination-NIC receive calendar.
     rx_cal: Calendar<NodeId>,
     /// Pod up-link calendars (same-instant tx-done ties).
@@ -309,16 +252,6 @@ pub type FabricHandle = Rc<RefCell<Fabric>>;
 impl Fabric {
     /// Build a fabric simulating the whole cluster.
     pub fn new(cfg: FabricConfig) -> FabricHandle {
-        let nodes = cfg.nodes;
-        Fabric::new_partition(cfg, 0..nodes)
-    }
-
-    /// Build a fabric simulating only the nodes in `local` (one island of
-    /// a partitioned cluster). Sends must originate from local nodes;
-    /// chunks addressed to non-local nodes accumulate in the outbox
-    /// ([`Fabric::take_outbox`]) for the island coordinator to move.
-    pub fn new_partition(cfg: FabricConfig, local: Range<NodeId>) -> FabricHandle {
-        assert!(local.end <= cfg.nodes, "partition exceeds cluster");
         let nics = (0..cfg.nodes).map(NodeNic::new).collect();
         let handlers = (0..cfg.nodes).map(|_| None).collect();
         let pods = match &cfg.topology {
@@ -343,8 +276,6 @@ impl Fabric {
             handlers,
             trace: None,
             pods,
-            local,
-            outbox: Vec::new(),
             rx_cal: Calendar::new(),
             up_cal: Calendar::new(),
             down_cal: Calendar::new(),
@@ -373,16 +304,6 @@ impl Fabric {
 
     pub fn nodes(&self) -> usize {
         self.cfg.nodes
-    }
-
-    /// The node range this fabric instance simulates.
-    pub fn local_range(&self) -> Range<NodeId> {
-        self.local.clone()
-    }
-
-    #[inline]
-    fn is_local(&self, node: NodeId) -> bool {
-        self.local.contains(&node)
     }
 
     /// Register the receive handler for `node` (replaces any previous one).
@@ -421,24 +342,6 @@ impl Fabric {
         self.pods[p].down.busy_time()
     }
 
-    /// Drain the chunks bound for other islands.
-    pub fn take_outbox(&mut self) -> Vec<RemoteChunk> {
-        std::mem::take(&mut self.outbox)
-    }
-
-    /// Inject chunks handed over from other islands. Their timestamps must
-    /// lie at or beyond the current horizon (guaranteed by the conservative
-    /// lookahead), so every drain here is a future event.
-    pub fn inject_remote(fab: &FabricHandle, sim: &mut Sim, chunks: Vec<RemoteChunk>) {
-        for c in chunks {
-            debug_assert!(c.t >= sim.now(), "remote chunk in the past");
-            match c.stage {
-                RemoteStage::Rx => Fabric::rx_push(fab, sim, c.t, c.rec),
-                RemoteStage::Down(pod) => Fabric::down_push(fab, sim, pod, c.t, c.rec),
-            }
-        }
-    }
-
     /// Inject a message. `size` is the wire size in bytes (the caller
     /// accounts for headers); `payload` rides along and is handed to the
     /// destination handler; `on_tx_done` fires when the last chunk leaves
@@ -459,7 +362,6 @@ impl Fabric {
         {
             let mut f = fab.borrow_mut();
             assert!(src < f.cfg.nodes && dst < f.cfg.nodes, "bad node id");
-            debug_assert!(f.is_local(src), "send from non-local node {src}");
             msg_id = ((src as u64) << 40) | f.nics[src].next_msg;
             f.nics[src].next_msg += 1;
 
@@ -565,7 +467,7 @@ impl Fabric {
                 sent_at: t.sent_at,
                 chunk_bytes: chunk,
                 first_chunk: first,
-                on_tx_done: TxDoneSlot(if finished { t.on_tx_done.take() } else { None }),
+                on_tx_done: if finished { t.on_tx_done.take() } else { None },
                 finale: if finished {
                     Some(t.payload.take().expect("payload consumed twice"))
                 } else {
@@ -592,7 +494,7 @@ impl Fabric {
                 f.nics[node].tx_busy = false;
                 f.sample_nic(node, sim.now());
             }
-            if let Some(cb) = rec.on_tx_done.0.take() {
+            if let Some(cb) = rec.on_tx_done.take() {
                 cb.invoke(sim);
             }
             Fabric::route_chunk(&fab2, sim, rec);
@@ -620,24 +522,11 @@ impl Fabric {
         }
     }
 
-    /// Buffer a chunk in the destination NIC's receive calendar (or the
-    /// outbox, when the destination belongs to another island), scheduling
+    /// Buffer a chunk in the destination NIC's receive calendar, scheduling
     /// the drain on first occupancy of the `(dst, t)` slot.
     fn rx_push(fab: &FabricHandle, sim: &mut Sim, t: SimTime, rec: Box<ChunkRec>) {
         let dst = rec.dst;
-        let vacant = {
-            let mut f = fab.borrow_mut();
-            if !f.is_local(dst) {
-                debug_assert!(rec.on_tx_done.0.is_none(), "tx-done crossing islands");
-                f.outbox.push(RemoteChunk {
-                    stage: RemoteStage::Rx,
-                    t,
-                    rec,
-                });
-                return;
-            }
-            f.rx_cal.push(dst, t, rec)
-        };
+        let vacant = fab.borrow_mut().rx_cal.push(dst, t, rec);
         if vacant {
             let fab2 = fab.clone();
             let drain = move |sim: &mut Sim| Fabric::drain_rx(&fab2, sim, dst, t);
@@ -701,7 +590,7 @@ impl Fabric {
 
     /// Serialize the key-sorted batch through the pod up-link; each chunk's
     /// completion launches it across the spine toward the destination
-    /// pod's down-link (possibly on another island).
+    /// pod's down-link.
     fn drain_up(fab: &FabricHandle, sim: &mut Sim, pod: usize, t: SimTime) {
         let mut batch = fab.borrow_mut().up_cal.drain(pod, t);
         for rec in batch.drain(..) {
@@ -713,25 +602,16 @@ impl Fabric {
             };
             let dur = f.cfg.link_time(rec.chunk_bytes, ft.link_bandwidth_gbps);
             f.pods[pod].up.charge(sim, dur, move |sim| {
-                let (spine, dst_pod, dst_local) = {
+                let (spine, dst_pod) = {
                     let f = fab2.borrow();
                     let ft = match &f.cfg.topology {
                         Topology::FatTree(ft) => ft,
                         Topology::Flat => unreachable!("up-link on flat topology"),
                     };
-                    (ft.spine_latency, f.cfg.pod_of(rec.dst), f.is_local(rec.dst))
+                    (ft.spine_latency, f.cfg.pod_of(rec.dst))
                 };
                 let ingress = sim.now() + spine;
-                if dst_local {
-                    Fabric::down_push(&fab2, sim, dst_pod, ingress, rec);
-                } else {
-                    debug_assert!(rec.on_tx_done.0.is_none(), "tx-done crossing islands");
-                    fab2.borrow_mut().outbox.push(RemoteChunk {
-                        stage: RemoteStage::Down(dst_pod),
-                        t: ingress,
-                        rec,
-                    });
-                }
+                Fabric::down_push(&fab2, sim, dst_pod, ingress, rec);
             });
         }
         fab.borrow_mut().up_cal.recycle(batch);

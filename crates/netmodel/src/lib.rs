@@ -30,9 +30,7 @@ mod fabric;
 mod pingpong;
 
 pub use config::{FabricConfig, FatTreeConfig, Hop, Topology};
-pub use fabric::{
-    rx_handler, Delivery, Fabric, FabricHandle, MsgId, NodeId, Payload, RemoteChunk, RxHandler,
-};
+pub use fabric::{rx_handler, Delivery, Fabric, FabricHandle, MsgId, NodeId, Payload, RxHandler};
 pub use pingpong::{raw_pingpong_gbps, raw_roundtrip_latency};
 
 #[cfg(test)]

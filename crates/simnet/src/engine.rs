@@ -755,28 +755,6 @@ impl Sim {
         }
     }
 
-    /// Run every event with time strictly below `horizon` (the
-    /// conservative-lookahead window of the island-parallel engine; see
-    /// `run_until` for the inclusive variant). Returns `true` if the queue
-    /// drained, `false` if an event at or past `horizon` remains queued.
-    pub fn run_before(&mut self, horizon: SimTime) -> bool {
-        loop {
-            match self.peek_time() {
-                None => return true,
-                Some(t) if t >= horizon => return false,
-                Some(_) => {
-                    self.step();
-                }
-            }
-        }
-    }
-
-    /// Virtual time of the next pending event, if any, without executing
-    /// anything (the island coordinator's window-base probe).
-    pub fn next_event_time(&mut self) -> Option<SimTime> {
-        self.peek_time()
-    }
-
     /// Run at most `max_events` events. Returns the number executed.
     pub fn run_events(&mut self, max_events: u64) -> u64 {
         let mut n = 0;

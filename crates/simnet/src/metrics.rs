@@ -66,16 +66,6 @@ impl MetricsRegistry {
         self.hists.get(name)
     }
 
-    /// Cheap totals snapshot of the named histogram: `(count, sum)` with
-    /// the sum truncated to integer units, `(0, 0)` when absent. This is
-    /// the polling API the adaptive comm controller samples at its epoch
-    /// boundaries — reading it never perturbs the registry.
-    pub fn hist_totals(&self, name: &str) -> (u64, u64) {
-        self.hists
-            .get(name)
-            .map_or((0, 0), |h| (h.count(), h.sum() as u64))
-    }
-
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
     }
@@ -261,8 +251,6 @@ mod tests {
         assert_eq!(a.counter("am.sent"), 5);
         assert_eq!(a.counter("put.done"), 1);
         assert_eq!(a.hist("am.wire_ns").unwrap().count(), 2);
-        assert_eq!(a.hist_totals("am.wire_ns"), (2, 1000));
-        assert_eq!(a.hist_totals("absent"), (0, 0));
         let json = a.to_json();
         assert!(json.contains(r#""am.sent":5"#), "{json}");
         assert!(

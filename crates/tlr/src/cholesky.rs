@@ -272,25 +272,12 @@ impl TlrCholesky {
     /// Build the task graph from the calibrated [`RankModel`] with no
     /// payloads (CostOnly mode) — the paper-scale path.
     pub fn build_cost_only(problem: TlrProblem, nodes: usize) -> (TlrCholesky, TaskGraph) {
-        let mut g = GraphBuilder::new(nodes);
-        let me = Self::build_cost_only_into(problem, nodes, &mut g);
-        (me, g.build())
-    }
-
-    /// [`TlrCholesky::build_cost_only`] into a caller-provided builder.
-    /// The island runner and the scale bench rebuild the same graph once
-    /// per island from a closure over this; the insertion order is a pure
-    /// function of the problem, so every island sees the identical graph.
-    pub fn build_cost_only_into(
-        problem: TlrProblem,
-        nodes: usize,
-        g: &mut GraphBuilder,
-    ) -> TlrCholesky {
         let mut me = Self::shell(problem, nodes, false);
-        me.declare_tiles(g);
-        me.insert_tasks(g);
-        me.collect_outputs(g);
-        me
+        let mut g = GraphBuilder::new(nodes);
+        me.declare_tiles(&mut g);
+        me.insert_tasks(&mut g);
+        me.collect_outputs(&g);
+        (me, g.build())
     }
 
     fn insert_tasks(&mut self, g: &mut GraphBuilder) {

@@ -7,8 +7,8 @@ cd "$(dirname "$0")/.."
 echo "== tier-1: cargo build --release =="
 cargo build --release
 
-echo "== tier-1: cargo test -q (workspace) =="
-cargo test -q --workspace
+echo "== tier-1: cargo test -q (default-members = the whole workspace) =="
+cargo test -q
 
 echo "== clippy (workspace, warnings are errors, redundant clones rejected) =="
 cargo clippy --workspace --all-targets -- -D warnings -W clippy::redundant_clone
@@ -142,13 +142,6 @@ for path, quick in ((sys.argv[1], True), (sys.argv[2], False)):
     # measurements are deterministic).
     fm = d["flyweight_memory"]
     assert fm["flyweight_peak_bytes"] <= 0.5 * fm["dense_peak_bytes"], (path, fm)
-    # Island-parallel DES: reports byte-identical at every island count;
-    # wall-clock speedup is only gated where the cores exist (a 1-core
-    # box honestly records ~<=1x).
-    isl = d["islands"]
-    assert isl["byte_identical"] is True, path
-    if d["threads_available"] >= 4 and not quick:
-        assert isl["speedup_at_max"] >= 1.5, (path, isl["speedup_at_max"])
 committed = json.load(open(sys.argv[2]))
 assert committed["million_task"]["tasks"] >= 1_000_000, committed["million_task"]
 assert committed["million_task"]["nodes"] == 1024
@@ -221,20 +214,13 @@ else
     echo "nightly+rust-src unavailable; deque stress ran in plain release mode"
 fi
 
-echo "== golden fig4 point: virtual-time byte-identity across backends, --jobs, --islands =="
+echo "== golden fig4 point: virtual-time byte-identity across backends and --jobs =="
 for jobs in 1 3; do
     cargo bench --quiet -p amt-bench --bench fig4_tile_scaling -- --golden --jobs "$jobs" \
         > "$TMP_DIR/golden_fig4.txt"
     diff -u results/golden_fig4.txt "$TMP_DIR/golden_fig4.txt"
 done
-# The island-parallel DES must reproduce the monolithic engine byte for
-# byte at every island count (DESIGN.md §3.10).
-for islands in 1 2 4; do
-    cargo bench --quiet -p amt-bench --bench fig4_tile_scaling -- --golden --islands "$islands" \
-        > "$TMP_DIR/golden_fig4.txt"
-    diff -u results/golden_fig4.txt "$TMP_DIR/golden_fig4.txt"
-done
-echo "golden fig4 report is byte-identical (jobs 1, 3; islands 1, 2, 4)"
+echo "golden fig4 report is byte-identical (jobs 1, 3)"
 
 echo "== benchmark of record: its own tests + sim_scale --quick smoke =="
 cargo test --quiet --offline --manifest-path benchmark/Cargo.toml
@@ -309,42 +295,13 @@ assert m["substrate"] == "virtual" and m["makespan_ns"] > 0
 print("simulator accepted the measured cost model (valid virtual run)")
 PY
 
-echo "== self-tuning: autotune --quick sweep + schema + adaptive-vs-static gates =="
-cargo bench --quiet -p amt-bench --bench autotune -- --quick --jobs 3 \
-    --autotune-out "$TMP_DIR/tune.json" --out "$TMP_DIR/BENCH_tune.json" > "$TMP_DIR/autotune.txt"
-python3 - "$TMP_DIR/tune.json" "$TMP_DIR/BENCH_tune.json" BENCH_tune.json <<'PY'
-import json, sys
-prof = json.load(open(sys.argv[1]))
-assert prof["schema"] == "amtlc-tune-v1", prof.get("schema")
-for key in ("eager_put_max", "batch_window_ns", "get_window", "adaptive",
-            "cost_model", "knee_bytes", "overlap_millis", "candidates"):
-    assert key in prof, f"tune profile missing {key}"
-assert prof["adaptive"] in (0, 1), prof["adaptive"]
-for path in sys.argv[2:]:
-    d = json.load(open(path))
-    assert d["schema"] == "amtlc-bench-tune-v1", (path, d.get("schema"))
-    base, best, bim = d["baseline"], d["best"], d["bimodal"]
-    for p in (base, d["adaptive"], best):
-        for key in ("eager_put_max", "batch_window_ns", "get_window",
-                    "adaptive", "knee_bytes", "overlap_millis", "tlr_tts_s"):
-            assert key in p, (path, key)
-    # Gate: the sweep winner must beat the static baseline — knee no worse,
-    # overlap no worse, at least one strictly better or equal-with-adaptive.
-    assert best["knee_bytes"] <= base["knee_bytes"], (path, best, base)
-    assert best["overlap_millis"] >= base["overlap_millis"], (path, best, base)
-    # Gate: the online controller must strictly beat static on the bimodal
-    # message-size regression workload.
-    assert bim["adaptive_tts_s"] < bim["static_tts_s"], (path, bim)
-d = json.load(open(sys.argv[2]))
-# Round trip: the emitted amtlc-tune-v1 profile IS the sweep winner.
-for key in ("eager_put_max", "batch_window_ns", "get_window", "knee_bytes",
-            "overlap_millis"):
-    assert prof[key] == d["best"][key], (key, prof, d["best"])
-assert bool(prof["adaptive"]) == d["best"]["adaptive"]
-print("autotune artifacts valid; adaptive >= static on tlr_wide, strictly "
-      "better on bimodal (fresh quick + committed)")
-PY
-# The golden fig4 diffs above ran with the controller at its default (off):
-# their byte-identity doubles as the controller-off no-change gate.
+echo "== removed forks stay removed: island DES, tuner window loops, offline grid =="
+if grep -rn -e 'execute_islands\|new_partition\|RemoteChunk\|run_before\|TuneProfile\|WindowState\|--tuned\|--islands\|--autotune-out' \
+        crates/ examples/ tests/ src/ scripts/ --exclude=verify.sh; then
+    echo "a removed name is back"; exit 1
+fi
+# The golden fig4 diffs above ran with the eager-ceiling controller at its
+# default (off): their byte-identity doubles as the controller-off
+# no-change gate.
 
 echo "verify: all checks passed"

@@ -262,7 +262,6 @@ fn paper_headline_orderings_hold() {
         n: 36_000,
         tile_size: 1500,
         multithread_am: false,
-        tuning: Default::default(),
     });
     let mpi_r = run_tlr(&TlrRunCfg {
         backend: BackendKind::Mpi,
@@ -270,7 +269,6 @@ fn paper_headline_orderings_hold() {
         n: 36_000,
         tile_size: 1500,
         multithread_am: false,
-        tuning: Default::default(),
     });
     assert!(
         lci_r.req_us < mpi_r.req_us,
