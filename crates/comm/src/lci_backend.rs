@@ -498,13 +498,15 @@ impl CommBackend for LciBackend {
         });
         let weak_eng: Weak<CommEngine> = Rc::downgrade(eng);
         let weak_st = Rc::downgrade(&self.st);
-        let ep = self.ep.clone();
-        self.ep.set_am_handler(
-            move |sim, msg| match (weak_eng.upgrade(), weak_st.upgrade()) {
-                (Some(eng), Some(st)) => on_am(&eng, &ep, &st, sim, msg),
+        // Weak: the handler is stored inside the world this endpoint
+        // owns; a strong `Lci` here would make every LCI cluster a cycle.
+        let weak_ep = self.ep.downgrade();
+        self.ep.set_am_handler(move |sim, msg| {
+            match (weak_eng.upgrade(), weak_ep.upgrade(), weak_st.upgrade()) {
+                (Some(eng), Some(ep), Some(st)) => on_am(&eng, &ep, &st, sim, msg),
                 _ => SimTime::ZERO,
-            },
-        );
+            }
+        });
         let weak_eng: Weak<CommEngine> = Rc::downgrade(eng);
         let weak_st = Rc::downgrade(&self.st);
         self.ep.set_put_handler(

@@ -5,8 +5,15 @@
 //! puts with callback descriptors, pooled receive buffers
 //! ([`SharedBufPool`]) — across real OS threads.
 //!
-//! Each node owns a mutex-guarded FIFO mailbox and a thread-safe buffer
-//! pool; senders push, the destination's progress jobs drain. Lifecycle
+//! Each node owns a mutex-guarded FIFO mailbox, a thread-safe buffer
+//! pool and a **progress-owner flag**. Senders push and then call
+//! [`ShmWorld::progress`] on the destination: whoever wins the flag drains
+//! the mailbox in line, on the sending thread, as the node's one progress
+//! owner — a batch bounded by the mailbox length at entry, then the flag
+//! is released and the mailbox *re-checked*, which closes the lost-wakeup
+//! race against a sender that pushed while the flag was still held. The
+//! loser returns at once: it pushed before it saw the flag taken, so the
+//! owner's re-check comes after the push and finds the message. Lifecycle
 //! counters are lock-free atomics snapshotted into an [`EngineStats`] at
 //! the end of a run so real-mode `RunReport`s carry the same engine
 //! counter vocabulary as virtual ones.
@@ -28,7 +35,10 @@
 //! above run unchanged.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{
+    AtomicBool, AtomicU64,
+    Ordering::{Relaxed, SeqCst},
+};
 use std::sync::{Arc, Mutex};
 
 use amt_netmodel::NodeId;
@@ -80,10 +90,12 @@ struct ShmCounters {
     puts_remote_done: AtomicU64,
 }
 
-/// One node endpoint: mailbox + receive-buffer pool + counters.
+/// One node endpoint: mailbox + owner flag + buffer pool + counters.
 #[derive(Debug)]
 pub struct ShmNode {
     inbox: Mutex<VecDeque<ShmMsg>>,
+    /// Held by the thread draining `inbox` ([`ShmWorld::progress`]).
+    owned: AtomicBool,
     pool: SharedBufPool,
     counters: ShmCounters,
     /// Per-stage lifecycle histograms (empty when metrics are off).
@@ -94,6 +106,7 @@ impl ShmNode {
     fn new(pool_bufs: usize, metrics: bool) -> ShmNode {
         ShmNode {
             inbox: Mutex::new(VecDeque::new()),
+            owned: AtomicBool::new(false),
             pool: SharedBufPool::new(pool_bufs),
             counters: ShmCounters::default(),
             metrics: Mutex::new(MetricsRegistry::new(metrics)),
@@ -106,9 +119,15 @@ impl ShmNode {
         &self.pool
     }
 
-    /// Pop the oldest undelivered message, if any.
+    /// Pop the oldest undelivered message, if any. Concurrent senders go
+    /// through [`ShmWorld::progress`]; a bare `pop` is for single-threaded
+    /// callers (tests, probes).
     pub fn pop(&self) -> Option<ShmMsg> {
         self.inbox.lock().expect("shm inbox").pop_front()
+    }
+
+    fn pending(&self) -> usize {
+        self.inbox.lock().expect("shm inbox").len()
     }
 
     /// Snapshot this node's counters in the engine-stats vocabulary used
@@ -143,9 +162,12 @@ impl ShmNode {
 #[derive(Clone, Debug)]
 pub struct ShmWorld {
     nodes: Arc<Vec<ShmNode>>,
-    /// AM-tag → message-class label for the per-class wire counters
-    /// (`msg.<label>.msgs_on_wire`); unlabeled tags fall back to `"am"`.
-    labels: Arc<Mutex<HashMap<u64, &'static str>>>,
+    /// AM-tag → per-class counter names (`msg.<label>.msgs_on_wire`,
+    /// `msg.<label>.records_per_msg`), formatted once at
+    /// [`ShmWorld::label_tag`]; unlabeled tags count under `msg.am.*`.
+    labels: Arc<Mutex<HashMap<u64, [String; 2]>>>,
+    /// With it `false` no send, delivery or stage record takes a lock.
+    metrics_on: bool,
 }
 
 impl ShmWorld {
@@ -165,40 +187,66 @@ impl ShmWorld {
                     .collect(),
             ),
             labels: Arc::new(Mutex::new(HashMap::new())),
+            metrics_on: metrics,
         }
     }
 
     /// Name the message class of AM tag `tag` for the per-class wire
     /// counters (mirrors `CommEngine::label_tag` on the virtual path).
     pub fn label_tag(&self, tag: u64, label: &'static str) {
-        self.labels.lock().expect("shm labels").insert(tag, label);
-    }
-
-    fn tag_label(&self, tag: u64) -> &'static str {
-        self.labels
-            .lock()
-            .expect("shm labels")
-            .get(&tag)
-            .copied()
-            .unwrap_or("am")
+        let names = [
+            format!("msg.{label}.msgs_on_wire"),
+            format!("msg.{label}.records_per_msg"),
+        ];
+        self.labels.lock().expect("shm labels").insert(tag, names);
     }
 
     /// Record a lifecycle-stage duration into `node`'s registry (no-op
     /// when metrics are off). Handlers above the transport use this for
     /// the `*.callback_ns` stages the transport cannot see.
     pub fn record_stage(&self, node: NodeId, name: &str, ns: u64) {
-        self.nodes[node]
-            .metrics
-            .lock()
-            .expect("shm metrics")
-            .record(name, ns);
+        if self.metrics_on {
+            self.nodes[node]
+                .metrics
+                .lock()
+                .expect("shm metrics")
+                .record(name, ns);
+        }
     }
 
-    /// Every node's stage registry merged into one (cross-node report).
+    /// Drain `node`'s mailbox through `handle` as the node's progress
+    /// owner, unless another thread already is (module docs: flag, batch
+    /// bounded by the length at entry, release, re-check). Call after
+    /// every push to `node`. `handle` runs with the flag held, so it must
+    /// not call `progress` on a second node: a thread that owned several
+    /// nodes would serialize all their traffic behind itself.
+    pub fn progress(&self, node: NodeId, mut handle: impl FnMut(ShmMsg)) {
+        let n = &self.nodes[node];
+        while !n.owned.swap(true, SeqCst) {
+            for _ in 0..n.pending() {
+                match n.pop() {
+                    Some(msg) => handle(msg),
+                    None => break,
+                }
+            }
+            n.owned.store(false, SeqCst);
+            if n.pending() == 0 {
+                return;
+            }
+        }
+    }
+
+    /// Every node's stage registry merged into one (cross-node report),
+    /// plus the buffer pools' `shm.pool_hits` / `shm.pool_misses` (takes
+    /// served from a pool / takes that had to allocate). Empty when
+    /// metrics are off.
     pub fn merged_metrics(&self) -> MetricsRegistry {
-        let mut all = MetricsRegistry::new(true);
+        let mut all = MetricsRegistry::new(self.metrics_on);
         for n in self.nodes.iter() {
             all.merge(&n.metrics.lock().expect("shm metrics"));
+            let (hits, misses) = n.pool_reuse();
+            all.count("shm.pool_hits", hits);
+            all.count("shm.pool_misses", misses);
         }
         all
     }
@@ -220,23 +268,26 @@ impl ShmWorld {
 
     /// Send an active message from `src` to `dst` at wall-clock instant
     /// `now_ns` (ns since pool start). The caller is responsible for
-    /// scheduling a progress job at `dst` afterwards.
+    /// calling [`ShmWorld::progress`] on `dst` afterwards.
     pub fn send_am(&self, src: NodeId, dst: NodeId, tag: u64, frames: Frames, now_ns: u64) {
         self.nodes[src].counters.am_sent.fetch_add(1, Relaxed);
-        {
+        if self.metrics_on {
             let mut m = self.nodes[src].metrics.lock().expect("shm metrics");
-            if m.enabled() {
-                // Push == send on this transport: no command queue, no
-                // injection delay. Zero-valued samples keep stage counts
-                // aligned with the virtual backends.
-                m.record("am.queue_ns", 0);
-                m.record("am.inject_ns", 0);
-                let label = self.tag_label(tag);
-                m.count(&format!("msg.{label}.msgs_on_wire"), 1);
-                m.record(
-                    &format!("msg.{label}.records_per_msg"),
-                    frames.frame_count() as u64,
-                );
+            // Push == send on this transport: no command queue, no
+            // injection delay. Zero-valued samples keep stage counts
+            // aligned with the virtual backends.
+            m.record("am.queue_ns", 0);
+            m.record("am.inject_ns", 0);
+            let records = frames.frame_count() as u64;
+            match self.labels.lock().expect("shm labels").get(&tag) {
+                Some([on_wire, per_msg]) => {
+                    m.count(on_wire, 1);
+                    m.record(per_msg, records);
+                }
+                None => {
+                    m.count("msg.am.msgs_on_wire", 1);
+                    m.record("msg.am.records_per_msg", records);
+                }
             }
         }
         self.nodes[dst]
@@ -266,13 +317,11 @@ impl ShmWorld {
         now_ns: u64,
     ) {
         self.nodes[src].counters.puts_started.fetch_add(1, Relaxed);
-        {
+        if self.metrics_on {
             let mut m = self.nodes[src].metrics.lock().expect("shm metrics");
-            if m.enabled() {
-                m.record("put.queue_ns", 0);
-                m.record("put.inject_ns", 0);
-                m.count("msg.data.msgs_on_wire", 1);
-            }
+            m.record("put.queue_ns", 0);
+            m.record("put.inject_ns", 0);
+            m.count("msg.data.msgs_on_wire", 1);
         }
         self.nodes[dst]
             .inbox
@@ -307,13 +356,16 @@ impl ShmWorld {
         } else {
             c.am_received.fetch_add(1, Relaxed);
         }
-        let mut m = self.nodes[at].metrics.lock().expect("shm metrics");
-        if m.enabled() {
-            let prefix = if msg_was_put { "put" } else { "am" };
-            let wire = now_ns.saturating_sub(sent_at_ns);
-            m.record(&format!("{prefix}.wire_ns"), wire);
+        if self.metrics_on {
+            let (wire, deliver) = if msg_was_put {
+                ("put.wire_ns", "put.deliver_ns")
+            } else {
+                ("am.wire_ns", "am.deliver_ns")
+            };
+            let mut m = self.nodes[at].metrics.lock().expect("shm metrics");
+            m.record(wire, now_ns.saturating_sub(sent_at_ns));
             // Pop == delivery: handlers run straight off the mailbox.
-            m.record(&format!("{prefix}.deliver_ns"), 0);
+            m.record(deliver, 0);
         }
     }
 }
@@ -410,6 +462,63 @@ mod shm_tests {
         w2.send_am(0, 1, 1, Frames::new(), 5);
         w2.record_stage(1, "am.callback_ns", 40);
         assert!(w2.merged_metrics().is_empty());
+    }
+
+    /// The owner hammer: in every round all senders push one tagged
+    /// message to the same node at once (barrier) and call `progress`, so
+    /// flag winners and losers change from round to round. No two threads
+    /// may ever be inside the handler together, every message is handled
+    /// exactly once and in its sender's order, and when the round's last
+    /// `progress` has returned the mailbox is empty with the flag clear —
+    /// a loser whose message the owner missed (lost wakeup) strands it
+    /// there. Violations are noted and asserted after the join: a panic
+    /// inside a round would leave the other senders waiting on the barrier.
+    #[test]
+    fn hammer_one_owner_at_a_time_handles_every_message_once() {
+        const SENDERS: u64 = 4;
+        const ROUNDS: u64 = 20_000;
+        let w = ShmWorld::new(1, 0);
+        // Next expected round per sender; `try_lock` doubles as the
+        // mutual-exclusion probe.
+        let next = Mutex::new(vec![0u64; SENDERS as usize]);
+        let violations = Mutex::new(Vec::new());
+        let note = |what: String| violations.lock().unwrap().push(what);
+        let sync = std::sync::Barrier::new(SENDERS as usize);
+        std::thread::scope(|s| {
+            for sender in 0..SENDERS {
+                let (w, next, note, sync) = (&w, &next, &note, &sync);
+                s.spawn(move || {
+                    for round in 0..ROUNDS {
+                        sync.wait();
+                        w.send_am(0, 0, sender << 32 | round, Frames::new(), 0);
+                        w.progress(0, |msg| {
+                            let Ok(mut next) = next.try_lock() else {
+                                return note("two owners in the handler at once".into());
+                            };
+                            let ShmMsg::Am { tag, .. } = msg else {
+                                return note(format!("not the message sent: {msg:?}"));
+                            };
+                            let (from, got) = ((tag >> 32) as usize, tag & 0xffff_ffff);
+                            if got != next[from] {
+                                note(format!("sender {from}: {got} lost, repeated or reordered"));
+                            }
+                            next[from] = got + 1;
+                        });
+                        sync.wait();
+                        if w.node(0).owned.load(SeqCst) || w.node(0).pending() != 0 {
+                            note(format!("round {round}: message stranded or flag left set"));
+                        }
+                    }
+                });
+            }
+        });
+        let violations = violations.into_inner().unwrap();
+        assert!(
+            violations.is_empty(),
+            "{:?}",
+            &violations[..violations.len().min(5)]
+        );
+        assert_eq!(next.into_inner().unwrap(), vec![ROUNDS; SENDERS as usize]);
     }
 
     #[test]

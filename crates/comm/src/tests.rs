@@ -741,3 +741,31 @@ fn multiple_progress_threads_complete_and_split_load() {
         assert!(cores.iter().all(|c| c.borrow().jobs() > 0), "{backend}");
     }
 }
+
+/// A comm world must die with its engines. Regression: the LCI backend's
+/// AM handler, stored inside the `LciWorld`, held a strong endpoint, so
+/// every LCI world (and through it the fabric) was an `Rc` cycle that
+/// outlived its cluster.
+#[test]
+fn dropping_the_engines_frees_the_world_on_every_backend() {
+    for cfg in all_backends() {
+        let backend = cfg.backend;
+        let mut sim = Sim::new();
+        let fabric = Fabric::new(FabricConfig::expanse(2));
+        let engines = CommWorld::create(&mut sim, &fabric, cfg);
+        engines[1].register_am(&mut sim, 7, Rc::new(|_sim, _eng, _ev| SimTime::ZERO));
+        engines[0].send_am(&mut sim, 1, 7, 4, Some(Bytes::from_static(b"ping")));
+        sim.run();
+        assert!(
+            Rc::strong_count(&fabric) > 1,
+            "{backend}: the world holds the fabric while its engines live"
+        );
+        drop(engines);
+        drop(sim);
+        assert_eq!(
+            Rc::strong_count(&fabric),
+            1,
+            "{backend}: engines dropped but something still owns the fabric"
+        );
+    }
+}

@@ -839,7 +839,7 @@ impl NodeRt {
     /// announced flow and request it now or defer it behind the in-flight
     /// window (§4.1).
     pub fn on_activate(rt: &RtHandle, sim: &mut Sim, ev: AmEvent) -> SimTime {
-        let recs = ActivateRec::decode_frames(&ev.data);
+        let recs: Vec<_> = ActivateRec::iter_frames(&ev.data).collect();
         // The arrival buffers are dead after decoding: feed them back to the
         // engine's pool so outgoing encodes reuse them instead of
         // allocating.
@@ -960,7 +960,7 @@ impl NodeRt {
 
     /// GET DATA callback at the data owner: start the put (Figure 1).
     pub fn on_getdata(rt: &RtHandle, sim: &mut Sim, ev: AmEvent) -> SimTime {
-        let recs = GetRec::decode_frames(&ev.data);
+        let recs: Vec<_> = GetRec::iter_frames(&ev.data).collect();
         rt.engine.buf_pool().recycle_frames(ev.data);
         let mut cost = SimTime::ZERO;
         for rec in recs {
@@ -1010,7 +1010,7 @@ impl NodeRt {
     /// Data-arrival callback (one-sided completion at the consumer node):
     /// store the payload, record end-to-end latency, release consumers.
     pub fn on_data(rt: &RtHandle, sim: &mut Sim, ev: PutEvent) -> SimTime {
-        let cb = PutCb::decode(ev.cb_data.clone());
+        let cb = PutCb::decode(&ev.cb_data);
         let vid = VersionId(cb.version as usize);
         {
             let mut s = rt.state.borrow_mut();

@@ -16,8 +16,31 @@
 //!   payload with a GET DATA record, and the owner answers with a
 //!   one-sided put carrying a callback descriptor — all encoded with the
 //!   exact wire records of the simulated engines
-//!   ([`crate::records`]), drawn from and recycled into thread-safe
-//!   buffer pools.
+//!   ([`crate::records`]), drawn from thread-safe buffer pools and
+//!   returned, once decoded in place, to the pool they came from.
+//!
+//! ## Progress: one owner per node, in line
+//!
+//! A message is never a pool job. After pushing into a node's mailbox
+//! the sender calls [`notify`], which runs [`ShmWorld::progress`] on the
+//! destination: whoever wins the node's owner flag drains the mailbox on
+//! the spot (bounded batch, release, re-check — the transport's module
+//! docs have the protocol); a loser returns at once, the owner will see
+//! its message. A handler that sends while its thread is draining does
+//! **not** start a second drain: the destination goes on that worker's
+//! pending list and the outermost [`notify`] works the list off one node
+//! at a time, so a thread never holds two flags. A whole ACTIVATE → GET
+//! DATA → put flow therefore usually completes on the thread that
+//! announced it, without waiting behind a kernel.
+//!
+//! Measured on `real_stencil` at 2 threads and rejected (the parent, one
+//! `defer`red job per message, ran 94–110 k tasks/s at 47–50 µs
+//! end-to-end): one flagged progress job per node, still `defer`red —
+//! +30 % tasks/s but 720 µs, the job sits under every newer LIFO task;
+//! in-line drains that nest and hold several flags — 143 k tasks/s but
+//! 310–380 µs, one thread turns into the communication thread of every
+//! node it holds; an atomic park epoch so spawns skip the pool's `sync`
+//! mutex — 96 k, no change. DESIGN.md §3.8 has the table.
 //!
 //! ## Differences from the virtual path (by design)
 //!
@@ -50,7 +73,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::SeqCst};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use amt_comm::{kary_children, EngineStats, ReduceStep, ShmMsg, ShmWorld, TreeReduce};
 use amt_exec::{Pool, TraceEvent};
@@ -93,8 +116,23 @@ struct NodeStore {
 #[derive(Default)]
 struct WorkerStat {
     busy_ns: u64,
-    executed: u64,
     classes: HashMap<&'static str, (u64, u64)>,
+}
+
+/// Per-worker progress state, indexed like `worker_stats`. Only its own
+/// worker ever locks it, so the mutex is never contended.
+#[derive(Default)]
+struct WorkerProgress {
+    /// Set while this worker is inside the outermost [`notify`]: sends
+    /// from the handlers it runs only queue their destination.
+    draining: bool,
+    /// Destinations this worker pushed to and has yet to try to drain.
+    pending: Vec<usize>,
+    /// Scratch for a version's remote consumer nodes ([`announce`]).
+    dests: Vec<u32>,
+    /// Wall time spent draining (metrics mode only): handler time that a
+    /// task's dispatch-overhead sample must not be charged.
+    drained_ns: u64,
 }
 
 /// Per-node message-lifecycle latency collectors.
@@ -136,10 +174,10 @@ struct RealRun {
     stores: Vec<Mutex<NodeStore>>,
     shm: ShmWorld,
     worker_stats: Vec<Mutex<WorkerStat>>,
+    progress: Vec<Mutex<WorkerProgress>>,
     flows: Vec<Mutex<FlowStats>>,
-    executed: AtomicU64,
     /// Per-node executed-task counts — the contributions of the
-    /// quiescence tree reduce.
+    /// quiescence tree reduce; their sum is the run's executed count.
     node_executed: Vec<AtomicU64>,
     /// Quiescence reduce over the collective tree (root = node 0).
     reduce: TreeReduce,
@@ -213,10 +251,10 @@ impl RealRun {
             worker_stats: (0..pool_threads)
                 .map(|_| Mutex::new(WorkerStat::default()))
                 .collect(),
+            progress: (0..pool_threads).map(|_| Mutex::default()).collect(),
             flows: (0..nodes)
                 .map(|_| Mutex::new(FlowStats::default()))
                 .collect(),
-            executed: AtomicU64::new(0),
             node_executed: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
             reduce: TreeReduce::new(nodes, 0, coll_k),
             bcast_tree_min: cfg.bcast_tree_min,
@@ -260,24 +298,37 @@ impl RealRun {
             .push(ns);
     }
 
-    /// Remote consumer nodes of version `v`, deduplicated, ascending.
-    fn remote_consumer_nodes(&self, v: usize) -> Vec<usize> {
-        let ver = self.graph.version(v);
-        let mut dests: Vec<usize> = ver
-            .consumers
-            .iter()
-            .map(|&t| self.graph.task(t).node)
-            .filter(|&n| n != ver.home)
-            .collect();
-        dests.sort_unstable();
-        dests.dedup();
-        dests
+    /// The progress state of the worker running `sub`.
+    fn worker_progress(&self, sub: &dyn Substrate) -> MutexGuard<'_, WorkerProgress> {
+        let w = sub.worker().expect("real runs execute on pool workers");
+        self.progress[w].lock().expect("worker progress")
     }
 
-    /// Mark `v` present at `node` (payload optional) and return the local
-    /// consumer tasks this release made ready, in task order.
-    fn fulfill_local(&self, node: usize, v: usize, payload: Option<Bytes>) -> Vec<TaskId> {
-        let mut ready = Vec::new();
+    /// Remote consumer nodes of version `v` into `dests`, deduplicated,
+    /// ascending.
+    fn remote_consumer_nodes(&self, v: usize, dests: &mut Vec<u32>) {
+        let ver = self.graph.version(v);
+        dests.clear();
+        dests.extend(
+            ver.consumers
+                .iter()
+                .map(|&t| self.graph.task(t).node)
+                .filter(|&n| n != ver.home)
+                .map(|n| n as u32),
+        );
+        dests.sort_unstable();
+        dests.dedup();
+    }
+
+    /// Mark `v` present at `node` (payload optional) and hand `ready` each
+    /// local consumer task this release made ready, in task order.
+    fn fulfill_local(
+        &self,
+        node: usize,
+        v: usize,
+        payload: Option<Bytes>,
+        mut ready: impl FnMut(TaskId),
+    ) {
         {
             let mut store = self.stores[node].lock().expect("node store");
             debug_assert!(
@@ -291,16 +342,15 @@ impl RealRun {
         }
         for &t in &self.graph.version(v).consumers {
             if self.graph.task(t).node == node && self.remaining[t].fetch_sub(1, SeqCst) == 1 {
-                ready.push(t);
+                ready(t);
             }
         }
-        ready
     }
 }
 
-/// Announce `v` to every remote consumer node and schedule their
-/// progress; called once, by the producer's node (or that node's startup
-/// for initial versions). Wide announces go down a multicast tree when
+/// Announce `v` to every remote consumer node and see to their progress;
+/// called once, by the producer's node (or that node's startup for
+/// initial versions). Wide announces go down a multicast tree when
 /// `bcast_tree_min` allows; each destination still receives exactly one
 /// ACTIVATE.
 fn announce(sub: &mut dyn Substrate, run: &Arc<RealRun>, v: usize) {
@@ -310,21 +360,24 @@ fn announce(sub: &mut dyn Substrate, run: &Arc<RealRun>, v: usize) {
         .producer
         .map(|t| run.graph.task(t).priority)
         .unwrap_or(0);
-    let dests = run.remote_consumer_nodes(v);
+    // The scratch is taken out, not borrowed: a send below may run a
+    // handler in line (a go token's `node_startup`) that announces too.
+    let mut dests = std::mem::take(&mut run.worker_progress(sub).dests);
+    run.remote_consumer_nodes(v, &mut dests);
     if run.bcast_tree_min.is_some_and(|m| dests.len() >= m) {
-        let ids: Vec<u32> = dests.iter().map(|&d| d as u32).collect();
         let now_ns = sub.now().as_ns();
-        relay_subtree(sub, run, home, v, &ids, priority, now_ns);
-        return;
+        relay_subtree(sub, run, home, v, &dests, priority, now_ns);
+    } else {
+        for &dst in &dests {
+            let now_ns = sub.now().as_ns();
+            let rec = ActivateRec::direct(v as u64, ver.size as u64, priority, now_ns);
+            let frame = rec.encode_one_shared(run.shm.node(home).pool());
+            run.shm
+                .send_am(home, dst as usize, AM_ACTIVATE, Frames::One(frame), now_ns);
+            notify(sub, run, dst as usize);
+        }
     }
-    for dst in dests {
-        let now_ns = sub.now().as_ns();
-        let rec = ActivateRec::direct(v as u64, ver.size as u64, priority, now_ns);
-        let frame = rec.encode_one_shared(run.shm.node(home).pool());
-        run.shm
-            .send_am(home, dst, AM_ACTIVATE, Frames::One(frame), now_ns);
-        spawn_progress(sub, run, dst);
-    }
+    run.worker_progress(sub).dests = dests;
 }
 
 /// Send ACTIVATEs for `v` to the tree children of `subtree`, each
@@ -357,7 +410,7 @@ fn relay_subtree(
             Frames::One(frame),
             sub.now().as_ns(),
         );
-        spawn_progress(sub, run, child as usize);
+        notify(sub, run, child as usize);
     }
 }
 
@@ -367,10 +420,50 @@ fn spawn_task(sub: &mut dyn Substrate, run: &Arc<RealRun>, t: TaskId) {
     sub.defer(Box::new(move |sub| exec_task(sub, &run, t)));
 }
 
-/// Spawn a progress job draining `node`'s shm mailbox.
-fn spawn_progress(sub: &mut dyn Substrate, run: &Arc<RealRun>, node: usize) {
-    let run = run.clone();
-    sub.defer(Box::new(move |sub| progress(sub, &run, node)));
+/// See that the message just pushed to `dst` is handled (module docs).
+/// Called outside any drain, this worker becomes the outermost caller and
+/// works its pending list off one node at a time; called from a handler,
+/// it only queues `dst`, so no drain nests inside another.
+fn notify(sub: &mut dyn Substrate, run: &Arc<RealRun>, dst: usize) {
+    {
+        let mut p = run.worker_progress(sub);
+        if !p.pending.contains(&dst) {
+            p.pending.push(dst);
+        }
+        if std::mem::replace(&mut p.draining, true) {
+            return;
+        }
+    }
+    let t0 = run.metrics_on.then(|| sub.now());
+    loop {
+        let node = {
+            let mut p = run.worker_progress(sub);
+            if p.pending.is_empty() {
+                p.draining = false;
+                p.drained_ns += t0.map_or(0, |t0| (sub.now() - t0).as_ns());
+                return;
+            }
+            p.pending.remove(0)
+        };
+        run.shm.progress(node, |msg| handle(sub, run, node, msg));
+    }
+}
+
+/// Run `f`; in metrics mode also sample its wall time under `key`.
+/// Returns the sampled nanoseconds (0 when unobserved).
+fn timed(
+    sub: &mut dyn Substrate,
+    run: &RealRun,
+    key: &'static str,
+    f: impl FnOnce(&mut dyn Substrate),
+) -> u64 {
+    let t0 = run.metrics_on.then(|| sub.now());
+    f(sub);
+    t0.map_or(0, |t0| {
+        let d = (sub.now() - t0).as_ns();
+        run.record_sample(key, d);
+        d
+    })
 }
 
 /// Execute task `t` on its home node's store, then run the completion
@@ -380,8 +473,12 @@ fn exec_task(sub: &mut dyn Substrate, run: &Arc<RealRun>, t: TaskId) {
     let task = run.graph.task(t);
     let node = task.node;
     // Dispatch-overhead measurement brackets the whole job (input gather,
-    // kernel, completion protocol); metrics mode only.
-    let t_entry = run.metrics_on.then(|| sub.now());
+    // kernel, completion protocol) less the messages this worker handles
+    // in line on the way, which have samples of their own; metrics mode
+    // only.
+    let t_entry = run
+        .metrics_on
+        .then(|| (sub.now(), run.worker_progress(sub).drained_ns));
 
     // Gather input payloads (only data-carrying versions feed kernels,
     // exactly like the sequential oracle).
@@ -420,20 +517,18 @@ fn exec_task(sub: &mut dyn Substrate, run: &Arc<RealRun>, t: TaskId) {
     if let Some(w) = sub.worker() {
         let mut ws = run.worker_stats[w].lock().expect("worker stat");
         ws.busy_ns += busy_ns;
-        ws.executed += 1;
         let e = ws.classes.entry(task.name).or_insert((0, 0));
         e.0 += 1;
         e.1 += busy_ns;
     }
-    run.executed.fetch_add(1, SeqCst);
     run.node_executed[node].fetch_add(1, SeqCst);
     if run.metrics_on {
         run.kernel_sample(task.name, busy_ns);
     }
 
-    // Completion: outputs become present locally; collect newly-ready
-    // local tasks, then announce to remote consumers.
-    let mut ready: Vec<TaskId> = Vec::new();
+    // Completion: outputs become present locally and release local
+    // consumers (spawned first, so another worker can steal them while
+    // this one runs the announces' protocol in line).
     let mut payloads = outs.into_iter();
     for &out in &task.outputs {
         let payload = task.kernel.is_some().then(|| {
@@ -441,120 +536,80 @@ fn exec_task(sub: &mut dyn Substrate, run: &Arc<RealRun>, t: TaskId) {
                 .next()
                 .expect("one kernel payload per declared write")
         });
-        ready.extend(run.fulfill_local(node, out.0, payload));
-    }
-    for t in ready {
-        spawn_task(sub, run, t);
+        run.fulfill_local(node, out.0, payload, |t| spawn_task(sub, run, t));
     }
     for &out in &task.outputs {
         announce(sub, run, out.0);
     }
-    if let Some(t_entry) = t_entry {
+    if let Some((t_entry, drained)) = t_entry {
+        let drained = run.worker_progress(sub).drained_ns - drained;
         let total_ns = (sub.now() - t_entry).as_ns();
-        run.record_sample(REC_TASK_OVERHEAD, total_ns.saturating_sub(busy_ns));
+        run.record_sample(
+            REC_TASK_OVERHEAD,
+            total_ns.saturating_sub(busy_ns + drained),
+        );
     }
 }
 
-/// Drain and handle every message pending at `node`.
-fn progress(sub: &mut dyn Substrate, run: &Arc<RealRun>, node: usize) {
-    while let Some(msg) = run.shm.node(node).pop() {
-        let now_ns = sub.now().as_ns();
-        match msg {
-            ShmMsg::Am {
-                src,
-                tag,
-                frames,
-                sent_at_ns,
-            } if tag == AM_ACTIVATE => {
-                run.shm.delivered(node, false, 0, now_ns, sent_at_ns);
-                let recs = ActivateRec::decode_frames(&frames);
-                run.shm.node(node).pool().recycle_frames(frames);
-                let mut callback_ns = 0u64;
-                for rec in recs {
-                    let t0 = run.metrics_on.then(|| sub.now());
-                    on_activate(sub, run, node, src, rec);
-                    if let Some(t0) = t0 {
-                        let d = (sub.now() - t0).as_ns();
-                        callback_ns += d;
-                        run.record_sample(REC_ACTIVATE, d);
+/// Handle one message drained from `node`'s mailbox. Decoding reads the
+/// frames in place; every buffer then returns to the pool of the node
+/// that encoded it, so each pool gets back exactly what it hands out
+/// whatever the traffic's shape.
+fn handle(sub: &mut dyn Substrate, run: &Arc<RealRun>, node: usize, msg: ShmMsg) {
+    let now_ns = sub.now().as_ns();
+    match msg {
+        ShmMsg::Am {
+            src,
+            tag,
+            frames,
+            sent_at_ns,
+        } => {
+            run.shm.delivered(node, false, 0, now_ns, sent_at_ns);
+            match tag {
+                AM_ACTIVATE => {
+                    let mut callback_ns = 0u64;
+                    for rec in ActivateRec::iter_frames(&frames) {
+                        callback_ns += timed(sub, run, REC_ACTIVATE, |sub| {
+                            on_activate(sub, run, node, src, rec)
+                        });
                     }
-                }
-                if run.metrics_on {
                     run.shm.record_stage(node, "am.callback_ns", callback_ns);
                 }
-            }
-            ShmMsg::Am {
-                src,
-                tag,
-                frames,
-                sent_at_ns,
-            } if tag == AM_GETDATA => {
-                run.shm.delivered(node, false, 0, now_ns, sent_at_ns);
-                let recs = GetRec::decode_frames(&frames);
-                run.shm.node(node).pool().recycle_frames(frames);
-                let mut callback_ns = 0u64;
-                for rec in recs {
-                    let t0 = run.metrics_on.then(|| sub.now());
-                    on_getdata(sub, run, node, src, rec);
-                    if let Some(t0) = t0 {
-                        let d = (sub.now() - t0).as_ns();
-                        callback_ns += d;
-                        run.record_sample(REC_GET_REQUEST, d);
+                AM_GETDATA => {
+                    let mut callback_ns = 0u64;
+                    for rec in GetRec::iter_frames(&frames) {
+                        callback_ns += timed(sub, run, REC_GET_REQUEST, |sub| {
+                            on_getdata(sub, run, node, src, rec)
+                        });
                     }
-                }
-                if run.metrics_on {
                     run.shm.record_stage(node, "am.callback_ns", callback_ns);
                 }
-            }
-            ShmMsg::Am {
-                tag,
-                frames,
-                sent_at_ns,
-                ..
-            } if tag == AM_COLL_GO => {
-                run.shm.delivered(node, false, 0, now_ns, sent_at_ns);
-                run.shm.node(node).pool().recycle_frames(frames);
-                node_startup(sub, run, node);
-            }
-            ShmMsg::Am {
-                tag,
-                frames,
-                sent_at_ns,
-                ..
-            } if tag == AM_COLL_SUM => {
-                run.shm.delivered(node, false, 0, now_ns, sent_at_ns);
-                let partials: Vec<u64> = frames
-                    .iter()
-                    .map(|b| {
-                        let mut b = b.clone();
-                        b.get_u64_le()
-                    })
-                    .collect();
-                run.shm.node(node).pool().recycle_frames(frames);
-                for p in partials {
-                    let step = run.reduce.arrive(node, p);
-                    coll_step(sub, run, node, step);
+                AM_COLL_GO => node_startup(sub, run, node),
+                AM_COLL_SUM => {
+                    for mut partial in frames.iter().map(|b| &b[..]) {
+                        let step = run.reduce.arrive(node, partial.get_u64_le());
+                        coll_step(sub, run, node, step);
+                    }
                 }
+                _ => panic!("unregistered AM tag {tag}"),
             }
-            ShmMsg::Am { tag, .. } => panic!("unregistered AM tag {tag}"),
-            ShmMsg::Put {
-                r_tag,
-                data,
-                size,
-                cb,
-                sent_at_ns,
-                ..
-            } => {
-                debug_assert_eq!(r_tag, RTAG_DATA, "unexpected one-sided tag");
-                run.shm.delivered(node, true, size, now_ns, sent_at_ns);
-                let t0 = run.metrics_on.then(|| sub.now());
-                on_data(sub, run, node, data, cb);
-                if let Some(t0) = t0 {
-                    let d = (sub.now() - t0).as_ns();
-                    run.record_sample(REC_ARRIVAL, d);
-                    run.shm.record_stage(node, "put.callback_ns", d);
-                }
-            }
+            run.shm.node(src).pool().recycle_frames(frames);
+        }
+        ShmMsg::Put {
+            src,
+            r_tag,
+            data,
+            size,
+            cb,
+            sent_at_ns,
+        } => {
+            debug_assert_eq!(r_tag, RTAG_DATA, "unexpected one-sided tag");
+            run.shm.delivered(node, true, size, now_ns, sent_at_ns);
+            let d = timed(sub, run, REC_ARRIVAL, |sub| {
+                on_data(sub, run, node, data, PutCb::decode(&cb))
+            });
+            run.shm.record_stage(node, "put.callback_ns", d);
+            run.shm.node(src).pool().recycle(cb);
         }
     }
 }
@@ -567,7 +622,7 @@ fn node_startup(sub: &mut dyn Substrate, run: &Arc<RealRun>, node: usize) {
     for child in kary_children(node, 0, run.shm.len(), run.coll_k) {
         run.shm
             .send_am(node, child, AM_COLL_GO, Frames::new(), sub.now().as_ns());
-        spawn_progress(sub, run, child);
+        notify(sub, run, child);
     }
     for v in 0..run.graph.version_count() {
         let ver = run.graph.version(v);
@@ -610,7 +665,7 @@ fn coll_step(sub: &mut dyn Substrate, run: &Arc<RealRun>, node: usize, step: Red
                 Frames::One(b.freeze()),
                 sub.now().as_ns(),
             );
-            spawn_progress(sub, run, parent);
+            notify(sub, run, parent);
         }
         ReduceStep::Done(_) | ReduceStep::Wait => {}
     }
@@ -640,10 +695,7 @@ fn on_activate(
             let mut f = run.flows[node].lock().expect("flow stats");
             f.e2e.record_time_us(lat);
         }
-        let ready = run.fulfill_local(node, v, None);
-        for t in ready {
-            spawn_task(sub, run, t);
-        }
+        run.fulfill_local(node, v, None, |t| spawn_task(sub, run, t));
         if !rec.forward.is_empty() {
             relay_subtree(
                 sub,
@@ -679,7 +731,7 @@ fn on_activate(
     let frame = get.encode_shared(run.shm.node(node).pool());
     run.shm
         .send_am(node, src, AM_GETDATA, Frames::One(frame), sub.now().as_ns());
-    spawn_progress(sub, run, src);
+    notify(sub, run, src);
 }
 
 /// GET DATA at the owner: answer with a one-sided put of the payload.
@@ -708,7 +760,7 @@ fn on_getdata(sub: &mut dyn Substrate, run: &Arc<RealRun>, node: usize, src: usi
     .encode_shared(run.shm.node(node).pool());
     run.shm
         .put(node, src, RTAG_DATA, data, size, cb, sub.now().as_ns());
-    spawn_progress(sub, run, src);
+    notify(sub, run, src);
 }
 
 /// Put arrival at the consumer: the flow is complete; fulfill and release.
@@ -717,9 +769,8 @@ fn on_data(
     run: &Arc<RealRun>,
     node: usize,
     data: Option<Bytes>,
-    cb: Bytes,
+    cb: PutCb,
 ) {
-    let cb = PutCb::decode(cb);
     let now = sub.now().as_ns();
     {
         let mut f = run.flows[node].lock().expect("flow stats");
@@ -727,10 +778,7 @@ fn on_data(
             .record_time_us(SimTime::from_ns(now.saturating_sub(cb.activate_sent_at_ns)));
     }
     let v = cb.version as usize;
-    let ready = run.fulfill_local(node, v, data);
-    for t in ready {
-        spawn_task(sub, run, t);
-    }
+    run.fulfill_local(node, v, data, |t| spawn_task(sub, run, t));
     // Multicast relay: the data is local now; announce it down the
     // subtree so children GET it from this node.
     let fwd = {
@@ -862,7 +910,7 @@ pub(crate) fn run(
     drop(pool);
 
     let run = Arc::try_unwrap(run).unwrap_or_else(|_| panic!("run state still shared after idle"));
-    let executed = run.executed.load(SeqCst);
+    let executed: u64 = run.node_executed.iter().map(|n| n.load(SeqCst)).sum();
     assert_eq!(
         executed, tasks_total,
         "real execution drained with unexecuted tasks (protocol stall)"
@@ -938,11 +986,7 @@ pub(crate) fn run(
         }
         profile
     });
-    let metrics = if cfg.metrics {
-        run.shm.merged_metrics()
-    } else {
-        MetricsRegistry::new(false)
-    };
+    let metrics = run.shm.merged_metrics();
 
     let report = RunReport {
         makespan,

@@ -58,40 +58,35 @@ impl ActivateRec {
 
     #[cfg(test)]
     pub fn decode_all(b: Bytes) -> Vec<ActivateRec> {
-        let mut out = Vec::new();
-        Self::decode_into(b, &mut out);
-        out
+        Self::iter_frames(&Frames::One(b)).collect()
     }
 
-    /// Decode an aggregated delivery frame by frame. Frames align to
-    /// submission boundaries, so per-frame decoding yields exactly the
-    /// records a decode of the concatenation would — without materializing
-    /// the concatenation.
-    pub fn decode_frames(f: &Frames) -> Vec<ActivateRec> {
-        let mut out = Vec::new();
-        for b in f.iter() {
-            Self::decode_into(b.clone(), &mut out);
-        }
-        out
+    /// Decode an aggregated delivery frame by frame, one record at a time
+    /// straight off the frames (nothing is allocated for a record without
+    /// a forward list). Frames align to submission boundaries, so
+    /// per-frame decoding yields exactly the records a decode of the
+    /// concatenation would — without materializing the concatenation.
+    pub fn iter_frames(f: &Frames) -> impl Iterator<Item = ActivateRec> + '_ {
+        f.iter().flat_map(|frame| {
+            let mut b: &[u8] = frame;
+            std::iter::from_fn(move || b.has_remaining().then(|| Self::decode_one(&mut b)))
+        })
     }
 
-    fn decode_into(mut b: Bytes, out: &mut Vec<ActivateRec>) {
-        while b.has_remaining() {
-            assert!(b.remaining() >= Self::HDR_BYTES, "torn ACTIVATE payload");
-            let version = b.get_u64_le();
-            let size = b.get_u64_le();
-            let priority = b.get_i64_le();
-            let sent_at_ns = b.get_u64_le();
-            let n = b.get_u16_le() as usize;
-            assert!(b.remaining() >= 4 * n, "torn ACTIVATE forward list");
-            let forward = (0..n).map(|_| b.get_u32_le()).collect();
-            out.push(ActivateRec {
-                version,
-                size,
-                priority,
-                sent_at_ns,
-                forward,
-            });
+    fn decode_one(b: &mut &[u8]) -> ActivateRec {
+        assert!(b.remaining() >= Self::HDR_BYTES, "torn ACTIVATE payload");
+        let version = b.get_u64_le();
+        let size = b.get_u64_le();
+        let priority = b.get_i64_le();
+        let sent_at_ns = b.get_u64_le();
+        let n = b.get_u16_le() as usize;
+        assert!(b.remaining() >= 4 * n, "torn ACTIVATE forward list");
+        ActivateRec {
+            version,
+            size,
+            priority,
+            sent_at_ns,
+            forward: (0..n).map(|_| b.get_u32_le()).collect(),
         }
     }
 
@@ -193,29 +188,19 @@ impl GetRec {
 
     #[cfg(test)]
     pub fn decode_all(b: Bytes) -> Vec<GetRec> {
-        let mut out = Vec::with_capacity(b.len() / Self::ENC_BYTES);
-        Self::decode_into(b, &mut out);
-        out
+        Self::iter_frames(&Frames::One(b)).collect()
     }
 
     /// Decode an aggregated delivery frame by frame (see
-    /// [`ActivateRec::decode_frames`]).
-    pub fn decode_frames(f: &Frames) -> Vec<GetRec> {
-        let mut out = Vec::with_capacity(f.total_len() / Self::ENC_BYTES);
-        for b in f.iter() {
-            Self::decode_into(b.clone(), &mut out);
-        }
-        out
-    }
-
-    fn decode_into(mut b: Bytes, out: &mut Vec<GetRec>) {
-        assert_eq!(b.len() % Self::ENC_BYTES, 0, "torn GET DATA payload");
-        while b.has_remaining() {
-            out.push(GetRec {
+    /// [`ActivateRec::iter_frames`]).
+    pub fn iter_frames(f: &Frames) -> impl Iterator<Item = GetRec> + '_ {
+        f.iter().flat_map(|frame| {
+            assert_eq!(frame.len() % Self::ENC_BYTES, 0, "torn GET DATA payload");
+            frame.chunks_exact(Self::ENC_BYTES).map(|mut b| GetRec {
                 version: b.get_u64_le(),
                 activate_sent_at_ns: b.get_u64_le(),
-            });
-        }
+            })
+        })
     }
 }
 
@@ -253,7 +238,7 @@ impl PutCb {
         b.freeze()
     }
 
-    pub fn decode(mut b: Bytes) -> Self {
+    pub fn decode(mut b: &[u8]) -> Self {
         PutCb {
             version: b.get_u64_le(),
             activate_sent_at_ns: b.get_u64_le(),
@@ -307,7 +292,7 @@ mod tests {
             r.encode_into(&mut concat);
         }
         assert_eq!(
-            ActivateRec::decode_frames(&frames),
+            ActivateRec::iter_frames(&frames).collect::<Vec<_>>(),
             ActivateRec::decode_all(concat.freeze())
         );
 
@@ -328,7 +313,7 @@ mod tests {
             concat.put_slice(&g.encode());
         }
         assert_eq!(
-            GetRec::decode_frames(&frames),
+            GetRec::iter_frames(&frames).collect::<Vec<_>>(),
             GetRec::decode_all(concat.freeze())
         );
     }
@@ -388,7 +373,7 @@ mod tests {
             version: 9,
             activate_sent_at_ns: 1234,
         };
-        assert_eq!(PutCb::decode(p.encode()), p);
+        assert_eq!(PutCb::decode(&p.encode()), p);
     }
 
     #[test]

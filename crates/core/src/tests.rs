@@ -1065,6 +1065,80 @@ fn real_exec_source_unrolls_and_matches_windowed() {
     );
 }
 
+/// Cost-only 5-point stencil of `sweeps` sweeps over a `side`² tile grid
+/// with an irregular tile → node map: node 0 owns two columns in three,
+/// so it announces far more versions than it receives.
+fn lopsided_stencil(nodes: usize, side: i64, sweeps: usize) -> crate::TaskGraph {
+    let key = |r: i64, c: i64| (r * side + c) as u64;
+    let owner = |k: u64| match k % 3 {
+        2 => 1 + (k as usize / 3) % (nodes - 1),
+        _ => 0,
+    };
+    let mut g = GraphBuilder::new(nodes);
+    for k in 0..(side * side) as u64 {
+        g.data(k, 128, owner(k), None);
+    }
+    for _ in 0..sweeps {
+        for r in 0..side {
+            for c in 0..side {
+                let k = key(r, c);
+                let mut desc = TaskDesc::new("stencil")
+                    .on_node(owner(k))
+                    .read_key(k)
+                    .write(k, 128);
+                for (nr, nc) in [(r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)] {
+                    if (0..side).contains(&nr) && (0..side).contains(&nc) {
+                        desc = desc.read_key(key(nr, nc));
+                    }
+                }
+                g.insert(desc);
+            }
+        }
+    }
+    g.build()
+}
+
+/// Deterministic proxies (one thread) for the progress-owner path: a
+/// message is handled in line by the thread that sent it, never as a
+/// pool job — pool spawns stay at one per task (7.03 per task when each
+/// ACTIVATE, GET and put spawned its own progress job) — and every record
+/// buffer, the put's callback descriptor included, goes back to the pool
+/// it was taken from, so allocating takes do not grow with the run.
+#[test]
+fn real_exec_messages_are_not_pool_jobs_and_record_buffers_recycle() {
+    let run = |sweeps: usize| {
+        let mut cluster = Cluster::new(ClusterConfig {
+            mode: ExecMode::CostOnly,
+            metrics: true,
+            ..small_cfg(BackendKind::Lci, 4)
+        });
+        let graph = lopsided_stencil(4, 6, sweeps);
+        let (tasks, flows) = (graph.task_count() as u64, graph.remote_flows() as u64);
+        let report = cluster.execute_real(graph, 1);
+        assert!(report.complete());
+        assert_eq!(report.e2e_latency_us.count(), flows);
+        assert!(
+            flows > tasks,
+            "{flows} flows for {tasks} tasks: not message-bound"
+        );
+        let spawns = report.pool.as_ref().expect("a real run's pool").spawns();
+        assert!(
+            spawns as f64 <= 1.1 * tasks as f64,
+            "{spawns} pool jobs for {tasks} tasks: messages are queuing as jobs again"
+        );
+        let stages = cluster.metrics_report(&report).stages;
+        assert!(stages.counter("shm.pool_hits") > flows);
+        stages.counter("shm.pool_misses")
+    };
+    let (short, long) = (run(10), run(80));
+    assert_eq!(
+        short, long,
+        "allocating buffer takes grew with the run length: a record buffer is not recycled"
+    );
+    // Startup announces every initial tile before the first reply lands.
+    assert!(long <= 4 * 36, "{long} pool misses");
+}
+
 #[test]
 fn real_then_virtual_data_stores_supersede_each_other() {
     let mut cluster = Cluster::new(small_cfg(BackendKind::Lci, 1));

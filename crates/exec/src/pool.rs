@@ -47,8 +47,24 @@ struct PoolSync {
     shutdown: bool,
 }
 
+/// What a deque slot points at: a job, or `None` once a worker has taken
+/// it. The deque needs thin pointers and a job is a fat one, so each
+/// queued job sits in a box of its own; emptied boxes go on the taking
+/// worker's spare list and are refilled by its next [`Substrate::defer`]
+/// instead of being freed and allocated again.
+type Slot = Option<SubstrateJob>;
+
+/// A worker's emptied slot boxes (it is their allocations that are kept,
+/// so the boxes must stay boxes).
+#[allow(clippy::vec_box)]
+type Spare = Vec<Box<Slot>>;
+
+/// Most boxes a worker keeps spare; a thief that never defers would
+/// otherwise hoard one per steal.
+const SPARE_SLOTS: usize = 256;
+
 struct PoolShared {
-    stealers: Vec<Stealer<SubstrateJob>>,
+    stealers: Vec<Stealer<Slot>>,
     injector: Mutex<VecDeque<SubstrateJob>>,
     sync: Mutex<PoolSync>,
     wake: Condvar,
@@ -130,7 +146,8 @@ impl PoolHandle {
 /// implementation of [`Substrate`].
 pub struct WorkerCtx<'a> {
     shared: &'a Arc<PoolShared>,
-    local: &'a Worker<SubstrateJob>,
+    local: &'a Worker<Slot>,
+    spare: &'a mut Spare,
     index: usize,
 }
 
@@ -157,12 +174,14 @@ impl Substrate for WorkerCtx<'_> {
     fn defer(&mut self, job: SubstrateJob) {
         self.shared.pending.fetch_add(1, SeqCst);
         let c = &self.shared.counters[self.index];
+        let mut slot = self.spare.pop().unwrap_or_default();
+        *slot = Some(job);
         // LIFO local push; a full deque overflows to the injector.
-        if let Err(job) = self.local.push(Box::new(job)) {
+        if let Err(slot) = self.local.push(slot) {
             c.overflow_pushes.fetch_add(1, Relaxed);
             let depth = {
                 let mut inj = self.shared.injector.lock().expect("pool injector");
-                inj.push_back(*job);
+                inj.push_back(take_job(slot, self.spare));
                 inj.len()
             };
             if let Some(buf) = self.shared.buf(self.index) {
@@ -220,7 +239,7 @@ impl Pool {
         let mut workers = Vec::with_capacity(threads);
         let mut stealers = Vec::with_capacity(threads);
         for _ in 0..threads {
-            let (w, s) = deque::deque::<SubstrateJob>(DEQUE_CAP);
+            let (w, s) = deque::deque::<Slot>(DEQUE_CAP);
             workers.push(w);
             stealers.push(s);
         }
@@ -328,17 +347,28 @@ impl Drop for Pool {
     }
 }
 
-fn worker_loop(index: usize, local: Worker<SubstrateJob>, shared: Arc<PoolShared>) {
+/// Move the job out of a popped or stolen slot and keep the emptied box.
+fn take_job(mut slot: Box<Slot>, spare: &mut Spare) -> SubstrateJob {
+    let job = slot.take().expect("queued slots hold a job");
+    if spare.len() < SPARE_SLOTS {
+        spare.push(slot);
+    }
+    job
+}
+
+fn worker_loop(index: usize, local: Worker<Slot>, shared: Arc<PoolShared>) {
     let mut rng = DetRng::seed_from_u64(shared.seed ^ (index as u64).wrapping_mul(0x9e3779b9));
     let n = shared.stealers.len();
+    let mut spare = Spare::new();
     loop {
         // Snapshot the epoch before scanning so a spawn racing the scan
         // forces a rescan instead of a lost wakeup.
         let epoch = shared.sync.lock().expect("pool sync").epoch;
-        if let Some(job) = find_job(index, &local, &shared, &mut rng, n) {
+        if let Some(job) = find_job(index, &local, &shared, &mut rng, n, &mut spare) {
             let mut ctx = WorkerCtx {
                 shared: &shared,
                 local: &local,
+                spare: &mut spare,
                 index,
             };
             job(&mut ctx);
@@ -375,19 +405,20 @@ fn worker_loop(index: usize, local: Worker<SubstrateJob>, shared: Arc<PoolShared
 
 fn find_job(
     index: usize,
-    local: &Worker<SubstrateJob>,
+    local: &Worker<Slot>,
     shared: &PoolShared,
     rng: &mut DetRng,
     n: usize,
+    spare: &mut Spare,
 ) -> Option<SubstrateJob> {
-    if let Some(job) = local.pop() {
+    if let Some(slot) = local.pop() {
         if let Some(buf) = shared.buf(index) {
             buf.push(TraceEvent::DequeDepth {
                 at_ns: shared.now_ns(),
                 depth: local.len() as u32,
             });
         }
-        return Some(*job);
+        return Some(take_job(slot, spare));
     }
     {
         let mut inj = shared.injector.lock().expect("pool injector");
@@ -416,7 +447,7 @@ fn find_job(
                 }
             };
             match shared.stealers[victim].steal() {
-                Steal::Taken(job) => {
+                Steal::Taken(slot) => {
                     shared.counters[index].steals.fetch_add(1, Relaxed);
                     if let Some(buf) = shared.buf(index) {
                         buf.push(TraceEvent::Steal {
@@ -425,7 +456,7 @@ fn find_job(
                             at_ns: shared.now_ns(),
                         });
                     }
-                    return Some(*job);
+                    return Some(take_job(slot, spare));
                 }
                 Steal::Empty | Steal::Retry => {
                     shared.counters[index].failed_probes.fetch_add(1, Relaxed);

@@ -43,7 +43,9 @@ mod costs;
 mod world;
 
 pub use costs::LciCosts;
-pub use world::{AmMsg, CompEntry, CqId, Lci, LciError, LciWorld, OnComplete, PutMsg, SyncId};
+pub use world::{
+    AmMsg, CompEntry, CqId, Lci, LciError, LciWorld, OnComplete, PutMsg, SyncId, WeakLci,
+};
 
 #[cfg(test)]
 mod tests;

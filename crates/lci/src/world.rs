@@ -3,7 +3,7 @@
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use amt_netmodel::{rx_handler, Fabric, FabricHandle, NodeId, Payload};
 use amt_simnet::{EventFn, Sim, SimTime};
@@ -297,9 +297,35 @@ pub struct Lci {
     rank: NodeId,
 }
 
+/// A [`Lci`] handle that does not keep the world alive: what a handler
+/// stored *inside* the world must capture, or world and handler own each
+/// other and neither is ever freed.
+pub struct WeakLci {
+    world: Weak<RefCell<LciWorld>>,
+    rank: NodeId,
+}
+
+impl WeakLci {
+    /// The endpoint, if its world is still alive.
+    pub fn upgrade(&self) -> Option<Lci> {
+        self.world.upgrade().map(|world| Lci {
+            world,
+            rank: self.rank,
+        })
+    }
+}
+
 impl Lci {
     pub fn rank(&self) -> NodeId {
         self.rank
+    }
+
+    /// A handle to this endpoint that does not own the world.
+    pub fn downgrade(&self) -> WeakLci {
+        WeakLci {
+            world: Rc::downgrade(&self.world),
+            rank: self.rank,
+        }
     }
 
     pub fn nranks(&self) -> usize {

@@ -509,19 +509,25 @@ fn batching_and_multicast_preserve_payloads_byte_for_byte() {
         }
     }
 
-    // Real substrate with multicast trees on (batching is an engine
-    // behavior the transport deliberately lacks; the knob must be inert).
-    for threads in [1usize, 3] {
-        let (chol_r, graph_r) = build();
-        let mut real = Cluster::new(with_tree(with_batch(base(BackendKind::Lci))));
-        assert!(
-            real.execute_real(graph_r, threads).complete(),
-            "real threads={threads}"
-        );
-        assert_eq!(
-            collect(&chol_r, &real),
-            reference,
-            "real batched+tree at {threads} thread(s) diverged from flat"
-        );
+    // Real substrate with multicast trees on, k-ary and binomial (batching
+    // is an engine behavior the transport deliberately lacks; the knob
+    // must be inert). Whichever thread owns a node's mailbox relays in
+    // line; children must still find the payload at their tree parent.
+    for threads in [1usize, 2, 4] {
+        for multicast_k in [Some(3), None] {
+            let (chol_r, graph_r) = build();
+            let mut cfg = with_tree(with_batch(base(BackendKind::Lci)));
+            cfg.multicast_k = multicast_k;
+            let mut real = Cluster::new(cfg);
+            assert!(
+                real.execute_real(graph_r, threads).complete(),
+                "real threads={threads} k={multicast_k:?}"
+            );
+            assert_eq!(
+                collect(&chol_r, &real),
+                reference,
+                "real batched+tree (k={multicast_k:?}) at {threads} thread(s) diverged from flat"
+            );
+        }
     }
 }
