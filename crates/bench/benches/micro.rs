@@ -23,7 +23,7 @@ use amt_bench::harness_args;
 use amt_bench::tlrrun::{run_tlr, TlrRunCfg};
 use amt_comm::{BackendKind, CommWorld, EngineConfig};
 use amt_lci::{LciCosts, LciWorld};
-use amt_linalg::{gemm, potrf, qr_thin, svd_jacobi, Matrix, Trans};
+use amt_linalg::{gemm, potrf, qr_thin, sqexp_covariance, svd_truncate, Grid2d, Matrix, Trans};
 use amt_minimpi::{MpiCosts, MpiWorld, SrcSel};
 use amt_netmodel::{Fabric, FabricConfig};
 use amt_simnet::reference::RefSim;
@@ -60,6 +60,15 @@ fn bench<R>(name: &str, mut f: impl FnMut() -> R) {
     let median = times[times.len() / 2];
     let (lo, hi) = (times[0], times[times.len() - 1]);
     println!("{name:<40} {median:>10.3} ms   [{lo:.3} .. {hi:.3}]");
+}
+
+/// `bench` for kernels of tens of microseconds: one sample is 100 calls.
+fn bench100<R>(name: &str, mut f: impl FnMut() -> R) {
+    bench(&format!("{name} x100"), || {
+        for _ in 0..100 {
+            std::hint::black_box(f());
+        }
+    });
 }
 
 /// One engine-suite measurement.
@@ -428,39 +437,75 @@ fn comm_engine_am_roundtrip() {
     }
 }
 
+/// Tile `(i, j)` of the benchmark of record's `real_tlr` problem
+/// (n = 1024, ts = 32), compressed at its tolerance: the rows below time
+/// the shapes that workload has, not round numbers.
+fn workload_tile(i: usize, j: usize) -> LrTile {
+    let grid = Grid2d::new(1024);
+    let block = sqexp_covariance(&grid, 32 * i, 32 * j, 32, 32, 0.1, 0.0);
+    LrTile::compress(&block, 1e-8, 150)
+}
+
+/// The `W·Zᵀ` a GEMM task adds to tile `(i, j)` at step `k`:
+/// `−U_ik·(V_ikᵀ·V_jk)·U_jkᵀ`.
+fn workload_update(i: usize, j: usize, k: usize) -> (Matrix, Matrix) {
+    let (a, b) = (workload_tile(i, k), workload_tile(j, k));
+    let mut small = Matrix::zeros(a.rank(), b.rank());
+    gemm(1.0, &a.v, Trans::Yes, &b.v, Trans::No, 0.0, &mut small);
+    let mut w = Matrix::zeros(32, b.rank());
+    gemm(-1.0, &a.u, Trans::No, &small, Trans::No, 0.0, &mut w);
+    (w, b.u)
+}
+
 fn linalg_kernels() {
-    let a = Matrix::from_fn(64, 64, |i, j| ((i * 31 + j * 17) as f64).sin());
+    let a = Matrix::from_fn(32, 32, |i, j| ((i * 31 + j * 17) as f64).sin());
     let spd = {
-        let mut s = Matrix::zeros(64, 64);
+        let mut s = Matrix::zeros(32, 32);
         gemm(1.0, &a, Trans::No, &a, Trans::Yes, 0.0, &mut s);
-        for i in 0..64 {
-            s.add_assign_at(i, i, 64.0);
+        for i in 0..32 {
+            s.add_assign_at(i, i, 32.0);
         }
         s
     };
-    bench("linalg/gemm_64", || {
-        let mut out = Matrix::zeros(64, 64);
+    bench100("linalg/gemm_32_nt", || {
+        let mut out = Matrix::zeros(32, 32);
         gemm(1.0, &a, Trans::No, &a, Trans::Yes, 0.0, &mut out);
         out
     });
-    bench("linalg/potrf_64", || potrf(&spd).expect("spd"));
-    let m = Matrix::from_fn(64, 16, |i, j| ((i + 3 * j) as f64).cos());
-    bench("linalg/qr_64x16", || qr_thin(&m));
-    let m2 = Matrix::from_fn(32, 16, |i, j| 1.0 / (1.0 + (i + j) as f64));
-    bench("linalg/svd_32x16", || svd_jacobi(&m2));
+    bench100("linalg/gemm_32_tn", || {
+        let mut out = Matrix::zeros(32, 32);
+        gemm(1.0, &a, Trans::Yes, &a, Trans::No, 0.0, &mut out);
+        out
+    });
+    bench100("linalg/potrf_32", || potrf(&spd).expect("spd"));
+    // The stacked factors [U W] of a rounded addition, and the core
+    // Ru·Rvᵀ its SVD sees.
+    let (c, (w, z)) = (workload_tile(2, 1), workload_update(2, 1, 0));
+    let stack = |x: &Matrix, y: &Matrix| {
+        Matrix::from_vec(32, x.cols() + y.cols(), [x.data(), y.data()].concat())
+    };
+    let (su, sv) = (stack(&c.u, &w), stack(&c.v, &z));
+    bench100(&format!("linalg/qr_32x{}", su.cols()), || qr_thin(&su));
+    let (ru, rv) = (qr_thin(&su).1, qr_thin(&sv).1);
+    let mut core = Matrix::zeros(ru.rows(), rv.rows());
+    gemm(1.0, &ru, Trans::No, &rv, Trans::Yes, 0.0, &mut core);
+    bench100("linalg/svd_truncate_core_32", || {
+        svd_truncate(&core, 1e-8, 150)
+    });
 }
 
 fn tlr_compression() {
-    let block = Matrix::from_fn(64, 64, |i, j| {
-        (-((i as f64 - j as f64) / 16.0).powi(2)).exp()
-    });
-    bench("tlr/compress_64", || LrTile::compress(&block, 1e-8, 32));
-    let t = LrTile::compress(&block, 1e-8, 32);
-    let w = Matrix::from_fn(64, 4, |i, j| ((i * 7 + j) as f64).sin());
-    let z = Matrix::from_fn(64, 4, |i, j| ((i + j * 5) as f64).cos());
-    bench("tlr/add_truncate_64_r4", || {
-        t.add_truncate(&w, &z, 1e-8, 32)
-    });
+    let grid = Grid2d::new(1024);
+    let block = sqexp_covariance(&grid, 32, 0, 32, 32, 0.1, 0.0);
+    bench100("tlr/compress_32", || LrTile::compress(&block, 1e-8, 150));
+    // Wide stacks (k1 + k2 > ts) next to the diagonal, narrow ones far away.
+    for (i, j) in [(2, 1), (24, 12)] {
+        let (c, (w, z)) = (workload_tile(i, j), workload_update(i, j, 0));
+        bench100(
+            &format!("tlr/add_truncate_32_r{}+{}", c.rank(), w.cols()),
+            || c.add_truncate(&w, &z, 1e-8, 150),
+        );
+    }
 }
 
 fn main() {

@@ -85,23 +85,37 @@ impl Matrix {
         &self.data
     }
 
+    /// Column-major storage, mutable: lets a kernel split it into the
+    /// columns it reads and the column it writes.
+    pub(crate) fn data_mut(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |i, j| self.get(j, i))
+        let mut t = Matrix::zeros(self.cols, self.rows);
+        for (j, col) in self.data.chunks_exact(self.rows.max(1)).enumerate() {
+            for (i, &x) in col.iter().enumerate() {
+                t.data[i * self.cols + j] = x;
+            }
+        }
+        t
     }
 
     /// Copy the `rows × cols` submatrix at `(r0, c0)`.
     pub fn submatrix(&self, r0: usize, c0: usize, rows: usize, cols: usize) -> Matrix {
         assert!(r0 + rows <= self.rows && c0 + cols <= self.cols);
-        Matrix::from_fn(rows, cols, |i, j| self.get(r0 + i, c0 + j))
+        let mut data = Vec::with_capacity(rows * cols);
+        for j in c0..c0 + cols {
+            data.extend_from_slice(&self.col(j)[r0..r0 + rows]);
+        }
+        Matrix { rows, cols, data }
     }
 
     /// Write `m` into this matrix at `(r0, c0)`.
     pub fn set_submatrix(&mut self, r0: usize, c0: usize, m: &Matrix) {
         assert!(r0 + m.rows <= self.rows && c0 + m.cols <= self.cols);
         for j in 0..m.cols {
-            for i in 0..m.rows {
-                self.set(r0 + i, c0 + j, m.get(i, j));
-            }
+            self.col_mut(c0 + j)[r0..r0 + m.rows].copy_from_slice(m.col(j));
         }
     }
 

@@ -1,6 +1,6 @@
 //! Low-rank tiles: compression, rounded arithmetic, serialization.
 
-use amt_linalg::{gemm, qr_thin, rank_at_abs, svd_jacobi, Matrix, Trans};
+use amt_linalg::{gemm, qr_thin, svd_truncate, Matrix, Trans};
 use bytes::Bytes;
 
 /// A tile in `U·Vᵀ` form: `u` is `m × k`, `v` is `n × k`.
@@ -31,25 +31,8 @@ impl LrTile {
     /// Compress a dense block at absolute accuracy `tol`, rank capped at
     /// `maxrank` (and never below 1 so the factor stays well-formed).
     pub fn compress(a: &Matrix, tol: f64, maxrank: usize) -> LrTile {
-        let transposed = a.rows() < a.cols();
-        let work = if transposed { a.transpose() } else { a.clone() };
-        let (u, s, v) = svd_jacobi(&work);
-        let k = rank_at_abs(&s, tol).clamp(1, maxrank.min(s.len()));
-        let mut uk = Matrix::zeros(work.rows(), k);
-        let mut vk = Matrix::zeros(work.cols(), k);
-        for (j, &sv) in s.iter().enumerate().take(k) {
-            for i in 0..work.rows() {
-                uk.set(i, j, u.get(i, j) * sv);
-            }
-            for i in 0..work.cols() {
-                vk.set(i, j, v.get(i, j));
-            }
-        }
-        if transposed {
-            LrTile { u: vk, v: uk }
-        } else {
-            LrTile { u: uk, v: vk }
-        }
+        let (u, v) = svd_truncate(a, tol, maxrank);
+        LrTile { u, v }
     }
 
     /// Reconstruct the dense block.
@@ -65,41 +48,21 @@ impl LrTile {
         assert_eq!(w.rows(), self.rows());
         assert_eq!(z.rows(), self.cols());
         assert_eq!(w.cols(), z.cols());
-        let k1 = self.rank();
-        let k2 = w.cols();
-        let m = self.rows();
-        let n = self.cols();
+        let cols = self.rank() + w.cols();
 
-        // Stack [U  W] and [V  Z].
-        let mut su = Matrix::zeros(m, k1 + k2);
-        su.set_submatrix(0, 0, &self.u);
-        su.set_submatrix(0, k1, w);
-        let mut sv = Matrix::zeros(n, k1 + k2);
-        sv.set_submatrix(0, 0, &self.v);
-        sv.set_submatrix(0, k1, z);
-
+        // Stack [U  W] and [V  Z]: column-major, so side by side is end to end.
+        let su = Matrix::from_vec(self.rows(), cols, [self.u.data(), w.data()].concat());
+        let sv = Matrix::from_vec(self.cols(), cols, [self.v.data(), z.data()].concat());
         let (qu, ru) = qr_thin(&su);
         let (qv, rv) = qr_thin(&sv);
-        // Core = Ru · Rvᵀ, small square.
-        let kk = ru.rows();
-        let mut core = Matrix::zeros(kk, kk);
+        // Core = Ru · Rvᵀ, small; U' = Qu · (Cu·diag(s))[:, :k], V' = Qv · Cv[:, :k].
+        let mut core = Matrix::zeros(ru.rows(), rv.rows());
         gemm(1.0, &ru, Trans::No, &rv, Trans::Yes, 0.0, &mut core);
-        let (cu, s, cv) = svd_jacobi(&core);
-        let k = rank_at_abs(&s, tol).clamp(1, maxrank.min(s.len()));
-
-        // U' = Qu · Cu[:, :k] · diag(s), V' = Qv · Cv[:, :k].
-        let mut cus = Matrix::zeros(kk, k);
-        let mut cvk = Matrix::zeros(kk, k);
-        for (j, &sv) in s.iter().enumerate().take(k) {
-            for i in 0..kk {
-                cus.set(i, j, cu.get(i, j) * sv);
-                cvk.set(i, j, cv.get(i, j));
-            }
-        }
-        let mut u = Matrix::zeros(m, k);
+        let (cus, cv) = svd_truncate(&core, tol, maxrank);
+        let mut u = Matrix::zeros(self.rows(), cus.cols());
         gemm(1.0, &qu, Trans::No, &cus, Trans::No, 0.0, &mut u);
-        let mut v = Matrix::zeros(n, k);
-        gemm(1.0, &qv, Trans::No, &cvk, Trans::No, 0.0, &mut v);
+        let mut v = Matrix::zeros(self.cols(), cv.cols());
+        gemm(1.0, &qv, Trans::No, &cv, Trans::No, 0.0, &mut v);
         LrTile { u, v }
     }
 
@@ -154,6 +117,10 @@ mod tests {
         let a = Matrix::from_fn(12, 12, pseudo);
         let t = LrTile::compress(&a, 1e-15, 4);
         assert_eq!(t.rank(), 4);
+        // Total in `maxrank`: the floor of 1 wins over a cap of 0.
+        assert_eq!(LrTile::compress(&a, 1e-15, 0).rank(), 1);
+        let w = Matrix::from_fn(12, 2, pseudo);
+        assert_eq!(t.add_truncate(&w, &w, 1e-15, 0).rank(), 1);
     }
 
     #[test]
@@ -179,6 +146,34 @@ mod tests {
             sum.to_dense().max_diff(&want)
         );
         assert!(sum.rank() <= 5);
+    }
+
+    #[test]
+    fn add_truncate_with_stacks_wider_than_the_tile() {
+        // The regime the benchmark's TLR workload runs (mean rank 23 on
+        // 32 × 32 tiles): k1 + k2 = 46 > ts, so both QRs are of wide
+        // matrices and the core is ts × ts. Graded columns give the sum a
+        // decaying spectrum, so the truncation at 1e-8 has something to cut.
+        let graded = |di: usize, dj: usize| {
+            Matrix::from_fn(32, 23, |i, j| {
+                pseudo(i + di, j + dj) * 0.4f64.powi(j as i32)
+            })
+        };
+        let t = LrTile {
+            u: graded(0, 0),
+            v: graded(40, 3),
+        };
+        let (w, z) = (graded(7, 50), graded(90, 20));
+        let sum = t.add_truncate(&w, &z, 1e-8, 150);
+        let mut want = t.to_dense();
+        gemm(1.0, &w, Trans::No, &z, Trans::Yes, 1.0, &mut want);
+        assert!((8..32).contains(&sum.rank()), "rank {}", sum.rank());
+        // Each discarded σ is at most tol: ‖error‖_F ≤ √ts · tol.
+        let got = sum.to_dense();
+        let err = Matrix::from_fn(32, 32, |i, j| got.get(i, j) - want.get(i, j));
+        assert!(err.norm_fro() < 32f64.sqrt() * 1e-8, "{}", err.norm_fro());
+        // A rank cap below the numerical rank still applies.
+        assert_eq!(t.add_truncate(&w, &z, 1e-8, 5).rank(), 5);
     }
 
     #[test]

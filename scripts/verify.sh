@@ -228,18 +228,22 @@ for jobs in 1 3; do
 done
 echo "golden fig4 report is byte-identical (jobs 1, 3)"
 
-echo "== benchmark of record: its own tests + sim_scale --quick smoke =="
+echo "== benchmark of record: its own tests + sim_scale and real_tlr --quick smokes =="
 cargo test --quiet --offline --manifest-path benchmark/Cargo.toml
-cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
-    --quick --workload sim_scale --trace 0 > "$TMP_DIR/benchmark_smoke.txt"
-tail -n 1 "$TMP_DIR/benchmark_smoke.txt" | python3 -c '
+# real_tlr's warm-up rep runs the factorization residual check and every
+# later rep is compared with it by digest: "correct" covers the kernels.
+for workload in sim_scale real_tlr; do
+    cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+        --quick --workload "$workload" --trace 0 > "$TMP_DIR/benchmark_smoke.txt"
+    tail -n 1 "$TMP_DIR/benchmark_smoke.txt" | python3 -c '
 import json, sys
 d = json.loads(sys.stdin.read())
 assert d["correct"] is True and d["failed"] == 0, d
 m = d["metrics"]
-print("benchmark sim_scale --quick: correct, %d checks, %.0f tasks/s"
-      % (d["attempted"], m["tasks_per_s"]["value"]))
-'
+print("benchmark %s --quick: correct, %d checks, %.0f tasks/s"
+      % (sys.argv[1], d["attempted"], m["tasks_per_s"]["value"]))
+' "$workload"
+done
 
 echo "== observability: example run with --trace-out/--metrics-out =="
 cargo run --release --quiet --example quickstart -- \
