@@ -8,18 +8,42 @@
 //! and the little-endian cursor methods from `Buf`/`BufMut`).
 //!
 //! Semantics match the real crate for the operations implemented here:
-//! `Bytes` is a window into shared storage (clone is O(1), `split_to` /
+//! `Bytes` is a window into its storage (clone is O(1), `split_to` /
 //! `split_off` move the window without copying), `from_static` borrows the
 //! static slice without allocating, and the `Buf` getters consume from the
 //! front.
 //!
-//! Two additions go beyond the real crate, in service of the zero-copy comm
-//! datapath (DESIGN.md §11):
+//! ## Three representations in one 40-byte handle
 //!
-//! * [`BufPool`] — a per-node free list of backing `Vec<u8>` buffers.
-//!   Encoders take a [`BytesMut`] from the pool; consumers that fully own a
-//!   `Bytes` at the end of its life hand it back with [`BufPool::recycle`],
-//!   which reclaims the storage only when the refcount proves exclusivity.
+//! * **static** — the window *is* the `&'static [u8]`; no allocation, no
+//!   refcount;
+//! * **shared** — an `Arc<Vec<u8>>` plus a `start..end` window; clones
+//!   bump the refcount;
+//! * **inline** — up to [`Bytes::INLINE_CAP`] bytes stored in the handle
+//!   itself ([`Bytes::inline`]): no buffer, no refcount, nothing to free
+//!   or recycle — LCI's *immediate* protocol (DESIGN.md §3.4) for the
+//!   runtime's 8–34-byte protocol records. A clone copies the handle.
+//!
+//! The shared variant needs three words and a tag, which rounds to five
+//! words: 40 bytes. Inline storage takes what is left beside the tag and a
+//! one-byte `start`/`end` pair, hence the cap of 37. A 56-byte handle
+//! (the window kept as two words of its own beside a 38-byte inline
+//! variant) was measured and rejected: same speed on the real substrate,
+//! but every queued `Bytes` grows and the benchmark of record's
+//! `peak_live_bytes` rose 4.6–5.9 % on three of four workloads, over its
+//! 5 % bound. `handle_is_five_words` pins the layout.
+//!
+//! Three additions go beyond the real crate, in service of the zero-copy
+//! comm datapath (DESIGN.md §3.5.1):
+//!
+//! * [`Bytes::inline`] — see above.
+//! * [`BufPool`] / [`SharedBufPool`] — a per-node free list of
+//!   [`BytesMut`] buffers. A `BytesMut` owns its `Arc<Vec<u8>>` from the
+//!   start, so `freeze` allocates nothing and a consumer that fully owns a
+//!   `Bytes` at the end of its life hands the *same* `Arc` back with
+//!   `recycle`, which reclaims it only when the refcount proves
+//!   exclusivity: a pooled buffer's header is allocated once, not once per
+//!   trip.
 //! * [`Frames`] — an ordered list of `Bytes` representing one wire message
 //!   assembled from several submissions (AM aggregation). Delivering the
 //!   frame list instead of a concatenated copy removes the per-message
@@ -29,24 +53,29 @@ use std::cell::RefCell;
 use std::ops::Deref;
 use std::sync::Arc;
 
-/// Backing storage of a [`Bytes`] window.
+/// Storage and window of a [`Bytes`] (crate docs: one handle, three
+/// representations).
 #[derive(Clone)]
 enum Repr {
-    /// Borrowed static data: no allocation, no refcount.
     Static(&'static [u8]),
-    /// Shared heap storage. `Arc<Vec<u8>>` (not `Arc<[u8]>`) so `freeze`
-    /// never shrink-copies and [`Bytes::try_reclaim`] can recover the `Vec`
-    /// for pooling.
-    Shared(Arc<Vec<u8>>),
+    /// `Arc<Vec<u8>>` (not `Arc<[u8]>`) so spare capacity survives `freeze`
+    /// and [`Bytes::try_reclaim`] can hand the buffer back for pooling.
+    Shared {
+        buf: Arc<Vec<u8>>,
+        start: usize,
+        end: usize,
+    },
+    Inline {
+        start: u8,
+        end: u8,
+        data: [u8; Bytes::INLINE_CAP],
+    },
 }
 
-/// Cheaply clonable immutable byte buffer: a view into shared storage.
+/// Cheaply clonable immutable byte buffer: a view into static, shared or
+/// inline storage.
 #[derive(Clone)]
-pub struct Bytes {
-    repr: Repr,
-    start: usize,
-    end: usize,
-}
+pub struct Bytes(Repr);
 
 impl Default for Bytes {
     fn default() -> Self {
@@ -55,6 +84,9 @@ impl Default for Bytes {
 }
 
 impl Bytes {
+    /// Most bytes [`Bytes::inline`] can hold (crate docs derive the 37).
+    pub const INLINE_CAP: usize = 37;
+
     /// Creates an empty `Bytes` (no allocation).
     pub fn new() -> Self {
         Bytes::from_static(&[])
@@ -62,57 +94,76 @@ impl Bytes {
 
     /// Creates `Bytes` borrowing a static slice. No allocation.
     pub fn from_static(s: &'static [u8]) -> Self {
-        Bytes {
-            repr: Repr::Static(s),
+        Bytes(Repr::Static(s))
+    }
+
+    /// Copies `s` into the handle itself when it fits
+    /// ([`Bytes::INLINE_CAP`]); `None` when it is too long. No allocation,
+    /// no refcount, never reclaimable.
+    pub fn inline(s: &[u8]) -> Option<Bytes> {
+        let mut data = [0u8; Bytes::INLINE_CAP];
+        data.get_mut(..s.len())?.copy_from_slice(s);
+        Some(Bytes(Repr::Inline {
             start: 0,
-            end: s.len(),
-        }
+            end: s.len() as u8,
+            data,
+        }))
     }
 
     /// Number of bytes in the view.
     pub fn len(&self) -> usize {
-        self.end - self.start
+        match &self.0 {
+            Repr::Static(s) => s.len(),
+            Repr::Shared { start, end, .. } => end - start,
+            Repr::Inline { start, end, .. } => (end - start) as usize,
+        }
     }
 
     /// Whether the view is empty.
     pub fn is_empty(&self) -> bool {
-        self.start == self.end
+        self.len() == 0
+    }
+
+    /// Shrinks the view in place to `lo..hi` of itself. Callers have
+    /// checked `lo <= hi <= len`, so the inline casts cannot truncate.
+    fn narrow(&mut self, lo: usize, hi: usize) {
+        match &mut self.0 {
+            Repr::Static(s) => *s = &s[lo..hi],
+            Repr::Shared { start, end, .. } => {
+                *end = *start + hi;
+                *start += lo;
+            }
+            Repr::Inline { start, end, .. } => {
+                *end = *start + hi as u8;
+                *start += lo as u8;
+            }
+        }
     }
 
     /// Splits off and returns the first `at` bytes; `self` keeps the rest.
-    /// No copy: both halves share the backing storage.
+    /// No copy of shared or static storage: both halves view it.
     pub fn split_to(&mut self, at: usize) -> Bytes {
         assert!(at <= self.len(), "split_to out of bounds");
-        let head = Bytes {
-            repr: self.repr.clone(),
-            start: self.start,
-            end: self.start + at,
-        };
-        self.start += at;
+        let head = self.slice(0..at);
+        self.narrow(at, self.len());
         head
     }
 
     /// Splits off and returns the bytes from `at` onwards; `self` keeps the
-    /// first `at` bytes. No copy: both halves share the backing storage.
+    /// first `at` bytes. No copy of shared or static storage.
     pub fn split_off(&mut self, at: usize) -> Bytes {
         assert!(at <= self.len(), "split_off out of bounds");
-        let tail = Bytes {
-            repr: self.repr.clone(),
-            start: self.start + at,
-            end: self.end,
-        };
-        self.end = self.start + at;
+        let tail = self.slice(at..self.len());
+        self.narrow(0, at);
         tail
     }
 
     /// Returns a sub-view of `self` (like `Bytes::slice` in the real crate).
     pub fn slice(&self, range: std::ops::Range<usize>) -> Bytes {
         assert!(range.start <= range.end && range.end <= self.len());
-        Bytes {
-            repr: self.repr.clone(),
-            start: self.start + range.start,
-            end: self.start + range.end,
-        }
+        let mut view = self.clone();
+        view.narrow(range.start, range.end);
+        view
     }
 
     /// Copies the view into an owned `Vec<u8>`.
@@ -120,47 +171,38 @@ impl Bytes {
         self.as_slice().to_vec()
     }
 
-    /// Recovers the backing `Vec<u8>` (cleared) when this view is the sole
-    /// owner of heap storage; otherwise returns the `Bytes` unchanged.
-    /// Static-backed views are never reclaimable.
-    pub fn try_reclaim(self) -> Result<Vec<u8>, Bytes> {
-        let (start, end) = (self.start, self.end);
-        match self.repr {
-            Repr::Shared(arc) => match Arc::try_unwrap(arc) {
-                Ok(mut v) => {
-                    v.clear();
-                    Ok(v)
-                }
-                Err(arc) => Err(Bytes {
-                    repr: Repr::Shared(arc),
-                    start,
-                    end,
-                }),
-            },
-            r @ Repr::Static(_) => Err(Bytes {
-                repr: r,
+    /// Recovers the backing buffer (cleared, capacity and `Arc` kept) when
+    /// this view is the sole owner of heap storage; otherwise returns the
+    /// `Bytes` unchanged. Static and inline views have no buffer to give.
+    pub fn try_reclaim(self) -> Result<BytesMut, Bytes> {
+        match self.0 {
+            Repr::Shared {
+                mut buf,
                 start,
                 end,
-            }),
+            } => match Arc::get_mut(&mut buf) {
+                Some(v) => {
+                    v.clear();
+                    Ok(BytesMut { buf })
+                }
+                None => Err(Bytes(Repr::Shared { buf, start, end })),
+            },
+            other => Err(Bytes(other)),
         }
     }
 
     fn as_slice(&self) -> &[u8] {
-        match &self.repr {
-            Repr::Static(s) => &s[self.start..self.end],
-            Repr::Shared(v) => &v[self.start..self.end],
+        match &self.0 {
+            Repr::Static(s) => s,
+            Repr::Shared { buf, start, end } => &buf[*start..*end],
+            Repr::Inline { start, end, data } => &data[*start as usize..*end as usize],
         }
     }
 }
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        let len = v.len();
-        Bytes {
-            repr: Repr::Shared(Arc::new(v)),
-            start: 0,
-            end: len,
-        }
+        BytesMut { buf: Arc::new(v) }.freeze()
     }
 }
 
@@ -231,17 +273,22 @@ impl Ord for Bytes {
     }
 }
 
+/// `b"..."` with non-printable bytes escaped, as the real crate prints.
+fn fmt_bytes(bytes: &[u8], f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+    write!(f, "b\"")?;
+    for &b in bytes {
+        if (0x20..0x7f).contains(&b) && b != b'"' && b != b'\\' {
+            write!(f, "{}", b as char)?;
+        } else {
+            write!(f, "\\x{b:02x}")?;
+        }
+    }
+    write!(f, "\"")
+}
+
 impl std::fmt::Debug for Bytes {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "b\"")?;
-        for &b in self.as_slice() {
-            if (0x20..0x7f).contains(&b) && b != b'"' && b != b'\\' {
-                write!(f, "{}", b as char)?;
-            } else {
-                write!(f, "\\x{b:02x}")?;
-            }
-        }
-        write!(f, "\"")
+        fmt_bytes(self, f)
     }
 }
 
@@ -262,22 +309,33 @@ impl<'a> IntoIterator for &'a Bytes {
 }
 
 /// Growable byte buffer; `freeze` converts it into an immutable `Bytes`.
-#[derive(Clone, Default, PartialEq, Eq)]
+///
+/// The buffer lives in an `Arc` it is the only owner of, so that `freeze`
+/// is a move and a recycled buffer ([`Bytes::try_reclaim`]) keeps its
+/// header as well as its storage.
+#[derive(Default, PartialEq, Eq)]
 pub struct BytesMut {
-    buf: Vec<u8>,
+    buf: Arc<Vec<u8>>,
 }
 
 impl BytesMut {
     /// Creates an empty buffer.
     pub fn new() -> Self {
-        BytesMut { buf: Vec::new() }
+        BytesMut::default()
     }
 
     /// Creates an empty buffer with reserved capacity.
     pub fn with_capacity(cap: usize) -> Self {
         BytesMut {
-            buf: Vec::with_capacity(cap),
+            buf: Arc::new(Vec::with_capacity(cap)),
         }
+    }
+
+    /// The buffer itself (`Vec<u8>` is a [`BufMut`] too). Every write
+    /// through `BytesMut` re-proves ownership of the `Arc` (an atomic
+    /// exchange); an encoder of many small fields borrows the `Vec` once.
+    pub fn as_mut_vec(&mut self) -> &mut Vec<u8> {
+        Arc::get_mut(&mut self.buf).expect("a BytesMut is its buffer's only owner")
     }
 
     /// Number of bytes written so far.
@@ -297,24 +355,23 @@ impl BytesMut {
 
     /// Reserves space for at least `additional` more bytes.
     pub fn reserve(&mut self, additional: usize) {
-        self.buf.reserve(additional);
+        self.as_mut_vec().reserve(additional);
     }
 
     /// Appends a slice.
     pub fn extend_from_slice(&mut self, s: &[u8]) {
-        self.buf.extend_from_slice(s);
+        self.as_mut_vec().extend_from_slice(s);
     }
 
-    /// Converts into an immutable `Bytes` without copying (spare capacity
-    /// is kept with the storage so pooled buffers survive round trips).
+    /// Converts into an immutable `Bytes` without copying or allocating
+    /// (spare capacity is kept with the storage so pooled buffers survive
+    /// round trips).
     pub fn freeze(self) -> Bytes {
-        Bytes::from(self.buf)
-    }
-}
-
-impl From<Vec<u8>> for BytesMut {
-    fn from(buf: Vec<u8>) -> Self {
-        BytesMut { buf }
+        Bytes(Repr::Shared {
+            start: 0,
+            end: self.buf.len(),
+            buf: self.buf,
+        })
     }
 }
 
@@ -327,23 +384,24 @@ impl Deref for BytesMut {
 
 impl std::fmt::Debug for BytesMut {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        Bytes::from(self.buf.clone()).fmt(f)
+        fmt_bytes(self, f)
     }
 }
 
-/// A free list of backing buffers for encode/decode round trips.
+/// A free list of buffers for encode/decode round trips.
 ///
 /// Not a slab and not reference-counted itself: producers call [`take`]
 /// (which pops a recycled buffer or allocates a fresh one) and consumers
 /// call [`recycle`] when a `Bytes` reaches the end of its life. `recycle`
 /// only reclaims storage it can prove exclusive via the refcount; shared
-/// buffers are silently dropped, so recycling is always safe and never
-/// affects observable values.
+/// buffers — and static or inline views, which have none — are silently
+/// dropped, so recycling is always safe and never affects observable
+/// values.
 ///
 /// [`take`]: BufPool::take
 /// [`recycle`]: BufPool::recycle
 pub struct BufPool {
-    bufs: RefCell<Vec<Vec<u8>>>,
+    bufs: RefCell<Vec<BytesMut>>,
     max_bufs: usize,
 }
 
@@ -360,9 +418,9 @@ impl BufPool {
     /// allocates a fresh one.
     pub fn take(&self, min_capacity: usize) -> BytesMut {
         match self.bufs.borrow_mut().pop() {
-            Some(mut v) => {
-                v.reserve(min_capacity);
-                BytesMut::from(v)
+            Some(mut b) => {
+                b.reserve(min_capacity);
+                b
             }
             None => BytesMut::with_capacity(min_capacity),
         }
@@ -371,10 +429,10 @@ impl BufPool {
     /// Returns a buffer's storage to the pool if `b` is its sole owner.
     /// Reports whether the storage was reclaimed.
     pub fn recycle(&self, b: Bytes) -> bool {
-        if let Ok(v) = b.try_reclaim() {
+        if let Ok(buf) = b.try_reclaim() {
             let mut bufs = self.bufs.borrow_mut();
             if bufs.len() < self.max_bufs {
-                bufs.push(v);
+                bufs.push(buf);
                 return true;
             }
         }
@@ -394,16 +452,6 @@ impl BufPool {
             }
         }
         n
-    }
-
-    /// Returns an unfrozen buffer directly (e.g. an encode that was
-    /// abandoned before `freeze`).
-    pub fn put_back(&self, mut b: BytesMut) {
-        let mut bufs = self.bufs.borrow_mut();
-        if bufs.len() < self.max_bufs {
-            b.buf.clear();
-            bufs.push(b.buf);
-        }
     }
 
     /// Number of free buffers currently pooled.
@@ -428,7 +476,7 @@ impl std::fmt::Debug for BufPool {
 /// receivers live on different OS threads. Tracks pool hits and misses so
 /// runs can report steady-state buffer reuse.
 pub struct SharedBufPool {
-    bufs: std::sync::Mutex<Vec<Vec<u8>>>,
+    bufs: std::sync::Mutex<Vec<BytesMut>>,
     max_bufs: usize,
     hits: std::sync::atomic::AtomicU64,
     misses: std::sync::atomic::AtomicU64,
@@ -450,10 +498,10 @@ impl SharedBufPool {
     pub fn take(&self, min_capacity: usize) -> BytesMut {
         use std::sync::atomic::Ordering::Relaxed;
         match self.bufs.lock().expect("shared buf pool").pop() {
-            Some(mut v) => {
+            Some(mut b) => {
                 self.hits.fetch_add(1, Relaxed);
-                v.reserve(min_capacity);
-                BytesMut::from(v)
+                b.reserve(min_capacity);
+                b
             }
             None => {
                 self.misses.fetch_add(1, Relaxed);
@@ -462,13 +510,14 @@ impl SharedBufPool {
         }
     }
 
-    /// Returns a buffer's storage to the pool if `b` is its sole owner.
-    /// Reports whether the storage was reclaimed.
+    /// Returns a buffer's storage to the pool if `b` is its sole owner
+    /// (the lock is taken only then). Reports whether the storage was
+    /// reclaimed.
     pub fn recycle(&self, b: Bytes) -> bool {
-        if let Ok(v) = b.try_reclaim() {
+        if let Ok(buf) = b.try_reclaim() {
             let mut bufs = self.bufs.lock().expect("shared buf pool");
             if bufs.len() < self.max_bufs {
-                bufs.push(v);
+                bufs.push(buf);
                 return true;
             }
         }
@@ -716,7 +765,7 @@ impl Buf for Bytes {
     }
     fn advance(&mut self, n: usize) {
         assert!(n <= self.len(), "advance out of bounds");
-        self.start += n;
+        self.narrow(n, self.len());
     }
 }
 
@@ -761,7 +810,17 @@ pub trait BufMut {
 
 impl BufMut for BytesMut {
     fn put_slice(&mut self, s: &[u8]) {
-        self.buf.extend_from_slice(s);
+        self.as_mut_vec().extend_from_slice(s);
+    }
+}
+
+/// Fills the slice front to back, as in the real crate: each put writes at
+/// the front and leaves the unwritten rest. Panics when it does not fit.
+impl BufMut for &mut [u8] {
+    fn put_slice(&mut self, s: &[u8]) {
+        let (head, rest) = std::mem::take(self).split_at_mut(s.len());
+        head.copy_from_slice(s);
+        *self = rest;
     }
 }
 
@@ -838,26 +897,81 @@ mod tests {
         assert!(Bytes::from_static(b"abc").try_reclaim().is_err());
     }
 
+    /// The layout the crate docs derive: a wider handle costs every queue
+    /// of `Bytes` memory (measured), a narrower one cannot hold a record.
+    #[test]
+    fn handle_is_five_words() {
+        assert_eq!(std::mem::size_of::<Bytes>(), 40);
+        assert_eq!(std::mem::size_of::<Option<Bytes>>(), 40);
+        assert_eq!(std::mem::size_of::<Frames>(), 40);
+    }
+
+    #[test]
+    fn inline_holds_up_to_37_bytes_and_is_never_reclaimable() {
+        let src: Vec<u8> = (0..38).collect();
+        assert!(Bytes::inline(&src).is_none(), "38 bytes do not fit");
+        let mut b = Bytes::inline(&src[..37]).expect("37 bytes fit");
+        assert_eq!(b, src[..37]);
+        assert_eq!(b.get_u16_le(), 0x0100);
+        let tail = b.split_off(30);
+        assert_eq!((&b[..], &tail[..]), (&src[2..32], &src[32..37]));
+        let b = b.try_reclaim().expect_err("inline: no buffer to give");
+        assert_eq!(b, src[2..32], "handed back unchanged");
+        let mut s = Bytes::from_static(b"static");
+        s.advance(2);
+        let s = s.try_reclaim().expect_err("static: no buffer to give");
+        assert_eq!(&s[..], b"atic", "handed back unchanged");
+        assert_eq!(Bytes::inline(&[]).expect("empty fits"), Bytes::new());
+    }
+
+    #[test]
+    fn slice_buf_mut_fills_front_to_back() {
+        let mut buf = [0u8; 11];
+        let mut w = &mut buf[..];
+        w.put_u8(7);
+        w.put_u64_le(0x0123_4567_89ab_cdef);
+        assert_eq!(w.len(), 2, "the unwritten rest");
+        let mut r = &buf[..];
+        assert_eq!((r.get_u8(), r.get_u64_le()), (7, 0x0123_4567_89ab_cdef));
+    }
+
+    /// `take → freeze → recycle → take` hands the same buffer back, header
+    /// and storage (`tests/pool_alloc.rs` at the workspace root counts the
+    /// second trip's allocations: none).
     #[test]
     fn pool_round_trips_storage() {
+        fn trip(
+            take: impl Fn(usize) -> BytesMut,
+            recycle: impl Fn(Bytes) -> bool,
+        ) -> (*const u8, usize) {
+            let mut m = take(64);
+            assert!(m.is_empty(), "recycled buffers come back cleared");
+            let at = (m.as_ptr(), m.capacity());
+            m.put_slice(b"hello");
+            assert!(recycle(m.freeze()));
+            at
+        }
         let pool = BufPool::new(4);
-        let mut m = pool.take(64);
-        m.put_slice(b"hello");
-        let cap = m.capacity();
-        let b = m.freeze();
-        assert!(pool.recycle(b));
+        let first = trip(|n| pool.take(n), |b| pool.recycle(b));
         assert_eq!(pool.free_len(), 1);
-        let m2 = pool.take(16);
-        assert_eq!(m2.capacity(), cap, "same storage came back");
-        assert!(m2.is_empty());
+        let again = trip(|n| pool.take(n), |b| pool.recycle(b));
+        assert_eq!(first, again, "same storage came back");
+        let shared = SharedBufPool::new(4);
+        let first = trip(|n| shared.take(n), |b| shared.recycle(b));
+        let again = trip(|n| shared.take(n), |b| shared.recycle(b));
+        assert_eq!(first, again, "same storage came back");
+        assert_eq!(shared.reuse_stats(), (1, 1));
 
-        // A shared buffer is dropped, not reclaimed.
-        let pool2 = BufPool::new(4);
+        // A shared buffer is dropped, not reclaimed; so is one the full
+        // pool has no room for; an inline view has nothing to reclaim.
+        let pool2 = BufPool::new(1);
         let b = Bytes::from(vec![0u8; 8]);
         let keep = b.clone();
         assert!(!pool2.recycle(b));
+        assert!(!pool2.recycle(Bytes::inline(b"rec").expect("fits")));
         assert_eq!(pool2.free_len(), 0);
         assert_eq!(keep.len(), 8);
+        assert!(pool2.recycle(keep) && !pool2.recycle(Bytes::from(vec![1u8])));
     }
 
     #[test]

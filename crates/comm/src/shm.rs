@@ -9,11 +9,14 @@
 //! pool and a **progress-owner flag**. Senders push and then call
 //! [`ShmWorld::progress`] on the destination: whoever wins the flag drains
 //! the mailbox in line, on the sending thread, as the node's one progress
-//! owner — a batch bounded by the mailbox length at entry, then the flag
-//! is released and the mailbox *re-checked*, which closes the lost-wakeup
-//! race against a sender that pushed while the flag was still held. The
-//! loser returns at once: it pushed before it saw the flag taken, so the
-//! owner's re-check comes after the push and finds the message. Lifecycle
+//! owner — it takes the whole mailbox as one batch (a swap under the
+//! lock) and handles it outside the lock, then the flag is released and
+//! the mailbox *re-checked*, which closes the lost-wakeup race against a
+//! sender that pushed while the flag was still held. The loser returns at
+//! once: it pushed before it saw the flag taken, so the owner's re-check
+//! comes after the push and finds the message. Records of at most
+//! `Bytes::INLINE_CAP` bytes travel inside their `Bytes` handle and never
+//! touch the buffer pool; only longer ones are pooled. Lifecycle
 //! counters are lock-free atomics snapshotted into an [`EngineStats`] at
 //! the end of a run so real-mode `RunReport`s carry the same engine
 //! counter vocabulary as virtual ones.
@@ -90,12 +93,19 @@ struct ShmCounters {
     puts_remote_done: AtomicU64,
 }
 
-/// One node endpoint: mailbox + owner flag + buffer pool + counters.
+/// One node endpoint: mailbox + owner flag + buffer pool + counters, on
+/// cache lines of its own (two, for the adjacent-line prefetcher) so that
+/// traffic to one node does not slow traffic to its neighbour.
 #[derive(Debug)]
+#[repr(align(128))]
 pub struct ShmNode {
     inbox: Mutex<VecDeque<ShmMsg>>,
     /// Held by the thread draining `inbox` ([`ShmWorld::progress`]).
     owned: AtomicBool,
+    /// The owner's batch: swapped with `inbox`, worked off outside the
+    /// inbox lock, and empty again (capacity kept) before `owned` clears.
+    /// Only the flag holder locks it, so it is never contended.
+    batch: Mutex<VecDeque<ShmMsg>>,
     pool: SharedBufPool,
     counters: ShmCounters,
     /// Per-stage lifecycle histograms (empty when metrics are off).
@@ -107,6 +117,7 @@ impl ShmNode {
         ShmNode {
             inbox: Mutex::new(VecDeque::new()),
             owned: AtomicBool::new(false),
+            batch: Mutex::new(VecDeque::new()),
             pool: SharedBufPool::new(pool_bufs),
             counters: ShmCounters::default(),
             metrics: Mutex::new(MetricsRegistry::new(metrics)),
@@ -124,10 +135,6 @@ impl ShmNode {
     /// callers (tests, probes).
     pub fn pop(&self) -> Option<ShmMsg> {
         self.inbox.lock().expect("shm inbox").pop_front()
-    }
-
-    fn pending(&self) -> usize {
-        self.inbox.lock().expect("shm inbox").len()
     }
 
     /// Snapshot this node's counters in the engine-stats vocabulary used
@@ -215,22 +222,21 @@ impl ShmWorld {
     }
 
     /// Drain `node`'s mailbox through `handle` as the node's progress
-    /// owner, unless another thread already is (module docs: flag, batch
-    /// bounded by the length at entry, release, re-check). Call after
-    /// every push to `node`. `handle` runs with the flag held, so it must
-    /// not call `progress` on a second node: a thread that owned several
-    /// nodes would serialize all their traffic behind itself.
+    /// owner, unless another thread already is (module docs: flag, one
+    /// swapped-out batch, release, re-check). Call after every push to
+    /// `node`. `handle` runs with the flag held, so it must not call
+    /// `progress` on a second node: a thread that owned several nodes
+    /// would serialize all their traffic behind itself.
     pub fn progress(&self, node: NodeId, mut handle: impl FnMut(ShmMsg)) {
         let n = &self.nodes[node];
         while !n.owned.swap(true, SeqCst) {
-            for _ in 0..n.pending() {
-                match n.pop() {
-                    Some(msg) => handle(msg),
-                    None => break,
-                }
+            {
+                let mut batch = n.batch.lock().expect("shm batch");
+                std::mem::swap(&mut *n.inbox.lock().expect("shm inbox"), &mut *batch);
+                batch.drain(..).for_each(&mut handle);
             }
             n.owned.store(false, SeqCst);
-            if n.pending() == 0 {
+            if n.inbox.lock().expect("shm inbox").is_empty() {
                 return;
             }
         }
@@ -505,7 +511,8 @@ mod shm_tests {
                             next[from] = got + 1;
                         });
                         sync.wait();
-                        if w.node(0).owned.load(SeqCst) || w.node(0).pending() != 0 {
+                        let n = w.node(0);
+                        if n.owned.load(SeqCst) || !n.inbox.lock().unwrap().is_empty() {
                             note(format!("round {round}: message stranded or flag left set"));
                         }
                     }

@@ -6,7 +6,7 @@
 //! the put payload *eagerly* inside the handshake (§5.3.3); in cost-only
 //! simulations the payload bytes are absent but still counted on the wire.
 
-use bytes::{Buf, BufMut, BufPool, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BufPool, Bytes};
 
 /// How the put payload travels.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,11 +58,11 @@ impl PutHandshake {
     /// traffic then reuses recycled payload storage instead of allocating.
     pub fn encode_with(&self, pool: &BufPool) -> Bytes {
         let mut b = pool.take(self.wire_len().min(64 * 1024));
-        self.encode_into(&mut b);
+        self.encode_into(b.as_mut_vec());
         b.freeze()
     }
 
-    fn encode_into(&self, b: &mut BytesMut) {
+    fn encode_into(&self, b: &mut Vec<u8>) {
         b.put_u64_le(self.data_tag);
         b.put_u64_le(self.size);
         b.put_u64_le(self.r_tag);

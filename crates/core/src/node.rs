@@ -31,7 +31,7 @@ use std::rc::Rc;
 use amt_comm::{AmEvent, CommEngine, PutEvent, PutRequest};
 use amt_netmodel::NodeId;
 use amt_simnet::{CoreHandle, OnlineStats, OverlapTracker, Shared, Sim, SimTime, Trace};
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 
 use crate::config::{ClusterConfig, ExecMode};
 use crate::graph::{GraphHandle, TaskId, VersionId};
@@ -522,32 +522,11 @@ impl NodeRt {
                 extra += NodeRt::send_activate(rt, sim, child as NodeId, &rec, mt);
             }
         } else {
-            // Record bodies differ only by priority here; encode once per
-            // distinct priority into a pooled buffer and send clones of the
-            // shared frame (wire bytes identical to per-destination
-            // encodes; the refcount-checked pool never reclaims a shared
-            // buffer early).
-            let mut encoded: Vec<(i64, Bytes)> = Vec::new();
+            // Direct records are immediate (no buffer to share), so each
+            // destination gets its own encode.
             for &(dst, priority) in &dests {
-                let payload = match encoded.iter().find(|(p, _)| *p == priority) {
-                    Some((_, b)) => b.clone(),
-                    None => {
-                        let rec =
-                            ActivateRec::direct(version.0 as u64, size as u64, priority, sent_at);
-                        let b = rec.encode_one_with(rt.engine.buf_pool());
-                        encoded.push((priority, b.clone()));
-                        b
-                    }
-                };
-                extra += NodeRt::send_activate_encoded(
-                    rt,
-                    sim,
-                    dst,
-                    version.0 as u64,
-                    ACTIVATE_WIRE_BYTES,
-                    payload,
-                    mt,
-                );
+                let rec = ActivateRec::direct(version.0 as u64, size as u64, priority, sent_at);
+                extra += NodeRt::send_activate(rt, sim, dst, &rec, mt);
             }
         }
         if from_scratch {
@@ -571,24 +550,10 @@ impl NodeRt {
         mt: bool,
     ) -> SimTime {
         let wire = ACTIVATE_WIRE_BYTES + 4 * rec.forward.len();
-        let payload = rec.encode_one_with(rt.engine.buf_pool());
-        NodeRt::send_activate_encoded(rt, sim, dst, rec.version, wire, payload, mt)
-    }
-
-    /// [`NodeRt::send_activate`] with the record already encoded — the
-    /// announce loop encodes identical bodies once and sends shared clones.
-    fn send_activate_encoded(
-        rt: &RtHandle,
-        sim: &mut Sim,
-        dst: NodeId,
-        version: u64,
-        wire: usize,
-        payload: Bytes,
-        mt: bool,
-    ) -> SimTime {
         let engine = &rt.engine;
+        let payload = rec.encode_one(|n| engine.buf_pool().take(n));
         if rt.trace_on {
-            let id = flow_id(FLOW_ACTIVATE, version, rt.node, dst);
+            let id = flow_id(FLOW_ACTIVATE, rec.version, rt.node, dst);
             rt.state.borrow_mut().trace.flow_start(
                 rt.comm_track.clone(),
                 "activate",
@@ -633,24 +598,8 @@ impl NodeRt {
                 sent_at_ns,
                 forward: sub,
             };
-            let wire = ACTIVATE_WIRE_BYTES + 4 * rec.forward.len();
-            if rt.trace_on {
-                let id = flow_id(FLOW_ACTIVATE, rec.version, rt.node, child as NodeId);
-                rt.state.borrow_mut().trace.flow_start(
-                    rt.comm_track.clone(),
-                    "activate",
-                    id,
-                    sim.now(),
-                );
-            }
-            let engine = &rt.engine;
-            engine.send_am(
-                sim,
-                child as NodeId,
-                AM_ACTIVATE,
-                wire,
-                Some(rec.encode_one_with(engine.buf_pool())),
-            );
+            // Funneled, like the init announce: no worker to charge.
+            NodeRt::send_activate(rt, sim, child as NodeId, &rec, false);
         }
     }
 
@@ -951,7 +900,7 @@ impl NodeRt {
                 get.src,
                 AM_GETDATA,
                 GET_WIRE_BYTES,
-                Some(rec.encode_with(engine.buf_pool())),
+                Some(rec.encode()),
                 batch,
             );
             cost += rt.cfg.cost.get_send_cost;
@@ -999,7 +948,7 @@ impl NodeRt {
                     size,
                     data,
                     r_tag: RTAG_DATA,
-                    cb_data: cb.encode_with(engine.buf_pool()),
+                    cb_data: cb.encode(),
                     on_local: Box::new(|_sim, _eng| SimTime::ZERO),
                 },
             );
@@ -1163,14 +1112,4 @@ impl NodeRt {
         let rec = ActivateRec::direct(version as u64, size as u64, priority, sim.now().as_ns());
         NodeRt::send_activate(rt, sim, dst, &rec, false);
     }
-}
-
-/// Encode several ACTIVATE records into one payload (used by tests).
-#[allow(dead_code)]
-pub(crate) fn encode_records(recs: &[ActivateRec]) -> Bytes {
-    let mut b = BytesMut::with_capacity(recs.iter().map(|r| r.enc_len()).sum());
-    for r in recs {
-        r.encode_into(&mut b);
-    }
-    b.freeze()
 }

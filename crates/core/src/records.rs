@@ -6,8 +6,15 @@
 //! self-delimiting. Timestamps ride along so the receiver can measure
 //! per-message and end-to-end latency exactly as the paper does (§6.1.3 —
 //! our virtual clock is global, so no clock synchronization is required).
+//!
+//! Encoders pick the protocol by encoded length, as LCI does (DESIGN.md
+//! §3.4): a record of at most [`Bytes::INLINE_CAP`] bytes — every GET DATA
+//! and put-callback record, and every ACTIVATE without a forward list — is
+//! *immediate*: it travels inside the `Bytes` handle, with no buffer to
+//! take, count or recycle. Only multicast ACTIVATEs (≥ 38 B) are buffered.
+//! What the fabric is *charged* is the wire sizes below, never the handle.
 
-use bytes::{Buf, BufMut, BufPool, Bytes, BytesMut, Frames};
+use bytes::{Buf, BufMut, Bytes, BytesMut, Frames};
 
 /// Wire size charged per ACTIVATE record (the real runtime sends remote-deps
 /// descriptors of roughly this size).
@@ -45,7 +52,7 @@ impl ActivateRec {
         Self::HDR_BYTES + 4 * self.forward.len()
     }
 
-    pub fn encode_into(&self, b: &mut BytesMut) {
+    pub fn encode_into(&self, b: &mut impl BufMut) {
         b.put_u64_le(self.version);
         b.put_u64_le(self.size);
         b.put_i64_le(self.priority);
@@ -90,28 +97,26 @@ impl ActivateRec {
         }
     }
 
-    #[cfg(test)]
-    pub fn encode_one(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(self.enc_len());
-        self.encode_into(&mut b);
+    /// Encode one record: immediate when it fits the handle (module
+    /// docs), otherwise into a buffer from `take` — a pool's `take`, so
+    /// steady-state multicast traffic reuses recycled arrival buffers.
+    pub fn encode_one(&self, take: impl FnOnce(usize) -> BytesMut) -> Bytes {
+        let len = self.enc_len();
+        if len <= Bytes::INLINE_CAP {
+            return immediate(len, |b| self.encode_into(b));
+        }
+        let mut b = take(len);
+        self.encode_into(b.as_mut_vec());
         b.freeze()
     }
+}
 
-    /// Encode into a buffer drawn from `pool`; steady-state ACTIVATE traffic
-    /// reuses recycled arrival buffers instead of allocating.
-    pub fn encode_one_with(&self, pool: &BufPool) -> Bytes {
-        let mut b = pool.take(self.enc_len());
-        self.encode_into(&mut b);
-        b.freeze()
-    }
-
-    /// [`ActivateRec::encode_one_with`] over the thread-safe pool of the
-    /// real-substrate transport.
-    pub fn encode_one_shared(&self, pool: &bytes::SharedBufPool) -> Bytes {
-        let mut b = pool.take(self.enc_len());
-        self.encode_into(&mut b);
-        b.freeze()
-    }
+/// Encode a record of `len <= Bytes::INLINE_CAP` bytes on the stack into
+/// an immediate `Bytes`.
+fn immediate(len: usize, encode: impl FnOnce(&mut &mut [u8])) -> Bytes {
+    let mut buf = [0u8; Bytes::INLINE_CAP];
+    encode(&mut &mut buf[..len]);
+    Bytes::inline(&buf[..len]).expect("caller checked the length")
 }
 
 /// Recursive-halving children assignment for a binomial multicast over the
@@ -159,31 +164,12 @@ pub struct GetRec {
 impl GetRec {
     pub const ENC_BYTES: usize = 16;
 
-    #[cfg(test)]
+    /// Always immediate: 16 bytes.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(Self::ENC_BYTES);
-        self.encode_into(&mut b);
-        b.freeze()
-    }
-
-    /// Encode into a buffer drawn from `pool`.
-    pub fn encode_with(&self, pool: &BufPool) -> Bytes {
-        let mut b = pool.take(Self::ENC_BYTES);
-        self.encode_into(&mut b);
-        b.freeze()
-    }
-
-    /// [`GetRec::encode_with`] over the thread-safe pool of the real
-    /// substrate transport.
-    pub fn encode_shared(&self, pool: &bytes::SharedBufPool) -> Bytes {
-        let mut b = pool.take(Self::ENC_BYTES);
-        self.encode_into(&mut b);
-        b.freeze()
-    }
-
-    fn encode_into(&self, b: &mut BytesMut) {
-        b.put_u64_le(self.version);
-        b.put_u64_le(self.activate_sent_at_ns);
+        immediate(Self::ENC_BYTES, |b| {
+            b.put_u64_le(self.version);
+            b.put_u64_le(self.activate_sent_at_ns);
+        })
     }
 
     #[cfg(test)]
@@ -213,29 +199,12 @@ pub struct PutCb {
 }
 
 impl PutCb {
-    #[cfg(test)]
+    /// Always immediate: 16 bytes.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(16);
-        b.put_u64_le(self.version);
-        b.put_u64_le(self.activate_sent_at_ns);
-        b.freeze()
-    }
-
-    /// Encode into a buffer drawn from `pool`.
-    pub fn encode_with(&self, pool: &BufPool) -> Bytes {
-        let mut b = pool.take(16);
-        b.put_u64_le(self.version);
-        b.put_u64_le(self.activate_sent_at_ns);
-        b.freeze()
-    }
-
-    /// [`PutCb::encode_with`] over the thread-safe pool of the real
-    /// substrate transport.
-    pub fn encode_shared(&self, pool: &bytes::SharedBufPool) -> Bytes {
-        let mut b = pool.take(16);
-        b.put_u64_le(self.version);
-        b.put_u64_le(self.activate_sent_at_ns);
-        b.freeze()
+        immediate(16, |b| {
+            b.put_u64_le(self.version);
+            b.put_u64_le(self.activate_sent_at_ns);
+        })
     }
 
     pub fn decode(mut b: &[u8]) -> Self {
@@ -288,7 +257,7 @@ mod tests {
         let mut frames = Frames::new();
         let mut concat = BytesMut::new();
         for r in &recs {
-            frames.push(r.encode_one());
+            frames.push(r.encode_one(BytesMut::with_capacity));
             r.encode_into(&mut concat);
         }
         assert_eq!(
@@ -374,6 +343,28 @@ mod tests {
             activate_sent_at_ns: 1234,
         };
         assert_eq!(PutCb::decode(&p.encode()), p);
+    }
+
+    /// The protocol is chosen by encoded length: up to the handle's 37
+    /// bytes no buffer is asked for; one forward entry (38 B) is buffered.
+    #[test]
+    fn records_that_fit_the_handle_take_no_buffer() {
+        let mut rec = ActivateRec::direct(7, 2048, -3, 99);
+        assert!(rec.enc_len() <= Bytes::INLINE_CAP);
+        let b = rec.encode_one(|_| panic!("an immediate record asked for a buffer"));
+        assert_eq!(ActivateRec::decode_all(b.clone()), vec![rec.clone()]);
+        assert!(b.try_reclaim().is_err(), "nothing to recycle");
+
+        rec.forward.push(5);
+        assert_eq!(rec.enc_len(), Bytes::INLINE_CAP + 1);
+        let mut asked = None;
+        let b = rec.encode_one(|n| {
+            asked = Some(n);
+            BytesMut::with_capacity(n)
+        });
+        assert_eq!(asked, Some(38));
+        assert_eq!(ActivateRec::decode_all(b.clone()), vec![rec]);
+        assert!(b.try_reclaim().is_ok(), "a buffered record recycles");
     }
 
     #[test]

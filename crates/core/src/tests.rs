@@ -1098,18 +1098,21 @@ fn lopsided_stencil(nodes: usize, side: i64, sweeps: usize) -> crate::TaskGraph 
     g.build()
 }
 
-/// Deterministic proxies (one thread) for the progress-owner path: a
-/// message is handled in line by the thread that sent it, never as a
-/// pool job — pool spawns stay at one per task (7.03 per task when each
-/// ACTIVATE, GET and put spawned its own progress job) — and every record
-/// buffer, the put's callback descriptor included, goes back to the pool
-/// it was taken from, so allocating takes do not grow with the run.
+/// Deterministic proxies (one thread) for the message path: a message is
+/// handled in line by the thread that sent it, never as a pool job — pool
+/// spawns stay at one per task (7.03 per task when each ACTIVATE, GET and
+/// put spawned its own progress job) — and no record of a unicast flow
+/// takes a buffer: ACTIVATE, GET and the put's callback descriptor are
+/// immediate. Under a multicast tree the ACTIVATEs that carry a forward
+/// list are buffered, and every such buffer goes back to the pool it was
+/// taken from, so allocating takes do not grow with the run.
 #[test]
 fn real_exec_messages_are_not_pool_jobs_and_record_buffers_recycle() {
-    let run = |sweeps: usize| {
+    let run = |sweeps: usize, bcast_tree_min: Option<usize>| {
         let mut cluster = Cluster::new(ClusterConfig {
             mode: ExecMode::CostOnly,
             metrics: true,
+            bcast_tree_min,
             ..small_cfg(BackendKind::Lci, 4)
         });
         let graph = lopsided_stencil(4, 6, sweeps);
@@ -1127,16 +1130,27 @@ fn real_exec_messages_are_not_pool_jobs_and_record_buffers_recycle() {
             "{spawns} pool jobs for {tasks} tasks: messages are queuing as jobs again"
         );
         let stages = cluster.metrics_report(&report).stages;
-        assert!(stages.counter("shm.pool_hits") > flows);
-        stages.counter("shm.pool_misses")
+        (
+            stages.counter("shm.pool_hits"),
+            stages.counter("shm.pool_misses"),
+        )
     };
-    let (short, long) = (run(10), run(80));
     assert_eq!(
-        short, long,
+        run(10, None),
+        (0, 0),
+        "a record of a unicast flow took a pooled buffer"
+    );
+    let (short, long) = (run(10, Some(2)), run(80, Some(2)));
+    assert!(
+        long.0 > short.0,
+        "no forward list travelled: nothing pooled"
+    );
+    assert_eq!(
+        short.1, long.1,
         "allocating buffer takes grew with the run length: a record buffer is not recycled"
     );
     // Startup announces every initial tile before the first reply lands.
-    assert!(long <= 4 * 36, "{long} pool misses");
+    assert!(long.1 <= 4 * 36, "{} pool misses", long.1);
 }
 
 #[test]

@@ -22,8 +22,12 @@
 //! A `pending` counter is incremented at spawn and decremented after a job
 //! finishes, so `pending == 0` means "no job queued anywhere and none
 //! running" — jobs only enter through spawns, and a job's own spawns are
-//! counted before it decrements itself. [`Pool::run_until_idle`] blocks on
-//! exactly that condition.
+//! counted before it decrements itself. [`Pool::run_until_idle`] blocks
+//! until that holds *and every worker has parked*: the last worker to
+//! park signals it. Parking takes the `sync` mutex, so everything a worker
+//! wrote before — counters, trace events, whatever its jobs touched —
+//! happens-before the caller's return, and nothing moves until the next
+//! spawn.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{
@@ -68,7 +72,7 @@ struct PoolShared {
     injector: Mutex<VecDeque<SubstrateJob>>,
     sync: Mutex<PoolSync>,
     wake: Condvar,
-    /// Signalled (under `sync`) when `pending` reaches zero.
+    /// Signalled (under `sync`) by the last worker to park.
     quiet: Condvar,
     pending: AtomicUsize,
     start: Instant,
@@ -107,13 +111,6 @@ impl PoolShared {
         self.injector_pushes.fetch_add(1, Relaxed);
         self.injector.lock().expect("pool injector").push_back(job);
         self.notify_spawn();
-    }
-
-    fn finish_one(&self) {
-        if self.pending.fetch_sub(1, SeqCst) == 1 {
-            let _s = self.sync.lock().expect("pool sync");
-            self.quiet.notify_all();
-        }
     }
 }
 
@@ -299,10 +296,10 @@ impl Pool {
     }
 
     /// Block until every spawned job (including jobs they spawned) has
-    /// finished.
+    /// finished and every worker has parked (module docs).
     pub fn run_until_idle(&self) {
         let mut s = self.shared.sync.lock().expect("pool sync");
-        while self.shared.pending.load(SeqCst) > 0 {
+        while self.shared.pending.load(SeqCst) > 0 || s.idle < self.threads() {
             s = self.shared.quiet.wait(s).expect("pool quiet wait");
         }
     }
@@ -373,7 +370,7 @@ fn worker_loop(index: usize, local: Worker<Slot>, shared: Arc<PoolShared>) {
             };
             job(&mut ctx);
             shared.counters[index].executed.fetch_add(1, Relaxed);
-            shared.finish_one();
+            shared.pending.fetch_sub(1, SeqCst);
             continue;
         }
         let mut s = shared.sync.lock().expect("pool sync");
@@ -389,6 +386,9 @@ fn worker_loop(index: usize, local: Worker<Slot>, shared: Arc<PoolShared>) {
             buf.push(TraceEvent::Park {
                 at_ns: shared.now_ns(),
             });
+        }
+        if s.idle == n {
+            shared.quiet.notify_all();
         }
         // Park until any spawn bumps the epoch (or shutdown).
         while s.epoch == epoch && !s.shutdown {

@@ -195,7 +195,7 @@ for path, quick in ((sys.argv[1], True), (sys.argv[2], False)):
 fresh = json.load(open(sys.argv[1]))
 committed = json.load(open(sys.argv[2]))
 off = fresh["obs_overhead"]["off"]["allocs_per_task"]
-bound = committed["obs_overhead"]["off"]["allocs_per_task"] * 1.3 + 3.0
+bound = committed["obs_overhead"]["off"]["allocs_per_task"] * 1.3 + 0.5
 assert off <= bound, f"obs-off allocs/task {off} > committed bound {bound:.2f}"
 # The 1 -> 2 thread ratio is printed, not gated: the quick DAG is 2 560
 # small tasks (milliseconds), and on a 2-core box the ratio measures
@@ -228,11 +228,13 @@ for jobs in 1 3; do
 done
 echo "golden fig4 report is byte-identical (jobs 1, 3)"
 
-echo "== benchmark of record: its own tests + sim_scale and real_tlr --quick smokes =="
+echo "== benchmark of record: its own tests + sim_scale, real_tlr and real_stencil --quick smokes =="
 cargo test --quiet --offline --manifest-path benchmark/Cargo.toml
 # real_tlr's warm-up rep runs the factorization residual check and every
 # later rep is compared with it by digest: "correct" covers the kernels.
-for workload in sim_scale real_tlr; do
+# real_stencil checks that every cross-node flow arrived: "correct" covers
+# the record path (immediate records, per-worker flow statistics).
+for workload in sim_scale real_tlr real_stencil; do
     cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
         --quick --workload "$workload" --trace 0 > "$TMP_DIR/benchmark_smoke.txt"
     tail -n 1 "$TMP_DIR/benchmark_smoke.txt" | python3 -c '

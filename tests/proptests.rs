@@ -402,3 +402,111 @@ fn tlr_addition_matches_dense() {
         assert!(err < 1e-8 * scale.max(1.0), "case {case}: err {err}");
     }
 }
+
+/// `Bytes` is one value type over three representations — inline, shared,
+/// static: the same random sequence of window operations over each, for
+/// every length an inline handle can hold, agrees step by step with a
+/// `Vec<u8>` model, and `Eq` / `Ord` / `Hash` cannot tell them apart.
+#[test]
+fn bytes_representations_agree_with_a_vec_model() {
+    use bytes::Buf;
+    use std::hash::{Hash, Hasher};
+
+    fn hash_of(b: &Bytes) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        b.hash(&mut h);
+        h.finish()
+    }
+    /// Apply `op` to every representation; all three must return `want`.
+    fn all<R: PartialEq + std::fmt::Debug>(
+        reprs: &mut [Bytes; 3],
+        want: R,
+        op: impl Fn(&mut Bytes) -> R,
+    ) {
+        for (i, b) in reprs.iter_mut().enumerate() {
+            assert_eq!(op(b), want, "representation {i}");
+        }
+    }
+
+    for len in 0..=Bytes::INLINE_CAP {
+        for round in 0..8u64 {
+            let mut rng = DetRng::seed_from_u64(0xb17e_0000 + 64 * len as u64 + round);
+            let mut model: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let mut reprs = [
+                Bytes::inline(&model).expect("fits the handle"),
+                Bytes::from(model.clone()),
+                Bytes::from_static(Box::leak(model.clone().into_boxed_slice())),
+            ];
+            for _ in 0..12 {
+                let at = rng.gen_usize(0..model.len() + 1);
+                let keep_piece = rng.gen_bool(0.5);
+                match rng.gen_usize(0..7) {
+                    0 => {
+                        let head: Vec<u8> = model.drain(..at).collect();
+                        all(&mut reprs, head.clone(), |b| {
+                            let piece = b.split_to(at);
+                            let out = piece.to_vec();
+                            if keep_piece {
+                                *b = piece;
+                            }
+                            out
+                        });
+                        if keep_piece {
+                            model = head;
+                        }
+                    }
+                    1 => {
+                        let tail = model.split_off(at);
+                        all(&mut reprs, tail.clone(), |b| {
+                            let piece = b.split_off(at);
+                            let out = piece.to_vec();
+                            if keep_piece {
+                                *b = piece;
+                            }
+                            out
+                        });
+                        if keep_piece {
+                            model = tail;
+                        }
+                    }
+                    2 => {
+                        let from = rng.gen_usize(0..at + 1);
+                        model = model[from..at].to_vec();
+                        all(&mut reprs, (), |b| *b = b.slice(from..at));
+                    }
+                    3 => {
+                        model.drain(..at);
+                        all(&mut reprs, (), |b| b.advance(at));
+                    }
+                    4 if model.len() >= 8 => {
+                        let want = u64::from_le_bytes(model[..8].try_into().unwrap());
+                        model.drain(..8);
+                        all(&mut reprs, want, |b| b.get_u64_le());
+                    }
+                    5 if model.len() >= 3 => {
+                        let want = (model[0], u16::from_le_bytes([model[1], model[2]]));
+                        model.drain(..3);
+                        all(&mut reprs, want, |b| (b.get_u8(), b.get_u16_le()));
+                    }
+                    _ => all(&mut reprs, (), |b| *b = b.clone()),
+                }
+                // A neighbour in the order: the model with one byte nudged.
+                let mut probe = model.clone();
+                if let Some(x) = probe.get_mut(at.min(model.len().saturating_sub(1))) {
+                    *x = x.wrapping_add(rng.gen_range(0..3) as u8);
+                }
+                let want = (
+                    model.clone(),
+                    model.as_slice().cmp(&probe),
+                    hash_of(&Bytes::from(model.clone())),
+                );
+                let probe = Bytes::from(probe);
+                all(&mut reprs, want, |b| {
+                    (b.to_vec(), (*b).cmp(&probe), hash_of(b))
+                });
+                let [a, b, c] = &reprs;
+                assert!(a == b && b == c && a.len() == model.len());
+            }
+        }
+    }
+}
