@@ -24,17 +24,18 @@
 //!
 //! ## Progress: one owner per node, in line
 //!
-//! A message is never a pool job. After pushing into a node's mailbox
-//! the sender calls [`notify`], which runs [`ShmWorld::progress`] on the
-//! destination: whoever wins the node's owner flag drains the mailbox on
-//! the spot (bounded batch, release, re-check — the transport's module
-//! docs have the protocol); a loser returns at once, the owner will see
-//! its message. A handler that sends while its thread is draining does
-//! **not** start a second drain: the destination goes on that worker's
-//! pending list and the outermost [`notify`] works the list off one node
-//! at a time, so a thread never holds two flags. A whole ACTIVATE → GET
-//! DATA → put flow therefore usually completes on the thread that
-//! announced it, without waiting behind a kernel.
+//! A message is never a pool job. Every send is a [`post`] into the
+//! worker's outbox; outside a handler the worker then sends the outbox
+//! one message at a time through [`ShmWorld::send`]: when the destination
+//! has no owner and no mail the message is *handed off* — the sender
+//! becomes the node's owner and runs the handler at once, with no inbox
+//! or lock — otherwise it is queued for the owner (the transport's module
+//! docs have the state-word protocol). A handler that sends only appends
+//! to the outbox, so drains never nest and a thread never owns two nodes.
+//! A whole ACTIVATE → GET DATA → put flow therefore usually completes on
+//! the thread that announced it, without waiting behind a kernel. Each
+//! job locks its worker's [`WorkerState`] once, at entry, and lends it
+//! down to every handler it runs.
 //!
 //! Measured on `real_stencil` at 2 threads and rejected (the parent, one
 //! `defer`red job per message, ran 94–110 k tasks/s at 47–50 µs
@@ -55,17 +56,29 @@
 //! +4 % tasks/s but 34 → 55 µs end-to-end, ten times the steals, and a
 //! new parking protocol in the pool.
 //!
+//! Measured while sizing the direct hand-off (parent 413–451 k tasks/s,
+//! the change 596–673 k) and rejected: the once-per-job worker borrow
+//! alone, over the per-node mailbox mutex — 402–454 k, no change, it pays
+//! only once the mailbox contention is gone; per-worker copies of the
+//! transport's counters — 620–669 k against 661–677 k, noise; the owner
+//! swapping into worker-owned storage instead of the node's owner-only
+//! `batch` mutex (one lock pair per queued batch; 19–24 % of the
+//! messages queue at 2 threads) — 528 k against 511 k tasks/s medians
+//! over six 8 s pairs, 3 won, noise: the mutex stays, the API stays
+//! narrow.
+//!
 //! ## What is per node and what is per worker
 //!
 //! Per node is only what is protocol state: the version store, the
-//! transport's mailbox, owner flag and lifecycle counters. Everything a
+//! transport's inbox, state word and lifecycle counters. Everything a
 //! thread merely accumulates — busy time, class counts, latency
-//! statistics, its pending-drain list — is per *worker*
+//! statistics, its outbox — is per *worker*
 //! ([`WorkerState`]), on cache lines of its own and merged once at the
 //! end, so no two threads write one line for bookkeeping. The store's
 //! mutex is taken only when there is something to store or look up (a
 //! payload, a forward list, a numeric GET): a cost-only unicast flow
-//! takes no node lock but the mailboxes'.
+//! that finds its nodes free takes no lock beyond its job's one
+//! worker-state borrow.
 //!
 //! ## Differences from the virtual path (by design)
 //!
@@ -96,7 +109,7 @@
 //! dependence, so no floating-point reduction order ever varies — only
 //! scheduling order does.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -145,8 +158,9 @@ struct NodeStore {
 
 /// What one pool worker accumulates over the run (merged into the report
 /// at the end) and keeps between the messages it handles. Only its own
-/// worker ever locks it, so the mutex is never contended, and the
-/// alignment gives every worker cache lines of its own.
+/// worker ever locks it, once per job, and passes it down as
+/// `&mut WorkerState`; the alignment gives every worker cache lines of
+/// its own.
 #[derive(Default)]
 #[repr(align(128))]
 struct WorkerState {
@@ -156,11 +170,11 @@ struct WorkerState {
     e2e: OnlineStats,
     msg: OnlineStats,
     req: OnlineStats,
-    /// Set while this worker is inside the outermost [`notify`]: sends
-    /// from the handlers it runs only queue their destination.
+    /// Set while this worker sends its outbox ([`post`]): messages the
+    /// handlers it runs post meanwhile only join the queue.
     draining: bool,
-    /// Destinations this worker pushed to and has yet to try to drain.
-    pending: Vec<usize>,
+    /// Messages this worker has posted and not yet sent, oldest first.
+    outbox: VecDeque<(usize, ShmMsg)>,
     /// Scratch for a version's remote consumer nodes ([`announce`]).
     dests: Vec<u32>,
     /// Wall time spent draining (metrics mode only): handler time that a
@@ -332,7 +346,8 @@ impl RealRun {
             .push(ns);
     }
 
-    /// The state of the worker running `sub`.
+    /// The state of the worker running `sub`, locked once per job by the
+    /// three job entries (task, startup, quiescence) and lent down.
     fn worker(&self, sub: &dyn Substrate) -> MutexGuard<'_, WorkerState> {
         let w = sub.worker().expect("real runs execute on pool workers");
         self.workers[w].lock().expect("worker state")
@@ -397,40 +412,41 @@ impl RealRun {
 /// initial versions). Wide announces go down a multicast tree when
 /// `bcast_tree_min` allows; each destination still receives exactly one
 /// ACTIVATE.
-fn announce(sub: &mut dyn Substrate, run: &Arc<RealRun>, v: usize) {
+fn announce(sub: &mut dyn Substrate, run: &Arc<RealRun>, ws: &mut WorkerState, v: usize) {
     let ver = run.graph.version(v);
     let home = ver.home;
     let priority = ver
         .producer
         .map(|t| run.graph.task(t).priority)
         .unwrap_or(0);
-    // The scratch is taken out, not borrowed: a send below may run a
-    // handler in line (a go token's `node_startup`) that announces too.
-    let mut dests = std::mem::take(&mut run.worker(sub).dests);
+    // The scratch is taken out, not borrowed: every `post` below needs
+    // the whole worker state for its outbox.
+    let mut dests = std::mem::take(&mut ws.dests);
     run.remote_consumer_nodes(v, &mut dests);
     if run.bcast_tree_min.is_some_and(|m| dests.len() >= m) {
         let now_ns = sub.now().as_ns();
-        relay_subtree(sub, run, home, v, &dests, priority, now_ns);
+        relay_subtree(sub, run, ws, home, v, &dests, priority, now_ns);
     } else {
         for &dst in &dests {
             let now_ns = sub.now().as_ns();
             let rec = ActivateRec::direct(v as u64, ver.size as u64, priority, now_ns);
             let frame = rec.encode_one(|n| run.shm.node(home).pool().take(n));
-            run.shm
-                .send_am(home, dst as usize, AM_ACTIVATE, Frames::One(frame), now_ns);
-            notify(sub, run, dst as usize);
+            let msg = am(home, AM_ACTIVATE, Frames::One(frame), now_ns);
+            post(sub, run, ws, dst as usize, msg);
         }
     }
-    run.worker(sub).dests = dests;
+    ws.dests = dests;
 }
 
 /// Send ACTIVATEs for `v` to the tree children of `subtree`, each
 /// carrying its forward list; `sent_at_ns` is the *original* announce
 /// instant so downstream latencies span the whole multicast path, exactly
 /// like the virtual engines' relays.
+#[allow(clippy::too_many_arguments)]
 fn relay_subtree(
     sub: &mut dyn Substrate,
     run: &Arc<RealRun>,
+    ws: &mut WorkerState,
     node: usize,
     v: usize,
     subtree: &[u32],
@@ -447,50 +463,51 @@ fn relay_subtree(
             forward,
         };
         let frame = rec.encode_one(|n| run.shm.node(node).pool().take(n));
-        run.shm.send_am(
-            node,
-            child as usize,
-            AM_ACTIVATE,
-            Frames::One(frame),
-            sub.now().as_ns(),
-        );
-        notify(sub, run, child as usize);
+        let msg = am(node, AM_ACTIVATE, Frames::One(frame), sub.now().as_ns());
+        post(sub, run, ws, child as usize, msg);
     }
 }
 
 /// Spawn a task-execution job.
 fn spawn_task(sub: &mut dyn Substrate, run: &Arc<RealRun>, t: TaskId) {
     let run = run.clone();
-    sub.defer(Box::new(move |sub| exec_task(sub, &run, t)));
+    sub.defer(Box::new(move |sub| {
+        let mut ws = run.worker(sub);
+        exec_task(sub, &run, &mut ws, t)
+    }));
 }
 
-/// See that the message just pushed to `dst` is handled (module docs).
-/// Called outside any drain, this worker becomes the outermost caller and
-/// works its pending list off one node at a time; called from a handler,
-/// it only queues `dst`, so no drain nests inside another.
-fn notify(sub: &mut dyn Substrate, run: &Arc<RealRun>, dst: usize) {
-    {
-        let mut p = run.worker(sub);
-        if !p.pending.contains(&dst) {
-            p.pending.push(dst);
-        }
-        if std::mem::replace(&mut p.draining, true) {
-            return;
-        }
+/// An active message from `src` stamped `sent_at_ns`.
+fn am(src: usize, tag: u64, frames: Frames, sent_at_ns: u64) -> ShmMsg {
+    ShmMsg::Am {
+        src,
+        tag,
+        frames,
+        sent_at_ns,
+    }
+}
+
+/// Send `msg` to `dst` (module docs). Outside a drain this worker becomes
+/// the outermost sender and sends its outbox one message at a time, each
+/// handed off directly or queued by [`ShmWorld::send`]; from a handler it
+/// only appends, so no drain nests inside another.
+fn post(
+    sub: &mut dyn Substrate,
+    run: &Arc<RealRun>,
+    ws: &mut WorkerState,
+    dst: usize,
+    msg: ShmMsg,
+) {
+    ws.outbox.push_back((dst, msg));
+    if std::mem::replace(&mut ws.draining, true) {
+        return;
     }
     let t0 = run.metrics_on.then(|| sub.now());
-    loop {
-        let node = {
-            let mut p = run.worker(sub);
-            if p.pending.is_empty() {
-                p.draining = false;
-                p.drained_ns += t0.map_or(0, |t0| (sub.now() - t0).as_ns());
-                return;
-            }
-            p.pending.remove(0)
-        };
-        run.shm.progress(node, |msg| handle(sub, run, node, msg));
+    while let Some((dst, msg)) = ws.outbox.pop_front() {
+        run.shm.send(dst, msg, |msg| handle(sub, run, ws, dst, msg));
     }
+    ws.draining = false;
+    ws.drained_ns += t0.map_or(0, |t0| (sub.now() - t0).as_ns());
 }
 
 /// Run `f`; in metrics mode also sample its wall time under `key`.
@@ -513,16 +530,14 @@ fn timed(
 /// Execute task `t` on its home node's store, then run the completion
 /// protocol: mark outputs present, release local consumers, announce to
 /// remote ones.
-fn exec_task(sub: &mut dyn Substrate, run: &Arc<RealRun>, t: TaskId) {
+fn exec_task(sub: &mut dyn Substrate, run: &Arc<RealRun>, ws: &mut WorkerState, t: TaskId) {
     let task = run.graph.task(t);
     let node = task.node;
     // Dispatch-overhead measurement brackets the whole job (input gather,
     // kernel, completion protocol) less the messages this worker handles
     // in line on the way, which have samples of their own; metrics mode
     // only.
-    let t_entry = run
-        .metrics_on
-        .then(|| (sub.now(), run.worker(sub).drained_ns));
+    let t_entry = run.metrics_on.then(|| (sub.now(), ws.drained_ns));
 
     // Gather input payloads (only data-carrying versions feed kernels,
     // exactly like the sequential oracle).
@@ -558,13 +573,10 @@ fn exec_task(sub: &mut dyn Substrate, run: &Arc<RealRun>, t: TaskId) {
     }
 
     // Worker accounting.
-    {
-        let mut ws = run.worker(sub);
-        ws.busy_ns += busy_ns;
-        let e = ws.classes.entry(task.name).or_insert((0, 0));
-        e.0 += 1;
-        e.1 += busy_ns;
-    }
+    ws.busy_ns += busy_ns;
+    let e = ws.classes.entry(task.name).or_insert((0, 0));
+    e.0 += 1;
+    e.1 += busy_ns;
     run.node_executed[node].fetch_add(1, SeqCst);
     if run.metrics_on {
         run.kernel_sample(task.name, busy_ns);
@@ -583,10 +595,10 @@ fn exec_task(sub: &mut dyn Substrate, run: &Arc<RealRun>, t: TaskId) {
         run.fulfill_local(node, out.0, payload, |t| spawn_task(sub, run, t));
     }
     for &out in &task.outputs {
-        announce(sub, run, out.0);
+        announce(sub, run, ws, out.0);
     }
     if let Some((t_entry, drained)) = t_entry {
-        let drained = run.worker(sub).drained_ns - drained;
+        let drained = ws.drained_ns - drained;
         let total_ns = (sub.now() - t_entry).as_ns();
         run.record_sample(
             REC_TASK_OVERHEAD,
@@ -595,13 +607,20 @@ fn exec_task(sub: &mut dyn Substrate, run: &Arc<RealRun>, t: TaskId) {
     }
 }
 
-/// Handle one message drained from `node`'s mailbox. Decoding reads the
-/// frames in place; every buffer then returns to the pool of the node
-/// that encoded it, so each pool gets back exactly what it hands out
-/// whatever the traffic's shape (immediate records have none: their
-/// `recycle` is a no-op). The one clock read here is the message's
-/// arrival instant for the handlers and the send stamp of their replies.
-fn handle(sub: &mut dyn Substrate, run: &Arc<RealRun>, node: usize, msg: ShmMsg) {
+/// Handle one message at `node`, handed off or drained from its inbox,
+/// as the node's owner. Decoding reads the frames in place; every buffer
+/// then returns to the pool of the node that encoded it, so each pool
+/// gets back exactly what it hands out whatever the traffic's shape
+/// (immediate records have none: their `recycle` is a no-op). The one
+/// clock read here is the message's arrival instant for the handlers and
+/// the send stamp of their replies.
+fn handle(
+    sub: &mut dyn Substrate,
+    run: &Arc<RealRun>,
+    ws: &mut WorkerState,
+    node: usize,
+    msg: ShmMsg,
+) {
     let now_ns = sub.now().as_ns();
     match msg {
         ShmMsg::Am {
@@ -616,7 +635,7 @@ fn handle(sub: &mut dyn Substrate, run: &Arc<RealRun>, node: usize, msg: ShmMsg)
                     let mut callback_ns = 0u64;
                     for rec in ActivateRec::iter_frames(&frames) {
                         callback_ns += timed(sub, run, REC_ACTIVATE, |sub| {
-                            on_activate(sub, run, node, src, rec, now_ns)
+                            on_activate(sub, run, ws, node, src, rec, now_ns)
                         });
                     }
                     run.shm.record_stage(node, "am.callback_ns", callback_ns);
@@ -625,16 +644,16 @@ fn handle(sub: &mut dyn Substrate, run: &Arc<RealRun>, node: usize, msg: ShmMsg)
                     let mut callback_ns = 0u64;
                     for rec in GetRec::iter_frames(&frames) {
                         callback_ns += timed(sub, run, REC_GET_REQUEST, |sub| {
-                            on_getdata(sub, run, node, src, rec, now_ns)
+                            on_getdata(sub, run, ws, node, src, rec, now_ns)
                         });
                     }
                     run.shm.record_stage(node, "am.callback_ns", callback_ns);
                 }
-                AM_COLL_GO => node_startup(sub, run, node),
+                AM_COLL_GO => node_startup(sub, run, ws, node),
                 AM_COLL_SUM => {
                     for mut partial in frames.iter().map(|b| &b[..]) {
                         let step = run.reduce.arrive(node, partial.get_u64_le());
-                        coll_step(sub, run, node, step);
+                        coll_step(sub, run, ws, node, step);
                     }
                 }
                 _ => panic!("unregistered AM tag {tag}"),
@@ -652,7 +671,7 @@ fn handle(sub: &mut dyn Substrate, run: &Arc<RealRun>, node: usize, msg: ShmMsg)
             debug_assert_eq!(r_tag, RTAG_DATA, "unexpected one-sided tag");
             run.shm.delivered(node, true, size, now_ns, sent_at_ns);
             let d = timed(sub, run, REC_ARRIVAL, |sub| {
-                on_data(sub, run, node, data, PutCb::decode(&cb), now_ns)
+                on_data(sub, run, ws, node, data, PutCb::decode(&cb), now_ns)
             });
             run.shm.record_stage(node, "put.callback_ns", d);
             run.shm.node(src).pool().recycle(cb);
@@ -664,14 +683,13 @@ fn handle(sub: &mut dyn Substrate, run: &Arc<RealRun>, node: usize, msg: ShmMsg)
 /// token to the node's collective-tree children first (subtree startups
 /// overlap with this node's own work), then announce this node's initial
 /// versions and seed its dependence-free tasks, in task order.
-fn node_startup(sub: &mut dyn Substrate, run: &Arc<RealRun>, node: usize) {
+fn node_startup(sub: &mut dyn Substrate, run: &Arc<RealRun>, ws: &mut WorkerState, node: usize) {
     for child in kary_children(node, 0, run.shm.len(), run.coll_k) {
-        run.shm
-            .send_am(node, child, AM_COLL_GO, Frames::new(), sub.now().as_ns());
-        notify(sub, run, child);
+        let msg = am(node, AM_COLL_GO, Frames::new(), sub.now().as_ns());
+        post(sub, run, ws, child, msg);
     }
     for &v in &run.init_versions[node] {
-        announce(sub, run, v);
+        announce(sub, run, ws, v);
     }
     // Seed only *statically* dependence-free tasks — every input a
     // pre-satisfied initial version homed here. Tasks whose counters hit
@@ -686,18 +704,18 @@ fn node_startup(sub: &mut dyn Substrate, run: &Arc<RealRun>, node: usize) {
 /// Act on one quiescence-reduce transition: forward a completed partial
 /// sum to the tree parent (the root's completion is read off
 /// [`TreeReduce::result`] after the pool drains).
-fn coll_step(sub: &mut dyn Substrate, run: &Arc<RealRun>, node: usize, step: ReduceStep) {
+fn coll_step(
+    sub: &mut dyn Substrate,
+    run: &Arc<RealRun>,
+    ws: &mut WorkerState,
+    node: usize,
+    step: ReduceStep,
+) {
     match step {
         ReduceStep::Send { parent, partial } => {
             let frame = Bytes::inline(&partial.to_le_bytes()).expect("8 bytes fit the handle");
-            run.shm.send_am(
-                node,
-                parent,
-                AM_COLL_SUM,
-                Frames::One(frame),
-                sub.now().as_ns(),
-            );
-            notify(sub, run, parent);
+            let msg = am(node, AM_COLL_SUM, Frames::One(frame), sub.now().as_ns());
+            post(sub, run, ws, parent, msg);
         }
         ReduceStep::Done(_) | ReduceStep::Wait => {}
     }
@@ -709,6 +727,7 @@ fn coll_step(sub: &mut dyn Substrate, run: &Arc<RealRun>, node: usize, step: Red
 fn on_activate(
     sub: &mut dyn Substrate,
     run: &Arc<RealRun>,
+    ws: &mut WorkerState,
     node: usize,
     src: usize,
     rec: ActivateRec,
@@ -720,16 +739,14 @@ fn on_activate(
         // Pure control dependence: no payload will follow; relay the
         // multicast subtree (if any) immediately — there is no data to
         // wait for.
-        {
-            let mut w = run.worker(sub);
-            w.msg.record_time_us(lat);
-            w.e2e.record_time_us(lat);
-        }
+        ws.msg.record_time_us(lat);
+        ws.e2e.record_time_us(lat);
         run.fulfill_local(node, v, None, |t| spawn_task(sub, run, t));
         if !rec.forward.is_empty() {
             relay_subtree(
                 sub,
                 run,
+                ws,
                 node,
                 v,
                 &rec.forward,
@@ -739,7 +756,7 @@ fn on_activate(
         }
         return;
     }
-    run.worker(sub).msg.record_time_us(lat);
+    ws.msg.record_time_us(lat);
     if cfg!(debug_assertions) || !rec.forward.is_empty() {
         let mut store = run.stores[node].lock().expect("node store");
         #[cfg(debug_assertions)]
@@ -759,9 +776,8 @@ fn on_activate(
         version: rec.version,
         activate_sent_at_ns: rec.sent_at_ns,
     };
-    run.shm
-        .send_am(node, src, AM_GETDATA, Frames::One(get.encode()), now_ns);
-    notify(sub, run, src);
+    let msg = am(node, AM_GETDATA, Frames::One(get.encode()), now_ns);
+    post(sub, run, ws, src, msg);
 }
 
 /// GET DATA at the owner (arrived at `now_ns`): answer with a one-sided
@@ -769,12 +785,13 @@ fn on_activate(
 fn on_getdata(
     sub: &mut dyn Substrate,
     run: &Arc<RealRun>,
+    ws: &mut WorkerState,
     node: usize,
     src: usize,
     rec: GetRec,
     now_ns: u64,
 ) {
-    run.worker(sub).req.record_time_us(SimTime::from_ns(
+    ws.req.record_time_us(SimTime::from_ns(
         now_ns.saturating_sub(rec.activate_sent_at_ns),
     ));
     let v = rec.version as usize;
@@ -794,9 +811,15 @@ fn on_getdata(
         version: rec.version,
         activate_sent_at_ns: rec.activate_sent_at_ns,
     };
-    run.shm
-        .put(node, src, RTAG_DATA, data, size, cb.encode(), now_ns);
-    notify(sub, run, src);
+    let msg = ShmMsg::Put {
+        src: node,
+        r_tag: RTAG_DATA,
+        data,
+        size,
+        cb: cb.encode(),
+        sent_at_ns: now_ns,
+    };
+    post(sub, run, ws, src, msg);
 }
 
 /// Put arrival at the consumer (at `now_ns`): the flow is complete;
@@ -804,12 +827,13 @@ fn on_getdata(
 fn on_data(
     sub: &mut dyn Substrate,
     run: &Arc<RealRun>,
+    ws: &mut WorkerState,
     node: usize,
     data: Option<Bytes>,
     cb: PutCb,
     now_ns: u64,
 ) {
-    run.worker(sub).e2e.record_time_us(SimTime::from_ns(
+    ws.e2e.record_time_us(SimTime::from_ns(
         now_ns.saturating_sub(cb.activate_sent_at_ns),
     ));
     let v = cb.version as usize;
@@ -825,6 +849,7 @@ fn on_data(
         relay_subtree(
             sub,
             run,
+            ws,
             node,
             v,
             &subtree,
@@ -919,7 +944,10 @@ pub(crate) fn run(
     // seeds its own dependence-free tasks when the token reaches it.
     {
         let run2 = run.clone();
-        pool.spawn(Box::new(move |sub| node_startup(sub, &run2, 0)));
+        pool.spawn(Box::new(move |sub| {
+            let mut ws = run2.worker(sub);
+            node_startup(sub, &run2, &mut ws, 0)
+        }));
     }
     pool.run_until_idle();
     let makespan = pool.now() - t0;
@@ -930,10 +958,11 @@ pub(crate) fn run(
     {
         let run2 = run.clone();
         pool.spawn(Box::new(move |sub| {
+            let mut ws = run2.worker(sub);
             for node in 0..run2.shm.len() {
                 let count = run2.node_executed[node].load(SeqCst);
                 let step = run2.reduce.contribute(node, count);
-                coll_step(sub, &run2, node, step);
+                coll_step(sub, &run2, &mut ws, node, step);
             }
         }));
     }

@@ -1153,6 +1153,76 @@ fn real_exec_messages_are_not_pool_jobs_and_record_buffers_recycle() {
     assert!(long.1 <= 4 * 36, "{} pool misses", long.1);
 }
 
+/// An observed real run of the lopsided stencil on `threads` workers
+/// (complete, every flow measured, no message a pool job): its merged
+/// stage registry and the AMs and puts sent.
+fn observed_lopsided_run(threads: usize) -> (amt_simnet::MetricsRegistry, u64, u64) {
+    let mut cluster = Cluster::new(ClusterConfig {
+        mode: ExecMode::CostOnly,
+        metrics: true,
+        ..small_cfg(BackendKind::Lci, 4)
+    });
+    let graph = lopsided_stencil(4, 6, 20);
+    let (tasks, flows) = (graph.task_count() as u64, graph.remote_flows() as u64);
+    let report = cluster.execute_real(graph, threads);
+    assert!(report.complete());
+    assert_eq!(report.e2e_latency_us.count(), flows);
+    let spawns = report.pool.as_ref().expect("a real run's pool").spawns();
+    assert!(
+        spawns as f64 <= 1.1 * tasks as f64,
+        "{spawns} pool jobs for {tasks} tasks at {threads} thread(s)"
+    );
+    let stages = cluster.metrics_report(&report).stages;
+    let sum = |f: fn(&amt_comm::EngineStats) -> u64| report.engine_stats.iter().map(f).sum();
+    let (ams, puts) = (sum(|s| s.am_sent.get()), sum(|s| s.puts_started.get()));
+    (stages, ams, puts)
+}
+
+/// Deterministic proxy for the direct hand-off (counts, not wall-clock):
+/// on one thread every message finds its destination free — the outermost
+/// sender releases a node before it sends the next message, and handlers
+/// only post — so none goes through an inbox; on two threads each message
+/// is still counted once, handed off or queued, and most are handed off.
+#[test]
+fn real_exec_uncontended_messages_skip_the_mailbox() {
+    for threads in [1, 2] {
+        let (stages, ams, puts) = observed_lopsided_run(threads);
+        let (direct, queued) = (stages.counter("shm.direct"), stages.counter("shm.queued"));
+        assert_eq!(direct + queued, ams + puts, "{threads} thread(s)");
+        if threads == 1 {
+            assert_eq!(queued, 0, "a message queued with nobody else running");
+        } else {
+            assert!(
+                direct > 0 && queued < direct,
+                "{direct} handed off, {queued} queued at 2 threads"
+            );
+        }
+    }
+}
+
+/// A direct hand-off records the same sender-side samples as a push:
+/// zero queue/inject stages, per-class wire counts and records per
+/// message, for every AM and every put of a two-thread run.
+#[test]
+fn real_exec_observed_sender_samples_count_every_message() {
+    let (stages, ams, puts) = observed_lopsided_run(2);
+    let samples = |name: &str| stages.hist(name).map_or(0, |h| h.count());
+    let am_classes = ["activate", "get", "coll"];
+    let per_class = |what: &str, f: &dyn Fn(&str) -> u64| -> u64 {
+        am_classes
+            .iter()
+            .map(|c| f(&format!("msg.{c}.{what}")))
+            .sum()
+    };
+    assert_eq!(samples("am.queue_ns"), ams);
+    assert_eq!(samples("am.inject_ns"), ams);
+    assert_eq!(per_class("msgs_on_wire", &|n| stages.counter(n)), ams);
+    assert_eq!(per_class("records_per_msg", &samples), ams);
+    assert_eq!(samples("put.queue_ns"), puts);
+    assert_eq!(samples("put.inject_ns"), puts);
+    assert_eq!(stages.counter("msg.data.msgs_on_wire"), puts);
+}
+
 #[test]
 fn real_then_virtual_data_stores_supersede_each_other() {
     let mut cluster = Cluster::new(small_cfg(BackendKind::Lci, 1));
