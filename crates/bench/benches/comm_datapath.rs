@@ -5,10 +5,9 @@
 //!
 //! * **match_churn_{64,256,1024,4096}** — a match-table churn workload
 //!   (mixed wildcard/specific receives, occasional cancels) driven through
-//!   the hash-bucketed [`PostTable`] and the seed's linear-scan
-//!   [`RefPostTable`] in lockstep, asserting identical outcomes. Reports
-//!   comparisons-per-match for both: the hash matcher must stay flat as the
-//!   outstanding-receive count grows while the reference grows linearly.
+//!   the hash-bucketed [`PostTable`]. Reports comparisons-per-match, which
+//!   must stay flat as the outstanding-receive count grows. (Equivalence
+//!   with the seed's linear scan is a unit test of `amt_minimpi::matcher`.)
 //!
 //! * **am_flood / put_rendezvous** — full engine simulations per backend
 //!   under a counting `#[global_allocator]`, reporting heap
@@ -22,7 +21,7 @@
 use amt_bench::alloc_count::{AllocSnapshot, CountingAlloc};
 use amt_bench::harness_args;
 use amt_comm::{BackendKind, CommWorld, EngineConfig, PutRequest};
-use amt_minimpi::matcher::{PostTable, RefPostTable};
+use amt_minimpi::matcher::PostTable;
 use amt_minimpi::SrcSel;
 use amt_netmodel::{Fabric, FabricConfig};
 use amt_simnet::rng::DetRng;
@@ -33,60 +32,47 @@ use std::rc::Rc;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Comparisons-per-match for both matchers over one churn run.
+/// Comparisons-per-match of the hash matcher over one churn run.
 struct ChurnResult {
     outstanding: usize,
     matches: u64,
     hash_cmp_per_match: f64,
-    ref_cmp_per_match: f64,
 }
 
 /// Keep `outstanding` receives posted (one per tag; ~25% wildcard), then
 /// churn: arrivals match a uniform-random tag and the consumed receive is
-/// reposted; 5% of rounds cancel + repost instead (the reference pays an
-/// O(n) `retain` there, the hash table a tombstone). Both tables run in
-/// lockstep and must report identical matches and identical
-/// reference-equivalent `scanned` counts.
+/// reposted; 5% of rounds cancel + repost instead (a tombstone in the hash
+/// table).
 fn match_churn(outstanding: usize, rounds: usize) -> ChurnResult {
     let mut hash = PostTable::new();
-    let mut rf = RefPostTable::new();
     let mut rng = DetRng::seed_from_u64(0xc0ffee ^ outstanding as u64);
     let mut posted = Vec::with_capacity(outstanding);
-    let post_both =
-        |hash: &mut PostTable, rf: &mut RefPostTable, req: usize, src: SrcSel, tag: u64| {
-            (hash.post(req, src, tag), rf.post(req, src, tag), src)
-        };
     for i in 0..outstanding {
         let src = if rng.gen_bool(0.25) {
             SrcSel::Any
         } else {
             SrcSel::Rank(i % 8)
         };
-        posted.push(post_both(&mut hash, &mut rf, i, src, i as u64));
+        posted.push((hash.post(i, src, i as u64), src));
     }
     for _ in 0..rounds {
         let tag = rng.gen_usize(0..outstanding);
         if rng.gen_bool(0.05) {
-            let (ht, rt, src) = posted[tag];
-            assert_eq!(hash.cancel(ht), rf.cancel(rt), "cancel outcome diverged");
-            posted[tag] = post_both(&mut hash, &mut rf, tag, src, tag as u64);
+            let (tok, src) = posted[tag];
+            assert!(hash.cancel(tok), "posted receive was not live");
+            posted[tag] = (hash.post(tag, src, tag as u64), src);
             continue;
         }
         let src = tag % 8; // matches both Rank(tag % 8) and Any posts
-        let h = hash.match_arrival(src, tag as u64);
-        let r = rf.match_arrival(src, tag as u64);
-        assert_eq!(h, r, "hash and reference matchers diverged");
-        if h.found.is_some() {
-            let (_, _, src_sel) = posted[tag];
-            posted[tag] = post_both(&mut hash, &mut rf, tag, src_sel, tag as u64);
+        if hash.match_arrival(src, tag as u64).found.is_some() {
+            let (_, src_sel) = posted[tag];
+            posted[tag] = (hash.post(tag, src_sel, tag as u64), src_sel);
         }
     }
-    assert_eq!(hash.len(), rf.len(), "table sizes diverged");
     ChurnResult {
         outstanding,
         matches: hash.match_calls(),
         hash_cmp_per_match: hash.comparisons() as f64 / hash.match_calls() as f64,
-        ref_cmp_per_match: rf.comparisons() as f64 / rf.match_calls() as f64,
     }
 }
 
@@ -199,13 +185,13 @@ fn main() {
     let flood_msgs = if quick { 1_024 } else { 8_192 };
     let put_count = if quick { 256 } else { 1_024 };
 
-    println!("== match-table churn: hash vs reference comparisons/match ==");
+    println!("== match-table churn: hash comparisons/match ==");
     let mut churn = Vec::new();
     for outstanding in [64usize, 256, 1024, 4096] {
         let r = match_churn(outstanding, churn_rounds);
         println!(
-            "match_churn_{:<5} hash {:>8.2} cmp/match   ref {:>10.2} cmp/match   ({} matches)",
-            r.outstanding, r.hash_cmp_per_match, r.ref_cmp_per_match, r.matches
+            "match_churn_{:<5} hash {:>8.2} cmp/match   ({} matches)",
+            r.outstanding, r.hash_cmp_per_match, r.matches
         );
         churn.push(r);
     }
@@ -232,10 +218,9 @@ fn main() {
     json.push_str("  \"match_churn\": {\n");
     for (i, r) in churn.iter().enumerate() {
         json.push_str(&format!(
-            "    \"{}\": {{\"hash_cmp_per_match\": {:.3}, \"ref_cmp_per_match\": {:.3}, \"matches\": {}}}{}\n",
+            "    \"{}\": {{\"hash_cmp_per_match\": {:.3}, \"matches\": {}}}{}\n",
             r.outstanding,
             r.hash_cmp_per_match,
-            r.ref_cmp_per_match,
             r.matches,
             if i + 1 == churn.len() { "" } else { "," }
         ));

@@ -6,10 +6,8 @@
 //!
 //! * **fine_grained_dag** — many short chains of tiny tasks, mostly local
 //!   with occasional cross-chain remote reads: per-task runtime overhead
-//!   with the communication engine almost idle. Reported for the dense
-//!   scheduler datapath and for `reference_sched` (the seed's
-//!   HashMap/BinaryHeap structures); both runs must produce byte-identical
-//!   `RunReport` JSON.
+//!   with the communication engine almost idle. Reported under the JSON
+//!   key `dense` (the scheduler's datapath).
 //!
 //! * **tlr_cholesky** — the paper's TLR Cholesky graph in CostOnly mode:
 //!   the same columns on a communication-heavy workload.
@@ -34,13 +32,12 @@ use amt_tlr::{TlrCholesky, TlrCholeskySource, TlrProblem};
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-fn cluster(nodes: usize, workers: usize, reference: bool) -> Cluster {
+fn cluster(nodes: usize, workers: usize) -> Cluster {
     Cluster::new(ClusterConfig {
         nodes,
         workers_per_node: workers,
         backend: BackendKind::Lci,
         mode: ExecMode::CostOnly,
-        reference_sched: reference,
         ..Default::default()
     })
 }
@@ -77,7 +74,6 @@ struct Columns {
     tasks: u64,
     tasks_per_sec: f64,
     allocs_per_task: f64,
-    report_json: String,
 }
 
 /// Warm-up execute on a fresh graph, then a measured execute: wall-clock
@@ -99,7 +95,6 @@ fn run_scenario(mut make_graph: impl FnMut() -> TaskGraph, mut cluster: Cluster)
         tasks,
         tasks_per_sec: tasks as f64 / dt,
         allocs_per_task: d.allocs as f64 / tasks as f64,
-        report_json: report.to_json(),
     }
 }
 
@@ -110,7 +105,7 @@ fn windowed_memory(nt: u64, window: usize) -> (u64, u64, u64) {
     let problem = TlrProblem::new(nt as usize * ts, ts);
     let nodes = 4;
 
-    let mut full = cluster(nodes, 16, false);
+    let mut full = cluster(nodes, 16);
     reset_peak_live_bytes();
     let base = peak_live_bytes();
     let (_, graph) = TlrCholesky::build_cost_only(problem.clone(), nodes);
@@ -120,7 +115,7 @@ fn windowed_memory(nt: u64, window: usize) -> (u64, u64, u64) {
     let full_peak = peak_live_bytes() - base;
     drop(full);
 
-    let mut win = cluster(nodes, 16, false);
+    let mut win = cluster(nodes, 16);
     reset_peak_live_bytes();
     let base = peak_live_bytes();
     let source = TlrCholeskySource::cost_only(problem, nodes);
@@ -152,33 +147,24 @@ fn main() {
     let mem_nt = if quick { 48 } else { 96 };
     let mem_window = 2048;
 
-    println!("== per-task scheduler overhead: reference (seed structures) vs dense ==");
-    let mut scenarios: Vec<(&str, Columns, Columns)> = Vec::new();
+    println!("== per-task scheduler overhead ==");
+    let mut scenarios: Vec<(&str, Columns)> = Vec::new();
     for name in ["fine_grained_dag", "tlr_cholesky"] {
-        let run = |reference: bool| match name {
-            "fine_grained_dag" => {
-                run_scenario(|| fine_dag(4, 64, chain_len), cluster(4, 8, reference))
-            }
+        let dense = match name {
+            "fine_grained_dag" => run_scenario(|| fine_dag(4, 64, chain_len), cluster(4, 8)),
             _ => {
                 let ts = 1200;
                 run_scenario(
                     || TlrCholesky::build_cost_only(TlrProblem::new(tlr_nt * ts, ts), 4).1,
-                    cluster(4, 16, reference),
+                    cluster(4, 16),
                 )
             }
         };
-        let reference = run(true);
-        let dense = run(false);
-        assert_eq!(
-            reference.report_json, dense.report_json,
-            "{name}: reference and dense schedulers diverged"
-        );
         println!(
-            "{:<17} {:>7} tasks   ref {:>9.0} tasks/s {:>6.2} allocs/task   dense {:>9.0} tasks/s {:>6.2} allocs/task",
-            name, reference.tasks, reference.tasks_per_sec, reference.allocs_per_task,
-            dense.tasks_per_sec, dense.allocs_per_task
+            "{:<17} {:>7} tasks   {:>9.0} tasks/s {:>6.2} allocs/task",
+            name, dense.tasks, dense.tasks_per_sec, dense.allocs_per_task
         );
-        scenarios.push((name, reference, dense));
+        scenarios.push((name, dense));
     }
 
     println!("== peak live bytes: full unroll vs windowed (window {mem_window}) ==");
@@ -193,12 +179,10 @@ fn main() {
     let mut json = String::from("{\n  \"schema\": \"amtlc-bench-sched-v1\",\n");
     json.push_str(&format!("  \"quick\": {quick},\n"));
     json.push_str("  \"throughput\": {\n");
-    for (i, (name, r, d)) in scenarios.iter().enumerate() {
+    for (i, (name, d)) in scenarios.iter().enumerate() {
         json.push_str(&format!(
-            "    \"{name}\": {{\"tasks\": {}, \"reference\": {{\"tasks_per_sec\": {:.0}, \"allocs_per_task\": {:.3}}}, \"dense\": {{\"tasks_per_sec\": {:.0}, \"allocs_per_task\": {:.3}}}}}{}\n",
-            r.tasks,
-            r.tasks_per_sec,
-            r.allocs_per_task,
+            "    \"{name}\": {{\"tasks\": {}, \"dense\": {{\"tasks_per_sec\": {:.0}, \"allocs_per_task\": {:.3}}}}}{}\n",
+            d.tasks,
             d.tasks_per_sec,
             d.allocs_per_task,
             if i + 1 == scenarios.len() { "" } else { "," }

@@ -52,6 +52,15 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
+/// CPU cost of dequeueing/bookkeeping one submitted command on the
+/// communication thread.
+pub(crate) const CMD_OVERHEAD: SimTime = SimTime::from_ns(100);
+/// CPU cost of popping one completion-FIFO entry (LCI backend).
+pub(crate) const FIFO_POP: SimTime = SimTime::from_ns(40);
+/// Latency for an idle polling thread to notice new work (poll-loop
+/// granularity).
+pub(crate) const WAKE_LATENCY: SimTime = SimTime::from_ns(100);
+
 /// Engine parameters. Defaults reproduce the paper's configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -87,13 +96,6 @@ pub struct EngineConfig {
     /// window expires). `0` falls back to `agg_max_bytes`. Only meaningful
     /// when `batch_window_ns > 0`.
     pub batch_bytes: usize,
-    /// Per-tag overrides of `batch_window_ns`. Latency-sensitive tags
-    /// (GET DATA on the critical path) tolerate less added delay than wide
-    /// fan-out announces, so each `(tag, window_ns)` entry replaces the
-    /// global window for that tag. An entry of `0` exempts the tag from
-    /// the batching layer entirely: its records follow the classic flat
-    /// funnel path byte for byte, even while other tags batch.
-    pub batch_window_overrides: Vec<(u64, u64)>,
     /// Multithreaded-ACTIVATE mode: workers send AMs directly instead of
     /// funneling through the communication thread (§6.4.3).
     pub multithread_am: bool,
@@ -104,14 +106,6 @@ pub struct EngineConfig {
     /// §7 future work: number of LCI progress threads (cores). More threads
     /// drain completions concurrently under heavy load.
     pub lci_progress_threads: usize,
-    /// CPU cost of dequeueing/bookkeeping one submitted command on the
-    /// communication thread.
-    pub cmd_overhead: SimTime,
-    /// CPU cost of popping one completion-FIFO entry (LCI backend).
-    pub fifo_pop: SimTime,
-    /// Latency for an idle polling thread to notice new work (poll-loop
-    /// granularity).
-    pub wake_latency: SimTime,
     /// Record a Chrome-trace timeline of the communication/progress threads
     /// (spans, flow arrows, queue-depth counters). Off by default: when
     /// disabled every trace call is a no-op.
@@ -136,13 +130,9 @@ impl Default for EngineConfig {
             agg_max_bytes: 8192,
             batch_window_ns: 0,
             batch_bytes: 0,
-            batch_window_overrides: Vec::new(),
             multithread_am: false,
             lci_shared_progress: false,
             lci_progress_threads: 1,
-            cmd_overhead: SimTime::from_ns(100),
-            fifo_pop: SimTime::from_ns(40),
-            wake_latency: SimTime::from_ns(100),
             trace: false,
             metrics: false,
             tune: TuneConfig::default(),
@@ -213,24 +203,6 @@ impl EngineConfig {
         self
     }
 
-    /// Set a per-tag batching-window override (see
-    /// [`EngineConfig::batch_window_overrides`]). `0` exempts the tag from
-    /// batching. Replaces any previous override for the same tag.
-    pub fn with_batch_window_override(mut self, tag: u64, window_ns: u64) -> Self {
-        self.batch_window_overrides.retain(|&(t, _)| t != tag);
-        self.batch_window_overrides.push((tag, window_ns));
-        self
-    }
-
-    /// Effective batching window for `tag`: its override when present,
-    /// otherwise the global `batch_window_ns`.
-    pub fn batch_window_for(&self, tag: u64) -> u64 {
-        self.batch_window_overrides
-            .iter()
-            .find(|&&(t, _)| t == tag)
-            .map_or(self.batch_window_ns, |&(_, w)| w)
-    }
-
     /// Effective byte threshold of the batching layer.
     pub fn batch_flush_bytes(&self) -> usize {
         if self.batch_bytes > 0 {
@@ -265,27 +237,6 @@ mod tests {
         assert_eq!(c.batch_flush_bytes(), c.agg_max_bytes);
         let c = c.with_batching(5_000, 2048);
         assert_eq!(c.batch_flush_bytes(), 2048);
-    }
-
-    #[test]
-    fn per_tag_window_overrides() {
-        let c = EngineConfig::lci().with_batching(5_000, 0);
-        // No override: every tag sees the global window.
-        assert_eq!(c.batch_window_for(7), 5_000);
-        // Override replaces the window for that tag only; zero exempts it.
-        let c = c
-            .with_batch_window_override(7, 250)
-            .with_batch_window_override(9, 0);
-        assert_eq!(c.batch_window_for(7), 250);
-        assert_eq!(c.batch_window_for(9), 0);
-        assert_eq!(c.batch_window_for(8), 5_000);
-        // Re-setting a tag replaces rather than accumulates.
-        let c = c.with_batch_window_override(7, 1_000);
-        assert_eq!(c.batch_window_for(7), 1_000);
-        assert_eq!(
-            c.batch_window_overrides.iter().filter(|t| t.0 == 7).count(),
-            1
-        );
     }
 
     #[test]

@@ -17,7 +17,7 @@ use amt_simnet::{
 use bytes::{BufPool, Bytes, Frames};
 
 use crate::backend::{make_backends, BackendMicro, BackendTask, CommBackend};
-use crate::config::{BackendKind, EngineConfig};
+use crate::config::{BackendKind, EngineConfig, CMD_OVERHEAD, WAKE_LATENCY};
 use crate::stats::EngineStats;
 use crate::tune::Tuner;
 
@@ -448,7 +448,7 @@ impl CommEngine {
         // *before* the in-context fast path so sends issued from inside a
         // communication-thread callback (GET issuance, tree forwarding) —
         // which would otherwise go straight to the wire — coalesce too.
-        if aggregate && self.cfg.batch_window_for(tag) > 0 {
+        if aggregate && self.cfg.batch_window_ns > 0 {
             self.batch_am(sim, dst, tag, size, data);
             return;
         }
@@ -551,7 +551,7 @@ impl CommEngine {
                     );
                     flush_now = size >= flush_at;
                     if !flush_now {
-                        let window = SimTime::from_ns(self.cfg.batch_window_for(tag));
+                        let window = SimTime::from_ns(self.cfg.batch_window_ns);
                         let earliest = inner
                             .batch_last_flush
                             .get(&(dst, tag))
@@ -667,11 +667,12 @@ impl CommEngine {
             inner.busy = true;
         }
         let eng2 = eng.clone();
-        let wake = eng.cfg.wake_latency;
-        eng.comm_core.borrow_mut().charge(sim, wake, move |sim| {
-            eng2.inner.borrow_mut().busy = false;
-            CommEngine::pump(&eng2, sim);
-        });
+        eng.comm_core
+            .borrow_mut()
+            .charge(sim, WAKE_LATENCY, move |sim| {
+                eng2.inner.borrow_mut().busy = false;
+                CommEngine::pump(&eng2, sim);
+            });
     }
 
     /// Pick the next micro-task, or park.
@@ -763,7 +764,7 @@ impl CommEngine {
                     None => break,
                 }
             };
-            cost += self.cfg.cmd_overhead;
+            cost += CMD_OVERHEAD;
             match cmd {
                 Command::SendAm {
                     dst,

@@ -12,7 +12,7 @@ use amt_simnet::{Counter, Sim, SimTime};
 use bytes::{Bytes, Frames};
 
 use crate::backend::{BackendMicro, BackendTask, CommBackend};
-use crate::config::{BackendKind, EngineConfig};
+use crate::config::{BackendKind, EngineConfig, CMD_OVERHEAD, FIFO_POP, WAKE_LATENCY};
 use crate::engine::{
     dispatch_am, dispatch_onesided, dispatch_put_local, AmEvent, CommEngine, Command, Micro,
     PutEvent, PutLocalCb, PutRequest,
@@ -358,7 +358,7 @@ impl LciBackend {
                     },
                     submitted_at: None,
                 });
-                eng.cfg.cmd_overhead
+                CMD_OVERHEAD
             }
         }
     }
@@ -366,7 +366,7 @@ impl LciBackend {
     /// One §5.3.4 fairness round: up to `am_batch` AM completions, then all
     /// bulk-data completions; repeat while anything was processed.
     fn exec_fifo_round(&self, eng: &Rc<CommEngine>) -> SimTime {
-        let mut cost = eng.cfg.fifo_pop;
+        let mut cost = FIFO_POP;
         let mut popped = false;
         let mut st = self.st.borrow_mut();
         let mut inner = eng.inner.borrow_mut();
@@ -376,7 +376,7 @@ impl LciBackend {
                     inner
                         .micro
                         .push_back(Micro::Backend(Box::new(LciMicro::Am(a))));
-                    cost += eng.cfg.fifo_pop;
+                    cost += FIFO_POP;
                     popped = true;
                 }
                 None => break,
@@ -386,7 +386,7 @@ impl LciBackend {
             inner
                 .micro
                 .push_back(Micro::Backend(Box::new(LciMicro::Data(d))));
-            cost += eng.cfg.fifo_pop;
+            cost += FIFO_POP;
             popped = true;
         }
         if std::mem::take(&mut st.retry_wanted) && !st.delegated.is_empty() {
@@ -454,7 +454,7 @@ impl LciBackend {
         let mut cost = SimTime::ZERO;
         let mut queue = std::mem::take(&mut self.st.borrow_mut().delegated);
         while let Some(d) = queue.pop_front() {
-            cost += eng.cfg.cmd_overhead;
+            cost += CMD_OVERHEAD;
             match try_post_recvd(
                 eng, &self.ep, &self.st, sim, d.src, d.rtag, d.r_tag, d.cb_data,
             ) {
@@ -671,7 +671,7 @@ impl CommBackend for LciBackend {
                         },
                         submitted_at: None,
                     });
-                    eng.cfg.cmd_overhead
+                    CMD_OVERHEAD
                 }
             }
         } else {
@@ -722,7 +722,7 @@ impl CommBackend for LciBackend {
                         },
                         submitted_at: None,
                     });
-                    return eng.cfg.cmd_overhead;
+                    return CMD_OVERHEAD;
                 }
             };
             self.st
@@ -852,7 +852,7 @@ impl CommBackend for LciBackend {
             }
             st.progress_busy = true;
         }
-        let cost = self.ep.progress(sim) + eng.cfg.wake_latency;
+        let cost = self.ep.progress(sim) + WAKE_LATENCY;
         self.st.borrow_mut().stat_progress_busy += cost;
         if eng.cfg.trace {
             let now = sim.now();

@@ -12,7 +12,7 @@ use amt_simnet::{CoreHandle, CoreResource, Counter, Sim, SimTime};
 use bytes::{Bytes, Frames};
 
 use crate::backend::{BackendMicro, BackendTask, CommBackend};
-use crate::config::BackendKind;
+use crate::config::{BackendKind, CMD_OVERHEAD};
 use crate::engine::{
     dispatch_am, dispatch_onesided, dispatch_put_local, AmEvent, CommEngine, Micro, PutEvent,
     PutLocalCb, PutRequest, RESERVED_TAG_BASE,
@@ -326,7 +326,7 @@ impl MpiBackend {
             st.dynamic.push_back(tracked);
             eng.trace_instant("dynamic_recv", sim.now());
         }
-        cost += eng.cfg.cmd_overhead;
+        cost += CMD_OVERHEAD;
         cost
     }
 
@@ -378,7 +378,7 @@ impl MpiBackend {
                     st.slots_in_use += 1;
                     st.tracked.push(t);
                     st.progress_queued = true;
-                    cost += eng.cfg.cmd_overhead;
+                    cost += CMD_OVERHEAD;
                 }
             }
         }
@@ -460,7 +460,7 @@ impl CommBackend for MpiBackend {
                 st.deferred_puts.push_back((seq, req));
                 eng.trace_instant("deferred_put", sim.now());
                 eng.note_pressure(dst);
-                return eng.cfg.cmd_overhead;
+                return CMD_OVERHEAD;
             }
             st.slots_in_use += 1;
         }

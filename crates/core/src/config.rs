@@ -142,10 +142,9 @@ pub struct ClusterConfig {
     /// PaRSEC's priority-relative deferral: fetches beyond the budget wait
     /// in the priority queue, so critical-path flows see queue-free
     /// latency instead of burst serialization. At least
-    /// `get_window_min_flows` fetches proceed regardless of size.
+    /// `GET_WINDOW_MIN_FLOWS` (4, a constant in `node.rs`) fetches proceed
+    /// regardless of size.
     pub get_window_bytes: usize,
-    /// Minimum concurrent fetches irrespective of the byte budget.
-    pub get_window_min_flows: usize,
     /// Broadcast versions to `Some(k)` or more remote nodes through a
     /// binomial multicast tree (Figure 1): children receive the data, then
     /// forward the announcement down their subtree. `None` = always direct
@@ -172,21 +171,17 @@ pub struct ClusterConfig {
     pub cost: CostModel,
     /// Fabric parameters (node count is overridden by `nodes`).
     pub fabric: FabricConfig,
-    /// Engine parameters (backend/multithread fields are overridden).
+    /// Engine parameters. [`crate::Cluster::new`] overwrites four of them
+    /// from this config: `backend`, `multithread_am`, `trace` and
+    /// `metrics`.
     pub engine: EngineConfig,
-    /// Run the scheduler on the seed's reference structures
-    /// (`HashMap` data store, `BinaryHeap` ready/GET queues, per-event
-    /// allocations) instead of the dense datapath. Virtual-time results are
-    /// identical either way; this exists for differential tests and the
-    /// `sched_overhead` benchmark baseline.
-    pub reference_sched: bool,
     /// Flyweight per-node state for wide clusters: the per-node version
     /// store becomes a hash map over the versions that node actually
     /// touches instead of a byte per version cluster-wide — O(total
     /// versions × nodes) → O(total versions) across the cluster.
     /// Scheduling decisions and reports are byte-identical; dense is
     /// faster per access and remains the default at paper scale (≤ 32
-    /// nodes). Ignored under `reference_sched`.
+    /// nodes).
     pub flyweight: bool,
 }
 
@@ -199,7 +194,6 @@ impl Default for ClusterConfig {
             multithread_am: false,
             get_window: 512,
             get_window_bytes: 0,
-            get_window_min_flows: 4,
             bcast_tree_min: None,
             multicast_k: None,
             trace: false,
@@ -208,7 +202,6 @@ impl Default for ClusterConfig {
             cost: CostModel::default(),
             fabric: FabricConfig::default(),
             engine: EngineConfig::default(),
-            reference_sched: false,
             flyweight: false,
         }
     }

@@ -18,11 +18,9 @@
 //!   instead of the seed's O(consumers²) scan), and kernel input marshaling
 //!   reuses one scratch buffer.
 //!
-//! `ClusterConfig::reference_sched` switches the store and queues back to
-//! the seed structures (`HashMap` store, `BinaryHeap` queues, per-task
-//! temporaries) so benches and differential tests can compare both
-//! datapaths in one binary; virtual-time results are byte-identical either
-//! way.
+//! This is the only scheduler datapath. The seed's `BinaryHeap` queue
+//! survives as the oracle of `queue.rs`'s lockstep tests; the goldens in
+//! `results/` pin virtual time.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -35,8 +33,10 @@ use bytes::Bytes;
 
 use crate::config::{ClusterConfig, ExecMode};
 use crate::graph::{GraphHandle, TaskId, VersionId};
-use crate::queue::ReadyQueue;
-use crate::records::{ActivateRec, GetRec, PutCb, ACTIVATE_WIRE_BYTES, GET_WIRE_BYTES};
+use crate::queue::BucketQueue;
+use crate::records::{
+    split_subtree, ActivateRec, GetRec, PutCb, ACTIVATE_WIRE_BYTES, GET_WIRE_BYTES,
+};
 use crate::window::WindowCtl;
 
 /// AM tag for task-activation messages.
@@ -57,193 +57,114 @@ fn flow_id(kind: u64, version: u64, src: NodeId, dst: NodeId) -> u64 {
     (kind << 62) | (version << 24) | ((src as u64) << 12) | dst as u64
 }
 
-/// Seed-faithful store entry (`reference_sched` mode).
-enum RefDataState {
-    /// Payload available locally (bytes absent in CostOnly mode).
-    Present(Option<Bytes>),
-    /// Announced by an ACTIVATE; GET DATA queued or in flight.
-    Requested,
-}
-
 const V_VACANT: u8 = 0;
 const V_REQUESTED: u8 = 1;
 const V_PRESENT: u8 = 2;
 const V_PRESENT_DATA: u8 = 3;
 
-/// Per-version data-presence table. Dense mode is a byte per version
-/// (VersionIds are contiguous indices) with payload bytes in a side map;
-/// sparse mode ([`crate::ClusterConfig::flyweight`]) keeps only the
-/// versions this node has actually touched in a hash map, so per-node
-/// memory is O(versions-seen-here) instead of O(all versions) × nodes;
-/// reference mode is the seed's `HashMap<VersionId, DataState>`. All three
-/// implement the same state machine — scheduling is byte-identical.
-enum VersionStore {
-    Dense {
-        state: Vec<u8>,
-        payloads: HashMap<usize, Bytes>,
-    },
-    Sparse {
-        state: HashMap<usize, u8>,
-        payloads: HashMap<usize, Bytes>,
-    },
-    Reference(HashMap<usize, RefDataState>),
+/// Per-version state bytes: a byte per version (VersionIds are contiguous
+/// indices), or — [`crate::ClusterConfig::flyweight`] — a hash map over
+/// only the versions this node has actually touched, so per-node memory is
+/// O(versions-seen-here) instead of O(all versions) × nodes. Both implement
+/// the same state machine — scheduling is byte-identical.
+enum VersionStates {
+    Dense(Vec<u8>),
+    Sparse(HashMap<usize, u8>),
+}
+
+/// Per-version data-presence table: state bytes plus payload bytes in a
+/// side map for the versions that carry them.
+struct VersionStore {
+    state: VersionStates,
+    payloads: HashMap<usize, Bytes>,
 }
 
 impl VersionStore {
-    fn new(reference: bool, flyweight: bool) -> VersionStore {
-        if reference {
-            VersionStore::Reference(HashMap::new())
-        } else if flyweight {
-            VersionStore::Sparse {
-                state: HashMap::new(),
-                payloads: HashMap::new(),
-            }
-        } else {
-            VersionStore::Dense {
-                state: Vec::new(),
-                payloads: HashMap::new(),
-            }
+    fn new(flyweight: bool) -> VersionStore {
+        VersionStore {
+            state: if flyweight {
+                VersionStates::Sparse(HashMap::new())
+            } else {
+                VersionStates::Dense(Vec::new())
+            },
+            payloads: HashMap::new(),
         }
     }
 
     fn get(&self, v: usize) -> u8 {
-        match self {
-            VersionStore::Dense { state, .. } => state.get(v).copied().unwrap_or(V_VACANT),
-            VersionStore::Sparse { state, .. } => state.get(&v).copied().unwrap_or(V_VACANT),
-            VersionStore::Reference(_) => unreachable!("reference store has no byte states"),
+        match &self.state {
+            VersionStates::Dense(state) => state.get(v).copied().unwrap_or(V_VACANT),
+            VersionStates::Sparse(state) => state.get(&v).copied().unwrap_or(V_VACANT),
         }
     }
 
     /// Any entry at all (Present *or* Requested)?
     fn exists(&self, v: usize) -> bool {
-        match self {
-            VersionStore::Reference(m) => m.contains_key(&v),
-            _ => self.get(v) != V_VACANT,
-        }
+        self.get(v) != V_VACANT
     }
 
     fn is_present(&self, v: usize) -> bool {
-        match self {
-            VersionStore::Reference(m) => matches!(m.get(&v), Some(RefDataState::Present(_))),
-            _ => self.get(v) >= V_PRESENT,
-        }
+        self.get(v) >= V_PRESENT
     }
 
     /// Write state byte `to` for `v`, returning the previous byte. The
     /// dense table grows on write (`get` reads past its end as vacant), so
     /// a node's table covers the versions it touched, not all that exist.
     fn set(&mut self, v: usize, to: u8) -> u8 {
-        match self {
-            VersionStore::Dense { state, .. } => {
+        match &mut self.state {
+            VersionStates::Dense(state) => {
                 if state.len() <= v {
                     state.resize(v + 1, V_VACANT);
                 }
                 std::mem::replace(&mut state[v], to)
             }
-            VersionStore::Sparse { state, .. } => state.insert(v, to).unwrap_or(V_VACANT),
-            VersionStore::Reference(_) => unreachable!("reference store has no byte states"),
+            VersionStates::Sparse(state) => state.insert(v, to).unwrap_or(V_VACANT),
+        }
+    }
+
+    /// Mark `v` present (with its payload, if any); returns the previous
+    /// state byte.
+    fn set_present(&mut self, v: usize, bytes: Option<Bytes>) -> u8 {
+        match bytes {
+            Some(b) => {
+                self.payloads.insert(v, b);
+                self.set(v, V_PRESENT_DATA)
+            }
+            None => self.set(v, V_PRESENT),
         }
     }
 
     /// Mark `v` present; returns whether the slot was previously vacant.
     fn insert_present(&mut self, v: usize, bytes: Option<Bytes>) -> bool {
-        if let VersionStore::Reference(m) = self {
-            return m.insert(v, RefDataState::Present(bytes)).is_none();
-        }
-        let prev = match bytes {
-            Some(b) => {
-                self.payloads().insert(v, b);
-                self.set(v, V_PRESENT_DATA)
-            }
-            None => self.set(v, V_PRESENT),
-        };
-        prev == V_VACANT
+        self.set_present(v, bytes) == V_VACANT
     }
 
     /// Mark `v` requested; returns whether the slot was previously vacant.
     fn insert_requested(&mut self, v: usize) -> bool {
-        if let VersionStore::Reference(m) = self {
-            return m.insert(v, RefDataState::Requested).is_none();
-        }
         self.set(v, V_REQUESTED) == V_VACANT
     }
 
     /// Requested → Present transition on data arrival; returns whether the
     /// previous state was Requested.
     fn fulfill(&mut self, v: usize, bytes: Option<Bytes>) -> bool {
-        if let VersionStore::Reference(m) = self {
-            return matches!(
-                m.insert(v, RefDataState::Present(bytes)),
-                Some(RefDataState::Requested)
-            );
-        }
-        let prev = match bytes {
-            Some(b) => {
-                self.payloads().insert(v, b);
-                self.set(v, V_PRESENT_DATA)
-            }
-            None => self.set(v, V_PRESENT),
-        };
-        prev == V_REQUESTED
-    }
-
-    fn payloads(&mut self) -> &mut HashMap<usize, Bytes> {
-        match self {
-            VersionStore::Dense { payloads, .. } | VersionStore::Sparse { payloads, .. } => {
-                payloads
-            }
-            VersionStore::Reference(_) => unreachable!("reference store holds payloads inline"),
-        }
+        self.set_present(v, bytes) == V_REQUESTED
     }
 
     /// Payload bytes of a present version (None for cost-only entries).
-    fn payload(&self, v: usize) -> Option<Bytes> {
-        match self {
-            VersionStore::Dense { payloads, .. } | VersionStore::Sparse { payloads, .. } => {
-                if self.get(v) == V_PRESENT_DATA {
-                    payloads.get(&v).cloned()
-                } else {
-                    None
-                }
-            }
-            VersionStore::Reference(m) => match m.get(&v) {
-                Some(RefDataState::Present(b)) => b.clone(),
-                _ => None,
-            },
-        }
-    }
-
-    fn payload_len(&self, v: usize) -> Option<usize> {
-        match self {
-            VersionStore::Dense { payloads, .. } | VersionStore::Sparse { payloads, .. } => {
-                if self.get(v) == V_PRESENT_DATA {
-                    payloads.get(&v).map(|b| b.len())
-                } else {
-                    None
-                }
-            }
-            VersionStore::Reference(m) => match m.get(&v) {
-                Some(RefDataState::Present(Some(b))) => Some(b.len()),
-                _ => None,
-            },
+    fn payload(&self, v: usize) -> Option<&Bytes> {
+        if self.get(v) == V_PRESENT_DATA {
+            self.payloads.get(&v)
+        } else {
+            None
         }
     }
 
     /// Release a retired version's payload bytes, keeping it Present
     /// (windowed-mode memory reclamation).
     fn drop_payload(&mut self, v: usize) {
-        match self {
-            VersionStore::Reference(m) => {
-                if let Some(e @ RefDataState::Present(Some(_))) = m.get_mut(&v) {
-                    *e = RefDataState::Present(None);
-                }
-            }
-            _ => {
-                if self.get(v) == V_PRESENT_DATA {
-                    self.payloads().remove(&v);
-                    self.set(v, V_PRESENT);
-                }
-            }
+        if self.get(v) == V_PRESENT_DATA {
+            self.payloads.remove(&v);
+            self.set(v, V_PRESENT);
         }
     }
 }
@@ -261,6 +182,11 @@ pub(crate) fn sweep_probe() {
     SWEEP_PROBES.with(|c| c.set(c.get() + 1));
 }
 
+/// GET DATA fetches that proceed regardless of
+/// [`ClusterConfig::get_window_bytes`]: the byte budget only defers flows
+/// beyond this many in flight.
+const GET_WINDOW_MIN_FLOWS: usize = 4;
+
 /// A pending GET DATA request (queued behind the in-flight window).
 struct GetInfo {
     version: usize,
@@ -273,15 +199,14 @@ struct GetInfo {
 /// node id, graph handle, engine, config, interned trace names — lives
 /// directly on [`NodeRt`], so hot paths borrow only what mutates).
 struct NodeState {
-    reference: bool,
     idle_workers: Vec<usize>,
-    ready: ReadyQueue<TaskId>,
+    ready: BucketQueue<TaskId>,
     /// Unsatisfied input count per *local* task, indexed by
     /// [`crate::graph::Task::local_ix`] — O(tasks-on-this-node), not
     /// O(total tasks).
     remaining: Vec<u32>,
     store: VersionStore,
-    pending_gets: ReadyQueue<GetInfo>,
+    pending_gets: BucketQueue<GetInfo>,
     inflight_gets: usize,
     inflight_get_bytes: usize,
     /// Multicast subtrees to forward once the version's data arrives.
@@ -308,7 +233,7 @@ struct NodeState {
     overlap: Option<Shared<OverlapTracker>>,
     /// Kernel-input marshaling scratch (reused across completions).
     inputs_scratch: Vec<Bytes>,
-    /// ACTIVATE destination-grouping scratch (dense mode).
+    /// ACTIVATE destination-grouping scratch.
     dests_scratch: Vec<(NodeId, i64)>,
     /// Epoch-stamped best-priority-per-node table for `announce` grouping.
     node_best: Vec<(u64, i64)>,
@@ -360,7 +285,6 @@ impl NodeRt {
         // `dispatch`.
         assert!(nworkers <= 1 << 16, "worker index must fit 16 bits");
         let trace = Trace::new(cfg.trace);
-        let reference = cfg.reference_sched;
         // Track-name strings are only read under `trace_on`; skip the
         // per-node allocations on untraced runs (1024 nodes × 128 workers
         // of them otherwise).
@@ -380,12 +304,11 @@ impl NodeRt {
             comm_track,
             worker_tracks,
             state: RefCell::new(NodeState {
-                reference,
                 idle_workers: (0..nworkers).rev().collect(),
-                ready: ReadyQueue::new(reference),
+                ready: BucketQueue::new(),
                 remaining: Vec::new(),
-                store: VersionStore::new(reference, cfg.flyweight),
-                pending_gets: ReadyQueue::new(reference),
+                store: VersionStore::new(cfg.flyweight),
+                pending_gets: BucketQueue::new(),
                 inflight_gets: 0,
                 inflight_get_bytes: 0,
                 pending_forwards: HashMap::new(),
@@ -458,21 +381,14 @@ impl NodeRt {
         // Group remote consumers by node in first-appearance order,
         // tracking the best priority per node through an epoch-stamped
         // table — one pass, no quadratic rescans.
-        let (mut dests, size, from_scratch) = {
+        let (mut dests, size) = {
             let g = rt.graph.get();
             let v = g.version(version.0);
             let mut s = rt.state.borrow_mut();
-            let size = s.store.payload_len(version.0).unwrap_or(v.size);
+            let size = s.store.payload(version.0).map_or(v.size, Bytes::len);
             s.node_epoch += 1;
             let epoch = s.node_epoch;
-            let from_scratch = !s.reference;
-            let mut dests: Vec<(NodeId, i64)> = if from_scratch {
-                std::mem::take(&mut s.dests_scratch)
-            } else {
-                // Seed allocation behavior: a fresh grouping vector per
-                // announce.
-                Vec::new()
-            };
+            let mut dests = std::mem::take(&mut s.dests_scratch);
             dests.clear();
             for &t in &v.consumers {
                 let task = g.task(t);
@@ -493,12 +409,10 @@ impl NodeRt {
             for d in dests.iter_mut() {
                 d.1 = s.node_best[d.0].1;
             }
-            (dests, size, from_scratch)
+            (dests, size)
         };
         if dests.is_empty() {
-            if from_scratch {
-                rt.state.borrow_mut().dests_scratch = dests;
-            }
+            rt.state.borrow_mut().dests_scratch = dests;
             return;
         }
         let mt = mt_cost.is_some() && rt.cfg.multithread_am;
@@ -511,7 +425,7 @@ impl NodeRt {
             let best_priority = dests.iter().map(|(_, p)| *p).max().expect("non-empty");
             let mut ids: Vec<u32> = dests.iter().map(|(n, _)| *n as u32).collect();
             ids.sort_unstable();
-            for (child, subtree) in NodeRt::split_subtree(rt, &ids) {
+            for (child, subtree) in split_subtree(&ids, rt.cfg.multicast_k) {
                 let rec = ActivateRec {
                     version: version.0 as u64,
                     size: size as u64,
@@ -529,11 +443,8 @@ impl NodeRt {
                 extra += NodeRt::send_activate(rt, sim, dst, &rec, mt);
             }
         }
-        if from_scratch {
-            let mut s = rt.state.borrow_mut();
-            dests.clear();
-            s.dests_scratch = dests;
-        }
+        dests.clear();
+        rt.state.borrow_mut().dests_scratch = dests;
         if let Some(c) = mt_cost {
             *c += extra;
         }
@@ -569,16 +480,6 @@ impl NodeRt {
         }
     }
 
-    /// Split a multicast destination list into child subtrees: k-way when
-    /// the configuration names an arity, binomial recursive halving
-    /// otherwise.
-    fn split_subtree(rt: &RtHandle, ids: &[u32]) -> Vec<(u32, Vec<u32>)> {
-        match rt.cfg.multicast_k {
-            Some(k) => crate::records::tree_children_k(ids, k),
-            None => crate::records::tree_children(ids),
-        }
-    }
-
     /// Forward a multicast announcement down the subtree once the data is
     /// locally present (called from the communication-thread context).
     fn forward_subtree(
@@ -590,7 +491,7 @@ impl NodeRt {
         sent_at_ns: u64,
         size: usize,
     ) {
-        for (child, sub) in NodeRt::split_subtree(rt, subtree) {
+        for (child, sub) in split_subtree(subtree, rt.cfg.multicast_k) {
             let rec = ActivateRec {
                 version: version.0 as u64,
                 size: size as u64,
@@ -678,7 +579,7 @@ impl NodeRt {
                         // Control (size-0) inputs carry no payload and
                         // are not handed to kernels.
                         if g.version(v.0).size > 0 {
-                            inputs.push(s.store.payload(v.0).unwrap_or_else(|| {
+                            inputs.push(s.store.payload(v.0).cloned().unwrap_or_else(|| {
                                 panic!("task {} ran without input version {:?} present", t.name, v)
                             }));
                         }
@@ -699,15 +600,6 @@ impl NodeRt {
                 Some(outs) => {
                     for (vid, b) in t.outputs.iter().zip(outs) {
                         let fresh = s.store.insert_present(vid.0, Some(b));
-                        assert!(fresh, "output version produced twice");
-                    }
-                }
-                None if s.reference => {
-                    // Seed allocation behavior: a per-completion
-                    // `Vec<Option<Bytes>>` even when every entry is None.
-                    let outputs: Vec<Option<Bytes>> = t.outputs.iter().map(|_| None).collect();
-                    for (vid, b) in t.outputs.iter().zip(outputs) {
-                        let fresh = s.store.insert_present(vid.0, b);
                         assert!(fresh, "output version produced twice");
                     }
                 }
@@ -876,7 +768,7 @@ impl NodeRt {
                 // Byte budget (priority-relative deferral): beyond the
                 // minimum concurrency, defer fetches that would exceed it.
                 if rt.cfg.get_window_bytes > 0
-                    && s.inflight_gets >= rt.cfg.get_window_min_flows
+                    && s.inflight_gets >= GET_WINDOW_MIN_FLOWS
                     && s.inflight_get_bytes + next_size > rt.cfg.get_window_bytes
                 {
                     return cost;
@@ -892,9 +784,9 @@ impl NodeRt {
             };
             let engine = &rt.engine;
             // GETs issue from communication-thread context and historically
-            // never aggregate; with a batching window configured for their
-            // tag they are batch-eligible like any other record.
-            let batch = engine.config().batch_window_for(AM_GETDATA) > 0;
+            // never aggregate; with a batching window configured they are
+            // batch-eligible like any other record.
+            let batch = engine.config().batch_window_ns > 0;
             engine.send_am_opts(
                 sim,
                 get.src,
@@ -931,7 +823,7 @@ impl NodeRt {
                     "GET DATA for version not present at owner"
                 );
                 match s.store.payload(vid) {
-                    Some(b) => (b.len(), Some(b)),
+                    Some(b) => (b.len(), Some(b.clone())),
                     None => (rt.graph.get().version(vid).size, None),
                 }
             };
@@ -1004,7 +896,7 @@ impl NodeRt {
 
     /// Payload of the current state of `version`, if locally present.
     pub fn data(&self, version: VersionId) -> Option<Bytes> {
-        self.state.borrow().store.payload(version.0)
+        self.state.borrow().store.payload(version.0).cloned()
     }
 
     // ---- report accessors (cluster.rs) ------------------------------
@@ -1063,8 +955,8 @@ impl NodeRt {
         self.state
             .borrow()
             .store
-            .payload_len(version)
-            .unwrap_or(declared)
+            .payload(version)
+            .map_or(declared, Bytes::len)
     }
 
     /// Release a retired version's payload bytes (windowed reclamation).

@@ -12,10 +12,9 @@
 //!
 //! Arbitrary priorities stay supported: when the priority span exceeds
 //! [`MAX_SPAN`] buckets the queue migrates (permanently) to the seed's
-//! heap. The seed structure itself survives as [`RefReadyQueue`] behind the
-//! same API, selected by `ClusterConfig::reference_sched`, and the two are
-//! proven order-equivalent by a randomized lockstep test below (as PR 3/4
-//! did for the event engine and the MiniMPI matcher).
+//! heap. The seed structure itself survives only in the test module, as
+//! the oracle (`RefReadyQueue`) that randomized lockstep tests prove
+//! [`BucketQueue`] order-equivalent to.
 
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -42,40 +41,6 @@ impl<T> Ord for Entry<T> {
 impl<T> PartialOrd for Entry<T> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
-    }
-}
-
-/// The seed's `BinaryHeap` ready queue, kept as the reference
-/// implementation (`ClusterConfig::reference_sched`).
-pub(crate) struct RefReadyQueue<T> {
-    heap: BinaryHeap<Entry<T>>,
-}
-
-impl<T> RefReadyQueue<T> {
-    pub fn new() -> Self {
-        RefReadyQueue {
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    pub fn push(&mut self, priority: i64, seq: u64, item: T) {
-        self.heap.push(Entry {
-            priority,
-            seq,
-            item,
-        });
-    }
-
-    pub fn pop(&mut self) -> Option<Entry<T>> {
-        self.heap.pop()
-    }
-
-    pub fn peek(&mut self) -> Option<&T> {
-        self.heap.peek().map(|e| &e.item)
-    }
-
-    pub fn len(&self) -> usize {
-        self.heap.len()
     }
 }
 
@@ -115,8 +80,8 @@ impl<T> BucketQueue<T> {
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.len
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// Move every queued entry into the heap fallback; all later
@@ -237,59 +202,44 @@ impl<T> BucketQueue<T> {
     }
 }
 
-/// The scheduler's queue, dense by default, seed heap when
-/// `reference_sched` is set.
-pub(crate) enum ReadyQueue<T> {
-    Bucketed(BucketQueue<T>),
-    Reference(RefReadyQueue<T>),
-}
-
-impl<T> ReadyQueue<T> {
-    pub fn new(reference: bool) -> Self {
-        if reference {
-            ReadyQueue::Reference(RefReadyQueue::new())
-        } else {
-            ReadyQueue::Bucketed(BucketQueue::new())
-        }
-    }
-
-    pub fn push(&mut self, priority: i64, seq: u64, item: T) {
-        match self {
-            ReadyQueue::Bucketed(q) => q.push(priority, seq, item),
-            ReadyQueue::Reference(q) => q.push(priority, seq, item),
-        }
-    }
-
-    pub fn pop(&mut self) -> Option<Entry<T>> {
-        match self {
-            ReadyQueue::Bucketed(q) => q.pop(),
-            ReadyQueue::Reference(q) => q.pop(),
-        }
-    }
-
-    pub fn peek(&mut self) -> Option<&T> {
-        match self {
-            ReadyQueue::Bucketed(q) => q.peek(),
-            ReadyQueue::Reference(q) => q.peek(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    pub fn len(&self) -> usize {
-        match self {
-            ReadyQueue::Bucketed(q) => q.len(),
-            ReadyQueue::Reference(q) => q.len(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use amt_simnet::rng::DetRng;
+
+    /// The seed's `BinaryHeap` ready queue: the oracle the lockstep
+    /// tests hold [`BucketQueue`] to.
+    struct RefReadyQueue<T> {
+        heap: BinaryHeap<Entry<T>>,
+    }
+
+    impl<T> RefReadyQueue<T> {
+        fn new() -> Self {
+            RefReadyQueue {
+                heap: BinaryHeap::new(),
+            }
+        }
+
+        fn push(&mut self, priority: i64, seq: u64, item: T) {
+            self.heap.push(Entry {
+                priority,
+                seq,
+                item,
+            });
+        }
+
+        fn pop(&mut self) -> Option<Entry<T>> {
+            self.heap.pop()
+        }
+
+        fn peek(&mut self) -> Option<&T> {
+            self.heap.peek().map(|e| &e.item)
+        }
+
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+    }
 
     /// Drive both queues through an identical randomized workload
     /// (interleaved push/pop, duplicate and negative priorities, seqs from
@@ -301,7 +251,7 @@ mod tests {
         let mut reference = RefReadyQueue::new();
         let mut seq = 0u64;
         for _ in 0..ops {
-            if rng.gen_bool(0.55) || bucket.len() == 0 {
+            if rng.gen_bool(0.55) || bucket.is_empty() {
                 let p = *rng.choose(priorities);
                 bucket.push(p, seq, seq);
                 reference.push(p, seq, seq);
@@ -318,14 +268,14 @@ mod tests {
                     "pop diverged"
                 );
             }
-            assert_eq!(bucket.len(), reference.len());
+            assert_eq!(bucket.len, reference.len());
         }
         // Drain: the full remaining order must agree too.
         while let Some(r) = reference.pop() {
             let b = bucket.pop().expect("same length");
             assert_eq!((b.priority, b.seq, b.item), (r.priority, r.seq, r.item));
         }
-        assert_eq!(bucket.len(), 0);
+        assert!(bucket.is_empty());
     }
 
     #[test]
@@ -362,7 +312,7 @@ mod tests {
         }
         q.push(MAX_SPAN as i64 * 3, 10, 99); // forces the spill
         assert!(q.heap.is_some());
-        assert_eq!(q.len(), 11);
+        assert_eq!(q.len, 11);
         let first = q.pop().expect("non-empty");
         assert_eq!((first.priority, first.item), (MAX_SPAN as i64 * 3, 99));
         let mut seen = 0;

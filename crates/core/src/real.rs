@@ -125,7 +125,7 @@ use crate::cluster::RunReport;
 use crate::config::ClusterConfig;
 use crate::graph::{TaskGraph, TaskId, VersionId};
 use crate::node::{AM_ACTIVATE, AM_GETDATA, RTAG_DATA};
-use crate::records::{tree_children, tree_children_k, ActivateRec, GetRec, PutCb};
+use crate::records::{split_subtree, ActivateRec, GetRec, PutCb};
 
 /// AM tag of the startup go-token broadcast down the collective tree.
 const AM_COLL_GO: u64 = 3;
@@ -314,16 +314,6 @@ impl RealRun {
         }
     }
 
-    /// Split a multicast destination list into child subtrees: k-way when
-    /// the configuration names an arity, binomial recursive halving
-    /// otherwise (the exact split the virtual engines use).
-    fn split_subtree(&self, ids: &[u32]) -> Vec<(u32, Vec<u32>)> {
-        match self.multicast_k {
-            Some(k) => tree_children_k(ids, k),
-            None => tree_children(ids),
-        }
-    }
-
     /// Append one record-handler duration sample (metrics mode only).
     fn record_sample(&self, key: &'static str, ns: u64) {
         self.calib
@@ -454,7 +444,7 @@ fn relay_subtree(
     sent_at_ns: u64,
 ) {
     let size = run.graph.version(v).size as u64;
-    for (child, forward) in run.split_subtree(subtree) {
+    for (child, forward) in split_subtree(subtree, run.multicast_k) {
         let rec = ActivateRec {
             version: v as u64,
             size,

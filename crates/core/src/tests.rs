@@ -594,106 +594,32 @@ fn flyweight_store_is_byte_identical_to_dense() {
 }
 
 #[test]
-fn per_tag_zero_window_reproduces_flat_path() {
-    // Exempting every runtime tag from the batching layer via per-tag
-    // zero-window overrides must reproduce the flat funnel path byte for
-    // byte — same report JSON — even though batching is globally enabled.
-    use amt_comm::EngineConfig;
-    const TAG_ACTIVATE: u64 = 1;
-    const TAG_GETDATA: u64 = 2;
-    for backend in backends() {
-        let run = |engine: EngineConfig| {
-            let mut cluster = Cluster::new(ClusterConfig {
-                nodes: 6,
-                workers_per_node: 2,
-                backend,
-                mode: ExecMode::CostOnly,
-                engine,
-                ..Default::default()
-            });
-            let report = cluster.execute(stress_graph(6));
-            assert!(report.complete(), "{backend}");
-            report.to_json()
-        };
-        let flat = run(EngineConfig::for_backend(backend));
-        let exempted = run(EngineConfig::for_backend(backend)
-            .with_batching(5_000, 4096)
-            .with_batch_window_override(TAG_ACTIVATE, 0)
-            .with_batch_window_override(TAG_GETDATA, 0));
-        assert_eq!(
-            exempted, flat,
-            "{backend}: exempted tags diverged from flat"
-        );
-        // Meaningfulness guard: without the overrides the batching layer
-        // engages on this workload and changes the schedule.
-        let batched = run(EngineConfig::for_backend(backend).with_batching(5_000, 4096));
-        assert_ne!(batched, flat, "{backend}: batching had no effect");
-        // A shorter GET-only window keeps the run valid (tighter latency
-        // for the critical path while announces keep the wide window).
-        let tiered = run(EngineConfig::for_backend(backend)
-            .with_batching(5_000, 4096)
-            .with_batch_window_override(TAG_GETDATA, 250));
-        assert!(!tiered.is_empty());
-    }
-}
-
-#[test]
-fn reference_scheduler_is_byte_identical_to_dense() {
-    // The seed's HashMap/BinaryHeap structures and the dense datapath must
-    // make identical scheduling decisions: same virtual time, same event
-    // count, same latencies — on every backend, with multicast trees on.
-    for backend in backends() {
-        let run = |reference: bool| {
-            let mut cluster = Cluster::new(ClusterConfig {
-                nodes: 3,
-                workers_per_node: 2,
-                backend,
-                mode: ExecMode::CostOnly,
-                bcast_tree_min: Some(2),
-                reference_sched: reference,
-                ..Default::default()
-            });
-            let report = cluster.execute(stress_graph(3));
-            assert!(report.complete(), "{backend}");
-            report.to_json()
-        };
-        assert_eq!(run(false), run(true), "{backend}");
-    }
-}
-
-#[test]
 fn announce_groups_one_flow_per_remote_node() {
     // A version with many consumer tasks on few nodes must be announced
-    // (and fetched) once per remote node, not once per consumer — and
-    // identically under both scheduler datapaths.
-    let run = |reference: bool| {
-        let mut cluster = Cluster::new(ClusterConfig {
-            nodes: 3,
-            workers_per_node: 2,
-            reference_sched: reference,
-            ..Default::default()
-        });
-        let mut g = GraphBuilder::new(3);
-        let v = g.data(0, 512, 0, None);
-        // 12 consumers interleaved over nodes 1 and 2 with mixed
-        // priorities — the announce must group them into two dests.
-        for c in 0..12i64 {
-            g.insert(
-                TaskDesc::new("c")
-                    .on_node(1 + (c as usize) % 2)
-                    .flops(1e5)
-                    .priority(-(c % 4))
-                    .read(v)
-                    .write(100 + c as u64, 32),
-            );
-        }
-        let report = cluster.execute(g.build());
-        assert!(report.complete());
-        // One remote flow per consumer node.
-        assert_eq!(report.e2e_latency_us.count(), 2);
-        report.to_json()
-    };
-    assert_eq!(run(false), run(true));
+    // (and fetched) once per remote node, not once per consumer.
+    let mut cluster = Cluster::new(ClusterConfig {
+        nodes: 3,
+        workers_per_node: 2,
+        ..Default::default()
+    });
+    let mut g = GraphBuilder::new(3);
+    let v = g.data(0, 512, 0, None);
+    // 12 consumers interleaved over nodes 1 and 2 with mixed
+    // priorities — the announce must group them into two dests.
+    for c in 0..12i64 {
+        g.insert(
+            TaskDesc::new("c")
+                .on_node(1 + (c as usize) % 2)
+                .flops(1e5)
+                .priority(-(c % 4))
+                .read(v)
+                .write(100 + c as u64, 32),
+        );
+    }
+    let report = cluster.execute(g.build());
+    assert!(report.complete());
+    // One remote flow per consumer node.
+    assert_eq!(report.e2e_latency_us.count(), 2);
 }
 
 /// Incremental chain source for windowed tests: `len` tasks rotating over

@@ -27,10 +27,10 @@
 //!   collected lazily when they surface at a bucket front, which is what
 //!   makes request cancellation O(1) (see [`PostTable::cancel`]).
 //!
-//! The seed matcher is retained verbatim as [`RefPostTable`] /
-//! [`RefUnexpTable`] (the same pattern as `amt_simnet::reference::RefSim`)
-//! and proven order- and cost-equivalent by a randomized proptest in
-//! `tests/proptests.rs`.
+//! The seed matcher survives only in this module's tests, as the
+//! `RefPostTable` / `RefUnexpTable` oracles: a randomized lockstep test
+//! there proves the hash tables order- and cost-equivalent to it (the
+//! `scanned` count virtual time is charged for included).
 //!
 //! [`MpiCosts::match_per_item`]: crate::MpiCosts
 
@@ -387,7 +387,8 @@ impl PostTable {
     }
 
     /// Total bucket-front examinations performed (the hash matcher's unit
-    /// of matching work — compare with [`RefPostTable::comparisons`]).
+    /// of matching work; the seed's linear scan examined `scanned` entries
+    /// per match instead).
     pub fn comparisons(&self) -> u64 {
         self.comparisons
     }
@@ -574,184 +575,151 @@ impl<T> UnexpTable<T> {
     }
 }
 
-/// The seed's posted-receive matcher, verbatim: a `VecDeque` scanned
-/// linearly in post order. Kept as the reference for equivalence tests and
-/// the `BENCH_comm.json` matcher-scaling columns.
-#[derive(Default)]
-pub struct RefPostTable {
-    q: VecDeque<(u64, usize, SrcSel, Tag)>,
-    next_uid: u64,
-    comparisons: u64,
-    matches: u64,
-}
-
-/// Token for [`RefPostTable::cancel`] (cancellation is O(n) here — that is
-/// the point of the comparison).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RefPostToken {
-    uid: u64,
-}
-
-impl RefPostTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Posts a receive (appends, like the seed's `posted.push_back`).
-    pub fn post(&mut self, req: usize, src: SrcSel, tag: Tag) -> RefPostToken {
-        let uid = self.next_uid;
-        self.next_uid += 1;
-        self.q.push_back((uid, req, src, tag));
-        RefPostToken { uid }
-    }
-
-    /// The seed's linear scan over posted receives.
-    pub fn match_arrival(&mut self, src: NodeId, tag: Tag) -> MatchOutcome<usize> {
-        self.matches += 1;
-        let mut found = None;
-        let mut scanned = 0usize;
-        for (pos, &(_, req, psrc, ptag)) in self.q.iter().enumerate() {
-            scanned += 1;
-            self.comparisons += 1;
-            if ptag == tag && psrc.matches(src) {
-                found = Some((pos, req));
-                break;
-            }
-        }
-        match found {
-            Some((pos, req)) => {
-                self.q.remove(pos);
-                MatchOutcome {
-                    found: Some(req),
-                    scanned,
-                }
-            }
-            None => MatchOutcome {
-                found: None,
-                scanned,
-            },
-        }
-    }
-
-    /// The seed's cancellation: `retain` over the whole queue.
-    pub fn cancel(&mut self, tok: RefPostToken) -> bool {
-        let before = self.q.len();
-        self.comparisons += before as u64;
-        self.q.retain(|&(uid, _, _, _)| uid != tok.uid);
-        self.q.len() != before
-    }
-
-    /// Number of posted receives.
-    pub fn len(&self) -> usize {
-        self.q.len()
-    }
-
-    /// Whether no receives are posted.
-    pub fn is_empty(&self) -> bool {
-        self.q.is_empty()
-    }
-
-    /// Entries examined by linear scans so far.
-    pub fn comparisons(&self) -> u64 {
-        self.comparisons
-    }
-
-    /// Number of match attempts performed.
-    pub fn match_calls(&self) -> u64 {
-        self.matches
-    }
-}
-
-/// The seed's unexpected-message queue, verbatim.
-#[derive(Default)]
-pub struct RefUnexpTable<T> {
-    q: VecDeque<(NodeId, Tag, T)>,
-    comparisons: u64,
-    matches: u64,
-}
-
-impl<T> RefUnexpTable<T> {
-    /// An empty table.
-    pub fn new() -> Self {
-        RefUnexpTable {
-            q: VecDeque::new(),
-            comparisons: 0,
-            matches: 0,
-        }
-    }
-
-    /// Appends an arrival.
-    pub fn push(&mut self, src: NodeId, tag: Tag, item: T) {
-        self.q.push_back((src, tag, item));
-    }
-
-    /// The seed's linear scan-and-remove.
-    pub fn match_take(&mut self, src: SrcSel, tag: Tag) -> MatchOutcome<T> {
-        self.matches += 1;
-        let mut found = None;
-        let mut scanned = 0usize;
-        for (pos, (usrc, utag, _)) in self.q.iter().enumerate() {
-            scanned += 1;
-            self.comparisons += 1;
-            if *utag == tag && src.matches(*usrc) {
-                found = Some(pos);
-                break;
-            }
-        }
-        match found {
-            Some(pos) => {
-                let (_, _, item) = self.q.remove(pos).expect("scanned position");
-                MatchOutcome {
-                    found: Some(item),
-                    scanned,
-                }
-            }
-            None => MatchOutcome {
-                found: None,
-                scanned,
-            },
-        }
-    }
-
-    /// The seed's linear probe (no removal).
-    pub fn probe(&mut self, src: SrcSel, tag: Tag) -> (Option<&T>, usize) {
-        self.matches += 1;
-        let mut scanned = 0usize;
-        for (usrc, utag, item) in self.q.iter() {
-            scanned += 1;
-            self.comparisons += 1;
-            if *utag == tag && src.matches(*usrc) {
-                return (Some(item), scanned);
-            }
-        }
-        (None, scanned)
-    }
-
-    /// Number of queued arrivals.
-    pub fn len(&self) -> usize {
-        self.q.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.q.is_empty()
-    }
-
-    /// Entries examined by linear scans so far.
-    pub fn comparisons(&self) -> u64 {
-        self.comparisons
-    }
-
-    /// Number of match/probe attempts performed.
-    pub fn match_calls(&self) -> u64 {
-        self.matches
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amt_simnet::DetRng;
+
+    /// The seed's posted-receive matcher, verbatim: a `VecDeque` scanned
+    /// linearly in post order. The oracle the hash tables are held to.
+    #[derive(Default)]
+    struct RefPostTable {
+        q: VecDeque<(u64, usize, SrcSel, Tag)>,
+        next_uid: u64,
+        comparisons: u64,
+    }
+
+    /// Token for [`RefPostTable::cancel`] (cancellation is O(n) here — that is
+    /// the point of the comparison).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct RefPostToken {
+        uid: u64,
+    }
+
+    impl RefPostTable {
+        /// An empty table.
+        fn new() -> Self {
+            Self::default()
+        }
+
+        /// Posts a receive (appends, like the seed's `posted.push_back`).
+        fn post(&mut self, req: usize, src: SrcSel, tag: Tag) -> RefPostToken {
+            let uid = self.next_uid;
+            self.next_uid += 1;
+            self.q.push_back((uid, req, src, tag));
+            RefPostToken { uid }
+        }
+
+        /// The seed's linear scan over posted receives.
+        fn match_arrival(&mut self, src: NodeId, tag: Tag) -> MatchOutcome<usize> {
+            let mut found = None;
+            let mut scanned = 0usize;
+            for (pos, &(_, req, psrc, ptag)) in self.q.iter().enumerate() {
+                scanned += 1;
+                self.comparisons += 1;
+                if ptag == tag && psrc.matches(src) {
+                    found = Some((pos, req));
+                    break;
+                }
+            }
+            match found {
+                Some((pos, req)) => {
+                    self.q.remove(pos);
+                    MatchOutcome {
+                        found: Some(req),
+                        scanned,
+                    }
+                }
+                None => MatchOutcome {
+                    found: None,
+                    scanned,
+                },
+            }
+        }
+
+        /// The seed's cancellation: `retain` over the whole queue.
+        fn cancel(&mut self, tok: RefPostToken) -> bool {
+            let before = self.q.len();
+            self.comparisons += before as u64;
+            self.q.retain(|&(uid, _, _, _)| uid != tok.uid);
+            self.q.len() != before
+        }
+
+        /// Number of posted receives.
+        fn len(&self) -> usize {
+            self.q.len()
+        }
+
+        /// Entries examined by linear scans so far.
+        fn comparisons(&self) -> u64 {
+            self.comparisons
+        }
+    }
+
+    /// The seed's unexpected-message queue, verbatim.
+    struct RefUnexpTable<T> {
+        q: VecDeque<(NodeId, Tag, T)>,
+    }
+
+    impl<T> RefUnexpTable<T> {
+        /// An empty table.
+        fn new() -> Self {
+            RefUnexpTable { q: VecDeque::new() }
+        }
+
+        /// Appends an arrival.
+        fn push(&mut self, src: NodeId, tag: Tag, item: T) {
+            self.q.push_back((src, tag, item));
+        }
+
+        /// The seed's linear scan-and-remove.
+        fn match_take(&mut self, src: SrcSel, tag: Tag) -> MatchOutcome<T> {
+            let mut found = None;
+            let mut scanned = 0usize;
+            for (pos, (usrc, utag, _)) in self.q.iter().enumerate() {
+                scanned += 1;
+                if *utag == tag && src.matches(*usrc) {
+                    found = Some(pos);
+                    break;
+                }
+            }
+            match found {
+                Some(pos) => {
+                    let (_, _, item) = self.q.remove(pos).expect("scanned position");
+                    MatchOutcome {
+                        found: Some(item),
+                        scanned,
+                    }
+                }
+                None => MatchOutcome {
+                    found: None,
+                    scanned,
+                },
+            }
+        }
+
+        /// The seed's linear probe (no removal).
+        fn probe(&self, src: SrcSel, tag: Tag) -> (Option<&T>, usize) {
+            let mut scanned = 0usize;
+            for (usrc, utag, item) in self.q.iter() {
+                scanned += 1;
+                if *utag == tag && src.matches(*usrc) {
+                    return (Some(item), scanned);
+                }
+            }
+            (None, scanned)
+        }
+
+        /// Number of queued arrivals.
+        fn len(&self) -> usize {
+            self.q.len()
+        }
+
+        /// Whether the queue is empty.
+        fn is_empty(&self) -> bool {
+            self.q.is_empty()
+        }
+    }
 
     #[test]
     fn seqrank_tracks_order_statistics() {
@@ -894,5 +862,91 @@ mod tests {
             "hash matcher not flat: {h64} -> {h1024}"
         );
         assert!(r1024 > r64 * 8.0, "reference should grow linearly");
+    }
+
+    /// Randomized cases per property (as in `tests/proptests.rs`).
+    const CASES: u64 = 32;
+
+    /// The hash-bucketed matchers and the seed's linear-scan reference matchers
+    /// must agree *exactly* — same matched entry, same reference-equivalent
+    /// `scanned` count (the quantity virtual time is charged for), same cancel
+    /// outcomes — under arbitrary interleavings of posts, arrivals, cancels
+    /// (including stale double-cancels) and probes, with wildcard receives
+    /// mixed in.
+    #[test]
+    fn hash_and_reference_matchers_are_order_equivalent() {
+        for case in 0..CASES * 4 {
+            let mut rng = DetRng::seed_from_u64(0x9bad_5eed + case);
+            let mut hp = PostTable::new();
+            let mut rp = RefPostTable::new();
+            let mut hu: UnexpTable<u32> = UnexpTable::new();
+            let mut ru: RefUnexpTable<u32> = RefUnexpTable::new();
+            let mut toks = Vec::new();
+            let mut req = 0usize;
+            let mut item = 0u32;
+            for op in 0..rng.gen_usize(50..400) {
+                let src_sel = |rng: &mut DetRng| {
+                    if rng.gen_bool(0.3) {
+                        SrcSel::Any
+                    } else {
+                        SrcSel::Rank(rng.gen_usize(0..4))
+                    }
+                };
+                match rng.gen_usize(0..6) {
+                    0 | 1 => {
+                        let (src, tag) = (src_sel(&mut rng), rng.gen_range(0..5));
+                        toks.push((hp.post(req, src, tag), rp.post(req, src, tag)));
+                        req += 1;
+                    }
+                    2 => {
+                        let (src, tag) = (rng.gen_usize(0..4), rng.gen_range(0..5));
+                        assert_eq!(
+                            hp.match_arrival(src, tag),
+                            rp.match_arrival(src, tag),
+                            "posted-match diverged (case {case}, op {op})"
+                        );
+                    }
+                    3 => {
+                        if !toks.is_empty() {
+                            // Possibly stale: the post may already have matched
+                            // or been cancelled; both tables must agree anyway.
+                            let (ht, rt) = toks[rng.gen_usize(0..toks.len())];
+                            assert_eq!(
+                                hp.cancel(ht),
+                                rp.cancel(rt),
+                                "cancel diverged (case {case}, op {op})"
+                            );
+                        }
+                    }
+                    4 => {
+                        let (src, tag) = (rng.gen_usize(0..4), rng.gen_range(0..5));
+                        hu.push(src, tag, item);
+                        ru.push(src, tag, item);
+                        item += 1;
+                    }
+                    _ => {
+                        let (src, tag) = (src_sel(&mut rng), rng.gen_range(0..5));
+                        if rng.gen_bool(0.5) {
+                            assert_eq!(
+                                hu.match_take(src, tag),
+                                ru.match_take(src, tag),
+                                "unexpected-match diverged (case {case}, op {op})"
+                            );
+                        } else {
+                            let (a, sa) = hu.probe(src, tag);
+                            let a = a.copied();
+                            let (b, sb) = ru.probe(src, tag);
+                            assert_eq!(
+                                (a, sa),
+                                (b.copied(), sb),
+                                "probe diverged (case {case}, op {op})"
+                            );
+                        }
+                    }
+                }
+                assert_eq!(hp.len(), rp.len(), "post-table sizes (case {case})");
+                assert_eq!(hu.len(), ru.len(), "unexp-table sizes (case {case})");
+            }
+        }
     }
 }

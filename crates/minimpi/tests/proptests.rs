@@ -113,88 +113,3 @@ fn payloads_survive_any_size() {
         assert_eq!(status.data.to_vec(), data, "case {case}");
     }
 }
-
-/// The hash-bucketed matchers and the seed's linear-scan reference matchers
-/// must agree *exactly* — same matched entry, same reference-equivalent
-/// `scanned` count (the quantity virtual time is charged for), same cancel
-/// outcomes — under arbitrary interleavings of posts, arrivals, cancels
-/// (including stale double-cancels) and probes, with wildcard receives
-/// mixed in.
-#[test]
-fn hash_and_reference_matchers_are_order_equivalent() {
-    use amt_minimpi::matcher::{PostTable, RefPostTable, RefUnexpTable, UnexpTable};
-
-    for case in 0..CASES * 4 {
-        let mut rng = DetRng::seed_from_u64(0x9bad_5eed + case);
-        let mut hp = PostTable::new();
-        let mut rp = RefPostTable::new();
-        let mut hu: UnexpTable<u32> = UnexpTable::new();
-        let mut ru: RefUnexpTable<u32> = RefUnexpTable::new();
-        let mut toks = Vec::new();
-        let mut req = 0usize;
-        let mut item = 0u32;
-        for op in 0..rng.gen_usize(50..400) {
-            let src_sel = |rng: &mut DetRng| {
-                if rng.gen_bool(0.3) {
-                    SrcSel::Any
-                } else {
-                    SrcSel::Rank(rng.gen_usize(0..4))
-                }
-            };
-            match rng.gen_usize(0..6) {
-                0 | 1 => {
-                    let (src, tag) = (src_sel(&mut rng), rng.gen_range(0..5));
-                    toks.push((hp.post(req, src, tag), rp.post(req, src, tag)));
-                    req += 1;
-                }
-                2 => {
-                    let (src, tag) = (rng.gen_usize(0..4), rng.gen_range(0..5));
-                    assert_eq!(
-                        hp.match_arrival(src, tag),
-                        rp.match_arrival(src, tag),
-                        "posted-match diverged (case {case}, op {op})"
-                    );
-                }
-                3 => {
-                    if !toks.is_empty() {
-                        // Possibly stale: the post may already have matched
-                        // or been cancelled; both tables must agree anyway.
-                        let (ht, rt) = toks[rng.gen_usize(0..toks.len())];
-                        assert_eq!(
-                            hp.cancel(ht),
-                            rp.cancel(rt),
-                            "cancel diverged (case {case}, op {op})"
-                        );
-                    }
-                }
-                4 => {
-                    let (src, tag) = (rng.gen_usize(0..4), rng.gen_range(0..5));
-                    hu.push(src, tag, item);
-                    ru.push(src, tag, item);
-                    item += 1;
-                }
-                _ => {
-                    let (src, tag) = (src_sel(&mut rng), rng.gen_range(0..5));
-                    if rng.gen_bool(0.5) {
-                        assert_eq!(
-                            hu.match_take(src, tag),
-                            ru.match_take(src, tag),
-                            "unexpected-match diverged (case {case}, op {op})"
-                        );
-                    } else {
-                        let (a, sa) = hu.probe(src, tag);
-                        let a = a.copied();
-                        let (b, sb) = ru.probe(src, tag);
-                        assert_eq!(
-                            (a, sa),
-                            (b.copied(), sb),
-                            "probe diverged (case {case}, op {op})"
-                        );
-                    }
-                }
-            }
-            assert_eq!(hp.len(), rp.len(), "post-table sizes (case {case})");
-            assert_eq!(hu.len(), ru.len(), "unexp-table sizes (case {case})");
-        }
-    }
-}

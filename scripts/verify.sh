@@ -45,13 +45,10 @@ assert fresh["schema"] == "amtlc-bench-comm-v1", fresh.get("schema")
 sizes = ["64", "256", "1024", "4096"]
 assert set(fresh["match_churn"]) == set(sizes)
 # O(1) matching: hash comparisons/match stay flat 64 -> 4096 outstanding
-# receives while the reference linear scan grows roughly linearly.
+# receives.
 h64 = fresh["match_churn"]["64"]["hash_cmp_per_match"]
 h4k = fresh["match_churn"]["4096"]["hash_cmp_per_match"]
-r64 = fresh["match_churn"]["64"]["ref_cmp_per_match"]
-r4k = fresh["match_churn"]["4096"]["ref_cmp_per_match"]
 assert h4k <= 1.5 * h64, f"hash matcher not flat: {h64} -> {h4k}"
-assert r4k >= 8.0 * r64, f"reference unexpectedly sublinear: {r64} -> {r4k}"
 # Allocation budget: fresh (quick) allocs/msg may not regress past the
 # committed full-run columns beyond warm-up tolerance.
 for scen in ("am_flood", "put_rendezvous"):
@@ -71,13 +68,10 @@ fresh = json.load(open(sys.argv[1]))
 committed = json.load(open(sys.argv[2]))
 assert fresh["schema"] == "amtlc-bench-sched-v1", fresh.get("schema")
 assert set(fresh["throughput"]) == {"fine_grained_dag", "tlr_cholesky"}
-# Allocation budget: the dense datapath must stay well under the seed
-# structures on the scheduler-bound scenario (allocation counts are
+# Allocation budget on the scheduler-bound scenario (allocation counts are
 # deterministic, so the margin only absorbs size differences vs the
 # committed full run).
-fg = fresh["throughput"]["fine_grained_dag"]
-ref, dense = fg["reference"]["allocs_per_task"], fg["dense"]["allocs_per_task"]
-assert dense <= 0.7 * ref, f"dense allocs/task {dense} > 0.7x reference {ref}"
+dense = fresh["throughput"]["fine_grained_dag"]["dense"]["allocs_per_task"]
 bound = committed["throughput"]["fine_grained_dag"]["dense"]["allocs_per_task"]
 limit = bound * 1.3 + 1.0
 assert dense <= limit, f"dense allocs/task {dense} > committed bound {limit:.2f}"
@@ -87,7 +81,7 @@ mem = fresh["windowed_memory"]
 ratio = mem["full_unroll_peak_bytes"] / mem["windowed_peak_bytes"]
 assert ratio >= 2.0, f"windowed peak-memory ratio {ratio:.2f} < 2"
 assert committed["windowed_memory"]["ratio"] >= 4.0, "committed ratio < 4"
-print(f"BENCH_sched.json valid; allocs/task {dense:.2f} vs ref {ref:.2f}, "
+print(f"BENCH_sched.json valid; allocs/task {dense:.2f}, "
       f"quick window ratio {ratio:.1f}x")
 PY
 
@@ -307,8 +301,9 @@ assert m["substrate"] == "virtual" and m["makespan_ns"] > 0
 print("simulator accepted the measured cost model (valid virtual run)")
 PY
 
-echo "== removed forks stay removed: island DES, tuner window loops, offline grid =="
+echo "== removed forks stay removed: island DES, tuner window loops, offline grid, seed scheduler, per-tag windows =="
 if grep -rn -e 'execute_islands\|new_partition\|RemoteChunk\|run_before\|TuneProfile\|WindowState\|--tuned\|--islands\|--autotune-out' \
+        -e 'reference_sched\|RefDataState\|ReadyQueue::Reference\|batch_window_overrides\|with_batch_window_override\|batch_window_for\|get_window_min_flows' \
         crates/ examples/ tests/ src/ scripts/ --exclude=verify.sh; then
     echo "a removed name is back"; exit 1
 fi
