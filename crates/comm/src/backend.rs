@@ -6,6 +6,15 @@
 //! the construction factory. Adding a backend means writing one implementor
 //! and one factory arm; the engine, the micro-task actor, and every consumer
 //! above stay untouched.
+//!
+//! Backend work reaches the communication thread as plain `u32` codes on
+//! the engine's micro-task queue, never as boxes. A micro-task that carries
+//! data (an AM callback, a put completion, a completed MPI request) leaves
+//! that data at the front of a FIFO the backend owns and queues its code;
+//! since the engine queue is strictly first-in first-out, the `n`-th code
+//! of a kind always finds the `n`-th entry of its FIFO. Only a retried
+//! command still travels boxed ([`BackendTask`]): it is rare, and it must
+//! re-enter the engine's command queue at the front.
 
 use std::any::Any;
 use std::rc::Rc;
@@ -23,26 +32,10 @@ use crate::lci_direct::LciDirect;
 use crate::mpi_backend::MpiBackend;
 use crate::stats::EngineStats;
 
-/// A backend-private unit of work carried through the engine's generic
-/// command and micro-task queues. The owning backend downcasts it back in
-/// [`CommBackend::exec_micro`] / [`CommBackend::exec_command`].
+/// A backend-private command carried through the engine's command queue
+/// (a send that hit back-pressure and awaits retry). The owning backend
+/// downcasts it back in [`CommBackend::exec_command`].
 pub(crate) type BackendTask = Box<dyn Any>;
-
-/// A backend micro-task as returned by [`CommBackend::next_micro`]. The
-/// common recurring tasks (a progress sweep, a FIFO round) carry no data, so
-/// they travel as a plain code instead of a boxed `Any` — one less heap
-/// allocation per communication-thread round.
-pub(crate) enum BackendMicro {
-    /// Data-less micro-task, identified by a backend-private code; executed
-    /// via [`CommBackend::exec_micro_unit`].
-    Unit(u32),
-    /// Micro-task carrying data; executed via [`CommBackend::exec_micro`].
-    /// The in-tree backends queue their data-carrying micro-tasks directly
-    /// on the engine, so none constructs this today — it stays as the seam
-    /// for backends whose recurring work must carry state.
-    #[allow(dead_code)]
-    Task(BackendTask),
-}
 
 /// One communication library under the engine. All methods take the engine
 /// by `&Rc` so implementors can reach the shared actor state (`eng.inner`),
@@ -98,34 +91,22 @@ pub(crate) trait CommBackend {
     /// Start a one-sided put from the communication thread.
     fn issue_put(&self, eng: &Rc<CommEngine>, sim: &mut Sim, req: PutRequest) -> SimTime;
 
-    /// Pull the backend's next micro-task, if it has one ready. Called by
-    /// the actor after the generic queues (pending micro-tasks, submitted
-    /// commands) are empty.
-    fn next_micro(&self, eng: &CommEngine) -> Option<BackendMicro>;
+    /// Pull the backend's next micro-task, if it has one ready, as a
+    /// backend-private code. Called by the actor after the generic queues
+    /// (pending micro-tasks, submitted commands) are empty.
+    fn next_micro(&self, eng: &CommEngine) -> Option<u32>;
 
-    /// Execute one backend micro-task previously returned by
-    /// [`Self::next_micro`] or queued by the backend itself.
-    fn exec_micro(&self, eng: &Rc<CommEngine>, sim: &mut Sim, task: BackendTask) -> SimTime;
+    /// Execute one backend micro-task, identified by the code it was
+    /// queued under (via [`Self::next_micro`] or a `Micro::BackendUnit`
+    /// the backend pushed itself). A micro-task that carries data finds it
+    /// at the front of the backend's own FIFO for that code: the engine's
+    /// micro-task queue is only ever pushed at the back and popped at the
+    /// front, so codes and FIFO entries pair up in order.
+    fn exec_micro_unit(&self, eng: &Rc<CommEngine>, sim: &mut Sim, code: u32) -> SimTime;
 
-    /// Execute one data-less backend micro-task previously returned by
-    /// [`Self::next_micro`] as [`BackendMicro::Unit`].
-    fn exec_micro_unit(&self, eng: &Rc<CommEngine>, sim: &mut Sim, code: u32) -> SimTime {
-        let _ = (eng, sim, code);
-        panic!("backend issued no unit micro-tasks but one arrived");
-    }
-
-    /// A short static label for a backend micro-task, used to name its span
+    /// A short static label for a backend micro-task code, naming its span
     /// on the communication-thread trace track.
-    fn micro_label(&self, task: &BackendTask) -> &'static str {
-        let _ = task;
-        "backend"
-    }
-
-    /// A short static label for a data-less backend micro-task.
-    fn micro_unit_label(&self, code: u32) -> &'static str {
-        let _ = code;
-        "backend"
-    }
+    fn micro_unit_label(&self, code: u32) -> &'static str;
 
     /// Execute one backend command the backend queued for retry (e.g. a
     /// send that hit back-pressure). Backends that never queue commands

@@ -7,16 +7,17 @@
 //! [`crate::BackendKind`] anywhere in this file.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use amt_netmodel::{FabricHandle, NodeId};
 use amt_simnet::{
-    shared, CoreHandle, CoreResource, MetricsRegistry, OverlapTracker, Shared, Sim, SimTime, Trace,
+    shared, CoreHandle, CoreResource, FastMap, MetricsRegistry, OverlapTracker, Shared, Sim,
+    SimTime, Trace,
 };
 use bytes::{BufPool, Bytes, Frames};
 
-use crate::backend::{make_backends, BackendMicro, BackendTask, CommBackend};
+use crate::backend::{make_backends, BackendTask, CommBackend};
 use crate::config::{BackendKind, EngineConfig, CMD_OVERHEAD, WAKE_LATENCY};
 use crate::stats::EngineStats;
 use crate::tune::Tuner;
@@ -99,12 +100,10 @@ pub(crate) enum Command {
 pub(crate) enum Micro {
     /// Drain the submitted-command queue.
     Commands,
-    /// A backend-private micro-task (a progress sweep, a completion
-    /// callback, a FIFO round, ...). Executed via
-    /// [`CommBackend::exec_micro`].
-    Backend(BackendTask),
-    /// A data-less backend micro-task identified by a backend-private
-    /// code — avoids a `Box<dyn Any>` allocation per round. Executed via
+    /// A backend micro-task (a progress sweep, a completion callback, a
+    /// FIFO round, ...) identified by a backend-private code. A micro-task
+    /// that carries data keeps it in the backend's own FIFO, pushed in step
+    /// with this code, so nothing here is boxed. Executed via
     /// [`CommBackend::exec_micro_unit`].
     BackendUnit(u32),
 }
@@ -125,19 +124,21 @@ pub(crate) struct AmBatch {
 }
 
 pub(crate) struct Inner {
-    pub am_cbs: HashMap<u64, AmCallback>,
-    pub onesided_cbs: HashMap<u64, OnesidedCallback>,
+    pub am_cbs: FastMap<u64, AmCallback>,
+    pub onesided_cbs: FastMap<u64, OnesidedCallback>,
     pub pending: VecDeque<Command>,
+    /// Only ever `push_back` / `pop_front`: backends pair each
+    /// [`Micro::BackendUnit`] code with the front of their own FIFO.
     pub micro: VecDeque<Micro>,
     /// Open batching buffers (only when `cfg.batch_window_ns > 0`).
-    pub(crate) batch: HashMap<(NodeId, u64), AmBatch>,
+    pub(crate) batch: FastMap<(NodeId, u64), AmBatch>,
     pub(crate) batch_gen: u64,
     /// When the last batch to each `(destination, tag)` left for the wire.
     /// The window is a *rate limit* anchored here: a record to a link that
     /// has been quiet for a window flushes at the end of the current
     /// instant (zero added latency), a record to a hot link waits until a
     /// full window has passed since the previous flush.
-    pub(crate) batch_last_flush: HashMap<(NodeId, u64), SimTime>,
+    pub(crate) batch_last_flush: FastMap<(NodeId, u64), SimTime>,
     /// A charge is in flight on the communication core.
     pub busy: bool,
     /// The communication thread is parked, waiting for a waker.
@@ -185,7 +186,7 @@ pub struct CommEngine {
     pool: BufPool,
     /// Human-readable labels per registered AM tag, for the per-class
     /// `msg.<class>.msgs_on_wire` / `records_per_msg` metrics.
-    tag_labels: RefCell<HashMap<u64, &'static str>>,
+    tag_labels: RefCell<FastMap<u64, &'static str>>,
     /// Self-tuning controller (`cfg.tune.enabled`): per-destination AIMD
     /// adaptation of the eager-put threshold, stepped lazily on the
     /// submission paths.
@@ -225,7 +226,7 @@ impl CommWorld {
                 cmdq_name: format!("n{node}.cmdq"),
                 puts_name: format!("n{node}.puts"),
                 pool: BufPool::new(64),
-                tag_labels: RefCell::new(HashMap::new()),
+                tag_labels: RefCell::new(FastMap::default()),
                 tuner,
             });
             eng.backend.init(&eng, sim);
@@ -238,13 +239,13 @@ impl CommWorld {
 impl Inner {
     fn new() -> Self {
         Inner {
-            am_cbs: HashMap::new(),
-            onesided_cbs: HashMap::new(),
+            am_cbs: FastMap::default(),
+            onesided_cbs: FastMap::default(),
             pending: VecDeque::new(),
             micro: VecDeque::new(),
-            batch: HashMap::new(),
+            batch: FastMap::default(),
             batch_gen: 0,
-            batch_last_flush: HashMap::new(),
+            batch_last_flush: FastMap::default(),
             busy: false,
             idle: true,
             in_ctx: false,
@@ -686,10 +687,7 @@ impl CommEngine {
                 return Some(Micro::Commands);
             }
         }
-        self.backend.next_micro(self).map(|m| match m {
-            BackendMicro::Unit(c) => Micro::BackendUnit(c),
-            BackendMicro::Task(t) => Micro::Backend(t),
-        })
+        self.backend.next_micro(self).map(Micro::BackendUnit)
     }
 
     /// Run the communication thread until it has no work: each micro-task's
@@ -711,7 +709,6 @@ impl CommEngine {
         }
         let label = match &task {
             Micro::Commands => "commands",
-            Micro::Backend(t) => eng.backend.micro_label(t),
             Micro::BackendUnit(c) => eng.backend.micro_unit_label(*c),
         };
         let round_start = sim.now();
@@ -746,7 +743,6 @@ impl CommEngine {
     fn execute_micro(self: &Rc<Self>, sim: &mut Sim, task: Micro) -> SimTime {
         match task {
             Micro::Commands => self.exec_commands(sim),
-            Micro::Backend(t) => self.backend.exec_micro(self, sim, t),
             Micro::BackendUnit(c) => self.backend.exec_micro_unit(self, sim, c),
         }
     }

@@ -3,15 +3,15 @@
 //! `putd` machinery the [`crate::lci_direct`] backend builds on.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
 use amt_lci::{AmMsg, Lci, LciError, OnComplete, PutMsg};
 use amt_netmodel::NodeId;
-use amt_simnet::{Counter, Sim, SimTime};
+use amt_simnet::{Counter, FastMap, Sim, SimTime};
 use bytes::{Bytes, Frames};
 
-use crate::backend::{BackendMicro, BackendTask, CommBackend};
+use crate::backend::{BackendTask, CommBackend};
 use crate::config::{BackendKind, EngineConfig, CMD_OVERHEAD, FIFO_POP, WAKE_LATENCY};
 use crate::engine::{
     dispatch_am, dispatch_onesided, dispatch_put_local, AmEvent, CommEngine, Command, Micro,
@@ -42,8 +42,6 @@ struct QueuedAm {
 
 /// A bulk-data completion queued for the communication thread.
 enum DataDone {
-    /// Small put sent eagerly inside the handshake: origin-side completion.
-    LocalEager(Option<PutLocalCb>),
     /// Direct-send local completion at the origin.
     Local { rtag: u64 },
     /// Data arrived at the target (eagerly or via direct receive).
@@ -67,18 +65,14 @@ struct DelegatedRecv {
     cb_data: Bytes,
 }
 
-/// Unit micro-task codes ([`BackendMicro::Unit`] — no boxed allocation for
-/// the recurring data-less rounds).
+/// Micro-task codes, queued on the engine as `Micro::BackendUnit`. The
+/// last three each run the front entry of one FIFO: `am_fifo`,
+/// `data_fifo`, `eager_done`.
 const MICRO_FIFO_ROUND: u32 = 0;
 const MICRO_DELEGATED: u32 = 1;
-
-/// The LCI backend's private data-carrying micro-tasks.
-enum LciMicro {
-    /// One queued AM callback.
-    Am(QueuedAm),
-    /// One bulk-data completion callback.
-    Data(DataDone),
-}
+const MICRO_AM: u32 = 2;
+const MICRO_DATA: u32 = 3;
+const MICRO_EAGER_DONE: u32 = 4;
 
 /// The LCI backend's private retriable commands.
 enum LciCmd {
@@ -96,11 +90,20 @@ enum LciCmd {
 struct LciState {
     am_fifo: VecDeque<QueuedAm>,
     data_fifo: VecDeque<DataDone>,
+    /// Front entries of `am_fifo` / `data_fifo` a fairness round already
+    /// queued as `MICRO_AM` / `MICRO_DATA` codes. Entries leave only from
+    /// the front, when their code runs, so the claimed ones stay in place
+    /// until then.
+    am_claimed: usize,
+    data_claimed: usize,
+    /// Origin-side completions of puts whose data rode eagerly in the
+    /// handshake, one per queued `MICRO_EAGER_DONE` code.
+    eager_done: VecDeque<PutLocalCb>,
     delegated: VecDeque<DelegatedRecv>,
     /// Retry delegated receives on the next communication-thread visit
     /// (set by the backend waker when resources may have freed).
     retry_wanted: bool,
-    origin_puts: HashMap<u64, Option<PutLocalCb>>,
+    origin_puts: FastMap<u64, Option<PutLocalCb>>,
     put_seq: u64,
     progress_busy: bool,
     /// Times the progress thread delegated a receive to the communication
@@ -364,38 +367,27 @@ impl LciBackend {
     }
 
     /// One §5.3.4 fairness round: up to `am_batch` AM completions, then all
-    /// bulk-data completions; repeat while anything was processed.
+    /// bulk-data completions; repeat while anything was processed. Each
+    /// completion becomes one micro-task code; its entry stays at its
+    /// FIFO's front until the code runs.
     fn exec_fifo_round(&self, eng: &Rc<CommEngine>) -> SimTime {
-        let mut cost = FIFO_POP;
-        let mut popped = false;
         let mut st = self.st.borrow_mut();
         let mut inner = eng.inner.borrow_mut();
-        for _ in 0..eng.cfg.am_batch {
-            match st.am_fifo.pop_front() {
-                Some(a) => {
-                    inner
-                        .micro
-                        .push_back(Micro::Backend(Box::new(LciMicro::Am(a))));
-                    cost += FIFO_POP;
-                    popped = true;
-                }
-                None => break,
-            }
-        }
-        while let Some(d) = st.data_fifo.pop_front() {
-            inner
-                .micro
-                .push_back(Micro::Backend(Box::new(LciMicro::Data(d))));
-            cost += FIFO_POP;
-            popped = true;
-        }
+        let ams = (st.am_fifo.len() - st.am_claimed).min(eng.cfg.am_batch);
+        let datas = st.data_fifo.len() - st.data_claimed;
+        st.am_claimed += ams;
+        st.data_claimed += datas;
+        let codes =
+            std::iter::repeat_n(MICRO_AM, ams).chain(std::iter::repeat_n(MICRO_DATA, datas));
+        inner.micro.extend(codes.map(Micro::BackendUnit));
         if std::mem::take(&mut st.retry_wanted) && !st.delegated.is_empty() {
             inner.micro.push_back(Micro::BackendUnit(MICRO_DELEGATED));
         }
-        if popped {
+        if ams + datas > 0 {
             inner.micro.push_back(Micro::BackendUnit(MICRO_FIFO_ROUND));
         }
-        cost
+        // One pop per completion plus the final empty probe.
+        FIFO_POP * (1 + ams + datas) as u64
     }
 
     /// Run one queued AM callback and release its receive packet.
@@ -411,10 +403,6 @@ impl LciBackend {
     /// Run one bulk-data completion callback.
     fn exec_data(&self, eng: &Rc<CommEngine>, sim: &mut Sim, d: DataDone) -> SimTime {
         match d {
-            DataDone::LocalEager(cb) => {
-                let cb = cb.expect("local completion consumed twice");
-                dispatch_put_local(eng, sim, cb)
-            }
             DataDone::Local { rtag } => {
                 let cb = self
                     .st
@@ -637,12 +625,11 @@ impl CommBackend for LciBackend {
                     eng.wire_add(dst, sim.now(), 1);
                     // Data copied into the packet: local completion
                     // immediate.
+                    self.st.borrow_mut().eager_done.push_back(on_local);
                     eng.inner
                         .borrow_mut()
                         .micro
-                        .push_back(Micro::Backend(Box::new(LciMicro::Data(
-                            DataDone::LocalEager(Some(on_local)),
-                        ))));
+                        .push_back(Micro::BackendUnit(MICRO_EAGER_DONE));
                     c
                 }
                 Err(LciError::Retry) => {
@@ -767,38 +754,40 @@ impl CommBackend for LciBackend {
         }
     }
 
-    fn next_micro(&self, eng: &CommEngine) -> Option<BackendMicro> {
+    fn next_micro(&self, eng: &CommEngine) -> Option<u32> {
         let _ = eng;
         let st = self.st.borrow();
-        if !st.am_fifo.is_empty()
-            || !st.data_fifo.is_empty()
-            || (st.retry_wanted && !st.delegated.is_empty())
-        {
-            return Some(BackendMicro::Unit(MICRO_FIFO_ROUND));
-        }
-        None
-    }
-
-    fn exec_micro(&self, eng: &Rc<CommEngine>, sim: &mut Sim, task: BackendTask) -> SimTime {
-        match *task.downcast::<LciMicro>().expect("foreign micro-task") {
-            LciMicro::Am(a) => self.exec_am(eng, sim, a),
-            LciMicro::Data(d) => self.exec_data(eng, sim, d),
-        }
+        (st.am_fifo.len() > st.am_claimed
+            || st.data_fifo.len() > st.data_claimed
+            || (st.retry_wanted && !st.delegated.is_empty()))
+        .then_some(MICRO_FIFO_ROUND)
     }
 
     fn exec_micro_unit(&self, eng: &Rc<CommEngine>, sim: &mut Sim, code: u32) -> SimTime {
         match code {
             MICRO_FIFO_ROUND => self.exec_fifo_round(eng),
             MICRO_DELEGATED => self.exec_delegated(eng, sim),
-            c => panic!("unknown unit micro-task code {c}"),
-        }
-    }
-
-    fn micro_label(&self, task: &BackendTask) -> &'static str {
-        match task.downcast_ref::<LciMicro>() {
-            Some(LciMicro::Am(_)) => "am",
-            Some(LciMicro::Data(_)) => "data",
-            None => "backend",
+            MICRO_AM => {
+                let a = {
+                    let mut st = self.st.borrow_mut();
+                    st.am_claimed -= 1;
+                    st.am_fifo.pop_front().expect("claimed AM")
+                };
+                self.exec_am(eng, sim, a)
+            }
+            MICRO_DATA => {
+                let d = {
+                    let mut st = self.st.borrow_mut();
+                    st.data_claimed -= 1;
+                    st.data_fifo.pop_front().expect("claimed data completion")
+                };
+                self.exec_data(eng, sim, d)
+            }
+            MICRO_EAGER_DONE => {
+                let cb = self.st.borrow_mut().eager_done.pop_front();
+                dispatch_put_local(eng, sim, cb.expect("queued eager completion"))
+            }
+            c => panic!("unknown micro-task code {c}"),
         }
     }
 
@@ -806,6 +795,8 @@ impl CommBackend for LciBackend {
         match code {
             MICRO_FIFO_ROUND => "fifo_round",
             MICRO_DELEGATED => "delegated",
+            MICRO_AM => "am",
+            MICRO_DATA | MICRO_EAGER_DONE => "data",
             _ => "backend",
         }
     }

@@ -28,7 +28,7 @@ use amt_netmodel::NodeId;
 use amt_simnet::{CoreHandle, Sim, SimTime};
 use bytes::{Bytes, Frames};
 
-use crate::backend::{BackendMicro, BackendTask, CommBackend};
+use crate::backend::{BackendTask, CommBackend};
 use crate::config::{BackendKind, EngineConfig};
 use crate::engine::{CommEngine, PutRequest};
 use crate::lci_backend::LciBackend;
@@ -96,20 +96,12 @@ impl CommBackend for LciDirect {
         }
     }
 
-    fn next_micro(&self, eng: &CommEngine) -> Option<BackendMicro> {
+    fn next_micro(&self, eng: &CommEngine) -> Option<u32> {
         self.base.next_micro(eng)
-    }
-
-    fn exec_micro(&self, eng: &Rc<CommEngine>, sim: &mut Sim, task: BackendTask) -> SimTime {
-        self.base.exec_micro(eng, sim, task)
     }
 
     fn exec_micro_unit(&self, eng: &Rc<CommEngine>, sim: &mut Sim, code: u32) -> SimTime {
         self.base.exec_micro_unit(eng, sim, code)
-    }
-
-    fn micro_label(&self, task: &BackendTask) -> &'static str {
-        self.base.micro_label(task)
     }
 
     fn micro_unit_label(&self, code: u32) -> &'static str {

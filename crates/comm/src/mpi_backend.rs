@@ -3,15 +3,15 @@
 //! `Testsome`, inline callbacks, deferred sends and dynamic receives.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
 use amt_minimpi::{Completion, Mpi, ReqId, SrcSel};
 use amt_netmodel::NodeId;
-use amt_simnet::{CoreHandle, CoreResource, Counter, Sim, SimTime};
+use amt_simnet::{CoreHandle, CoreResource, Counter, FastMap, Sim, SimTime};
 use bytes::{Bytes, Frames};
 
-use crate::backend::{BackendMicro, BackendTask, CommBackend};
+use crate::backend::CommBackend;
 use crate::config::{BackendKind, CMD_OVERHEAD};
 use crate::engine::{
     dispatch_am, dispatch_onesided, dispatch_put_local, AmEvent, CommEngine, Micro, PutEvent,
@@ -25,17 +25,10 @@ pub(crate) const HS_TAG: u64 = RESERVED_TAG_BASE;
 /// Data-transfer tags: `DATA_TAG_BASE + put_id`, unique per origin.
 pub(crate) const DATA_TAG_BASE: u64 = RESERVED_TAG_BASE + 1;
 
-/// Unit micro-task code: one `Testsome` sweep over the global request
-/// array. Data-less, so it travels as [`BackendMicro::Unit`] — no boxed
-/// allocation per progress round.
+/// Micro-task code: one `Testsome` sweep over the global request array.
 const MICRO_PROGRESS: u32 = 0;
-
-/// The MPI backend's private data-carrying micro-tasks, carried through the
-/// engine's generic queue as [`BackendTask`]s.
-enum MpiMicro {
-    /// One completed request's callback work.
-    Completion(Completion),
-}
+/// Micro-task code: run the front entry of [`MpiState::completions`].
+const MICRO_COMPLETION: u32 = 1;
 
 enum TrackKind {
     /// A persistent AM receive for `tag`.
@@ -72,10 +65,13 @@ struct MpiState {
     deferred_puts: VecDeque<(u64, PutRequest)>,
     /// Sequence source for FIFO promotion ordering.
     next_seq: u64,
+    /// Completed requests a sweep found, one per queued
+    /// `MICRO_COMPLETION` code, in order.
+    completions: VecDeque<Completion>,
     /// Origin-side put completions by put id.
-    origin_puts: HashMap<u64, Option<PutLocalCb>>,
+    origin_puts: FastMap<u64, Option<PutLocalCb>>,
     /// Target-side put metadata by (origin, data tag).
-    target_puts: HashMap<(NodeId, u64), TargetPut>,
+    target_puts: FastMap<(NodeId, u64), TargetPut>,
     put_seq: u64,
     /// A `Testsome` sweep is wanted (set by the backend waker).
     progress_queued: bool,
@@ -141,11 +137,11 @@ impl MpiBackend {
         let (completions, cost) = self.mpi.testsome(sim, &reqs);
         self.st.borrow_mut().req_scratch = reqs;
         if !completions.is_empty() {
+            let mut st = self.st.borrow_mut();
             let mut inner = eng.inner.borrow_mut();
             for c in completions {
-                inner
-                    .micro
-                    .push_back(Micro::Backend(Box::new(MpiMicro::Completion(c))));
+                st.completions.push_back(c);
+                inner.micro.push_back(Micro::BackendUnit(MICRO_COMPLETION));
             }
             inner.micro.push_back(Micro::BackendUnit(MICRO_PROGRESS));
         }
@@ -467,37 +463,32 @@ impl CommBackend for MpiBackend {
         self.start_put(eng, sim, req)
     }
 
-    fn next_micro(&self, eng: &CommEngine) -> Option<BackendMicro> {
+    fn next_micro(&self, eng: &CommEngine) -> Option<u32> {
         let _ = eng;
-        let mut st = self.st.borrow_mut();
-        if st.progress_queued {
-            st.progress_queued = false;
-            return Some(BackendMicro::Unit(MICRO_PROGRESS));
-        }
-        None
-    }
-
-    fn exec_micro(&self, eng: &Rc<CommEngine>, sim: &mut Sim, task: BackendTask) -> SimTime {
-        match *task.downcast::<MpiMicro>().expect("foreign micro-task") {
-            MpiMicro::Completion(c) => self.exec_completion(eng, sim, c),
-        }
+        std::mem::take(&mut self.st.borrow_mut().progress_queued).then_some(MICRO_PROGRESS)
     }
 
     fn exec_micro_unit(&self, eng: &Rc<CommEngine>, sim: &mut Sim, code: u32) -> SimTime {
-        debug_assert_eq!(code, MICRO_PROGRESS);
-        self.exec_progress(eng, sim)
-    }
-
-    fn micro_label(&self, task: &BackendTask) -> &'static str {
-        match task.downcast_ref::<MpiMicro>() {
-            Some(MpiMicro::Completion(_)) => "completion",
-            None => "backend",
+        match code {
+            MICRO_PROGRESS => self.exec_progress(eng, sim),
+            MICRO_COMPLETION => {
+                let c = self.st.borrow_mut().completions.pop_front();
+                self.exec_completion(
+                    eng,
+                    sim,
+                    c.expect("completion micro-task without a completion"),
+                )
+            }
+            c => panic!("unknown micro-task code {c}"),
         }
     }
 
     fn micro_unit_label(&self, code: u32) -> &'static str {
-        debug_assert_eq!(code, MICRO_PROGRESS);
-        "testsome"
+        match code {
+            MICRO_PROGRESS => "testsome",
+            MICRO_COMPLETION => "completion",
+            _ => "backend",
+        }
     }
 
     fn serializing_lock(&self) -> Option<CoreHandle> {

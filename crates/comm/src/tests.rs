@@ -769,3 +769,68 @@ fn dropping_the_engines_frees_the_world_on_every_backend() {
         );
     }
 }
+
+/// Backend micro-tasks carry their data in the backend's own FIFO and only
+/// a code on the engine queue; each span on the communication track is
+/// labelled from that code. Span counts per label must equal the work
+/// items behind them: one `am` per user AM and one `data` per put
+/// completion (origin and target) on LCI, one `completion` per completed
+/// request — user AM, handshake, data send, data receive — on MPI.
+#[test]
+fn comm_thread_spans_count_one_per_backend_micro_task() {
+    for mut cfg in all_backends() {
+        let backend = cfg.backend;
+        cfg.trace = true;
+        let (mut sim, engines) = setup(2, cfg);
+        engines[1].register_am(&mut sim, 7, Rc::new(|_s, _e, _ev| SimTime::from_ns(50)));
+        engines[1].register_onesided(1, Rc::new(|_s, _e, _ev| SimTime::ZERO));
+        for i in 0..12u8 {
+            engines[0].send_am_opts(&mut sim, 1, 7, 8, Some(Bytes::from(vec![i; 8])), false);
+        }
+        // Eager (small) and rendezvous (large) puts.
+        for size in [256usize, 1 << 20, 512, 3 << 20] {
+            engines[0].put(
+                &mut sim,
+                PutRequest {
+                    dst: 1,
+                    size,
+                    data: None,
+                    r_tag: 1,
+                    cb_data: Bytes::new(),
+                    on_local: Box::new(|_s, _e| SimTime::ZERO),
+                },
+            );
+        }
+        sim.run();
+
+        let spans = |label: &str| -> u64 {
+            engines
+                .iter()
+                .map(|e| {
+                    let track = format!("n{}.comm", e.node());
+                    let tr = e.trace_handle();
+                    let n = tr
+                        .borrow()
+                        .spans()
+                        .iter()
+                        .filter(|s| s.track == track && s.name == label)
+                        .count();
+                    n as u64
+                })
+                .sum()
+        };
+        let ams = engines[1].stats().am_received.get();
+        let local = engines[0].stats().puts_local_done.get();
+        let remote = engines[1].stats().puts_remote_done.get();
+        assert_eq!((ams, local, remote), (12, 4, 4), "{backend}");
+        if backend == BackendKind::Mpi {
+            assert_eq!(spans("completion"), ams + local + 2 * remote, "{backend}");
+            assert_eq!(spans("am") + spans("data"), 0, "{backend}");
+        } else {
+            assert_eq!(spans("am"), ams, "{backend}");
+            assert_eq!(spans("data"), local + remote, "{backend}");
+            assert_eq!(spans("completion"), 0, "{backend}");
+        }
+        assert_eq!(spans("backend"), 0, "{backend}: unlabelled micro-task");
+    }
+}

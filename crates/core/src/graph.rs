@@ -19,6 +19,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use amt_netmodel::NodeId;
+use amt_simnet::FastMap;
 use bytes::Bytes;
 
 /// User-level datum identifier (e.g. a tile index).
@@ -54,7 +55,7 @@ pub(crate) struct ChunkVec<T> {
     /// Long-lived survivors relocated out of freed chunks by
     /// [`ChunkVec::free_chunk_keeping`]; resolved transparently by
     /// [`ChunkVec::get`] / [`ChunkVec::get_mut`].
-    evacuated: HashMap<usize, T>,
+    evacuated: FastMap<usize, T>,
     len: usize,
 }
 
@@ -62,7 +63,7 @@ impl<T> ChunkVec<T> {
     pub fn new() -> Self {
         ChunkVec {
             chunks: Vec::new(),
-            evacuated: HashMap::new(),
+            evacuated: FastMap::default(),
             len: 0,
         }
     }
@@ -479,7 +480,7 @@ pub trait GraphSource {
 pub struct GraphBuilder {
     nodes: usize,
     graph: GraphHandle,
-    current: HashMap<DataKey, VersionId>,
+    current: FastMap<DataKey, VersionId>,
     /// When enabled, versions whose `current` slot was overwritten by a
     /// later write are logged here (windowed-mode retirement feed).
     track_superseded: bool,
@@ -498,7 +499,7 @@ impl GraphBuilder {
         GraphBuilder {
             nodes,
             graph,
-            current: HashMap::new(),
+            current: FastMap::default(),
             track_superseded: false,
             superseded: Vec::new(),
         }

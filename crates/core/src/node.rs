@@ -28,7 +28,7 @@ use std::rc::Rc;
 
 use amt_comm::{AmEvent, CommEngine, PutEvent, PutRequest};
 use amt_netmodel::NodeId;
-use amt_simnet::{CoreHandle, OnlineStats, OverlapTracker, Shared, Sim, SimTime, Trace};
+use amt_simnet::{CoreHandle, FastMap, OnlineStats, OverlapTracker, Shared, Sim, SimTime, Trace};
 use bytes::Bytes;
 
 use crate::config::{ClusterConfig, ExecMode};
@@ -69,25 +69,25 @@ const V_PRESENT_DATA: u8 = 3;
 /// the same state machine — scheduling is byte-identical.
 enum VersionStates {
     Dense(Vec<u8>),
-    Sparse(HashMap<usize, u8>),
+    Sparse(FastMap<usize, u8>),
 }
 
 /// Per-version data-presence table: state bytes plus payload bytes in a
 /// side map for the versions that carry them.
 struct VersionStore {
     state: VersionStates,
-    payloads: HashMap<usize, Bytes>,
+    payloads: FastMap<usize, Bytes>,
 }
 
 impl VersionStore {
     fn new(flyweight: bool) -> VersionStore {
         VersionStore {
             state: if flyweight {
-                VersionStates::Sparse(HashMap::new())
+                VersionStates::Sparse(FastMap::default())
             } else {
                 VersionStates::Dense(Vec::new())
             },
-            payloads: HashMap::new(),
+            payloads: FastMap::default(),
         }
     }
 
@@ -210,7 +210,7 @@ struct NodeState {
     inflight_gets: usize,
     inflight_get_bytes: usize,
     /// Multicast subtrees to forward once the version's data arrives.
-    pending_forwards: HashMap<usize, (Vec<u32>, i64, u64)>,
+    pending_forwards: FastMap<usize, (Vec<u32>, i64, u64)>,
     /// Entry count of `pending_forwards`; gates the per-arrival map lookup
     /// (zero for every workload that doesn't use multicast trees).
     forwards_pending: usize,
@@ -218,7 +218,7 @@ struct NodeState {
     executed: u64,
     worker_busy: SimTime,
     /// Per task-class execution counts and busy time.
-    class_stats: HashMap<&'static str, (u64, SimTime)>,
+    class_stats: FastMap<&'static str, (u64, SimTime)>,
     /// End-to-end latency per flow: ACTIVATE send → data arrival (§6.4.2).
     e2e: OnlineStats,
     /// Individual ACTIVATE message latency (§6.4.3).
@@ -235,6 +235,9 @@ struct NodeState {
     inputs_scratch: Vec<Bytes>,
     /// ACTIVATE destination-grouping scratch.
     dests_scratch: Vec<(NodeId, i64)>,
+    /// Control-flow ACTIVATEs an arriving message satisfied, released once
+    /// the message is decoded.
+    ctl_scratch: Vec<ActivateRec>,
     /// Epoch-stamped best-priority-per-node table for `announce` grouping.
     node_best: Vec<(u64, i64)>,
     node_epoch: u64,
@@ -311,12 +314,12 @@ impl NodeRt {
                 pending_gets: BucketQueue::new(),
                 inflight_gets: 0,
                 inflight_get_bytes: 0,
-                pending_forwards: HashMap::new(),
+                pending_forwards: FastMap::default(),
                 forwards_pending: 0,
                 seq: 0,
                 executed: 0,
                 worker_busy: SimTime::ZERO,
-                class_stats: HashMap::new(),
+                class_stats: FastMap::default(),
                 e2e: OnlineStats::new(),
                 msg_lat: OnlineStats::new(),
                 req_lat: OnlineStats::new(),
@@ -324,6 +327,7 @@ impl NodeRt {
                 overlap,
                 inputs_scratch: Vec::new(),
                 dests_scratch: Vec::new(),
+                ctl_scratch: Vec::new(),
                 // Grown on demand in `announce` — nodes that never send a
                 // wide announce (most of a 1024-node cluster) keep it empty
                 // instead of O(nodes) each.
@@ -680,17 +684,12 @@ impl NodeRt {
     /// announced flow and request it now or defer it behind the in-flight
     /// window (§4.1).
     pub fn on_activate(rt: &RtHandle, sim: &mut Sim, ev: AmEvent) -> SimTime {
-        let recs: Vec<_> = ActivateRec::iter_frames(&ev.data).collect();
-        // The arrival buffers are dead after decoding: feed them back to the
-        // engine's pool so outgoing encodes reuse them instead of
-        // allocating.
-        rt.engine.buf_pool().recycle_frames(ev.data);
         let mut cost = SimTime::ZERO;
         {
             let mut s = rt.state.borrow_mut();
             let now_ns = sim.now().as_ns();
-            let mut ctl_released = Vec::new();
-            for rec in &recs {
+            let mut ctl_released = std::mem::take(&mut s.ctl_scratch);
+            for rec in ActivateRec::iter_frames(&ev.data) {
                 cost += rt.cfg.cost.activate_record_cost;
                 s.msg_lat.record(
                     (SimTime::from_ns(now_ns) - SimTime::from_ns(rec.sent_at_ns)).as_us_f64(),
@@ -706,14 +705,14 @@ impl NodeRt {
                     // itself satisfies it — no GET DATA / put round trip.
                     let fresh = s.store.insert_present(vid, None);
                     assert!(fresh, "version announced twice to one node");
-                    ctl_released.push((VersionId(vid), rec.clone()));
+                    ctl_released.push(rec);
                     continue;
                 }
                 let fresh = s.store.insert_requested(vid);
                 assert!(fresh, "version announced twice to one node");
                 if !rec.forward.is_empty() {
                     s.pending_forwards
-                        .insert(vid, (rec.forward.clone(), rec.priority, rec.sent_at_ns));
+                        .insert(vid, (rec.forward, rec.priority, rec.sent_at_ns));
                     s.forwards_pending += 1;
                 }
                 let seq = s.next_seq();
@@ -729,8 +728,13 @@ impl NodeRt {
                 );
             }
             drop(s);
+            // The arrival buffers are dead after decoding: feed them back
+            // to the engine's pool so outgoing encodes reuse them instead
+            // of allocating.
+            rt.engine.buf_pool().recycle_frames(ev.data);
             if !ctl_released.is_empty() {
-                for (vid, rec) in ctl_released {
+                for rec in ctl_released.drain(..) {
+                    let vid = VersionId(rec.version as usize);
                     NodeRt::release_local(rt, vid);
                     if !rec.forward.is_empty() {
                         NodeRt::forward_subtree(
@@ -747,6 +751,7 @@ impl NodeRt {
                 let rt2 = rt.clone();
                 sim.schedule_now(move |sim| NodeRt::dispatch(&rt2, sim));
             }
+            rt.state.borrow_mut().ctl_scratch = ctl_released;
         }
         cost + NodeRt::pump_gets(rt, sim)
     }
@@ -801,10 +806,8 @@ impl NodeRt {
 
     /// GET DATA callback at the data owner: start the put (Figure 1).
     pub fn on_getdata(rt: &RtHandle, sim: &mut Sim, ev: AmEvent) -> SimTime {
-        let recs: Vec<_> = GetRec::iter_frames(&ev.data).collect();
-        rt.engine.buf_pool().recycle_frames(ev.data);
         let mut cost = SimTime::ZERO;
-        for rec in recs {
+        for rec in GetRec::iter_frames(&ev.data) {
             {
                 let mut s = rt.state.borrow_mut();
                 let lat = sim.now() - SimTime::from_ns(rec.activate_sent_at_ns);
@@ -845,6 +848,7 @@ impl NodeRt {
                 },
             );
         }
+        rt.engine.buf_pool().recycle_frames(ev.data);
         cost
     }
 

@@ -32,10 +32,9 @@
 //! with the simulated node count.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
-use amt_simnet::Sim;
+use amt_simnet::{FastMap, Sim};
 
 use crate::graph::{GraphBuilder, GraphHandle, GraphSource, TaskGraph, TaskId, GRAPH_CHUNK};
 use crate::node::{NodeRt, RtHandle};
@@ -75,7 +74,7 @@ struct WindowInner {
     /// Per version: the remote nodes an ACTIVATE has been sent to (or will
     /// be, by the init announce), ascending. Dedups late activations, and —
     /// with the home node — is everywhere the version's payload can live.
-    holders: HashMap<usize, Vec<usize>>,
+    holders: FastMap<usize, Vec<usize>>,
     admitted_tasks: usize,
     seeded_versions: usize,
     /// Scratch: versions touched by the current completion.
@@ -113,7 +112,7 @@ impl WindowCtl {
                 task_chunk_retired: Vec::new(),
                 version_chunk_retired: Vec::new(),
                 version_chunk_freed: Vec::new(),
-                holders: HashMap::new(),
+                holders: FastMap::default(),
                 admitted_tasks: 0,
                 seeded_versions: 0,
                 retire_scratch: Vec::new(),

@@ -2,11 +2,11 @@
 //! packet-pool back-pressure and explicit progress.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
 use amt_netmodel::{rx_handler, Fabric, FabricHandle, NodeId, Payload};
-use amt_simnet::{EventFn, Sim, SimTime};
+use amt_simnet::{EventFn, FastMap, Sim, SimTime};
 use bytes::{Bytes, Frames};
 
 use crate::costs::LciCosts;
@@ -179,8 +179,8 @@ struct EpState {
     recvd: Vec<Option<RecvD>>,
     recvd_free: Vec<usize>,
     posted_count: usize,
-    posted: HashMap<(NodeId, u64), VecDeque<usize>>,
-    pending_rts: HashMap<(NodeId, u64), VecDeque<RtsInfo>>,
+    posted: FastMap<(NodeId, u64), VecDeque<usize>>,
+    pending_rts: FastMap<(NodeId, u64), VecDeque<RtsInfo>>,
     cqs: Vec<VecDeque<CompEntry>>,
     syncs: Vec<Option<CompEntry>>,
     waker: Option<Waker>,
@@ -201,8 +201,8 @@ impl EpState {
             recvd: Vec::new(),
             recvd_free: Vec::new(),
             posted_count: 0,
-            posted: HashMap::new(),
-            pending_rts: HashMap::new(),
+            posted: FastMap::default(),
+            pending_rts: FastMap::default(),
             cqs: Vec::new(),
             syncs: Vec::new(),
             waker: None,

@@ -34,9 +34,10 @@
 //!
 //! [`MpiCosts::match_per_item`]: crate::MpiCosts
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use amt_netmodel::NodeId;
+use amt_simnet::FastMap;
 
 use crate::world::{SrcSel, Tag};
 
@@ -246,8 +247,8 @@ struct PostEntry {
 pub struct PostTable {
     entries: Vec<PostEntry>,
     free: Vec<u32>,
-    specific: HashMap<(NodeId, Tag), VecDeque<u32>>,
-    wildcard: HashMap<Tag, VecDeque<u32>>,
+    specific: FastMap<(NodeId, Tag), VecDeque<u32>>,
+    wildcard: FastMap<Tag, VecDeque<u32>>,
     order: SeqRank,
     next_seq: u64,
     comparisons: u64,
@@ -417,8 +418,8 @@ struct UnexpEntry<T> {
 pub struct UnexpTable<T> {
     entries: Vec<UnexpEntry<T>>,
     free: Vec<u32>,
-    by_src_tag: HashMap<(NodeId, Tag), VecDeque<u32>>,
-    by_tag: HashMap<Tag, VecDeque<u32>>,
+    by_src_tag: FastMap<(NodeId, Tag), VecDeque<u32>>,
+    by_tag: FastMap<Tag, VecDeque<u32>>,
     order: SeqRank,
     next_seq: u64,
     comparisons: u64,
@@ -454,8 +455,8 @@ impl<T> UnexpTable<T> {
         UnexpTable {
             entries: Vec::new(),
             free: Vec::new(),
-            by_src_tag: HashMap::new(),
-            by_tag: HashMap::new(),
+            by_src_tag: FastMap::default(),
+            by_tag: FastMap::default(),
             order: SeqRank::new(),
             next_seq: 0,
             comparisons: 0,

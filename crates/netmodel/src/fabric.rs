@@ -1,20 +1,40 @@
 //! The fabric proper: per-node NIC transmit/receive engines, chunked
 //! round-robin serialization, wire latency, and delivery to node handlers.
 //!
+//! ## What a message costs the simulator
+//!
+//! A message of `k` chunks on the flat topology costs `2k + 2` events: one
+//! transmit completion and one receive-calendar drain per chunk, one
+//! receive completion for the final chunk and one delivery event. A chunk
+//! that delivers nothing gets no event of its own: its receive-engine
+//! occupancy is charged with [`CoreResource::occupy`], which does the same
+//! accounting (`busy_until`, busy time, jobs) as a `charge` without
+//! scheduling a completion. Such a completion would read nothing, write
+//! nothing and schedule nothing, so dropping it leaves the relative
+//! `(time, seq)` order of every remaining event unchanged — only the event
+//! count falls. Cross-pod chunks add one pod up-link and one down-link
+//! drain and completion each.
+//!
+//! Chunk records live in a fabric-owned slab; every per-chunk event
+//! captures only the fabric handle and a slab index, so it stays inline in
+//! its [`EventFn`] slot, and a record is reused once its message is
+//! delivered (or, for a non-final chunk, once it is charged). Steady-state
+//! traffic allocates nothing here; the slab's size is the peak number of
+//! chunks in flight.
+//!
 //! ## Arrival calendars and deterministic drain order
 //!
 //! Every path into a shared resource (a destination NIC's receive engine, a
 //! fat-tree pod link) goes through an *arrival calendar*: chunks destined
-//! for resource `R` at instant `T` are buffered under `(R, T)` and charged
-//! by a single drain event in ascending `(src, per-src chunk seq)` order.
-//! That key is a pure function of the traffic (not of simulator event
-//! sequence numbers): it *is* the model's same-instant order, pinned by the
-//! golden reports (DESIGN.md §3.10).
+//! for resource `R` at instant `T` are charged by a single drain event in
+//! ascending `(src, per-src chunk seq)` order. That key is a pure function
+//! of the traffic (not of simulator event sequence numbers): it *is* the
+//! model's same-instant order, pinned by the golden reports (DESIGN.md
+//! §3.10).
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
-use std::hash::Hash;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use amt_simnet::{CoreResource, Counter, EventFn, Shared, Sim, SimTime, Trace};
@@ -114,10 +134,11 @@ struct Transfer {
 /// `(src, per-src chunk sequence)`.
 type ChunkKey = (NodeId, u64);
 
-/// One chunk in flight past its source NIC. Boxed when created (one
-/// allocation per chunk). The calendar key and tx-done callback ride
-/// inside the box so every per-chunk event captures only the fabric handle
-/// plus the box and stays inline in its `EventFn` slot.
+/// Slab index of a [`ChunkRec`]. Per-chunk events capture the fabric
+/// handle plus this index — two words, inline in the `EventFn` slot.
+type RecId = u32;
+
+/// One chunk in flight past its source NIC, in the fabric's record slab.
 struct ChunkRec {
     key: ChunkKey,
     msg_id: MsgId,
@@ -133,56 +154,59 @@ struct ChunkRec {
     finale: Option<Payload>,
 }
 
-/// An arrival calendar: chunks buffered per `(resource, instant)`, drained
-/// by one event per occupied instant in ascending [`ChunkKey`] order.
+/// An arrival calendar: one FIFO of `(instant, record)` per resource,
+/// drained by one event per occupied instant in ascending [`ChunkKey`]
+/// order.
 ///
-/// Lookups are only ever by exact key (never iterated), so a `HashMap` —
-/// which retains its capacity across remove/insert cycles — keeps
-/// steady-state traffic allocation-free; drained slot vectors are recycled
-/// through a free list for the same reason. (A `BTreeMap` here cost one
-/// root-node allocation per occupied instant: the map oscillates between
-/// empty and one entry on the common NIC receive path.)
-// A chunk stays in its box from source NIC to delivery (the per-chunk
-// events hold the box); the calendar only parks boxes between arrival and
-// drain, so unboxing into the vectors would force a re-box per hop.
-#[allow(clippy::vec_box)]
-struct Calendar<K: Eq + Hash + Copy> {
-    map: HashMap<(K, SimTime), Vec<Box<ChunkRec>>>,
-    free: Vec<Vec<Box<ChunkRec>>>,
+/// A FIFO suffices because every push into a resource is at `now` plus a
+/// constant of that resource kind — `wire_latency` into a NIC, zero into a
+/// pod up-link, `spine_latency` into a down-link — and `now` never
+/// decreases, so a resource's arrival instants never decrease in push
+/// order. The chunks of one instant are therefore contiguous at the back
+/// while they are being buffered and at the front when their drain runs.
+struct Calendar {
+    fifos: Vec<VecDeque<(SimTime, RecId)>>,
 }
 
-#[allow(clippy::vec_box)]
-impl<K: Eq + Hash + Copy> Calendar<K> {
-    fn new() -> Self {
+impl Calendar {
+    fn new(resources: usize) -> Self {
         Calendar {
-            map: HashMap::new(),
-            free: Vec::new(),
+            fifos: (0..resources).map(|_| VecDeque::new()).collect(),
         }
     }
 
-    /// Buffer a chunk; returns true when this `(resource, instant)` slot
-    /// was vacant and the caller must schedule its drain.
-    fn push(&mut self, k: K, t: SimTime, rec: Box<ChunkRec>) -> bool {
-        let slot = self
-            .map
-            .entry((k, t))
-            .or_insert_with(|| self.free.pop().unwrap_or_default());
-        slot.push(rec);
-        slot.len() == 1
+    /// Buffer a chunk; returns true when it opens the slot for instant `t`
+    /// and the caller must schedule the slot's drain.
+    fn push(&mut self, r: usize, t: SimTime, rec: RecId) -> bool {
+        let q = &mut self.fifos[r];
+        let opens = match q.back() {
+            Some(&(last, _)) => {
+                debug_assert!(last <= t, "arrival instants decreased: {t} < {last}");
+                last != t
+            }
+            None => true,
+        };
+        q.push_back((t, rec));
+        opens
     }
 
-    /// Remove and key-sort the batch for `(resource, instant)`. Return the
-    /// emptied vector via [`Calendar::recycle`].
-    fn drain(&mut self, k: K, t: SimTime) -> Vec<Box<ChunkRec>> {
-        let mut batch = self.map.remove(&(k, t)).unwrap_or_default();
-        batch.sort_by_key(|rec| rec.key);
-        batch
-    }
-
-    /// Hand a drained batch's storage back for reuse.
-    fn recycle(&mut self, mut batch: Vec<Box<ChunkRec>>) {
-        batch.clear();
-        self.free.push(batch);
+    /// Move the slot for instant `t` into `out`, key-sorted.
+    fn drain(&mut self, r: usize, t: SimTime, recs: &[ChunkRec], out: &mut Vec<RecId>) {
+        let q = &mut self.fifos[r];
+        debug_assert!(
+            q.front().is_some_and(|&(at, _)| at == t),
+            "drain of an empty slot"
+        );
+        while let Some(&(at, rec)) = q.front() {
+            if at != t {
+                break;
+            }
+            q.pop_front();
+            out.push(rec);
+        }
+        if out.len() > 1 {
+            out.sort_by_key(|&i| recs[i as usize].key);
+        }
     }
 }
 
@@ -237,12 +261,17 @@ pub struct Fabric {
     trace: Option<Shared<Trace>>,
     /// Fat-tree pod links (empty under `Topology::Flat`).
     pods: Vec<PodLinks>,
-    /// Destination-NIC receive calendar.
-    rx_cal: Calendar<NodeId>,
+    /// Destination-NIC receive calendar, one FIFO per node.
+    rx_cal: Calendar,
     /// Pod up-link calendars (same-instant tx-done ties).
-    up_cal: Calendar<usize>,
+    up_cal: Calendar,
     /// Pod down-link ingress calendars (post-spine arrivals).
-    down_cal: Calendar<usize>,
+    down_cal: Calendar,
+    /// Chunk-record slab and its free slots.
+    recs: Vec<ChunkRec>,
+    free_recs: Vec<RecId>,
+    /// Drain scratch: the key-sorted slot being charged.
+    batch: Vec<RecId>,
 }
 
 /// Shared handle to a [`Fabric`]; all operations are associated functions
@@ -254,7 +283,7 @@ impl Fabric {
     pub fn new(cfg: FabricConfig) -> FabricHandle {
         let nics = (0..cfg.nodes).map(NodeNic::new).collect();
         let handlers = (0..cfg.nodes).map(|_| None).collect();
-        let pods = match &cfg.topology {
+        let pods: Vec<PodLinks> = match &cfg.topology {
             Topology::Flat => Vec::new(),
             Topology::FatTree(ft) => {
                 assert!(ft.pods >= 1, "fat tree needs at least one pod");
@@ -271,14 +300,17 @@ impl Fabric {
             }
         };
         Rc::new(RefCell::new(Fabric {
+            rx_cal: Calendar::new(cfg.nodes),
+            up_cal: Calendar::new(pods.len()),
+            down_cal: Calendar::new(pods.len()),
             cfg,
             nics,
             handlers,
             trace: None,
             pods,
-            rx_cal: Calendar::new(),
-            up_cal: Calendar::new(),
-            down_cal: Calendar::new(),
+            recs: Vec::new(),
+            free_recs: Vec::new(),
+            batch: Vec::new(),
         }))
     }
 
@@ -332,6 +364,12 @@ impl Fabric {
         self.nics[node].tx_busy_time
     }
 
+    /// Node `node`'s receive engine (accounting checks in tests).
+    #[cfg(test)]
+    pub(crate) fn rx_engine(&self, node: NodeId) -> &CoreResource {
+        &self.nics[node].rx
+    }
+
     /// Total occupancy of pod `p`'s up-link (fat tree only).
     pub fn pod_up_busy(&self, p: usize) -> SimTime {
         self.pods[p].up.busy_time()
@@ -340,6 +378,20 @@ impl Fabric {
     /// Total occupancy of pod `p`'s down-link (fat tree only).
     pub fn pod_down_busy(&self, p: usize) -> SimTime {
         self.pods[p].down.busy_time()
+    }
+
+    /// Store a chunk record in the slab.
+    fn alloc_rec(&mut self, rec: ChunkRec) -> RecId {
+        match self.free_recs.pop() {
+            Some(i) => {
+                self.recs[i as usize] = rec;
+                i
+            }
+            None => {
+                self.recs.push(rec);
+                (self.recs.len() - 1) as RecId
+            }
+        }
     }
 
     /// Inject a message. `size` is the wire size in bytes (the caller
@@ -366,25 +418,26 @@ impl Fabric {
             f.nics[src].next_msg += 1;
 
             if src == dst {
+                let rec = f.alloc_rec(ChunkRec {
+                    key: (src, 0),
+                    msg_id,
+                    src,
+                    dst,
+                    size,
+                    sent_at: sim.now(),
+                    chunk_bytes: 0,
+                    first_chunk: true,
+                    on_tx_done,
+                    finale: Some(payload),
+                });
                 drop(f);
                 let fab2 = fab.clone();
-                let sent_at = sim.now();
                 sim.schedule_in(SimTime::from_ns(100), move |sim| {
-                    if let Some(cb) = on_tx_done {
+                    let cb = fab2.borrow_mut().recs[rec as usize].on_tx_done.take();
+                    if let Some(cb) = cb {
                         cb.invoke(sim);
                     }
-                    Fabric::deliver(
-                        &fab2,
-                        sim,
-                        Delivery {
-                            src,
-                            dst,
-                            size,
-                            msg_id,
-                            payload,
-                            sent_at,
-                        },
-                    );
+                    sim.schedule_now(move |sim| Fabric::deliver(&fab2, sim, rec));
                 });
                 return msg_id;
             }
@@ -429,7 +482,7 @@ impl Fabric {
     /// the seed's linear `position(size <= chunk)` scan selected, since
     /// relative order within each class is preserved by both schemes.
     fn tx_pump(fab: &FabricHandle, sim: &mut Sim, node: NodeId) {
-        let (dur, mut rec);
+        let (dur, rec);
         {
             let mut f = fab.borrow_mut();
             if f.nics[node].tx_busy {
@@ -458,7 +511,7 @@ impl Fabric {
 
             let key = (t.src, f.nics[node].next_chunk);
             f.nics[node].next_chunk += 1;
-            rec = Box::new(ChunkRec {
+            rec = f.alloc_rec(ChunkRec {
                 key,
                 msg_id: t.msg_id,
                 src: t.src,
@@ -483,34 +536,35 @@ impl Fabric {
             f.nics[node].tx_busy_time += dur;
         }
 
-        // Captures: one Rc + one Box — inline in the `EventFn` slot.
         let fab2 = fab.clone();
-        sim.schedule_in(dur, move |sim| {
-            // Chunk left the sender NIC (transfers queue at their source,
-            // so the transmitting node is the chunk's src).
-            let node = rec.src;
-            {
-                let mut f = fab2.borrow_mut();
-                f.nics[node].tx_busy = false;
-                f.sample_nic(node, sim.now());
-            }
-            if let Some(cb) = rec.on_tx_done.take() {
-                cb.invoke(sim);
-            }
-            Fabric::route_chunk(&fab2, sim, rec);
-            Fabric::tx_pump(&fab2, sim, node);
-        });
+        sim.schedule_in(dur, move |sim| Fabric::tx_done(&fab2, sim, rec));
+    }
+
+    /// A chunk left the sender NIC (transfers queue at their source, so
+    /// the transmitting node is the chunk's src): fire the local
+    /// completion, route the chunk, serve the next one.
+    fn tx_done(fab: &FabricHandle, sim: &mut Sim, rec: RecId) {
+        let (node, cb) = {
+            let mut f = fab.borrow_mut();
+            let r = &mut f.recs[rec as usize];
+            let (node, cb) = (r.src, r.on_tx_done.take());
+            f.nics[node].tx_busy = false;
+            f.sample_nic(node, sim.now());
+            (node, cb)
+        };
+        if let Some(cb) = cb {
+            cb.invoke(sim);
+        }
+        Fabric::route_chunk(fab, sim, rec);
+        Fabric::tx_pump(fab, sim, node);
     }
 
     /// A chunk has left its source NIC: route it to the next hop.
-    fn route_chunk(fab: &FabricHandle, sim: &mut Sim, rec: Box<ChunkRec>) {
+    fn route_chunk(fab: &FabricHandle, sim: &mut Sim, rec: RecId) {
         let (wire_latency, src_pod, dst_pod) = {
             let f = fab.borrow();
-            (
-                f.cfg.wire_latency,
-                f.cfg.pod_of(rec.src),
-                f.cfg.pod_of(rec.dst),
-            )
+            let r = &f.recs[rec as usize];
+            (f.cfg.wire_latency, f.cfg.pod_of(r.src), f.cfg.pod_of(r.dst))
         };
         if src_pod == dst_pod {
             let t = sim.now() + wire_latency;
@@ -523,11 +577,14 @@ impl Fabric {
     }
 
     /// Buffer a chunk in the destination NIC's receive calendar, scheduling
-    /// the drain on first occupancy of the `(dst, t)` slot.
-    fn rx_push(fab: &FabricHandle, sim: &mut Sim, t: SimTime, rec: Box<ChunkRec>) {
-        let dst = rec.dst;
-        let vacant = fab.borrow_mut().rx_cal.push(dst, t, rec);
-        if vacant {
+    /// the drain when it opens the `(dst, t)` slot.
+    fn rx_push(fab: &FabricHandle, sim: &mut Sim, t: SimTime, rec: RecId) {
+        let opens = {
+            let mut f = fab.borrow_mut();
+            let dst = f.recs[rec as usize].dst;
+            f.rx_cal.push(dst, t, rec).then_some(dst)
+        };
+        if let Some(dst) = opens {
             let fab2 = fab.clone();
             let drain = move |sim: &mut Sim| Fabric::drain_rx(&fab2, sim, dst, t);
             if t <= sim.now() {
@@ -538,90 +595,103 @@ impl Fabric {
         }
     }
 
-    /// Charge the key-sorted batch for `(dst, t)` through the receive
-    /// engine; each final chunk's completion delivers its message.
+    /// Charge the key-sorted slot for `(dst, t)` through the receive
+    /// engine. Only a final chunk's completion is an event (it delivers the
+    /// message); a non-final chunk is pure occupancy and its record is
+    /// freed here.
     fn drain_rx(fab: &FabricHandle, sim: &mut Sim, dst: NodeId, t: SimTime) {
-        let mut batch = fab.borrow_mut().rx_cal.drain(dst, t);
-        for mut rec in batch.drain(..) {
-            let fab2 = fab.clone();
-            let mut f = fab.borrow_mut();
-            let dur = f.cfg.serialization_time(rec.chunk_bytes)
+        let mut guard = fab.borrow_mut();
+        let f = &mut *guard;
+        let mut batch = std::mem::take(&mut f.batch);
+        f.rx_cal.drain(dst, t, &f.recs, &mut batch);
+        for &rec in &batch {
+            let r = &f.recs[rec as usize];
+            let dur = f.cfg.serialization_time(r.chunk_bytes)
                 + f.cfg.per_chunk_overhead
-                + if rec.first_chunk {
+                + if r.first_chunk {
                     f.cfg.per_message_overhead
                 } else {
                     SimTime::ZERO
                 };
-            f.nics[dst].rx.charge(sim, dur, move |sim| {
-                let dst = rec.dst;
-                if let Some(payload) = rec.finale.take() {
-                    {
-                        let mut f = fab2.borrow_mut();
-                        f.nics[dst].rx_msgs.inc();
-                        f.nics[dst].rx_bytes.add(rec.size as u64);
-                    }
-                    Fabric::deliver(
-                        &fab2,
-                        sim,
-                        Delivery {
-                            src: rec.src,
-                            dst,
-                            size: rec.size,
-                            msg_id: rec.msg_id,
-                            payload,
-                            sent_at: rec.sent_at,
-                        },
-                    );
-                }
-            });
+            if r.finale.is_some() {
+                let fab2 = fab.clone();
+                f.nics[dst]
+                    .rx
+                    .charge(sim, dur, move |sim| Fabric::rx_done(&fab2, sim, rec));
+            } else {
+                f.nics[dst].rx.occupy(sim.now(), dur);
+                f.free_recs.push(rec);
+            }
         }
-        fab.borrow_mut().rx_cal.recycle(batch);
+        batch.clear();
+        f.batch = batch;
+    }
+
+    /// The final chunk cleared the receive engine: count the message and
+    /// schedule its delivery.
+    fn rx_done(fab: &FabricHandle, sim: &mut Sim, rec: RecId) {
+        {
+            let mut f = fab.borrow_mut();
+            let (dst, size) = (f.recs[rec as usize].dst, f.recs[rec as usize].size);
+            f.nics[dst].rx_msgs.inc();
+            f.nics[dst].rx_bytes.add(size as u64);
+        }
+        let fab2 = fab.clone();
+        sim.schedule_now(move |sim| Fabric::deliver(&fab2, sim, rec));
     }
 
     /// Buffer a chunk in its source pod's up-link calendar (same-instant
     /// slot: tx-done ties from different NICs of one pod).
-    fn up_push(fab: &FabricHandle, sim: &mut Sim, pod: usize, t: SimTime, rec: Box<ChunkRec>) {
-        let vacant = fab.borrow_mut().up_cal.push(pod, t, rec);
-        if vacant {
+    fn up_push(fab: &FabricHandle, sim: &mut Sim, pod: usize, t: SimTime, rec: RecId) {
+        let opens = fab.borrow_mut().up_cal.push(pod, t, rec);
+        if opens {
             let fab2 = fab.clone();
             sim.schedule_now(move |sim| Fabric::drain_up(&fab2, sim, pod, t));
         }
     }
 
-    /// Serialize the key-sorted batch through the pod up-link; each chunk's
+    /// Serialize the key-sorted slot through the pod up-link; each chunk's
     /// completion launches it across the spine toward the destination
     /// pod's down-link.
     fn drain_up(fab: &FabricHandle, sim: &mut Sim, pod: usize, t: SimTime) {
-        let mut batch = fab.borrow_mut().up_cal.drain(pod, t);
-        for rec in batch.drain(..) {
+        let mut guard = fab.borrow_mut();
+        let f = &mut *guard;
+        let Topology::FatTree(ft) = &f.cfg.topology else {
+            unreachable!("up-link on flat topology")
+        };
+        let mut batch = std::mem::take(&mut f.batch);
+        f.up_cal.drain(pod, t, &f.recs, &mut batch);
+        for &rec in &batch {
+            let dur = f
+                .cfg
+                .link_time(f.recs[rec as usize].chunk_bytes, ft.link_bandwidth_gbps);
             let fab2 = fab.clone();
-            let mut f = fab.borrow_mut();
-            let ft = match &f.cfg.topology {
-                Topology::FatTree(ft) => ft,
-                Topology::Flat => unreachable!("up-link on flat topology"),
-            };
-            let dur = f.cfg.link_time(rec.chunk_bytes, ft.link_bandwidth_gbps);
-            f.pods[pod].up.charge(sim, dur, move |sim| {
-                let (spine, dst_pod) = {
-                    let f = fab2.borrow();
-                    let ft = match &f.cfg.topology {
-                        Topology::FatTree(ft) => ft,
-                        Topology::Flat => unreachable!("up-link on flat topology"),
-                    };
-                    (ft.spine_latency, f.cfg.pod_of(rec.dst))
-                };
-                let ingress = sim.now() + spine;
-                Fabric::down_push(&fab2, sim, dst_pod, ingress, rec);
-            });
+            f.pods[pod]
+                .up
+                .charge(sim, dur, move |sim| Fabric::up_done(&fab2, sim, rec));
         }
-        fab.borrow_mut().up_cal.recycle(batch);
+        batch.clear();
+        f.batch = batch;
+    }
+
+    /// A chunk cleared its source pod's up-link: cross the spine.
+    fn up_done(fab: &FabricHandle, sim: &mut Sim, rec: RecId) {
+        let (spine, dst_pod) = {
+            let f = fab.borrow();
+            let Topology::FatTree(ft) = &f.cfg.topology else {
+                unreachable!("up-link on flat topology")
+            };
+            (ft.spine_latency, f.cfg.pod_of(f.recs[rec as usize].dst))
+        };
+        let ingress = sim.now() + spine;
+        Fabric::down_push(fab, sim, dst_pod, ingress, rec);
     }
 
     /// Buffer a post-spine chunk in the destination pod's down-link
     /// calendar (a strictly-future slot: the spine latency is nonzero).
-    fn down_push(fab: &FabricHandle, sim: &mut Sim, pod: usize, t: SimTime, rec: Box<ChunkRec>) {
-        let vacant = fab.borrow_mut().down_cal.push(pod, t, rec);
-        if vacant {
+    fn down_push(fab: &FabricHandle, sim: &mut Sim, pod: usize, t: SimTime, rec: RecId) {
+        let opens = fab.borrow_mut().down_cal.push(pod, t, rec);
+        if opens {
             let fab2 = fab.clone();
             let drain = move |sim: &mut Sim| Fabric::drain_down(&fab2, sim, pod, t);
             if t <= sim.now() {
@@ -632,39 +702,110 @@ impl Fabric {
         }
     }
 
-    /// Serialize the key-sorted batch through the pod down-link; each
+    /// Serialize the key-sorted slot through the pod down-link; each
     /// chunk's completion takes the last intra-pod wire hop into the
     /// destination NIC's receive calendar.
     fn drain_down(fab: &FabricHandle, sim: &mut Sim, pod: usize, t: SimTime) {
-        let mut batch = fab.borrow_mut().down_cal.drain(pod, t);
-        for rec in batch.drain(..) {
+        let mut guard = fab.borrow_mut();
+        let f = &mut *guard;
+        let Topology::FatTree(ft) = &f.cfg.topology else {
+            unreachable!("down-link on flat topology")
+        };
+        let mut batch = std::mem::take(&mut f.batch);
+        f.down_cal.drain(pod, t, &f.recs, &mut batch);
+        for &rec in &batch {
+            let dur = f
+                .cfg
+                .link_time(f.recs[rec as usize].chunk_bytes, ft.link_bandwidth_gbps);
             let fab2 = fab.clone();
-            let mut f = fab.borrow_mut();
-            let ft = match &f.cfg.topology {
-                Topology::FatTree(ft) => ft,
-                Topology::Flat => unreachable!("down-link on flat topology"),
-            };
-            let dur = f.cfg.link_time(rec.chunk_bytes, ft.link_bandwidth_gbps);
             f.pods[pod].down.charge(sim, dur, move |sim| {
                 let t = sim.now() + fab2.borrow().cfg.wire_latency;
                 Fabric::rx_push(&fab2, sim, t, rec);
             });
         }
-        fab.borrow_mut().down_cal.recycle(batch);
+        batch.clear();
+        f.batch = batch;
     }
 
-    fn deliver(fab: &FabricHandle, sim: &mut Sim, delivery: Delivery) {
-        let handler = fab.borrow().handlers[delivery.dst]
-            .as_ref()
-            .unwrap_or_else(|| panic!("node {} has no rx handler", delivery.dst))
-            .clone();
-        sim.schedule_now(move |sim| {
-            (handler.borrow_mut())(sim, delivery);
-        });
+    /// Hand a delivered message to its node's handler and free its record.
+    /// The handler is looked up here, when the delivery event runs.
+    fn deliver(fab: &FabricHandle, sim: &mut Sim, rec: RecId) {
+        let (handler, delivery) = {
+            let mut f = fab.borrow_mut();
+            let r = &mut f.recs[rec as usize];
+            let delivery = Delivery {
+                src: r.src,
+                dst: r.dst,
+                size: r.size,
+                msg_id: r.msg_id,
+                payload: r.finale.take().expect("message delivered twice"),
+                sent_at: r.sent_at,
+            };
+            f.free_recs.push(rec);
+            let handler = f.handlers[delivery.dst]
+                .clone()
+                .unwrap_or_else(|| panic!("node {} has no rx handler", delivery.dst));
+            (handler, delivery)
+        };
+        (handler.borrow_mut())(sim, delivery);
     }
 }
 
 /// Convenience: wrap a closure as an [`RxHandler`].
 pub fn rx_handler(f: impl FnMut(&mut Sim, Delivery) + 'static) -> RxHandler {
     Rc::new(RefCell::new(f))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn rec(src: NodeId, seq: u64) -> ChunkRec {
+        ChunkRec {
+            key: (src, seq),
+            msg_id: 0,
+            src,
+            dst: 0,
+            size: 0,
+            sent_at: SimTime::ZERO,
+            chunk_bytes: 0,
+            first_chunk: false,
+            on_tx_done: None,
+            finale: None,
+        }
+    }
+
+    #[test]
+    fn calendar_slots_are_fifo_per_resource_and_drain_key_sorted() {
+        // Records 0..=3 arrive at resource 1 at t=5 out of key order, then
+        // record 4 at t=9; resource 0 holds record 5 in its own t=5 slot.
+        let recs = vec![
+            rec(3, 0),
+            rec(1, 7),
+            rec(2, 0),
+            rec(1, 2),
+            rec(0, 0),
+            rec(9, 9),
+        ];
+        let (t5, t9) = (SimTime::from_ns(5), SimTime::from_ns(9));
+        let mut cal = Calendar::new(2);
+        let opens: Vec<bool> = [0u32, 1, 2, 3]
+            .iter()
+            .map(|&i| cal.push(1, t5, i))
+            .collect();
+        assert_eq!(opens, [true, false, false, false], "one drain per instant");
+        assert!(cal.push(1, t9, 4), "a later instant opens its own slot");
+        assert!(cal.push(0, t5, 5), "resources are independent");
+
+        let mut out = Vec::new();
+        cal.drain(1, t5, &recs, &mut out);
+        assert_eq!(out, [3, 1, 2, 0], "(src, chunk-seq) order");
+        out.clear();
+        cal.drain(1, t9, &recs, &mut out);
+        assert_eq!(out, [4]);
+        out.clear();
+        cal.drain(0, t5, &recs, &mut out);
+        assert_eq!(out, [5]);
+        assert!(cal.fifos.iter().all(VecDeque::is_empty));
+    }
 }

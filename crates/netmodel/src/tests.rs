@@ -171,6 +171,103 @@ fn deterministic_replay() {
     assert_eq!(run(), run());
 }
 
+/// Events one isolated `k`-chunk message costs on the flat topology: a
+/// transmit completion and a receive-calendar drain per chunk, one receive
+/// completion (the final chunk's) and one delivery. The `k - 1` non-final
+/// chunks are charged to the receive engine without an event.
+fn flat_message_events(chunks: u64) -> u64 {
+    2 * chunks + 2
+}
+
+#[test]
+fn multi_chunk_message_costs_only_the_models_events() {
+    // Full chunks that serialize in whole nanoseconds at 12.5 B/ns, so the
+    // per-chunk sums below are exact and no chunk waits behind a longer one.
+    let cfg = FabricConfig {
+        chunk_bytes: 50_000,
+        ..FabricConfig::expanse(2)
+    };
+    for k in [1usize, 2, 5] {
+        let size = k * cfg.chunk_bytes;
+        let mut sim = Sim::new();
+        let fab = Fabric::new(cfg.clone());
+        let arrived = Rc::new(RefCell::new(None));
+        let a2 = arrived.clone();
+        fab.borrow_mut().set_handler(
+            1,
+            rx_handler(move |sim, d| {
+                assert_eq!(d.payload.data_len(), 0);
+                *a2.borrow_mut() = Some(sim.now());
+            }),
+        );
+        Fabric::send(&fab, &mut sim, 0, 1, size, Payload::Empty, None);
+        sim.run();
+        assert_eq!(
+            sim.events_executed(),
+            flat_message_events(k as u64),
+            "k={k}"
+        );
+        assert_eq!(*arrived.borrow(), Some(cfg.ideal_one_way(size)), "k={k}");
+
+        // The receive engine is billed exactly as k `charge`s would bill it.
+        let mut expect = amt_simnet::CoreResource::new("rx");
+        for c in 0..k {
+            let first = if c == 0 {
+                cfg.per_message_overhead
+            } else {
+                SimTime::ZERO
+            };
+            let dur = cfg.serialization_time(cfg.chunk_bytes) + cfg.per_chunk_overhead + first;
+            expect.occupy(SimTime::ZERO, dur);
+        }
+        let f = fab.borrow();
+        assert_eq!(f.rx_engine(1).busy_time(), expect.busy_time(), "k={k}");
+        assert_eq!(f.rx_engine(1).jobs(), k as u64, "k={k}");
+    }
+}
+
+#[test]
+fn same_instant_arrivals_drain_in_source_order() {
+    // Three one-chunk messages leave three NICs at the same instant and
+    // meet at one resource. They are injected (and so reach the calendar)
+    // in descending source order; the drain must serve them ascending.
+    let deliveries = |fab: &crate::FabricHandle, sim: &mut Sim, pairs: &[(usize, usize)]| {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        for &(_, dst) in pairs {
+            let l = log.clone();
+            fab.borrow_mut().set_handler(
+                dst,
+                rx_handler(move |sim, d| l.borrow_mut().push((d.src, sim.now()))),
+            );
+        }
+        for &(src, dst) in pairs.iter().rev() {
+            Fabric::send(fab, sim, src, dst, 4096, Payload::Empty, None);
+        }
+        sim.run();
+        let got = log.borrow().clone();
+        got
+    };
+    let assert_ascending = |log: &[(usize, SimTime)], what: &str| {
+        assert_eq!(log.len(), 3, "{what}");
+        for w in log.windows(2) {
+            assert!(w[0].0 < w[1].0 && w[0].1 < w[1].1, "{what}: {log:?}");
+        }
+    };
+
+    // One destination NIC.
+    let mut sim = Sim::new();
+    let fab = Fabric::new(FabricConfig::expanse(4));
+    let log = deliveries(&fab, &mut sim, &[(1, 0), (2, 0), (3, 0)]);
+    assert_ascending(&log, "nic");
+
+    // One pod up-link: sources 0..3 share pod 0, destinations are distinct
+    // nodes of pod 1, so only the up-link (and the down-link behind it)
+    // serializes them.
+    let (mut sim, fab) = fat_tree_fabric(6, 2, 100.0);
+    let log = deliveries(&fab, &mut sim, &[(0, 3), (1, 4), (2, 5)]);
+    assert_ascending(&log, "pod link");
+}
+
 #[test]
 fn concurrent_senders_share_receiver_bandwidth() {
     // Two senders into one receiver: total time ~ twice a single transfer

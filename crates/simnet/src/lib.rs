@@ -40,6 +40,7 @@
 
 mod engine;
 mod event;
+mod hash;
 mod metrics;
 pub mod reference;
 mod resource;
@@ -51,6 +52,7 @@ mod trace;
 
 pub use engine::{EventToken, Sim};
 pub use event::EventFn;
+pub use hash::{FastHasher, FastMap};
 pub use metrics::{MetricsRegistry, OverlapTracker};
 pub use resource::{CoreHandle, CoreResource, TokenPool, TokenPoolHandle};
 pub use rng::DetRng;
