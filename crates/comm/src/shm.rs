@@ -5,49 +5,32 @@
 //! puts with callback descriptors, pooled receive buffers
 //! ([`SharedBufPool`]) — across real OS threads.
 //!
-//! Each node owns a mutex-guarded FIFO inbox, a thread-safe buffer pool
-//! and one **state word** with two bits: `OWNED` (a thread is handling
-//! the node's messages — its one progress owner) and `MAIL` (the inbox may
-//! hold messages no owner has taken yet). [`ShmWorld::send`] is the
-//! progress path, run in line on the sending thread:
-//!
-//! * *Direct hand-off.* `CAS(0 → OWNED)`; on success the sender handles
-//!   the message itself — no inbox, no lock — and releases.
-//! * *Queued.* Otherwise it pushes under the inbox lock, sets `MAIL`
-//!   before unlocking, and calls `progress`, which takes ownership only
-//!   by `CAS(MAIL → OWNED)` and returns at once if `OWNED` is set: that
-//!   owner's release will see `MAIL`.
-//! * *Release.* `CAS(OWNED → 0)`. If it fails, `MAIL` is set: the owner
-//!   clears it, swaps the whole inbox out under the lock, handles that
-//!   batch outside the lock, and tries again.
-//!
-//! No lost wakeup: a pusher sets `MAIL` after its push, both under the
-//! inbox lock, and an owner clears `MAIL` before it takes that lock to
-//! swap — so either the swap holds the push, or `MAIL` is still set when
-//! the owner tries to release (its CAS fails and it swaps again), or there
-//! was no owner and the pusher's own `progress` takes the bit. Hence
-//! `state == 0` means the inbox is empty, or a pusher holding the lock is
-//! about to set `MAIL` and call `progress`. FIFO per sender: a thread's
-//! earlier message to a node is handled, or it keeps `MAIL` or `OWNED` set
-//! until it is, and a direct hand-off needs both clear, so a later message
-//! of the same thread cannot overtake it. Records of at most
-//! `Bytes::INLINE_CAP` bytes travel inside their `Bytes` handle and never
-//! touch the buffer pool; only longer ones are pooled. Lifecycle
-//! counters are lock-free atomics snapshotted into an [`EngineStats`] at
-//! the end of a run so real-mode `RunReport`s carry the same engine
-//! counter vocabulary as virtual ones.
+//! Each node owns a thread-safe buffer pool, lifecycle counters and a
+//! mutex-guarded FIFO inbox. [`ShmWorld::send`] is the progress path: it
+//! counts the send and runs the handler *as the destination node*, at
+//! once, on the sending thread — no inbox, no lock, no per-node owner.
+//! Handlers at one node may therefore run on several threads at once;
+//! the layer above keeps every piece of state a handler touches
+//! thread-safe on its own. A thread handles the messages it sends in the
+//! order it sends them, so per-sender FIFO holds trivially. The inbox is
+//! the push-only path for single-threaded callers (tests, probes):
+//! [`ShmWorld::send_am`] pushes and [`ShmNode::pop`] takes; `send` never
+//! reads it. Records of at most `Bytes::INLINE_CAP` bytes travel inside
+//! their `Bytes` handle and never touch the buffer pool; only longer ones
+//! are pooled. Lifecycle counters are lock-free atomics, one cell per
+//! thread, summed into an [`EngineStats`] at the end of a run so
+//! real-mode `RunReport`s carry the same engine counter vocabulary as
+//! virtual ones.
 //!
 //! With metrics enabled ([`ShmWorld::new_observed`]) each message also
 //! carries its wall-clock send instant, and the world records per-stage
 //! lifecycle histograms into a per-node [`MetricsRegistry`] under the
 //! *same names and buckets* as the simulated backends (`am.queue_ns`,
 //! `am.inject_ns`, `am.wire_ns`, `am.deliver_ns`, `am.callback_ns`, and
-//! the `put.*` equivalents). A send is a hand-off or one push here, so
-//! the queue and inject stages are structurally zero and the deliver
+//! the `put.*` equivalents). A send is a handler call (or one push) here,
+//! so the queue and inject stages are structurally zero and the deliver
 //! stage is folded into the wire stage (hand-off == delivery); recording
 //! the zeros keeps the histogram *counts* comparable across substrates.
-//! The counters `shm.direct` / `shm.queued` say how many messages were
-//! handed off in line and how many went through an inbox.
 //!
 //! This transport deliberately has no flow control or aggregation: those
 //! are properties of the *simulated* engines under study. What it
@@ -56,10 +39,7 @@
 //! above run unchanged.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{
-    AtomicU64, AtomicU8,
-    Ordering::{Relaxed, SeqCst},
-};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
 use amt_netmodel::NodeId;
@@ -68,7 +48,7 @@ use bytes::{Bytes, Frames, SharedBufPool};
 
 use crate::stats::EngineStats;
 
-/// One message to a node: handed off to its owner, or in its inbox.
+/// One message to a node: handed to its handler, or in its inbox.
 #[derive(Debug)]
 pub enum ShmMsg {
     /// An active message: tag dispatch at the receiver.
@@ -101,8 +81,22 @@ pub enum ShmMsg {
     },
 }
 
-/// Per-node atomic lifecycle counters (see [`ShmNode::engine_stats`]).
+/// Cells of each node's counters. The `i`-th thread to count anything
+/// counts in cell `i % CELLS`, so the workers of a pool, which start
+/// counting together, each write cells — and cache lines — of their own.
+const CELLS: usize = 16;
+
+thread_local! {
+    static CELL: usize = {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        NEXT.fetch_add(1, Relaxed) % CELLS
+    };
+}
+
+/// One cell of a node's atomic lifecycle counters (see
+/// [`ShmNode::engine_stats`]), on a cache line pair of its own.
 #[derive(Debug, Default)]
+#[repr(align(128))]
 struct ShmCounters {
     am_sent: AtomicU64,
     am_received: AtomicU64,
@@ -111,28 +105,15 @@ struct ShmCounters {
     puts_remote_done: AtomicU64,
 }
 
-/// [`ShmNode::state`] bit: a thread owns the node (handles its messages).
-const OWNED: u8 = 1;
-/// [`ShmNode::state`] bit: the inbox may hold messages no owner has taken.
-const MAIL: u8 = 2;
-
-/// One node endpoint: inbox + state word + buffer pool + counters, on
-/// cache lines of its own (two, for the adjacent-line prefetcher) so that
-/// traffic to one node does not slow traffic to its neighbour. Fields are
-/// laid out in order: the state word shares the first line with the
-/// inbox lock every pusher takes anyway, not with the counters.
+/// One node endpoint: inbox + buffer pool + counters, on cache lines of
+/// its own (two, for the adjacent-line prefetcher) so that traffic to one
+/// node does not slow traffic to its neighbour.
 #[derive(Debug)]
-#[repr(C, align(128))]
+#[repr(align(128))]
 pub struct ShmNode {
     inbox: Mutex<VecDeque<ShmMsg>>,
-    /// `OWNED` | `MAIL` (module docs).
-    state: AtomicU8,
-    /// The owner's batch: swapped with `inbox`, worked off outside the
-    /// inbox lock, and empty again (capacity kept) before `OWNED` clears.
-    /// Only the owner locks it, so it is never contended.
-    batch: Mutex<VecDeque<ShmMsg>>,
     pool: SharedBufPool,
-    counters: ShmCounters,
+    counters: [ShmCounters; CELLS],
     /// Per-stage lifecycle histograms (empty when metrics are off).
     metrics: Mutex<MetricsRegistry>,
 }
@@ -141,10 +122,8 @@ impl ShmNode {
     fn new(pool_bufs: usize, metrics: bool) -> ShmNode {
         ShmNode {
             inbox: Mutex::new(VecDeque::new()),
-            state: AtomicU8::new(0),
-            batch: Mutex::new(VecDeque::new()),
             pool: SharedBufPool::new(pool_bufs),
-            counters: ShmCounters::default(),
+            counters: Default::default(),
             metrics: Mutex::new(MetricsRegistry::new(metrics)),
         }
     }
@@ -155,39 +134,10 @@ impl ShmNode {
         &self.pool
     }
 
-    /// Pop the oldest undelivered message, if any. Concurrent senders go
-    /// through [`ShmWorld::send`]; a bare `pop` after
-    /// [`ShmWorld::send_am`] is for single-threaded callers (tests,
-    /// probes).
+    /// Pop the oldest message [`ShmWorld::send_am`] pushed here, if any:
+    /// the push-only path for single-threaded callers (tests, probes).
     pub fn pop(&self) -> Option<ShmMsg> {
         self.inbox.lock().expect("shm inbox").pop_front()
-    }
-
-    /// Push `msg` and set `MAIL` before the inbox lock drops.
-    fn enqueue(&self, msg: ShmMsg) {
-        let mut inbox = self.inbox.lock().expect("shm inbox");
-        inbox.push_back(msg);
-        self.state.fetch_or(MAIL, SeqCst);
-    }
-
-    /// As the owner: swap the inbox out under its lock, handle it outside.
-    fn drain(&self, handle: &mut impl FnMut(ShmMsg)) {
-        let mut batch = self.batch.lock().expect("shm batch");
-        std::mem::swap(&mut *self.inbox.lock().expect("shm inbox"), &mut *batch);
-        batch.drain(..).for_each(handle);
-    }
-
-    /// Give up ownership by `CAS(OWNED → 0)`; while that fails, `MAIL`
-    /// was set meanwhile: clear it and drain.
-    fn release(&self, handle: &mut impl FnMut(ShmMsg)) {
-        while self
-            .state
-            .compare_exchange(OWNED, 0, SeqCst, SeqCst)
-            .is_err()
-        {
-            self.state.swap(OWNED, SeqCst);
-            self.drain(handle);
-        }
     }
 
     /// Snapshot this node's counters in the engine-stats vocabulary used
@@ -195,14 +145,20 @@ impl ShmNode {
     /// transport never aggregates).
     pub fn engine_stats(&self) -> EngineStats {
         let mut s = EngineStats::default();
-        s.am_sent.add(self.counters.am_sent.load(Relaxed));
-        s.am_submitted.add(self.counters.am_sent.load(Relaxed));
-        s.am_received.add(self.counters.am_received.load(Relaxed));
-        s.puts_started.add(self.counters.puts_started.load(Relaxed));
-        s.put_bytes_in.add(self.counters.put_bytes_in.load(Relaxed));
-        s.puts_remote_done
-            .add(self.counters.puts_remote_done.load(Relaxed));
+        for c in &self.counters {
+            s.am_sent.add(c.am_sent.load(Relaxed));
+            s.am_submitted.add(c.am_sent.load(Relaxed));
+            s.am_received.add(c.am_received.load(Relaxed));
+            s.puts_started.add(c.puts_started.load(Relaxed));
+            s.put_bytes_in.add(c.put_bytes_in.load(Relaxed));
+            s.puts_remote_done.add(c.puts_remote_done.load(Relaxed));
+        }
         s
+    }
+
+    /// The calling thread's cell of this node's counters.
+    fn counters(&self) -> &ShmCounters {
+        &self.counters[CELL.with(|c| *c)]
     }
 
     /// `(pool hits, pool misses)` of this node's receive-buffer pool.
@@ -274,44 +230,17 @@ impl ShmWorld {
         }
     }
 
-    /// Send `msg` to `dst` and see that it is handled: by `handle` on this
-    /// thread at once when `dst` has no owner and no mail, through the
-    /// inbox otherwise (module docs). `handle` runs as `dst`'s owner, so
-    /// it must not send through this world to another node: a thread that
-    /// owned several nodes would serialize all their traffic behind
-    /// itself.
-    pub fn send(&self, dst: NodeId, msg: ShmMsg, mut handle: impl FnMut(ShmMsg)) {
-        let n = &self.nodes[dst];
-        if n.state.compare_exchange(0, OWNED, SeqCst, SeqCst).is_ok() {
-            self.count_send(&msg, "shm.direct");
-            handle(msg);
-            n.release(&mut handle);
-        } else {
-            self.count_send(&msg, "shm.queued");
-            n.enqueue(msg);
-            self.progress(dst, handle);
-        }
+    /// Send `msg` to `dst` and handle it there: count the send, then run
+    /// `handle(dst, msg)` on this thread (module docs).
+    pub fn send(&self, dst: NodeId, msg: ShmMsg, handle: impl FnOnce(NodeId, ShmMsg)) {
+        self.count_send(&msg);
+        handle(dst, msg);
     }
 
-    /// Drain `node`'s inbox through `handle` as its owner, unless a thread
-    /// already owns it (module docs); `handle` is bound as in
-    /// [`ShmWorld::send`].
-    fn progress(&self, node: NodeId, mut handle: impl FnMut(ShmMsg)) {
-        let n = &self.nodes[node];
-        if n.state
-            .compare_exchange(MAIL, OWNED, SeqCst, SeqCst)
-            .is_ok()
-        {
-            n.drain(&mut handle);
-            n.release(&mut handle);
-        }
-    }
-
-    /// Every node's stage registry merged into one (cross-node report,
-    /// with the `shm.direct` / `shm.queued` hand-off counts), plus the
-    /// buffer pools' `shm.pool_hits` / `shm.pool_misses` (takes served
-    /// from a pool / takes that had to allocate). Empty when metrics are
-    /// off.
+    /// Every node's stage registry merged into one (cross-node report),
+    /// plus the buffer pools' `shm.pool_hits` / `shm.pool_misses` (takes
+    /// served from a pool / takes that had to allocate). Empty when
+    /// metrics are off.
     pub fn merged_metrics(&self) -> MetricsRegistry {
         let mut all = MetricsRegistry::new(self.metrics_on);
         for n in self.nodes.iter() {
@@ -339,9 +268,8 @@ impl ShmWorld {
     }
 
     /// Push an active message from `src` into `dst`'s inbox, stamped with
-    /// wall-clock instant `now_ns` (ns since pool start). Nothing handles
-    /// it until [`ShmNode::pop`] takes it or the next [`ShmWorld::send`]
-    /// to `dst` drains the inbox.
+    /// wall-clock instant `now_ns` (ns since pool start), for
+    /// [`ShmNode::pop`] to take.
     pub fn send_am(&self, src: NodeId, dst: NodeId, tag: u64, frames: Frames, now_ns: u64) {
         let msg = ShmMsg::Am {
             src,
@@ -349,19 +277,22 @@ impl ShmWorld {
             frames,
             sent_at_ns: now_ns,
         };
-        self.count_send(&msg, "shm.queued");
-        self.nodes[dst].enqueue(msg);
+        self.count_send(&msg);
+        self.nodes[dst]
+            .inbox
+            .lock()
+            .expect("shm inbox")
+            .push_back(msg);
     }
 
     /// Sender-side bookkeeping of `msg` at its source, the same for a
-    /// hand-off as for a push: the lifecycle counter and, in metrics mode,
-    /// the `path` it took (`shm.direct` / `shm.queued`), zero queue and
-    /// inject stages (a send is one hand-off or one push here: no command
-    /// queue, no injection delay; the zeros keep stage counts aligned with
-    /// the virtual backends) and the per-class wire counts.
-    fn count_send(&self, msg: &ShmMsg, path: &str) {
+    /// send as for a push: the lifecycle counter and, in metrics mode,
+    /// zero queue and inject stages (no command queue, no injection delay
+    /// here; the zeros keep stage counts aligned with the virtual
+    /// backends) and the per-class wire counts.
+    fn count_send(&self, msg: &ShmMsg) {
         let (ShmMsg::Am { src, .. } | ShmMsg::Put { src, .. }) = *msg;
-        let c = &self.nodes[src].counters;
+        let c = self.nodes[src].counters();
         match msg {
             ShmMsg::Am { .. } => c.am_sent.fetch_add(1, Relaxed),
             ShmMsg::Put { .. } => c.puts_started.fetch_add(1, Relaxed),
@@ -370,7 +301,6 @@ impl ShmWorld {
             return;
         }
         let mut m = self.nodes[src].metrics.lock().expect("shm metrics");
-        m.count(path, 1);
         match msg {
             ShmMsg::Am { tag, frames, .. } => {
                 m.record("am.queue_ns", 0);
@@ -399,7 +329,7 @@ impl ShmWorld {
     /// (the caller invokes this once per handled or popped [`ShmMsg`]).
     /// `now_ns` is the arrival instant and `sent_at_ns` the message's send
     /// stamp; their difference is the wire stage (the wait before the
-    /// hand-off or in the inbox).
+    /// handler ran, or in the inbox).
     pub fn delivered(
         &self,
         at: NodeId,
@@ -408,7 +338,7 @@ impl ShmWorld {
         now_ns: u64,
         sent_at_ns: u64,
     ) {
-        let c = &self.nodes[at].counters;
+        let c = self.nodes[at].counters();
         if msg_was_put {
             c.put_bytes_in.fetch_add(size as u64, Relaxed);
             c.puts_remote_done.fetch_add(1, Relaxed);
@@ -423,7 +353,7 @@ impl ShmWorld {
             };
             let mut m = self.nodes[at].metrics.lock().expect("shm metrics");
             m.record(wire, now_ns.saturating_sub(sent_at_ns));
-            // Hand-off == delivery: handlers run as soon as they own it.
+            // Hand-off == delivery: a message's handler runs as it arrives.
             m.record(deliver, 0);
         }
     }
@@ -433,8 +363,8 @@ impl ShmWorld {
 mod shm_tests {
     use super::*;
 
-    /// A pushed AM leaves `MAIL` set, so a later `send` of a put to the
-    /// same node queues behind it and drains both, in order.
+    /// The push-only path: `send_am` queues, `pop` takes in FIFO order,
+    /// `delivered` accounts at the receiver.
     #[test]
     fn messages_flow_and_counters_track() {
         let w = ShmWorld::new(3, 8);
@@ -443,60 +373,37 @@ mod shm_tests {
         f.push(Bytes::from_static(b"rec0"));
         f.push(Bytes::from_static(b"rec1"));
         w.send_am(0, 2, 1, f, 10);
-        let put = ShmMsg::Put {
-            src: 1,
-            r_tag: 1,
-            data: Some(Bytes::from(vec![7u8; 64])),
-            size: 64,
-            cb: {
-                let mut b = w.node(1).pool().take(16);
-                use bytes::BufMut;
-                b.put_u64_le(42);
-                b.put_u64_le(9);
-                b.freeze()
-            },
-            sent_at_ns: 20,
-        };
-        let mut got = Vec::new();
-        w.send(2, put, |msg| got.push(msg));
-        assert_eq!(w.node(2).state.load(SeqCst), 0);
-        assert!(w.node(2).pop().is_none());
-        let mut got = got.into_iter();
+        w.send_am(1, 2, 7, Frames::One(Bytes::from(vec![7u8; 64])), 20);
 
-        let m1 = got.next().expect("am first (FIFO)");
-        match &m1 {
+        match w.node(2).pop().expect("first AM (FIFO)") {
             ShmMsg::Am {
                 src,
                 tag,
                 frames,
                 sent_at_ns,
             } => {
-                assert_eq!((*src, *tag), (0, 1));
+                assert_eq!((src, tag, sent_at_ns), (0, 1, 10));
                 assert_eq!(frames.frame_count(), 2);
-                assert_eq!(*sent_at_ns, 10);
             }
             other => panic!("expected Am, got {other:?}"),
         }
         w.delivered(2, false, 0, 15, 10);
-        let m2 = got.next().expect("put second");
-        match m2 {
-            ShmMsg::Put { size, data, cb, .. } => {
-                assert_eq!(size, 64);
-                assert_eq!(data.expect("payload").len(), 64);
-                assert_eq!(cb.len(), 16);
+        match w.node(2).pop().expect("second AM") {
+            ShmMsg::Am {
+                src, tag, frames, ..
+            } => {
+                assert_eq!((src, tag), (1, 7));
+                assert_eq!(frames.iter().map(|b| b.len()).sum::<usize>(), 64);
             }
-            other => panic!("expected Put, got {other:?}"),
+            other => panic!("expected Am, got {other:?}"),
         }
-        w.delivered(2, true, 64, 30, 20);
-        assert!(got.next().is_none());
+        w.delivered(2, false, 0, 30, 20);
+        assert!(w.node(2).pop().is_none());
 
-        let s0 = w.node(0).engine_stats();
+        assert_eq!(w.node(0).engine_stats().am_sent.get(), 1);
+        assert_eq!(w.node(1).engine_stats().am_sent.get(), 1);
         let s2 = w.node(2).engine_stats();
-        assert_eq!(s0.am_sent.get(), 1);
-        assert_eq!(s2.am_received.get(), 1);
-        assert_eq!(s2.put_bytes_in.get(), 64);
-        assert_eq!(s2.puts_remote_done.get(), 1);
-        assert_eq!(w.node(1).engine_stats().puts_started.get(), 1);
+        assert_eq!((s2.am_received.get(), s2.am_sent.get()), (2, 0));
     }
 
     #[test]
@@ -529,27 +436,11 @@ mod shm_tests {
         assert!(w2.merged_metrics().is_empty());
     }
 
-    /// Every sender CASes the destination's state word; the counters are
-    /// written by whoever sends from or handles at the node. Keep them on
-    /// different cache lines of the node's aligned pair.
+    /// `send` runs the handler once per message, on the calling thread,
+    /// as the destination, in send order — nested or not, nothing queues
+    /// — and records the sender samples for every message.
     #[test]
-    fn state_word_does_not_share_a_line_with_the_counters() {
-        use std::mem::{align_of, offset_of, size_of};
-        assert_eq!(align_of::<ShmNode>(), 128);
-        let state = offset_of!(ShmNode, state) / 64;
-        let counters = offset_of!(ShmNode, counters);
-        let lines = counters / 64..=(counters + size_of::<ShmCounters>() - 1) / 64;
-        assert!(
-            !lines.contains(&state),
-            "state on line {state}, counters on {lines:?}"
-        );
-    }
-
-    /// One thread: a send to a free node is handled in line; a send from
-    /// inside that handler to the same node queues (its owner is busy) and
-    /// the owner's release picks it up. Both record the sender samples.
-    #[test]
-    fn send_hands_off_to_a_free_node_and_queues_behind_its_owner() {
+    fn send_runs_the_handler_on_the_calling_thread_in_order() {
         let w = ShmWorld::new_observed(2, 8, true);
         let am = |tag| ShmMsg::Am {
             src: 0,
@@ -557,119 +448,41 @@ mod shm_tests {
             frames: Frames::new(),
             sent_at_ns: 0,
         };
-        let mut tags = Vec::new();
-        w.send(1, am(1), |msg| {
-            let ShmMsg::Am { tag, .. } = msg else {
-                panic!("not the message sent: {msg:?}")
-            };
-            if tag == 1 {
-                w.send(1, am(2), |_| panic!("a second owner of node 1"));
-            }
-            tags.push(tag);
-        });
-        assert_eq!(tags, [1, 2]);
-        assert_eq!(w.node(1).state.load(SeqCst), 0);
-        assert!(w.node(1).pop().is_none());
-        let m = w.merged_metrics();
-        assert_eq!((m.counter("shm.direct"), m.counter("shm.queued")), (1, 1));
-        assert_eq!(m.hist("am.queue_ns").unwrap().count(), 2);
-        assert_eq!(m.hist("am.inject_ns").unwrap().count(), 2);
-        assert_eq!(m.counter("msg.am.msgs_on_wire"), 2);
-        assert_eq!(w.node(0).engine_stats().am_sent.get(), 2);
-    }
-
-    /// Drive `SENDERS` threads through `ROUNDS` barrier-started rounds
-    /// against node 0 of a fresh world: in each round every sender sends
-    /// `per_round` tagged messages through `send(world, sender, tag,
-    /// handler)`. No two threads may ever be inside the handler together
-    /// (`try_lock` is the probe), every message is handled exactly once
-    /// and in its sender's order, and when the round's last send has
-    /// returned the inbox is empty and the state word clear — a message
-    /// the owner missed (lost wakeup) is stranded there. Violations are
-    /// noted and asserted after the join: a panic inside a round would
-    /// leave the other senders waiting on the barrier.
-    fn hammer(per_round: u64, send: impl Fn(&ShmWorld, u64, u64, &dyn Fn(ShmMsg)) + Sync) {
-        const SENDERS: u64 = 4;
-        const ROUNDS: u64 = 20_000;
-        let w = ShmWorld::new(1, 0);
-        // Next expected sequence number per sender.
-        let next = Mutex::new(vec![0u64; SENDERS as usize]);
-        let violations = Mutex::new(Vec::new());
-        let note = |what: String| violations.lock().unwrap().push(what);
-        let handler = |msg: ShmMsg| {
-            let Ok(mut next) = next.try_lock() else {
-                return note("two owners in the handler at once".into());
-            };
-            let ShmMsg::Am { tag, .. } = msg else {
-                return note(format!("not the message sent: {msg:?}"));
-            };
-            let (from, got) = ((tag >> 32) as usize, tag & 0xffff_ffff);
-            if got != next[from] {
-                note(format!("sender {from}: {got} lost, repeated or reordered"));
-            }
-            next[from] = got + 1;
+        let put = ShmMsg::Put {
+            src: 0,
+            r_tag: 1,
+            data: Some(Bytes::from(vec![7u8; 64])),
+            size: 64,
+            cb: Bytes::inline(&42u64.to_le_bytes()).expect("fits the handle"),
+            sent_at_ns: 0,
         };
-        let sync = std::sync::Barrier::new(SENDERS as usize);
-        std::thread::scope(|s| {
-            for sender in 0..SENDERS {
-                let (w, note, handler, sync, send) = (&w, &note, &handler, &sync, &send);
-                s.spawn(move || {
-                    for round in 0..ROUNDS {
-                        sync.wait();
-                        for seq in round * per_round..(round + 1) * per_round {
-                            send(w, sender, sender << 32 | seq, handler);
-                        }
-                        sync.wait();
-                        let n = w.node(0);
-                        if n.state.load(SeqCst) != 0 || !n.inbox.lock().unwrap().is_empty() {
-                            note(format!("round {round}: message stranded or state left set"));
-                        }
-                    }
-                });
-            }
+        let me = std::thread::current().id();
+        let mut got = Vec::new();
+        let mut handler = |dst, msg: ShmMsg| {
+            assert_eq!((dst, std::thread::current().id()), (1, me));
+            got.push(match msg {
+                ShmMsg::Am { tag, .. } => tag,
+                ShmMsg::Put { size, .. } => size as u64,
+            });
+        };
+        w.send(1, am(1), &mut handler);
+        w.send(1, put, &mut handler);
+        w.send(1, am(2), |dst, msg| {
+            handler(dst, msg);
+            // A handler that sends runs the next handler inside itself.
+            w.send(1, am(3), &mut handler);
+            handler(dst, am(99));
         });
-        let violations = violations.into_inner().unwrap();
-        assert!(
-            violations.is_empty(),
-            "{:?}",
-            &violations[..violations.len().min(5)]
-        );
-        assert_eq!(
-            next.into_inner().unwrap(),
-            vec![ROUNDS * per_round; SENDERS as usize]
-        );
-    }
-
-    /// The owner hammer: every sender pushes one message a round and calls
-    /// `progress`, so owners and losers change from round to round.
-    #[test]
-    fn hammer_one_owner_at_a_time_handles_every_message_once() {
-        hammer(1, |w, _, tag, handler| {
-            w.send_am(0, 0, tag, Frames::new(), 0);
-            w.progress(0, handler);
-        });
-    }
-
-    /// The direct-path hammer: two messages per sender a round, half the
-    /// senders through `send` (a direct hand-off whenever node 0 is free,
-    /// queued otherwise) and half through `send_am` + `progress`, so
-    /// direct hand-offs race queued messages, owners and releases.
-    #[test]
-    fn hammer_direct_hand_offs_keep_one_owner_and_sender_order() {
-        hammer(2, |w, sender, tag, handler| {
-            if sender % 2 == 0 {
-                let msg = ShmMsg::Am {
-                    src: 0,
-                    tag,
-                    frames: Frames::new(),
-                    sent_at_ns: 0,
-                };
-                w.send(0, msg, handler);
-            } else {
-                w.send_am(0, 0, tag, Frames::new(), 0);
-                w.progress(0, handler);
-            }
-        });
+        assert_eq!(got, [1, 64, 2, 3, 99]);
+        assert!(w.node(1).pop().is_none(), "send never queues");
+        let m = w.merged_metrics();
+        assert_eq!(m.hist("am.queue_ns").unwrap().count(), 3);
+        assert_eq!(m.hist("am.inject_ns").unwrap().count(), 3);
+        assert_eq!(m.counter("msg.am.msgs_on_wire"), 3);
+        assert_eq!(m.hist("put.queue_ns").unwrap().count(), 1);
+        assert_eq!(m.counter("msg.data.msgs_on_wire"), 1);
+        let s0 = w.node(0).engine_stats();
+        assert_eq!((s0.am_sent.get(), s0.puts_started.get()), (3, 1));
     }
 
     #[test]

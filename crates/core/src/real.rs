@@ -22,20 +22,21 @@
 //!   drawn from thread-safe buffer pools and returned, once decoded in
 //!   place, to the pool they came from.
 //!
-//! ## Progress: one owner per node, in line
+//! ## Progress: the sender handles its own messages, in line
 //!
 //! A message is never a pool job. Every send is a [`post`] into the
 //! worker's outbox; outside a handler the worker then sends the outbox
-//! one message at a time through [`ShmWorld::send`]: when the destination
-//! has no owner and no mail the message is *handed off* — the sender
-//! becomes the node's owner and runs the handler at once, with no inbox
-//! or lock — otherwise it is queued for the owner (the transport's module
-//! docs have the state-word protocol). A handler that sends only appends
-//! to the outbox, so drains never nest and a thread never owns two nodes.
-//! A whole ACTIVATE → GET DATA → put flow therefore usually completes on
-//! the thread that announced it, without waiting behind a kernel. Each
-//! job locks its worker's [`WorkerState`] once, at entry, and lends it
-//! down to every handler it runs.
+//! one message at a time through [`ShmWorld::send`], which runs the
+//! destination's handler at once, on this thread; a handler that sends
+//! only appends, so drains never nest. A whole ACTIVATE → GET DATA → put
+//! flow completes on the thread that announced it. Handlers for one node
+//! may run on several threads at once: stores sit behind their node's
+//! mutex, countdowns and the quiescence reduce are atomics, buffer pools
+//! are shared, statistics per worker. Each flow is causal (the ACTIVATE
+//! handler records `pending_forwards` before it posts the GET; the put
+//! follows the GET) and a thread sends its outbox in order, so no
+//! ordering is lost. Each job locks its worker's [`WorkerState`] once, at
+//! entry, and lends it down to every handler it runs.
 //!
 //! Measured on `real_stencil` at 2 threads and rejected (the parent, one
 //! `defer`red job per message, ran 94–110 k tasks/s at 47–50 µs
@@ -67,18 +68,26 @@
 //! over six 8 s pairs, 3 won, noise: the mutex stays, the API stays
 //! narrow.
 //!
+//! Measured while sizing handling by the sender (2 threads; the parent —
+//! one owner per node behind a two-bit state word, direct hand-off to a
+//! free node, its inbox otherwise — ran 329–388 k tasks/s at 4.9–15 µs
+//! end-to-end, the prototype 528–580 k at 1.7 µs) and rejected: the owner
+//! protocol itself, 1.25× on top of the other parts (4/4 pairs): every
+//! message paid a CAS pair on a line every sender writes, and one in five
+//! waited in an inbox behind a busy owner. The atomic park epoch rejected
+//! above pays at this rate: 1.04× on its own (4/4 pairs).
+//!
 //! ## What is per node and what is per worker
 //!
-//! Per node is only what is protocol state: the version store, the
-//! transport's inbox, state word and lifecycle counters. Everything a
-//! thread merely accumulates — busy time, class counts, latency
+//! Per node is only what is protocol state: the version store and the
+//! transport's lifecycle counters. Everything a thread merely
+//! accumulates — busy time, class counts, executed-task counts, latency
 //! statistics, its outbox — is per *worker*
 //! ([`WorkerState`]), on cache lines of its own and merged once at the
 //! end, so no two threads write one line for bookkeeping. The store's
 //! mutex is taken only when there is something to store or look up (a
 //! payload, a forward list, a numeric GET): a cost-only unicast flow
-//! that finds its nodes free takes no lock beyond its job's one
-//! worker-state borrow.
+//! takes no lock beyond its job's one worker-state borrow.
 //!
 //! ## Differences from the virtual path (by design)
 //!
@@ -110,11 +119,11 @@
 //! scheduling order does.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::SeqCst};
+use std::sync::atomic::{AtomicU32, Ordering::SeqCst};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use amt_comm::{kary_children, EngineStats, ReduceStep, ShmMsg, ShmWorld, TreeReduce};
-use amt_exec::{Pool, TraceEvent};
+use amt_exec::{Pool, TraceEvent, WorkerCtx};
 use amt_simnet::{MetricsRegistry, OnlineStats, SimTime, Substrate, Trace};
 use bytes::{Buf, Bytes, Frames};
 
@@ -165,7 +174,12 @@ struct NodeStore {
 #[repr(align(128))]
 struct WorkerState {
     busy_ns: u64,
-    classes: HashMap<&'static str, (u64, u64)>,
+    /// `(class, tasks, busy ns)`: a graph has a handful of classes, so a
+    /// scan that compares pointers before strings beats hashing the name.
+    classes: Vec<(&'static str, u64, u64)>,
+    /// Tasks executed per node — the contributions of the quiescence
+    /// tree reduce, summed over workers ([`RealRun::executed_per_node`]).
+    executed: Vec<u64>,
     /// Message-lifecycle latencies of the flows this worker handled.
     e2e: OnlineStats,
     msg: OnlineStats,
@@ -218,9 +232,6 @@ struct RealRun {
     seed_tasks: Vec<Vec<TaskId>>,
     shm: ShmWorld,
     workers: Vec<Mutex<WorkerState>>,
-    /// Per-node executed-task counts — the contributions of the
-    /// quiescence tree reduce; their sum is the run's executed count.
-    node_executed: Vec<AtomicU64>,
     /// Quiescence reduce over the collective tree (root = node 0).
     reduce: TreeReduce,
     /// Announce over a multicast tree when a version has at least this
@@ -302,8 +313,14 @@ impl RealRun {
             init_versions,
             seed_tasks,
             shm,
-            workers: (0..pool_threads).map(|_| Mutex::default()).collect(),
-            node_executed: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
+            workers: (0..pool_threads)
+                .map(|_| {
+                    Mutex::new(WorkerState {
+                        executed: vec![0; nodes],
+                        ..WorkerState::default()
+                    })
+                })
+                .collect(),
             reduce: TreeReduce::new(nodes, 0, coll_k),
             bcast_tree_min: cfg.bcast_tree_min,
             multicast_k: cfg.multicast_k,
@@ -336,11 +353,25 @@ impl RealRun {
             .push(ns);
     }
 
-    /// The state of the worker running `sub`, locked once per job by the
-    /// three job entries (task, startup, quiescence) and lent down.
-    fn worker(&self, sub: &dyn Substrate) -> MutexGuard<'_, WorkerState> {
-        let w = sub.worker().expect("real runs execute on pool workers");
+    /// The state of the worker running `ctx`, locked once per job by
+    /// [`run_job`] and lent down.
+    fn worker(&self, ctx: &WorkerCtx<'_>) -> MutexGuard<'_, WorkerState> {
+        let w = ctx.worker().expect("real runs execute on pool workers");
         self.workers[w].lock().expect("worker state")
+    }
+
+    /// Executed tasks per node, summed over the workers' counts. Locks
+    /// each worker's state in turn: call it with none held, at
+    /// quiescence.
+    fn executed_per_node(&self) -> Vec<u64> {
+        let mut counts = vec![0; self.shm.len()];
+        for w in &self.workers {
+            let w = w.lock().expect("worker state");
+            for (c, n) in counts.iter_mut().zip(&w.executed) {
+                *c += n;
+            }
+        }
+        counts
     }
 
     /// Whether a payload of `v` exists anywhere: only kernels and initial
@@ -397,12 +428,38 @@ impl RealRun {
     }
 }
 
+/// Pool runner ids of the startup and quiescence jobs; every other id
+/// is a task.
+const STARTUP: usize = usize::MAX;
+const QUIESCE: usize = usize::MAX - 1;
+
+/// The pool's task runner: lock this worker's state once and run job
+/// `id` — a task, the startup at the collective root, or the quiescence
+/// reduce, in which every node contributes its executed-task count and
+/// partial sums climb to the root, which must see exactly the graph's
+/// task count.
+fn run_job(ctx: &mut WorkerCtx<'_>, run: &RealRun, id: usize) {
+    // Summed before this worker's own state is locked.
+    let counts = (id == QUIESCE).then(|| run.executed_per_node());
+    let mut ws = run.worker(ctx);
+    match (id, counts) {
+        (STARTUP, _) => node_startup(ctx, run, &mut ws, 0),
+        (QUIESCE, Some(counts)) => {
+            for (node, count) in counts.into_iter().enumerate() {
+                let step = run.reduce.contribute(node, count);
+                coll_step(ctx, run, &mut ws, node, step);
+            }
+        }
+        (t, _) => exec_task(ctx, run, &mut ws, t),
+    }
+}
+
 /// Announce `v` to every remote consumer node and see to their progress;
 /// called once, by the producer's node (or that node's startup for
 /// initial versions). Wide announces go down a multicast tree when
 /// `bcast_tree_min` allows; each destination still receives exactly one
 /// ACTIVATE.
-fn announce(sub: &mut dyn Substrate, run: &Arc<RealRun>, ws: &mut WorkerState, v: usize) {
+fn announce(ctx: &mut WorkerCtx<'_>, run: &RealRun, ws: &mut WorkerState, v: usize) {
     let ver = run.graph.version(v);
     let home = ver.home;
     let priority = ver
@@ -414,15 +471,15 @@ fn announce(sub: &mut dyn Substrate, run: &Arc<RealRun>, ws: &mut WorkerState, v
     let mut dests = std::mem::take(&mut ws.dests);
     run.remote_consumer_nodes(v, &mut dests);
     if run.bcast_tree_min.is_some_and(|m| dests.len() >= m) {
-        let now_ns = sub.now().as_ns();
-        relay_subtree(sub, run, ws, home, v, &dests, priority, now_ns);
+        let now_ns = ctx.now().as_ns();
+        relay_subtree(ctx, run, ws, home, v, &dests, priority, now_ns);
     } else {
         for &dst in &dests {
-            let now_ns = sub.now().as_ns();
+            let now_ns = ctx.now().as_ns();
             let rec = ActivateRec::direct(v as u64, ver.size as u64, priority, now_ns);
             let frame = rec.encode_one(|n| run.shm.node(home).pool().take(n));
             let msg = am(home, AM_ACTIVATE, Frames::One(frame), now_ns);
-            post(sub, run, ws, dst as usize, msg);
+            post(ctx, run, ws, dst as usize, msg);
         }
     }
     ws.dests = dests;
@@ -434,8 +491,8 @@ fn announce(sub: &mut dyn Substrate, run: &Arc<RealRun>, ws: &mut WorkerState, v
 /// like the virtual engines' relays.
 #[allow(clippy::too_many_arguments)]
 fn relay_subtree(
-    sub: &mut dyn Substrate,
-    run: &Arc<RealRun>,
+    ctx: &mut WorkerCtx<'_>,
+    run: &RealRun,
     ws: &mut WorkerState,
     node: usize,
     v: usize,
@@ -453,18 +510,9 @@ fn relay_subtree(
             forward,
         };
         let frame = rec.encode_one(|n| run.shm.node(node).pool().take(n));
-        let msg = am(node, AM_ACTIVATE, Frames::One(frame), sub.now().as_ns());
-        post(sub, run, ws, child as usize, msg);
+        let msg = am(node, AM_ACTIVATE, Frames::One(frame), ctx.now().as_ns());
+        post(ctx, run, ws, child as usize, msg);
     }
-}
-
-/// Spawn a task-execution job.
-fn spawn_task(sub: &mut dyn Substrate, run: &Arc<RealRun>, t: TaskId) {
-    let run = run.clone();
-    sub.defer(Box::new(move |sub| {
-        let mut ws = run.worker(sub);
-        exec_task(sub, &run, &mut ws, t)
-    }));
 }
 
 /// An active message from `src` stamped `sent_at_ns`.
@@ -479,39 +527,34 @@ fn am(src: usize, tag: u64, frames: Frames, sent_at_ns: u64) -> ShmMsg {
 
 /// Send `msg` to `dst` (module docs). Outside a drain this worker becomes
 /// the outermost sender and sends its outbox one message at a time, each
-/// handed off directly or queued by [`ShmWorld::send`]; from a handler it
-/// only appends, so no drain nests inside another.
-fn post(
-    sub: &mut dyn Substrate,
-    run: &Arc<RealRun>,
-    ws: &mut WorkerState,
-    dst: usize,
-    msg: ShmMsg,
-) {
+/// handled at once by [`ShmWorld::send`]; from a handler it only appends,
+/// so no drain nests inside another.
+fn post(ctx: &mut WorkerCtx<'_>, run: &RealRun, ws: &mut WorkerState, dst: usize, msg: ShmMsg) {
     ws.outbox.push_back((dst, msg));
     if std::mem::replace(&mut ws.draining, true) {
         return;
     }
-    let t0 = run.metrics_on.then(|| sub.now());
+    let t0 = run.metrics_on.then(|| ctx.now());
     while let Some((dst, msg)) = ws.outbox.pop_front() {
-        run.shm.send(dst, msg, |msg| handle(sub, run, ws, dst, msg));
+        run.shm
+            .send(dst, msg, |dst, msg| handle(ctx, run, ws, dst, msg));
     }
     ws.draining = false;
-    ws.drained_ns += t0.map_or(0, |t0| (sub.now() - t0).as_ns());
+    ws.drained_ns += t0.map_or(0, |t0| (ctx.now() - t0).as_ns());
 }
 
 /// Run `f`; in metrics mode also sample its wall time under `key`.
 /// Returns the sampled nanoseconds (0 when unobserved).
 fn timed(
-    sub: &mut dyn Substrate,
+    ctx: &mut WorkerCtx<'_>,
     run: &RealRun,
     key: &'static str,
-    f: impl FnOnce(&mut dyn Substrate),
+    f: impl FnOnce(&mut WorkerCtx<'_>),
 ) -> u64 {
-    let t0 = run.metrics_on.then(|| sub.now());
-    f(sub);
+    let t0 = run.metrics_on.then(|| ctx.now());
+    f(ctx);
     t0.map_or(0, |t0| {
-        let d = (sub.now() - t0).as_ns();
+        let d = (ctx.now() - t0).as_ns();
         run.record_sample(key, d);
         d
     })
@@ -520,14 +563,14 @@ fn timed(
 /// Execute task `t` on its home node's store, then run the completion
 /// protocol: mark outputs present, release local consumers, announce to
 /// remote ones.
-fn exec_task(sub: &mut dyn Substrate, run: &Arc<RealRun>, ws: &mut WorkerState, t: TaskId) {
+fn exec_task(ctx: &mut WorkerCtx<'_>, run: &RealRun, ws: &mut WorkerState, t: TaskId) {
     let task = run.graph.task(t);
     let node = task.node;
     // Dispatch-overhead measurement brackets the whole job (input gather,
     // kernel, completion protocol) less the messages this worker handles
     // in line on the way, which have samples of their own; metrics mode
     // only.
-    let t_entry = run.metrics_on.then(|| (sub.now(), ws.drained_ns));
+    let t_entry = run.metrics_on.then(|| (ctx.now(), ws.drained_ns));
 
     // Gather input payloads (only data-carrying versions feed kernels,
     // exactly like the sequential oracle).
@@ -548,26 +591,32 @@ fn exec_task(sub: &mut dyn Substrate, run: &Arc<RealRun>, ws: &mut WorkerState, 
         Vec::new()
     };
 
-    let started = sub.now();
+    let started = ctx.now();
     let outs: Vec<Bytes> = match &task.kernel {
         Some(k) => k(&inputs),
         None => Vec::new(),
     };
-    let ended = sub.now();
+    let ended = ctx.now();
     let busy_ns = (ended - started).as_ns();
     // On a traced pool this lands in the worker's lock-free buffer; on an
     // untraced pool (and the virtual substrate) it is a no-op.
-    sub.trace_task(task.name, node, started, ended);
+    ctx.trace_task(task.name, node, started, ended);
     if task.kernel.is_some() {
         assert_eq!(outs.len(), task.outputs.len(), "kernel output arity");
     }
 
     // Worker accounting.
     ws.busy_ns += busy_ns;
-    let e = ws.classes.entry(task.name).or_insert((0, 0));
-    e.0 += 1;
-    e.1 += busy_ns;
-    run.node_executed[node].fetch_add(1, SeqCst);
+    ws.executed[node] += 1;
+    let name = task.name;
+    match ws
+        .classes
+        .iter_mut()
+        .find(|c| std::ptr::eq(c.0, name) || c.0 == name)
+    {
+        Some(c) => (c.1, c.2) = (c.1 + 1, c.2 + busy_ns),
+        None => ws.classes.push((name, 1, busy_ns)),
+    }
     if run.metrics_on {
         run.kernel_sample(task.name, busy_ns);
     }
@@ -582,14 +631,14 @@ fn exec_task(sub: &mut dyn Substrate, run: &Arc<RealRun>, ws: &mut WorkerState, 
                 .next()
                 .expect("one kernel payload per declared write")
         });
-        run.fulfill_local(node, out.0, payload, |t| spawn_task(sub, run, t));
+        run.fulfill_local(node, out.0, payload, |t| ctx.defer_task(t));
     }
     for &out in &task.outputs {
-        announce(sub, run, ws, out.0);
+        announce(ctx, run, ws, out.0);
     }
     if let Some((t_entry, drained)) = t_entry {
         let drained = ws.drained_ns - drained;
-        let total_ns = (sub.now() - t_entry).as_ns();
+        let total_ns = (ctx.now() - t_entry).as_ns();
         run.record_sample(
             REC_TASK_OVERHEAD,
             total_ns.saturating_sub(busy_ns + drained),
@@ -597,21 +646,15 @@ fn exec_task(sub: &mut dyn Substrate, run: &Arc<RealRun>, ws: &mut WorkerState, 
     }
 }
 
-/// Handle one message at `node`, handed off or drained from its inbox,
-/// as the node's owner. Decoding reads the frames in place; every buffer
+/// Handle one message at `node`, on the thread that sent it (module
+/// docs). Decoding reads the frames in place; every buffer
 /// then returns to the pool of the node that encoded it, so each pool
 /// gets back exactly what it hands out whatever the traffic's shape
 /// (immediate records have none: their `recycle` is a no-op). The one
 /// clock read here is the message's arrival instant for the handlers and
 /// the send stamp of their replies.
-fn handle(
-    sub: &mut dyn Substrate,
-    run: &Arc<RealRun>,
-    ws: &mut WorkerState,
-    node: usize,
-    msg: ShmMsg,
-) {
-    let now_ns = sub.now().as_ns();
+fn handle(ctx: &mut WorkerCtx<'_>, run: &RealRun, ws: &mut WorkerState, node: usize, msg: ShmMsg) {
+    let now_ns = ctx.now().as_ns();
     match msg {
         ShmMsg::Am {
             src,
@@ -624,8 +667,8 @@ fn handle(
                 AM_ACTIVATE => {
                     let mut callback_ns = 0u64;
                     for rec in ActivateRec::iter_frames(&frames) {
-                        callback_ns += timed(sub, run, REC_ACTIVATE, |sub| {
-                            on_activate(sub, run, ws, node, src, rec, now_ns)
+                        callback_ns += timed(ctx, run, REC_ACTIVATE, |ctx| {
+                            on_activate(ctx, run, ws, node, src, rec, now_ns)
                         });
                     }
                     run.shm.record_stage(node, "am.callback_ns", callback_ns);
@@ -633,17 +676,17 @@ fn handle(
                 AM_GETDATA => {
                     let mut callback_ns = 0u64;
                     for rec in GetRec::iter_frames(&frames) {
-                        callback_ns += timed(sub, run, REC_GET_REQUEST, |sub| {
-                            on_getdata(sub, run, ws, node, src, rec, now_ns)
+                        callback_ns += timed(ctx, run, REC_GET_REQUEST, |ctx| {
+                            on_getdata(ctx, run, ws, node, src, rec, now_ns)
                         });
                     }
                     run.shm.record_stage(node, "am.callback_ns", callback_ns);
                 }
-                AM_COLL_GO => node_startup(sub, run, ws, node),
+                AM_COLL_GO => node_startup(ctx, run, ws, node),
                 AM_COLL_SUM => {
                     for mut partial in frames.iter().map(|b| &b[..]) {
                         let step = run.reduce.arrive(node, partial.get_u64_le());
-                        coll_step(sub, run, ws, node, step);
+                        coll_step(ctx, run, ws, node, step);
                     }
                 }
                 _ => panic!("unregistered AM tag {tag}"),
@@ -660,8 +703,8 @@ fn handle(
         } => {
             debug_assert_eq!(r_tag, RTAG_DATA, "unexpected one-sided tag");
             run.shm.delivered(node, true, size, now_ns, sent_at_ns);
-            let d = timed(sub, run, REC_ARRIVAL, |sub| {
-                on_data(sub, run, ws, node, data, PutCb::decode(&cb), now_ns)
+            let d = timed(ctx, run, REC_ARRIVAL, |ctx| {
+                on_data(ctx, run, ws, node, data, PutCb::decode(&cb), now_ns)
             });
             run.shm.record_stage(node, "put.callback_ns", d);
             run.shm.node(src).pool().recycle(cb);
@@ -673,13 +716,13 @@ fn handle(
 /// token to the node's collective-tree children first (subtree startups
 /// overlap with this node's own work), then announce this node's initial
 /// versions and seed its dependence-free tasks, in task order.
-fn node_startup(sub: &mut dyn Substrate, run: &Arc<RealRun>, ws: &mut WorkerState, node: usize) {
+fn node_startup(ctx: &mut WorkerCtx<'_>, run: &RealRun, ws: &mut WorkerState, node: usize) {
     for child in kary_children(node, 0, run.shm.len(), run.coll_k) {
-        let msg = am(node, AM_COLL_GO, Frames::new(), sub.now().as_ns());
-        post(sub, run, ws, child, msg);
+        let msg = am(node, AM_COLL_GO, Frames::new(), ctx.now().as_ns());
+        post(ctx, run, ws, child, msg);
     }
     for &v in &run.init_versions[node] {
-        announce(sub, run, ws, v);
+        announce(ctx, run, ws, v);
     }
     // Seed only *statically* dependence-free tasks — every input a
     // pre-satisfied initial version homed here. Tasks whose counters hit
@@ -687,7 +730,7 @@ fn node_startup(sub: &mut dyn Substrate, run: &Arc<RealRun>, ws: &mut WorkerStat
     // delivery; re-checking live counters here would double-spawn any
     // task released by a remote flow that outran this node's go token.
     for &t in &run.seed_tasks[node] {
-        spawn_task(sub, run, t);
+        ctx.defer_task(t);
     }
 }
 
@@ -695,8 +738,8 @@ fn node_startup(sub: &mut dyn Substrate, run: &Arc<RealRun>, ws: &mut WorkerStat
 /// sum to the tree parent (the root's completion is read off
 /// [`TreeReduce::result`] after the pool drains).
 fn coll_step(
-    sub: &mut dyn Substrate,
-    run: &Arc<RealRun>,
+    ctx: &mut WorkerCtx<'_>,
+    run: &RealRun,
     ws: &mut WorkerState,
     node: usize,
     step: ReduceStep,
@@ -704,8 +747,8 @@ fn coll_step(
     match step {
         ReduceStep::Send { parent, partial } => {
             let frame = Bytes::inline(&partial.to_le_bytes()).expect("8 bytes fit the handle");
-            let msg = am(node, AM_COLL_SUM, Frames::One(frame), sub.now().as_ns());
-            post(sub, run, ws, parent, msg);
+            let msg = am(node, AM_COLL_SUM, Frames::One(frame), ctx.now().as_ns());
+            post(ctx, run, ws, parent, msg);
         }
         ReduceStep::Done(_) | ReduceStep::Wait => {}
     }
@@ -715,8 +758,8 @@ fn coll_step(
 /// complete immediately; data flows request the payload from the
 /// producing node.
 fn on_activate(
-    sub: &mut dyn Substrate,
-    run: &Arc<RealRun>,
+    ctx: &mut WorkerCtx<'_>,
+    run: &RealRun,
     ws: &mut WorkerState,
     node: usize,
     src: usize,
@@ -731,10 +774,10 @@ fn on_activate(
         // wait for.
         ws.msg.record_time_us(lat);
         ws.e2e.record_time_us(lat);
-        run.fulfill_local(node, v, None, |t| spawn_task(sub, run, t));
+        run.fulfill_local(node, v, None, |t| ctx.defer_task(t));
         if !rec.forward.is_empty() {
             relay_subtree(
-                sub,
+                ctx,
                 run,
                 ws,
                 node,
@@ -767,14 +810,14 @@ fn on_activate(
         activate_sent_at_ns: rec.sent_at_ns,
     };
     let msg = am(node, AM_GETDATA, Frames::One(get.encode()), now_ns);
-    post(sub, run, ws, src, msg);
+    post(ctx, run, ws, src, msg);
 }
 
 /// GET DATA at the owner (arrived at `now_ns`): answer with a one-sided
 /// put of the payload.
 fn on_getdata(
-    sub: &mut dyn Substrate,
-    run: &Arc<RealRun>,
+    ctx: &mut WorkerCtx<'_>,
+    run: &RealRun,
     ws: &mut WorkerState,
     node: usize,
     src: usize,
@@ -809,14 +852,14 @@ fn on_getdata(
         cb: cb.encode(),
         sent_at_ns: now_ns,
     };
-    post(sub, run, ws, src, msg);
+    post(ctx, run, ws, src, msg);
 }
 
 /// Put arrival at the consumer (at `now_ns`): the flow is complete;
 /// fulfill and release.
 fn on_data(
-    sub: &mut dyn Substrate,
-    run: &Arc<RealRun>,
+    ctx: &mut WorkerCtx<'_>,
+    run: &RealRun,
     ws: &mut WorkerState,
     node: usize,
     data: Option<Bytes>,
@@ -827,7 +870,7 @@ fn on_data(
         now_ns.saturating_sub(cb.activate_sent_at_ns),
     ));
     let v = cb.version as usize;
-    run.fulfill_local(node, v, data, |t| spawn_task(sub, run, t));
+    run.fulfill_local(node, v, data, |t| ctx.defer_task(t));
     // Multicast relay: the data is local now; announce it down the
     // subtree so children GET it from this node. Forward lists exist only
     // under `bcast_tree_min`.
@@ -837,7 +880,7 @@ fn on_data(
     });
     if let Some((subtree, priority)) = fwd {
         relay_subtree(
-            sub,
+            ctx,
             run,
             ws,
             node,
@@ -918,44 +961,30 @@ pub(crate) fn run(
     cfg: &ClusterConfig,
     threads: usize,
 ) -> (RunReport, HashMap<VersionId, Bytes>, RealObs) {
-    let pool = if cfg.trace {
-        Pool::new_traced(threads, STEAL_SEED)
-    } else {
-        Pool::new(threads, STEAL_SEED)
+    let threads = match threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
     };
-    let threads = pool.threads();
     let nodes = cfg.nodes;
     let tasks_total = graph.task_count() as u64;
     let run = Arc::new(RealRun::new(graph, cfg, threads));
+    let pool = {
+        let run = run.clone();
+        Pool::with_runner(threads, STEAL_SEED, cfg.trace, move |ctx, id| {
+            run_job(ctx, &run, id)
+        })
+    };
 
     let t0 = pool.now();
     // Startup collective: the root's startup job relays a go-token down
     // the k-ary tree; every node announces its own initial versions and
     // seeds its own dependence-free tasks when the token reaches it.
-    {
-        let run2 = run.clone();
-        pool.spawn(Box::new(move |sub| {
-            let mut ws = run2.worker(sub);
-            node_startup(sub, &run2, &mut ws, 0)
-        }));
-    }
+    pool.spawn_task(STARTUP);
     pool.run_until_idle();
     let makespan = pool.now() - t0;
-    // Quiescence collective: every node contributes its executed-task
-    // count to a tree reduce; partial sums climb to the root, which must
-    // see exactly the graph's task count. Runs after the makespan clock
-    // stops — it is a completion check, not part of the workload.
-    {
-        let run2 = run.clone();
-        pool.spawn(Box::new(move |sub| {
-            let mut ws = run2.worker(sub);
-            for node in 0..run2.shm.len() {
-                let count = run2.node_executed[node].load(SeqCst);
-                let step = run2.reduce.contribute(node, count);
-                coll_step(sub, &run2, &mut ws, node, step);
-            }
-        }));
-    }
+    // Quiescence collective (after the makespan clock stops — it is a
+    // completion check, not part of the workload).
+    pool.spawn_task(QUIESCE);
     pool.run_until_idle();
     // Quiescence first, then the observability drains: every worker's
     // buffer publications happen-before the parked state run_until_idle
@@ -965,7 +994,7 @@ pub(crate) fn run(
     drop(pool);
 
     let run = Arc::try_unwrap(run).unwrap_or_else(|_| panic!("run state still shared after idle"));
-    let executed: u64 = run.node_executed.iter().map(|n| n.load(SeqCst)).sum();
+    let executed: u64 = run.executed_per_node().iter().sum();
     assert_eq!(
         executed, tasks_total,
         "real execution drained with unexecuted tasks (protocol stall)"
@@ -990,7 +1019,7 @@ pub(crate) fn run(
         msg.merge(&w.msg);
         req.merge(&w.req);
         worker_busy_ns += w.busy_ns;
-        for (name, (n, busy)) in &w.classes {
+        for &(name, n, busy) in &w.classes {
             let e = classes.entry(name).or_insert((0, 0));
             e.0 += n;
             e.1 += busy;

@@ -1081,8 +1081,10 @@ fn real_exec_messages_are_not_pool_jobs_and_record_buffers_recycle() {
 
 /// An observed real run of the lopsided stencil on `threads` workers
 /// (complete, every flow measured, no message a pool job): its merged
-/// stage registry and the AMs and puts sent.
-fn observed_lopsided_run(threads: usize) -> (amt_simnet::MetricsRegistry, u64, u64) {
+/// stage registry, the AMs and puts sent, and the report.
+fn observed_lopsided_run(
+    threads: usize,
+) -> (amt_simnet::MetricsRegistry, u64, u64, crate::RunReport) {
     let mut cluster = Cluster::new(ClusterConfig {
         mode: ExecMode::CostOnly,
         metrics: true,
@@ -1101,37 +1103,37 @@ fn observed_lopsided_run(threads: usize) -> (amt_simnet::MetricsRegistry, u64, u
     let stages = cluster.metrics_report(&report).stages;
     let sum = |f: fn(&amt_comm::EngineStats) -> u64| report.engine_stats.iter().map(f).sum();
     let (ams, puts) = (sum(|s| s.am_sent.get()), sum(|s| s.puts_started.get()));
-    (stages, ams, puts)
+    (stages, ams, puts, report)
 }
 
-/// Deterministic proxy for the direct hand-off (counts, not wall-clock):
-/// on one thread every message finds its destination free — the outermost
-/// sender releases a node before it sends the next message, and handlers
-/// only post — so none goes through an inbox; on two threads each message
-/// is still counted once, handed off or queued, and most are handed off.
+/// Every message is handled at once by the thread that sends it, at any
+/// thread count: each AM sent was received and each put started landed —
+/// none was left in an inbox or handled twice, whichever threads ran a
+/// node's handlers concurrently — and no message became a pool job
+/// (`observed_lopsided_run` holds spawns to one per task).
 #[test]
-fn real_exec_uncontended_messages_skip_the_mailbox() {
-    for threads in [1, 2] {
-        let (stages, ams, puts) = observed_lopsided_run(threads);
-        let (direct, queued) = (stages.counter("shm.direct"), stages.counter("shm.queued"));
-        assert_eq!(direct + queued, ams + puts, "{threads} thread(s)");
-        if threads == 1 {
-            assert_eq!(queued, 0, "a message queued with nobody else running");
-        } else {
-            assert!(
-                direct > 0 && queued < direct,
-                "{direct} handed off, {queued} queued at 2 threads"
-            );
-        }
+fn real_exec_every_message_is_handled_by_its_sender() {
+    for threads in [1, 2, 4] {
+        let (_, ams, puts, report) = observed_lopsided_run(threads);
+        let sum = |f: fn(&amt_comm::EngineStats) -> u64| -> u64 {
+            report.engine_stats.iter().map(f).sum()
+        };
+        assert!(ams > 0 && puts > 0, "{threads} thread(s): no traffic");
+        assert_eq!(sum(|s| s.am_received.get()), ams, "{threads} thread(s)");
+        assert_eq!(
+            sum(|s| s.puts_remote_done.get()),
+            puts,
+            "{threads} thread(s)"
+        );
     }
 }
 
-/// A direct hand-off records the same sender-side samples as a push:
-/// zero queue/inject stages, per-class wire counts and records per
-/// message, for every AM and every put of a two-thread run.
+/// Every message records the sender-side samples: zero queue/inject
+/// stages, per-class wire counts and records per message, for every AM
+/// and every put of a two-thread run.
 #[test]
 fn real_exec_observed_sender_samples_count_every_message() {
-    let (stages, ams, puts) = observed_lopsided_run(2);
+    let (stages, ams, puts, _) = observed_lopsided_run(2);
     let samples = |name: &str| stages.hist(name).map_or(0, |h| h.count());
     let am_classes = ["activate", "get", "coll"];
     let per_class = |what: &str, f: &dyn Fn(&str) -> u64| -> u64 {

@@ -9,9 +9,10 @@
 //! * [`deque`] — a bounded lock-free Chase–Lev-style deque per worker:
 //!   LIFO local push/pop, FIFO stealing, overflow to a shared injector.
 //! * [`Pool`] — the pool itself: randomized steal-victim probing seeded by
-//!   `DetRng` (reproducible probe sequences per run seed), an epoch-based
-//!   parker/wake protocol for idle workers, and quiescence detection
-//!   ([`Pool::run_until_idle`]) via a pending-job counter.
+//!   `DetRng` (reproducible probe sequences per run seed), an atomic
+//!   epoch parker/wake protocol for idle workers, and quiescence detection
+//!   ([`Pool::run_until_idle`]) from the parked-worker count and an
+//!   injector-job counter.
 //! * Observability — always-on per-worker scheduling counters
 //!   ([`PoolStats`]: spawns, executions, steals, failed probes, parks)
 //!   and, on a traced pool ([`Pool::new_traced`]), per-worker lock-free
@@ -21,9 +22,11 @@
 //!
 //! Jobs are [`SubstrateJob`] closures taking `&mut dyn Substrate`, so
 //! code scheduled here is written once and also runs on the virtual
-//! substrate. With `threads == 1` execution order is fully deterministic;
-//! at any thread count a pure-kernel dataflow graph produces bitwise
-//! identical payloads because the graph fixes all data dependencies.
+//! substrate — or bare task ids for a runner installed with the pool
+//! ([`Pool::with_runner`]), which cost no allocation. With `threads == 1`
+//! execution order is fully deterministic; at any thread count a
+//! pure-kernel dataflow graph produces bitwise identical payloads because
+//! the graph fixes all data dependencies.
 
 #![deny(missing_docs)]
 
@@ -34,7 +37,7 @@ mod pool;
 pub use amt_simnet::{Substrate, SubstrateJob, SubstrateKind};
 pub use deque::{deque, Steal, Stealer, Worker};
 pub use obs::{PoolStats, TraceEvent, WorkerStats};
-pub use pool::{Pool, PoolHandle, WorkerCtx};
+pub use pool::{Pool, WorkerCtx};
 
 #[cfg(test)]
 mod tests;

@@ -159,7 +159,7 @@ pub struct PoolStats {
     /// One entry per worker, index = worker index.
     pub per_worker: Vec<WorkerStats>,
     /// Jobs spawned from outside the pool (injector pushes via
-    /// `Pool::spawn` / `PoolHandle::spawn`).
+    /// `Pool::spawn` / `Pool::spawn_task`).
     pub injector_pushes: u64,
     /// Trace events lost to full buffers (0 when untraced).
     pub trace_dropped: u64,
@@ -198,8 +198,10 @@ impl PoolStats {
     }
 }
 
-/// The atomic originals the snapshot above is read from.
+/// The atomic originals the snapshot above is read from, on cache lines
+/// of their own: each worker bumps its counters on every job.
 #[derive(Debug, Default)]
+#[repr(align(128))]
 pub(crate) struct WorkerCounters {
     pub(crate) executed: AtomicU64,
     pub(crate) deque_pushes: AtomicU64,

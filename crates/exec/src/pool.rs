@@ -9,25 +9,41 @@
 //! wall-clock interleaving. With `threads == 1` there is no interleaving
 //! at all and execution order is fully deterministic.
 //!
+//! A queued job is a closure ([`Substrate::defer`], [`Pool::spawn`]) or a
+//! bare task id ([`WorkerCtx::defer_task`], [`Pool::spawn_task`]) that the
+//! pool's one task runner, installed by [`Pool::with_runner`], executes:
+//! an id costs no allocation and captures nothing the runner does not
+//! already hold.
+//!
 //! ## Parker / wake protocol
 //!
-//! Workers that find nothing park on a condvar. Lost wakeups are prevented
-//! with an epoch: a worker snapshots the epoch *before* scanning for work;
-//! every spawn bumps the epoch (under the same mutex) and wakes a sleeper;
-//! a worker only commits to sleeping if the epoch is still its snapshot —
-//! otherwise work may have arrived mid-scan and it rescans.
+//! Workers that find nothing park on a condvar. Every push bumps an
+//! atomic `epoch`; a worker snapshots it *before* scanning for work. To
+//! park, a worker takes the `sync` mutex, raises the atomic `sleepers`
+//! count and then re-reads the epoch: if it moved, work may have arrived
+//! mid-scan, so it lowers `sleepers` and rescans; otherwise it waits on
+//! the condvar until the epoch moves. A pusher bumps the epoch, then reads
+//! `sleepers`, and takes `sync` to notify only when it is non-zero. Each
+//! side writes one variable and then reads the other's, all `SeqCst` (a
+//! Dekker pairing), so at least one sees the other: either the parker's
+//! re-read sees the bump, or the pusher sees the sleeper and notifies
+//! under `sync` — which the parker holds from raising `sleepers` until its
+//! wait releases it, so the notify cannot fall between its check and its
+//! wait. No wakeup is lost, and a push with nobody parked takes no lock.
 //!
 //! ## Quiescence
 //!
-//! A `pending` counter is incremented at spawn and decremented after a job
-//! finishes, so `pending == 0` means "no job queued anywhere and none
-//! running" — jobs only enter through spawns, and a job's own spawns are
-//! counted before it decrements itself. [`Pool::run_until_idle`] blocks
-//! until that holds *and every worker has parked*: the last worker to
-//! park signals it. Parking takes the `sync` mutex, so everything a worker
-//! wrote before — counters, trace events, whatever its jobs touched —
-//! happens-before the caller's return, and nothing moves until the next
-//! spawn.
+//! `pending` counts injector jobs only — external spawns and deque
+//! overflow — raised before the push and lowered when a worker takes the
+//! job. Deque jobs need no count: a worker parks only after its own pop
+//! found its deque empty, and only a job running on that worker pushes to
+//! its deque. So while every worker is parked no deque holds a job and no
+//! job runs, and with `pending == 0` the injector holds none either.
+//! [`Pool::run_until_idle`] waits, under `sync`, for exactly that: the last
+//! worker to park signals it. Parking takes the `sync` mutex, so
+//! everything a worker wrote before — counters, trace events, whatever its
+//! jobs touched — happens-before the caller's return, and nothing moves
+//! until the next spawn.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{
@@ -42,21 +58,19 @@ use amt_simnet::{DetRng, SimTime, Substrate, SubstrateJob, SubstrateKind};
 use crate::deque::{self, Steal, Stealer, Worker};
 use crate::obs::{PoolStats, TraceBuf, TraceEvent, WorkerCounters, TRACE_CAP};
 
-struct PoolSync {
-    /// Bumped on every spawn; parking workers re-check it (see module
-    /// docs).
-    epoch: u64,
-    /// Workers currently parked on `wake`.
-    idle: usize,
-    shutdown: bool,
+/// A queued unit of work.
+enum Job {
+    /// A task id for the pool's runner.
+    Task(usize),
+    /// A closure.
+    Closure(SubstrateJob),
 }
 
 /// What a deque slot points at: a job, or `None` once a worker has taken
-/// it. The deque needs thin pointers and a job is a fat one, so each
-/// queued job sits in a box of its own; emptied boxes go on the taking
-/// worker's spare list and are refilled by its next [`Substrate::defer`]
-/// instead of being freed and allocated again.
-type Slot = Option<SubstrateJob>;
+/// it. The deque needs thin pointers, so each queued job sits in a box of
+/// its own; emptied boxes go on the taking worker's spare list and are
+/// refilled by its next push instead of being freed and allocated again.
+type Slot = Option<Job>;
 
 /// A worker's emptied slot boxes (it is their allocations that are kept,
 /// so the boxes must stay boxes).
@@ -67,14 +81,31 @@ type Spare = Vec<Box<Slot>>;
 /// otherwise hoard one per steal.
 const SPARE_SLOTS: usize = 256;
 
+/// The pool's task runner: runs a task id on the calling worker.
+type Runner = dyn Fn(&mut WorkerCtx<'_>, usize) + Send + Sync;
+
+/// The atomics every push touches (module docs), on cache lines of their
+/// own so that bumping the epoch does not evict the read-mostly fields
+/// every worker loads.
+#[repr(align(128))]
+struct Parking {
+    epoch: AtomicU64,
+    /// Workers parked or committing to park; changed only under `sync`.
+    sleepers: AtomicUsize,
+    /// Injector jobs not yet taken.
+    pending: AtomicUsize,
+}
+
 struct PoolShared {
     stealers: Vec<Stealer<Slot>>,
-    injector: Mutex<VecDeque<SubstrateJob>>,
-    sync: Mutex<PoolSync>,
+    injector: Mutex<VecDeque<Job>>,
+    parking: Parking,
+    /// The shutdown flag; parkers and notifiers lock it (module docs).
+    sync: Mutex<bool>,
     wake: Condvar,
     /// Signalled (under `sync`) by the last worker to park.
     quiet: Condvar,
-    pending: AtomicUsize,
+    runner: Box<Runner>,
     start: Instant,
     seed: u64,
     /// Always-on per-worker scheduling counters (relaxed atomics).
@@ -98,19 +129,29 @@ impl PoolShared {
         self.trace.as_ref().map(|bufs| &bufs[index])
     }
 
-    fn notify_spawn(&self) {
-        let mut s = self.sync.lock().expect("pool sync");
-        s.epoch += 1;
-        if s.idle > 0 {
+    /// After a push: bump the epoch; wake a sleeper if there is one
+    /// (module docs).
+    fn notify_push(&self) {
+        let p = &self.parking;
+        p.epoch.fetch_add(1, SeqCst);
+        if p.sleepers.load(SeqCst) > 0 {
+            let _sync = self.sync.lock().expect("pool sync");
             self.wake.notify_one();
         }
     }
 
-    fn spawn_injected(&self, job: SubstrateJob) {
-        self.pending.fetch_add(1, SeqCst);
+    /// Queue `job` on the injector; returns the injector's depth after.
+    fn inject(&self, job: Job) -> usize {
+        self.parking.pending.fetch_add(1, SeqCst);
+        let mut inj = self.injector.lock().expect("pool injector");
+        inj.push_back(job);
+        inj.len()
+    }
+
+    fn spawn_injected(&self, job: Job) {
         self.injector_pushes.fetch_add(1, Relaxed);
-        self.injector.lock().expect("pool injector").push_back(job);
-        self.notify_spawn();
+        self.inject(job);
+        self.notify_push();
     }
 }
 
@@ -126,32 +167,47 @@ pub struct Pool {
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
-/// A cloneable spawn handle usable from outside the pool.
-#[derive(Clone)]
-pub struct PoolHandle {
-    shared: Arc<PoolShared>,
-}
-
-impl PoolHandle {
-    /// Enqueue `job` on the shared injector.
-    pub fn spawn(&self, job: SubstrateJob) {
-        self.shared.spawn_injected(job);
-    }
-}
-
 /// The per-worker execution context jobs run against: the real
 /// implementation of [`Substrate`].
 pub struct WorkerCtx<'a> {
-    shared: &'a Arc<PoolShared>,
+    shared: &'a PoolShared,
     local: &'a Worker<Slot>,
     spare: &'a mut Spare,
     index: usize,
 }
 
 impl WorkerCtx<'_> {
-    /// How many workers the pool runs.
-    pub fn pool_threads(&self) -> usize {
-        self.shared.stealers.len()
+    /// Queue task `id` for the pool's runner ([`Pool::with_runner`]) on
+    /// this worker's deque, like [`Substrate::defer`] but with nothing to
+    /// allocate.
+    pub fn defer_task(&mut self, id: usize) {
+        self.push(Job::Task(id));
+    }
+
+    fn push(&mut self, job: Job) {
+        let c = &self.shared.counters[self.index];
+        let mut slot = self.spare.pop().unwrap_or_default();
+        *slot = Some(job);
+        // LIFO local push; a full deque overflows to the injector.
+        if let Err(slot) = self.local.push(slot) {
+            c.overflow_pushes.fetch_add(1, Relaxed);
+            let depth = self.shared.inject(take_job(slot, self.spare));
+            if let Some(buf) = self.shared.buf(self.index) {
+                buf.push(TraceEvent::InjectorDepth {
+                    at_ns: self.shared.now_ns(),
+                    depth: depth as u32,
+                });
+            }
+        } else {
+            c.deque_pushes.fetch_add(1, Relaxed);
+            if let Some(buf) = self.shared.buf(self.index) {
+                buf.push(TraceEvent::DequeDepth {
+                    at_ns: self.shared.now_ns(),
+                    depth: self.local.len() as u32,
+                });
+            }
+        }
+        self.shared.notify_push();
     }
 }
 
@@ -169,34 +225,7 @@ impl Substrate for WorkerCtx<'_> {
     }
 
     fn defer(&mut self, job: SubstrateJob) {
-        self.shared.pending.fetch_add(1, SeqCst);
-        let c = &self.shared.counters[self.index];
-        let mut slot = self.spare.pop().unwrap_or_default();
-        *slot = Some(job);
-        // LIFO local push; a full deque overflows to the injector.
-        if let Err(slot) = self.local.push(slot) {
-            c.overflow_pushes.fetch_add(1, Relaxed);
-            let depth = {
-                let mut inj = self.shared.injector.lock().expect("pool injector");
-                inj.push_back(take_job(slot, self.spare));
-                inj.len()
-            };
-            if let Some(buf) = self.shared.buf(self.index) {
-                buf.push(TraceEvent::InjectorDepth {
-                    at_ns: self.shared.now_ns(),
-                    depth: depth as u32,
-                });
-            }
-        } else {
-            c.deque_pushes.fetch_add(1, Relaxed);
-            if let Some(buf) = self.shared.buf(self.index) {
-                buf.push(TraceEvent::DequeDepth {
-                    at_ns: self.shared.now_ns(),
-                    depth: self.local.len() as u32,
-                });
-            }
-        }
-        self.shared.notify_spawn();
+        self.push(Job::Closure(job));
     }
 
     fn trace_task(&mut self, name: &'static str, node: usize, start: SimTime, end: SimTime) {
@@ -211,21 +240,33 @@ impl Substrate for WorkerCtx<'_> {
     }
 }
 
+/// The runner of a pool built without one.
+fn no_runner(_: &mut WorkerCtx<'_>, id: usize) {
+    panic!("task {id} spawned on a pool built without a task runner");
+}
+
 impl Pool {
     /// Start `threads` workers (`0` = one per available core). `seed`
     /// derives each worker's steal-victim sequence.
     pub fn new(threads: usize, seed: u64) -> Pool {
-        Pool::with_trace(threads, seed, false)
+        Pool::with_runner(threads, seed, false, no_runner)
     }
 
     /// [`Pool::new`] with per-worker trace buffers allocated, so the run
     /// records task spans, steal arrows, park instants, and queue-depth
     /// samples (drained with [`Pool::drain_trace`]).
     pub fn new_traced(threads: usize, seed: u64) -> Pool {
-        Pool::with_trace(threads, seed, true)
+        Pool::with_runner(threads, seed, true, no_runner)
     }
 
-    fn with_trace(threads: usize, seed: u64, traced: bool) -> Pool {
+    /// [`Pool::new`] (traced if `traced`) whose task ids
+    /// ([`Pool::spawn_task`], [`WorkerCtx::defer_task`]) `runner` executes.
+    pub fn with_runner(
+        threads: usize,
+        seed: u64,
+        traced: bool,
+        runner: impl Fn(&mut WorkerCtx<'_>, usize) + Send + Sync + 'static,
+    ) -> Pool {
         let threads = if threads == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -243,14 +284,15 @@ impl Pool {
         let shared = Arc::new(PoolShared {
             stealers,
             injector: Mutex::new(VecDeque::new()),
-            sync: Mutex::new(PoolSync {
-                epoch: 0,
-                idle: 0,
-                shutdown: false,
-            }),
+            parking: Parking {
+                epoch: AtomicU64::new(0),
+                sleepers: AtomicUsize::new(0),
+                pending: AtomicUsize::new(0),
+            },
+            sync: Mutex::new(false),
             wake: Condvar::new(),
             quiet: Condvar::new(),
-            pending: AtomicUsize::new(0),
+            runner: Box::new(runner),
             start: Instant::now(),
             seed,
             counters: (0..threads).map(|_| WorkerCounters::default()).collect(),
@@ -265,7 +307,7 @@ impl Pool {
                 let shared = shared.clone();
                 std::thread::Builder::new()
                     .name(format!("amt-exec-{index}"))
-                    .spawn(move || worker_loop(index, local, shared))
+                    .spawn(move || worker_loop(index, local, &shared))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -277,16 +319,14 @@ impl Pool {
         self.shared.stealers.len()
     }
 
-    /// A cloneable external spawn handle.
-    pub fn handle(&self) -> PoolHandle {
-        PoolHandle {
-            shared: self.shared.clone(),
-        }
-    }
-
     /// Enqueue `job` from outside the pool.
     pub fn spawn(&self, job: SubstrateJob) {
-        self.shared.spawn_injected(job);
+        self.shared.spawn_injected(Job::Closure(job));
+    }
+
+    /// Enqueue task `id` for the pool's runner from outside the pool.
+    pub fn spawn_task(&self, id: usize) {
+        self.shared.spawn_injected(Job::Task(id));
     }
 
     /// Wall-clock time since the pool started (the real substrate's
@@ -298,8 +338,9 @@ impl Pool {
     /// Block until every spawned job (including jobs they spawned) has
     /// finished and every worker has parked (module docs).
     pub fn run_until_idle(&self) {
+        let p = &self.shared.parking;
         let mut s = self.shared.sync.lock().expect("pool sync");
-        while self.shared.pending.load(SeqCst) > 0 || s.idle < self.threads() {
+        while p.pending.load(SeqCst) > 0 || p.sleepers.load(SeqCst) < self.threads() {
             s = self.shared.quiet.wait(s).expect("pool quiet wait");
         }
     }
@@ -333,11 +374,8 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        {
-            let mut s = self.shared.sync.lock().expect("pool sync");
-            s.shutdown = true;
-            self.shared.wake.notify_all();
-        }
+        *self.shared.sync.lock().expect("pool sync") = true;
+        self.shared.wake.notify_all();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -345,7 +383,7 @@ impl Drop for Pool {
 }
 
 /// Move the job out of a popped or stolen slot and keep the emptied box.
-fn take_job(mut slot: Box<Slot>, spare: &mut Spare) -> SubstrateJob {
+fn take_job(mut slot: Box<Slot>, spare: &mut Spare) -> Job {
     let job = slot.take().expect("queued slots hold a job");
     if spare.len() < SPARE_SLOTS {
         spare.push(slot);
@@ -353,53 +391,56 @@ fn take_job(mut slot: Box<Slot>, spare: &mut Spare) -> SubstrateJob {
     job
 }
 
-fn worker_loop(index: usize, local: Worker<Slot>, shared: Arc<PoolShared>) {
+fn worker_loop(index: usize, local: Worker<Slot>, shared: &PoolShared) {
     let mut rng = DetRng::seed_from_u64(shared.seed ^ (index as u64).wrapping_mul(0x9e3779b9));
     let n = shared.stealers.len();
+    let p = &shared.parking;
     let mut spare = Spare::new();
     loop {
-        // Snapshot the epoch before scanning so a spawn racing the scan
+        // Snapshot the epoch before scanning so a push racing the scan
         // forces a rescan instead of a lost wakeup.
-        let epoch = shared.sync.lock().expect("pool sync").epoch;
-        if let Some(job) = find_job(index, &local, &shared, &mut rng, n, &mut spare) {
+        let epoch = p.epoch.load(SeqCst);
+        if let Some(job) = find_job(index, &local, shared, &mut rng, n, &mut spare) {
             let mut ctx = WorkerCtx {
-                shared: &shared,
+                shared,
                 local: &local,
                 spare: &mut spare,
                 index,
             };
-            job(&mut ctx);
+            match job {
+                Job::Task(id) => (shared.runner)(&mut ctx, id),
+                Job::Closure(f) => f(&mut ctx),
+            }
             shared.counters[index].executed.fetch_add(1, Relaxed);
-            shared.pending.fetch_sub(1, SeqCst);
             continue;
         }
         let mut s = shared.sync.lock().expect("pool sync");
-        if s.shutdown {
+        if *s {
             return;
         }
-        if s.epoch != epoch {
-            continue; // work arrived mid-scan; rescan
+        p.sleepers.fetch_add(1, SeqCst);
+        // Moved: work arrived mid-scan; rescan. Unchanged: a later pusher
+        // sees this sleeper and notifies (module docs).
+        if p.epoch.load(SeqCst) == epoch {
+            shared.counters[index].parks.fetch_add(1, Relaxed);
+            if let Some(buf) = shared.buf(index) {
+                buf.push(TraceEvent::Park {
+                    at_ns: shared.now_ns(),
+                });
+            }
+            if p.sleepers.load(SeqCst) == n {
+                shared.quiet.notify_all();
+            }
+            while p.epoch.load(SeqCst) == epoch && !*s {
+                s = shared.wake.wait(s).expect("pool wake wait");
+            }
+            if let Some(buf) = shared.buf(index) {
+                buf.push(TraceEvent::Unpark {
+                    at_ns: shared.now_ns(),
+                });
+            }
         }
-        s.idle += 1;
-        shared.counters[index].parks.fetch_add(1, Relaxed);
-        if let Some(buf) = shared.buf(index) {
-            buf.push(TraceEvent::Park {
-                at_ns: shared.now_ns(),
-            });
-        }
-        if s.idle == n {
-            shared.quiet.notify_all();
-        }
-        // Park until any spawn bumps the epoch (or shutdown).
-        while s.epoch == epoch && !s.shutdown {
-            s = shared.wake.wait(s).expect("pool wake wait");
-        }
-        s.idle -= 1;
-        if let Some(buf) = shared.buf(index) {
-            buf.push(TraceEvent::Unpark {
-                at_ns: shared.now_ns(),
-            });
-        }
+        p.sleepers.fetch_sub(1, SeqCst);
     }
 }
 
@@ -410,7 +451,7 @@ fn find_job(
     rng: &mut DetRng,
     n: usize,
     spare: &mut Spare,
-) -> Option<SubstrateJob> {
+) -> Option<Job> {
     if let Some(slot) = local.pop() {
         if let Some(buf) = shared.buf(index) {
             buf.push(TraceEvent::DequeDepth {
@@ -423,6 +464,7 @@ fn find_job(
     {
         let mut inj = shared.injector.lock().expect("pool injector");
         if let Some(job) = inj.pop_front() {
+            shared.parking.pending.fetch_sub(1, SeqCst);
             let depth = inj.len();
             drop(inj);
             if let Some(buf) = shared.buf(index) {
@@ -470,7 +512,9 @@ fn find_job(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Barrier;
+    use std::time::Duration;
 
     #[test]
     fn pool_runs_spawned_jobs_to_quiescence() {
@@ -598,17 +642,232 @@ mod tests {
     #[test]
     fn external_handle_spawns_after_idle_phase() {
         let pool = Pool::new(2, 3);
-        let handle = pool.handle();
         pool.run_until_idle();
-        // Workers are parked now; the handle must wake them.
+        // Workers are parked now; an external spawn must wake them.
         let hits = Arc::new(AtomicU64::new(0));
         for _ in 0..8 {
             let hits = hits.clone();
-            handle.spawn(Box::new(move |_| {
+            pool.spawn(Box::new(move |_| {
                 hits.fetch_add(1, SeqCst);
             }));
         }
         pool.run_until_idle();
         assert_eq!(hits.load(SeqCst), 8);
+    }
+
+    #[test]
+    fn task_ids_run_on_the_runner_and_count_as_jobs() {
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let pool = {
+            let ran = ran.clone();
+            Pool::with_runner(1, 0, false, move |ctx, id| {
+                assert_eq!(ctx.worker(), Some(0));
+                ran.lock().unwrap().push(id);
+                if id > 0 {
+                    ctx.defer_task(id - 1);
+                }
+            })
+        };
+        pool.spawn_task(3);
+        pool.run_until_idle();
+        assert_eq!(*ran.lock().unwrap(), [3, 2, 1, 0]);
+        let s = pool.stats();
+        assert_eq!((s.injector_pushes, s.spawns(), s.executions()), (1, 4, 4));
+    }
+
+    /// The tree below tree id `id`: `id / 8` levels deep, `id % 8`
+    /// children per job.
+    fn tree_jobs(id: usize) -> u64 {
+        let (depth, fan) = ((id / 8) as u32, (id % 8) as u64);
+        (0..=depth).map(|d| fan.pow(d)).sum()
+    }
+
+    /// The tree `id` as closures: each counts itself in `ran` and defers
+    /// its children.
+    fn closure_tree(id: usize, ran: Arc<AtomicU64>) -> SubstrateJob {
+        Box::new(move |sub| {
+            ran.fetch_add(1, SeqCst);
+            for _ in 0..if id < 8 { 0 } else { id % 8 } {
+                sub.defer(closure_tree(id - 8, ran.clone()));
+            }
+        })
+    }
+
+    /// Jobs the pool's workers have finished so far.
+    fn executed(pool: &Pool) -> u64 {
+        let c = &pool.shared.counters;
+        c.iter().map(|c| c.executed.load(SeqCst)).sum()
+    }
+
+    /// Spin (then yield) until `until()` holds.
+    fn spin_until(until: impl Fn() -> bool) {
+        for spins in 0u64.. {
+            if until() {
+                return;
+            }
+            if spins < 2_000 {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    /// Wake / quiescence hammer over a pool of `workers`, in
+    /// barrier-started rounds; after every `run_until_idle` each spawned
+    /// job has run exactly once.
+    ///
+    /// * Odd rounds: two external threads spawn DetRng-sized trees, of
+    ///   task ids and of closures, each just as the pool runs dry (a worker
+    ///   bumps its `executed` count right before it scans and parks), so
+    ///   that pushes race workers going to sleep.
+    /// * Even rounds start from an all-parked pool with a single external
+    ///   spawn: a gated job that fans out one gated job per other worker,
+    ///   each holding its worker until all have arrived, so every worker
+    ///   is awake. The test then takes `sync` and opens the gate: no worker
+    ///   can park now, and each that runs dry stops between its scan and
+    ///   its park — the lost-wakeup window. A leaf pushed then sees no
+    ///   sleeper and notifies nobody; only the parker's epoch re-read finds
+    ///   it.
+    ///
+    /// A lost wakeup strands a job and hangs `run_until_idle`; the
+    /// watchdog turns the hang into a failure. Violations are noted and
+    /// asserted after the join: a panic inside a round would leave the
+    /// spawners waiting on the barrier.
+    fn hammer(workers: usize) {
+        const ROUNDS: u64 = 1_000;
+        const SPAWNERS: usize = 2;
+        let ran = Arc::new(AtomicU64::new(0));
+        let pool = {
+            let ran = ran.clone();
+            // A task id's children alternate task ids and closures.
+            Pool::with_runner(workers, 0x5eed, false, move |ctx, id| {
+                ran.fetch_add(1, SeqCst);
+                for c in 0..if id < 8 { 0 } else { id % 8 } {
+                    if c % 2 == 0 {
+                        ctx.defer_task(id - 8);
+                    } else {
+                        ctx.defer(closure_tree(id - 8, ran.clone()));
+                    }
+                }
+            })
+        };
+        let spawned = AtomicU64::new(0);
+        let rounds_done = AtomicU64::new(0);
+        let finished = AtomicBool::new(false);
+        let (start, stop) = (Barrier::new(SPAWNERS + 1), Barrier::new(SPAWNERS + 1));
+        let (mut violations, mut windows) = (Vec::new(), 0);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let (mut seen, mut since) = (0, Instant::now());
+                while !finished.load(SeqCst) {
+                    std::thread::sleep(Duration::from_millis(20));
+                    let now = rounds_done.load(SeqCst);
+                    if now != seen {
+                        (seen, since) = (now, Instant::now());
+                    } else if since.elapsed() > Duration::from_secs(10) {
+                        eprintln!("hammer: {workers} workers, round {seen} ran over 10 s");
+                        std::process::abort();
+                    }
+                }
+            });
+            for spawner in 0..SPAWNERS {
+                let (pool, ran, spawned, start, stop) = (&pool, &ran, &spawned, &start, &stop);
+                s.spawn(move || {
+                    let mut rng = DetRng::seed_from_u64(spawner as u64);
+                    for round in 0..ROUNDS {
+                        start.wait();
+                        let roots = if round % 2 == 1 {
+                            1 + rng.gen_usize(0..4)
+                        } else {
+                            0
+                        };
+                        for r in 0..roots {
+                            spin_until(|| executed(pool) >= spawned.load(SeqCst));
+                            let id = 8 * rng.gen_usize(0..5) + rng.gen_usize(0..4);
+                            spawned.fetch_add(tree_jobs(id), SeqCst);
+                            if r % 2 == 0 {
+                                pool.spawn_task(id);
+                            } else {
+                                pool.spawn(closure_tree(id, ran.clone()));
+                            }
+                        }
+                        stop.wait();
+                    }
+                });
+            }
+            let mut rng = DetRng::seed_from_u64(0xa11);
+            let p = &pool.shared.parking;
+            for round in 0..ROUNDS {
+                start.wait();
+                if round % 2 == 0 {
+                    let gate = Arc::new((AtomicUsize::new(0), AtomicBool::new(false)));
+                    let gated = |gate: Arc<(AtomicUsize, AtomicBool)>, ran: Arc<AtomicU64>| {
+                        move || {
+                            ran.fetch_add(1, SeqCst);
+                            gate.0.fetch_add(1, SeqCst);
+                            spin_until(|| gate.1.load(SeqCst));
+                        }
+                    };
+                    let root = gated(gate.clone(), ran.clone());
+                    let (g, r) = (gate.clone(), ran.clone());
+                    spawned.fetch_add(workers as u64, SeqCst);
+                    pool.spawn(Box::new(move |sub| {
+                        for _ in 1..workers {
+                            let job = gated(g.clone(), r.clone());
+                            sub.defer(Box::new(move |_| job()));
+                        }
+                        root();
+                    }));
+                    // A thief whose probes all miss parks again, and
+                    // the job it missed waits for its owner: give up on
+                    // this round's window rather than wait forever.
+                    let t0 = Instant::now();
+                    spin_until(|| {
+                        gate.0.load(SeqCst) == workers || t0.elapsed() > Duration::from_millis(5)
+                    });
+                    let sync = pool.shared.sync.lock().unwrap();
+                    gate.1.store(true, SeqCst);
+                    if gate.0.load(SeqCst) == workers && p.sleepers.load(SeqCst) == 0 {
+                        spin_until(|| executed(&pool) >= spawned.load(SeqCst));
+                        std::thread::sleep(Duration::from_micros(50));
+                        spawned.fetch_add(1, SeqCst);
+                        pool.spawn_task(rng.gen_usize(0..8));
+                        windows += 1;
+                    }
+                    drop(sync);
+                }
+                stop.wait();
+                pool.run_until_idle();
+                let (ran, spawned, st) = (ran.load(SeqCst), spawned.load(SeqCst), pool.stats());
+                if ran != spawned || st.executions() != st.spawns() || st.spawns() != spawned {
+                    violations.push(format!(
+                        "round {round}: {ran} ran, {spawned} spawned, pool {} / {}",
+                        st.executions(),
+                        st.spawns()
+                    ));
+                }
+                rounds_done.store(round + 1, SeqCst);
+            }
+            finished.store(true, SeqCst);
+        });
+        assert!(
+            violations.is_empty(),
+            "{workers} workers: {:?}",
+            &violations[..violations.len().min(5)]
+        );
+        assert!(
+            windows > ROUNDS / 10,
+            "{workers} workers: the lost-wakeup window opened in only {windows} rounds"
+        );
+    }
+
+    /// A parker that waits without re-reading the epoch after raising
+    /// `sleepers` hangs here in the first even round whose window opens.
+    #[test]
+    fn hammer_wakeups_and_quiescence_lose_no_job() {
+        for workers in [4, 2, 1] {
+            hammer(workers);
+        }
     }
 }

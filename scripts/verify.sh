@@ -171,7 +171,7 @@ for path, quick in ((sys.argv[1], True), (sys.argv[2], False)):
         assert set(s["per_thread"]) == {"1", "2", "4"}, (path, scen)
         for p in s["per_thread"].values():
             assert p["tasks_per_sec"] > 0 and p["wall_ms"] > 0, (path, scen)
-            # Messages are handled in line by their node's progress owner,
+            # Messages are handled in line by the thread that sends them,
             # never as pool jobs: one job per task on the 4-node TLR run
             # too (7 per task when every ACTIVATE, GET and put was one).
             assert 1.0 <= p["jobs_per_task"] <= 1.1, (path, scen, p)
@@ -201,17 +201,17 @@ print("BENCH_exec.json valid (fresh quick + committed full); "
       f"on {fresh['threads_available']} core(s)")
 PY
 
-echo "== real substrate: deque + progress-owner stress under TSan (best-effort, nightly only) =="
+echo "== real substrate: deque and wake/quiescence hammers under TSan (best-effort, nightly only) =="
 if rustup run nightly rustc --version > /dev/null 2>&1 \
    && rustup component list --toolchain nightly 2> /dev/null | grep -q "rust-src (installed)"; then
     RUSTFLAGS="-Zsanitizer=thread" timeout 600 \
-        cargo +nightly test -p amt-exec -p amt-comm --release -Zbuild-std \
+        cargo +nightly test -p amt-exec --release -Zbuild-std \
         --target "$(rustc -vV | sed -n 's/^host: //p')" -- hammer \
-        && echo "deque and progress-owner stress passed under ThreadSanitizer" \
+        && echo "deque and wake/quiescence hammers passed under ThreadSanitizer" \
         || { echo "TSan run failed"; exit 1; }
 else
-    timeout 300 cargo test --release --quiet -p amt-exec -p amt-comm -- hammer > /dev/null
-    echo "nightly+rust-src unavailable; deque and progress-owner stress ran in plain release mode"
+    timeout 300 cargo test --release --quiet -p amt-exec -- hammer > /dev/null
+    echo "nightly+rust-src unavailable; deque and wake/quiescence hammers ran in plain release mode"
 fi
 
 echo "== golden fig4 point: virtual-time byte-identity across backends and --jobs =="
@@ -301,10 +301,11 @@ assert m["substrate"] == "virtual" and m["makespan_ns"] > 0
 print("simulator accepted the measured cost model (valid virtual run)")
 PY
 
-echo "== removed forks stay removed: island DES, tuner window loops, offline grid, seed scheduler, per-tag windows, boxed backend micro-tasks =="
+echo "== removed forks stay removed: island DES, tuner window loops, offline grid, seed scheduler, per-tag windows, boxed backend micro-tasks, shm node owners =="
 if grep -rn -e 'execute_islands\|new_partition\|RemoteChunk\|run_before\|TuneProfile\|WindowState\|--tuned\|--islands\|--autotune-out' \
         -e 'reference_sched\|RefDataState\|ReadyQueue::Reference\|batch_window_overrides\|with_batch_window_override\|batch_window_for\|get_window_min_flows' \
         -e 'Micro::Backend(\|BackendMicro\|fn exec_micro(\|fn micro_label' \
+        -e 'shm\.direct\|shm\.queued\|fn progress(&self, node\|state_word\|struct PoolHandle\|fn pool_threads(' \
         crates/ examples/ tests/ src/ scripts/ --exclude=verify.sh; then
     echo "a removed name is back"; exit 1
 fi

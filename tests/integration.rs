@@ -548,8 +548,11 @@ fn batching_and_multicast_preserve_payloads_byte_for_byte() {
 
     // Real substrate with multicast trees on, k-ary and binomial (batching
     // is an engine behavior the transport deliberately lacks; the knob
-    // must be inert). Whichever thread owns a node relays in line;
-    // children must still find the payload at their tree parent.
+    // must be inert). Every sender relays in line, so at 2 and 4 threads
+    // handlers for one node run concurrently — the debug-build
+    // `present`/`requested` checks watch each version arrive and be
+    // requested once per node — and children must still find the payload
+    // at their tree parent.
     for threads in [1usize, 2, 4] {
         for multicast_k in [Some(3), None] {
             let (chol_r, graph_r) = build();
