@@ -1,10 +1,9 @@
-//! Tree-shaped collectives over the communication engine.
+//! Tree-shaped collectives.
 //!
 //! The scaling wall at high node counts is message *rate*: flat fan-out
 //! (one unicast per peer) puts O(N) messages on a single root's wire. This
-//! module provides the deterministic k-ary tree topology used by the
-//! multicast activation path and a small `barrier` / `bcast` / `reduce`
-//! layer built on it:
+//! module provides the deterministic k-ary tree topology and the
+//! reduction the real path's startup and quiescence run over it:
 //!
 //! * [`kary_parent`] / [`kary_children`] — the tree shape itself, computed
 //!   from dense node ids with *relative-rank rooting*: node `r`'s position
@@ -13,21 +12,8 @@
 //! * [`TreeReduce`] — a thread-safe reduction state machine (used by the
 //!   real path's quiescence detection): every node contributes a value,
 //!   partial sums climb the tree, the root ends up with the total.
-//! * [`TreeBcast`] — the descending counterpart: who do I forward to, who
-//!   do I hear from.
-//! * [`EngineCollectives`] — barrier/bcast/reduce over a set of simulated
-//!   [`CommEngine`]s, carried as ordinary active messages on a registered
-//!   tag (so they flow through whatever backend — and batching layer — the
-//!   engines are configured with).
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-
-use amt_simnet::{Sim, SimTime};
-use bytes::Bytes;
-
-use crate::engine::{AmEvent, CommEngine};
 
 /// Parent of `rank` in the k-ary tree over `n` nodes rooted at `root`.
 /// `None` for the root itself. Panics on a degenerate tree (`k < 2`,
@@ -54,33 +40,6 @@ pub fn kary_children(rank: usize, root: usize, n: usize, k: usize) -> Vec<usize>
         .take_while(|&c| c < n)
         .map(|c| (c + root) % n)
         .collect()
-}
-
-/// A k-ary broadcast tree over `n` dense node ids: the topology questions
-/// the descending (bcast) direction needs.
-#[derive(Debug, Clone, Copy)]
-pub struct TreeBcast {
-    pub root: usize,
-    pub n: usize,
-    pub k: usize,
-}
-
-impl TreeBcast {
-    pub fn new(n: usize, root: usize, k: usize) -> Self {
-        assert!(k >= 2, "multicast tree arity must be at least 2 (got {k})");
-        assert!(n > 0 && root < n);
-        TreeBcast { root, n, k }
-    }
-
-    /// Who `node` forwards a descending message to.
-    pub fn children(&self, node: usize) -> Vec<usize> {
-        kary_children(node, self.root, self.n, self.k)
-    }
-
-    /// Who `node` hears a descending message from (`None` at the root).
-    pub fn parent(&self, node: usize) -> Option<usize> {
-        kary_parent(node, self.root, self.n, self.k)
-    }
 }
 
 /// What a [`TreeReduce`] participant must do after contributing.
@@ -168,184 +127,6 @@ impl TreeReduce {
         self.done
             .load(Ordering::SeqCst)
             .then(|| self.result.load(Ordering::SeqCst))
-    }
-}
-
-// ---------------------------------------------------------------------
-// Collectives over simulated engines
-// ---------------------------------------------------------------------
-
-/// Wire kinds on the collective tag (first byte of each record frame).
-const COLL_BCAST: u8 = 0;
-const COLL_REDUCE_UP: u8 = 1;
-
-/// Completion hook of a reduce: runs once at the root with the total.
-pub type ReduceDoneFn = Box<dyn FnOnce(&mut Sim, u64)>;
-/// Delivery hook of a bcast: runs at every node with the payload.
-pub type BcastDeliverFn = Rc<dyn Fn(&mut Sim, usize, &Bytes)>;
-
-struct CollState {
-    /// In-flight reduction, if any (one collective at a time).
-    reduce: Option<Rc<TreeReduce>>,
-    on_reduce_done: Option<ReduceDoneFn>,
-    /// Delivery hook of the in-flight broadcast, if any.
-    on_bcast: Option<BcastDeliverFn>,
-    bcast_tree: Option<TreeBcast>,
-}
-
-/// Barrier / bcast / reduce over a world of simulated [`CommEngine`]s. The
-/// collective traffic rides a caller-registered AM tag through the normal
-/// engine datapath (funnel, aggregation, batching, backend), so the
-/// simulated cost of a collective is exactly what the configured backend
-/// charges for its messages.
-pub struct EngineCollectives {
-    engines: Vec<Rc<CommEngine>>,
-    tag: u64,
-    k: usize,
-    state: Rc<RefCell<CollState>>,
-}
-
-impl EngineCollectives {
-    /// Register the collective layer on every engine under `tag` (must be
-    /// unused). `k` is the tree arity.
-    pub fn attach(sim: &mut Sim, engines: &[Rc<CommEngine>], tag: u64, k: usize) -> Rc<Self> {
-        assert!(k >= 2, "multicast tree arity must be at least 2 (got {k})");
-        let coll = Rc::new(EngineCollectives {
-            engines: engines.to_vec(),
-            tag,
-            k,
-            state: Rc::new(RefCell::new(CollState {
-                reduce: None,
-                on_reduce_done: None,
-                on_bcast: None,
-                bcast_tree: None,
-            })),
-        });
-        for (node, engine) in engines.iter().enumerate() {
-            let c = coll.clone();
-            engine.register_am(
-                sim,
-                tag,
-                Rc::new(move |sim, _eng, ev| c.on_am(sim, node, ev)),
-            );
-        }
-        coll
-    }
-
-    fn on_am(&self, sim: &mut Sim, node: usize, ev: AmEvent) -> SimTime {
-        // Each collective record is one frame; batching may pack several
-        // frames into one delivered message.
-        let frames: Vec<Bytes> = ev.data.iter().cloned().collect();
-        for frame in frames {
-            match frame[0] {
-                COLL_BCAST => {
-                    let payload = frame.slice(1..frame.len());
-                    let (cb, tree) = {
-                        let st = self.state.borrow();
-                        (
-                            st.on_bcast
-                                .clone()
-                                .expect("bcast record with no bcast in flight"),
-                            st.bcast_tree.expect("bcast record with no bcast in flight"),
-                        )
-                    };
-                    cb(sim, node, &payload);
-                    for child in tree.children(node) {
-                        self.send_record(sim, node, child, COLL_BCAST, &payload);
-                    }
-                }
-                COLL_REDUCE_UP => {
-                    let mut le = [0u8; 8];
-                    le.copy_from_slice(&frame[1..9]);
-                    let partial = u64::from_le_bytes(le);
-                    let reduce = self
-                        .state
-                        .borrow()
-                        .reduce
-                        .clone()
-                        .expect("reduce record with no reduction in flight");
-                    self.step(sim, node, reduce.arrive(node, partial));
-                }
-                kind => panic!("unknown collective record kind {kind}"),
-            }
-        }
-        SimTime::ZERO
-    }
-
-    fn send_record(&self, sim: &mut Sim, from: usize, to: usize, kind: u8, payload: &[u8]) {
-        let mut buf = Vec::with_capacity(1 + payload.len());
-        buf.push(kind);
-        buf.extend_from_slice(payload);
-        let size = buf.len();
-        self.engines[from].send_am(sim, to, self.tag, size, Some(Bytes::from(buf)));
-    }
-
-    fn step(&self, sim: &mut Sim, node: usize, step: ReduceStep) {
-        match step {
-            ReduceStep::Wait => {}
-            ReduceStep::Send { parent, partial } => {
-                self.send_record(sim, node, parent, COLL_REDUCE_UP, &partial.to_le_bytes());
-            }
-            ReduceStep::Done(total) => {
-                let mut st = self.state.borrow_mut();
-                st.reduce = None;
-                let cb = st.on_reduce_done.take().expect("reduction done twice");
-                drop(st);
-                cb(sim, total);
-            }
-        }
-    }
-
-    /// Sum-reduce `contributions[node]` from every node to `root`;
-    /// `on_done` runs (in virtual time, at the root) with the total.
-    pub fn reduce(
-        &self,
-        sim: &mut Sim,
-        root: usize,
-        contributions: &[u64],
-        on_done: impl FnOnce(&mut Sim, u64) + 'static,
-    ) {
-        let n = self.engines.len();
-        assert_eq!(contributions.len(), n);
-        let reduce = Rc::new(TreeReduce::new(n, root, self.k));
-        {
-            let mut st = self.state.borrow_mut();
-            assert!(st.reduce.is_none(), "collective already in flight");
-            st.reduce = Some(reduce.clone());
-            st.on_reduce_done = Some(Box::new(on_done));
-        }
-        // Leaves complete immediately and climb; inner nodes wait for
-        // their children's records.
-        for (node, &value) in contributions.iter().enumerate() {
-            self.step(sim, node, reduce.contribute(node, value));
-        }
-    }
-
-    /// Barrier: a reduction of ones; completes at `root` once every node
-    /// has entered.
-    pub fn barrier(&self, sim: &mut Sim, root: usize, on_done: impl FnOnce(&mut Sim) + 'static) {
-        let ones = vec![1u64; self.engines.len()];
-        let n = self.engines.len() as u64;
-        self.reduce(sim, root, &ones, move |sim, total| {
-            assert_eq!(total, n, "barrier lost a participant");
-            on_done(sim);
-        });
-    }
-
-    /// Broadcast `payload` from `root` down the tree; `deliver` runs at
-    /// every node (root included) with the payload — bitwise identical at
-    /// each hop, forwarded zero-copy.
-    pub fn bcast(&self, sim: &mut Sim, root: usize, payload: Bytes, deliver: BcastDeliverFn) {
-        let tree = TreeBcast::new(self.engines.len(), root, self.k);
-        {
-            let mut st = self.state.borrow_mut();
-            st.on_bcast = Some(deliver.clone());
-            st.bcast_tree = Some(tree);
-        }
-        deliver(sim, root, &payload);
-        for child in tree.children(root) {
-            self.send_record(sim, root, child, COLL_BCAST, &payload);
-        }
     }
 }
 

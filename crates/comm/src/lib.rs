@@ -56,9 +56,7 @@ mod stats;
 pub mod tune;
 mod wire;
 
-pub use collectives::{
-    kary_children, kary_parent, EngineCollectives, ReduceStep, TreeBcast, TreeReduce,
-};
+pub use collectives::{kary_children, kary_parent, ReduceStep, TreeReduce};
 pub use config::{BackendKind, EngineConfig};
 pub use engine::{
     AmCallback, AmEvent, CommEngine, CommWorld, OnesidedCallback, PutEvent, PutLocalCb, PutRequest,

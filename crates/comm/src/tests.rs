@@ -286,59 +286,6 @@ fn zero_window_disables_batching() {
     assert_eq!(engines[1].stats().am_received.get(), 1);
 }
 
-/// Collectives over the engines: barrier, bcast, and reduce complete on
-/// every backend, with and without batching, and the bcast payload arrives
-/// bitwise identical everywhere.
-#[test]
-fn engine_collectives_on_all_backends() {
-    use crate::collectives::EngineCollectives;
-    for base in all_backends() {
-        for batch in [0u64, 5_000] {
-            let backend = base.backend;
-            let cfg = base.clone().with_batching(batch, 0);
-            let (mut sim, engines) = setup(7, cfg);
-            let coll = EngineCollectives::attach(&mut sim, &engines, 9, 3);
-
-            let barrier_done = Rc::new(RefCell::new(false));
-            let b = barrier_done.clone();
-            coll.barrier(&mut sim, 2, move |_sim| *b.borrow_mut() = true);
-            sim.run();
-            assert!(*barrier_done.borrow(), "{backend}: barrier hung");
-
-            let total = Rc::new(RefCell::new(None));
-            let t = total.clone();
-            let contrib: Vec<u64> = (0..7).map(|i| 10 + i as u64).collect();
-            coll.reduce(&mut sim, 0, &contrib, move |_sim, v| {
-                *t.borrow_mut() = Some(v)
-            });
-            sim.run();
-            assert_eq!(
-                *total.borrow(),
-                Some(contrib.iter().sum()),
-                "{backend}: bad reduction"
-            );
-
-            type Seen = Vec<(usize, Vec<u8>)>;
-            let seen: Rc<RefCell<Seen>> = Rc::new(RefCell::new(Vec::new()));
-            let s = seen.clone();
-            let payload = Bytes::from(b"wide activation payload".to_vec());
-            coll.bcast(
-                &mut sim,
-                4,
-                payload.clone(),
-                Rc::new(move |_sim, node, data| s.borrow_mut().push((node, data.to_vec()))),
-            );
-            sim.run();
-            let mut got = seen.borrow().clone();
-            got.sort();
-            assert_eq!(got.len(), 7, "{backend}: bcast missed nodes");
-            for (node, data) in got {
-                assert_eq!(data, payload.to_vec(), "{backend}: node {node} corrupted");
-            }
-        }
-    }
-}
-
 /// Conformance: saturating the backend's transfer resources must never lose
 /// a put — MPI defers beyond its 30-transfer cap, LCI delegates receives on
 /// `Retry`, direct put retries the `putd` itself.

@@ -14,7 +14,8 @@ use bytes::Bytes;
 use crate::config::ClusterConfig;
 use crate::graph::{GraphHandle, GraphSource, TaskGraph, VersionId};
 use crate::metrics::{LatencySummary, MetricsReport};
-use crate::node::{NodeRt, RtHandle, AM_ACTIVATE, AM_GETDATA, RTAG_DATA};
+use crate::node::{NodeRt, RtHandle};
+use crate::protocol::{Lats, AM_ACTIVATE, AM_GETDATA, RTAG_DATA};
 use crate::window::WindowCtl;
 
 /// Outcome of one [`Cluster::execute`] run.
@@ -356,23 +357,22 @@ impl Cluster {
         // the source produced.
         let tasks_total = graph.get().task_count() as u64;
 
-        let mut e2e = OnlineStats::new();
-        let mut msg = OnlineStats::new();
-        let mut req = OnlineStats::new();
+        let mut lats = Lats::default();
         let mut executed = 0;
         let mut worker_busy = SimTime::ZERO;
         let mut classes: std::collections::HashMap<&'static str, (u64, SimTime)> =
             std::collections::HashMap::new();
         for rt in node_rts {
-            rt.merge_stats(&mut e2e, &mut msg, &mut req, &mut classes);
-            executed += rt.executed();
-            worker_busy += rt.worker_busy();
+            let (n, busy) = rt.merge_stats(&mut lats, &mut classes);
+            executed += n;
+            worker_busy += busy;
         }
         let mut class_stats: Vec<(String, u64, SimTime)> = classes
             .into_iter()
             .map(|(k, (n, b))| (k.to_string(), n, b))
             .collect();
         class_stats.sort_by_key(|c| std::cmp::Reverse(c.2));
+        let [msg, req, e2e] = lats.0;
         let total_workers = (self.cfg.nodes * self.cfg.workers_per_node) as f64;
         let span = makespan.as_secs_f64().max(1e-12);
         let worker_util = worker_busy.as_secs_f64() / (span * total_workers);

@@ -73,9 +73,11 @@ mod dist;
 mod graph;
 mod metrics;
 mod node;
+mod protocol;
 mod queue;
 mod real;
 mod records;
+mod store;
 mod window;
 
 pub use calib::{

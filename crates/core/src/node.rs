@@ -1,22 +1,30 @@
-//! Per-node runtime: ready queue, worker cores, data store, and the
-//! ACTIVATE / GET DATA / put protocol handlers (paper Figure 1).
+//! Per-node virtual runtime: ready queue, worker cores, data store, the
+//! GET window, and the virtual [`Port`] the shared ACTIVATE / GET DATA /
+//! put handlers run against (`protocol.rs`, paper Figure 1).
+//!
+//! What is virtual stays here: dispatch onto simulated cores and the cost
+//! charged for each task and each record handler, the GET DATA window
+//! (`get_window` / `get_window_bytes`: a request queues by priority and
+//! is pumped once the whole message is handled), funneled versus
+//! multithreaded ACTIVATE sends, trace flow arrows, and the windowed
+//! discovery hooks.
 //!
 //! The scheduler hot path is built on dense, allocation-lean structures
 //! (PaRSEC keeps its task/dependence bookkeeping dense for exactly this
 //! reason — §4 of the paper attributes small-granularity scaling to
 //! per-task runtime overhead):
 //!
-//! * the data store is a per-version **byte table** (`VersionStore::Dense`)
-//!   indexed by the contiguous `VersionId`, with real payloads held in a
-//!   side map only for versions that carry bytes;
+//! * the data store is a per-version **byte table** (`crate::store`,
+//!   shared with the real path) indexed by the contiguous `VersionId`,
+//!   with real payloads held in a side map only for versions that carry
+//!   bytes;
 //! * the ready and pending-GET queues are bucketed per-priority FIFO rings
 //!   ([`crate::queue::BucketQueue`]) reproducing the seed heap's exact
 //!   `(priority, Reverse(seq))` pop order;
 //! * per-completion allocations are swept: trace track names are interned
-//!   at construction, ACTIVATE destination grouping reuses a scratch vector
-//!   driven by an epoch-stamped per-node best-priority table (O(consumers)
-//!   instead of the seed's O(consumers²) scan), and kernel input marshaling
-//!   reuses one scratch buffer.
+//!   at construction, ACTIVATE destination grouping reuses the node's
+//!   [`Fanout`] scratch, and kernel input marshaling reuses one scratch
+//!   buffer.
 //!
 //! This is the only scheduler datapath. The seed's `BinaryHeap` queue
 //! survives as the oracle of `queue.rs`'s lockstep tests; the goldens in
@@ -28,23 +36,18 @@ use std::rc::Rc;
 
 use amt_comm::{AmEvent, CommEngine, PutEvent, PutRequest};
 use amt_netmodel::NodeId;
-use amt_simnet::{CoreHandle, FastMap, OnlineStats, OverlapTracker, Shared, Sim, SimTime, Trace};
+use amt_simnet::{CoreHandle, FastMap, OverlapTracker, Shared, Sim, SimTime, Trace};
 use bytes::Bytes;
 
 use crate::config::{ClusterConfig, ExecMode};
 use crate::graph::{GraphHandle, TaskId, VersionId};
-use crate::queue::BucketQueue;
-use crate::records::{
-    split_subtree, ActivateRec, GetRec, PutCb, ACTIVATE_WIRE_BYTES, GET_WIRE_BYTES,
+use crate::protocol::{
+    self, Fanout, Forward, Lat, Lats, Port, Tree, AM_ACTIVATE, AM_GETDATA, RTAG_DATA,
 };
+use crate::queue::BucketQueue;
+use crate::records::{ActivateRec, GetRec, PutCb, ACTIVATE_WIRE_BYTES, GET_WIRE_BYTES};
+use crate::store::VersionStore;
 use crate::window::WindowCtl;
-
-/// AM tag for task-activation messages.
-pub(crate) const AM_ACTIVATE: u64 = 1;
-/// AM tag for data requests.
-pub(crate) const AM_GETDATA: u64 = 2;
-/// One-sided callback tag for data arrival.
-pub(crate) const RTAG_DATA: u64 = 1;
 
 /// Flow-arrow kind: ACTIVATE announcement (producer → consumer).
 const FLOW_ACTIVATE: u64 = 0;
@@ -55,118 +58,6 @@ const FLOW_DATA: u64 = 1;
 /// dst) — 12 bits per node id, 38 for the version.
 fn flow_id(kind: u64, version: u64, src: NodeId, dst: NodeId) -> u64 {
     (kind << 62) | (version << 24) | ((src as u64) << 12) | dst as u64
-}
-
-const V_VACANT: u8 = 0;
-const V_REQUESTED: u8 = 1;
-const V_PRESENT: u8 = 2;
-const V_PRESENT_DATA: u8 = 3;
-
-/// Per-version state bytes: a byte per version (VersionIds are contiguous
-/// indices), or — [`crate::ClusterConfig::flyweight`] — a hash map over
-/// only the versions this node has actually touched, so per-node memory is
-/// O(versions-seen-here) instead of O(all versions) × nodes. Both implement
-/// the same state machine — scheduling is byte-identical.
-enum VersionStates {
-    Dense(Vec<u8>),
-    Sparse(FastMap<usize, u8>),
-}
-
-/// Per-version data-presence table: state bytes plus payload bytes in a
-/// side map for the versions that carry them.
-struct VersionStore {
-    state: VersionStates,
-    payloads: FastMap<usize, Bytes>,
-}
-
-impl VersionStore {
-    fn new(flyweight: bool) -> VersionStore {
-        VersionStore {
-            state: if flyweight {
-                VersionStates::Sparse(FastMap::default())
-            } else {
-                VersionStates::Dense(Vec::new())
-            },
-            payloads: FastMap::default(),
-        }
-    }
-
-    fn get(&self, v: usize) -> u8 {
-        match &self.state {
-            VersionStates::Dense(state) => state.get(v).copied().unwrap_or(V_VACANT),
-            VersionStates::Sparse(state) => state.get(&v).copied().unwrap_or(V_VACANT),
-        }
-    }
-
-    /// Any entry at all (Present *or* Requested)?
-    fn exists(&self, v: usize) -> bool {
-        self.get(v) != V_VACANT
-    }
-
-    fn is_present(&self, v: usize) -> bool {
-        self.get(v) >= V_PRESENT
-    }
-
-    /// Write state byte `to` for `v`, returning the previous byte. The
-    /// dense table grows on write (`get` reads past its end as vacant), so
-    /// a node's table covers the versions it touched, not all that exist.
-    fn set(&mut self, v: usize, to: u8) -> u8 {
-        match &mut self.state {
-            VersionStates::Dense(state) => {
-                if state.len() <= v {
-                    state.resize(v + 1, V_VACANT);
-                }
-                std::mem::replace(&mut state[v], to)
-            }
-            VersionStates::Sparse(state) => state.insert(v, to).unwrap_or(V_VACANT),
-        }
-    }
-
-    /// Mark `v` present (with its payload, if any); returns the previous
-    /// state byte.
-    fn set_present(&mut self, v: usize, bytes: Option<Bytes>) -> u8 {
-        match bytes {
-            Some(b) => {
-                self.payloads.insert(v, b);
-                self.set(v, V_PRESENT_DATA)
-            }
-            None => self.set(v, V_PRESENT),
-        }
-    }
-
-    /// Mark `v` present; returns whether the slot was previously vacant.
-    fn insert_present(&mut self, v: usize, bytes: Option<Bytes>) -> bool {
-        self.set_present(v, bytes) == V_VACANT
-    }
-
-    /// Mark `v` requested; returns whether the slot was previously vacant.
-    fn insert_requested(&mut self, v: usize) -> bool {
-        self.set(v, V_REQUESTED) == V_VACANT
-    }
-
-    /// Requested → Present transition on data arrival; returns whether the
-    /// previous state was Requested.
-    fn fulfill(&mut self, v: usize, bytes: Option<Bytes>) -> bool {
-        self.set_present(v, bytes) == V_REQUESTED
-    }
-
-    /// Payload bytes of a present version (None for cost-only entries).
-    fn payload(&self, v: usize) -> Option<&Bytes> {
-        if self.get(v) == V_PRESENT_DATA {
-            self.payloads.get(&v)
-        } else {
-            None
-        }
-    }
-
-    /// Release a retired version's payload bytes, keeping it Present
-    /// (windowed-mode memory reclamation).
-    fn drop_payload(&mut self, v: usize) {
-        if self.get(v) == V_PRESENT_DATA {
-            self.payloads.remove(&v);
-            self.set(v, V_PRESENT);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -187,12 +78,12 @@ pub(crate) fn sweep_probe() {
 /// beyond this many in flight.
 const GET_WINDOW_MIN_FLOWS: usize = 4;
 
-/// A pending GET DATA request (queued behind the in-flight window).
+/// A pending GET DATA request (queued behind the in-flight window): the
+/// record, its owner, and the size it will fetch.
 struct GetInfo {
-    version: usize,
+    rec: GetRec,
     src: NodeId,
     size: usize,
-    activate_sent_at_ns: u64,
 }
 
 /// Mutable scheduler state, behind one `RefCell` (the immutable identity —
@@ -209,38 +100,22 @@ struct NodeState {
     pending_gets: BucketQueue<GetInfo>,
     inflight_gets: usize,
     inflight_get_bytes: usize,
-    /// Multicast subtrees to forward once the version's data arrives.
-    pending_forwards: FastMap<usize, (Vec<u32>, i64, u64)>,
-    /// Entry count of `pending_forwards`; gates the per-arrival map lookup
-    /// (zero for every workload that doesn't use multicast trees).
-    forwards_pending: usize,
     seq: u64,
     executed: u64,
     worker_busy: SimTime,
     /// Per task-class execution counts and busy time.
     class_stats: FastMap<&'static str, (u64, SimTime)>,
-    /// End-to-end latency per flow: ACTIVATE send → data arrival (§6.4.2).
-    e2e: OnlineStats,
-    /// Individual ACTIVATE message latency (§6.4.3).
-    msg_lat: OnlineStats,
-    /// Control-path latency: ACTIVATE send → GET DATA arrival at the data
-    /// owner (the software component of the end-to-end path, excluding the
-    /// bulk transfer itself).
-    req_lat: OnlineStats,
+    /// Message-lifecycle latencies of the flows this node received.
+    lats: Lats,
     /// Optional execution timeline (Chrome-trace export).
     trace: Trace,
     /// Cluster-wide compute/wire concurrency integrator (metrics mode).
     overlap: Option<Shared<OverlapTracker>>,
     /// Kernel-input marshaling scratch (reused across completions).
     inputs_scratch: Vec<Bytes>,
-    /// ACTIVATE destination-grouping scratch.
-    dests_scratch: Vec<(NodeId, i64)>,
-    /// Control-flow ACTIVATEs an arriving message satisfied, released once
-    /// the message is decoded.
-    ctl_scratch: Vec<ActivateRec>,
-    /// Epoch-stamped best-priority-per-node table for `announce` grouping.
-    node_best: Vec<(u64, i64)>,
-    node_epoch: u64,
+    /// ACTIVATE destination-grouping scratch (grown on demand: nodes that
+    /// never announce keep it empty).
+    fan: Fanout,
 }
 
 impl NodeState {
@@ -273,6 +148,96 @@ pub(crate) struct NodeRt {
 }
 
 pub(crate) type RtHandle = Rc<NodeRt>;
+
+/// The virtual node as the protocol sees it. `worker` is `Some` while a
+/// worker announces its task's outputs: the send cost accumulates there
+/// (to extend the worker's occupancy). Every other send is funneled
+/// through the communication thread, free to its caller.
+struct Vport<'a> {
+    rt: &'a RtHandle,
+    sim: &'a mut Sim,
+    worker: Option<SimTime>,
+}
+
+impl<'a> Vport<'a> {
+    fn funneled(rt: &'a RtHandle, sim: &'a mut Sim) -> Vport<'a> {
+        let worker = None;
+        Vport { rt, sim, worker }
+    }
+}
+
+impl Port for Vport<'_> {
+    fn now(&mut self) -> u64 {
+        self.sim.now().as_ns()
+    }
+
+    fn send_activate(&mut self, dst: NodeId, rec: &ActivateRec) {
+        let (rt, engine) = (self.rt, &self.rt.engine);
+        let wire = ACTIVATE_WIRE_BYTES + 4 * rec.forward.len();
+        let payload = Some(rec.encode_one(|n| engine.buf_pool().take(n)));
+        let now = self.sim.now();
+        rt.flow(true, FLOW_ACTIVATE, rec.version, rt.node, dst, now);
+        match &mut self.worker {
+            Some(c) if rt.cfg.multithread_am => {
+                *c += engine.send_am_direct(self.sim, dst, AM_ACTIVATE, wire, payload);
+            }
+            worker => {
+                engine.send_am(self.sim, dst, AM_ACTIVATE, wire, payload);
+                if let Some(c) = worker {
+                    *c += rt.cfg.cost.submit_cost;
+                }
+            }
+        }
+    }
+
+    /// Queue behind the GET window; the message's dispatch pumps it.
+    fn request(&mut self, owner: NodeId, rec: &ActivateRec) {
+        let mut s = self.rt.state.borrow_mut();
+        let seq = s.next_seq();
+        let get = GetInfo {
+            rec: GetRec {
+                version: rec.version,
+                activate_sent_at_ns: rec.sent_at_ns,
+            },
+            src: owner,
+            size: rec.size as usize,
+        };
+        s.pending_gets.push(rec.priority, seq, get);
+    }
+
+    fn put(&mut self, dst: NodeId, cb: PutCb, size: usize, data: Option<Bytes>) {
+        let req = PutRequest {
+            dst,
+            size,
+            data,
+            r_tag: RTAG_DATA,
+            cb_data: cb.encode(),
+            on_local: Box::new(|_sim, _eng| SimTime::ZERO),
+        };
+        self.rt.engine.put(self.sim, req);
+    }
+
+    fn present(&mut self, v: usize, data: Option<Bytes>, requested: bool) {
+        self.rt.state.borrow_mut().store.present(v, data, requested);
+        NodeRt::release_local(self.rt, VersionId(v));
+    }
+
+    fn requested(&mut self, v: usize, forward: Option<Forward>) {
+        self.rt.state.borrow_mut().store.requested(v, forward);
+    }
+
+    fn take_forward(&mut self, v: usize) -> Option<Forward> {
+        self.rt.state.borrow_mut().store.take_forward(v)
+    }
+
+    fn payload(&mut self, v: usize) -> Option<Bytes> {
+        self.rt.state.borrow().store.held(v)
+    }
+
+    fn sample(&mut self, lat: Lat, t: SimTime) {
+        self.rt.state.borrow_mut().lats.record(lat, t);
+    }
+}
 
 impl NodeRt {
     pub fn new(
@@ -310,29 +275,19 @@ impl NodeRt {
                 idle_workers: (0..nworkers).rev().collect(),
                 ready: BucketQueue::new(),
                 remaining: Vec::new(),
-                store: VersionStore::new(cfg.flyweight),
+                store: VersionStore::new(node, cfg.flyweight),
                 pending_gets: BucketQueue::new(),
                 inflight_gets: 0,
                 inflight_get_bytes: 0,
-                pending_forwards: FastMap::default(),
-                forwards_pending: 0,
                 seq: 0,
                 executed: 0,
                 worker_busy: SimTime::ZERO,
                 class_stats: FastMap::default(),
-                e2e: OnlineStats::new(),
-                msg_lat: OnlineStats::new(),
-                req_lat: OnlineStats::new(),
+                lats: Lats::default(),
                 trace,
                 overlap,
                 inputs_scratch: Vec::new(),
-                dests_scratch: Vec::new(),
-                ctl_scratch: Vec::new(),
-                // Grown on demand in `announce` — nodes that never send a
-                // wide announce (most of a 1024-node cluster) keep it empty
-                // instead of O(nodes) each.
-                node_best: Vec::new(),
-                node_epoch: 0,
+                fan: Fanout::default(),
             }),
             window: RefCell::new(None),
             cfg,
@@ -356,7 +311,7 @@ impl NodeRt {
             s.remaining = vec![0; g.local_task_count(rt.node)];
             for &i in sources {
                 sweep_probe();
-                s.store.insert_present(i, g.version(i).initial.clone());
+                s.store.present(i, g.version(i).initial.clone(), false);
             }
             for &i in tasks {
                 sweep_probe();
@@ -370,142 +325,26 @@ impl NodeRt {
             }
         }
         // Announce initial data to remote consumers (pseudo-completion of a
-        // "source" task at t=0).
-        for &i in sources {
-            NodeRt::announce(rt, sim, VersionId(i), None);
-        }
+        // "source" task at t=0), funneled.
+        NodeRt::announce_versions(rt, sim, sources.iter().copied(), None);
         NodeRt::dispatch(rt, sim);
     }
 
-    /// Send ACTIVATE records for `version` to every remote node that
-    /// consumes it. In multithreaded mode the worker sends directly and the
-    /// costs are returned for charging to the worker (`None` ⇒ funneled).
-    fn announce(rt: &RtHandle, sim: &mut Sim, version: VersionId, mt_cost: Option<&mut SimTime>) {
-        let node = rt.node;
-        // Group remote consumers by node in first-appearance order,
-        // tracking the best priority per node through an epoch-stamped
-        // table — one pass, no quadratic rescans.
-        let (mut dests, size) = {
-            let g = rt.graph.get();
-            let v = g.version(version.0);
-            let mut s = rt.state.borrow_mut();
-            let size = s.store.payload(version.0).map_or(v.size, Bytes::len);
-            s.node_epoch += 1;
-            let epoch = s.node_epoch;
-            let mut dests = std::mem::take(&mut s.dests_scratch);
-            dests.clear();
-            for &t in &v.consumers {
-                let task = g.task(t);
-                if task.node == node {
-                    continue;
-                }
-                if s.node_best.len() <= task.node {
-                    s.node_best.resize(task.node + 1, (0, 0));
-                }
-                let e = &mut s.node_best[task.node];
-                if e.0 != epoch {
-                    *e = (epoch, task.priority);
-                    dests.push((task.node, task.priority));
-                } else if task.priority > e.1 {
-                    e.1 = task.priority;
-                }
-            }
-            for d in dests.iter_mut() {
-                d.1 = s.node_best[d.0].1;
-            }
-            (dests, size)
-        };
-        if dests.is_empty() {
-            rt.state.borrow_mut().dests_scratch = dests;
-            return;
-        }
-        let mt = mt_cost.is_some() && rt.cfg.multithread_am;
-        let sent_at = sim.now().as_ns();
-        let mut extra = SimTime::ZERO;
-
-        // Wide broadcasts go through a multicast tree (Figure 1): binomial
-        // recursive halving by default, k-way when `multicast_k` is set.
-        if rt.cfg.bcast_tree_min.is_some_and(|m| dests.len() >= m) {
-            let best_priority = dests.iter().map(|(_, p)| *p).max().expect("non-empty");
-            let mut ids: Vec<u32> = dests.iter().map(|(n, _)| *n as u32).collect();
-            ids.sort_unstable();
-            for (child, subtree) in split_subtree(&ids, rt.cfg.multicast_k) {
-                let rec = ActivateRec {
-                    version: version.0 as u64,
-                    size: size as u64,
-                    priority: best_priority,
-                    sent_at_ns: sent_at,
-                    forward: subtree,
-                };
-                extra += NodeRt::send_activate(rt, sim, child as NodeId, &rec, mt);
-            }
-        } else {
-            // Direct records are immediate (no buffer to share), so each
-            // destination gets its own encode.
-            for &(dst, priority) in &dests {
-                let rec = ActivateRec::direct(version.0 as u64, size as u64, priority, sent_at);
-                extra += NodeRt::send_activate(rt, sim, dst, &rec, mt);
-            }
-        }
-        dests.clear();
-        rt.state.borrow_mut().dests_scratch = dests;
-        if let Some(c) = mt_cost {
-            *c += extra;
-        }
-    }
-
-    /// Emit one ACTIVATE record; returns the cost to charge the sending
-    /// worker (multithreaded mode only — funneled submits are free to the
-    /// caller, the communication thread pays).
-    fn send_activate(
+    /// Announce `versions` to their remote consumers; returns the send
+    /// cost `worker` accumulated (see [`Vport`]).
+    fn announce_versions(
         rt: &RtHandle,
         sim: &mut Sim,
-        dst: NodeId,
-        rec: &ActivateRec,
-        mt: bool,
-    ) -> SimTime {
-        let wire = ACTIVATE_WIRE_BYTES + 4 * rec.forward.len();
-        let engine = &rt.engine;
-        let payload = rec.encode_one(|n| engine.buf_pool().take(n));
-        if rt.trace_on {
-            let id = flow_id(FLOW_ACTIVATE, rec.version, rt.node, dst);
-            rt.state.borrow_mut().trace.flow_start(
-                rt.comm_track.clone(),
-                "activate",
-                id,
-                sim.now(),
-            );
-        }
-        if mt {
-            engine.send_am_direct(sim, dst, AM_ACTIVATE, wire, Some(payload))
-        } else {
-            engine.send_am(sim, dst, AM_ACTIVATE, wire, Some(payload));
-            rt.cfg.cost.submit_cost
-        }
-    }
-
-    /// Forward a multicast announcement down the subtree once the data is
-    /// locally present (called from the communication-thread context).
-    fn forward_subtree(
-        rt: &RtHandle,
-        sim: &mut Sim,
-        version: VersionId,
-        subtree: &[u32],
-        priority: i64,
-        sent_at_ns: u64,
-        size: usize,
-    ) {
-        for (child, sub) in split_subtree(subtree, rt.cfg.multicast_k) {
-            let rec = ActivateRec {
-                version: version.0 as u64,
-                size: size as u64,
-                priority,
-                sent_at_ns,
-                forward: sub,
-            };
-            // Funneled, like the init announce: no worker to charge.
-            NodeRt::send_activate(rt, sim, child as NodeId, &rec, false);
-        }
+        versions: impl Iterator<Item = usize>,
+        worker: Option<SimTime>,
+    ) -> Option<SimTime> {
+        let mut fan = std::mem::take(&mut rt.state.borrow_mut().fan);
+        let mut port = Vport { rt, sim, worker };
+        let g = rt.graph.get();
+        let sized = versions.map(|v| (v, rt.announce_size(v, g.version(v).size)));
+        protocol::announce(&mut port, &g, &mut fan, Tree::of(&rt.cfg), sized);
+        rt.state.borrow_mut().fan = fan;
+        port.worker
     }
 
     /// Assign ready tasks to idle workers.
@@ -600,19 +439,9 @@ impl NodeRt {
 
             let mut s = rt.state.borrow_mut();
             s.executed += 1;
-            match outs {
-                Some(outs) => {
-                    for (vid, b) in t.outputs.iter().zip(outs) {
-                        let fresh = s.store.insert_present(vid.0, Some(b));
-                        assert!(fresh, "output version produced twice");
-                    }
-                }
-                None => {
-                    for vid in &t.outputs {
-                        let fresh = s.store.insert_present(vid.0, None);
-                        assert!(fresh, "output version produced twice");
-                    }
-                }
+            let mut outs = outs.into_iter().flatten();
+            for vid in &t.outputs {
+                s.store.present(vid.0, outs.next(), false);
             }
         }
 
@@ -622,13 +451,13 @@ impl NodeRt {
             NodeRt::release_local(rt, vid);
         }
 
-        // Announce to remote consumers; in multithreaded mode the send cost
-        // extends the worker's occupancy.
-        let mut extra = SimTime::ZERO;
-        for oi in 0..noutputs {
-            let vid = rt.graph.get().task(task).outputs[oi];
-            NodeRt::announce(rt, sim, vid, Some(&mut extra));
-        }
+        // Announce to remote consumers; the send cost extends the
+        // worker's occupancy.
+        let outputs = (0..noutputs).map(|oi| rt.graph.get().task(task).outputs[oi].0);
+        let extra = NodeRt::announce_versions(rt, sim, outputs, Some(SimTime::ZERO));
+        let extra = extra
+            .filter(|e| !e.is_zero())
+            .unwrap_or(SimTime::from_ns(1));
 
         // Windowed discovery: retire this task and pull the next window of
         // tasks from the graph source.
@@ -639,9 +468,6 @@ impl NodeRt {
 
         let rt2 = rt.clone();
         let core = rt.workers[widx].clone();
-        if extra.is_zero() {
-            extra = SimTime::from_ns(1);
-        }
         rt.state.borrow_mut().worker_busy += extra;
         core.borrow_mut().charge(sim, extra, move |sim| {
             {
@@ -680,78 +506,27 @@ impl NodeRt {
         }
     }
 
-    /// ACTIVATE callback (communication-thread context): prioritize each
-    /// announced flow and request it now or defer it behind the in-flight
-    /// window (§4.1).
+    /// ACTIVATE message (communication-thread context): each record runs
+    /// the protocol's handler, charged `activate_record_cost`; the data
+    /// flows it announced then fetch as the GET window allows (§4.1).
     pub fn on_activate(rt: &RtHandle, sim: &mut Sim, ev: AmEvent) -> SimTime {
-        let mut cost = SimTime::ZERO;
-        {
-            let mut s = rt.state.borrow_mut();
-            let now_ns = sim.now().as_ns();
-            let mut ctl_released = std::mem::take(&mut s.ctl_scratch);
-            for rec in ActivateRec::iter_frames(&ev.data) {
-                cost += rt.cfg.cost.activate_record_cost;
-                s.msg_lat.record(
-                    (SimTime::from_ns(now_ns) - SimTime::from_ns(rec.sent_at_ns)).as_us_f64(),
-                );
-                if rt.trace_on {
-                    let id = flow_id(FLOW_ACTIVATE, rec.version, ev.src, rt.node);
-                    s.trace
-                        .flow_end(rt.comm_track.clone(), "activate", id, sim.now());
-                }
-                let vid = rec.version as usize;
-                if rec.size == 0 {
-                    // Control dependency (PaRSEC CTL flow): the ACTIVATE
-                    // itself satisfies it — no GET DATA / put round trip.
-                    let fresh = s.store.insert_present(vid, None);
-                    assert!(fresh, "version announced twice to one node");
-                    ctl_released.push(rec);
-                    continue;
-                }
-                let fresh = s.store.insert_requested(vid);
-                assert!(fresh, "version announced twice to one node");
-                if !rec.forward.is_empty() {
-                    s.pending_forwards
-                        .insert(vid, (rec.forward, rec.priority, rec.sent_at_ns));
-                    s.forwards_pending += 1;
-                }
-                let seq = s.next_seq();
-                s.pending_gets.push(
-                    rec.priority,
-                    seq,
-                    GetInfo {
-                        version: vid,
-                        src: ev.src,
-                        size: rec.size as usize,
-                        activate_sent_at_ns: rec.sent_at_ns,
-                    },
-                );
-            }
-            drop(s);
-            // The arrival buffers are dead after decoding: feed them back
-            // to the engine's pool so outgoing encodes reuse them instead
-            // of allocating.
-            rt.engine.buf_pool().recycle_frames(ev.data);
-            if !ctl_released.is_empty() {
-                for rec in ctl_released.drain(..) {
-                    let vid = VersionId(rec.version as usize);
-                    NodeRt::release_local(rt, vid);
-                    if !rec.forward.is_empty() {
-                        NodeRt::forward_subtree(
-                            rt,
-                            sim,
-                            vid,
-                            &rec.forward,
-                            rec.priority,
-                            rec.sent_at_ns,
-                            0,
-                        );
-                    }
-                }
-                let rt2 = rt.clone();
-                sim.schedule_now(move |sim| NodeRt::dispatch(&rt2, sim));
-            }
-            rt.state.borrow_mut().ctl_scratch = ctl_released;
+        let (mut cost, mut control) = (SimTime::ZERO, false);
+        for rec in ActivateRec::iter_frames(&ev.data) {
+            cost += rt.cfg.cost.activate_record_cost;
+            let now = sim.now();
+            rt.flow(false, FLOW_ACTIVATE, rec.version, ev.src, rt.node, now);
+            control |= rec.size == 0;
+            let mut port = Vport::funneled(rt, sim);
+            protocol::on_activate(&mut port, rt.cfg.multicast_k, ev.src, rec);
+        }
+        // The arrival buffers are dead after decoding: feed them back to
+        // the engine's pool so outgoing encodes reuse them.
+        rt.engine.buf_pool().recycle_frames(ev.data);
+        if control {
+            // Control flows released consumers; workers dispatch outside
+            // the communication thread.
+            let rt2 = rt.clone();
+            sim.schedule_now(move |sim| NodeRt::dispatch(&rt2, sim));
         }
         cost + NodeRt::pump_gets(rt, sim)
     }
@@ -783,10 +558,6 @@ impl NodeRt {
                 s.inflight_get_bytes += g.size;
                 g
             };
-            let rec = GetRec {
-                version: get.version as u64,
-                activate_sent_at_ns: get.activate_sent_at_ns,
-            };
             let engine = &rt.engine;
             // GETs issue from communication-thread context and historically
             // never aggregate; with a batching window configured they are
@@ -797,105 +568,66 @@ impl NodeRt {
                 get.src,
                 AM_GETDATA,
                 GET_WIRE_BYTES,
-                Some(rec.encode()),
+                Some(get.rec.encode()),
                 batch,
             );
             cost += rt.cfg.cost.get_send_cost;
         }
     }
 
-    /// GET DATA callback at the data owner: start the put (Figure 1).
+    /// GET DATA message at the data owner: each record starts a put
+    /// (Figure 1), charged `get_request_cost`.
     pub fn on_getdata(rt: &RtHandle, sim: &mut Sim, ev: AmEvent) -> SimTime {
         let mut cost = SimTime::ZERO;
         for rec in GetRec::iter_frames(&ev.data) {
-            {
-                let mut s = rt.state.borrow_mut();
-                let lat = sim.now() - SimTime::from_ns(rec.activate_sent_at_ns);
-                s.req_lat.record(lat.as_us_f64());
-                if rt.trace_on {
-                    let id = flow_id(FLOW_DATA, rec.version, rt.node, ev.src);
-                    s.trace
-                        .flow_start(rt.comm_track.clone(), "data", id, sim.now());
-                }
-            }
-            let (size, data) = {
-                let s = rt.state.borrow();
-                let vid = rec.version as usize;
-                assert!(
-                    s.store.is_present(vid),
-                    "GET DATA for version not present at owner"
-                );
-                match s.store.payload(vid) {
-                    Some(b) => (b.len(), Some(b.clone())),
-                    None => (rt.graph.get().version(vid).size, None),
-                }
-            };
             cost += rt.cfg.cost.get_request_cost;
-            let cb = PutCb {
-                version: rec.version,
-                activate_sent_at_ns: rec.activate_sent_at_ns,
-            };
-            let engine = &rt.engine;
-            engine.put(
-                sim,
-                PutRequest {
-                    dst: ev.src,
-                    size,
-                    data,
-                    r_tag: RTAG_DATA,
-                    cb_data: cb.encode(),
-                    on_local: Box::new(|_sim, _eng| SimTime::ZERO),
-                },
-            );
+            rt.flow(true, FLOW_DATA, rec.version, rt.node, ev.src, sim.now());
+            let g = rt.graph.get();
+            protocol::on_get(&mut Vport::funneled(rt, sim), &g, ev.src, rec);
         }
         rt.engine.buf_pool().recycle_frames(ev.data);
         cost
     }
 
-    /// Data-arrival callback (one-sided completion at the consumer node):
-    /// store the payload, record end-to-end latency, release consumers.
+    /// Data arrival (one-sided completion at the consumer node), charged
+    /// `arrival_cost`: the flow leaves the GET window, the protocol
+    /// stores and releases, and the window pumps again.
     pub fn on_data(rt: &RtHandle, sim: &mut Sim, ev: PutEvent) -> SimTime {
         let cb = PutCb::decode(&ev.cb_data);
-        let vid = VersionId(cb.version as usize);
+        rt.flow(false, FLOW_DATA, cb.version, ev.src, rt.node, sim.now());
         {
             let mut s = rt.state.borrow_mut();
-            let e2e_us = (sim.now() - SimTime::from_ns(cb.activate_sent_at_ns)).as_us_f64();
-            s.e2e.record(e2e_us);
-            if rt.trace_on {
-                let id = flow_id(FLOW_DATA, cb.version, ev.src, rt.node);
-                s.trace
-                    .flow_end(rt.comm_track.clone(), "data", id, sim.now());
-            }
-            let was_requested = s.store.fulfill(vid.0, ev.data);
-            assert!(was_requested, "data arrived for un-requested version");
             debug_assert!(s.inflight_gets > 0);
             s.inflight_gets -= 1;
             s.inflight_get_bytes = s.inflight_get_bytes.saturating_sub(ev.size);
         }
-        let cost = rt.cfg.cost.arrival_cost;
-        NodeRt::release_local(rt, vid);
-        // Multicast relay: now that the data is local, announce it down the
-        // subtree; children will GET it from this node.
-        let fwd = {
-            let mut s = rt.state.borrow_mut();
-            if s.forwards_pending > 0 {
-                let f = s.pending_forwards.remove(&vid.0);
-                if f.is_some() {
-                    s.forwards_pending -= 1;
-                }
-                f
-            } else {
-                None
-            }
-        };
-        if let Some((subtree, priority, sent_at_ns)) = fwd {
-            NodeRt::forward_subtree(rt, sim, vid, &subtree, priority, sent_at_ns, ev.size);
-        }
-        let cost = cost + NodeRt::pump_gets(rt, sim);
+        let mut port = Vport::funneled(rt, sim);
+        protocol::on_put(&mut port, rt.cfg.multicast_k, cb, ev.size, ev.data);
+        let cost = rt.cfg.cost.arrival_cost + NodeRt::pump_gets(rt, sim);
         // Worker dispatch happens outside the communication thread.
         let rt2 = rt.clone();
         sim.schedule_now(move |sim| NodeRt::dispatch(&rt2, sim));
         cost
+    }
+
+    /// Record one end of a flow arrow on this node's comm track (tracing
+    /// only): an ACTIVATE or a data put, from `src` to `dst`.
+    fn flow(&self, start: bool, kind: u64, version: u64, src: NodeId, dst: NodeId, at: SimTime) {
+        if !self.trace_on {
+            return;
+        }
+        let name = if kind == FLOW_ACTIVATE {
+            "activate"
+        } else {
+            "data"
+        };
+        let (id, track) = (flow_id(kind, version, src, dst), self.comm_track.clone());
+        let trace = &mut self.state.borrow_mut().trace;
+        if start {
+            trace.flow_start(track, name, id, at);
+        } else {
+            trace.flow_end(track, name, id, at);
+        }
     }
 
     /// Payload of the current state of `version`, if locally present.
@@ -905,30 +637,21 @@ impl NodeRt {
 
     // ---- report accessors (cluster.rs) ------------------------------
 
-    pub(crate) fn executed(&self) -> u64 {
-        self.state.borrow().executed
-    }
-
-    pub(crate) fn worker_busy(&self) -> SimTime {
-        self.state.borrow().worker_busy
-    }
-
+    /// Merge this node's latencies and class counts; returns its
+    /// executed-task count and worker busy time.
     pub(crate) fn merge_stats(
         &self,
-        e2e: &mut OnlineStats,
-        msg: &mut OnlineStats,
-        req: &mut OnlineStats,
+        lats: &mut Lats,
         classes: &mut HashMap<&'static str, (u64, SimTime)>,
-    ) {
+    ) -> (u64, SimTime) {
         let s = self.state.borrow();
-        e2e.merge(&s.e2e);
-        msg.merge(&s.msg_lat);
-        req.merge(&s.req_lat);
+        lats.merge(&s.lats);
         for (name, (n, busy)) in &s.class_stats {
             let e = classes.entry(name).or_insert((0, SimTime::ZERO));
             e.0 += n;
             e.1 += *busy;
         }
+        (s.executed, s.worker_busy)
     }
 
     pub(crate) fn merge_trace_into(&self, t: &mut Trace) {
@@ -939,8 +662,7 @@ impl NodeRt {
 
     /// Seed a newly declared producer-less version at its home node.
     pub(crate) fn window_seed_initial(&self, version: usize, bytes: Option<Bytes>) {
-        let fresh = self.state.borrow_mut().store.insert_present(version, bytes);
-        assert!(fresh, "initial version seeded twice");
+        self.state.borrow_mut().store.present(version, bytes, false);
     }
 
     /// Does this node's store have any entry (Present or Requested) for
@@ -995,8 +717,7 @@ impl NodeRt {
 
     /// Late ACTIVATE for a version whose remote consumer was discovered
     /// after the producer-side announce already happened (windowed mode).
-    /// Mirrors the funneled init-announce path: `send_am`, no worker
-    /// charge.
+    /// Funneled, like the init announce.
     pub(crate) fn send_late_activate(
         rt: &RtHandle,
         sim: &mut Sim,
@@ -1006,6 +727,6 @@ impl NodeRt {
         priority: i64,
     ) {
         let rec = ActivateRec::direct(version as u64, size as u64, priority, sim.now().as_ns());
-        NodeRt::send_activate(rt, sim, dst, &rec, false);
+        Vport::funneled(rt, sim).send_activate(dst, &rec);
     }
 }

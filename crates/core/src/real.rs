@@ -1,40 +1,44 @@
 //! Real execution of a task graph on the `amt-exec` work-stealing pool —
 //! the **real substrate** behind [`crate::Cluster::execute_real`].
 //!
-//! The same graph, kernels, and ACTIVATE / GET DATA / put protocol as the
-//! virtual path, but with wall-clock time and real OS threads:
+//! The same graph, kernels, and ACTIVATE / GET DATA / put handlers
+//! (`protocol.rs`) as the virtual path, but with wall-clock time and real
+//! OS threads. What is real lives here:
 //!
 //! * every worker thread can execute any node's tasks (one shared pool —
 //!   in a single shared-memory process, node affinity governs *data
 //!   placement and protocol*, not thread placement);
 //! * dependence tracking is a per-task atomic countdown over the graph's
 //!   consumer lists — the release that takes a count to zero spawns the
-//!   task as a pool job (LIFO local, stealable);
-//! * cross-node dataflows run the real protocol over the in-process
-//!   shared-memory transport ([`ShmWorld`]): ACTIVATE records announce a
-//!   produced version to remote consumer nodes, the consumer requests the
-//!   payload with a GET DATA record, and the owner answers with a
-//!   one-sided put carrying a callback descriptor — all encoded with the
-//!   exact wire records of the simulated engines
+//!   task as a pool task id (LIFO local, stealable);
+//! * the protocol's [`Port`] is [`RealPort`]: one worker's view of one
+//!   node, over the in-process shared-memory transport ([`ShmWorld`]),
+//!   with the exact wire records of the simulated engines
 //!   ([`crate::records`]). Records of at most 37 bytes (every one of a
 //!   unicast flow) are *immediate*: they ride inside their `Bytes` handle
 //!   and take no buffer. Multicast ACTIVATEs with a forward list are
 //!   drawn from thread-safe buffer pools and returned, once decoded in
-//!   place, to the pool they came from.
+//!   place, to the pool they came from;
+//! * startup and quiescence are collectives ([`amt_comm::kary_children`]
+//!   / [`amt_comm::TreeReduce`]): a go-token broadcast down a k-ary tree
+//!   starts each node's announces and seed tasks, and per-node
+//!   executed-task counts reduce back up the same tree to confirm
+//!   completion at the root — no single root job touching every node's
+//!   state.
 //!
 //! ## Progress: the sender handles its own messages, in line
 //!
-//! A message is never a pool job. Every send is a [`post`] into the
-//! worker's outbox; outside a handler the worker then sends the outbox
-//! one message at a time through [`ShmWorld::send`], which runs the
+//! A message is never a pool job. Every send is a [`RealPort::post`] into
+//! the worker's outbox; outside a handler the worker then sends the
+//! outbox one message at a time through [`ShmWorld::send`], which runs the
 //! destination's handler at once, on this thread; a handler that sends
 //! only appends, so drains never nest. A whole ACTIVATE → GET DATA → put
 //! flow completes on the thread that announced it. Handlers for one node
 //! may run on several threads at once: stores sit behind their node's
 //! mutex, countdowns and the quiescence reduce are atomics, buffer pools
 //! are shared, statistics per worker. Each flow is causal (the ACTIVATE
-//! handler records `pending_forwards` before it posts the GET; the put
-//! follows the GET) and a thread sends its outbox in order, so no
+//! handler keeps its forward in the store before it posts the GET; the
+//! put follows the GET) and a thread sends its outbox in order, so no
 //! ordering is lost. Each job locks its worker's [`WorkerState`] once, at
 //! entry, and lends it down to every handler it runs.
 //!
@@ -82,32 +86,29 @@
 //! Per node is only what is protocol state: the version store and the
 //! transport's lifecycle counters. Everything a thread merely
 //! accumulates — busy time, class counts, executed-task counts, latency
-//! statistics, its outbox — is per *worker*
-//! ([`WorkerState`]), on cache lines of its own and merged once at the
-//! end, so no two threads write one line for bookkeeping. The store's
-//! mutex is taken only when there is something to store or look up (a
-//! payload, a forward list, a numeric GET): a cost-only unicast flow
-//! takes no lock beyond its job's one worker-state borrow.
+//! statistics, its outbox, its announce [`Fanout`] scratch — is per
+//! *worker* ([`WorkerState`]), on cache lines of its own and merged once
+//! at the end, so no two threads write one line for bookkeeping. In
+//! release builds a store keeps only what a later lookup reads — payloads
+//! and forward lists — and its mutex is taken only for one of them: a
+//! cost-only unicast flow takes no lock beyond its job's one worker-state
+//! borrow, and a numeric one none at its ACTIVATE (recording every request
+//! there read about 200 ns per handler at 2 threads: a cache miss on a
+//! line other threads write). Debug builds record every transition, so
+//! the store asserts the whole protocol order there.
 //!
-//! ## Differences from the virtual path (by design)
+//! ## What the real port does differently
 //!
-//! * No GET-window throttling and no engine-level AM aggregation: those
-//!   are engine behaviors under *study* in the simulator; here every GET
-//!   issues immediately and every record travels as its own wire message.
-//! * Multicast *is* honored: with `bcast_tree_min` set, wide announces
-//!   fan out over the same forward-list trees as the virtual engines
-//!   (binomial halving, or k-ary under `multicast_k`). Control flows
-//!   relay down the tree immediately; data flows relay only once the
-//!   payload is locally present, so children always GET from a tree
-//!   parent that holds the data.
-//! * Startup and quiescence run on the collectives primitives
-//!   ([`amt_comm::kary_children`] / [`amt_comm::TreeReduce`]): a
-//!   go-token broadcast down a k-ary tree starts each node's announces
-//!   and seed tasks, and per-node executed-task counts reduce back up
-//!   the same tree to confirm completion at the root — no single root
-//!   job touching every node's state.
-//! * `e2e`/`msg`/`request` latencies are wall-clock (anchored at pool
-//!   start), measured through the same record timestamps as §6.1.3.
+//! * A request posts its GET DATA at once: no GET window and no
+//!   engine-level AM aggregation — those are engine behaviors under
+//!   *study* in the simulator; here every record travels as its own
+//!   message.
+//! * The clock is wall time since pool start. A handler reads it once,
+//!   at the message's arrival, and stamps every reply with that instant;
+//!   an announce outside a handler reads it per destination, since each
+//!   flow before it completes in line.
+//! * Latencies are measured through the same record timestamps as
+//!   §6.1.3, so they read the same as the virtual ones, in wall time.
 //!
 //! ## Determinism
 //!
@@ -124,7 +125,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use amt_comm::{kary_children, EngineStats, ReduceStep, ShmMsg, ShmWorld, TreeReduce};
 use amt_exec::{Pool, TraceEvent, WorkerCtx};
-use amt_simnet::{MetricsRegistry, OnlineStats, SimTime, Substrate, Trace};
+use amt_netmodel::NodeId;
+use amt_simnet::{MetricsRegistry, SimTime, Trace};
 use bytes::{Buf, Bytes, Frames};
 
 use crate::calib::{
@@ -133,8 +135,11 @@ use crate::calib::{
 use crate::cluster::RunReport;
 use crate::config::ClusterConfig;
 use crate::graph::{TaskGraph, TaskId, VersionId};
-use crate::node::{AM_ACTIVATE, AM_GETDATA, RTAG_DATA};
-use crate::records::{split_subtree, ActivateRec, GetRec, PutCb};
+use crate::protocol::{
+    self, Fanout, Forward, Lat, Lats, Port, Tree, AM_ACTIVATE, AM_GETDATA, RTAG_DATA,
+};
+use crate::records::{ActivateRec, GetRec, PutCb};
+use crate::store::VersionStore;
 
 /// AM tag of the startup go-token broadcast down the collective tree.
 const AM_COLL_GO: u64 = 3;
@@ -148,28 +153,10 @@ const STEAL_SEED: u64 = 0x5eed_ca11_ab1e;
 /// Receive-buffer pool depth per node endpoint.
 const SHM_POOL_BUFS: usize = 64;
 
-/// Per-node version store: payloads held here and multicast subtrees
-/// waiting for one (module docs: locked only when one of them is in play).
-struct NodeStore {
-    payload: HashMap<usize, Bytes>,
-    /// Multicast subtrees (`(forward list, priority)`) this node must
-    /// relay once the version's data arrives.
-    pending_forwards: HashMap<usize, (Vec<u32>, i64)>,
-    /// Which versions have arrived here and which GETs are in flight.
-    /// Nothing reads them but the protocol assertions, so they exist —
-    /// and the store is locked on every flow for them — in debug builds
-    /// only.
-    #[cfg(debug_assertions)]
-    present: Vec<bool>,
-    #[cfg(debug_assertions)]
-    requested: Vec<bool>,
-}
-
 /// What one pool worker accumulates over the run (merged into the report
 /// at the end) and keeps between the messages it handles. Only its own
-/// worker ever locks it, once per job, and passes it down as
-/// `&mut WorkerState`; the alignment gives every worker cache lines of
-/// its own.
+/// worker ever locks it, once per job, and lends it to the [`RealPort`]s
+/// of that job; the alignment gives every worker cache lines of its own.
 #[derive(Default)]
 #[repr(align(128))]
 struct WorkerState {
@@ -181,28 +168,25 @@ struct WorkerState {
     /// tree reduce, summed over workers ([`RealRun::executed_per_node`]).
     executed: Vec<u64>,
     /// Message-lifecycle latencies of the flows this worker handled.
-    e2e: OnlineStats,
-    msg: OnlineStats,
-    req: OnlineStats,
-    /// Set while this worker sends its outbox ([`post`]): messages the
-    /// handlers it runs post meanwhile only join the queue.
+    lats: Lats,
+    /// Set while this worker sends its outbox ([`RealPort::post`]):
+    /// messages the handlers it runs post meanwhile only join the queue.
     draining: bool,
     /// Messages this worker has posted and not yet sent, oldest first.
     outbox: VecDeque<(usize, ShmMsg)>,
-    /// Scratch for a version's remote consumer nodes ([`announce`]).
-    dests: Vec<u32>,
+    /// Announce grouping scratch.
+    fan: Fanout,
     /// Wall time spent draining (metrics mode only): handler time that a
     /// task's dispatch-overhead sample must not be charged.
     drained_ns: u64,
 }
 
 /// Raw calibration samples (only collected when metrics are on): kernel
-/// wall times per task class, handler wall times per record kind.
-#[derive(Default)]
-struct CalibSamples {
-    classes: BTreeMap<&'static str, Vec<u64>>,
-    records: BTreeMap<&'static str, Vec<u64>>,
-}
+/// wall times per task class ([`KERNEL`]), handler wall times per record
+/// kind ([`RECORD`]).
+type CalibSamples = [BTreeMap<&'static str, Vec<u64>>; 2];
+const KERNEL: usize = 0;
+const RECORD: usize = 1;
 
 /// Observability artifacts of one real execution, carried back to the
 /// [`crate::Cluster`] so `trace_json` / `metrics_report` /
@@ -224,7 +208,7 @@ pub(crate) struct RealObs {
 struct RealRun {
     graph: TaskGraph,
     remaining: Vec<AtomicU32>,
-    stores: Vec<Mutex<NodeStore>>,
+    stores: Vec<Mutex<VersionStore>>,
     /// Per node, ascending: the initial versions homed there and the tasks
     /// all of whose inputs are such versions — what [`node_startup`]
     /// announces and seeds.
@@ -234,11 +218,7 @@ struct RealRun {
     workers: Vec<Mutex<WorkerState>>,
     /// Quiescence reduce over the collective tree (root = node 0).
     reduce: TreeReduce,
-    /// Announce over a multicast tree when a version has at least this
-    /// many remote consumers (`None` = always unicast).
-    bcast_tree_min: Option<usize>,
-    /// Multicast tree arity (`None` = binomial halving).
-    multicast_k: Option<usize>,
+    tree: Tree,
     /// Arity of the startup/quiescence collective trees.
     coll_k: usize,
     /// Gate for handler timing and calibration sampling; `false` keeps
@@ -280,26 +260,13 @@ impl RealRun {
             })
             .collect();
         let mut init_versions = vec![Vec::new(); nodes];
-        let mut stores: Vec<NodeStore> = (0..nodes)
-            .map(|_| NodeStore {
-                payload: HashMap::new(),
-                pending_forwards: HashMap::new(),
-                #[cfg(debug_assertions)]
-                present: vec![false; graph.version_count()],
-                #[cfg(debug_assertions)]
-                requested: vec![false; graph.version_count()],
-            })
+        let mut stores: Vec<VersionStore> = (0..nodes)
+            .map(|n| VersionStore::new(n, cfg.flyweight))
             .collect();
         for (i, v) in graph.versions().enumerate() {
             if v.producer.is_none() {
                 init_versions[v.home].push(i);
-                #[cfg(debug_assertions)]
-                {
-                    stores[v.home].present[i] = true;
-                }
-                if let Some(b) = &v.initial {
-                    stores[v.home].payload.insert(i, b.clone());
-                }
+                stores[v.home].present(i, v.initial.clone(), false);
             }
         }
         let shm = ShmWorld::new_observed(nodes, SHM_POOL_BUFS, metrics);
@@ -322,8 +289,7 @@ impl RealRun {
                 })
                 .collect(),
             reduce: TreeReduce::new(nodes, 0, coll_k),
-            bcast_tree_min: cfg.bcast_tree_min,
-            multicast_k: cfg.multicast_k,
+            tree: Tree::of(cfg),
             coll_k,
             metrics_on: metrics,
             calib: Mutex::new(CalibSamples::default()),
@@ -331,33 +297,10 @@ impl RealRun {
         }
     }
 
-    /// Append one record-handler duration sample (metrics mode only).
-    fn record_sample(&self, key: &'static str, ns: u64) {
-        self.calib
-            .lock()
-            .expect("calib samples")
-            .records
-            .entry(key)
-            .or_default()
-            .push(ns);
-    }
-
-    /// Append one kernel wall-time sample (metrics mode only).
-    fn kernel_sample(&self, name: &'static str, ns: u64) {
-        self.calib
-            .lock()
-            .expect("calib samples")
-            .classes
-            .entry(name)
-            .or_default()
-            .push(ns);
-    }
-
-    /// The state of the worker running `ctx`, locked once per job by
-    /// [`run_job`] and lent down.
-    fn worker(&self, ctx: &WorkerCtx<'_>) -> MutexGuard<'_, WorkerState> {
-        let w = ctx.worker().expect("real runs execute on pool workers");
-        self.workers[w].lock().expect("worker state")
+    /// Append one calibration sample of `family` (metrics mode only).
+    fn calib_sample(&self, family: usize, key: &'static str, ns: u64) {
+        let mut calib = self.calib.lock().expect("calib samples");
+        calib[family].entry(key).or_default().push(ns);
     }
 
     /// Executed tasks per node, summed over the workers' counts. Locks
@@ -384,47 +327,184 @@ impl RealRun {
                 .is_some_and(|t| self.graph.task(t).kernel.is_some())
     }
 
-    /// Remote consumer nodes of version `v` into `dests`, deduplicated,
-    /// ascending.
-    fn remote_consumer_nodes(&self, v: usize, dests: &mut Vec<u32>) {
-        let ver = self.graph.version(v);
-        dests.clear();
-        dests.extend(
-            ver.consumers
-                .iter()
-                .map(|&t| self.graph.task(t).node)
-                .filter(|&n| n != ver.home)
-                .map(|n| n as u32),
-        );
-        dests.sort_unstable();
-        dests.dedup();
+    /// The store of `node`, locked.
+    fn store(&self, node: usize) -> MutexGuard<'_, VersionStore> {
+        self.stores[node].lock().expect("node store")
     }
 
-    /// Mark `v` present at `node` (payload optional) and hand `ready` each
-    /// local consumer task this release made ready, in task order.
+    /// Mark `v` present at `node` (payload optional; `requested` says
+    /// whether `node` asked for it) and hand `ready` each local consumer
+    /// task this release made ready, in task order. Release builds only
+    /// keep the payload (module docs).
     fn fulfill_local(
         &self,
         node: usize,
         v: usize,
         payload: Option<Bytes>,
+        requested: bool,
         mut ready: impl FnMut(TaskId),
     ) {
-        if cfg!(debug_assertions) || payload.is_some() {
-            let mut store = self.stores[node].lock().expect("node store");
-            #[cfg(debug_assertions)]
-            assert!(
-                !std::mem::replace(&mut store.present[v], true),
-                "version {v} delivered twice to node {node}"
-            );
-            if let Some(b) = payload {
-                store.payload.insert(v, b);
-            }
+        if cfg!(debug_assertions) {
+            self.store(node).present(v, payload, requested);
+        } else if let Some(b) = payload {
+            self.store(node).keep_payload(v, b);
         }
         for &t in &self.graph.version(v).consumers {
             if self.graph.task(t).node == node && self.remaining[t].fetch_sub(1, SeqCst) == 1 {
                 ready(t);
             }
         }
+    }
+}
+
+/// One worker's view of `node`, the protocol's [`Port`] on this
+/// substrate: the node's store and transport, the worker's outbox and
+/// statistics.
+struct RealPort<'a, 'c> {
+    ctx: &'a mut WorkerCtx<'c>,
+    run: &'a RealRun,
+    ws: &'a mut WorkerState,
+    node: usize,
+    /// Arrival instant of the message being handled (the one clock read
+    /// in [`handle`]); `None` outside a handler.
+    at: Option<u64>,
+}
+
+impl<'a, 'c> RealPort<'a, 'c> {
+    fn new(
+        ctx: &'a mut WorkerCtx<'c>,
+        run: &'a RealRun,
+        ws: &'a mut WorkerState,
+        node: usize,
+    ) -> Self {
+        let at = None;
+        RealPort {
+            ctx,
+            run,
+            ws,
+            node,
+            at,
+        }
+    }
+
+    /// Send `msg` to `dst` (module docs). Outside a drain this worker
+    /// becomes the outermost sender and sends its outbox one message at a
+    /// time, each handled at once by [`ShmWorld::send`]; from a handler it
+    /// only appends, so no drain nests inside another.
+    fn post(&mut self, dst: usize, msg: ShmMsg) {
+        let (ctx, run, ws) = (&mut *self.ctx, self.run, &mut *self.ws);
+        ws.outbox.push_back((dst, msg));
+        if std::mem::replace(&mut ws.draining, true) {
+            return;
+        }
+        let t0 = run.metrics_on.then(|| ctx.now());
+        while let Some((dst, msg)) = ws.outbox.pop_front() {
+            run.shm.send(dst, msg, |node, msg| {
+                handle(&mut RealPort::new(ctx, run, ws, node), msg)
+            });
+        }
+        ws.draining = false;
+        ws.drained_ns += t0.map_or(0, |t0| (ctx.now() - t0).as_ns());
+    }
+
+    /// Run `f`; in metrics mode also sample its wall time under `key`.
+    /// Returns the sampled nanoseconds (0 when unobserved).
+    fn timed(&mut self, key: &'static str, f: impl FnOnce(&mut Self)) -> u64 {
+        let t0 = self.run.metrics_on.then(|| self.ctx.now());
+        f(self);
+        t0.map_or(0, |t0| {
+            let d = (self.ctx.now() - t0).as_ns();
+            self.run.calib_sample(RECORD, key, d);
+            d
+        })
+    }
+
+    /// Announce `versions` (with the sizes they are held with) to their
+    /// remote consumers.
+    fn announce_versions(&mut self, versions: impl Iterator<Item = (usize, usize)>) {
+        let mut fan = std::mem::take(&mut self.ws.fan);
+        let run = self.run;
+        protocol::announce(self, &run.graph, &mut fan, run.tree, versions);
+        self.ws.fan = fan;
+    }
+}
+
+impl Port for RealPort<'_, '_> {
+    #[inline]
+    fn now(&mut self) -> u64 {
+        match self.at {
+            Some(at) => at,
+            None => self.ctx.now().as_ns(),
+        }
+    }
+
+    #[inline]
+    fn send_activate(&mut self, dst: NodeId, rec: &ActivateRec) {
+        let frame = rec.encode_one(|n| self.run.shm.node(self.node).pool().take(n));
+        let at = self.at.unwrap_or(rec.sent_at_ns);
+        self.post(dst, am(self.node, AM_ACTIVATE, Frames::One(frame), at));
+    }
+
+    /// Post the GET DATA at once (no window on this substrate).
+    #[inline]
+    fn request(&mut self, owner: NodeId, rec: &ActivateRec) {
+        let get = GetRec {
+            version: rec.version,
+            activate_sent_at_ns: rec.sent_at_ns,
+        };
+        let at = self.now();
+        self.post(
+            owner,
+            am(self.node, AM_GETDATA, Frames::One(get.encode()), at),
+        );
+    }
+
+    #[inline]
+    fn put(&mut self, dst: NodeId, cb: PutCb, size: usize, data: Option<Bytes>) {
+        let msg = ShmMsg::Put {
+            src: self.node,
+            r_tag: RTAG_DATA,
+            data,
+            size,
+            cb: cb.encode(),
+            sent_at_ns: self.now(),
+        };
+        self.post(dst, msg);
+    }
+
+    #[inline]
+    fn present(&mut self, v: usize, data: Option<Bytes>, requested: bool) {
+        let ctx = &mut *self.ctx;
+        let ready = |t| ctx.defer_task(t);
+        self.run.fulfill_local(self.node, v, data, requested, ready);
+    }
+
+    /// Release builds only keep a forward list (module docs).
+    #[inline]
+    fn requested(&mut self, v: usize, forward: Option<Forward>) {
+        if cfg!(debug_assertions) {
+            self.run.store(self.node).requested(v, forward);
+        } else if let Some(f) = forward {
+            self.run.store(self.node).keep_forward(v, f);
+        }
+    }
+
+    #[inline]
+    fn take_forward(&mut self, v: usize) -> Option<Forward> {
+        // Forward lists exist only under a multicast policy.
+        self.run.tree.min?;
+        self.run.store(self.node).take_forward(v)
+    }
+
+    #[inline]
+    fn payload(&mut self, v: usize) -> Option<Bytes> {
+        let tracked = cfg!(debug_assertions) || self.run.carries_payload(v);
+        tracked.then(|| self.run.store(self.node).held(v)).flatten()
+    }
+
+    #[inline]
+    fn sample(&mut self, lat: Lat, t: SimTime) {
+        self.ws.lats.record(lat, t);
     }
 }
 
@@ -441,77 +521,17 @@ const QUIESCE: usize = usize::MAX - 1;
 fn run_job(ctx: &mut WorkerCtx<'_>, run: &RealRun, id: usize) {
     // Summed before this worker's own state is locked.
     let counts = (id == QUIESCE).then(|| run.executed_per_node());
-    let mut ws = run.worker(ctx);
+    let mut ws = run.workers[ctx.worker()].lock().expect("worker state");
+    let p = &mut RealPort::new(ctx, run, &mut ws, 0);
     match (id, counts) {
-        (STARTUP, _) => node_startup(ctx, run, &mut ws, 0),
+        (STARTUP, _) => node_startup(p),
         (QUIESCE, Some(counts)) => {
             for (node, count) in counts.into_iter().enumerate() {
-                let step = run.reduce.contribute(node, count);
-                coll_step(ctx, run, &mut ws, node, step);
+                p.node = node;
+                coll_step(p, run.reduce.contribute(node, count));
             }
         }
-        (t, _) => exec_task(ctx, run, &mut ws, t),
-    }
-}
-
-/// Announce `v` to every remote consumer node and see to their progress;
-/// called once, by the producer's node (or that node's startup for
-/// initial versions). Wide announces go down a multicast tree when
-/// `bcast_tree_min` allows; each destination still receives exactly one
-/// ACTIVATE.
-fn announce(ctx: &mut WorkerCtx<'_>, run: &RealRun, ws: &mut WorkerState, v: usize) {
-    let ver = run.graph.version(v);
-    let home = ver.home;
-    let priority = ver
-        .producer
-        .map(|t| run.graph.task(t).priority)
-        .unwrap_or(0);
-    // The scratch is taken out, not borrowed: every `post` below needs
-    // the whole worker state for its outbox.
-    let mut dests = std::mem::take(&mut ws.dests);
-    run.remote_consumer_nodes(v, &mut dests);
-    if run.bcast_tree_min.is_some_and(|m| dests.len() >= m) {
-        let now_ns = ctx.now().as_ns();
-        relay_subtree(ctx, run, ws, home, v, &dests, priority, now_ns);
-    } else {
-        for &dst in &dests {
-            let now_ns = ctx.now().as_ns();
-            let rec = ActivateRec::direct(v as u64, ver.size as u64, priority, now_ns);
-            let frame = rec.encode_one(|n| run.shm.node(home).pool().take(n));
-            let msg = am(home, AM_ACTIVATE, Frames::One(frame), now_ns);
-            post(ctx, run, ws, dst as usize, msg);
-        }
-    }
-    ws.dests = dests;
-}
-
-/// Send ACTIVATEs for `v` to the tree children of `subtree`, each
-/// carrying its forward list; `sent_at_ns` is the *original* announce
-/// instant so downstream latencies span the whole multicast path, exactly
-/// like the virtual engines' relays.
-#[allow(clippy::too_many_arguments)]
-fn relay_subtree(
-    ctx: &mut WorkerCtx<'_>,
-    run: &RealRun,
-    ws: &mut WorkerState,
-    node: usize,
-    v: usize,
-    subtree: &[u32],
-    priority: i64,
-    sent_at_ns: u64,
-) {
-    let size = run.graph.version(v).size as u64;
-    for (child, forward) in split_subtree(subtree, run.multicast_k) {
-        let rec = ActivateRec {
-            version: v as u64,
-            size,
-            priority,
-            sent_at_ns,
-            forward,
-        };
-        let frame = rec.encode_one(|n| run.shm.node(node).pool().take(n));
-        let msg = am(node, AM_ACTIVATE, Frames::One(frame), ctx.now().as_ns());
-        post(ctx, run, ws, child as usize, msg);
+        (t, _) => exec_task(p, t),
     }
 }
 
@@ -525,64 +545,30 @@ fn am(src: usize, tag: u64, frames: Frames, sent_at_ns: u64) -> ShmMsg {
     }
 }
 
-/// Send `msg` to `dst` (module docs). Outside a drain this worker becomes
-/// the outermost sender and sends its outbox one message at a time, each
-/// handled at once by [`ShmWorld::send`]; from a handler it only appends,
-/// so no drain nests inside another.
-fn post(ctx: &mut WorkerCtx<'_>, run: &RealRun, ws: &mut WorkerState, dst: usize, msg: ShmMsg) {
-    ws.outbox.push_back((dst, msg));
-    if std::mem::replace(&mut ws.draining, true) {
-        return;
-    }
-    let t0 = run.metrics_on.then(|| ctx.now());
-    while let Some((dst, msg)) = ws.outbox.pop_front() {
-        run.shm
-            .send(dst, msg, |dst, msg| handle(ctx, run, ws, dst, msg));
-    }
-    ws.draining = false;
-    ws.drained_ns += t0.map_or(0, |t0| (ctx.now() - t0).as_ns());
-}
-
-/// Run `f`; in metrics mode also sample its wall time under `key`.
-/// Returns the sampled nanoseconds (0 when unobserved).
-fn timed(
-    ctx: &mut WorkerCtx<'_>,
-    run: &RealRun,
-    key: &'static str,
-    f: impl FnOnce(&mut WorkerCtx<'_>),
-) -> u64 {
-    let t0 = run.metrics_on.then(|| ctx.now());
-    f(ctx);
-    t0.map_or(0, |t0| {
-        let d = (ctx.now() - t0).as_ns();
-        run.record_sample(key, d);
-        d
-    })
-}
-
 /// Execute task `t` on its home node's store, then run the completion
 /// protocol: mark outputs present, release local consumers, announce to
 /// remote ones.
-fn exec_task(ctx: &mut WorkerCtx<'_>, run: &RealRun, ws: &mut WorkerState, t: TaskId) {
+fn exec_task(p: &mut RealPort<'_, '_>, t: TaskId) {
+    let run = p.run;
     let task = run.graph.task(t);
     let node = task.node;
+    p.node = node;
     // Dispatch-overhead measurement brackets the whole job (input gather,
     // kernel, completion protocol) less the messages this worker handles
     // in line on the way, which have samples of their own; metrics mode
     // only.
-    let t_entry = run.metrics_on.then(|| (ctx.now(), ws.drained_ns));
+    let t_entry = run.metrics_on.then(|| (p.ctx.now(), p.ws.drained_ns));
 
     // Gather input payloads (only data-carrying versions feed kernels,
     // exactly like the sequential oracle).
     let inputs: Vec<Bytes> = if task.kernel.is_some() {
-        let store = run.stores[node].lock().expect("node store");
+        let store = run.store(node);
         task.inputs
             .iter()
             .filter(|v| run.graph.version(v.0).size > 0)
             .map(|v| {
                 store
-                    .payload
-                    .get(&v.0)
+                    .payload(v.0)
                     .unwrap_or_else(|| panic!("task {t}: input {} missing at node {node}", v.0))
                     .clone()
             })
@@ -591,21 +577,22 @@ fn exec_task(ctx: &mut WorkerCtx<'_>, run: &RealRun, ws: &mut WorkerState, t: Ta
         Vec::new()
     };
 
-    let started = ctx.now();
+    let started = p.ctx.now();
     let outs: Vec<Bytes> = match &task.kernel {
         Some(k) => k(&inputs),
         None => Vec::new(),
     };
-    let ended = ctx.now();
+    let ended = p.ctx.now();
     let busy_ns = (ended - started).as_ns();
     // On a traced pool this lands in the worker's lock-free buffer; on an
-    // untraced pool (and the virtual substrate) it is a no-op.
-    ctx.trace_task(task.name, node, started, ended);
+    // untraced pool it is a no-op.
+    p.ctx.trace_task(task.name, node, started, ended);
     if task.kernel.is_some() {
         assert_eq!(outs.len(), task.outputs.len(), "kernel output arity");
     }
 
     // Worker accounting.
+    let ws = &mut *p.ws;
     ws.busy_ns += busy_ns;
     ws.executed[node] += 1;
     let name = task.name;
@@ -618,43 +605,47 @@ fn exec_task(ctx: &mut WorkerCtx<'_>, run: &RealRun, ws: &mut WorkerState, t: Ta
         None => ws.classes.push((name, 1, busy_ns)),
     }
     if run.metrics_on {
-        run.kernel_sample(task.name, busy_ns);
+        run.calib_sample(KERNEL, task.name, busy_ns);
     }
 
     // Completion: outputs become present locally and release local
     // consumers (spawned first, so another worker can steal them while
-    // this one runs the announces' protocol in line).
-    let mut payloads = outs.into_iter();
-    for &out in &task.outputs {
-        let payload = task.kernel.is_some().then(|| {
-            payloads
-                .next()
-                .expect("one kernel payload per declared write")
+    // this one runs the announces' protocol in line). A kernel's output
+    // announces its own length, a cost-only one its declared size.
+    for (i, out) in task.outputs.iter().enumerate() {
+        let ctx = &mut *p.ctx;
+        run.fulfill_local(node, out.0, outs.get(i).cloned(), false, |t| {
+            ctx.defer_task(t)
         });
-        run.fulfill_local(node, out.0, payload, |t| ctx.defer_task(t));
     }
-    for &out in &task.outputs {
-        announce(ctx, run, ws, out.0);
-    }
+    p.announce_versions(task.outputs.iter().enumerate().map(|(i, out)| {
+        let size = outs
+            .get(i)
+            .map_or(run.graph.version(out.0).size, Bytes::len);
+        (out.0, size)
+    }));
     if let Some((t_entry, drained)) = t_entry {
-        let drained = ws.drained_ns - drained;
-        let total_ns = (ctx.now() - t_entry).as_ns();
-        run.record_sample(
+        let drained = p.ws.drained_ns - drained;
+        let total_ns = (p.ctx.now() - t_entry).as_ns();
+        run.calib_sample(
+            RECORD,
             REC_TASK_OVERHEAD,
             total_ns.saturating_sub(busy_ns + drained),
         );
     }
 }
 
-/// Handle one message at `node`, on the thread that sent it (module
-/// docs). Decoding reads the frames in place; every buffer
-/// then returns to the pool of the node that encoded it, so each pool
-/// gets back exactly what it hands out whatever the traffic's shape
-/// (immediate records have none: their `recycle` is a no-op). The one
-/// clock read here is the message's arrival instant for the handlers and
-/// the send stamp of their replies.
-fn handle(ctx: &mut WorkerCtx<'_>, run: &RealRun, ws: &mut WorkerState, node: usize, msg: ShmMsg) {
-    let now_ns = ctx.now().as_ns();
+/// Handle one message at `p.node`, on the thread that sent it (module
+/// docs). Decoding reads the frames in place; every buffer then returns
+/// to the pool of the node that encoded it, so each pool gets back
+/// exactly what it hands out whatever the traffic's shape (immediate
+/// records have none: their `recycle` is a no-op). The one clock read
+/// here is the message's arrival instant for the handlers and the send
+/// stamp of their replies.
+fn handle(p: &mut RealPort<'_, '_>, msg: ShmMsg) {
+    let (run, node, k) = (p.run, p.node, p.run.tree.k);
+    let now_ns = p.ctx.now().as_ns();
+    p.at = Some(now_ns);
     match msg {
         ShmMsg::Am {
             src,
@@ -664,29 +655,24 @@ fn handle(ctx: &mut WorkerCtx<'_>, run: &RealRun, ws: &mut WorkerState, node: us
         } => {
             run.shm.delivered(node, false, 0, now_ns, sent_at_ns);
             match tag {
-                AM_ACTIVATE => {
-                    let mut callback_ns = 0u64;
-                    for rec in ActivateRec::iter_frames(&frames) {
-                        callback_ns += timed(ctx, run, REC_ACTIVATE, |ctx| {
-                            on_activate(ctx, run, ws, node, src, rec, now_ns)
-                        });
+                AM_ACTIVATE | AM_GETDATA => {
+                    let mut ns = 0u64;
+                    if tag == AM_ACTIVATE {
+                        for rec in ActivateRec::iter_frames(&frames) {
+                            ns += p.timed(REC_ACTIVATE, |p| protocol::on_activate(p, k, src, rec));
+                        }
+                    } else {
+                        for rec in GetRec::iter_frames(&frames) {
+                            let get = |p: &mut RealPort| protocol::on_get(p, &run.graph, src, rec);
+                            ns += p.timed(REC_GET_REQUEST, get);
+                        }
                     }
-                    run.shm.record_stage(node, "am.callback_ns", callback_ns);
+                    run.shm.record_stage(node, "am.callback_ns", ns);
                 }
-                AM_GETDATA => {
-                    let mut callback_ns = 0u64;
-                    for rec in GetRec::iter_frames(&frames) {
-                        callback_ns += timed(ctx, run, REC_GET_REQUEST, |ctx| {
-                            on_getdata(ctx, run, ws, node, src, rec, now_ns)
-                        });
-                    }
-                    run.shm.record_stage(node, "am.callback_ns", callback_ns);
-                }
-                AM_COLL_GO => node_startup(ctx, run, ws, node),
+                AM_COLL_GO => node_startup(p),
                 AM_COLL_SUM => {
                     for mut partial in frames.iter().map(|b| &b[..]) {
-                        let step = run.reduce.arrive(node, partial.get_u64_le());
-                        coll_step(ctx, run, ws, node, step);
+                        coll_step(p, run.reduce.arrive(node, partial.get_u64_le()));
                     }
                 }
                 _ => panic!("unregistered AM tag {tag}"),
@@ -703,8 +689,8 @@ fn handle(ctx: &mut WorkerCtx<'_>, run: &RealRun, ws: &mut WorkerState, node: us
         } => {
             debug_assert_eq!(r_tag, RTAG_DATA, "unexpected one-sided tag");
             run.shm.delivered(node, true, size, now_ns, sent_at_ns);
-            let d = timed(ctx, run, REC_ARRIVAL, |ctx| {
-                on_data(ctx, run, ws, node, data, PutCb::decode(&cb), now_ns)
+            let d = p.timed(REC_ARRIVAL, |p| {
+                protocol::on_put(p, k, PutCb::decode(&cb), size, data)
             });
             run.shm.record_stage(node, "put.callback_ns", d);
             run.shm.node(src).pool().recycle(cb);
@@ -712,183 +698,38 @@ fn handle(ctx: &mut WorkerCtx<'_>, run: &RealRun, ws: &mut WorkerState, node: us
     }
 }
 
-/// Startup at `node`, triggered by the go-token reaching it: relay the
+/// Startup at `p.node`, triggered by the go-token reaching it: relay the
 /// token to the node's collective-tree children first (subtree startups
 /// overlap with this node's own work), then announce this node's initial
 /// versions and seed its dependence-free tasks, in task order.
-fn node_startup(ctx: &mut WorkerCtx<'_>, run: &RealRun, ws: &mut WorkerState, node: usize) {
+fn node_startup(p: &mut RealPort<'_, '_>) {
+    let (run, node) = (p.run, p.node);
     for child in kary_children(node, 0, run.shm.len(), run.coll_k) {
-        let msg = am(node, AM_COLL_GO, Frames::new(), ctx.now().as_ns());
-        post(ctx, run, ws, child, msg);
+        let at = p.now();
+        p.post(child, am(node, AM_COLL_GO, Frames::new(), at));
     }
-    for &v in &run.init_versions[node] {
-        announce(ctx, run, ws, v);
-    }
+    p.announce_versions(run.init_versions[node].iter().map(|&v| {
+        let ver = run.graph.version(v);
+        (v, ver.initial.as_ref().map_or(ver.size, Bytes::len))
+    }));
     // Seed only *statically* dependence-free tasks — every input a
     // pre-satisfied initial version homed here. Tasks whose counters hit
     // zero dynamically are spawned by `fulfill_local` at the releasing
     // delivery; re-checking live counters here would double-spawn any
     // task released by a remote flow that outran this node's go token.
     for &t in &run.seed_tasks[node] {
-        ctx.defer_task(t);
+        p.ctx.defer_task(t);
     }
 }
 
 /// Act on one quiescence-reduce transition: forward a completed partial
 /// sum to the tree parent (the root's completion is read off
 /// [`TreeReduce::result`] after the pool drains).
-fn coll_step(
-    ctx: &mut WorkerCtx<'_>,
-    run: &RealRun,
-    ws: &mut WorkerState,
-    node: usize,
-    step: ReduceStep,
-) {
-    match step {
-        ReduceStep::Send { parent, partial } => {
-            let frame = Bytes::inline(&partial.to_le_bytes()).expect("8 bytes fit the handle");
-            let msg = am(node, AM_COLL_SUM, Frames::One(frame), ctx.now().as_ns());
-            post(ctx, run, ws, parent, msg);
-        }
-        ReduceStep::Done(_) | ReduceStep::Wait => {}
-    }
-}
-
-/// ACTIVATE at a consumer node (arrived at `now_ns`): control flows
-/// complete immediately; data flows request the payload from the
-/// producing node.
-fn on_activate(
-    ctx: &mut WorkerCtx<'_>,
-    run: &RealRun,
-    ws: &mut WorkerState,
-    node: usize,
-    src: usize,
-    rec: ActivateRec,
-    now_ns: u64,
-) {
-    let lat = SimTime::from_ns(now_ns.saturating_sub(rec.sent_at_ns));
-    let v = rec.version as usize;
-    if rec.size == 0 {
-        // Pure control dependence: no payload will follow; relay the
-        // multicast subtree (if any) immediately — there is no data to
-        // wait for.
-        ws.msg.record_time_us(lat);
-        ws.e2e.record_time_us(lat);
-        run.fulfill_local(node, v, None, |t| ctx.defer_task(t));
-        if !rec.forward.is_empty() {
-            relay_subtree(
-                ctx,
-                run,
-                ws,
-                node,
-                v,
-                &rec.forward,
-                rec.priority,
-                rec.sent_at_ns,
-            );
-        }
-        return;
-    }
-    ws.msg.record_time_us(lat);
-    if cfg!(debug_assertions) || !rec.forward.is_empty() {
-        let mut store = run.stores[node].lock().expect("node store");
-        #[cfg(debug_assertions)]
-        assert!(
-            !std::mem::replace(&mut store.requested[v], true),
-            "version {v} requested twice by node {node}"
-        );
-        if !rec.forward.is_empty() {
-            // Data flow: relay only once the payload lands here (on_data),
-            // so children GET from a parent that holds it.
-            store
-                .pending_forwards
-                .insert(v, (rec.forward, rec.priority));
-        }
-    }
-    let get = GetRec {
-        version: rec.version,
-        activate_sent_at_ns: rec.sent_at_ns,
-    };
-    let msg = am(node, AM_GETDATA, Frames::One(get.encode()), now_ns);
-    post(ctx, run, ws, src, msg);
-}
-
-/// GET DATA at the owner (arrived at `now_ns`): answer with a one-sided
-/// put of the payload.
-fn on_getdata(
-    ctx: &mut WorkerCtx<'_>,
-    run: &RealRun,
-    ws: &mut WorkerState,
-    node: usize,
-    src: usize,
-    rec: GetRec,
-    now_ns: u64,
-) {
-    ws.req.record_time_us(SimTime::from_ns(
-        now_ns.saturating_sub(rec.activate_sent_at_ns),
-    ));
-    let v = rec.version as usize;
-    let size = run.graph.version(v).size;
-    let data = if cfg!(debug_assertions) || run.carries_payload(v) {
-        let store = run.stores[node].lock().expect("node store");
-        #[cfg(debug_assertions)]
-        assert!(
-            store.present[v],
-            "GET for version {v} the owner does not hold"
-        );
-        store.payload.get(&v).cloned()
-    } else {
-        None
-    };
-    let cb = PutCb {
-        version: rec.version,
-        activate_sent_at_ns: rec.activate_sent_at_ns,
-    };
-    let msg = ShmMsg::Put {
-        src: node,
-        r_tag: RTAG_DATA,
-        data,
-        size,
-        cb: cb.encode(),
-        sent_at_ns: now_ns,
-    };
-    post(ctx, run, ws, src, msg);
-}
-
-/// Put arrival at the consumer (at `now_ns`): the flow is complete;
-/// fulfill and release.
-fn on_data(
-    ctx: &mut WorkerCtx<'_>,
-    run: &RealRun,
-    ws: &mut WorkerState,
-    node: usize,
-    data: Option<Bytes>,
-    cb: PutCb,
-    now_ns: u64,
-) {
-    ws.e2e.record_time_us(SimTime::from_ns(
-        now_ns.saturating_sub(cb.activate_sent_at_ns),
-    ));
-    let v = cb.version as usize;
-    run.fulfill_local(node, v, data, |t| ctx.defer_task(t));
-    // Multicast relay: the data is local now; announce it down the
-    // subtree so children GET it from this node. Forward lists exist only
-    // under `bcast_tree_min`.
-    let fwd = run.bcast_tree_min.and_then(|_| {
-        let mut store = run.stores[node].lock().expect("node store");
-        store.pending_forwards.remove(&v)
-    });
-    if let Some((subtree, priority)) = fwd {
-        relay_subtree(
-            ctx,
-            run,
-            ws,
-            node,
-            v,
-            &subtree,
-            priority,
-            cb.activate_sent_at_ns,
-        );
+fn coll_step(p: &mut RealPort<'_, '_>, step: ReduceStep) {
+    if let ReduceStep::Send { parent, partial } = step {
+        let frame = Bytes::inline(&partial.to_le_bytes()).expect("8 bytes fit the handle");
+        let at = p.now();
+        p.post(parent, am(p.node, AM_COLL_SUM, Frames::One(frame), at));
     }
 }
 
@@ -1008,16 +849,12 @@ pub(crate) fn run(
         "quiescence reduce disagrees with the task count"
     );
 
-    let mut e2e = OnlineStats::new();
-    let mut msg = OnlineStats::new();
-    let mut req = OnlineStats::new();
+    let mut lats = Lats::default();
     let mut worker_busy_ns = 0u64;
     let mut classes: HashMap<&'static str, (u64, u64)> = HashMap::new();
     for w in &run.workers {
         let w = w.lock().expect("worker state");
-        e2e.merge(&w.e2e);
-        msg.merge(&w.msg);
-        req.merge(&w.req);
+        lats.merge(&w.lats);
         worker_busy_ns += w.busy_ns;
         for &(name, n, busy) in &w.classes {
             let e = classes.entry(name).or_insert((0, 0));
@@ -1031,6 +868,7 @@ pub(crate) fn run(
         .collect();
     class_stats.sort_by_key(|c| std::cmp::Reverse(c.2));
     let worker_busy = SimTime::from_ns(worker_busy_ns);
+    let [msg, req, e2e] = lats.0;
     let span = makespan.as_secs_f64().max(1e-12);
 
     let engine_stats: Vec<EngineStats> =
@@ -1039,33 +877,26 @@ pub(crate) fn run(
     // Merge every node's payloads for post-run data access; producers win
     // over transferred copies (they are bitwise equal anyway).
     let mut data: HashMap<VersionId, Bytes> = HashMap::new();
-    for n in 0..nodes {
-        let store = run.stores[n].lock().expect("node store");
-        for (&v, b) in &store.payload {
-            data.entry(VersionId(v)).or_insert_with(|| b.clone());
+    for store in run.stores {
+        for (v, b) in store.into_inner().expect("node store").into_payloads() {
+            data.entry(VersionId(v)).or_insert(b);
         }
     }
 
     // Calibration profile from the measured samples (metrics mode only):
     // lower medians, deterministic BTreeMap key order.
     let calib = cfg.metrics.then(|| {
-        let samples = run.calib.lock().expect("calib samples");
-        let mut profile = CalibrationProfile {
+        let samples = run.calib.into_inner().expect("calib samples");
+        let [classes, records] = samples.map(|family| {
+            let summary = |(k, v): (&str, _)| (k.to_string(), CostSummary::from_samples(v));
+            family.into_iter().map(summary).collect()
+        });
+        CalibrationProfile {
             threads,
             tasks: executed,
-            ..Default::default()
-        };
-        for (name, v) in &samples.classes {
-            profile
-                .classes
-                .insert((*name).to_string(), CostSummary::from_samples(v.clone()));
+            classes,
+            records,
         }
-        for (key, v) in &samples.records {
-            profile
-                .records
-                .insert((*key).to_string(), CostSummary::from_samples(v.clone()));
-        }
-        profile
     });
     let metrics = run.shm.merged_metrics();
 
@@ -1110,7 +941,7 @@ mod tests {
         let mut g = GraphBuilder::new(1);
         g.insert(TaskDesc::new("w").write(0, 0));
         let run = RealRun::new(g.build(), &ClusterConfig::default(), 1);
-        run.fulfill_local(0, 0, None, |_| {});
-        run.fulfill_local(0, 0, None, |_| {});
+        run.fulfill_local(0, 0, None, false, |_| {});
+        run.fulfill_local(0, 0, None, false, |_| {});
     }
 }

@@ -156,8 +156,8 @@ pub fn tree_children_k(dests: &[u32], k: usize) -> Vec<(u32, Vec<u32>)> {
 
 /// Split a multicast destination list into child subtrees: k-way
 /// ([`tree_children_k`]) when `multicast_k` names an arity, binomial
-/// recursive halving ([`tree_children`]) otherwise. The virtual and real
-/// protocol paths both split through here.
+/// recursive halving ([`tree_children`]) otherwise: how the protocol's
+/// announce and relay split a multicast on either substrate.
 pub(crate) fn split_subtree(ids: &[u32], multicast_k: Option<usize>) -> Vec<(u32, Vec<u32>)> {
     match multicast_k {
         Some(k) => tree_children_k(ids, k),

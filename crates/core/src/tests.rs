@@ -902,8 +902,11 @@ fn real_exec_control_dependencies_cross_nodes_without_data() {
     let report = cluster.execute_real(g.build(), 2);
     assert!(report.complete());
     assert_eq!(cluster.data(out).as_deref(), Some(&b"done"[..]));
-    // The control flow completed end-to-end with zero put bytes.
-    assert_eq!(report.e2e_latency_us.count(), 1);
+    // The control flow completed with its ACTIVATE alone: one message
+    // latency, no end-to-end sample and zero put bytes (as on the virtual
+    // path).
+    assert_eq!(report.msg_latency_us.count(), 1);
+    assert_eq!(report.e2e_latency_us.count(), 0);
     assert_eq!(report.bytes_transferred(), 0);
 }
 
@@ -1430,4 +1433,285 @@ fn adaptive_controller_beats_static_on_bimodal_sizes() {
         !tune.iter().any(|(n, _)| n.starts_with("tune.window_")),
         "{tune:?}"
     );
+}
+
+/// Cross-substrate traffic oracle: one Numeric graph on 3 nodes — a
+/// control flow, a data flow whose kernel output is shorter than its
+/// declared size, and an initial version with two remote consumer nodes
+/// announced over a multicast tree — produces the same protocol traffic
+/// on the virtual path and on the real one at 1, 2 and 4 threads.
+#[test]
+fn protocol_traffic_matches_across_substrates() {
+    let build = || {
+        let mut g = GraphBuilder::new(3);
+        g.insert(TaskDesc::new("signal").on_node(0).flops(1e5).write(0, 0));
+        g.insert(TaskDesc::new("gated").on_node(1).flops(1e5).read_key(0));
+        g.insert(
+            TaskDesc::new("short")
+                .on_node(0)
+                .flops(1e5)
+                .write(1, 64)
+                .kernel(|_| vec![Bytes::from(vec![5u8; 16])]),
+        );
+        g.insert(TaskDesc::new("short_use").on_node(2).flops(1e5).read_key(1));
+        let wide = g.data(2, 32, 0, Some(Bytes::from(vec![9u8; 32])));
+        for node in [1, 2] {
+            g.insert(
+                TaskDesc::new("wide_use")
+                    .on_node(node)
+                    .flops(1e5)
+                    .read(wide),
+            );
+        }
+        g.build()
+    };
+    let cfg = ClusterConfig {
+        nodes: 3,
+        workers_per_node: 2,
+        mode: ExecMode::Numeric,
+        bcast_tree_min: Some(2),
+        ..Default::default()
+    };
+    let traffic = |r: &crate::RunReport| {
+        let puts: u64 = r.engine_stats.iter().map(|s| s.puts_started.get()).sum();
+        (
+            r.msg_latency_us.count(),
+            r.request_latency_us.count(),
+            r.e2e_latency_us.count(),
+            puts,
+            r.bytes_transferred(),
+        )
+    };
+    let virt = Cluster::new(cfg.clone()).execute(build());
+    assert!(virt.complete());
+    // 4 ACTIVATEs (control, short, two down the tree); 3 GET/put round
+    // trips; the short flow moves the kernel's 16 bytes, not 64.
+    assert_eq!(traffic(&virt), (4, 3, 3, 3, 16 + 2 * 32));
+    for threads in [1, 2, 4] {
+        let real = Cluster::new(cfg.clone()).execute_real(build(), threads);
+        assert!(real.complete(), "{threads} thread(s)");
+        assert_eq!(traffic(&real), traffic(&virt), "{threads} thread(s)");
+    }
+}
+
+/// The shared protocol handlers driven against a third, recording
+/// [`Port`](crate::protocol::Port).
+mod protocol_port {
+    use std::collections::HashMap;
+
+    use amt_simnet::SimTime;
+    use bytes::Bytes;
+
+    use crate::protocol::{self, Fanout, Forward, Lat, Port, Tree};
+    use crate::records::{ActivateRec, GetRec, PutCb};
+    use crate::{GraphBuilder, TaskDesc, TaskGraph};
+
+    #[derive(Debug, PartialEq)]
+    enum Call {
+        Activate {
+            dst: usize,
+            priority: i64,
+            size: u64,
+            forward: Vec<u32>,
+        },
+        Request(usize),
+        Put {
+            dst: usize,
+            size: usize,
+            data: bool,
+        },
+        Present {
+            data: bool,
+            requested: bool,
+        },
+        Requested(Option<Forward>),
+        TakeForward,
+        Payload,
+        Sample(Lat),
+    }
+
+    /// Records every call; holds the node's payload and kept forwards.
+    #[derive(Default)]
+    struct Recorder {
+        calls: Vec<Call>,
+        payload: Option<Bytes>,
+        forwards: HashMap<usize, Forward>,
+    }
+
+    impl Port for Recorder {
+        fn now(&mut self) -> u64 {
+            1_000
+        }
+        fn send_activate(&mut self, dst: usize, rec: &ActivateRec) {
+            self.calls.push(Call::Activate {
+                dst,
+                priority: rec.priority,
+                size: rec.size,
+                forward: rec.forward.clone(),
+            });
+        }
+        fn request(&mut self, owner: usize, _rec: &ActivateRec) {
+            self.calls.push(Call::Request(owner));
+        }
+        fn put(&mut self, dst: usize, _cb: PutCb, size: usize, data: Option<Bytes>) {
+            let data = data.is_some();
+            self.calls.push(Call::Put { dst, size, data });
+        }
+        fn present(&mut self, _v: usize, data: Option<Bytes>, requested: bool) {
+            let data = data.is_some();
+            self.calls.push(Call::Present { data, requested });
+        }
+        fn requested(&mut self, v: usize, forward: Option<Forward>) {
+            self.calls.push(Call::Requested(forward.clone()));
+            self.forwards.extend(forward.map(|f| (v, f)));
+        }
+        fn take_forward(&mut self, v: usize) -> Option<Forward> {
+            self.calls.push(Call::TakeForward);
+            self.forwards.remove(&v)
+        }
+        fn payload(&mut self, _v: usize) -> Option<Bytes> {
+            self.calls.push(Call::Payload);
+            self.payload.clone()
+        }
+        fn sample(&mut self, lat: Lat, _t: SimTime) {
+            self.calls.push(Call::Sample(lat));
+        }
+    }
+
+    fn rec(size: u64, forward: Vec<u32>) -> ActivateRec {
+        ActivateRec {
+            version: 0,
+            size,
+            priority: 7,
+            sent_at_ns: 400,
+            forward,
+        }
+    }
+
+    fn relay(dst: usize, size: u64, forward: Vec<u32>) -> Call {
+        Call::Activate {
+            dst,
+            priority: 7,
+            size,
+            forward,
+        }
+    }
+
+    /// Version 0: 64 bytes declared, at node 0.
+    fn graph() -> TaskGraph {
+        let mut g = GraphBuilder::new(4);
+        g.data(0, 64, 0, None);
+        g.build()
+    }
+
+    #[test]
+    fn control_activate_releases_and_relays_without_a_request() {
+        let mut p = Recorder::default();
+        protocol::on_activate(&mut p, None, 3, rec(0, vec![5, 6, 7]));
+        let want = [
+            Call::Sample(Lat::Msg),
+            Call::Present {
+                data: false,
+                requested: false,
+            },
+            relay(5, 0, vec![6]),
+            relay(7, 0, vec![]),
+        ];
+        assert_eq!(p.calls, want);
+    }
+
+    #[test]
+    fn data_activate_keeps_the_forward_and_requests_from_its_source() {
+        let mut p = Recorder::default();
+        protocol::on_activate(&mut p, None, 3, rec(64, vec![5, 6]));
+        let want = [
+            Call::Sample(Lat::Msg),
+            Call::Requested(Some((vec![5, 6], 7))),
+            Call::Request(3),
+        ];
+        assert_eq!(p.calls, want);
+    }
+
+    #[test]
+    fn get_puts_the_held_payload_length() {
+        let mut p = Recorder {
+            payload: Some(Bytes::from(vec![1u8; 10])),
+            ..Recorder::default()
+        };
+        let get = GetRec {
+            version: 0,
+            activate_sent_at_ns: 400,
+        };
+        protocol::on_get(&mut p, &graph(), 2, get);
+        let put = Call::Put {
+            dst: 2,
+            size: 10,
+            data: true,
+        };
+        assert_eq!(p.calls, [Call::Sample(Lat::Request), Call::Payload, put]);
+        // A cost-only version puts its declared size.
+        let mut p = Recorder::default();
+        protocol::on_get(&mut p, &graph(), 2, get);
+        assert!(p.calls.contains(&Call::Put {
+            dst: 2,
+            size: 64,
+            data: false
+        }));
+    }
+
+    #[test]
+    fn put_arrival_releases_and_relays_the_kept_forward() {
+        let mut p = Recorder::default();
+        p.forwards.insert(0, (vec![5, 6], 7));
+        let cb = PutCb {
+            version: 0,
+            activate_sent_at_ns: 400,
+        };
+        protocol::on_put(&mut p, Some(2), cb, 10, Some(Bytes::from(vec![1u8; 10])));
+        let want = [
+            Call::Sample(Lat::E2e),
+            Call::Present {
+                data: true,
+                requested: true,
+            },
+            Call::TakeForward,
+            relay(5, 10, vec![]),
+            relay(6, 10, vec![]),
+        ];
+        assert_eq!(p.calls, want);
+    }
+
+    #[test]
+    fn announce_groups_by_node_in_first_appearance_order_with_best_priority() {
+        let mut g = GraphBuilder::new(3);
+        let v = g.data(0, 8, 0, None);
+        for (node, prio) in [(2, 1), (0, 50), (1, 5), (2, 9)] {
+            g.insert(TaskDesc::new("use").on_node(node).priority(prio).read(v));
+        }
+        let g = g.build();
+        let mut p = Recorder::default();
+        let unicast = Tree { min: None, k: None };
+        protocol::announce(&mut p, &g, &mut Fanout::default(), unicast, [(v.0, 8)]);
+        let to = |dst, priority| Call::Activate {
+            dst,
+            priority,
+            size: 8,
+            forward: vec![],
+        };
+        assert_eq!(p.calls, [to(2, 9), to(1, 5)]);
+        // Over a tree, one record per subtree, with the best priority.
+        let mut p = Recorder::default();
+        let tree = Tree {
+            min: Some(2),
+            k: None,
+        };
+        protocol::announce(&mut p, &g, &mut Fanout::default(), tree, [(v.0, 8)]);
+        let down = |dst| Call::Activate {
+            dst,
+            priority: 9,
+            size: 8,
+            forward: vec![],
+        };
+        assert_eq!(p.calls, [down(1), down(2)]);
+    }
 }

@@ -1,10 +1,9 @@
 //! # amt-exec
 //!
-//! The **real execution substrate**: a work-stealing OS-thread pool
-//! implementing the [`Substrate`] seam from `amt-simnet`, so the same
-//! scheduler/graph/comm stack that runs on the deterministic
-//! discrete-event simulator also runs on real hardware threads
-//! (`amt_core::Cluster::execute_real`).
+//! The **real execution substrate**: a work-stealing OS-thread pool on
+//! which `amt_core::Cluster::execute_real` runs the same graphs, kernels
+//! and ACTIVATE / GET DATA / put protocol as the deterministic
+//! discrete-event simulator, on real hardware threads.
 //!
 //! * [`deque`] — a bounded lock-free Chase–Lev-style deque per worker:
 //!   LIFO local push/pop, FIFO stealing, overflow to a shared injector.
@@ -20,13 +19,13 @@
 //!   instants, and queue-depth samples ([`TraceEvent`]), drained at
 //!   quiescence by [`Pool::drain_trace`].
 //!
-//! Jobs are [`SubstrateJob`] closures taking `&mut dyn Substrate`, so
-//! code scheduled here is written once and also runs on the virtual
-//! substrate — or bare task ids for a runner installed with the pool
-//! ([`Pool::with_runner`]), which cost no allocation. With `threads == 1`
-//! execution order is fully deterministic; at any thread count a
-//! pure-kernel dataflow graph produces bitwise identical payloads because
-//! the graph fixes all data dependencies.
+//! Jobs are [`PoolJob`] closures taking the running worker's
+//! [`WorkerCtx`] (its clock, identity, deque and trace buffer) — or bare
+//! task ids for a runner installed with the pool ([`Pool::with_runner`]),
+//! which cost no allocation. With `threads == 1` execution order is fully
+//! deterministic; at any thread count a pure-kernel dataflow graph
+//! produces bitwise identical payloads because the graph fixes all data
+//! dependencies.
 
 #![deny(missing_docs)]
 
@@ -34,10 +33,9 @@ pub mod deque;
 mod obs;
 mod pool;
 
-pub use amt_simnet::{Substrate, SubstrateJob, SubstrateKind};
 pub use deque::{deque, Steal, Stealer, Worker};
 pub use obs::{PoolStats, TraceEvent, WorkerStats};
-pub use pool::{Pool, WorkerCtx};
+pub use pool::{Pool, PoolJob, WorkerCtx};
 
 #[cfg(test)]
 mod tests;

@@ -32,11 +32,11 @@ use std::sync::atomic::{
 };
 
 /// One recorded pool event. Timestamps are nanoseconds since pool start
-/// (the real substrate's clock anchor), matching `Substrate::now`.
+/// (the real substrate's clock anchor), matching `WorkerCtx::now`.
 #[derive(Debug, Clone, Copy)]
 pub enum TraceEvent {
     /// A completed task execution on this worker (recorded by the layer
-    /// above through `Substrate::trace_task`).
+    /// above through `WorkerCtx::trace_task`).
     Span {
         /// Task class name.
         name: &'static str,
@@ -141,7 +141,7 @@ impl TraceBuf {
 pub struct WorkerStats {
     /// Jobs this worker ran to completion.
     pub executed: u64,
-    /// Jobs this worker pushed onto its own deque (`Substrate::defer`).
+    /// Jobs this worker pushed onto its own deque (`WorkerCtx::defer`).
     pub deque_pushes: u64,
     /// Deferred jobs that overflowed the bounded deque to the injector.
     pub overflow_pushes: u64,

@@ -9,7 +9,7 @@
 //! wall-clock interleaving. With `threads == 1` there is no interleaving
 //! at all and execution order is fully deterministic.
 //!
-//! A queued job is a closure ([`Substrate::defer`], [`Pool::spawn`]) or a
+//! A queued job is a closure ([`WorkerCtx::defer`], [`Pool::spawn`]) or a
 //! bare task id ([`WorkerCtx::defer_task`], [`Pool::spawn_task`]) that the
 //! pool's one task runner, installed by [`Pool::with_runner`], executes:
 //! an id costs no allocation and captures nothing the runner does not
@@ -53,17 +53,21 @@ use std::sync::atomic::{
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use amt_simnet::{DetRng, SimTime, Substrate, SubstrateJob, SubstrateKind};
+use amt_simnet::{DetRng, SimTime};
 
 use crate::deque::{self, Steal, Stealer, Worker};
 use crate::obs::{PoolStats, TraceBuf, TraceEvent, WorkerCounters, TRACE_CAP};
+
+/// A closure job: runs on whichever worker takes it, and may defer
+/// more. `Send` because a thief may run it on another thread.
+pub type PoolJob = Box<dyn FnOnce(&mut WorkerCtx<'_>) + Send + 'static>;
 
 /// A queued unit of work.
 enum Job {
     /// A task id for the pool's runner.
     Task(usize),
     /// A closure.
-    Closure(SubstrateJob),
+    Closure(PoolJob),
 }
 
 /// What a deque slot points at: a job, or `None` once a worker has taken
@@ -167,8 +171,8 @@ pub struct Pool {
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
-/// The per-worker execution context jobs run against: the real
-/// implementation of [`Substrate`].
+/// The per-worker execution context jobs run against: the clock, this
+/// worker's identity, its deque, and its trace buffer.
 pub struct WorkerCtx<'a> {
     shared: &'a PoolShared,
     local: &'a Worker<Slot>,
@@ -177,8 +181,24 @@ pub struct WorkerCtx<'a> {
 }
 
 impl WorkerCtx<'_> {
+    /// Wall-clock time since the pool started ([`Pool::now`]).
+    pub fn now(&self) -> SimTime {
+        SimTime::from_ns(self.shared.now_ns())
+    }
+
+    /// Index of the worker thread running this job.
+    pub fn worker(&self) -> usize {
+        self.index
+    }
+
+    /// Queue `job` on this worker's deque: LIFO, so freshly released work
+    /// runs hot, and stealable by idle workers.
+    pub fn defer(&mut self, job: PoolJob) {
+        self.push(Job::Closure(job));
+    }
+
     /// Queue task `id` for the pool's runner ([`Pool::with_runner`]) on
-    /// this worker's deque, like [`Substrate::defer`] but with nothing to
+    /// this worker's deque, like [`WorkerCtx::defer`] but with nothing to
     /// allocate.
     pub fn defer_task(&mut self, id: usize) {
         self.push(Job::Task(id));
@@ -209,26 +229,11 @@ impl WorkerCtx<'_> {
         }
         self.shared.notify_push();
     }
-}
 
-impl Substrate for WorkerCtx<'_> {
-    fn kind(&self) -> SubstrateKind {
-        SubstrateKind::Real
-    }
-
-    fn now(&self) -> SimTime {
-        SimTime::from_ns(self.shared.start.elapsed().as_nanos() as u64)
-    }
-
-    fn worker(&self) -> Option<usize> {
-        Some(self.index)
-    }
-
-    fn defer(&mut self, job: SubstrateJob) {
-        self.push(Job::Closure(job));
-    }
-
-    fn trace_task(&mut self, name: &'static str, node: usize, start: SimTime, end: SimTime) {
+    /// A task named `name`, of simulated node `node`, ran on this worker
+    /// over `[start, end]`: on a traced pool, a span in this worker's
+    /// trace buffer (the same Chrome-trace vocabulary as virtual runs).
+    pub fn trace_task(&mut self, name: &'static str, node: usize, start: SimTime, end: SimTime) {
         if let Some(buf) = self.shared.buf(self.index) {
             buf.push(TraceEvent::Span {
                 name,
@@ -320,7 +325,7 @@ impl Pool {
     }
 
     /// Enqueue `job` from outside the pool.
-    pub fn spawn(&self, job: SubstrateJob) {
+    pub fn spawn(&self, job: PoolJob) {
         self.shared.spawn_injected(Job::Closure(job));
     }
 
@@ -329,8 +334,8 @@ impl Pool {
         self.shared.spawn_injected(Job::Task(id));
     }
 
-    /// Wall-clock time since the pool started (the real substrate's
-    /// [`Substrate::now`] anchor).
+    /// Wall-clock time since the pool started (the anchor of
+    /// [`WorkerCtx::now`]).
     pub fn now(&self) -> SimTime {
         SimTime::from_ns(self.shared.start.elapsed().as_nanos() as u64)
     }
@@ -523,8 +528,7 @@ mod tests {
         for _ in 0..100 {
             let hits = hits.clone();
             pool.spawn(Box::new(move |sub| {
-                assert_eq!(sub.kind(), SubstrateKind::Real);
-                assert!(sub.worker().is_some());
+                assert!(sub.worker() < 2);
                 // Fan out one nested job from inside the pool.
                 let hits2 = hits.clone();
                 sub.defer(Box::new(move |_| {
@@ -661,7 +665,7 @@ mod tests {
         let pool = {
             let ran = ran.clone();
             Pool::with_runner(1, 0, false, move |ctx, id| {
-                assert_eq!(ctx.worker(), Some(0));
+                assert_eq!(ctx.worker(), 0);
                 ran.lock().unwrap().push(id);
                 if id > 0 {
                     ctx.defer_task(id - 1);
@@ -684,7 +688,7 @@ mod tests {
 
     /// The tree `id` as closures: each counts itself in `ran` and defers
     /// its children.
-    fn closure_tree(id: usize, ran: Arc<AtomicU64>) -> SubstrateJob {
+    fn closure_tree(id: usize, ran: Arc<AtomicU64>) -> PoolJob {
         Box::new(move |sub| {
             ran.fetch_add(1, SeqCst);
             for _ in 0..if id < 8 { 0 } else { id % 8 } {

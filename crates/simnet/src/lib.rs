@@ -46,7 +46,6 @@ pub mod reference;
 mod resource;
 pub mod rng;
 mod stats;
-pub mod substrate;
 mod time;
 mod trace;
 
@@ -57,7 +56,6 @@ pub use metrics::{MetricsRegistry, OverlapTracker};
 pub use resource::{CoreHandle, CoreResource, TokenPool, TokenPoolHandle};
 pub use rng::DetRng;
 pub use stats::{Counter, Histogram, OnlineStats, TimeWeighted};
-pub use substrate::{Substrate, SubstrateJob, SubstrateKind, VirtualSubstrate};
 pub use time::SimTime;
 pub use trace::{json_escape, CounterSample, FlowEvent, FlowPhase, InstantEvent, Span, Trace};
 

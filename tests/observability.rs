@@ -541,10 +541,12 @@ fn real_trace_has_worker_spans_steal_flows_and_park_instants() {
 
 #[test]
 fn real_and_virtual_lifecycle_counts_agree_on_cholesky() {
+    // Numeric: the real substrate always runs kernels, and a flow moves
+    // what its producer's kernel made, on either substrate.
     let cfg = || ClusterConfig {
         nodes: 2,
         workers_per_node: 4,
-        mode: ExecMode::CostOnly,
+        mode: ExecMode::Numeric,
         metrics: true,
         ..Default::default()
     };
