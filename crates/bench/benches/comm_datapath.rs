@@ -114,7 +114,7 @@ fn am_flood(cfg: &EngineConfig, msgs: usize) -> f64 {
         }
         sim.run();
     };
-    // Warm-up: grow event slabs, ladder rungs and the buffer pool once.
+    // Warm-up: grow the event queues and the buffer pool once.
     burst(&mut sim, msgs);
     let received0 = engines[1].stats().am_received.get();
     let snap = AllocSnapshot::now();

@@ -7,11 +7,14 @@
 //!
 //! ## Engine suite → `BENCH_engine.json`
 //!
-//! The first section drives the ladder/slab engine ([`Sim`]) and, where the
-//! scenario permits, the in-tree seed engine ([`RefSim`]) through identical
+//! The first section drives the engine ([`Sim`]: a binary heap of inline
+//! [`amt_simnet::EventFn`] bodies plus a same-instant FIFO) and the in-tree
+//! seed engine ([`RefSim`]: one heap of boxed closures) through identical
 //! event patterns, and writes per-scenario `ns/event`, `events/sec` and the
-//! ladder-over-reference speedup to `BENCH_engine.json` at the workspace
-//! root. Every future change has a perf trajectory to regress against.
+//! `ref`-over-engine speedup to `BENCH_engine.json` at the workspace root.
+//! Both are heaps, so the `ref` column measures what inline event bodies
+//! and the FIFO buy over boxed closures. Every future change has a perf
+//! trajectory to regress against.
 //!
 //! Flags:
 //! * `--quick` — smoke mode: tiny event counts, 3 samples (used by
@@ -145,7 +148,6 @@ fn preload_drain(n: u64) -> u64 {
     let mut sim = Sim::new();
     let mut rng = DetRng::seed_from_u64(42);
     for _ in 0..n {
-        // 0..16 ms: a mix of in-window and far-heap inserts.
         let at = SimTime::from_ns(rng.gen_range(0..16_000_000));
         sim.schedule_at(at, |_| {});
     }
@@ -198,33 +200,8 @@ fn now_burst_ref(n: u64) -> u64 {
     sim.events_executed()
 }
 
-/// Timer-wheel pattern: every step arms a timeout and cancels the previous
-/// one (the common schedule/cancel churn of retry timers). No reference
-/// series — the seed engine has no cancellation.
-fn schedule_cancel(n: u64) -> u64 {
-    use amt_simnet::EventToken;
-    let mut sim = Sim::new();
-    fn step(sim: &mut Sim, left: u64, timer: Option<EventToken>) {
-        if let Some(t) = timer {
-            sim.cancel(t);
-        }
-        if left == 0 {
-            return;
-        }
-        let t = sim.schedule_at_cancelable(sim.now() + SimTime::from_us(100), |_| {
-            panic!("timeout fired despite cancel")
-        });
-        sim.schedule_in(SimTime::from_ns(20), move |sim| {
-            step(sim, left - 1, Some(t))
-        });
-    }
-    step(&mut sim, n, None);
-    sim.run();
-    sim.events_executed()
-}
-
-/// Alternating near hops and multi-millisecond jumps: exercises far-heap
-/// migration and empty-bucket skipping, the ladder's worst case.
+/// Alternating near hops and multi-millisecond jumps: a sparse timeline
+/// with one pending event.
 fn mixed_horizon(n: u64) -> u64 {
     let mut sim = Sim::new();
     fn hop(sim: &mut Sim, left: u64) {
@@ -232,7 +209,7 @@ fn mixed_horizon(n: u64) -> u64 {
             return;
         }
         let delay = if left.is_multiple_of(16) {
-            SimTime::from_ms(6) // beyond the ring window
+            SimTime::from_ms(6)
         } else {
             SimTime::from_ns(200)
         };
@@ -289,13 +266,6 @@ fn engine_suite(quick: bool, out: &std::path::Path) {
         scale,
         now_burst,
         Some(&now_burst_ref),
-    ));
-    scenarios.push(measure(
-        "schedule_cancel",
-        samples,
-        scale / 2,
-        schedule_cancel,
-        None,
     ));
     scenarios.push(measure(
         "mixed_horizon",

@@ -5,7 +5,7 @@
 //! this workspace captures only a couple of `Rc` handles and an integer, so
 //! [`EventFn`] keeps captures of up to [`INLINE_WORDS`] machine words
 //! inline (no allocation at all) and falls back to a single boxed closure
-//! only for larger captures. The queue side reuses slab slots (see
+//! only for larger captures. The engine's queues keep their capacity (see
 //! `engine.rs`), so the steady-state hot path touches the allocator for
 //! neither the event body nor the queue node.
 

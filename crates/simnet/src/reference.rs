@@ -1,14 +1,16 @@
 //! The seed `BinaryHeap` + `Box<dyn FnOnce>` engine, kept as a reference.
 //!
-//! [`RefSim`] is intentionally the pre-ladder implementation of the event
-//! loop, verbatim. It serves two purposes:
+//! [`RefSim`] is intentionally the seed implementation of the event loop:
+//! every event, same-instant ones included, goes through one heap as a
+//! boxed closure. It serves two purposes:
 //!
 //! * **determinism oracle** — property tests drive [`crate::Sim`] and
 //!   `RefSim` with identical `schedule_at`/`schedule_in`/`schedule_now`
 //!   sequences and assert the execution orders match exactly;
-//! * **performance baseline** — the engine micro-benchmarks report ladder
-//!   throughput as a ratio over this engine, so the speedup claim is
-//!   measured in-tree rather than against a historical number.
+//! * **performance baseline** — the engine micro-benchmarks report
+//!   [`crate::Sim`]'s throughput as a ratio over this engine: what inline
+//!   [`crate::EventFn`] bodies and the same-instant FIFO buy over boxed
+//!   closures on the same kind of queue.
 //!
 //! Keep this file dumb and stable; it must not adopt engine optimisations.
 
@@ -120,26 +122,6 @@ impl RefSim {
 
     pub fn run(&mut self) {
         while self.step() {}
-    }
-
-    pub fn run_until(&mut self, deadline: SimTime) -> bool {
-        loop {
-            match self.queue.peek() {
-                None => return true,
-                Some(Reverse(ev)) if ev.time > deadline => return false,
-                Some(_) => {
-                    self.step();
-                }
-            }
-        }
-    }
-
-    pub fn run_events(&mut self, max_events: u64) -> u64 {
-        let mut n = 0;
-        while n < max_events && self.step() {
-            n += 1;
-        }
-        n
     }
 }
 

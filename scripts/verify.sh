@@ -26,7 +26,7 @@ import json, sys
 d = json.load(open(sys.argv[1]))
 assert d["schema"] == "amtlc-bench-engine-v1", d.get("schema")
 want = {"churn_chain_near", "churn_preload_drain", "schedule_now_burst",
-        "schedule_cancel", "mixed_horizon", "fig4_point"}
+        "mixed_horizon", "fig4_point"}
 got = set(d["scenarios"])
 assert want <= got, f"missing scenarios: {want - got}"
 for name, s in d["scenarios"].items():
@@ -301,12 +301,13 @@ assert m["substrate"] == "virtual" and m["makespan_ns"] > 0
 print("simulator accepted the measured cost model (valid virtual run)")
 PY
 
-echo "== removed forks stay removed: island DES, tuner window loops, offline grid, seed scheduler, per-tag windows, boxed backend micro-tasks, shm node owners, the Substrate seam, engine collectives =="
+echo "== removed forks stay removed: island DES, tuner window loops, offline grid, seed scheduler, per-tag windows, boxed backend micro-tasks, shm node owners, the Substrate seam, engine collectives, the ladder queue =="
 if grep -rn -e 'execute_islands\|new_partition\|RemoteChunk\|run_before\|TuneProfile\|WindowState\|--tuned\|--islands\|--autotune-out' \
         -e 'reference_sched\|RefDataState\|ReadyQueue::Reference\|batch_window_overrides\|with_batch_window_override\|batch_window_for\|get_window_min_flows' \
         -e 'Micro::Backend(\|BackendMicro\|fn exec_micro(\|fn micro_label' \
         -e 'shm\.direct\|shm\.queued\|fn progress(&self, node\|state_word\|struct PoolHandle\|fn pool_threads(' \
         -e 'trait Substrate\|impl Substrate\|dyn Substrate\|SubstrateKind\|VirtualSubstrate\|EngineCollectives\|TreeBcast' \
+        -e 'schedule_at_cancelable\|EventToken\|NUM_BUCKETS\|SoloEvent\|occ_next_delta\|fn rebase(\|events_boxed' \
         crates/ examples/ tests/ src/ scripts/ --exclude=verify.sh; then
     echo "a removed name is back"; exit 1
 fi

@@ -40,13 +40,15 @@ fn des_event_order_is_monotone() {
     }
 }
 
-/// The ladder-queue engine executes arbitrary interleaved
+/// The engine executes arbitrary interleaved
 /// `schedule_at`/`schedule_in`/`schedule_now` workloads — including events
 /// that schedule further events mid-run, with times spanning dense ties,
-/// the near window, and the far horizon — in exactly the order of the
-/// seed reference engine (binary heap + boxed closures).
+/// microseconds and tens of milliseconds — in exactly the order of the seed
+/// reference engine (one heap of boxed closures). A second case family
+/// preloads over 2 048 events, `sim_fig4`'s peak pending population, half
+/// of them tied on 64 instants, so heap sifts run at realistic depth.
 #[test]
-fn ladder_engine_matches_reference_order() {
+fn engine_matches_reference_order() {
     use amtlc::simnet::reference::RefSim;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -59,7 +61,7 @@ fn ladder_engine_matches_reference_order() {
     // byte-identical closures in byte-identical schedule order; any
     // divergence in execution order derails the id stream and the logs.
     macro_rules! workload {
-        ($sim_ty:ty, $case:expr) => {{
+        ($sim_ty:ty, $case:expr, $dense:expr) => {{
             fn event(
                 sim: &mut $sim_ty,
                 id: u64,
@@ -94,17 +96,24 @@ fn ladder_engine_matches_reference_order() {
                 }
             }
             let case: u64 = $case;
+            let dense: bool = $dense;
             let mut rng = DetRng::seed_from_u64(0x1adde2 ^ case);
-            let n = rng.gen_usize(1..100);
+            let n = if dense {
+                rng.gen_usize(2048..2560)
+            } else {
+                rng.gen_usize(1..100)
+            };
             let mut sim = <$sim_ty>::new();
             let log: Log = Rc::new(RefCell::new(Vec::new()));
             let next = Rc::new(RefCell::new(n as u64));
             for id in 0..n as u64 {
-                let t = match rng.gen_range(0..4) {
-                    0 => rng.gen_range(0..200),        // dense ties
-                    1 => rng.gen_range(0..100_000),    // within one bucket span
-                    2 => rng.gen_range(0..5_000_000),  // across the near ring
-                    _ => rng.gen_range(0..50_000_000), // far beyond the window
+                let t = match (dense, rng.gen_range(0..4)) {
+                    (true, 0 | 1) => rng.gen_range(0..64) * 1_000, // 64 instants
+                    (true, _) => rng.gen_range(0..5_000_000),
+                    (false, 0) => rng.gen_range(0..200), // dense ties
+                    (false, 1) => rng.gen_range(0..100_000),
+                    (false, 2) => rng.gen_range(0..5_000_000),
+                    (false, _) => rng.gen_range(0..50_000_000),
                 };
                 let (log, next) = (log.clone(), next.clone());
                 sim.schedule_at(SimTime::from_ns(t), move |s| {
@@ -117,12 +126,14 @@ fn ladder_engine_matches_reference_order() {
         }};
     }
 
-    for case in 0..CASES {
-        let (ladder, ladder_n) = workload!(Sim, case);
-        let (reference, ref_n) = workload!(RefSim, case);
-        assert_eq!(ladder_n, ref_n, "case {case}");
-        assert_eq!(ladder.len() as u64, ladder_n, "case {case}");
-        assert_eq!(ladder, reference, "case {case}");
+    let sparse = (0..CASES).map(|c| (c, false));
+    let dense = (CASES..2 * CASES).map(|c| (c, true));
+    for (case, dense) in sparse.chain(dense) {
+        let (engine, engine_n) = workload!(Sim, case, dense);
+        let (reference, ref_n) = workload!(RefSim, case, dense);
+        assert_eq!(engine_n, ref_n, "case {case}");
+        assert_eq!(engine.len() as u64, engine_n, "case {case}");
+        assert_eq!(engine, reference, "case {case}");
     }
 }
 
