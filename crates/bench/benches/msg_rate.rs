@@ -10,10 +10,10 @@
 //!
 //! * `flat` — seed defaults: every record is its own wire message, every
 //!   announce a direct unicast.
-//! * `batched` — the per-(destination, tag) rate-limit window + byte
-//!   threshold coalesce same-destination ACTIVATE/GET records into one
-//!   message (cold links flush at their own instant, hot links at one
-//!   message per window).
+//! * `batched` — the per-(destination, tag) rate-limit window, capped at
+//!   the engine's 8 KiB aggregation limit (`agg_max_bytes`), coalesces
+//!   same-destination ACTIVATE/GET records into one message (cold links
+//!   flush at their own instant, hot links at one message per window).
 //! * `batched_tree` — batching plus k-ary multicast activation trees for
 //!   wide fan-outs.
 //!
@@ -68,10 +68,10 @@ impl Mode {
         match self {
             Mode::Flat => {}
             Mode::Batched => {
-                cfg.engine = cfg.engine.clone().with_batching(500_000, 8192);
+                cfg.engine = cfg.engine.clone().with_batching(500_000);
             }
             Mode::BatchedTree => {
-                cfg.engine = cfg.engine.clone().with_batching(500_000, 8192);
+                cfg.engine = cfg.engine.clone().with_batching(500_000);
                 cfg.bcast_tree_min = Some(2);
                 cfg.multicast_k = Some(4);
             }

@@ -29,6 +29,7 @@
 
 use amt_bench::alloc_count::{AllocSnapshot, CountingAlloc};
 use amt_bench::harness_args;
+use amt_comm::EngineConfig;
 use amt_core::{Cluster, ClusterConfig, ExecMode, GraphBuilder, TaskDesc};
 use amt_tlr::{TlrCholesky, TlrProblem};
 use bytes::Bytes;
@@ -132,8 +133,7 @@ fn run_fine_grained_obs(levels: u64, width: u64, threads: usize, obs: bool) -> O
         nodes: 1,
         workers_per_node: 1,
         mode: ExecMode::Numeric,
-        trace: obs,
-        metrics: obs,
+        engine: EngineConfig::default().with_observability(obs, obs),
         ..Default::default()
     });
     let before = AllocSnapshot::now();

@@ -25,7 +25,7 @@ use amt_bench::alloc_count::{
     peak_live_bytes, reset_peak_live_bytes, AllocSnapshot, CountingAlloc,
 };
 use amt_bench::harness_args;
-use amt_comm::BackendKind;
+use amt_comm::EngineConfig;
 use amt_core::{Cluster, ClusterConfig, ExecMode, GraphBuilder, TaskDesc, TaskGraph};
 use amt_tlr::{TlrCholesky, TlrCholeskySource, TlrProblem};
 
@@ -36,7 +36,7 @@ fn cluster(nodes: usize, workers: usize) -> Cluster {
     Cluster::new(ClusterConfig {
         nodes,
         workers_per_node: workers,
-        backend: BackendKind::Lci,
+        engine: EngineConfig::lci(),
         mode: ExecMode::CostOnly,
         ..Default::default()
     })

@@ -87,12 +87,12 @@ impl ObsSink {
     pub fn arm(cfg: &mut ClusterConfig) {
         if let Some(s) = OBS.lock().expect("obs sink lock").as_ref() {
             if !s.captured {
-                cfg.trace |= s.trace_out.is_some();
-                cfg.metrics |= s.metrics_out.is_some();
+                cfg.engine.trace |= s.trace_out.is_some();
+                cfg.engine.metrics |= s.metrics_out.is_some();
             }
             if !s.calib_captured {
                 // Calibration needs the measured stage/kernel samples.
-                cfg.metrics |= s.calibrate_out.is_some();
+                cfg.engine.metrics |= s.calibrate_out.is_some();
             }
         }
     }
@@ -119,7 +119,7 @@ impl ObsSink {
         // sink wants — examples route arming at either the virtual sweep or
         // the real execution (an explicit `--threads` picks the latter), and
         // both call capture unconditionally.
-        let cfg = cluster.config();
+        let cfg = &cluster.config().engine;
         if s.trace_out.is_some() && !cfg.trace {
             return;
         }
@@ -357,25 +357,19 @@ where
 }
 
 /// Message-layer tuning knobs shared by the examples and harnesses:
-/// `--batch-bytes N`, `--batch-window-ns N`, `--multicast-k K`. Parsed by
+/// `--batch-window-ns N`, `--multicast-k K`. Parsed by
 /// [`comm_tuning_args`]; overlaid on a configuration with
 /// [`CommTuning::apply`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CommTuning {
-    /// AM-batch byte threshold (flush a destination's buffer at this many
-    /// bytes; `None`/0 falls back to the engine's aggregation cap).
-    pub batch_bytes: Option<usize>,
-    /// AM-batch virtual-time window in ns. Zero (or absent, with no
-    /// `--batch-bytes` either) keeps batching off: every submission
-    /// flushes immediately, the seed behavior.
+    /// AM-batch virtual-time window in ns; a buffer also flushes once it
+    /// holds the engine's aggregation cap (`agg_max_bytes`). Zero (or
+    /// absent) keeps batching off: every submission flushes immediately,
+    /// the seed behavior.
     pub batch_window_ns: Option<u64>,
     /// Multicast tree arity for wide activations; enables tree
     /// announcements (`bcast_tree_min = 2`) when the config has none.
     pub multicast_k: Option<usize>,
-    /// `--adaptive`: run the online per-destination controller
-    /// ([`amt_comm::TuneConfig`]) — AIMD adaptation of the eager-put
-    /// ceiling during the run.
-    pub adaptive: bool,
 }
 
 /// Parse the [`CommTuning`] flags from harness/example arguments,
@@ -383,10 +377,8 @@ pub struct CommTuning {
 /// rejected here rather than at cluster construction.
 pub fn comm_tuning_args(args: &[String]) -> CommTuning {
     let t = CommTuning {
-        batch_bytes: num_flag(args, "--batch-bytes"),
         batch_window_ns: num_flag(args, "--batch-window-ns"),
         multicast_k: num_flag(args, "--multicast-k"),
-        adaptive: args.iter().any(|a| a == "--adaptive"),
     };
     if let Some(k) = t.multicast_k {
         assert!(k >= 2, "--multicast-k must be at least 2 (got {k})");
@@ -400,27 +392,17 @@ impl CommTuning {
         *self == CommTuning::default()
     }
 
-    /// Overlay the present knobs onto `cfg`. A `--batch-bytes` without a
-    /// window gets a 1 µs default window so the threshold can act at all;
-    /// an explicit `--batch-window-ns 0` keeps batching off.
+    /// Overlay the present knobs onto `cfg`. An explicit
+    /// `--batch-window-ns 0` keeps batching off.
     pub fn apply(&self, cfg: &mut ClusterConfig) {
-        if self.batch_bytes.is_some() || self.batch_window_ns.is_some() {
-            let window = self
-                .batch_window_ns
-                .unwrap_or(if self.batch_bytes.is_some() { 1_000 } else { 0 });
-            cfg.engine = cfg
-                .engine
-                .clone()
-                .with_batching(window, self.batch_bytes.unwrap_or(0));
+        if let Some(window) = self.batch_window_ns {
+            cfg.engine.batch_window_ns = window;
         }
         if let Some(k) = self.multicast_k {
             cfg.multicast_k = Some(k);
             if cfg.bcast_tree_min.is_none() {
                 cfg.bcast_tree_min = Some(2);
             }
-        }
-        if self.adaptive {
-            cfg.engine.tune.enabled = true;
         }
     }
 
@@ -430,14 +412,8 @@ impl CommTuning {
         if let Some(w) = self.batch_window_ns {
             parts.push(format!("batch window {w} ns"));
         }
-        if let Some(b) = self.batch_bytes {
-            parts.push(format!("batch threshold {b} B"));
-        }
         if let Some(k) = self.multicast_k {
             parts.push(format!("multicast {k}-ary trees"));
-        }
-        if self.adaptive {
-            parts.push("adaptive controller".to_string());
         }
         parts.join(", ")
     }
@@ -568,64 +544,15 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_sweep_points_are_byte_identical_at_any_jobs_width() {
-        // A self-tuning run inside the parallel sweep runner must produce
-        // the same RunReport digest at --jobs 1, 2 and 8: the controller is
-        // virtual-time keyed and node-local, so host-thread scheduling can
-        // never leak into its decisions.
-        use amt_core::{Cluster, ClusterConfig, ExecMode, GraphBuilder, TaskDesc};
-        let point = |_i: usize| {
-            let mut cfg = ClusterConfig {
-                nodes: 2,
-                workers_per_node: 2,
-                mode: ExecMode::CostOnly,
-                ..Default::default()
-            };
-            cfg.engine.tune.enabled = true;
-            cfg.engine.tune.epoch_ns = 20_000;
-            let mut g = GraphBuilder::new(2);
-            for r in 0..10u64 {
-                let mut d = TaskDesc::new("p").on_node(0).flops(1e4).write(2 * r, 6_000);
-                if r > 0 {
-                    d = d.read_key(2 * r - 1);
-                }
-                g.insert(d);
-                g.insert(
-                    TaskDesc::new("c")
-                        .on_node(1)
-                        .flops(1e4)
-                        .read_key(2 * r)
-                        .write(2 * r + 1, 0),
-                );
-            }
-            let report = Cluster::new(cfg).execute(g.build());
-            assert!(report.complete());
-            report.to_json()
-        };
-        let sequential = run_indexed(3, 1, point);
-        for jobs in [2, 8] {
-            assert_eq!(run_indexed(3, jobs, point), sequential, "jobs={jobs}");
-        }
-    }
-
-    #[test]
     fn comm_tuning_parses_and_applies() {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let t = comm_tuning_args(&args(&[
-            "--batch-window-ns",
-            "5000",
-            "--batch-bytes=4096",
-            "--multicast-k",
-            "4",
-        ]));
+        let t = comm_tuning_args(&args(&["--batch-window-ns", "5000", "--multicast-k", "4"]));
         assert_eq!(t.batch_window_ns, Some(5_000));
-        assert_eq!(t.batch_bytes, Some(4096));
         assert_eq!(t.multicast_k, Some(4));
         assert!(!t.is_default());
         let mut cfg = ClusterConfig::default();
         t.apply(&mut cfg);
         assert_eq!(cfg.engine.batch_window_ns, 5_000);
-        assert_eq!(cfg.engine.batch_bytes, 4096);
         assert_eq!(cfg.multicast_k, Some(4));
         assert_eq!(cfg.bcast_tree_min, Some(2));
 
@@ -638,14 +565,9 @@ mod tests {
         assert_eq!(cfg.multicast_k, None);
         assert_eq!(cfg.bcast_tree_min, None);
 
-        // A byte threshold alone gets the 1 µs default window; an explicit
-        // zero window stays off.
+        // An explicit zero window stays off.
         let mut cfg = ClusterConfig::default();
-        comm_tuning_args(&args(&["--batch-bytes", "512"])).apply(&mut cfg);
-        assert_eq!(cfg.engine.batch_window_ns, 1_000);
-        assert_eq!(cfg.engine.batch_bytes, 512);
-        let mut cfg = ClusterConfig::default();
-        comm_tuning_args(&args(&["--batch-window-ns=0", "--batch-bytes=512"])).apply(&mut cfg);
+        comm_tuning_args(&args(&["--batch-window-ns=0"])).apply(&mut cfg);
         assert_eq!(cfg.engine.batch_window_ns, 0);
     }
 
@@ -653,14 +575,5 @@ mod tests {
     #[should_panic(expected = "multicast-k")]
     fn comm_tuning_rejects_unary_tree() {
         comm_tuning_args(&["--multicast-k=1".to_string()]);
-    }
-
-    #[test]
-    fn adaptive_flag_turns_the_controller_on() {
-        let t = comm_tuning_args(&["--adaptive".to_string()]);
-        assert!(t.adaptive && !t.is_default());
-        let mut cfg = ClusterConfig::default();
-        t.apply(&mut cfg);
-        assert!(cfg.engine.tune.enabled);
     }
 }

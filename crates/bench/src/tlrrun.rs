@@ -41,12 +41,12 @@ pub fn run_tlr(cfg: &TlrRunCfg) -> TlrRunResult {
     let (chol, graph) = TlrCholesky::build_cost_only(problem, cfg.nodes);
     let mut ccfg = ClusterConfig {
         mode: ExecMode::CostOnly,
-        multithread_am: cfg.multithread_am,
         // HiCMA relies on PaRSEC's priority-relative deferral to pace data
         // fetches (§4.1/§6.4.1); the byte budget models it.
         get_window_bytes: 2 << 20,
         ..ClusterConfig::expanse(cfg.backend, cfg.nodes)
     };
+    ccfg.engine.multithread_am = cfg.multithread_am;
     crate::ObsSink::arm(&mut ccfg);
     let mut cluster = Cluster::new(ccfg);
     let report = cluster.execute(graph);

@@ -2,8 +2,6 @@
 
 use amt_simnet::SimTime;
 
-use crate::tune::TuneConfig;
-
 /// Which communication library backs the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
@@ -87,15 +85,12 @@ pub struct EngineConfig {
     /// link that has been quiet for at least a window flushes at the end
     /// of the current virtual instant (no added latency; a burst issued in
     /// one callback still coalesces); a record to a hot link is held until
-    /// a full window has passed since the link's previous flush. `0`
-    /// (the default) disables the batching layer entirely — every submission
-    /// follows the classic funnel path and flushes immediately, preserving
-    /// the pre-batching schedule byte for byte.
+    /// a full window has passed since the link's previous flush, or until
+    /// it holds `agg_max_bytes` payload bytes. `0` (the default) disables
+    /// the batching layer entirely — every submission follows the classic
+    /// funnel path and flushes immediately, preserving the pre-batching
+    /// schedule byte for byte.
     pub batch_window_ns: u64,
-    /// Byte threshold that flushes a batching buffer early (before its
-    /// window expires). `0` falls back to `agg_max_bytes`. Only meaningful
-    /// when `batch_window_ns > 0`.
-    pub batch_bytes: usize,
     /// Multithreaded-ACTIVATE mode: workers send AMs directly instead of
     /// funneling through the communication thread (§6.4.3).
     pub multithread_am: bool,
@@ -114,9 +109,6 @@ pub struct EngineConfig {
     /// (`submit → aggregate → inject → wire → deliver → callback`) into the
     /// engine's [`amt_simnet::MetricsRegistry`]. Off by default.
     pub metrics: bool,
-    /// Self-tuning controller (see [`crate::tune`]): per-destination AIMD
-    /// adaptation of the eager-put threshold. Off by default.
-    pub tune: TuneConfig,
 }
 
 impl Default for EngineConfig {
@@ -129,13 +121,11 @@ impl Default for EngineConfig {
             eager_put_max: 4096,
             agg_max_bytes: 8192,
             batch_window_ns: 0,
-            batch_bytes: 0,
             multithread_am: false,
             lci_shared_progress: false,
             lci_progress_threads: 1,
             trace: false,
             metrics: false,
-            tune: TuneConfig::default(),
         }
     }
 }
@@ -194,22 +184,12 @@ impl EngineConfig {
     }
 
     /// Enable the engine-level AM batching layer: hold same-destination
-    /// records for up to `window_ns` of virtual time, flushing early at
-    /// `bytes` payload bytes (`0` = use `agg_max_bytes`). A zero window
-    /// means flush-immediately, i.e. batching disabled.
-    pub fn with_batching(mut self, window_ns: u64, bytes: usize) -> Self {
+    /// records for up to `window_ns` of virtual time, flushing early once
+    /// a buffer holds `agg_max_bytes` payload bytes. A zero window means
+    /// flush-immediately, i.e. batching disabled.
+    pub fn with_batching(mut self, window_ns: u64) -> Self {
         self.batch_window_ns = window_ns;
-        self.batch_bytes = bytes;
         self
-    }
-
-    /// Effective byte threshold of the batching layer.
-    pub fn batch_flush_bytes(&self) -> usize {
-        if self.batch_bytes > 0 {
-            self.batch_bytes
-        } else {
-            self.agg_max_bytes
-        }
     }
 }
 
@@ -226,17 +206,13 @@ mod tests {
         assert!(!c.multithread_am);
         // Batching is off by default: zero window = flush-immediately.
         assert_eq!(c.batch_window_ns, 0);
-        assert_eq!(c.batch_bytes, 0);
     }
 
     #[test]
     fn batching_builder_and_threshold_fallback() {
-        let c = EngineConfig::lci().with_batching(5_000, 0);
+        let c = EngineConfig::lci().with_batching(5_000);
         assert_eq!(c.batch_window_ns, 5_000);
-        // Zero batch_bytes falls back to the aggregation cap.
-        assert_eq!(c.batch_flush_bytes(), c.agg_max_bytes);
-        let c = c.with_batching(5_000, 2048);
-        assert_eq!(c.batch_flush_bytes(), 2048);
+        assert_eq!(c.with_batching(0).batch_window_ns, 0);
     }
 
     #[test]

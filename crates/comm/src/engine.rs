@@ -20,7 +20,6 @@ use bytes::{BufPool, Bytes, Frames};
 use crate::backend::{make_backends, BackendTask, CommBackend};
 use crate::config::{BackendKind, EngineConfig, CMD_OVERHEAD, WAKE_LATENCY};
 use crate::stats::EngineStats;
-use crate::tune::Tuner;
 
 /// Active-message tags ≥ this value are reserved for the engine's internal
 /// protocol (put handshakes, data transfers).
@@ -187,10 +186,6 @@ pub struct CommEngine {
     /// Human-readable labels per registered AM tag, for the per-class
     /// `msg.<class>.msgs_on_wire` / `records_per_msg` metrics.
     tag_labels: RefCell<FastMap<u64, &'static str>>,
-    /// Self-tuning controller (`cfg.tune.enabled`): per-destination AIMD
-    /// adaptation of the eager-put threshold, stepped lazily on the
-    /// submission paths.
-    tuner: Option<RefCell<Tuner>>,
 }
 
 /// Factory for per-node engines over a shared fabric.
@@ -207,10 +202,6 @@ impl CommWorld {
             let progress_cores = (0..backend.progress_threads())
                 .map(|i| CoreResource::new_shared(format!("n{node}.prog{i}")))
                 .collect();
-            let tuner = cfg
-                .tune
-                .enabled
-                .then(|| RefCell::new(Tuner::new(&cfg.tune, cfg.eager_put_max)));
             let eng = Rc::new(CommEngine {
                 node,
                 cfg: cfg.clone(),
@@ -227,7 +218,6 @@ impl CommWorld {
                 puts_name: format!("n{node}.puts"),
                 pool: BufPool::new(64),
                 tag_labels: RefCell::new(FastMap::default()),
-                tuner,
             });
             eng.backend.init(&eng, sim);
             engines.push(eng);
@@ -328,46 +318,6 @@ impl CommEngine {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Self-tuning controller (cfg.tune.enabled)
-    // ------------------------------------------------------------------
-
-    /// Lazily step the adaptive controller to the epoch containing `now`.
-    /// Called on the submission paths. No-op when the controller is off.
-    pub(crate) fn tick_tune(&self, now: SimTime) {
-        if let Some(t) = &self.tuner {
-            t.borrow_mut().maybe_epoch(now.as_ns());
-        }
-    }
-
-    /// Effective eager-put ceiling towards `dst`: the adaptive
-    /// per-destination threshold when the controller is on, the static
-    /// configuration otherwise.
-    pub fn eager_put_max_for(&self, dst: NodeId) -> usize {
-        match &self.tuner {
-            Some(t) => t.borrow().eager_put_max(dst),
-            None => self.cfg.eager_put_max,
-        }
-    }
-
-    /// Account back-pressure towards `dst` (backend send retry, deferred
-    /// transfer) — the controller's multiplicative-decrease signal.
-    pub(crate) fn note_pressure(&self, dst: NodeId) {
-        if let Some(t) = &self.tuner {
-            t.borrow_mut().note_pressure(dst);
-        }
-    }
-
-    /// `tune.*` counters for `metrics_report`: adaptation-event totals and
-    /// the current per-destination eager thresholds, or the all-zero
-    /// aggregate set when the controller is off.
-    pub fn tune_counters(&self) -> Vec<(String, u64)> {
-        match &self.tuner {
-            Some(t) => t.borrow().report_counters(self.node),
-            None => Tuner::zero_counters(),
-        }
-    }
-
     /// Mark a rare condition (retry, deferral) on the communication track.
     pub(crate) fn trace_instant(&self, name: &'static str, now: SimTime) {
         if self.cfg.trace {
@@ -443,7 +393,6 @@ impl CommEngine {
     ) {
         assert!(tag < RESERVED_TAG_BASE, "tag {tag} is reserved");
         self.inner.borrow_mut().stats.am_submitted.inc();
-        self.tick_tune(sim.now());
         // Engine-level batching: hold the record in a per-(dst, tag) buffer
         // until its window expires or its byte threshold fills. Checked
         // *before* the in-context fast path so sends issued from inside a
@@ -522,7 +471,7 @@ impl CommEngine {
         size: usize,
         data: Option<Bytes>,
     ) {
-        let flush_at = self.cfg.batch_flush_bytes();
+        let flush_at = self.cfg.agg_max_bytes;
         let flush_now;
         let mut schedule = None;
         {
@@ -629,10 +578,6 @@ impl CommEngine {
     /// communication thread unless called from a communication-thread
     /// callback (the GET DATA pattern), in which case it issues immediately.
     pub fn put(self: &Rc<Self>, sim: &mut Sim, req: PutRequest) {
-        self.tick_tune(sim.now());
-        if let Some(t) = &self.tuner {
-            t.borrow_mut().note_put(req.dst, req.size);
-        }
         let depth;
         {
             let mut inner = self.inner.borrow_mut();

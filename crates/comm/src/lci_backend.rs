@@ -347,7 +347,6 @@ impl LciBackend {
                     st.put_seq -= 1;
                 }
                 eng.trace_instant("retry", sim.now());
-                eng.note_pressure(dst);
                 let mut inner = eng.inner.borrow_mut();
                 inner.stats.puts_started.dec();
                 inner.pending.push_front(Command::Put {
@@ -525,7 +524,6 @@ impl CommBackend for LciBackend {
             Err(_) => {
                 self.st.borrow_mut().stat_retries.inc();
                 eng.trace_instant("retry", sim.now());
-                eng.note_pressure(dst);
                 let mut inner = eng.inner.borrow_mut();
                 inner.stats.am_sent.dec();
                 inner
@@ -570,7 +568,6 @@ impl CommBackend for LciBackend {
                 // re-counts the submission, so undo this one.
                 self.st.borrow_mut().stat_retries.inc();
                 eng.trace_instant("retry", sim.now());
-                eng.note_pressure(dst);
                 {
                     let mut inner = eng.inner.borrow_mut();
                     inner.stats.am_sent.dec();
@@ -601,7 +598,7 @@ impl CommBackend for LciBackend {
             on_local,
         } = req;
 
-        if size <= eng.eager_put_max_for(dst) {
+        if size <= eng.cfg.eager_put_max {
             let eager = match data {
                 Some(b) => EagerMode::EagerBytes(b),
                 None => EagerMode::EagerCostOnly,
@@ -640,7 +637,6 @@ impl CommBackend for LciBackend {
                         st.put_seq -= 1;
                     }
                     eng.trace_instant("retry", sim.now());
-                    eng.note_pressure(dst);
                     let mut inner = eng.inner.borrow_mut();
                     inner.stats.puts_started.dec();
                     let data = match hs.eager {
@@ -695,7 +691,6 @@ impl CommBackend for LciBackend {
                         st.put_seq -= 1;
                     }
                     eng.trace_instant("retry", sim.now());
-                    eng.note_pressure(dst);
                     let mut inner = eng.inner.borrow_mut();
                     inner.stats.puts_started.dec();
                     inner.pending.push_front(Command::Put {
@@ -738,7 +733,6 @@ impl CommBackend for LciBackend {
                     // retrying.
                     self.st.borrow_mut().stat_retries.inc();
                     eng.trace_instant("retry", sim.now());
-                    eng.note_pressure(dst);
                     eng.inner
                         .borrow_mut()
                         .pending
@@ -813,7 +807,6 @@ impl CommBackend for LciBackend {
                 Err(_) => {
                     self.st.borrow_mut().stat_retries.inc();
                     eng.trace_instant("retry", sim.now());
-                    eng.note_pressure(dst);
                     eng.inner
                         .borrow_mut()
                         .pending

@@ -89,7 +89,7 @@ impl CommBackend for LciDirect {
         // Small puts already travel as one inline buffered message on the
         // base path; only above the (possibly adapted) eager threshold does
         // the direct write beat the handshake + rendezvous emulation.
-        if req.size <= eng.eager_put_max_for(req.dst) {
+        if req.size <= eng.cfg.eager_put_max {
             self.base.issue_put(eng, sim, req)
         } else {
             self.base.issue_put_direct(eng, sim, req)

@@ -53,7 +53,6 @@ mod lci_direct;
 mod mpi_backend;
 pub mod shm;
 mod stats;
-pub mod tune;
 mod wire;
 
 pub use collectives::{kary_children, kary_parent, ReduceStep, TreeReduce};
@@ -63,7 +62,6 @@ pub use engine::{
 };
 pub use shm::{ShmMsg, ShmNode, ShmWorld};
 pub use stats::EngineStats;
-pub use tune::{TuneConfig, TuneEvents, Tuner};
 
 #[cfg(test)]
 mod tests;

@@ -452,10 +452,8 @@ impl CommBackend for MpiBackend {
             if st.slots_in_use >= eng.cfg.max_concurrent_transfers {
                 st.stat_deferred.inc();
                 let seq = st.bump_seq();
-                let dst = req.dst;
                 st.deferred_puts.push_back((seq, req));
                 eng.trace_instant("deferred_put", sim.now());
-                eng.note_pressure(dst);
                 return CMD_OVERHEAD;
             }
             st.slots_in_use += 1;

@@ -209,7 +209,7 @@ fn activates_aggregate_per_destination() {
 fn batching_window_coalesces_across_wakeups() {
     for cfg in all_backends() {
         let backend = cfg.backend;
-        let cfg = cfg.with_batching(10_000, 0);
+        let cfg = cfg.with_batching(10_000);
         let (mut sim, engines) = setup(2, cfg);
         let got: Rc<RefCell<Vec<u8>>> = Rc::new(RefCell::new(Vec::new()));
         let g = got.clone();
@@ -243,12 +243,16 @@ fn batching_window_coalesces_across_wakeups() {
     }
 }
 
-/// The byte threshold flushes a batch early, and a fresh window opens for
-/// the overflow — the stale window event for the flushed buffer must not
-/// double-send.
+/// The byte threshold (`agg_max_bytes`) flushes a batch early, and a fresh
+/// window opens for the overflow — the stale window event for the flushed
+/// buffer must not double-send.
 #[test]
 fn batching_byte_threshold_flushes_early() {
-    let cfg = EngineConfig::lci().with_batching(1_000_000, 16);
+    let cfg = EngineConfig {
+        agg_max_bytes: 16,
+        ..EngineConfig::lci()
+    }
+    .with_batching(1_000_000);
     let (mut sim, engines) = setup(2, cfg);
     let msgs = Rc::new(RefCell::new(0usize));
     let m = msgs.clone();
@@ -276,7 +280,7 @@ fn batching_byte_threshold_flushes_early() {
 /// the classic funnel path runs unchanged.
 #[test]
 fn zero_window_disables_batching() {
-    let cfg = EngineConfig::lci().with_batching(0, 4096);
+    let cfg = EngineConfig::lci().with_batching(0);
     let (mut sim, engines) = setup(2, cfg);
     engines[1].register_am(&mut sim, 3, Rc::new(|_s, _e, _ev| SimTime::ZERO));
     engines[0].send_am(&mut sim, 1, 3, 8, Some(Bytes::from(vec![7; 8])));

@@ -163,21 +163,16 @@ impl Cluster {
         }
         let mut fabric_cfg = cfg.fabric.clone();
         fabric_cfg.nodes = cfg.nodes;
-        let mut engine_cfg = cfg.engine.clone();
-        engine_cfg.backend = cfg.backend;
-        engine_cfg.multithread_am = cfg.multithread_am;
-        engine_cfg.trace = cfg.trace;
-        engine_cfg.metrics = cfg.metrics;
 
         let mut sim = Sim::new();
         let fabric = Fabric::new(fabric_cfg);
-        let net_trace = shared(Trace::new(cfg.trace));
-        if cfg.trace {
+        let net_trace = shared(Trace::new(cfg.engine.trace));
+        if cfg.engine.trace {
             fabric.borrow_mut().set_trace(net_trace.clone());
         }
-        let engines = CommWorld::create(&mut sim, &fabric, engine_cfg);
+        let engines = CommWorld::create(&mut sim, &fabric, cfg.engine.clone());
         let overlap = shared(OverlapTracker::new(cfg.nodes));
-        if cfg.metrics {
+        if cfg.engine.metrics {
             for engine in &engines {
                 engine.set_overlap(overlap.clone());
             }
@@ -288,7 +283,7 @@ impl Cluster {
                     self.engines[n].clone(),
                     shared_cfg.clone(),
                     self.workers[n].clone(),
-                    self.cfg.metrics.then(|| self.overlap.clone()),
+                    self.cfg.engine.metrics.then(|| self.overlap.clone()),
                 ))
             })
             .collect();
@@ -464,7 +459,7 @@ impl Cluster {
                 engine_totals.merge(s);
             }
             return MetricsReport {
-                backend: self.cfg.backend,
+                backend: self.cfg.engine.backend,
                 substrate: "real",
                 nodes: self.cfg.nodes,
                 makespan_ns: report.makespan.as_ns(),
@@ -485,16 +480,6 @@ impl Cluster {
         let mut stages = amt_simnet::MetricsRegistry::new(true);
         for engine in &self.engines {
             stages.merge(&engine.metrics_handle().borrow());
-            // Adaptive-controller state: per-node current knob values and
-            // adaptation event counts. All-zero aggregates when the
-            // controller is off, so consumers can key on them blindly —
-            // but only when observability is on at all: a run with both
-            // metrics and tuning disabled keeps its report empty.
-            if self.cfg.metrics || self.cfg.engine.tune.enabled {
-                for (name, v) in engine.tune_counters() {
-                    stages.count(&name, v);
-                }
-            }
         }
         let mut engine_totals = EngineStats::default();
         for s in &report.engine_stats {
@@ -503,7 +488,7 @@ impl Cluster {
         let now = self.sim.now();
         let (wire, overlap) = self.overlap.borrow().totals(now);
         MetricsReport {
-            backend: self.cfg.backend,
+            backend: self.cfg.engine.backend,
             substrate: "virtual",
             nodes: self.cfg.nodes,
             makespan_ns: report.makespan.as_ns(),

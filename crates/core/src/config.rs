@@ -131,10 +131,6 @@ pub struct ClusterConfig {
     /// with the MPI backend (1 communication thread), 126 with LCI
     /// (+1 progress thread); single-node runs use all 128 (§6.1.2).
     pub workers_per_node: usize,
-    /// Which communication backend to use.
-    pub backend: BackendKind,
-    /// Multithreaded ACTIVATE sends (§6.4.3).
-    pub multithread_am: bool,
     /// Maximum GET DATA requests in flight per node before lower-priority
     /// flows are deferred (§4.1 prioritization).
     pub get_window: usize,
@@ -156,24 +152,21 @@ pub struct ClusterConfig {
     /// [`ClusterConfig::bcast_tree_min`]; `k < 2` is rejected at cluster
     /// construction.
     pub multicast_k: Option<usize>,
-    /// Record a Chrome-trace timeline of task executions, communication /
-    /// progress-thread activity, message flows, and queue-depth counters
-    /// (see [`crate::Cluster::trace_json`]). Adds memory proportional to
-    /// event count; off by default.
-    pub trace: bool,
-    /// Record per-stage message-lifecycle histograms and the
-    /// computation/communication overlap integrator (see
-    /// [`crate::Cluster::metrics_report`]). Off by default.
-    pub metrics: bool,
     /// Execution mode.
     pub mode: ExecMode,
     /// Task cost model.
     pub cost: CostModel,
     /// Fabric parameters (node count is overridden by `nodes`).
     pub fabric: FabricConfig,
-    /// Engine parameters. [`crate::Cluster::new`] overwrites four of them
-    /// from this config: `backend`, `multithread_am`, `trace` and
-    /// `metrics`.
+    /// Engine parameters, passed to the communication engine unchanged.
+    /// The runtime reads four of them too: `backend` picks the
+    /// communication library, `multithread_am` the §6.4.3 direct ACTIVATE
+    /// sends, and `trace` / `metrics` also switch on the node runtime's and
+    /// the real substrate's observability — a Chrome-trace timeline of
+    /// task executions, message flows and queue depths
+    /// ([`crate::Cluster::trace_json`]), and the per-stage lifecycle
+    /// histograms plus the computation/communication overlap integrator
+    /// ([`crate::Cluster::metrics_report`]). Both are off by default.
     pub engine: EngineConfig,
     /// Flyweight per-node state for wide clusters: the per-node version
     /// store becomes a hash map over the versions that node actually
@@ -190,14 +183,10 @@ impl Default for ClusterConfig {
         ClusterConfig {
             nodes: 2,
             workers_per_node: 8,
-            backend: BackendKind::Lci,
-            multithread_am: false,
             get_window: 512,
             get_window_bytes: 0,
             bcast_tree_min: None,
             multicast_k: None,
-            trace: false,
-            metrics: false,
             mode: ExecMode::Numeric,
             cost: CostModel::default(),
             fabric: FabricConfig::default(),
@@ -226,8 +215,8 @@ impl ClusterConfig {
         ClusterConfig {
             nodes,
             workers_per_node: Self::expanse_node_workers(backend, nodes),
-            backend,
             fabric: FabricConfig::expanse(nodes),
+            engine: EngineConfig::for_backend(backend),
             ..Default::default()
         }
     }

@@ -45,12 +45,12 @@
 //!
 //! ```
 //! use amt_core::{Cluster, ClusterConfig, GraphBuilder, TaskDesc};
-//! use amt_comm::BackendKind;
+//! use amt_comm::EngineConfig;
 //!
 //! let mut cluster = Cluster::new(ClusterConfig {
 //!     nodes: 2,
 //!     workers_per_node: 4,
-//!     backend: BackendKind::Lci,
+//!     engine: EngineConfig::lci(),
 //!     ..Default::default()
 //! });
 //! let mut g = GraphBuilder::new(cluster.nodes());

@@ -178,7 +178,7 @@ impl Port for Vport<'_> {
         let now = self.sim.now();
         rt.flow(true, FLOW_ACTIVATE, rec.version, rt.node, dst, now);
         match &mut self.worker {
-            Some(c) if rt.cfg.multithread_am => {
+            Some(c) if rt.cfg.engine.multithread_am => {
                 *c += engine.send_am_direct(self.sim, dst, AM_ACTIVATE, wire, payload);
             }
             worker => {
@@ -252,11 +252,11 @@ impl NodeRt {
         // Task/worker indices are packed into one closure word in
         // `dispatch`.
         assert!(nworkers <= 1 << 16, "worker index must fit 16 bits");
-        let trace = Trace::new(cfg.trace);
+        let trace = Trace::new(cfg.engine.trace);
         // Track-name strings are only read under `trace_on`; skip the
         // per-node allocations on untraced runs (1024 nodes × 128 workers
         // of them otherwise).
-        let (comm_track, worker_tracks) = if cfg.trace {
+        let (comm_track, worker_tracks) = if cfg.engine.trace {
             (
                 format!("n{node}.comm"),
                 (0..nworkers).map(|w| format!("n{node}.w{w}")).collect(),
@@ -268,7 +268,7 @@ impl NodeRt {
             node,
             graph,
             engine,
-            trace_on: cfg.trace,
+            trace_on: cfg.engine.trace,
             comm_track,
             worker_tracks,
             state: RefCell::new(NodeState {

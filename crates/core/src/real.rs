@@ -236,7 +236,7 @@ const _: fn() = || {
 impl RealRun {
     fn new(graph: TaskGraph, cfg: &ClusterConfig, pool_threads: usize) -> RealRun {
         let nodes = cfg.nodes;
-        let metrics = cfg.metrics;
+        let metrics = cfg.engine.metrics;
         let coll_k = cfg.multicast_k.unwrap_or(2);
         // One pass over the tasks and one over the versions, whatever the
         // node count: countdowns, startup buckets and seeded stores.
@@ -811,7 +811,7 @@ pub(crate) fn run(
     let run = Arc::new(RealRun::new(graph, cfg, threads));
     let pool = {
         let run = run.clone();
-        Pool::with_runner(threads, STEAL_SEED, cfg.trace, move |ctx, id| {
+        Pool::with_runner(threads, STEAL_SEED, cfg.engine.trace, move |ctx, id| {
             run_job(ctx, &run, id)
         })
     };
@@ -885,7 +885,7 @@ pub(crate) fn run(
 
     // Calibration profile from the measured samples (metrics mode only):
     // lower medians, deterministic BTreeMap key order.
-    let calib = cfg.metrics.then(|| {
+    let calib = cfg.engine.metrics.then(|| {
         let samples = run.calib.into_inner().expect("calib samples");
         let [classes, records] = samples.map(|family| {
             let summary = |(k, v): (&str, _)| (k.to_string(), CostSummary::from_samples(v));

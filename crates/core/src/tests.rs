@@ -1,7 +1,7 @@
 //! Runtime tests: dataflow correctness across nodes and backends, priority
 //! scheduling, latency instrumentation, determinism.
 
-use amt_comm::BackendKind;
+use amt_comm::{BackendKind, EngineConfig};
 use bytes::Bytes;
 
 use crate::{Cluster, ClusterConfig, ExecMode, GraphBuilder, TaskDesc};
@@ -10,7 +10,7 @@ fn small_cfg(backend: BackendKind, nodes: usize) -> ClusterConfig {
     ClusterConfig {
         nodes,
         workers_per_node: 4,
-        backend,
+        engine: EngineConfig::for_backend(backend),
         ..Default::default()
     }
 }
@@ -252,7 +252,7 @@ fn deterministic_replay() {
 fn multithread_am_mode_completes() {
     for backend in backends() {
         let mut cfg = small_cfg(backend, 2);
-        cfg.multithread_am = true;
+        cfg.engine.multithread_am = true;
         cfg.mode = ExecMode::CostOnly;
         let mut cluster = Cluster::new(cfg);
         let mut g = GraphBuilder::new(2);
@@ -418,7 +418,7 @@ fn multicast_tree_handles_ctl_flows() {
 #[test]
 fn trace_records_task_timeline() {
     let mut cfg = small_cfg(BackendKind::Lci, 2);
-    cfg.trace = true;
+    cfg.engine.trace = true;
     let mut cluster = Cluster::new(cfg);
     let mut g = GraphBuilder::new(2);
     g.data(0, 1024, 0, None);
@@ -441,6 +441,33 @@ fn trace_records_task_timeline() {
     let total: u64 = report.class_stats.iter().map(|(_, n, _)| n).sum();
     assert_eq!(total, 6);
     assert_eq!(report.class_stats.len(), 2);
+}
+
+/// The engine config is the one copy of the backend and observability
+/// switches: an MPI engine with trace and metrics on runs MPI, records a
+/// communication-thread track and fills the stage histograms.
+#[test]
+fn engine_config_picks_backend_and_observability() {
+    let mut cluster = Cluster::new(ClusterConfig {
+        engine: EngineConfig::mpi().with_observability(true, true),
+        ..small_cfg(BackendKind::Lci, 2)
+    });
+    let mut g = GraphBuilder::new(2);
+    g.data(0, 1024, 0, None);
+    g.insert(
+        TaskDesc::new("t")
+            .on_node(1)
+            .flops(1e6)
+            .read_key(0)
+            .write(0, 1024),
+    );
+    let report = cluster.execute(g.build());
+    assert!(report.complete());
+    let metrics = cluster.metrics_report(&report);
+    assert_eq!(metrics.backend, BackendKind::Mpi);
+    assert!(!metrics.stages.is_empty(), "metrics switched off");
+    let json = cluster.trace_json().expect("trace switched off");
+    assert!(json.contains("n0.comm"), "no communication-thread track");
 }
 
 #[test]
@@ -516,7 +543,7 @@ fn fat_tree_runs_are_byte_identical() {
             let mut cfg = ClusterConfig {
                 nodes: 8,
                 workers_per_node: 2,
-                backend,
+                engine: EngineConfig::for_backend(backend),
                 mode: ExecMode::CostOnly,
                 bcast_tree_min: Some(2),
                 ..Default::default()
@@ -574,7 +601,7 @@ fn flyweight_store_is_byte_identical_to_dense() {
             let mut cluster = Cluster::new(ClusterConfig {
                 nodes: 6,
                 workers_per_node: 2,
-                backend,
+                engine: EngineConfig::for_backend(backend),
                 mode: ExecMode::CostOnly,
                 bcast_tree_min: Some(2),
                 flyweight,
@@ -1040,7 +1067,7 @@ fn real_exec_messages_are_not_pool_jobs_and_record_buffers_recycle() {
     let run = |sweeps: usize, bcast_tree_min: Option<usize>| {
         let mut cluster = Cluster::new(ClusterConfig {
             mode: ExecMode::CostOnly,
-            metrics: true,
+            engine: EngineConfig::lci().with_observability(false, true),
             bcast_tree_min,
             ..small_cfg(BackendKind::Lci, 4)
         });
@@ -1090,7 +1117,7 @@ fn observed_lopsided_run(
 ) -> (amt_simnet::MetricsRegistry, u64, u64, crate::RunReport) {
     let mut cluster = Cluster::new(ClusterConfig {
         mode: ExecMode::CostOnly,
-        metrics: true,
+        engine: EngineConfig::lci().with_observability(false, true),
         ..small_cfg(BackendKind::Lci, 4)
     });
     let graph = lopsided_stencil(4, 6, 20);
@@ -1177,261 +1204,6 @@ fn real_then_virtual_data_stores_supersede_each_other() {
         cluster.data(v2).as_deref(),
         Some(&[2u8][..]),
         "virtual run must clear stale real-run data"
-    );
-}
-
-// ---------------------------------------------------------------------
-// Self-tuning controller (engine.tune)
-// ---------------------------------------------------------------------
-
-/// Like [`stress_graph`] but with ~6 KB version payloads: above the
-/// static 4 KiB eager-put ceiling, below the adaptive one — every remote
-/// fetch is a near-miss until the controller raises the destination's
-/// threshold mid-run.
-fn adaptive_graph(nodes: usize) -> crate::TaskGraph {
-    let mut g = GraphBuilder::new(nodes);
-    for k in 0..4u64 {
-        g.data(k, 6_000, (k as usize) % nodes, None);
-    }
-    let mut next_key = 100u64;
-    for round in 0..6i64 {
-        for k in 0..4u64 {
-            for c in 0..5i64 {
-                let node = ((c as usize) * 3 + round as usize) % nodes;
-                g.insert(
-                    TaskDesc::new("fan")
-                        .on_node(node)
-                        .flops(5e5)
-                        .priority((c % 3) - 1 + round)
-                        .read_key(k)
-                        .write(next_key, 6_000),
-                );
-                next_key += 1;
-            }
-            g.insert(
-                TaskDesc::new("bump")
-                    .on_node((k as usize + round as usize) % nodes)
-                    .flops(1e6)
-                    .priority(round)
-                    .read_key(k)
-                    .write(k, 6_000),
-            );
-        }
-    }
-    g.build()
-}
-
-/// A tuning config that reaches several adaptation epochs inside a short
-/// test run.
-fn fast_tune() -> amt_comm::TuneConfig {
-    amt_comm::TuneConfig {
-        enabled: true,
-        epoch_ns: 20_000,
-    }
-}
-
-#[test]
-fn adaptive_runs_are_byte_identical_run_to_run() {
-    // An adapting run must stay exactly as deterministic as a static one:
-    // every controller signal is node-local and epochs are virtual-time
-    // keyed — on every backend.
-    for backend in backends() {
-        let run = || {
-            let mut cfg = ClusterConfig {
-                nodes: 8,
-                workers_per_node: 2,
-                backend,
-                mode: ExecMode::CostOnly,
-                bcast_tree_min: Some(2),
-                ..Default::default()
-            };
-            cfg.engine.tune = fast_tune();
-            let report = Cluster::new(cfg).execute(adaptive_graph(8));
-            assert!(report.complete(), "{backend}");
-            report.to_json()
-        };
-        assert_eq!(run(), run(), "{backend}");
-    }
-}
-
-#[test]
-fn adaptive_thresholds_never_change_delivered_bytes() {
-    // The controller moves a protocol choice (eager vs rendezvous) — never
-    // payloads. Delivered put bytes must match the static run on every
-    // backend, and agree across backends.
-    let mut delivered = Vec::new();
-    for backend in backends() {
-        let run = |adaptive: bool| {
-            let mut cfg = ClusterConfig {
-                nodes: 4,
-                workers_per_node: 2,
-                backend,
-                mode: ExecMode::CostOnly,
-                ..Default::default()
-            };
-            if adaptive {
-                cfg.engine.tune = fast_tune();
-            }
-            let report = Cluster::new(cfg).execute(adaptive_graph(4));
-            assert!(report.complete(), "{backend} adaptive={adaptive}");
-            report.bytes_transferred()
-        };
-        let (stat, adap) = (run(false), run(true));
-        assert!(stat > 0, "{backend}");
-        assert_eq!(stat, adap, "{backend}: adaptation changed delivered bytes");
-        delivered.push(adap);
-    }
-    assert!(
-        delivered.windows(2).all(|w| w[0] == w[1]),
-        "backends disagree on delivered payload bytes: {delivered:?}"
-    );
-}
-
-#[test]
-fn adaptive_controller_converges_on_the_6k_mode() {
-    // AIMD convergence end-to-end: a producer/consumer chain of 6 KB
-    // versions must raise the producer's eager threshold just past the
-    // mode, visible through the metrics-report tune counters.
-    let mut cfg = ClusterConfig {
-        nodes: 2,
-        workers_per_node: 2,
-        backend: BackendKind::Lci,
-        mode: ExecMode::CostOnly,
-        metrics: true,
-        ..Default::default()
-    };
-    cfg.engine.tune = fast_tune();
-    let mut g = GraphBuilder::new(2);
-    let mut key = 0u64;
-    for _ in 0..40 {
-        g.insert(
-            TaskDesc::new("prod")
-                .on_node(0)
-                .flops(1e4)
-                .write(key, 6_000),
-        );
-        g.insert(
-            TaskDesc::new("cons")
-                .on_node(1)
-                .flops(1e4)
-                .read_key(key)
-                .write(key + 1, 0),
-        );
-        // Chain rounds through the zero-byte token.
-        g.insert(
-            TaskDesc::new("next")
-                .on_node(0)
-                .flops(1e4)
-                .read_key(key + 1)
-                .write(key + 2, 0),
-        );
-        key += 3;
-    }
-    let mut cluster = Cluster::new(cfg);
-    let report = cluster.execute(g.build());
-    assert!(report.complete());
-    let m = cluster.metrics_report(&report);
-    let counter = |name: &str| {
-        m.stages
-            .counters()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v)
-            .unwrap_or(0)
-    };
-    assert!(counter("tune.epochs") > 0, "controller never ran an epoch");
-    assert!(counter("tune.eager_raise") >= 1, "no eager raise happened");
-    let threshold = counter("tune.n0.d1.eager_put_max");
-    assert!(
-        (6_000..=12_032).contains(&(threshold as usize)),
-        "producer threshold {threshold} does not cover the 6 KB mode"
-    );
-}
-
-#[test]
-fn adaptive_controller_beats_static_on_bimodal_sizes() {
-    // The result that keeps the eager-ceiling loop: waves of two ~6 KB
-    // payloads from node 0 to node 1, each wave gated on the previous one
-    // by a zero-byte token flowing back, so the smalls' put latency IS the
-    // critical path. Every fourth wave a 256 KiB payload crosses the same
-    // link off-gate. Under the static 4 KiB ceiling every small pays the
-    // rendezvous RTS/RTR round trip; once the controller raises the
-    // ceiling past the 6 KB mode they ride inside the handshake.
-    const ROUNDS: u64 = 96;
-    const STRIDE: u64 = 4;
-    let (small, large, token) = (
-        |r: u64, s: u64| r * STRIDE + s,
-        |r: u64| r * STRIDE + 2,
-        |r: u64| r * STRIDE + 3,
-    );
-    let graph = || {
-        let mut g = GraphBuilder::new(2);
-        let gated = |d: TaskDesc, r: u64| if r > 0 { d.read_key(token(r - 1)) } else { d };
-        for r in 0..ROUNDS {
-            for s in 0..2 {
-                let d = TaskDesc::new("smallprod")
-                    .on_node(0)
-                    .flops(1e4)
-                    .write(small(r, s), 6_000);
-                g.insert(gated(d, r));
-            }
-            if r % 4 == 0 {
-                let d = TaskDesc::new("largeprod")
-                    .on_node(0)
-                    .flops(1e5)
-                    .write(large(r), 256 << 10);
-                g.insert(gated(d, r));
-                g.insert(
-                    TaskDesc::new("drain")
-                        .on_node(1)
-                        .flops(1e3)
-                        .read_key(large(r)),
-                );
-            }
-            g.insert(
-                TaskDesc::new("sync")
-                    .on_node(1)
-                    .flops(1e3)
-                    .read_key(small(r, 0))
-                    .read_key(small(r, 1))
-                    .write(token(r), 0),
-            );
-        }
-        g.build()
-    };
-    let run = |adaptive: bool| {
-        let mut cfg = ClusterConfig {
-            mode: ExecMode::CostOnly,
-            ..ClusterConfig::expanse(BackendKind::Lci, 2)
-        };
-        cfg.engine.tune.enabled = adaptive;
-        let mut cluster = Cluster::new(cfg);
-        let report = cluster.execute(graph());
-        assert!(report.complete(), "adaptive={adaptive}");
-        let msgs: u64 = report.engine_stats.iter().map(|s| s.am_sent.get()).sum();
-        let m = cluster.metrics_report(&report);
-        let tune: Vec<(String, u64)> = m
-            .stages
-            .counters()
-            .filter(|(n, _)| n.starts_with("tune."))
-            .map(|(n, v)| (n.to_string(), v))
-            .collect();
-        (report.makespan, msgs, tune)
-    };
-    let (static_tts, static_msgs, _) = run(false);
-    let (adaptive_tts, adaptive_msgs, tune) = run(true);
-    assert!(
-        adaptive_tts < static_tts,
-        "adaptive {adaptive_tts} not below static {static_tts}"
-    );
-    assert_eq!(adaptive_msgs, static_msgs, "same AM messages on the wire");
-    // The eager loop did it, and it is the only loop there is.
-    assert!(
-        tune.iter().any(|(n, v)| n == "tune.eager_raise" && *v > 0),
-        "{tune:?}"
-    );
-    assert!(
-        !tune.iter().any(|(n, _)| n.starts_with("tune.window_")),
-        "{tune:?}"
     );
 }
 

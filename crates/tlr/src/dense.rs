@@ -232,7 +232,7 @@ impl DenseCholesky {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amt_comm::BackendKind;
+    use amt_comm::{BackendKind, EngineConfig};
     use amt_core::{Cluster, ClusterConfig, ExecMode};
 
     #[test]
@@ -242,7 +242,7 @@ mod tests {
             let mut cluster = Cluster::new(ClusterConfig {
                 nodes: 2,
                 workers_per_node: 4,
-                backend,
+                engine: EngineConfig::for_backend(backend),
                 mode: ExecMode::Numeric,
                 ..Default::default()
             });

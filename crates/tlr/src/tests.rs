@@ -1,7 +1,7 @@
 //! End-to-end TLR Cholesky tests: numeric verification on the distributed
 //! runtime against both backends, graph-shape checks, CostOnly sizing.
 
-use amt_comm::BackendKind;
+use amt_comm::{BackendKind, EngineConfig};
 use amt_core::{Cluster, ClusterConfig, ExecMode};
 
 use crate::{TlrCholesky, TlrProblem};
@@ -10,7 +10,7 @@ fn cfg(backend: BackendKind, nodes: usize, mode: ExecMode) -> ClusterConfig {
     ClusterConfig {
         nodes,
         workers_per_node: 4,
-        backend,
+        engine: EngineConfig::for_backend(backend),
         mode,
         ..Default::default()
     }
@@ -112,7 +112,7 @@ fn cost_only_scales_to_many_tiles() {
     let mut cluster = Cluster::new(ClusterConfig {
         nodes: 4,
         workers_per_node: 16,
-        backend: BackendKind::Lci,
+        engine: EngineConfig::lci(),
         mode: ExecMode::CostOnly,
         ..Default::default()
     });

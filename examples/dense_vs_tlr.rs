@@ -7,7 +7,7 @@
 //! ```
 
 use amtlc::bench::ObsSink;
-use amtlc::comm::BackendKind;
+use amtlc::comm::{BackendKind, EngineConfig};
 use amtlc::core::{Cluster, ClusterConfig, ExecMode};
 use amtlc::tlr::{DenseCholesky, TlrCholesky, TlrProblem};
 
@@ -26,7 +26,7 @@ fn main() {
     let mut cluster = Cluster::new(ClusterConfig {
         nodes,
         workers_per_node: 4,
-        backend,
+        engine: EngineConfig::for_backend(backend),
         mode: ExecMode::Numeric,
         ..Default::default()
     });
@@ -42,7 +42,7 @@ fn main() {
     let mut cluster = Cluster::new(ClusterConfig {
         nodes,
         workers_per_node: 4,
-        backend,
+        engine: EngineConfig::for_backend(backend),
         mode: ExecMode::Numeric,
         ..Default::default()
     });

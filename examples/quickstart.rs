@@ -16,7 +16,7 @@
 //! transport, wall-clock time, and the identical oracle-checked result.
 
 use amtlc::bench::{comm_tuning_args, cost_model_arg, threads_arg, threads_arg_opt, ObsSink};
-use amtlc::comm::BackendKind;
+use amtlc::comm::{BackendKind, EngineConfig};
 use amtlc::core::{Cluster, ClusterConfig, GraphBuilder, TaskDesc};
 use bytes::Bytes;
 
@@ -90,8 +90,8 @@ fn main() {
     // --cost-model: overlay measured charges (from a --calibrate-out
     // profile) onto the simulated runs.
     let profile = cost_model_arg(&args);
-    // --batch-bytes / --batch-window-ns / --multicast-k: message-layer
-    // tuning, applied identically to every backend and the real run.
+    // --batch-window-ns / --multicast-k: message-layer tuning, applied
+    // identically to every backend and the real run.
     let tuning = comm_tuning_args(&args);
     let nodes = 4;
     println!("amtlc quickstart: map-shuffle-reduce on {nodes} simulated nodes");
@@ -107,7 +107,7 @@ fn main() {
         let mut cfg = ClusterConfig {
             nodes,
             workers_per_node: 4,
-            backend,
+            engine: EngineConfig::for_backend(backend),
             ..Default::default()
         };
         if let Some(p) = &profile {

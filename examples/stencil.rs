@@ -25,8 +25,8 @@ fn main() {
     // --cost-model: overlay measured charges (from a --calibrate-out
     // profile) onto the simulated runs.
     let profile = cost_model_arg(&args);
-    // --batch-bytes / --batch-window-ns / --multicast-k: message-layer
-    // tuning, applied identically to every backend and the real run.
+    // --batch-window-ns / --multicast-k: message-layer tuning, applied
+    // identically to every backend and the real run.
     let tuning = comm_tuning_args(&args);
     let tiles = 16u64; // 16×16 tile grid
     let tile_elems = 512; // 512² doubles per tile (2 MiB)

@@ -12,7 +12,7 @@
 //! `1` = deterministic) and verifies the identical residual.
 
 use amtlc::bench::{comm_tuning_args, cost_model_arg, threads_arg, threads_arg_opt, ObsSink};
-use amtlc::comm::BackendKind;
+use amtlc::comm::{BackendKind, EngineConfig};
 use amtlc::core::{Cluster, ClusterConfig, ExecMode};
 use amtlc::tlr::{TlrCholesky, TlrProblem};
 
@@ -25,8 +25,8 @@ fn main() {
     // --cost-model: overlay measured charges (from a --calibrate-out
     // profile) onto the simulated runs.
     let profile = cost_model_arg(&args);
-    // --batch-bytes / --batch-window-ns / --multicast-k: message-layer
-    // tuning, applied identically to every backend and the real run.
+    // --batch-window-ns / --multicast-k: message-layer tuning, applied
+    // identically to every backend and the real run.
     let tuning = comm_tuning_args(&args);
     let n = 512;
     let ts = 64;
@@ -58,7 +58,7 @@ fn main() {
         let mut cfg = ClusterConfig {
             nodes,
             workers_per_node: 8,
-            backend,
+            engine: EngineConfig::for_backend(backend),
             mode: ExecMode::Numeric,
             ..Default::default()
         };

@@ -301,18 +301,28 @@ assert m["substrate"] == "virtual" and m["makespan_ns"] > 0
 print("simulator accepted the measured cost model (valid virtual run)")
 PY
 
-echo "== removed forks stay removed: island DES, tuner window loops, offline grid, seed scheduler, per-tag windows, boxed backend micro-tasks, shm node owners, the Substrate seam, engine collectives, the ladder queue =="
+echo "== removed forks stay removed: island DES, tuner window loops, offline grid, seed scheduler, per-tag windows, boxed backend micro-tasks, shm node owners, the Substrate seam, engine collectives, the ladder queue, the eager-ceiling tuner =="
 if grep -rn -e 'execute_islands\|new_partition\|RemoteChunk\|run_before\|TuneProfile\|WindowState\|--tuned\|--islands\|--autotune-out' \
         -e 'reference_sched\|RefDataState\|ReadyQueue::Reference\|batch_window_overrides\|with_batch_window_override\|batch_window_for\|get_window_min_flows' \
         -e 'Micro::Backend(\|BackendMicro\|fn exec_micro(\|fn micro_label' \
         -e 'shm\.direct\|shm\.queued\|fn progress(&self, node\|state_word\|struct PoolHandle\|fn pool_threads(' \
         -e 'trait Substrate\|impl Substrate\|dyn Substrate\|SubstrateKind\|VirtualSubstrate\|EngineCollectives\|TreeBcast' \
         -e 'schedule_at_cancelable\|EventToken\|NUM_BUCKETS\|SoloEvent\|occ_next_delta\|fn rebase(\|events_boxed' \
+        -e 'TuneConfig\|tick_tune\|eager_put_max_for\|note_pressure\|batch_flush_bytes\|batch_bytes\|batch-bytes\|--adaptive' \
         crates/ examples/ tests/ src/ scripts/ --exclude=verify.sh; then
     echo "a removed name is back"; exit 1
 fi
-# The golden fig4 diffs above ran with the eager-ceiling controller at its
-# default (off): their byte-identity doubles as the controller-off
-# no-change gate.
+
+echo "== config surface: ClusterConfig + EngineConfig pub fields =="
+python3 - <<'PY'
+import re, sys
+def fields(path, name):
+    src = open(path).read()
+    body = re.search(r"pub struct %s \{(.*?)\n\}" % name, src, re.S).group(1)
+    return len(re.findall(r"^\s*pub \w+:", body, re.M))
+n = fields("crates/core/src/config.rs", "ClusterConfig") + fields("crates/comm/src/config.rs", "EngineConfig")
+print(f"config fields: {n} (limit 23)")
+sys.exit(n > 23)
+PY
 
 echo "verify: all checks passed"

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: distributed executions against sequential
 //! oracles, backend equivalence, determinism, and benchmark sanity.
 
-use amtlc::comm::BackendKind;
+use amtlc::comm::{BackendKind, EngineConfig};
 use amtlc::core::{Cluster, ClusterConfig, ExecMode, GraphBuilder, TaskDesc};
 use amtlc::linalg::Matrix;
 use amtlc::tlr::{TlrCholesky, TlrProblem};
@@ -55,7 +55,7 @@ fn random_dag_matches_oracle_across_node_counts() {
             let mut cluster = Cluster::new(ClusterConfig {
                 nodes,
                 workers_per_node: 3,
-                backend,
+                engine: EngineConfig::for_backend(backend),
                 ..Default::default()
             });
             let report = cluster.execute(graph);
@@ -82,7 +82,7 @@ fn tlr_cholesky_accuracy_across_configs() {
             let mut cluster = Cluster::new(ClusterConfig {
                 nodes,
                 workers_per_node: 4,
-                backend,
+                engine: EngineConfig::for_backend(backend),
                 mode: ExecMode::Numeric,
                 ..Default::default()
             });
@@ -106,7 +106,7 @@ fn tlr_factor_solves_linear_system() {
     let mut cluster = Cluster::new(ClusterConfig {
         nodes: 2,
         workers_per_node: 4,
-        backend: BackendKind::Lci,
+        engine: EngineConfig::lci(),
         mode: ExecMode::Numeric,
         ..Default::default()
     });
@@ -171,7 +171,7 @@ fn backends_agree_byte_for_byte_on_numeric_cholesky() {
         let mut cluster = Cluster::new(ClusterConfig {
             nodes: 4,
             workers_per_node: 4,
-            backend,
+            engine: EngineConfig::for_backend(backend),
             mode: ExecMode::Numeric,
             ..Default::default()
         });
@@ -291,7 +291,7 @@ fn cost_only_and_numeric_have_identical_traffic_shape() {
             let mut cluster = Cluster::new(ClusterConfig {
                 nodes: 2,
                 workers_per_node: 4,
-                backend,
+                engine: EngineConfig::for_backend(backend),
                 mode,
                 ..Default::default()
             });
@@ -509,7 +509,7 @@ fn batching_and_multicast_preserve_payloads_byte_for_byte() {
     let base = |backend: BackendKind| ClusterConfig {
         nodes,
         workers_per_node: 4,
-        backend,
+        engine: EngineConfig::for_backend(backend),
         mode: ExecMode::Numeric,
         ..Default::default()
     };
@@ -519,7 +519,8 @@ fn batching_and_multicast_preserve_payloads_byte_for_byte() {
         cfg
     };
     let with_batch = |mut cfg: ClusterConfig| {
-        cfg.engine = cfg.engine.clone().with_batching(5_000, 4096);
+        cfg.engine.agg_max_bytes = 4096;
+        cfg.engine = cfg.engine.clone().with_batching(5_000);
         cfg
     };
 

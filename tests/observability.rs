@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 
-use amtlc::comm::BackendKind;
+use amtlc::comm::{BackendKind, EngineConfig};
 use amtlc::core::{
     CalibrationProfile, Cluster, ClusterConfig, CostModel, ExecMode, GraphBuilder, TaskDesc,
     TaskGraph,
@@ -241,10 +241,8 @@ fn observed_run(backend: BackendKind) -> (Cluster, amtlc::core::RunReport) {
     let mut cluster = Cluster::new(ClusterConfig {
         nodes: 2,
         workers_per_node: 4,
-        backend,
+        engine: EngineConfig::for_backend(backend).with_observability(true, true),
         mode: ExecMode::CostOnly,
-        trace: true,
-        metrics: true,
         ..Default::default()
     });
     let report = cluster.execute(flow_graph(2));
@@ -434,8 +432,7 @@ fn observed_real_run(threads: usize) -> (Cluster, amtlc::core::RunReport) {
         nodes: 2,
         workers_per_node: 4,
         mode: ExecMode::CostOnly,
-        trace: true,
-        metrics: true,
+        engine: EngineConfig::default().with_observability(true, true),
         ..Default::default()
     });
     let report = cluster.execute_real(flow_graph(2), threads);
@@ -547,7 +544,7 @@ fn real_and_virtual_lifecycle_counts_agree_on_cholesky() {
         nodes: 2,
         workers_per_node: 4,
         mode: ExecMode::Numeric,
-        metrics: true,
+        engine: EngineConfig::default().with_observability(false, true),
         ..Default::default()
     };
     let (_, graph) = TlrCholesky::build_numeric(TlrProblem::new(256, 32), 2);

@@ -2,7 +2,7 @@
 //! deterministic generator (the workspace builds offline, so no external
 //! `proptest`).
 
-use amtlc::comm::BackendKind;
+use amtlc::comm::{BackendKind, EngineConfig};
 use amtlc::core::{Cluster, ClusterConfig, GraphBuilder, TaskDesc};
 use amtlc::linalg::{gemm, Matrix, Trans};
 use amtlc::simnet::{DetRng, Sim, SimTime};
@@ -239,7 +239,7 @@ fn runtime_matches_oracle() {
             let mut cluster = Cluster::new(ClusterConfig {
                 nodes,
                 workers_per_node: 2,
-                backend,
+                engine: EngineConfig::for_backend(backend),
                 ..Default::default()
             });
             let report = cluster.execute(graph);
