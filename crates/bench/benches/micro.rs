@@ -7,14 +7,14 @@
 //!
 //! ## Engine suite → `BENCH_engine.json`
 //!
-//! The first section drives the engine ([`Sim`]: a binary heap of inline
-//! [`amt_simnet::EventFn`] bodies plus a same-instant FIFO) and the in-tree
-//! seed engine ([`RefSim`]: one heap of boxed closures) through identical
-//! event patterns, and writes per-scenario `ns/event`, `events/sec` and the
+//! The first section drives the engine ([`Sim`]: a monotone radix queue of
+//! inline [`amt_simnet::EventFn`] bodies in one slab) and the in-tree seed
+//! engine ([`RefSim`]: boxed closures on a heap) through identical event
+//! patterns, and writes per-scenario `ns/event`, `events/sec` and the
 //! `ref`-over-engine speedup to `BENCH_engine.json` at the workspace root.
-//! Both are heaps, so the `ref` column measures what inline event bodies
-//! and the FIFO buy over boxed closures. Every future change has a perf
-//! trajectory to regress against.
+//! The `ref` column is `RefSim`, so the speedup measures what inline event
+//! bodies in a radix queue buy over boxed closures on a heap. Every future
+//! change has a perf trajectory to regress against.
 //!
 //! Flags:
 //! * `--quick` — smoke mode: tiny event counts, 3 samples (used by

@@ -5,9 +5,10 @@
 //! this workspace captures only a couple of `Rc` handles and an integer, so
 //! [`EventFn`] keeps captures of up to [`INLINE_WORDS`] machine words
 //! inline (no allocation at all) and falls back to a single boxed closure
-//! only for larger captures. The engine's queues keep their capacity (see
-//! `engine.rs`), so the steady-state hot path touches the allocator for
-//! neither the event body nor the queue node.
+//! only for larger captures. The engine stores each body in its slab slot,
+//! and the slab keeps its capacity (see `engine.rs`), so the steady-state
+//! hot path touches the allocator for neither the event body nor the queue
+//! node.
 
 use std::marker::PhantomData;
 use std::mem::{self, ManuallyDrop, MaybeUninit};

@@ -10,12 +10,12 @@
 //!
 //! ## Model
 //!
-//! * [`Sim`] owns a virtual clock, a binary heap of timed events and a FIFO
-//!   of same-instant ones (see `engine` module docs). An event is an
-//!   `FnOnce(&mut Sim)` closure stored in an [`EventFn`] — inline when its
-//!   captures fit three words, boxed otherwise. Events scheduled for the
-//!   same virtual instant execute in scheduling order (a monotonic sequence
-//!   number breaks ties), which makes every simulation fully deterministic.
+//! * [`Sim`] owns a virtual clock and a monotone radix queue of events (see
+//!   `engine` module docs). An event is an `FnOnce(&mut Sim)` closure stored
+//!   in an [`EventFn`] in its slab slot — inline when its captures fit three
+//!   words, boxed otherwise. Events scheduled for the same virtual instant
+//!   execute in scheduling order, which makes every simulation fully
+//!   deterministic.
 //! * Components are ordinary Rust structs wrapped in `Rc<RefCell<_>>` and
 //!   captured by the closures they schedule. The engine is single-threaded,
 //!   so this is safe and cheap.

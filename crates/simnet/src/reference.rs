@@ -9,8 +9,8 @@
 //!   sequences and assert the execution orders match exactly;
 //! * **performance baseline** — the engine micro-benchmarks report
 //!   [`crate::Sim`]'s throughput as a ratio over this engine: what inline
-//!   [`crate::EventFn`] bodies and the same-instant FIFO buy over boxed
-//!   closures on the same kind of queue.
+//!   [`crate::EventFn`] bodies in a radix queue buy over boxed closures on
+//!   a heap.
 //!
 //! Keep this file dumb and stable; it must not adopt engine optimisations.
 

@@ -313,6 +313,11 @@ if grep -rn -e 'execute_islands\|new_partition\|RemoteChunk\|run_before\|TunePro
     echo "a removed name is back"; exit 1
 fi
 
+echo "== one event queue: no heap and no seq field beside the radix queue =="
+if grep -nE 'BinaryHeap|^\s*(pub(\([a-z]+\))? )?seq\s*:' crates/simnet/src/engine.rs; then
+    echo "engine.rs holds a BinaryHeap or a seq field again"; exit 1
+fi
+
 echo "== config surface: ClusterConfig + EngineConfig pub fields =="
 python3 - <<'PY'
 import re, sys

@@ -1,8 +1,9 @@
 //! A warmed engine runs a hold-model workload without touching the
 //! allocator: event bodies that capture at most three words stay inline,
-//! and the timed heap and the same-instant queue keep the capacity the
-//! first run grew. One test in a binary of its own, so the process-wide
-//! counter counts nothing else.
+//! and the one slab that holds every pending event keeps the capacity the
+//! first run grew. The same run bounds the radix queue's relinks per
+//! event. One test in a binary of its own, so the process-wide counter
+//! counts nothing else.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -12,7 +13,7 @@ use amt_simnet::{Sim, SimTime};
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Holders pending at once: the heap runs at a depth of at least 512.
+/// Holders pending at once: the queue holds at least 512 events.
 const HOLDERS: u64 = 640;
 /// Steps each holder takes per workload.
 const STEPS: u64 = 40;
@@ -59,4 +60,8 @@ fn second_hold_workload_allocates_nothing() {
     assert!(sim.events_peak_pending() >= 512);
     assert!(NOW_STEPS.load(Ordering::Relaxed) > 0);
     assert_eq!(workload(&mut sim), (0, events));
+    // The queue's deterministic cost: each slot moves down a few lists
+    // between its schedule and its pop.
+    let relinks = sim.events_relinked() as f64 / sim.events_executed() as f64;
+    assert!(relinks <= 5.0, "{relinks:.2} relinks per event");
 }

@@ -46,7 +46,10 @@ fn des_event_order_is_monotone() {
 /// microseconds and tens of milliseconds — in exactly the order of the seed
 /// reference engine (one heap of boxed closures). A second case family
 /// preloads over 2 048 events, `sim_fig4`'s peak pending population, half
-/// of them tied on 64 instants, so heap sifts run at realistic depth.
+/// of them tied on 64 instants, so the queue runs at realistic depth. A
+/// third aims at the radix queue's edges: times one below, at and one
+/// above powers of two up to bit 63, long runs of ties, and bodies that
+/// call `schedule_now` and `schedule_at(now)`.
 #[test]
 fn engine_matches_reference_order() {
     use amtlc::simnet::reference::RefSim;
@@ -55,18 +58,34 @@ fn engine_matches_reference_order() {
 
     type Log = Rc<RefCell<Vec<(u64, u64)>>>;
 
+    #[derive(Clone, Copy, PartialEq)]
+    enum Family {
+        Sparse,
+        Dense,
+        Radix,
+    }
+
+    /// A time next to a power-of-two boundary above `now`: one below, at
+    /// or one above the next multiple of `2^k`, for a random `k` up to 63.
+    /// `None` when that multiple overflows a `u64`.
+    fn straddle(rng: &mut DetRng, now: u64) -> Option<u64> {
+        let k = rng.gen_range(0..64);
+        let boundary = (now | ((1u64 << k) - 1)).checked_add(1)?;
+        Some(boundary - 1 + rng.gen_range(0..3))
+    }
+
     // Identical workload driver for both engine types. Every executed
     // event logs (id, now) and may spawn children whose scheduling mode
     // and delay are drawn from an id-seeded rng, so the two engines see
     // byte-identical closures in byte-identical schedule order; any
     // divergence in execution order derails the id stream and the logs.
     macro_rules! workload {
-        ($sim_ty:ty, $case:expr, $dense:expr) => {{
+        ($sim_ty:ty, $case:expr, $family:expr) => {{
             fn event(
                 sim: &mut $sim_ty,
                 id: u64,
                 depth: u32,
-                case: u64,
+                (case, family): (u64, Family),
                 log: Log,
                 next: Rc<RefCell<u64>>,
             ) {
@@ -82,42 +101,62 @@ fn engine_matches_reference_order() {
                         *n
                     };
                     let (log, next) = (log.clone(), next.clone());
+                    let body =
+                        move |s: &mut $sim_ty| event(s, kid, depth - 1, (case, family), log, next);
+                    let now = sim.now().as_ns();
                     let d = rng.gen_range(0..5_000);
-                    match rng.gen_range(0..3) {
-                        0 => sim.schedule_now(move |s| event(s, kid, depth - 1, case, log, next)),
-                        1 => sim.schedule_in(SimTime::from_ns(d), move |s| {
-                            event(s, kid, depth - 1, case, log, next)
-                        }),
-                        _ => {
-                            let at = SimTime::from_ns(sim.now().as_ns() + d * 1000);
-                            sim.schedule_at(at, move |s| event(s, kid, depth - 1, case, log, next))
+                    if family == Family::Radix {
+                        match rng.gen_range(0..4) {
+                            0 => sim.schedule_now(body),
+                            1 => sim.schedule_at(SimTime::from_ns(now), body),
+                            2 => sim.schedule_in(SimTime::from_ns(d % 3), body), // ties
+                            _ => match straddle(&mut rng, now) {
+                                Some(t) => sim.schedule_at(SimTime::from_ns(t), body),
+                                None => sim.schedule_now(body),
+                            },
                         }
+                        continue;
+                    }
+                    match rng.gen_range(0..3) {
+                        0 => sim.schedule_now(body),
+                        1 => sim.schedule_in(SimTime::from_ns(d), body),
+                        _ => sim.schedule_at(SimTime::from_ns(now + d * 1000), body),
                     }
                 }
             }
             let case: u64 = $case;
-            let dense: bool = $dense;
+            let family: Family = $family;
             let mut rng = DetRng::seed_from_u64(0x1adde2 ^ case);
-            let n = if dense {
-                rng.gen_usize(2048..2560)
-            } else {
-                rng.gen_usize(1..100)
+            let n = match family {
+                Family::Sparse => rng.gen_usize(1..100),
+                Family::Dense => rng.gen_usize(2048..2560),
+                Family::Radix => rng.gen_usize(200..600),
             };
             let mut sim = <$sim_ty>::new();
             let log: Log = Rc::new(RefCell::new(Vec::new()));
             let next = Rc::new(RefCell::new(n as u64));
+            // The radix family preloads runs of up to 48 tied events.
+            let (mut tie, mut tie_left) = (0, 0);
             for id in 0..n as u64 {
-                let t = match (dense, rng.gen_range(0..4)) {
-                    (true, 0 | 1) => rng.gen_range(0..64) * 1_000, // 64 instants
-                    (true, _) => rng.gen_range(0..5_000_000),
-                    (false, 0) => rng.gen_range(0..200), // dense ties
-                    (false, 1) => rng.gen_range(0..100_000),
-                    (false, 2) => rng.gen_range(0..5_000_000),
-                    (false, _) => rng.gen_range(0..50_000_000),
+                let t = match (family, rng.gen_range(0..4)) {
+                    (Family::Dense, 0 | 1) => rng.gen_range(0..64) * 1_000, // 64 instants
+                    (Family::Dense, _) => rng.gen_range(0..5_000_000),
+                    (Family::Sparse, 0) => rng.gen_range(0..200), // dense ties
+                    (Family::Sparse, 1) => rng.gen_range(0..100_000),
+                    (Family::Sparse, 2) => rng.gen_range(0..5_000_000),
+                    (Family::Sparse, _) => rng.gen_range(0..50_000_000),
+                    (Family::Radix, _) => {
+                        if tie_left == 0 {
+                            tie = straddle(&mut rng, 0).expect("from zero");
+                            tie_left = rng.gen_usize(1..49);
+                        }
+                        tie_left -= 1;
+                        tie
+                    }
                 };
                 let (log, next) = (log.clone(), next.clone());
                 sim.schedule_at(SimTime::from_ns(t), move |s| {
-                    event(s, id, 3, case, log, next)
+                    event(s, id, 3, (case, family), log, next)
                 });
             }
             sim.run();
@@ -126,14 +165,15 @@ fn engine_matches_reference_order() {
         }};
     }
 
-    let sparse = (0..CASES).map(|c| (c, false));
-    let dense = (CASES..2 * CASES).map(|c| (c, true));
-    for (case, dense) in sparse.chain(dense) {
-        let (engine, engine_n) = workload!(Sim, case, dense);
-        let (reference, ref_n) = workload!(RefSim, case, dense);
-        assert_eq!(engine_n, ref_n, "case {case}");
-        assert_eq!(engine.len() as u64, engine_n, "case {case}");
-        assert_eq!(engine, reference, "case {case}");
+    let families = [Family::Sparse, Family::Dense, Family::Radix];
+    for (f, &family) in families.iter().enumerate() {
+        for case in f as u64 * CASES..(f as u64 + 1) * CASES {
+            let (engine, engine_n) = workload!(Sim, case, family);
+            let (reference, ref_n) = workload!(RefSim, case, family);
+            assert_eq!(engine_n, ref_n, "case {case}");
+            assert_eq!(engine.len() as u64, engine_n, "case {case}");
+            assert_eq!(engine, reference, "case {case}");
+        }
     }
 }
 
