@@ -12,11 +12,14 @@
 //! data (an AM callback, a put completion, a completed MPI request) leaves
 //! that data at the front of a FIFO the backend owns and queues its code;
 //! since the engine queue is strictly first-in first-out, the `n`-th code
-//! of a kind always finds the `n`-th entry of its FIFO. Only a retried
-//! command still travels boxed ([`BackendTask`]): it is rare, and it must
-//! re-enter the engine's command queue at the front.
+//! of a kind always finds the `n`-th entry of its FIFO. A send that hit
+//! back-pressure re-enters the engine's command queue at the front as a
+//! typed `Command::Resend` and comes back through [`CommBackend::resend`].
+//!
+//! The libraries underneath are just as box-free: their wire messages are
+//! slab records sent by id, and LCI completions name handlers each backend
+//! registers once at `init` (`Lci::handler_new`).
 
-use std::any::Any;
 use std::rc::Rc;
 
 use amt_lci::{LciCosts, LciWorld};
@@ -28,24 +31,14 @@ use bytes::{Bytes, Frames};
 use crate::config::{BackendKind, EngineConfig};
 use crate::engine::{CommEngine, PutRequest};
 use crate::lci_backend::LciBackend;
-use crate::lci_direct::LciDirect;
 use crate::mpi_backend::MpiBackend;
 use crate::stats::EngineStats;
-
-/// A backend-private command carried through the engine's command queue
-/// (a send that hit back-pressure and awaits retry). The owning backend
-/// downcasts it back in [`CommBackend::exec_command`].
-pub(crate) type BackendTask = Box<dyn Any>;
 
 /// One communication library under the engine. All methods take the engine
 /// by `&Rc` so implementors can reach the shared actor state (`eng.inner`),
 /// the configuration, and the simulated cores, and can hand weak engine
 /// references to completion handlers.
 pub(crate) trait CommBackend {
-    /// The kind this implementor realizes (diagnostics only — the engine
-    /// never branches on it).
-    fn kind(&self) -> BackendKind;
-
     /// Number of dedicated progress-thread cores this backend wants.
     fn progress_threads(&self) -> usize {
         0
@@ -108,12 +101,19 @@ pub(crate) trait CommBackend {
     /// on the communication-thread trace track.
     fn micro_unit_label(&self, code: u32) -> &'static str;
 
-    /// Execute one backend command the backend queued for retry (e.g. a
-    /// send that hit back-pressure). Backends that never queue commands
-    /// keep the default.
-    fn exec_command(&self, eng: &Rc<CommEngine>, sim: &mut Sim, cmd: BackendTask) -> SimTime {
-        let _ = (eng, sim, cmd);
-        panic!("backend queued no commands but one arrived");
+    /// Retry a send that hit back-pressure and queued itself as a
+    /// `Command::Resend`. Backends whose sends never fail keep the default,
+    /// a plain [`Self::issue_am`].
+    fn resend(
+        &self,
+        eng: &Rc<CommEngine>,
+        sim: &mut Sim,
+        dst: NodeId,
+        tag: u64,
+        size: usize,
+        data: Frames,
+    ) -> SimTime {
+        self.issue_am(eng, sim, dst, tag, size, data)
     }
 
     /// The library's serializing lock, if the backend has one: every
@@ -132,6 +132,11 @@ pub(crate) trait CommBackend {
 
     /// Fold the backend's private counters into an engine-stats snapshot.
     fn stats(&self, base: EngineStats) -> EngineStats;
+
+    /// Wire records the library's whole world holds in flight (sent, not
+    /// yet delivered): zero once a run has drained.
+    #[cfg(test)]
+    fn wires_in_flight(&self) -> usize;
 }
 
 /// Construct one backend per fabric node. This factory is the single place
@@ -146,13 +151,12 @@ pub(crate) fn make_backends(
             .enumerate()
             .map(|(node, mpi)| Box::new(MpiBackend::new(node, mpi)) as Box<dyn CommBackend>)
             .collect(),
-        BackendKind::Lci => LciWorld::create(fabric, LciCosts::default())
-            .into_iter()
-            .map(|ep| Box::new(LciBackend::new(ep, cfg)) as Box<dyn CommBackend>)
-            .collect(),
-        BackendKind::LciDirect => LciWorld::create(fabric, LciCosts::default())
-            .into_iter()
-            .map(|ep| Box::new(LciDirect::new(ep, cfg)) as Box<dyn CommBackend>)
-            .collect(),
+        BackendKind::Lci | BackendKind::LciDirect => {
+            let direct_put = cfg.backend == BackendKind::LciDirect;
+            LciWorld::create(fabric, LciCosts::default())
+                .into_iter()
+                .map(|ep| Box::new(LciBackend::new(ep, cfg, direct_put)) as Box<dyn CommBackend>)
+                .collect()
+        }
     }
 }

@@ -17,7 +17,7 @@ use amt_simnet::{
 };
 use bytes::{BufPool, Bytes, Frames};
 
-use crate::backend::{make_backends, BackendTask, CommBackend};
+use crate::backend::{make_backends, CommBackend};
 use crate::config::{BackendKind, EngineConfig, CMD_OVERHEAD, WAKE_LATENCY};
 use crate::stats::EngineStats;
 
@@ -89,9 +89,14 @@ pub(crate) enum Command {
         /// wait was already accounted on the first attempt).
         submitted_at: Option<SimTime>,
     },
-    /// A backend-private command (typically a send that hit back-pressure
-    /// and awaits retry). Executed via [`CommBackend::exec_command`].
-    Backend(BackendTask),
+    /// A send that hit back-pressure, queued at the front for retry.
+    /// Executed via [`CommBackend::resend`].
+    Resend {
+        dst: NodeId,
+        tag: u64,
+        size: usize,
+        data: Frames,
+    },
 }
 
 /// Micro-tasks of the communication thread. Each executes as one charge on
@@ -255,7 +260,7 @@ impl CommEngine {
     }
 
     pub fn backend(&self) -> BackendKind {
-        self.backend.kind()
+        self.cfg.backend
     }
 
     /// The communication thread's core (utilization diagnostics).
@@ -725,8 +730,13 @@ impl CommEngine {
                     }
                     cost += self.issue_put(sim, req);
                 }
-                Command::Backend(task) => {
-                    cost += self.backend.exec_command(self, sim, task);
+                Command::Resend {
+                    dst,
+                    tag,
+                    size,
+                    data,
+                } => {
+                    cost += self.backend.resend(self, sim, dst, tag, size, data);
                 }
             }
             // A command that hit back-pressure re-queues itself at the

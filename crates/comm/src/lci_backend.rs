@@ -1,18 +1,35 @@
 //! The LCI backend (§5.3): progress thread, completion FIFOs, specialized
-//! handshake path, eager small puts, delegated receives. Also hosts the
-//! `putd` machinery the [`crate::lci_direct`] backend builds on.
+//! handshake path, eager small puts, delegated receives.
+//!
+//! With `direct_put` (the `lci-direct` backend) it is also the paper's
+//! §7 future-work proposal: once the target pre-registers its memory, a
+//! large put needs no rendezvous at all. The origin issues **one**
+//! one-sided RDMA write (`putd`) whose immediate data carries the
+//! completion descriptor (remote tag + callback data), and the target's
+//! progress thread learns about the transfer only when it has already
+//! finished. Per large put this removes one buffered handshake message,
+//! the RTS/RTR round-trip inside `sendd`/`recvd`, and the target-side
+//! receive posting with its `Retry`/delegation path. Puts at or below
+//! `eager_put_max` already ride inline in one buffered message, as cheap
+//! as an inline `putd`, so they keep the handshake path: direct put is
+//! never slower than the emulation at any size, and the small-fragment
+//! bandwidth knee (Fig. 2a) moves left.
+//!
+//! Completions of the backend's own direct sends, puts and receives go to
+//! two LCI handlers registered once in `init` — one for local send/put
+//! completions, one for receives — never to a per-operation closure.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
 use amt_lci::{AmMsg, Lci, LciError, OnComplete, PutMsg};
 use amt_netmodel::NodeId;
-use amt_simnet::{Counter, FastMap, Sim, SimTime};
+use amt_simnet::{Counter, FastMap, Sim, SimTime, Slab};
 use bytes::{Bytes, Frames};
 
-use crate::backend::{BackendTask, CommBackend};
-use crate::config::{BackendKind, EngineConfig, CMD_OVERHEAD, FIFO_POP, WAKE_LATENCY};
+use crate::backend::CommBackend;
+use crate::config::{EngineConfig, CMD_OVERHEAD, FIFO_POP, WAKE_LATENCY};
 use crate::engine::{
     dispatch_am, dispatch_onesided, dispatch_put_local, AmEvent, CommEngine, Command, Micro,
     PutEvent, PutLocalCb, PutRequest,
@@ -56,13 +73,21 @@ enum DataDone {
     },
 }
 
+/// Where an incoming rendezvous put's data goes once its direct receive
+/// completes: the one-sided callback tag and its data. Kept in
+/// [`LciState::recvs`] from the handshake until that completion, whose
+/// `ctx` is the slab id.
+struct RecvTarget {
+    r_tag: u64,
+    cb_data: Bytes,
+}
+
 /// A receive the progress thread could not post (`Retry`), delegated to the
-/// communication thread (§5.3.3).
+/// communication thread (§5.3.3). `recv` is its [`LciState::recvs`] id.
 struct DelegatedRecv {
     src: NodeId,
     rtag: u64,
-    r_tag: u64,
-    cb_data: Bytes,
+    recv: u32,
 }
 
 /// Micro-task codes, queued on the engine as `Micro::BackendUnit`. The
@@ -73,17 +98,6 @@ const MICRO_DELEGATED: u32 = 1;
 const MICRO_AM: u32 = 2;
 const MICRO_DATA: u32 = 3;
 const MICRO_EAGER_DONE: u32 = 4;
-
-/// The LCI backend's private retriable commands.
-enum LciCmd {
-    /// A handshake whose `sendb` hit `Retry`.
-    RawSendb {
-        dst: NodeId,
-        tag: u64,
-        size: usize,
-        data: Frames,
-    },
-}
 
 /// Backend-private state, shared with the progress-thread handlers.
 #[derive(Default)]
@@ -100,6 +114,8 @@ struct LciState {
     /// handshake, one per queued `MICRO_EAGER_DONE` code.
     eager_done: VecDeque<PutLocalCb>,
     delegated: VecDeque<DelegatedRecv>,
+    /// Incoming rendezvous puts between handshake and data arrival.
+    recvs: Slab<RecvTarget>,
     /// Retry delegated receives on the next communication-thread visit
     /// (set by the backend waker when resources may have freed).
     retry_wanted: bool,
@@ -119,6 +135,14 @@ pub(crate) struct LciBackend {
     ep: Lci,
     st: Rc<RefCell<LciState>>,
     progress_threads: usize,
+    /// §7: issue puts above `eager_put_max` as one `putd`.
+    direct_put: bool,
+    /// The handler for local completions of `sendd`/`putd` (ctx: the put's
+    /// rendezvous tag), registered in `init`.
+    on_sent: Cell<OnComplete>,
+    /// The handler for `recvd` completions (ctx: a [`LciState::recvs`] id),
+    /// registered in `init`.
+    on_recv: Cell<OnComplete>,
 }
 
 /// The endpoint AM handler, executed on the **progress thread** inside
@@ -130,6 +154,7 @@ fn on_am(
     eng: &Rc<CommEngine>,
     ep: &Lci,
     st: &Rc<RefCell<LciState>>,
+    on_recv: OnComplete,
     sim: &mut Sim,
     msg: AmMsg,
 ) -> SimTime {
@@ -180,7 +205,16 @@ fn on_am(
 
     // Rendezvous: post the matching direct receive right here on the
     // progress thread so the RTS can be answered with minimum latency.
-    match try_post_recvd(eng, ep, st, sim, src, hs.data_tag, hs.r_tag, hs.cb_data) {
+    let recv = st.borrow_mut().recvs.insert(RecvTarget {
+        r_tag: hs.r_tag,
+        cb_data: hs.cb_data,
+    });
+    let d = DelegatedRecv {
+        src,
+        rtag: hs.data_tag,
+        recv,
+    };
+    match try_post_recvd(ep, on_recv, sim, d) {
         Ok(c) => cost += c,
         Err(d) => {
             // §5.3.3: we cannot spin or recurse into progress here —
@@ -201,53 +235,16 @@ fn on_am(
     cost
 }
 
-/// Attempt to post the direct receive for an incoming put.
-#[allow(clippy::too_many_arguments)]
+/// Attempt to post the direct receive for an incoming put; hand the
+/// receive back on `Retry`.
 fn try_post_recvd(
-    eng: &Rc<CommEngine>,
     ep: &Lci,
-    st: &Rc<RefCell<LciState>>,
+    on_recv: OnComplete,
     sim: &mut Sim,
-    src: NodeId,
-    rtag: u64,
-    r_tag: u64,
-    cb_data: Bytes,
+    d: DelegatedRecv,
 ) -> Result<SimTime, DelegatedRecv> {
-    let weak_eng: Weak<CommEngine> = Rc::downgrade(eng);
-    let weak_st = Rc::downgrade(st);
-    let cb_data2 = cb_data.clone();
-    let res = ep.recvd(
-        sim,
-        src,
-        rtag,
-        r_tag,
-        OnComplete::Handler(Box::new(move |sim, e| {
-            if let (Some(eng), Some(st)) = (weak_eng.upgrade(), weak_st.upgrade()) {
-                let now = sim.now();
-                eng.record_stage("put.wire_ns", now.saturating_sub(e.sent_at));
-                eng.wire_add(eng.node, now, -1);
-                st.borrow_mut().data_fifo.push_back(DataDone::Remote {
-                    src: e.peer,
-                    size: e.size,
-                    data: e.data,
-                    r_tag,
-                    cb_data: cb_data2,
-                    arrived: now,
-                });
-                CommEngine::wake_comm(&eng, sim);
-            }
-            COMP_HANDLER_COST
-        })),
-    );
-    match res {
-        Ok(c) => Ok(c),
-        Err(LciError::Retry) => Err(DelegatedRecv {
-            src,
-            rtag,
-            r_tag,
-            cb_data,
-        }),
-    }
+    ep.recvd(sim, d.src, d.rtag, u64::from(d.recv), on_recv)
+        .map_err(|LciError::Retry| d)
 }
 
 /// The endpoint put handler (§7 direct-put backend), executed on the
@@ -271,98 +268,54 @@ fn on_put(eng: &Rc<CommEngine>, st: &Rc<RefCell<LciState>>, sim: &mut Sim, msg: 
 }
 
 impl LciBackend {
-    pub(crate) fn new(ep: Lci, cfg: &EngineConfig) -> Self {
+    pub(crate) fn new(ep: Lci, cfg: &EngineConfig, direct_put: bool) -> Self {
         LciBackend {
             ep,
             st: Rc::new(RefCell::new(LciState::default())),
             progress_threads: cfg.lci_progress_threads.max(1),
+            direct_put,
+            on_sent: Cell::new(OnComplete::None),
+            on_recv: Cell::new(OnComplete::None),
         }
     }
 
-    /// §7 direct-put path (used by the [`crate::lci_direct`] backend): one
-    /// `putd` carries data and callback descriptor in a single one-sided
-    /// write — no handshake, no rendezvous round-trip.
-    pub(crate) fn issue_put_direct(
+    /// Undo a put whose send hit `Retry` and queue it at the front of the
+    /// command queue; it is retried on the next wake.
+    fn retry_put(&self, eng: &Rc<CommEngine>, sim: &mut Sim, req: PutRequest) -> SimTime {
+        {
+            let mut st = self.st.borrow_mut();
+            st.stat_retries.inc();
+            st.put_seq -= 1;
+        }
+        eng.trace_instant("retry", sim.now());
+        let mut inner = eng.inner.borrow_mut();
+        inner.stats.puts_started.dec();
+        inner.pending.push_front(Command::Put {
+            req,
+            submitted_at: None,
+        });
+        CMD_OVERHEAD
+    }
+
+    /// Queue a `sendb` that hit `Retry` at the front of the command queue;
+    /// [`CommBackend::resend`] retries it on the next wake.
+    fn requeue_sendb(
         &self,
         eng: &Rc<CommEngine>,
         sim: &mut Sim,
-        req: PutRequest,
-    ) -> SimTime {
-        eng.inner.borrow_mut().stats.puts_started.inc();
-        let rtag = {
-            let mut st = self.st.borrow_mut();
-            let t = st.put_seq;
-            st.put_seq += 1;
-            t
-        };
-        let PutRequest {
+        dst: NodeId,
+        tag: u64,
+        size: usize,
+        data: Frames,
+    ) {
+        self.st.borrow_mut().stat_retries.inc();
+        eng.trace_instant("retry", sim.now());
+        eng.inner.borrow_mut().pending.push_front(Command::Resend {
             dst,
+            tag,
             size,
             data,
-            r_tag,
-            cb_data,
-            on_local,
-        } = req;
-        // The callback descriptor rides as immediate data.
-        let imm = PutHandshake {
-            data_tag: rtag,
-            size: size as u64,
-            r_tag,
-            cb_data,
-            eager: EagerMode::Rendezvous,
-        };
-        let weak_eng: Weak<CommEngine> = Rc::downgrade(eng);
-        let weak_st = Rc::downgrade(&self.st);
-        let res = self.ep.putd(
-            sim,
-            dst,
-            rtag,
-            size,
-            data.clone(),
-            imm.encode_with(eng.buf_pool()),
-            rtag,
-            OnComplete::Handler(Box::new(move |sim, e| {
-                if let (Some(eng), Some(st)) = (weak_eng.upgrade(), weak_st.upgrade()) {
-                    st.borrow_mut()
-                        .data_fifo
-                        .push_back(DataDone::Local { rtag: e.ctx });
-                    CommEngine::wake_comm(&eng, sim);
-                }
-                COMP_HANDLER_COST
-            })),
-        );
-        match res {
-            Ok(c) => {
-                eng.wire_add(dst, sim.now(), 1);
-                self.st
-                    .borrow_mut()
-                    .origin_puts
-                    .insert(rtag, Some(on_local));
-                c
-            }
-            Err(LciError::Retry) => {
-                {
-                    let mut st = self.st.borrow_mut();
-                    st.stat_retries.inc();
-                    st.put_seq -= 1;
-                }
-                eng.trace_instant("retry", sim.now());
-                let mut inner = eng.inner.borrow_mut();
-                inner.stats.puts_started.dec();
-                inner.pending.push_front(Command::Put {
-                    req: PutRequest {
-                        dst,
-                        size,
-                        data,
-                        r_tag: imm.r_tag,
-                        cb_data: imm.cb_data,
-                        on_local,
-                    },
-                    submitted_at: None,
-                });
-                CMD_OVERHEAD
-            }
-        }
+        });
     }
 
     /// One §5.3.4 fairness round: up to `am_batch` AM completions, then all
@@ -437,14 +390,12 @@ impl LciBackend {
     }
 
     /// Retry delegated receives from the communication thread.
-    fn exec_delegated(&self, eng: &Rc<CommEngine>, sim: &mut Sim) -> SimTime {
+    fn exec_delegated(&self, sim: &mut Sim) -> SimTime {
         let mut cost = SimTime::ZERO;
         let mut queue = std::mem::take(&mut self.st.borrow_mut().delegated);
         while let Some(d) = queue.pop_front() {
             cost += CMD_OVERHEAD;
-            match try_post_recvd(
-                eng, &self.ep, &self.st, sim, d.src, d.rtag, d.r_tag, d.cb_data,
-            ) {
+            match try_post_recvd(&self.ep, self.on_recv.get(), sim, d) {
                 Ok(c) => cost += c,
                 Err(d) => {
                     // Still exhausted: put everything back and stop.
@@ -462,18 +413,53 @@ impl LciBackend {
 }
 
 impl CommBackend for LciBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Lci
-    }
-
     fn progress_threads(&self) -> usize {
         self.progress_threads
     }
 
+    /// Register the two completion handlers, the waker and the AM and put
+    /// handlers. Everything stored inside the LCI world holds the engine,
+    /// the backend state and the endpoint weakly, or world and engine
+    /// would own each other.
     fn init(&self, eng: &Rc<CommEngine>, sim: &mut Sim) {
         let _ = sim;
-        let weak_eng: Weak<CommEngine> = Rc::downgrade(eng);
-        let weak_st = Rc::downgrade(&self.st);
+        let weak = || (Rc::downgrade(eng), Rc::downgrade(&self.st));
+        let (weak_eng, weak_st) = weak();
+        let on_sent = self.ep.handler_new(move |sim, e| {
+            if let (Some(eng), Some(st)) = (weak_eng.upgrade(), weak_st.upgrade()) {
+                st.borrow_mut()
+                    .data_fifo
+                    .push_back(DataDone::Local { rtag: e.ctx });
+                CommEngine::wake_comm(&eng, sim);
+            }
+            COMP_HANDLER_COST
+        });
+        self.on_sent.set(OnComplete::Handler(on_sent));
+        let (weak_eng, weak_st) = weak();
+        let on_recv = OnComplete::Handler(self.ep.handler_new(move |sim, e| {
+            if let (Some(eng), Some(st)) = (weak_eng.upgrade(), weak_st.upgrade()) {
+                let now = sim.now();
+                eng.record_stage("put.wire_ns", now.saturating_sub(e.sent_at));
+                eng.wire_add(eng.node, now, -1);
+                let mut s = st.borrow_mut();
+                let id = u32::try_from(e.ctx).expect("recvd ctx is a recvs id");
+                let RecvTarget { r_tag, cb_data } = s.recvs.take(id);
+                s.data_fifo.push_back(DataDone::Remote {
+                    src: e.peer,
+                    size: e.size,
+                    data: e.data,
+                    r_tag,
+                    cb_data,
+                    arrived: now,
+                });
+                drop(s);
+                CommEngine::wake_comm(&eng, sim);
+            }
+            COMP_HANDLER_COST
+        }));
+        self.on_recv.set(on_recv);
+
+        let (weak_eng, weak_st) = weak();
         self.ep.set_waker(move |sim| {
             if let (Some(eng), Some(st)) = (weak_eng.upgrade(), weak_st.upgrade()) {
                 eng.backend.drain_progress(&eng, sim);
@@ -483,19 +469,15 @@ impl CommBackend for LciBackend {
                 CommEngine::wake_comm(&eng, sim);
             }
         });
-        let weak_eng: Weak<CommEngine> = Rc::downgrade(eng);
-        let weak_st = Rc::downgrade(&self.st);
-        // Weak: the handler is stored inside the world this endpoint
-        // owns; a strong `Lci` here would make every LCI cluster a cycle.
+        let (weak_eng, weak_st) = weak();
         let weak_ep = self.ep.downgrade();
         self.ep.set_am_handler(move |sim, msg| {
             match (weak_eng.upgrade(), weak_ep.upgrade(), weak_st.upgrade()) {
-                (Some(eng), Some(ep), Some(st)) => on_am(&eng, &ep, &st, sim, msg),
+                (Some(eng), Some(ep), Some(st)) => on_am(&eng, &ep, &st, on_recv, sim, msg),
                 _ => SimTime::ZERO,
             }
         });
-        let weak_eng: Weak<CommEngine> = Rc::downgrade(eng);
-        let weak_st = Rc::downgrade(&self.st);
+        let (weak_eng, weak_st) = weak();
         self.ep.set_put_handler(
             move |sim, msg| match (weak_eng.upgrade(), weak_st.upgrade()) {
                 (Some(eng), Some(st)) => on_put(&eng, &st, sim, msg),
@@ -522,18 +504,8 @@ impl CommBackend for LciBackend {
         match res {
             Ok(c) => c,
             Err(_) => {
-                self.st.borrow_mut().stat_retries.inc();
-                eng.trace_instant("retry", sim.now());
-                let mut inner = eng.inner.borrow_mut();
-                inner.stats.am_sent.dec();
-                inner
-                    .pending
-                    .push_front(Command::Backend(Box::new(LciCmd::RawSendb {
-                        dst,
-                        tag,
-                        size,
-                        data,
-                    })));
+                eng.inner.borrow_mut().stats.am_sent.dec();
+                self.requeue_sendb(eng, sim, dst, tag, size, data);
                 costs.call_base
             }
         }
@@ -580,14 +552,14 @@ impl CommBackend for LciBackend {
     }
 
     /// Issue a put from the communication thread (§5.3.3): small payloads
-    /// ride eagerly in the handshake; larger ones go `sendd` + handshake.
+    /// ride eagerly in the handshake; larger ones go `sendd` + handshake,
+    /// or, with `direct_put` (§7), one `putd`.
     fn issue_put(&self, eng: &Rc<CommEngine>, sim: &mut Sim, req: PutRequest) -> SimTime {
         eng.inner.borrow_mut().stats.puts_started.inc();
         let rtag = {
             let mut st = self.st.borrow_mut();
-            let t = st.put_seq;
             st.put_seq += 1;
-            t
+            st.put_seq - 1
         };
         let PutRequest {
             dst,
@@ -611,13 +583,8 @@ impl CommBackend for LciBackend {
                 eager,
             };
             let wire_len = hs.wire_len();
-            match self.ep.sendb(
-                sim,
-                dst,
-                HS_FLAG | rtag,
-                wire_len,
-                Frames::from(hs.encode_with(eng.buf_pool())),
-            ) {
+            let enc = Frames::from(hs.encode_with(eng.buf_pool()));
+            return match self.ep.sendb(sim, dst, HS_FLAG | rtag, wire_len, enc) {
                 Ok(c) => {
                     eng.wire_add(dst, sim.now(), 1);
                     // Data copied into the packet: local completion
@@ -631,121 +598,83 @@ impl CommBackend for LciBackend {
                 }
                 Err(LciError::Retry) => {
                     // Requeue the whole put; retried on the next wake.
-                    {
-                        let mut st = self.st.borrow_mut();
-                        st.stat_retries.inc();
-                        st.put_seq -= 1;
-                    }
-                    eng.trace_instant("retry", sim.now());
-                    let mut inner = eng.inner.borrow_mut();
-                    inner.stats.puts_started.dec();
                     let data = match hs.eager {
                         EagerMode::EagerBytes(b) => Some(b),
                         _ => None,
                     };
-                    inner.pending.push_front(Command::Put {
-                        req: PutRequest {
-                            dst,
-                            size,
-                            data,
-                            r_tag: hs.r_tag,
-                            cb_data: hs.cb_data,
-                            on_local,
-                        },
-                        submitted_at: None,
-                    });
-                    CMD_OVERHEAD
+                    let req = PutRequest {
+                        dst,
+                        size,
+                        data,
+                        r_tag: hs.r_tag,
+                        cb_data: hs.cb_data,
+                        on_local,
+                    };
+                    self.retry_put(eng, sim, req)
                 }
-            }
+            };
+        }
+
+        let hs = PutHandshake {
+            data_tag: rtag,
+            size: size as u64,
+            r_tag,
+            cb_data,
+            eager: EagerMode::Rendezvous,
+        };
+        let on_sent = self.on_sent.get();
+        let send_res = if self.direct_put {
+            // One one-sided write; the handshake rides as immediate data.
+            let imm = hs.encode_with(eng.buf_pool());
+            self.ep
+                .putd(sim, dst, rtag, size, data.clone(), imm, rtag, on_sent)
         } else {
             // Rendezvous: direct send first (its RTS waits at the target
             // until the handshake posts the receive), then the handshake.
-            let weak_eng: Weak<CommEngine> = Rc::downgrade(eng);
-            let weak_st = Rc::downgrade(&self.st);
-            let send_res = self.ep.sendd(
-                sim,
-                dst,
-                rtag,
-                size,
-                data.clone(),
-                rtag,
-                OnComplete::Handler(Box::new(move |sim, e| {
-                    if let (Some(eng), Some(st)) = (weak_eng.upgrade(), weak_st.upgrade()) {
-                        st.borrow_mut()
-                            .data_fifo
-                            .push_back(DataDone::Local { rtag: e.ctx });
-                        CommEngine::wake_comm(&eng, sim);
-                    }
-                    COMP_HANDLER_COST
-                })),
-            );
-            let mut cost = match send_res {
-                Ok(c) => {
-                    eng.wire_add(dst, sim.now(), 1);
-                    c
-                }
-                Err(LciError::Retry) => {
-                    {
-                        let mut st = self.st.borrow_mut();
-                        st.stat_retries.inc();
-                        st.put_seq -= 1;
-                    }
-                    eng.trace_instant("retry", sim.now());
-                    let mut inner = eng.inner.borrow_mut();
-                    inner.stats.puts_started.dec();
-                    inner.pending.push_front(Command::Put {
-                        req: PutRequest {
-                            dst,
-                            size,
-                            data,
-                            r_tag,
-                            cb_data,
-                            on_local,
-                        },
-                        submitted_at: None,
-                    });
-                    return CMD_OVERHEAD;
-                }
-            };
-            self.st
-                .borrow_mut()
-                .origin_puts
-                .insert(rtag, Some(on_local));
-            let hs = PutHandshake {
-                data_tag: rtag,
-                size: size as u64,
-                r_tag,
-                cb_data,
-                eager: EagerMode::Rendezvous,
-            };
-            let enc = hs.encode_with(eng.buf_pool());
-            let wire_len = enc.len();
-            match self.ep.sendb(
-                sim,
-                dst,
-                HS_FLAG | rtag,
-                wire_len,
-                Frames::from(enc.clone()),
-            ) {
-                Ok(c) => cost += c,
-                Err(LciError::Retry) => {
-                    // The data send is in flight; only the handshake needs
-                    // retrying.
-                    self.st.borrow_mut().stat_retries.inc();
-                    eng.trace_instant("retry", sim.now());
-                    eng.inner
-                        .borrow_mut()
-                        .pending
-                        .push_front(Command::Backend(Box::new(LciCmd::RawSendb {
-                            dst,
-                            tag: HS_FLAG | rtag,
-                            size: wire_len,
-                            data: Frames::from(enc),
-                        })));
-                }
+            self.ep
+                .sendd(sim, dst, rtag, size, data.clone(), rtag, on_sent)
+        };
+        let mut cost = match send_res {
+            Ok(c) => {
+                eng.wire_add(dst, sim.now(), 1);
+                c
             }
-            cost
+            Err(LciError::Retry) => {
+                let req = PutRequest {
+                    dst,
+                    size,
+                    data,
+                    r_tag: hs.r_tag,
+                    cb_data: hs.cb_data,
+                    on_local,
+                };
+                return self.retry_put(eng, sim, req);
+            }
+        };
+        self.st
+            .borrow_mut()
+            .origin_puts
+            .insert(rtag, Some(on_local));
+        if self.direct_put {
+            return cost;
         }
+        let enc = hs.encode_with(eng.buf_pool());
+        let wire_len = enc.len();
+        match self.ep.sendb(
+            sim,
+            dst,
+            HS_FLAG | rtag,
+            wire_len,
+            Frames::from(enc.clone()),
+        ) {
+            Ok(c) => cost += c,
+            // The data send is in flight; only the handshake needs
+            // retrying.
+            Err(LciError::Retry) => {
+                self.requeue_sendb(eng, sim, dst, HS_FLAG | rtag, wire_len, Frames::from(enc))
+            }
+        }
+        cost
     }
 
     fn next_micro(&self, eng: &CommEngine) -> Option<u32> {
@@ -760,7 +689,7 @@ impl CommBackend for LciBackend {
     fn exec_micro_unit(&self, eng: &Rc<CommEngine>, sim: &mut Sim, code: u32) -> SimTime {
         match code {
             MICRO_FIFO_ROUND => self.exec_fifo_round(eng),
-            MICRO_DELEGATED => self.exec_delegated(eng, sim),
+            MICRO_DELEGATED => self.exec_delegated(sim),
             MICRO_AM => {
                 let a = {
                     let mut st = self.st.borrow_mut();
@@ -795,30 +724,21 @@ impl CommBackend for LciBackend {
         }
     }
 
-    fn exec_command(&self, eng: &Rc<CommEngine>, sim: &mut Sim, cmd: BackendTask) -> SimTime {
-        match *cmd.downcast::<LciCmd>().expect("foreign command") {
-            LciCmd::RawSendb {
-                dst,
-                tag,
-                size,
-                data,
-            } => match self.ep.sendb(sim, dst, tag, size, data.clone()) {
-                Ok(c) => c,
-                Err(_) => {
-                    self.st.borrow_mut().stat_retries.inc();
-                    eng.trace_instant("retry", sim.now());
-                    eng.inner
-                        .borrow_mut()
-                        .pending
-                        .push_front(Command::Backend(Box::new(LciCmd::RawSendb {
-                            dst,
-                            tag,
-                            size,
-                            data,
-                        })));
-                    SimTime::ZERO
-                }
-            },
+    fn resend(
+        &self,
+        eng: &Rc<CommEngine>,
+        sim: &mut Sim,
+        dst: NodeId,
+        tag: u64,
+        size: usize,
+        data: Frames,
+    ) -> SimTime {
+        match self.ep.sendb(sim, dst, tag, size, data.clone()) {
+            Ok(c) => c,
+            Err(_) => {
+                self.requeue_sendb(eng, sim, dst, tag, size, data);
+                SimTime::ZERO
+            }
         }
     }
 
@@ -873,5 +793,10 @@ impl CommBackend for LciBackend {
         base.backend_retries.add(st.stat_retries.get());
         base.progress_busy = st.stat_progress_busy;
         base
+    }
+
+    #[cfg(test)]
+    fn wires_in_flight(&self) -> usize {
+        self.ep.wires_in_flight()
     }
 }

@@ -21,12 +21,16 @@
 //!   data completions, looping); put handshakes on a specialized tag path
 //!   that bypasses the AM hash lookup; small puts carried eagerly inside the
 //!   handshake; `Retry` on receive posting delegated from the progress
-//!   thread to the communication thread.
-//! * **LCI direct-put backend** (§7): the LCI backend with large puts
-//!   issued as a single one-sided `putd` — the completion descriptor rides
-//!   as immediate data, eliminating the handshake message and the
-//!   rendezvous round-trip entirely. Small puts stay on the eager inline
-//!   path, so direct put is never slower than the handshake emulation.
+//!   thread to the communication thread. Its direct sends, puts and
+//!   receives complete through two LCI handlers registered once at `init`
+//!   — registered objects named by id, as LCI's `LCI_handler_create` makes
+//!   them — never through a per-operation closure.
+//! * **LCI direct-put backend** (§7): the same implementor with
+//!   `direct_put` set, issuing large puts as a single one-sided `putd` —
+//!   the completion descriptor rides as immediate data, eliminating the
+//!   handshake message and the rendezvous round-trip entirely. Small puts
+//!   stay on the eager inline path, so direct put is never slower than the
+//!   handshake emulation.
 //!
 //! ## The communication thread (§4.3)
 //!
@@ -49,7 +53,6 @@ pub mod collectives;
 mod config;
 mod engine;
 mod lci_backend;
-mod lci_direct;
 mod mpi_backend;
 pub mod shm;
 mod stats;

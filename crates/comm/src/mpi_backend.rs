@@ -12,7 +12,7 @@ use amt_simnet::{CoreHandle, CoreResource, Counter, FastMap, Sim, SimTime};
 use bytes::{Bytes, Frames};
 
 use crate::backend::CommBackend;
-use crate::config::{BackendKind, CMD_OVERHEAD};
+use crate::config::CMD_OVERHEAD;
 use crate::engine::{
     dispatch_am, dispatch_onesided, dispatch_put_local, AmEvent, CommEngine, Micro, PutEvent,
     PutLocalCb, PutRequest, RESERVED_TAG_BASE,
@@ -383,10 +383,6 @@ impl MpiBackend {
 }
 
 impl CommBackend for MpiBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Mpi
-    }
-
     fn init(&self, eng: &Rc<CommEngine>, sim: &mut Sim) {
         let weak_eng: Weak<CommEngine> = Rc::downgrade(eng);
         let weak_st = Rc::downgrade(&self.st);
@@ -498,5 +494,10 @@ impl CommBackend for MpiBackend {
         base.deferred_puts.add(st.stat_deferred.get());
         base.dynamic_recvs.add(st.stat_dynamic.get());
         base
+    }
+
+    #[cfg(test)]
+    fn wires_in_flight(&self) -> usize {
+        self.mpi.wires_in_flight()
     }
 }

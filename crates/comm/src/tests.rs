@@ -693,6 +693,43 @@ fn multiple_progress_threads_complete_and_split_load() {
     }
 }
 
+/// Every wire record a library stores is taken again when its message is
+/// delivered: AMs, eager and rendezvous puts (direct puts on `lci-direct`)
+/// and, past 512 puts in flight, LCI's delegated receives and MPI's
+/// deferred transfers all leave the world's slab empty once drained.
+#[test]
+fn drained_runs_leave_no_wire_record_in_flight() {
+    for cfg in all_backends() {
+        let backend = cfg.backend;
+        let (mut sim, engines) = setup(2, cfg);
+        engines[1].register_am(&mut sim, 7, Rc::new(|_s, _e, _ev| SimTime::ZERO));
+        engines[1].register_onesided(1, Rc::new(|_s, _e, _ev| SimTime::ZERO));
+        for i in 0..16u8 {
+            engines[0].send_am(&mut sim, 1, 7, 8, Some(Bytes::from(vec![i; 8])));
+        }
+        for i in 0..600 {
+            engines[0].put(
+                &mut sim,
+                PutRequest {
+                    dst: 1,
+                    size: if i % 4 == 0 { 256 } else { 64 << 10 },
+                    data: None,
+                    r_tag: 1,
+                    cb_data: Bytes::new(),
+                    on_local: Box::new(|_s, _e| SimTime::ZERO),
+                },
+            );
+        }
+        let mut peak = 0;
+        while sim.step() {
+            peak = peak.max(engines[0].backend.wires_in_flight());
+        }
+        assert!(peak > 0, "{backend}: no wire record was ever in flight");
+        assert_eq!(engines[1].stats().puts_remote_done.get(), 600, "{backend}");
+        assert_eq!(engines[0].backend.wires_in_flight(), 0, "{backend}");
+    }
+}
+
 /// A comm world must die with its engines. Regression: the LCI backend's
 /// AM handler, stored inside the `LciWorld`, held a strong endpoint, so
 /// every LCI world (and through it the fabric) was an `Rc` cycle that

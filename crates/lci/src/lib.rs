@@ -27,6 +27,13 @@
 //! * Completion can be signalled through a **handler** (run inside
 //!   `progress`), a **completion queue** polled by any thread, or a
 //!   **synchronizer** tested/waited individually — all three are provided.
+//!   Like queues and synchronizers, a handler is a registered object
+//!   (`LCI_handler_create`: [`Lci::handler_new`]) that operations name by
+//!   a `Copy` id in [`OnComplete`]; the completion's `ctx` tells the
+//!   operations apart. No operation carries a closure.
+//! * Messages on the simulated fabric are plain records in the world's
+//!   slab, sent as their id (`Payload::Wire`); nothing on the message path
+//!   is boxed, so a warmed buffered send allocates nothing.
 //! * Receive buffers for immediate/buffered messages are **dynamically
 //!   allocated at the target** from a packet pool; there is no tag matching
 //!   for them, just a handler dispatch — one of the key latency advantages
@@ -44,7 +51,7 @@ mod world;
 
 pub use costs::LciCosts;
 pub use world::{
-    AmMsg, CompEntry, CqId, Lci, LciError, LciWorld, OnComplete, PutMsg, SyncId, WeakLci,
+    AmMsg, CompEntry, CqId, HandlerId, Lci, LciError, LciWorld, OnComplete, PutMsg, SyncId, WeakLci,
 };
 
 #[cfg(test)]

@@ -87,20 +87,19 @@ fn direct_rendezvous_delivers_data_and_completions() {
     let data = Bytes::from(vec![9u8; size]);
 
     let rd = remote_done.clone();
+    let on_recv = eps[1].handler_new(move |_sim, e| {
+        *rd.borrow_mut() = Some(e);
+        SimTime::ZERO
+    });
     eps[1]
-        .recvd(
-            &mut sim,
-            0,
-            42,
-            777,
-            OnComplete::Handler(Box::new(move |_sim, e| {
-                *rd.borrow_mut() = Some(e);
-                SimTime::ZERO
-            })),
-        )
+        .recvd(&mut sim, 0, 42, 777, OnComplete::Handler(on_recv))
         .expect("recvd");
 
     let ld = local_done.clone();
+    let on_sent = eps[0].handler_new(move |_sim, e| {
+        *ld.borrow_mut() = Some(e);
+        SimTime::ZERO
+    });
     eps[0]
         .sendd(
             &mut sim,
@@ -109,10 +108,7 @@ fn direct_rendezvous_delivers_data_and_completions() {
             size,
             Some(data.clone()),
             555,
-            OnComplete::Handler(Box::new(move |_sim, e| {
-                *ld.borrow_mut() = Some(e);
-                SimTime::ZERO
-            })),
+            OnComplete::Handler(on_sent),
         )
         .expect("sendd");
 
@@ -142,18 +138,13 @@ fn rts_before_recvd_matches_later() {
     // Let the RTS arrive and be progressed before the receive is posted.
     run_progressed(&mut sim, &eps);
     let d = done.clone();
+    let on_recv = eps[1].handler_new(move |_s, e| {
+        assert_eq!(e.size, 256 << 10);
+        *d.borrow_mut() = true;
+        SimTime::ZERO
+    });
     eps[1]
-        .recvd(
-            &mut sim,
-            0,
-            5,
-            0,
-            OnComplete::Handler(Box::new(move |_s, e| {
-                assert_eq!(e.size, 256 << 10);
-                *d.borrow_mut() = true;
-                SimTime::ZERO
-            })),
-        )
+        .recvd(&mut sim, 0, 5, 0, OnComplete::Handler(on_recv))
         .expect("recvd");
     run_progressed(&mut sim, &eps);
     assert!(*done.borrow());
@@ -270,19 +261,14 @@ fn multiple_streams_same_rtag_fifo_match() {
     eps[0].set_am_handler(|_, _| SimTime::ZERO);
     eps[1].set_am_handler(|_, _| SimTime::ZERO);
     let order = Rc::new(RefCell::new(Vec::new()));
+    let o = order.clone();
+    let on_recv = eps[1].handler_new(move |_s, e| {
+        o.borrow_mut().push((e.ctx, e.size));
+        SimTime::ZERO
+    });
     for ctx in [100u64, 200] {
-        let o = order.clone();
         eps[1]
-            .recvd(
-                &mut sim,
-                0,
-                9,
-                ctx,
-                OnComplete::Handler(Box::new(move |_s, e| {
-                    o.borrow_mut().push((e.ctx, e.size));
-                    SimTime::ZERO
-                })),
-            )
+            .recvd(&mut sim, 0, 9, ctx, OnComplete::Handler(on_recv))
             .expect("recvd");
     }
     eps[0]
@@ -322,6 +308,11 @@ fn direct_put_delivers_without_rendezvous() {
     });
     let local = Rc::new(RefCell::new(false));
     let l = local.clone();
+    let on_sent = eps[0].handler_new(move |_s, e| {
+        assert_eq!(e.ctx, 9);
+        *l.borrow_mut() = true;
+        SimTime::ZERO
+    });
     let data = Bytes::from(vec![3u8; 100_000]);
     eps[0]
         .putd(
@@ -332,11 +323,7 @@ fn direct_put_delivers_without_rendezvous() {
             Some(data.clone()),
             Bytes::from_static(b"imm"),
             9,
-            crate::OnComplete::Handler(Box::new(move |_s, e| {
-                assert_eq!(e.ctx, 9);
-                *l.borrow_mut() = true;
-                SimTime::ZERO
-            })),
+            OnComplete::Handler(on_sent),
         )
         .expect("putd");
     run_progressed(&mut sim, &eps);
@@ -366,7 +353,7 @@ fn direct_put_respects_outstanding_cap() {
                 None,
                 Bytes::new(),
                 0,
-                crate::OnComplete::None
+                OnComplete::None
             )
             .is_ok());
     }
@@ -379,7 +366,7 @@ fn direct_put_respects_outstanding_cap() {
             None,
             Bytes::new(),
             0,
-            crate::OnComplete::None
+            OnComplete::None
         ),
         Err(LciError::Retry)
     );

@@ -1,12 +1,19 @@
 //! LCI state machines: the three protocols, completion machinery,
 //! packet-pool back-pressure and explicit progress.
+//!
+//! Every message on the fabric is an [`LWire`] record in the world's
+//! [`Slab`], sent as its id. The receiving node's handler queues the id;
+//! `progress` takes the record out by value. Direct sends and receives
+//! live in per-endpoint slabs, and
+//! completions name a registered handler, queue or synchronizer by id —
+//! nothing on the message path is boxed.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
 use amt_netmodel::{rx_handler, Fabric, FabricHandle, NodeId, Payload};
-use amt_simnet::{EventFn, FastMap, Sim, SimTime};
+use amt_simnet::{EventFn, FastMap, Sim, SimTime, Slab};
 use bytes::{Bytes, Frames};
 
 use crate::costs::LciCosts;
@@ -83,14 +90,22 @@ pub struct SyncId {
     idx: usize,
 }
 
-/// Where to deliver a completion.
-/// A one-shot completion handler run inside `progress`.
-pub type CompHandler = Box<dyn FnOnce(&mut Sim, CompEntry) -> SimTime>;
+/// Completion-handler handle (`LCI_handler_create`): the handler is
+/// registered once with [`Lci::handler_new`] and named by every operation
+/// that completes through it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HandlerId {
+    rank: NodeId,
+    idx: usize,
+}
 
+/// Where to deliver a completion. The [`CompEntry`]'s `ctx` identifies the
+/// operation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OnComplete {
-    /// Run inside `progress` on the progressing thread; the returned cost is
-    /// charged to that thread.
-    Handler(CompHandler),
+    /// Run the handler inside `progress` on the progressing thread; the
+    /// returned cost is charged to that thread.
+    Handler(HandlerId),
     /// Push onto a completion queue (polled by any thread).
     Queue(CqId),
     /// Signal a synchronizer.
@@ -105,51 +120,51 @@ struct SendD {
     size: usize,
     data: Option<Bytes>,
     ctx: u64,
-    on_local: Option<OnComplete>,
+    on_local: OnComplete,
 }
 
 struct RecvD {
     src: NodeId,
     rtag: u64,
     ctx: u64,
-    on_complete: Option<OnComplete>,
+    on_complete: OnComplete,
 }
 
 struct RtsInfo {
     src: NodeId,
-    sendd_idx: usize,
+    sendd_idx: u32,
 }
 
+/// A message on the fabric, held in [`LciWorld::wires`] while in flight.
 enum LWire {
     Imm {
         src: NodeId,
         tag: u64,
         size: usize,
-        data: RefCell<Frames>,
+        data: Frames,
     },
     Buf {
         src: NodeId,
         tag: u64,
         size: usize,
-        data: RefCell<Frames>,
+        data: Frames,
     },
     Rts {
         src: NodeId,
         rtag: u64,
-        size: usize,
-        sendd_idx: usize,
+        sendd_idx: u32,
     },
     Rtr {
-        sendd_idx: usize,
-        recvd_idx: usize,
+        sendd_idx: u32,
+        recvd_idx: u32,
         recver: NodeId,
     },
     Data {
-        recvd_idx: usize,
+        recvd_idx: u32,
         src: NodeId,
         rtag: u64,
         size: usize,
-        data: RefCell<Option<Bytes>>,
+        data: Option<Bytes>,
     },
     /// One-sided put: RDMA write with immediate data into a pre-registered
     /// segment (§7 future work). No matching at the target.
@@ -157,30 +172,32 @@ enum LWire {
         src: NodeId,
         rtag: u64,
         size: usize,
-        data: RefCell<Option<Bytes>>,
+        data: Option<Bytes>,
         cb_data: Bytes,
     },
 }
 
 type AmHandler = Rc<dyn Fn(&mut Sim, AmMsg) -> SimTime>;
 type PutHandler = Rc<dyn Fn(&mut Sim, PutMsg) -> SimTime>;
+type HandlerFn = Rc<dyn Fn(&mut Sim, CompEntry) -> SimTime>;
 type Waker = Rc<dyn Fn(&mut Sim)>;
 
 struct EpState {
     am_handler: Option<AmHandler>,
     put_handler: Option<PutHandler>,
-    incoming: VecDeque<(Box<LWire>, SimTime)>,
+    /// Delivered messages awaiting `progress`: [`LciWorld::wires`] ids and
+    /// injection times.
+    incoming: VecDeque<(u32, SimTime)>,
     /// Hardware send completions awaiting surfacing by `progress`.
-    local_done: VecDeque<usize>,
+    local_done: VecDeque<u32>,
     tx_packets_avail: usize,
     rx_packets_avail: usize,
-    sendd: Vec<Option<SendD>>,
-    sendd_free: Vec<usize>,
-    recvd: Vec<Option<RecvD>>,
-    recvd_free: Vec<usize>,
+    sendd: Slab<SendD>,
+    recvd: Slab<RecvD>,
     posted_count: usize,
-    posted: FastMap<(NodeId, u64), VecDeque<usize>>,
+    posted: FastMap<(NodeId, u64), VecDeque<u32>>,
     pending_rts: FastMap<(NodeId, u64), VecDeque<RtsInfo>>,
+    handlers: Vec<HandlerFn>,
     cqs: Vec<VecDeque<CompEntry>>,
     syncs: Vec<Option<CompEntry>>,
     waker: Option<Waker>,
@@ -196,49 +213,28 @@ impl EpState {
             local_done: VecDeque::new(),
             tx_packets_avail: costs.tx_packets,
             rx_packets_avail: costs.rx_packets,
-            sendd: Vec::new(),
-            sendd_free: Vec::new(),
-            recvd: Vec::new(),
-            recvd_free: Vec::new(),
+            sendd: Slab::default(),
+            recvd: Slab::default(),
             posted_count: 0,
             posted: FastMap::default(),
             pending_rts: FastMap::default(),
+            handlers: Vec::new(),
             cqs: Vec::new(),
             syncs: Vec::new(),
             waker: None,
             retries: 0,
         }
     }
+}
 
-    fn alloc_sendd(&mut self, s: SendD) -> usize {
-        match self.sendd_free.pop() {
-            Some(i) => {
-                self.sendd[i] = Some(s);
-                i
-            }
-            None => {
-                self.sendd.push(Some(s));
-                self.sendd.len() - 1
-            }
-        }
+/// Pop the front of `key`'s FIFO in `map`, dropping the FIFO once empty.
+fn pop_fifo<T>(map: &mut FastMap<(NodeId, u64), VecDeque<T>>, key: (NodeId, u64)) -> Option<T> {
+    let q = map.get_mut(&key)?;
+    let front = q.pop_front();
+    if q.is_empty() {
+        map.remove(&key);
     }
-
-    fn alloc_recvd(&mut self, r: RecvD) -> usize {
-        match self.recvd_free.pop() {
-            Some(i) => {
-                self.recvd[i] = Some(r);
-                i
-            }
-            None => {
-                self.recvd.push(Some(r));
-                self.recvd.len() - 1
-            }
-        }
-    }
-
-    fn outstanding_sendd(&self) -> usize {
-        self.sendd.len() - self.sendd_free.len()
-    }
+    front
 }
 
 /// The LCI "world": one device spanning every fabric node, one endpoint per
@@ -247,6 +243,9 @@ pub struct LciWorld {
     fabric: FabricHandle,
     costs: LciCosts,
     eps: Vec<EpState>,
+    /// Messages from send until their destination progresses them, by the
+    /// id their `Payload::Wire` carries.
+    wires: Slab<LWire>,
 }
 
 impl LciWorld {
@@ -259,6 +258,7 @@ impl LciWorld {
             fabric: fabric.clone(),
             costs,
             eps,
+            wires: Slab::default(),
         }));
         for node in 0..nodes {
             // Weak: the fabric must not keep the world alive (the world
@@ -268,11 +268,11 @@ impl LciWorld {
                 node,
                 rx_handler(move |sim, d| {
                     let Some(w) = w.upgrade() else { return };
-                    let sent_at = d.sent_at;
-                    let wire = d.payload.downcast::<LWire>();
                     let waker = {
                         let mut wb = w.borrow_mut();
-                        wb.eps[node].incoming.push_back((wire, sent_at));
+                        wb.eps[node]
+                            .incoming
+                            .push_back((d.payload.expect_wire(), d.sent_at));
                         wb.eps[node].waker.clone()
                     };
                     if let Some(waker) = waker {
@@ -366,6 +366,42 @@ impl Lci {
         self.world.borrow().eps[self.rank].retries
     }
 
+    /// Put `wire` on the fabric to `dst` as a `size`-byte message: the
+    /// record waits in [`LciWorld::wires`], the fabric carries its id.
+    fn send_wire(
+        &self,
+        sim: &mut Sim,
+        dst: NodeId,
+        size: usize,
+        wire: LWire,
+        on_tx_done: Option<EventFn>,
+    ) {
+        let (fabric, id) = {
+            let mut w = self.world.borrow_mut();
+            (w.fabric.clone(), w.wires.insert(wire))
+        };
+        Fabric::send(
+            &fabric,
+            sim,
+            self.rank,
+            dst,
+            size,
+            Payload::Wire(id),
+            on_tx_done,
+        );
+    }
+
+    /// Tx-done callback surfacing direct send `idx`'s local completion in
+    /// the next `progress`. The endpoint plus `idx` is three words: stored
+    /// inline in the `EventFn`, no allocation.
+    fn on_sent(&self, idx: u32) -> EventFn {
+        let ep = self.clone();
+        EventFn::new(move |sim| {
+            ep.world.borrow_mut().eps[ep.rank].local_done.push_back(idx);
+            ep.wake(sim);
+        })
+    }
+
     /// Immediate send: payload up to a cache line, inline, fire-and-forget.
     pub fn sendi(
         &self,
@@ -375,26 +411,15 @@ impl Lci {
         size: usize,
         data: Frames,
     ) -> Result<SimTime, LciError> {
-        let (costs, fabric) = {
-            let w = self.world.borrow();
-            (w.costs.clone(), w.fabric.clone())
-        };
+        let costs = self.costs();
         assert!(size <= costs.imm_max, "sendi payload too large: {size}");
-        let wire = Box::new(LWire::Imm {
+        let wire = LWire::Imm {
             src: self.rank,
             tag,
             size,
-            data: RefCell::new(data),
-        });
-        Fabric::send(
-            &fabric,
-            sim,
-            self.rank,
-            dst,
-            size + costs.header_bytes,
-            Payload::Any(wire),
-            None,
-        );
+            data,
+        };
+        self.send_wire(sim, dst, size + costs.header_bytes, wire, None);
         Ok(costs.call_base + costs.sendi_base)
     }
 
@@ -409,7 +434,7 @@ impl Lci {
         size: usize,
         data: Frames,
     ) -> Result<SimTime, LciError> {
-        let (costs, fabric) = {
+        let costs = {
             let mut w = self.world.borrow_mut();
             let costs = w.costs.clone();
             assert!(size <= costs.buf_max, "sendb payload too large: {size}");
@@ -419,37 +444,36 @@ impl Lci {
                 return Err(LciError::Retry);
             }
             ep.tx_packets_avail -= 1;
-            (costs, w.fabric.clone())
+            costs
         };
-        let wire = Box::new(LWire::Buf {
+        let wire = LWire::Buf {
             src: self.rank,
             tag,
             size,
-            data: RefCell::new(data),
+            data,
+        };
+        // The packet returns to the pool once the NIC is done with it. The
+        // endpoint is two words: the callback stores inline, no allocation.
+        let ep = self.clone();
+        let packet_free = EventFn::new(move |sim| {
+            ep.world.borrow_mut().eps[ep.rank].tx_packets_avail += 1;
+            ep.wake(sim);
         });
-        let world = self.world.clone();
-        let rank = self.rank;
-        Fabric::send(
-            &fabric,
-            sim,
-            self.rank,
-            dst,
-            size + costs.header_bytes,
-            Payload::Any(wire),
-            // Packet returns to the pool once the NIC is done with it.
-            // (world, rank) is two words: the callback stores inline, no alloc.
-            Some(EventFn::new(move |sim| {
-                let waker = {
-                    let mut w = world.borrow_mut();
-                    w.eps[rank].tx_packets_avail += 1;
-                    w.eps[rank].waker.clone()
-                };
-                if let Some(w) = waker {
-                    w(sim);
-                }
-            })),
-        );
+        self.send_wire(sim, dst, size + costs.header_bytes, wire, Some(packet_free));
         Ok(costs.call_base + costs.sendb_base + costs.copy_cost(size))
+    }
+
+    /// Claim a direct-send slot, or fail with `Retry` when
+    /// [`LciCosts::max_outstanding_sendd`] are outstanding.
+    fn alloc_sendd(&self, s: SendD) -> Result<(u32, LciCosts), LciError> {
+        let mut w = self.world.borrow_mut();
+        let costs = w.costs.clone();
+        let ep = &mut w.eps[self.rank];
+        if ep.sendd.len() >= costs.max_outstanding_sendd {
+            ep.retries += 1;
+            return Err(LciError::Retry);
+        }
+        Ok((ep.sendd.insert(s), costs))
     }
 
     /// Direct send: any length, zero-copy RDMA behind an RTS/RTR
@@ -467,40 +491,20 @@ impl Lci {
         ctx: u64,
         on_local: OnComplete,
     ) -> Result<SimTime, LciError> {
-        let (costs, fabric, idx) = {
-            let mut w = self.world.borrow_mut();
-            let costs = w.costs.clone();
-            let max = costs.max_outstanding_sendd;
-            let ep = &mut w.eps[self.rank];
-            if ep.outstanding_sendd() >= max {
-                ep.retries += 1;
-                return Err(LciError::Retry);
-            }
-            let idx = ep.alloc_sendd(SendD {
-                dst,
-                rtag,
-                size,
-                data,
-                ctx,
-                on_local: Some(on_local),
-            });
-            (costs, w.fabric.clone(), idx)
-        };
-        let wire = Box::new(LWire::Rts {
-            src: self.rank,
+        let (idx, costs) = self.alloc_sendd(SendD {
+            dst,
             rtag,
             size,
+            data,
+            ctx,
+            on_local,
+        })?;
+        let wire = LWire::Rts {
+            src: self.rank,
+            rtag,
             sendd_idx: idx,
-        });
-        Fabric::send(
-            &fabric,
-            sim,
-            self.rank,
-            dst,
-            costs.header_bytes,
-            Payload::Any(wire),
-            None,
-        );
+        };
+        self.send_wire(sim, dst, costs.header_bytes, wire, None);
         Ok(costs.call_base + costs.sendd_base)
     }
 
@@ -522,53 +526,23 @@ impl Lci {
         ctx: u64,
         on_local: OnComplete,
     ) -> Result<SimTime, LciError> {
-        let (costs, fabric, idx) = {
-            let mut w = self.world.borrow_mut();
-            let costs = w.costs.clone();
-            let max = costs.max_outstanding_sendd;
-            let ep = &mut w.eps[self.rank];
-            if ep.outstanding_sendd() >= max {
-                ep.retries += 1;
-                return Err(LciError::Retry);
-            }
-            let idx = ep.alloc_sendd(SendD {
-                dst,
-                rtag,
-                size,
-                data: None,
-                ctx,
-                on_local: Some(on_local),
-            });
-            (costs, w.fabric.clone(), idx)
-        };
-        let wire = Box::new(LWire::PutD {
+        let (idx, costs) = self.alloc_sendd(SendD {
+            dst,
+            rtag,
+            size,
+            data: None,
+            ctx,
+            on_local,
+        })?;
+        let wire = LWire::PutD {
             src: self.rank,
             rtag,
             size,
-            data: RefCell::new(data),
+            data,
             cb_data,
-        });
-        let world = self.world.clone();
-        let rank = self.rank;
-        Fabric::send(
-            &fabric,
-            sim,
-            self.rank,
-            dst,
-            size + costs.header_bytes + 32,
-            Payload::Any(wire),
-            // (world, rank, idx) is three words: stored inline, no alloc.
-            Some(EventFn::new(move |sim| {
-                let waker = {
-                    let mut w = world.borrow_mut();
-                    w.eps[rank].local_done.push_back(idx);
-                    w.eps[rank].waker.clone()
-                };
-                if let Some(w) = waker {
-                    w(sim);
-                }
-            })),
-        );
+        };
+        let wire_size = size + costs.header_bytes + 32;
+        self.send_wire(sim, dst, wire_size, wire, Some(self.on_sent(idx)));
         Ok(costs.call_base + costs.sendd_base)
     }
 
@@ -583,7 +557,7 @@ impl Lci {
         ctx: u64,
         on_complete: OnComplete,
     ) -> Result<SimTime, LciError> {
-        let matched = {
+        let (matched, costs) = {
             let mut w = self.world.borrow_mut();
             let costs = w.costs.clone();
             let ep = &mut w.eps[self.rank];
@@ -592,52 +566,28 @@ impl Lci {
                 return Err(LciError::Retry);
             }
             ep.posted_count += 1;
-            let idx = ep.alloc_recvd(RecvD {
+            let idx = ep.recvd.insert(RecvD {
                 src,
                 rtag,
                 ctx,
-                on_complete: Some(on_complete),
+                on_complete,
             });
             // An RTS may already be waiting.
-            let rts = match ep.pending_rts.get_mut(&(src, rtag)) {
-                Some(q) => {
-                    let info = q.pop_front();
-                    if q.is_empty() {
-                        ep.pending_rts.remove(&(src, rtag));
-                    }
-                    info
-                }
-                None => None,
-            };
-            match rts {
-                Some(info) => Some((info, idx, w.fabric.clone(), costs)),
-                None => {
-                    ep.posted.entry((src, rtag)).or_default().push_back(idx);
-                    None
-                }
+            let rts = pop_fifo(&mut ep.pending_rts, (src, rtag));
+            if rts.is_none() {
+                ep.posted.entry((src, rtag)).or_default().push_back(idx);
             }
+            (rts.map(|info| (info, idx)), costs)
         };
-        let cost = {
-            let w = self.world.borrow();
-            w.costs.call_base + w.costs.recvd_base
-        };
-        if let Some((info, recvd_idx, fabric, costs)) = matched {
-            let wire = Box::new(LWire::Rtr {
+        if let Some((info, recvd_idx)) = matched {
+            let wire = LWire::Rtr {
                 sendd_idx: info.sendd_idx,
                 recvd_idx,
                 recver: self.rank,
-            });
-            Fabric::send(
-                &fabric,
-                sim,
-                self.rank,
-                info.src,
-                costs.header_bytes,
-                Payload::Any(wire),
-                None,
-            );
+            };
+            self.send_wire(sim, info.src, costs.header_bytes, wire, None);
         }
-        Ok(cost)
+        Ok(costs.call_base + costs.recvd_base)
     }
 
     /// Return a dynamically allocated receive buffer to the packet pool.
@@ -655,6 +605,21 @@ impl Lci {
         };
         if stalled {
             self.wake(sim);
+        }
+    }
+
+    /// Register a completion handler (`LCI_handler_create`), run inside
+    /// `progress` for every operation completing with
+    /// [`OnComplete::Handler`] of the returned id; its returned cost is
+    /// charged to the progressing thread. Handlers live as long as the
+    /// world: one that captures the world must hold a [`WeakLci`].
+    pub fn handler_new(&self, h: impl Fn(&mut Sim, CompEntry) -> SimTime + 'static) -> HandlerId {
+        let mut w = self.world.borrow_mut();
+        let ep = &mut w.eps[self.rank];
+        ep.handlers.push(Rc::new(h));
+        HandlerId {
+            rank: self.rank,
+            idx: ep.handlers.len() - 1,
         }
     }
 
@@ -693,9 +658,13 @@ impl Lci {
     }
 
     fn deliver(&self, sim: &mut Sim, on: OnComplete, entry: CompEntry) -> SimTime {
-        let costs = self.world.borrow().costs.clone();
+        let costs = self.costs();
         match on {
-            OnComplete::Handler(h) => costs.handler_base + h(sim, entry),
+            OnComplete::Handler(h) => {
+                assert_eq!(h.rank, self.rank, "handler used on wrong rank");
+                let f = self.world.borrow().eps[self.rank].handlers[h.idx].clone();
+                costs.handler_base + f(sim, entry)
+            }
             OnComplete::Queue(cq) => {
                 assert_eq!(cq.rank, self.rank);
                 self.world.borrow_mut().eps[self.rank].cqs[cq.idx].push_back(entry);
@@ -727,21 +696,16 @@ impl Lci {
                 let (entry, on_local, costs) = {
                     let mut w = self.world.borrow_mut();
                     let costs = w.costs.clone();
-                    let ep = &mut w.eps[self.rank];
-                    let mut s = ep.sendd[sendd_idx].take().expect("sendd slot empty");
-                    ep.sendd_free.push(sendd_idx);
-                    (
-                        CompEntry {
-                            peer: s.dst,
-                            rtag: s.rtag,
-                            size: s.size,
-                            ctx: s.ctx,
-                            data: None,
-                            sent_at: SimTime::ZERO,
-                        },
-                        s.on_local.take().expect("sendd completion consumed twice"),
-                        costs,
-                    )
+                    let s = w.eps[self.rank].sendd.take(sendd_idx);
+                    let entry = CompEntry {
+                        peer: s.dst,
+                        rtag: s.rtag,
+                        size: s.size,
+                        ctx: s.ctx,
+                        data: None,
+                        sent_at: SimTime::ZERO,
+                    };
+                    (entry, s.on_local, costs)
                 };
                 cost += costs.progress_per_msg + self.deliver(sim, on_local, entry);
                 continue;
@@ -749,30 +713,29 @@ impl Lci {
 
             // 2. Process one incoming wire message.
             let (wire, sent_at) = {
-                let mut w = self.world.borrow_mut();
+                let w = &mut *self.world.borrow_mut();
                 let ep = &mut w.eps[self.rank];
-                match ep.incoming.front() {
-                    None => break,
-                    Some((front, _)) => {
-                        // Buffered messages need a receive packet; stall the
-                        // (FIFO) hardware queue when the pool is dry.
-                        if matches!(**front, LWire::Buf { .. }) && ep.rx_packets_avail == 0 {
-                            break;
-                        }
-                        if matches!(**front, LWire::Buf { .. }) {
-                            ep.rx_packets_avail -= 1;
-                        }
-                        ep.incoming.pop_front().expect("front checked")
+                let Some(&(id, sent_at)) = ep.incoming.front() else {
+                    break;
+                };
+                if let LWire::Buf { .. } = w.wires.get(id) {
+                    // Buffered messages need a receive packet; stall the
+                    // (FIFO) hardware queue when the pool is dry.
+                    if ep.rx_packets_avail == 0 {
+                        break;
                     }
+                    ep.rx_packets_avail -= 1;
                 }
+                ep.incoming.pop_front();
+                (w.wires.take(id), sent_at)
             };
-            cost += self.process_wire(sim, &wire, sent_at);
+            cost += self.process_wire(sim, wire, sent_at);
         }
         cost
     }
 
-    fn process_wire(&self, sim: &mut Sim, wire: &LWire, sent_at: SimTime) -> SimTime {
-        let costs = self.world.borrow().costs.clone();
+    fn process_wire(&self, sim: &mut Sim, wire: LWire, sent_at: SimTime) -> SimTime {
+        let costs = self.costs();
         let mut cost = costs.progress_per_msg;
         match wire {
             LWire::Imm {
@@ -781,18 +744,15 @@ impl Lci {
                 size,
                 data,
             } => {
-                let h = self.world.borrow().eps[self.rank]
-                    .am_handler
-                    .clone()
-                    .expect("no AM handler registered");
+                let h = self.am_handler();
                 cost += costs.handler_base
                     + h(
                         sim,
                         AmMsg {
-                            src: *src,
-                            tag: *tag,
-                            size: *size,
-                            data: data.borrow_mut().take(),
+                            src,
+                            tag,
+                            size,
+                            data,
                             owns_packet: false,
                             sent_at,
                         },
@@ -804,19 +764,16 @@ impl Lci {
                 size,
                 data,
             } => {
-                let h = self.world.borrow().eps[self.rank]
-                    .am_handler
-                    .clone()
-                    .expect("no AM handler registered");
+                let h = self.am_handler();
                 cost += costs.handler_base
-                    + costs.copy_cost(*size)
+                    + costs.copy_cost(size)
                     + h(
                         sim,
                         AmMsg {
-                            src: *src,
-                            tag: *tag,
-                            size: *size,
-                            data: data.borrow_mut().take(),
+                            src,
+                            tag,
+                            size,
+                            data,
                             owns_packet: true,
                             sent_at,
                         },
@@ -825,51 +782,27 @@ impl Lci {
             LWire::Rts {
                 src,
                 rtag,
-                size,
                 sendd_idx,
             } => {
-                let matched = {
-                    let mut w = self.world.borrow_mut();
-                    let ep = &mut w.eps[self.rank];
-                    match ep.posted.get_mut(&(*src, *rtag)) {
-                        Some(q) => {
-                            let idx = q.pop_front();
-                            if q.is_empty() {
-                                ep.posted.remove(&(*src, *rtag));
-                            }
-                            idx
-                        }
-                        None => None,
-                    }
-                };
+                let matched = pop_fifo(
+                    &mut self.world.borrow_mut().eps[self.rank].posted,
+                    (src, rtag),
+                );
                 match matched {
                     Some(recvd_idx) => {
-                        let fabric = self.world.borrow().fabric.clone();
-                        let wire = Box::new(LWire::Rtr {
-                            sendd_idx: *sendd_idx,
+                        let wire = LWire::Rtr {
+                            sendd_idx,
                             recvd_idx,
                             recver: self.rank,
-                        });
-                        Fabric::send(
-                            &fabric,
-                            sim,
-                            self.rank,
-                            *src,
-                            costs.header_bytes,
-                            Payload::Any(wire),
-                            None,
-                        );
+                        };
+                        self.send_wire(sim, src, costs.header_bytes, wire, None);
                     }
                     None => {
                         self.world.borrow_mut().eps[self.rank]
                             .pending_rts
-                            .entry((*src, *rtag))
+                            .entry((src, rtag))
                             .or_default()
-                            .push_back(RtsInfo {
-                                src: *src,
-                                sendd_idx: *sendd_idx,
-                            });
-                        let _ = size;
+                            .push_back(RtsInfo { src, sendd_idx });
                     }
                 }
             }
@@ -881,41 +814,18 @@ impl Lci {
                 // We are the sender: fire the RDMA write.
                 let (size, data, rtag) = {
                     let mut w = self.world.borrow_mut();
-                    let s = w.eps[self.rank].sendd[*sendd_idx]
-                        .as_mut()
-                        .expect("RTR for free sendd slot");
+                    let s = w.eps[self.rank].sendd.get_mut(sendd_idx);
                     (s.size, s.data.take(), s.rtag)
                 };
-                let fabric = self.world.borrow().fabric.clone();
-                let wire = Box::new(LWire::Data {
-                    recvd_idx: *recvd_idx,
+                let wire = LWire::Data {
+                    recvd_idx,
                     src: self.rank,
                     rtag,
                     size,
-                    data: RefCell::new(data),
-                });
-                let world = self.world.clone();
-                let rank = self.rank;
-                let sidx = *sendd_idx;
-                Fabric::send(
-                    &fabric,
-                    sim,
-                    self.rank,
-                    *recver,
-                    size + costs.header_bytes,
-                    Payload::Any(wire),
-                    // (world, rank, sidx) is three words: stored inline.
-                    Some(EventFn::new(move |sim| {
-                        let waker = {
-                            let mut w = world.borrow_mut();
-                            w.eps[rank].local_done.push_back(sidx);
-                            w.eps[rank].waker.clone()
-                        };
-                        if let Some(w) = waker {
-                            w(sim);
-                        }
-                    })),
-                );
+                    data,
+                };
+                let wire_size = size + costs.header_bytes;
+                self.send_wire(sim, recver, wire_size, wire, Some(self.on_sent(sendd_idx)));
             }
             LWire::PutD {
                 src,
@@ -932,11 +842,11 @@ impl Lci {
                     + h(
                         sim,
                         PutMsg {
-                            src: *src,
-                            rtag: *rtag,
-                            size: *size,
-                            data: data.borrow_mut().take(),
-                            cb_data: cb_data.clone(),
+                            src,
+                            rtag,
+                            size,
+                            data,
+                            cb_data,
                             sent_at,
                         },
                     );
@@ -948,34 +858,32 @@ impl Lci {
                 size,
                 data,
             } => {
-                let (entry, on_complete) = {
+                let r = {
                     let mut w = self.world.borrow_mut();
                     let ep = &mut w.eps[self.rank];
-                    let mut r = ep.recvd[*recvd_idx]
-                        .take()
-                        .expect("DATA for free recvd slot");
-                    debug_assert_eq!(r.src, *src);
-                    debug_assert_eq!(r.rtag, *rtag);
-                    ep.recvd_free.push(*recvd_idx);
                     ep.posted_count -= 1;
-                    (
-                        CompEntry {
-                            peer: *src,
-                            rtag: *rtag,
-                            size: *size,
-                            ctx: r.ctx,
-                            data: data.borrow_mut().take(),
-                            sent_at,
-                        },
-                        r.on_complete
-                            .take()
-                            .expect("recvd completion consumed twice"),
-                    )
+                    ep.recvd.take(recvd_idx)
                 };
-                cost += self.deliver(sim, on_complete, entry);
+                debug_assert_eq!((r.src, r.rtag), (src, rtag));
+                let entry = CompEntry {
+                    peer: src,
+                    rtag,
+                    size,
+                    ctx: r.ctx,
+                    data,
+                    sent_at,
+                };
+                cost += self.deliver(sim, r.on_complete, entry);
             }
         }
         cost
+    }
+
+    fn am_handler(&self) -> AmHandler {
+        self.world.borrow().eps[self.rank]
+            .am_handler
+            .clone()
+            .expect("no AM handler registered")
     }
 
     /// Anything waiting for `progress`? (diagnostics / poll gating)
@@ -988,5 +896,12 @@ impl Lci {
     /// Depth of the incoming hardware queue (diagnostics).
     pub fn incoming_depth(&self) -> usize {
         self.world.borrow().eps[self.rank].incoming.len()
+    }
+
+    /// Messages of this endpoint's whole world sent but not yet progressed
+    /// by their destination. Zero once a run has drained; more means a wire
+    /// record was stored and never taken (diagnostics).
+    pub fn wires_in_flight(&self) -> usize {
+        self.world.borrow().wires.len()
     }
 }

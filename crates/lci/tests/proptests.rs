@@ -50,22 +50,17 @@ fn direct_rendezvous_pairs_and_delivers() {
         eps[0].set_am_handler(|_, _| SimTime::ZERO);
         eps[1].set_am_handler(|_, _| SimTime::ZERO);
         let got: Rc<RefCell<Vec<(u64, usize, Bytes)>>> = Rc::new(RefCell::new(Vec::new()));
+        let g = got.clone();
+        let on_recv = eps[1].handler_new(move |_s, e| {
+            g.borrow_mut()
+                .push((e.rtag, e.size, e.data.expect("payload")));
+            SimTime::ZERO
+        });
 
         let post_recvs = |sim: &mut Sim| {
             for (i, &(rtag, _size)) in ops.iter().enumerate() {
-                let g = got.clone();
                 eps[1]
-                    .recvd(
-                        sim,
-                        0,
-                        rtag,
-                        i as u64,
-                        OnComplete::Handler(Box::new(move |_s, e| {
-                            g.borrow_mut()
-                                .push((e.rtag, e.size, e.data.expect("payload")));
-                            SimTime::ZERO
-                        })),
-                    )
+                    .recvd(sim, 0, rtag, i as u64, OnComplete::Handler(on_recv))
                     .expect("recvd");
             }
         };

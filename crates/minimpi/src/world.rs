@@ -7,13 +7,17 @@
 //! examined`), so results are byte-identical to the original `VecDeque`
 //! implementation (proven by `tests/proptests.rs` and the golden fig4
 //! report).
+//!
+//! Every message on the fabric is a [`Wire`] record in the world's
+//! [`Slab`], sent as its id. The receiving rank's handler queues the id;
+//! the rank's next progress takes the record out by value.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
 use amt_netmodel::{rx_handler, Fabric, FabricHandle, NodeId, Payload};
-use amt_simnet::{EventFn, Sim, SimTime};
+use amt_simnet::{EventFn, Sim, SimTime, Slab};
 use bytes::Frames;
 
 use crate::costs::MpiCosts;
@@ -114,13 +118,13 @@ enum Unexpected {
     },
 }
 
-/// Wire protocol messages.
+/// Wire protocol messages, held in [`MpiWorld::wires`] while in flight.
 enum Wire {
     Eager {
         src: NodeId,
         tag: Tag,
         size: usize,
-        data: RefCell<Frames>,
+        data: Frames,
     },
     Rts {
         src: NodeId,
@@ -136,7 +140,7 @@ enum Wire {
     Data {
         recver_req: usize,
         size: usize,
-        data: RefCell<Frames>,
+        data: Frames,
     },
 }
 
@@ -148,9 +152,9 @@ struct RankState {
     posted: PostTable,
     /// Unexpected-message table, dual-indexed by `(src, tag)` and `tag`.
     unexpected: UnexpTable<Unexpected>,
-    /// Hardware queue of delivered-but-unprogressed wire messages, with
-    /// their injection timestamps.
-    incoming: VecDeque<(Box<Wire>, SimTime)>,
+    /// Hardware queue of delivered-but-unprogressed wire messages (their
+    /// [`MpiWorld::wires`] ids), with their injection timestamps.
+    incoming: VecDeque<(u32, SimTime)>,
     /// Invoked when something poll-worthy happens (message arrival, local
     /// send completion) so a simulated polling thread can schedule a round
     /// without busy-waiting in virtual time.
@@ -192,6 +196,9 @@ pub struct MpiWorld {
     fabric: FabricHandle,
     costs: MpiCosts,
     ranks: Vec<RankState>,
+    /// Messages from send until their destination progresses them, by the
+    /// id their `Payload::Wire` carries.
+    wires: Slab<Wire>,
 }
 
 impl MpiWorld {
@@ -203,6 +210,7 @@ impl MpiWorld {
             fabric: fabric.clone(),
             costs,
             ranks: (0..nodes).map(|_| RankState::new()).collect(),
+            wires: Slab::default(),
         }));
         for node in 0..nodes {
             // Weak: the fabric must not keep the world alive (the world
@@ -213,11 +221,10 @@ impl MpiWorld {
                 rx_handler(move |sim, d| {
                     let Some(w) = w.upgrade() else { return };
                     // Hardware enqueue only; progress happens inside calls.
-                    let sent_at = d.sent_at;
-                    let wire = d.payload.downcast::<Wire>();
                     let waker = {
                         let mut wb = w.borrow_mut();
-                        wb.ranks[node].incoming.push_back((wire, sent_at));
+                        let id = d.payload.expect_wire();
+                        wb.ranks[node].incoming.push_back((id, d.sent_at));
                         wb.ranks[node].waker.clone()
                     };
                     if let Some(waker) = waker {
@@ -255,6 +262,31 @@ impl Mpi {
         self.world.borrow().costs.clone()
     }
 
+    /// Put `wire` on the fabric to `dst` as a `size`-byte message: the
+    /// record waits in [`MpiWorld::wires`], the fabric carries its id.
+    fn send_wire(
+        &self,
+        sim: &mut Sim,
+        dst: NodeId,
+        size: usize,
+        wire: Wire,
+        on_tx_done: Option<EventFn>,
+    ) {
+        let (fabric, id) = {
+            let mut w = self.world.borrow_mut();
+            (w.fabric.clone(), w.wires.insert(wire))
+        };
+        Fabric::send(
+            &fabric,
+            sim,
+            self.rank,
+            dst,
+            size,
+            Payload::Wire(id),
+            on_tx_done,
+        );
+    }
+
     fn check(&self, req: ReqId) {
         assert_eq!(req.rank, self.rank, "request used on wrong rank");
         let w = self.world.borrow();
@@ -277,16 +309,15 @@ impl Mpi {
     ) -> (ReqId, SimTime) {
         let mut w = self.world.borrow_mut();
         let costs = w.costs.clone();
-        let fabric = w.fabric.clone();
         let mut cost = costs.call_base;
         if costs.is_eager(size) {
             cost += costs.send_eager_base + costs.copy_cost(size);
-            let wire = Box::new(Wire::Eager {
+            let wire = Wire::Eager {
                 src: self.rank,
                 tag,
                 size,
-                data: RefCell::new(data),
-            });
+                data,
+            };
             let (idx, gen) = w.ranks[self.rank].alloc(
                 RState::Complete(Status {
                     src: self.rank,
@@ -298,15 +329,7 @@ impl Mpi {
                 None,
             );
             drop(w);
-            Fabric::send(
-                &fabric,
-                sim,
-                self.rank,
-                dst,
-                size + costs.header_bytes,
-                Payload::Any(wire),
-                None,
-            );
+            self.send_wire(sim, dst, size + costs.header_bytes, wire, None);
             (
                 ReqId {
                     rank: self.rank,
@@ -319,22 +342,14 @@ impl Mpi {
             cost += costs.send_rndv_base;
             let (idx, gen) =
                 w.ranks[self.rank].alloc(RState::SendInFlight { tag, size, data }, None);
-            let wire = Box::new(Wire::Rts {
+            let wire = Wire::Rts {
                 src: self.rank,
                 tag,
                 size,
                 sender_req: idx,
-            });
+            };
             drop(w);
-            Fabric::send(
-                &fabric,
-                sim,
-                self.rank,
-                dst,
-                costs.header_bytes,
-                Payload::Any(wire),
-                None,
-            );
+            self.send_wire(sim, dst, costs.header_bytes, wire, None);
             (
                 ReqId {
                     rank: self.rank,
@@ -404,15 +419,13 @@ impl Mpi {
                 } => {
                     let _ = size;
                     let (idx, gen) = rs.alloc(RState::RecvAwaitData { src: usrc, tag }, None);
-                    let fabric = w.fabric.clone();
-                    let wire = Box::new(Wire::Cts {
+                    let wire = Wire::Cts {
                         sender_req,
                         recver: self.rank,
                         recver_req: idx,
-                    });
-                    let hdr = costs.header_bytes;
+                    };
                     drop(w);
-                    Fabric::send(&fabric, sim, self.rank, usrc, hdr, Payload::Any(wire), None);
+                    self.send_wire(sim, usrc, costs.header_bytes, wire, None);
                     (
                         ReqId {
                             rank: self.rank,
@@ -503,15 +516,13 @@ impl Mpi {
                 } => {
                     let _ = size;
                     rs.requests[req.idx].state = RState::RecvAwaitData { src: usrc, tag };
-                    let fabric = w.fabric.clone();
-                    let wire = Box::new(Wire::Cts {
+                    let wire = Wire::Cts {
                         sender_req,
                         recver: self.rank,
                         recver_req: req.idx,
-                    });
-                    let hdr = costs.header_bytes;
+                    };
                     drop(w);
-                    Fabric::send(&fabric, sim, self.rank, usrc, hdr, Payload::Any(wire), None);
+                    self.send_wire(sim, usrc, costs.header_bytes, wire, None);
                 }
             },
             None => {
@@ -530,17 +541,17 @@ impl Mpi {
         loop {
             let (wire, sent_at) = {
                 let mut w = self.world.borrow_mut();
-                match w.ranks[self.rank].incoming.pop_front() {
-                    Some(m) => m,
-                    None => break,
-                }
+                let Some((id, sent_at)) = w.ranks[self.rank].incoming.pop_front() else {
+                    break;
+                };
+                (w.wires.take(id), sent_at)
             };
-            cost += self.process_wire(sim, &wire, sent_at);
+            cost += self.process_wire(sim, wire, sent_at);
         }
         cost
     }
 
-    fn process_wire(&self, sim: &mut Sim, wire: &Wire, sent_at: SimTime) -> SimTime {
+    fn process_wire(&self, sim: &mut Sim, wire: Wire, sent_at: SimTime) -> SimTime {
         let mut w = self.world.borrow_mut();
         let costs = w.costs.clone();
         let mut cost = costs.progress_per_msg;
@@ -552,28 +563,27 @@ impl Mpi {
                 data,
             } => {
                 let rs = &mut w.ranks[self.rank];
-                let out = rs.posted.match_arrival(*src, *tag);
+                let out = rs.posted.match_arrival(src, tag);
                 cost += costs.match_per_item * out.scanned as u64;
-                let data = data.borrow_mut().take();
                 match out.found {
                     Some(ridx) => {
-                        cost += costs.copy_cost(*size);
+                        cost += costs.copy_cost(size);
                         rs.requests[ridx].state = RState::Complete(Status {
-                            src: *src,
-                            tag: *tag,
-                            size: *size,
+                            src,
+                            tag,
+                            size,
                             data,
                             sent_at,
                         });
                     }
                     None => {
                         rs.unexpected.push(
-                            *src,
-                            *tag,
+                            src,
+                            tag,
                             Unexpected::Eager {
-                                src: *src,
-                                tag: *tag,
-                                size: *size,
+                                src,
+                                tag,
+                                size,
                                 data,
                                 sent_at,
                             },
@@ -588,33 +598,28 @@ impl Mpi {
                 sender_req,
             } => {
                 let rs = &mut w.ranks[self.rank];
-                let out = rs.posted.match_arrival(*src, *tag);
+                let out = rs.posted.match_arrival(src, tag);
                 cost += costs.match_per_item * out.scanned as u64;
                 match out.found {
                     Some(ridx) => {
-                        rs.requests[ridx].state = RState::RecvAwaitData {
-                            src: *src,
-                            tag: *tag,
-                        };
-                        let fabric = w.fabric.clone();
-                        let wire = Box::new(Wire::Cts {
-                            sender_req: *sender_req,
+                        rs.requests[ridx].state = RState::RecvAwaitData { src, tag };
+                        let wire = Wire::Cts {
+                            sender_req,
                             recver: self.rank,
                             recver_req: ridx,
-                        });
-                        let hdr = costs.header_bytes;
+                        };
                         drop(w);
-                        Fabric::send(&fabric, sim, self.rank, *src, hdr, Payload::Any(wire), None);
+                        self.send_wire(sim, src, costs.header_bytes, wire, None);
                     }
                     None => {
                         rs.unexpected.push(
-                            *src,
-                            *tag,
+                            src,
+                            tag,
                             Unexpected::Rts {
-                                src: *src,
-                                tag: *tag,
-                                size: *size,
-                                sender_req: *sender_req,
+                                src,
+                                tag,
+                                size,
+                                sender_req,
                             },
                         );
                     }
@@ -627,37 +632,32 @@ impl Mpi {
             } => {
                 // We are the sender: ship DATA, zero-copy (RDMA write).
                 let (size, data) = {
-                    let r = &mut w.ranks[self.rank].requests[*sender_req];
+                    let r = &mut w.ranks[self.rank].requests[sender_req];
                     match &mut r.state {
                         RState::SendInFlight { size, data, .. } => (*size, data.take()),
                         other => panic!("CTS for request in state {other:?}"),
                     }
                 };
-                let fabric = w.fabric.clone();
-                let hdr = w.costs.header_bytes;
-                let wire = Box::new(Wire::Data {
-                    recver_req: *recver_req,
+                let wire = Wire::Data {
+                    recver_req,
                     size,
-                    data: RefCell::new(data),
-                });
+                    data,
+                };
                 let world = self.world.clone();
                 let rank = self.rank;
-                let sreq = *sender_req;
                 drop(w);
                 // Local completion when the last chunk leaves our NIC.
                 // (One Rc + two word-sized captures: stays inline in the
                 // fabric's `EventFn` tx-done slot, no allocation.)
-                Fabric::send(
-                    &fabric,
+                self.send_wire(
                     sim,
-                    rank,
-                    *recver,
-                    size + hdr,
-                    Payload::Any(wire),
+                    recver,
+                    size + costs.header_bytes,
+                    wire,
                     Some(EventFn::new(move |sim| {
                         let waker = {
                             let mut w = world.borrow_mut();
-                            let r = &mut w.ranks[rank].requests[sreq];
+                            let r = &mut w.ranks[rank].requests[sender_req];
                             if let RState::SendInFlight { tag, size, .. } = r.state {
                                 r.state = RState::Complete(Status {
                                     src: rank,
@@ -682,14 +682,14 @@ impl Mpi {
                 size,
                 data,
             } => {
-                let r = &mut w.ranks[self.rank].requests[*recver_req];
+                let r = &mut w.ranks[self.rank].requests[recver_req];
                 match r.state {
                     RState::RecvAwaitData { src, tag, .. } => {
                         r.state = RState::Complete(Status {
                             src,
                             tag,
-                            size: *size,
-                            data: data.borrow_mut().take(),
+                            size,
+                            data,
                             sent_at,
                         });
                     }
@@ -814,6 +814,13 @@ impl Mpi {
     /// Depth of the incoming hardware queue (diagnostics).
     pub fn incoming_depth(&self) -> usize {
         self.world.borrow().ranks[self.rank].incoming.len()
+    }
+
+    /// Messages of this rank's whole world sent but not yet progressed by
+    /// their destination. Zero once a run has drained; more means a wire
+    /// record was stored and never taken (diagnostics).
+    pub fn wires_in_flight(&self) -> usize {
+        self.world.borrow().wires.len()
     }
 }
 

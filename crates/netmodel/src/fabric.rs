@@ -15,9 +15,9 @@
 //! count falls. Cross-pod chunks add one pod up-link and one down-link
 //! drain and completion each.
 //!
-//! Chunk records live in a fabric-owned slab; every per-chunk event
-//! captures only the fabric handle and a slab index, so it stays inline in
-//! its [`EventFn`] slot, and a record is reused once its message is
+//! Chunk records live in a fabric-owned [`Slab`]; every per-chunk event
+//! captures only the fabric handle and a slab id, so it stays inline in
+//! its [`EventFn`] slot, and a record is taken once its message is
 //! delivered (or, for a non-final chunk, once it is charged). Steady-state
 //! traffic allocates nothing here; the slab's size is the peak number of
 //! chunks in flight.
@@ -32,12 +32,11 @@
 //! model's same-instant order, pinned by the golden reports (DESIGN.md
 //! §3.10).
 
-use std::any::Any;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use amt_simnet::{CoreResource, Counter, EventFn, Shared, Sim, SimTime, Trace};
+use amt_simnet::{CoreResource, Counter, EventFn, Shared, Sim, SimTime, Slab, Trace};
 use bytes::Bytes;
 
 use crate::config::{FabricConfig, Topology};
@@ -50,14 +49,16 @@ pub type NodeId = usize;
 pub type MsgId = u64;
 
 /// What a message carries. The fabric is payload-agnostic; communication
-/// libraries layered on top define their own protocol structures.
+/// libraries layered on top keep their protocol records in their own slabs
+/// and send the id.
 pub enum Payload {
     /// No payload (pure control signal; the wire size is still accounted).
     Empty,
     /// Real data bytes (zero-copy shared).
     Bytes(Bytes),
-    /// An arbitrary protocol structure.
-    Any(Box<dyn Any>),
+    /// The id of a wire record in the sending library's slab; the library
+    /// takes the record back out when the receiver processes it.
+    Wire(u32),
 }
 
 impl Payload {
@@ -77,11 +78,11 @@ impl Payload {
         }
     }
 
-    /// Downcast an `Any` payload to a concrete protocol type.
-    pub fn downcast<T: 'static>(self) -> Box<T> {
+    /// The wire-record id, panicking if this is not a `Wire` payload.
+    pub fn expect_wire(self) -> u32 {
         match self {
-            Payload::Any(a) => a.downcast::<T>().expect("payload downcast failed"),
-            _ => panic!("payload is not Any"),
+            Payload::Wire(id) => id,
+            _ => panic!("payload is not a wire record"),
         }
     }
 }
@@ -91,7 +92,7 @@ impl std::fmt::Debug for Payload {
         match self {
             Payload::Empty => write!(f, "Empty"),
             Payload::Bytes(b) => write!(f, "Bytes({})", b.len()),
-            Payload::Any(_) => write!(f, "Any"),
+            Payload::Wire(id) => write!(f, "Wire({id})"),
         }
     }
 }
@@ -134,8 +135,8 @@ struct Transfer {
 /// `(src, per-src chunk sequence)`.
 type ChunkKey = (NodeId, u64);
 
-/// Slab index of a [`ChunkRec`]. Per-chunk events capture the fabric
-/// handle plus this index — two words, inline in the `EventFn` slot.
+/// Slab id of a [`ChunkRec`]. Per-chunk events capture the fabric
+/// handle plus this id — two words, inline in the `EventFn` slot.
 type RecId = u32;
 
 /// One chunk in flight past its source NIC, in the fabric's record slab.
@@ -191,7 +192,7 @@ impl Calendar {
     }
 
     /// Move the slot for instant `t` into `out`, key-sorted.
-    fn drain(&mut self, r: usize, t: SimTime, recs: &[ChunkRec], out: &mut Vec<RecId>) {
+    fn drain(&mut self, r: usize, t: SimTime, recs: &Slab<ChunkRec>, out: &mut Vec<RecId>) {
         let q = &mut self.fifos[r];
         debug_assert!(
             q.front().is_some_and(|&(at, _)| at == t),
@@ -205,7 +206,7 @@ impl Calendar {
             out.push(rec);
         }
         if out.len() > 1 {
-            out.sort_by_key(|&i| recs[i as usize].key);
+            out.sort_by_key(|&i| recs.get(i).key);
         }
     }
 }
@@ -267,9 +268,8 @@ pub struct Fabric {
     up_cal: Calendar,
     /// Pod down-link ingress calendars (post-spine arrivals).
     down_cal: Calendar,
-    /// Chunk-record slab and its free slots.
-    recs: Vec<ChunkRec>,
-    free_recs: Vec<RecId>,
+    /// Chunk records in flight.
+    recs: Slab<ChunkRec>,
     /// Drain scratch: the key-sorted slot being charged.
     batch: Vec<RecId>,
 }
@@ -308,8 +308,7 @@ impl Fabric {
             handlers,
             trace: None,
             pods,
-            recs: Vec::new(),
-            free_recs: Vec::new(),
+            recs: Slab::default(),
             batch: Vec::new(),
         }))
     }
@@ -380,20 +379,6 @@ impl Fabric {
         self.pods[p].down.busy_time()
     }
 
-    /// Store a chunk record in the slab.
-    fn alloc_rec(&mut self, rec: ChunkRec) -> RecId {
-        match self.free_recs.pop() {
-            Some(i) => {
-                self.recs[i as usize] = rec;
-                i
-            }
-            None => {
-                self.recs.push(rec);
-                (self.recs.len() - 1) as RecId
-            }
-        }
-    }
-
     /// Inject a message. `size` is the wire size in bytes (the caller
     /// accounts for headers); `payload` rides along and is handed to the
     /// destination handler; `on_tx_done` fires when the last chunk leaves
@@ -418,7 +403,7 @@ impl Fabric {
             f.nics[src].next_msg += 1;
 
             if src == dst {
-                let rec = f.alloc_rec(ChunkRec {
+                let rec = f.recs.insert(ChunkRec {
                     key: (src, 0),
                     msg_id,
                     src,
@@ -433,7 +418,7 @@ impl Fabric {
                 drop(f);
                 let fab2 = fab.clone();
                 sim.schedule_in(SimTime::from_ns(100), move |sim| {
-                    let cb = fab2.borrow_mut().recs[rec as usize].on_tx_done.take();
+                    let cb = fab2.borrow_mut().recs.get_mut(rec).on_tx_done.take();
                     if let Some(cb) = cb {
                         cb.invoke(sim);
                     }
@@ -511,7 +496,7 @@ impl Fabric {
 
             let key = (t.src, f.nics[node].next_chunk);
             f.nics[node].next_chunk += 1;
-            rec = f.alloc_rec(ChunkRec {
+            rec = f.recs.insert(ChunkRec {
                 key,
                 msg_id: t.msg_id,
                 src: t.src,
@@ -546,7 +531,7 @@ impl Fabric {
     fn tx_done(fab: &FabricHandle, sim: &mut Sim, rec: RecId) {
         let (node, cb) = {
             let mut f = fab.borrow_mut();
-            let r = &mut f.recs[rec as usize];
+            let r = f.recs.get_mut(rec);
             let (node, cb) = (r.src, r.on_tx_done.take());
             f.nics[node].tx_busy = false;
             f.sample_nic(node, sim.now());
@@ -563,7 +548,7 @@ impl Fabric {
     fn route_chunk(fab: &FabricHandle, sim: &mut Sim, rec: RecId) {
         let (wire_latency, src_pod, dst_pod) = {
             let f = fab.borrow();
-            let r = &f.recs[rec as usize];
+            let r = f.recs.get(rec);
             (f.cfg.wire_latency, f.cfg.pod_of(r.src), f.cfg.pod_of(r.dst))
         };
         if src_pod == dst_pod {
@@ -581,7 +566,7 @@ impl Fabric {
     fn rx_push(fab: &FabricHandle, sim: &mut Sim, t: SimTime, rec: RecId) {
         let opens = {
             let mut f = fab.borrow_mut();
-            let dst = f.recs[rec as usize].dst;
+            let dst = f.recs.get(rec).dst;
             f.rx_cal.push(dst, t, rec).then_some(dst)
         };
         if let Some(dst) = opens {
@@ -605,7 +590,7 @@ impl Fabric {
         let mut batch = std::mem::take(&mut f.batch);
         f.rx_cal.drain(dst, t, &f.recs, &mut batch);
         for &rec in &batch {
-            let r = &f.recs[rec as usize];
+            let r = f.recs.get(rec);
             let dur = f.cfg.serialization_time(r.chunk_bytes)
                 + f.cfg.per_chunk_overhead
                 + if r.first_chunk {
@@ -620,7 +605,7 @@ impl Fabric {
                     .charge(sim, dur, move |sim| Fabric::rx_done(&fab2, sim, rec));
             } else {
                 f.nics[dst].rx.occupy(sim.now(), dur);
-                f.free_recs.push(rec);
+                f.recs.take(rec);
             }
         }
         batch.clear();
@@ -632,7 +617,8 @@ impl Fabric {
     fn rx_done(fab: &FabricHandle, sim: &mut Sim, rec: RecId) {
         {
             let mut f = fab.borrow_mut();
-            let (dst, size) = (f.recs[rec as usize].dst, f.recs[rec as usize].size);
+            let r = f.recs.get(rec);
+            let (dst, size) = (r.dst, r.size);
             f.nics[dst].rx_msgs.inc();
             f.nics[dst].rx_bytes.add(size as u64);
         }
@@ -664,7 +650,7 @@ impl Fabric {
         for &rec in &batch {
             let dur = f
                 .cfg
-                .link_time(f.recs[rec as usize].chunk_bytes, ft.link_bandwidth_gbps);
+                .link_time(f.recs.get(rec).chunk_bytes, ft.link_bandwidth_gbps);
             let fab2 = fab.clone();
             f.pods[pod]
                 .up
@@ -681,7 +667,7 @@ impl Fabric {
             let Topology::FatTree(ft) = &f.cfg.topology else {
                 unreachable!("up-link on flat topology")
             };
-            (ft.spine_latency, f.cfg.pod_of(f.recs[rec as usize].dst))
+            (ft.spine_latency, f.cfg.pod_of(f.recs.get(rec).dst))
         };
         let ingress = sim.now() + spine;
         Fabric::down_push(fab, sim, dst_pod, ingress, rec);
@@ -716,7 +702,7 @@ impl Fabric {
         for &rec in &batch {
             let dur = f
                 .cfg
-                .link_time(f.recs[rec as usize].chunk_bytes, ft.link_bandwidth_gbps);
+                .link_time(f.recs.get(rec).chunk_bytes, ft.link_bandwidth_gbps);
             let fab2 = fab.clone();
             f.pods[pod].down.charge(sim, dur, move |sim| {
                 let t = sim.now() + fab2.borrow().cfg.wire_latency;
@@ -732,16 +718,15 @@ impl Fabric {
     fn deliver(fab: &FabricHandle, sim: &mut Sim, rec: RecId) {
         let (handler, delivery) = {
             let mut f = fab.borrow_mut();
-            let r = &mut f.recs[rec as usize];
+            let r = f.recs.take(rec);
             let delivery = Delivery {
                 src: r.src,
                 dst: r.dst,
                 size: r.size,
                 msg_id: r.msg_id,
-                payload: r.finale.take().expect("message delivered twice"),
+                payload: r.finale.expect("message delivered twice"),
                 sent_at: r.sent_at,
             };
-            f.free_recs.push(rec);
             let handler = f.handlers[delivery.dst]
                 .clone()
                 .unwrap_or_else(|| panic!("node {} has no rx handler", delivery.dst));
@@ -779,14 +764,10 @@ mod tests {
     fn calendar_slots_are_fifo_per_resource_and_drain_key_sorted() {
         // Records 0..=3 arrive at resource 1 at t=5 out of key order, then
         // record 4 at t=9; resource 0 holds record 5 in its own t=5 slot.
-        let recs = vec![
-            rec(3, 0),
-            rec(1, 7),
-            rec(2, 0),
-            rec(1, 2),
-            rec(0, 0),
-            rec(9, 9),
-        ];
+        let mut recs = Slab::default();
+        for (src, seq) in [(3, 0), (1, 7), (2, 0), (1, 2), (0, 0), (9, 9)] {
+            recs.insert(rec(src, seq));
+        }
         let (t5, t9) = (SimTime::from_ns(5), SimTime::from_ns(9));
         let mut cal = Calendar::new(2);
         let opens: Vec<bool> = [0u32, 1, 2, 3]

@@ -21,9 +21,11 @@
 //! produce realistic small-message behaviour (the NetPIPE-like baseline curve
 //! of Fig. 2a falls out of these three parameters).
 //!
-//! The fabric carries *real payloads* ([`Payload`]): either raw bytes or an
-//! `Rc<dyn Any>` protocol structure, so upper layers exchange genuine data
-//! and distributed computations are numerically verifiable.
+//! The fabric carries *real payloads* ([`Payload`]): raw bytes, or the
+//! `u32` id of a protocol record the sending library keeps in its own slab
+//! (`amt_simnet::Slab`) until the receiver processes it. Upper
+//! layers exchange genuine data, so distributed computations are
+//! numerically verifiable, and no message is a type-erased box.
 
 mod config;
 mod fabric;

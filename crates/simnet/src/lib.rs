@@ -45,6 +45,7 @@ mod metrics;
 pub mod reference;
 mod resource;
 pub mod rng;
+mod slab;
 mod stats;
 mod time;
 mod trace;
@@ -55,6 +56,7 @@ pub use hash::{FastHasher, FastMap};
 pub use metrics::{MetricsRegistry, OverlapTracker};
 pub use resource::{CoreHandle, CoreResource, TokenPool, TokenPoolHandle};
 pub use rng::DetRng;
+pub use slab::Slab;
 pub use stats::{Counter, Histogram, OnlineStats, TimeWeighted};
 pub use time::SimTime;
 pub use trace::{json_escape, CounterSample, FlowEvent, FlowPhase, InstantEvent, Span, Trace};

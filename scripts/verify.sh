@@ -301,7 +301,7 @@ assert m["substrate"] == "virtual" and m["makespan_ns"] > 0
 print("simulator accepted the measured cost model (valid virtual run)")
 PY
 
-echo "== removed forks stay removed: island DES, tuner window loops, offline grid, seed scheduler, per-tag windows, boxed backend micro-tasks, shm node owners, the Substrate seam, engine collectives, the ladder queue, the eager-ceiling tuner =="
+echo "== removed forks stay removed: island DES, tuner window loops, offline grid, seed scheduler, per-tag windows, boxed backend micro-tasks, shm node owners, the Substrate seam, engine collectives, the ladder queue, the eager-ceiling tuner, type-erased wires and completions, the LciDirect wrapper =="
 if grep -rn -e 'execute_islands\|new_partition\|RemoteChunk\|run_before\|TuneProfile\|WindowState\|--tuned\|--islands\|--autotune-out' \
         -e 'reference_sched\|RefDataState\|ReadyQueue::Reference\|batch_window_overrides\|with_batch_window_override\|batch_window_for\|get_window_min_flows' \
         -e 'Micro::Backend(\|BackendMicro\|fn exec_micro(\|fn micro_label' \
@@ -309,8 +309,14 @@ if grep -rn -e 'execute_islands\|new_partition\|RemoteChunk\|run_before\|TunePro
         -e 'trait Substrate\|impl Substrate\|dyn Substrate\|SubstrateKind\|VirtualSubstrate\|EngineCollectives\|TreeBcast' \
         -e 'schedule_at_cancelable\|EventToken\|NUM_BUCKETS\|SoloEvent\|occ_next_delta\|fn rebase(\|events_boxed' \
         -e 'TuneConfig\|tick_tune\|eager_put_max_for\|note_pressure\|batch_flush_bytes\|batch_bytes\|batch-bytes\|--adaptive' \
+        -e 'Payload::Any\|fn downcast<\|BackendTask\|LciCmd\|struct LciDirect\|mod lci_direct\|CompHandler' \
         crates/ examples/ tests/ src/ scripts/ --exclude=verify.sh; then
     echo "a removed name is back"; exit 1
+fi
+
+echo "== one typed wire: no type-erased values on the simulated message path =="
+if grep -rnE 'dyn Any|std::any' crates/netmodel/src crates/lci/src crates/minimpi/src crates/comm/src; then
+    echo "a type-erased value is back on the simulated message path"; exit 1
 fi
 
 echo "== one event queue: no heap and no seq field beside the radix queue =="
