@@ -321,12 +321,12 @@ impl Cluster {
         {
             let g = graph.get();
             for i in 0..g.task_count() {
-                tasks[g.task(i).node].push(i);
+                tasks[g.task(i).node()].push(i);
             }
             for i in 0..g.version_count() {
                 let v = g.version(i);
-                if v.producer.is_none() {
-                    sources[v.home].push(i);
+                if v.producer().is_none() {
+                    sources[v.home()].push(i);
                 }
             }
         }

@@ -6,12 +6,26 @@
 //! reads. Insertion order defines which version a `read_key` refers to,
 //! exactly like PaRSEC's dynamic task discovery interface.
 //!
-//! Tasks and versions live in chunked storage ([`ChunkVec`]): contiguous
-//! indices, O(1) access, and — in windowed execution — whole 256-entry
-//! chunks of *retired* tasks/versions are freed once the completion
-//! frontier passes them, so peak memory tracks the discovery window
-//! instead of the full unrolled graph (PaRSEC-style bounded task
-//! discovery).
+//! Storage holds O(chunks) heap blocks, not O(tasks):
+//!
+//! * Tasks and versions are fixed-size records in chunked storage
+//!   ([`ChunkVec`]): contiguous indices, O(1) access, and — in windowed
+//!   execution — whole 256-entry chunks of *retired* tasks/versions are
+//!   freed once the completion frontier passes them, so peak memory tracks
+//!   the discovery window instead of the full unrolled graph (PaRSEC-style
+//!   bounded task discovery).
+//! * A task's inputs and outputs are `u32` version ids in its chunk's edge
+//!   arena, read through [`TaskGraph::inputs`] / [`TaskGraph::outputs`];
+//!   the arena (and the chunk's kernels, Numeric mode only) is freed with
+//!   the chunk.
+//! * A version's consumers are `{task, node, next}` links in one
+//!   graph-owned arena, threaded per version in insertion order and read
+//!   through [`TaskGraph::consumers`]. The link carries the consumer's
+//!   node, so a walk skips remote consumers without loading their task.
+//!   Pruned and retired lists go to a free list, so windowed runs reuse
+//!   the links of the versions they retire.
+//! * Initial payloads (producer-less versions, Numeric mode) live in a
+//!   side table.
 
 use std::cell::{Ref, RefCell, RefMut};
 use std::collections::HashMap;
@@ -44,14 +58,26 @@ pub type Kernel = Arc<dyn Fn(&[Bytes]) -> Vec<Bytes> + Send + Sync>;
 const CHUNK: usize = 256;
 const CHUNK_SHIFT: usize = CHUNK.trailing_zeros() as usize;
 
+/// "None" in the graph's 32-bit task, version and link fields.
+const NIL: u32 = u32::MAX;
+
+/// `i` as a 32-bit graph field (never [`NIL`]).
+fn id32(i: usize) -> u32 {
+    u32::try_from(i)
+        .ok()
+        .filter(|&i| i != NIL)
+        .expect("graph ids fit in 32 bits")
+}
+
 /// Chunked growable storage with freeable chunks.
 ///
 /// Semantically a `Vec<T>` whose backing memory is split into
-/// [`CHUNK`]-item chunks; [`ChunkVec::free_chunk`] returns one chunk's
-/// memory to the allocator once every item in it has been retired.
-/// Accessing an index inside a freed chunk panics.
-pub(crate) struct ChunkVec<T> {
-    chunks: Vec<Option<Vec<T>>>,
+/// [`CHUNK`]-item chunks, each with side storage `S` that lives and dies
+/// with it; [`ChunkVec::free_chunk`] returns one chunk's memory to the
+/// allocator once every item in it has been retired. Accessing an index
+/// inside a freed chunk panics.
+pub(crate) struct ChunkVec<T, S = ()> {
+    chunks: Vec<Option<Chunk<T, S>>>,
     /// Long-lived survivors relocated out of freed chunks by
     /// [`ChunkVec::free_chunk_keeping`]; resolved transparently by
     /// [`ChunkVec::get`] / [`ChunkVec::get_mut`].
@@ -59,7 +85,12 @@ pub(crate) struct ChunkVec<T> {
     len: usize,
 }
 
-impl<T> ChunkVec<T> {
+struct Chunk<T, S> {
+    items: Vec<T>,
+    side: S,
+}
+
+impl<T, S> ChunkVec<T, S> {
     pub fn new() -> Self {
         ChunkVec {
             chunks: Vec::new(),
@@ -72,13 +103,31 @@ impl<T> ChunkVec<T> {
         self.len
     }
 
-    pub fn push(&mut self, item: T) {
-        if self.len >> CHUNK_SHIFT == self.chunks.len() {
-            self.chunks.push(Some(Vec::with_capacity(CHUNK)));
+    /// The side storage of the chunk the next [`ChunkVec::push`] lands in;
+    /// `open` makes it when that push starts a new chunk.
+    pub fn tail_side(&mut self, open: impl FnOnce() -> S) -> &mut S {
+        let c = self.len >> CHUNK_SHIFT;
+        if c == self.chunks.len() {
+            self.chunks.push(Some(Chunk {
+                items: Vec::with_capacity(CHUNK),
+                side: open(),
+            }));
         }
+        &mut self.chunks[c]
+            .as_mut()
+            .expect("push past a freed chunk")
+            .side
+    }
+
+    pub fn push(&mut self, item: T)
+    where
+        S: Default,
+    {
+        self.tail_side(S::default);
         self.chunks[self.len >> CHUNK_SHIFT]
             .as_mut()
             .expect("push past a freed chunk")
+            .items
             .push(item);
         self.len += 1;
     }
@@ -86,7 +135,7 @@ impl<T> ChunkVec<T> {
     pub fn get(&self, i: usize) -> &T {
         assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
         match &self.chunks[i >> CHUNK_SHIFT] {
-            Some(c) => &c[i & (CHUNK - 1)],
+            Some(c) => &c.items[i & (CHUNK - 1)],
             None => self
                 .evacuated
                 .get(&i)
@@ -94,12 +143,22 @@ impl<T> ChunkVec<T> {
         }
     }
 
+    /// Item `i` with its chunk's side storage. Panics on a freed chunk
+    /// (an evacuated item has no side storage).
+    pub fn get_with_side(&self, i: usize) -> (&T, &S) {
+        assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
+        let c = self.chunks[i >> CHUNK_SHIFT]
+            .as_ref()
+            .expect("access to a retired (freed) graph chunk");
+        (&c.items[i & (CHUNK - 1)], &c.side)
+    }
+
     /// Like [`ChunkVec::get`], but `None` for an item whose chunk has been
     /// freed (and that was not evacuated) instead of panicking.
     pub fn try_get(&self, i: usize) -> Option<&T> {
         assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
         match &self.chunks[i >> CHUNK_SHIFT] {
-            Some(c) => Some(&c[i & (CHUNK - 1)]),
+            Some(c) => Some(&c.items[i & (CHUNK - 1)]),
             None => self.evacuated.get(&i),
         }
     }
@@ -107,7 +166,7 @@ impl<T> ChunkVec<T> {
     pub fn get_mut(&mut self, i: usize) -> &mut T {
         assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
         match &mut self.chunks[i >> CHUNK_SHIFT] {
-            Some(c) => &mut c[i & (CHUNK - 1)],
+            Some(c) => &mut c.items[i & (CHUNK - 1)],
             None => self
                 .evacuated
                 .get_mut(&i)
@@ -115,8 +174,8 @@ impl<T> ChunkVec<T> {
         }
     }
 
-    /// Free chunk `c` (indices `c*CHUNK .. (c+1)*CHUNK`). The caller
-    /// guarantees no item in it is accessed again.
+    /// Free chunk `c` (indices `c*CHUNK .. (c+1)*CHUNK`) and its side
+    /// storage. The caller guarantees no item in it is accessed again.
     pub fn free_chunk(&mut self, c: usize) {
         self.chunks[c] = None;
     }
@@ -130,7 +189,7 @@ impl<T> ChunkVec<T> {
             return;
         };
         let base = c << CHUNK_SHIFT;
-        for (off, item) in chunk.into_iter().enumerate() {
+        for (off, item) in chunk.items.into_iter().enumerate() {
             if keep.binary_search(&(base + off)).is_ok() {
                 self.evacuated.insert(base + off, item);
             }
@@ -149,6 +208,7 @@ impl<T> ChunkVec<T> {
         self.chunks.iter().flat_map(|c| {
             c.as_ref()
                 .expect("iteration over a partially retired graph")
+                .items
                 .iter()
         })
     }
@@ -244,43 +304,155 @@ impl TaskDesc {
     }
 }
 
-/// One inserted task.
+/// One inserted task: a fixed-size record (its id is its index). Its
+/// edges and kernel live in its chunk ([`TaskGraph::inputs`],
+/// [`TaskGraph::outputs`], [`TaskGraph::kernel`]).
 pub struct Task {
-    pub id: TaskId,
     pub name: &'static str,
-    pub node: NodeId,
+    pub flops: f64,
+    pub efficiency: f64,
+    pub priority: i64,
+    node: u32,
     /// Index of this task among the tasks assigned to its node (insertion
     /// order). Per-node runtime tables (dependence counters) are indexed by
     /// this instead of the global id, so each node's table is
     /// O(tasks-on-node), not O(total tasks) — the difference between 4 GB
     /// and 4 MB of counters at a million tasks on 1024 nodes.
     pub local_ix: u32,
-    pub flops: f64,
-    pub efficiency: f64,
-    pub priority: i64,
-    pub inputs: Vec<VersionId>,
-    pub outputs: Vec<VersionId>,
-    pub kernel: Option<Kernel>,
+    /// Offset of the task's edges (inputs, then outputs) in its chunk's
+    /// edge arena.
+    edges: u32,
+    n_in: u16,
+    n_out: u16,
 }
 
-/// One version of a datum.
+impl Task {
+    /// The node the task runs on.
+    pub fn node(&self) -> NodeId {
+        self.node as NodeId
+    }
+}
+
+/// One version of a datum: a fixed-size record. Its consumers are links
+/// in the graph's arena ([`TaskGraph::consumers`]); an initial payload
+/// lives in a side table ([`TaskGraph::initial`]).
 pub struct Version {
     pub key: DataKey,
     pub size: usize,
+    home: u32,
+    producer: u32,
+    /// First and last consumer link ([`NIL`]: none).
+    head: u32,
+    tail: u32,
+}
+
+impl Version {
     /// Node where this version is produced / initially resides.
-    pub home: NodeId,
-    pub producer: Option<TaskId>,
-    pub consumers: Vec<TaskId>,
-    /// Initial payload for producer-less versions (Numeric mode).
-    pub initial: Option<Bytes>,
+    pub fn home(&self) -> NodeId {
+        self.home as NodeId
+    }
+
+    pub fn producer(&self) -> Option<TaskId> {
+        (self.producer != NIL).then_some(self.producer as TaskId)
+    }
+}
+
+/// One consumer of a version: the reading task and the node it runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Consumer {
+    pub task: TaskId,
+    pub node: NodeId,
+}
+
+/// What a task chunk owns besides its records: its tasks' edges (each
+/// task's input then output version ids) and, in Numeric graphs, their
+/// kernels by offset in the chunk.
+#[derive(Default)]
+struct TaskSide {
+    edges: Vec<u32>,
+    kernels: Vec<Option<Kernel>>,
+}
+
+#[derive(Clone, Copy)]
+struct Link {
+    task: u32,
+    node: u32,
+    next: u32,
+}
+
+/// Every version's consumer list: one arena of links, threaded per
+/// version from [`Version`]'s head to its tail in insertion order. A freed
+/// list is spliced onto `free` whole and its links reused.
+struct ConsumerLinks {
+    links: Vec<Link>,
+    free: u32,
+}
+
+impl ConsumerLinks {
+    fn push(&mut self, ver: &mut Version, task: u32, node: u32) {
+        let link = Link {
+            task,
+            node,
+            next: NIL,
+        };
+        let at = if self.free == NIL {
+            self.links.push(link);
+            id32(self.links.len() - 1)
+        } else {
+            let at = self.free;
+            self.free = self.links[at as usize].next;
+            self.links[at as usize] = link;
+            at
+        };
+        match ver.tail {
+            NIL => ver.head = at,
+            tail => self.links[tail as usize].next = at,
+        }
+        ver.tail = at;
+    }
+
+    fn free(&mut self, ver: &mut Version) {
+        if ver.head != NIL {
+            self.links[ver.tail as usize].next = self.free;
+            self.free = ver.head;
+            (ver.head, ver.tail) = (NIL, NIL);
+        }
+    }
+}
+
+/// Iterator over a version's consumers, in insertion order.
+pub struct Consumers<'a> {
+    links: &'a [Link],
+    at: u32,
+}
+
+impl Iterator for Consumers<'_> {
+    type Item = Consumer;
+
+    fn next(&mut self) -> Option<Consumer> {
+        if self.at == NIL {
+            return None;
+        }
+        let link = self.links[self.at as usize];
+        self.at = link.next;
+        Some(Consumer {
+            task: link.task as TaskId,
+            node: link.node as NodeId,
+        })
+    }
 }
 
 /// The task graph executed by [`crate::Cluster::execute`]. Fully built up
 /// front by [`GraphBuilder::build`], or grown incrementally during a
 /// windowed execution (see [`GraphSource`]).
 pub struct TaskGraph {
-    tasks: ChunkVec<Task>,
+    tasks: ChunkVec<Task, TaskSide>,
     versions: ChunkVec<Version>,
+    consumers: ConsumerLinks,
+    /// Initial payloads of producer-less versions (Numeric mode).
+    initial: FastMap<usize, Bytes>,
+    /// Capacity of a new chunk's edge arena: the longest arena so far.
+    edge_hint: usize,
     /// Tasks assigned to each node so far (source of [`Task::local_ix`];
     /// survives windowed growth because the windowed driver appends through
     /// the same shared graph).
@@ -292,6 +464,12 @@ impl TaskGraph {
         TaskGraph {
             tasks: ChunkVec::new(),
             versions: ChunkVec::new(),
+            consumers: ConsumerLinks {
+                links: Vec::new(),
+                free: NIL,
+            },
+            initial: FastMap::default(),
+            edge_hint: 0,
             local_counts: Vec::new(),
         }
     }
@@ -319,8 +497,59 @@ impl TaskGraph {
         self.tasks.try_get(id)
     }
 
+    /// The versions task `id` reads, in declaration order.
+    pub fn inputs(&self, id: TaskId) -> impl ExactSizeIterator<Item = VersionId> + '_ {
+        let (t, side) = self.tasks.get_with_side(id);
+        let lo = t.edges as usize;
+        side.edges[lo..lo + t.n_in as usize]
+            .iter()
+            .map(|&v| VersionId(v as usize))
+    }
+
+    /// The versions task `id` writes, in declaration order.
+    pub fn outputs(&self, id: TaskId) -> impl ExactSizeIterator<Item = VersionId> + '_ {
+        let (t, side) = self.tasks.get_with_side(id);
+        let lo = t.edges as usize + t.n_in as usize;
+        side.edges[lo..lo + t.n_out as usize]
+            .iter()
+            .map(|&v| VersionId(v as usize))
+    }
+
+    /// Task `id`'s kernel, if it has one (Numeric mode).
+    pub fn kernel(&self, id: TaskId) -> Option<&Kernel> {
+        let (_, side) = self.tasks.get_with_side(id);
+        side.kernels.get(id & (CHUNK - 1))?.as_ref()
+    }
+
     pub fn version(&self, id: usize) -> &Version {
         self.versions.get(id)
+    }
+
+    /// The tasks that read version `id`, in insertion order.
+    pub fn consumers(&self, id: usize) -> Consumers<'_> {
+        Consumers {
+            links: &self.consumers.links,
+            at: self.versions.get(id).head,
+        }
+    }
+
+    /// The consumers of version `id` placed on `node` whose task is still
+    /// stored, in insertion order. Consumers elsewhere are skipped on
+    /// their link alone. A consumer whose chunk windowed retirement freed
+    /// has completed already, so there is nothing left to release.
+    pub(crate) fn live_local_consumers(
+        &self,
+        id: usize,
+        node: NodeId,
+    ) -> impl Iterator<Item = (TaskId, &Task)> + '_ {
+        self.consumers(id)
+            .filter(move |c| c.node == node)
+            .filter_map(|c| Some((c.task, self.task_if_live(c.task)?)))
+    }
+
+    /// The initial payload of producer-less version `id` (Numeric mode).
+    pub fn initial(&self, id: usize) -> Option<&Bytes> {
+        self.initial.get(&id)
     }
 
     /// All tasks in insertion order (panics on graphs with retired chunks).
@@ -344,14 +573,10 @@ impl TaskGraph {
         // `Vec<NodeId>` per version.
         let mut scratch: Vec<NodeId> = Vec::new();
         let mut total = 0;
-        for v in self.versions.iter() {
+        for (i, v) in self.versions.iter().enumerate() {
             scratch.clear();
-            scratch.extend(
-                v.consumers
-                    .iter()
-                    .map(|&t| self.tasks.get(t).node)
-                    .filter(|&n| n != v.home),
-            );
+            let home = v.home();
+            scratch.extend(self.consumers(i).map(|c| c.node).filter(|&n| n != home));
             scratch.sort_unstable();
             scratch.dedup();
             total += scratch.len();
@@ -362,45 +587,33 @@ impl TaskGraph {
     /// Execute every kernel sequentially in insertion order — the
     /// correctness oracle for Numeric-mode runs.
     pub fn sequential_oracle(&self) -> HashMap<VersionId, Bytes> {
-        let mut store: HashMap<VersionId, Bytes> = HashMap::new();
-        for (i, v) in self.versions.iter().enumerate() {
-            if let Some(b) = &v.initial {
-                store.insert(VersionId(i), b.clone());
-            }
-        }
-        for t in self.tasks.iter() {
-            let Some(kernel) = &t.kernel else { continue };
-            let inputs: Vec<Bytes> = t
-                .inputs
-                .iter()
+        let mut store: HashMap<VersionId, Bytes> = self
+            .initial
+            .iter()
+            .map(|(&i, b)| (VersionId(i), b.clone()))
+            .collect();
+        for t in 0..self.task_count() {
+            let Some(kernel) = self.kernel(t) else {
+                continue;
+            };
+            let inputs: Vec<Bytes> = self
+                .inputs(t)
                 .filter(|v| self.versions.get(v.0).size > 0) // CTL flows carry no payload
-                .map(|v| store.get(v).expect("oracle: input missing").clone())
+                .map(|v| store.get(&v).expect("oracle: input missing").clone())
                 .collect();
             let outs = kernel(&inputs);
-            assert_eq!(outs.len(), t.outputs.len(), "kernel output arity");
-            for (vid, b) in t.outputs.iter().zip(outs) {
-                store.insert(*vid, b);
+            assert_eq!(outs.len(), self.outputs(t).len(), "kernel output arity");
+            for (vid, b) in self.outputs(t).zip(outs) {
+                store.insert(vid, b);
             }
         }
         store
     }
 
-    /// Drop a completed task's heap payload (dependence lists and kernel).
-    /// Windowed-mode retirement; the inline struct stays until its whole
-    /// chunk retires.
-    pub(crate) fn retire_task(&mut self, id: TaskId) {
-        let t = self.tasks.get_mut(id);
-        t.inputs = Vec::new();
-        t.outputs = Vec::new();
-        t.kernel = None;
-    }
-
-    /// Drop a dead version's heap payload (consumer list and initial
-    /// bytes).
+    /// Drop a dead version's consumer links and initial bytes.
     pub(crate) fn retire_version(&mut self, id: usize) {
-        let v = self.versions.get_mut(id);
-        v.consumers = Vec::new();
-        v.initial = None;
+        self.consumers.free(self.versions.get_mut(id));
+        self.initial.remove(&id);
     }
 
     /// Drop a version's consumer list without retiring it. Windowed-mode
@@ -410,9 +623,10 @@ impl TaskGraph {
     /// list. For tile Cholesky the never-superseded final tiles otherwise
     /// keep O(nt³) consumer entries live to the end of the run.
     pub(crate) fn prune_consumers(&mut self, id: usize) {
-        self.versions.get_mut(id).consumers = Vec::new();
+        self.consumers.free(self.versions.get_mut(id));
     }
 
+    /// Free a task chunk: its records, edge arena and kernels.
     pub(crate) fn free_task_chunk(&mut self, c: usize) {
         self.tasks.free_chunk(c);
     }
@@ -538,11 +752,14 @@ impl GraphBuilder {
         g.versions.push(Version {
             key,
             size,
-            home: node,
-            producer: None,
-            consumers: Vec::new(),
-            initial: bytes,
+            home: id32(node),
+            producer: NIL,
+            head: NIL,
+            tail: NIL,
         });
+        if let Some(b) = bytes {
+            g.initial.insert(vid.0, b);
+        }
         let prev = self.current.insert(key, vid);
         assert!(prev.is_none(), "initial data for key {key} declared twice");
         vid
@@ -555,66 +772,75 @@ impl GraphBuilder {
 
     /// Insert a task; returns its id.
     pub fn insert(&mut self, desc: TaskDesc) -> TaskId {
-        let mut g = self.graph.get_mut();
+        let mut guard = self.graph.get_mut();
+        let g = &mut *guard;
         let id = g.tasks.len();
-        let inputs: Vec<VersionId> = desc
-            .reads
-            .iter()
-            .map(|r| match r {
-                ReadRef::Version(v) => *v,
-                ReadRef::Current(k) => *self
-                    .current
-                    .get(k)
-                    .unwrap_or_else(|| panic!("read of key {k} with no version")),
-            })
-            .collect();
+        let current = &self.current;
+        let resolve = |r: &ReadRef| match *r {
+            ReadRef::Version(v) => v,
+            ReadRef::Current(k) => *current
+                .get(&k)
+                .unwrap_or_else(|| panic!("read of key {k} with no version")),
+        };
         let node = desc.node.unwrap_or_else(|| {
-            inputs
+            desc.reads
                 .first()
-                .map(|v| g.versions.get(v.0).home)
-                .unwrap_or(0)
+                .map_or(0, |r| g.versions.get(resolve(r).0).home())
         });
         assert!(node < self.nodes, "node {node} out of range");
-        for &v in &inputs {
-            g.versions.get_mut(v.0).consumers.push(id);
+        let (task32, node32) = (id32(id), id32(node));
+        let n_in = u16::try_from(desc.reads.len()).expect("at most 65 535 reads per task");
+        let n_out = u16::try_from(desc.writes.len()).expect("at most 65 535 writes per task");
+        let hint = g.edge_hint;
+        let side = g.tasks.tail_side(|| TaskSide {
+            edges: Vec::with_capacity(hint),
+            kernels: Vec::new(),
+        });
+        let edges = id32(side.edges.len());
+        for r in &desc.reads {
+            let v = resolve(r);
+            side.edges.push(id32(v.0));
+            g.consumers.push(g.versions.get_mut(v.0), task32, node32);
         }
-        let outputs: Vec<VersionId> = desc
-            .writes
-            .iter()
-            .map(|&(key, size)| {
-                let vid = VersionId(g.versions.len());
-                g.versions.push(Version {
-                    key,
-                    size,
-                    home: node,
-                    producer: Some(id),
-                    consumers: Vec::new(),
-                    initial: None,
-                });
-                if let Some(old) = self.current.insert(key, vid) {
-                    if self.track_superseded {
-                        self.superseded.push(old);
-                    }
+        for &(key, size) in &desc.writes {
+            let vid = VersionId(g.versions.len());
+            g.versions.push(Version {
+                key,
+                size,
+                home: node32,
+                producer: task32,
+                head: NIL,
+                tail: NIL,
+            });
+            side.edges.push(id32(vid.0));
+            if let Some(old) = self.current.insert(key, vid) {
+                if self.track_superseded {
+                    self.superseded.push(old);
                 }
-                vid
-            })
-            .collect();
+            }
+        }
+        g.edge_hint = g.edge_hint.max(side.edges.len());
+        if let Some(k) = desc.kernel {
+            if side.kernels.is_empty() {
+                side.kernels.resize(CHUNK, None);
+            }
+            side.kernels[id & (CHUNK - 1)] = Some(k);
+        }
         if g.local_counts.len() <= node {
             g.local_counts.resize(node + 1, 0);
         }
         let local_ix = g.local_counts[node];
         g.local_counts[node] += 1;
         g.tasks.push(Task {
-            id,
             name: desc.name,
-            node,
-            local_ix,
             flops: desc.flops,
             efficiency: desc.efficiency,
             priority: desc.priority,
-            inputs,
-            outputs,
-            kernel: desc.kernel,
+            node: node32,
+            local_ix,
+            edges,
+            n_in,
+            n_out,
         });
         id
     }
@@ -630,6 +856,142 @@ impl GraphBuilder {
 mod tests {
     use super::*;
 
+    fn consumer_tasks(graph: &TaskGraph, v: usize) -> Vec<TaskId> {
+        graph.consumers(v).map(|c| c.task).collect()
+    }
+
+    #[test]
+    fn records_are_compact() {
+        assert!(
+            std::mem::size_of::<Task>() <= 72,
+            "{}",
+            std::mem::size_of::<Task>()
+        );
+        assert!(
+            std::mem::size_of::<Version>() <= 48,
+            "{}",
+            std::mem::size_of::<Version>()
+        );
+    }
+
+    #[test]
+    fn edges_keep_declaration_order_across_chunks() {
+        let mut g = GraphBuilder::new(2);
+        for k in 0..4 {
+            g.data(k, 8, 1, None);
+        }
+        // Three chunks of tasks with 1–4 reads and 1–2 writes each.
+        for i in 0..700u64 {
+            let mut d = TaskDesc::new("t").write(i % 4, 8);
+            for k in 0..=i % 4 {
+                d = d.read_key((i + k) % 4);
+            }
+            if i.is_multiple_of(3) {
+                d = d.write(100 + i, 8);
+            }
+            g.insert(d);
+        }
+        let graph = g.build();
+        for t in [0, 255, 256, 511, 699] {
+            let i = t as u64;
+            let reads: Vec<DataKey> = graph.inputs(t).map(|v| graph.version(v.0).key).collect();
+            let want: Vec<DataKey> = (0..=i % 4).map(|k| (i + k) % 4).collect();
+            assert_eq!(reads, want, "task {t}");
+            let outs: Vec<VersionId> = graph.outputs(t).collect();
+            assert_eq!(
+                outs.len(),
+                if i.is_multiple_of(3) { 2 } else { 1 },
+                "task {t}"
+            );
+            for v in outs {
+                assert_eq!(graph.version(v.0).producer(), Some(t));
+                assert_eq!(graph.version(v.0).home(), 1);
+            }
+        }
+    }
+
+    #[test]
+    fn consumer_order_survives_link_reuse() {
+        let mut b = GraphBuilder::new(3);
+        let (a, c) = (b.data(0, 8, 0, None), b.data(1, 8, 0, None));
+        for n in 0..3 {
+            b.insert(TaskDesc::new("r").on_node(n).read(a).read(c));
+        }
+        let mut graph = b.build();
+        assert_eq!(graph.consumers.links.len(), 6);
+        // Free `a`'s three links, then grow `c`'s list and a new version's
+        // interleaved: they take the freed links, yet every walk keeps
+        // insertion order.
+        graph.prune_consumers(a.0);
+        assert_eq!(consumer_tasks(&graph, a.0), vec![]);
+        let mut b = GraphBuilder::over(3, GraphHandle::new(graph));
+        let d = b.data(2, 8, 1, None);
+        let mut added = Vec::new();
+        for n in [2, 0, 1, 2] {
+            added.push(b.insert(TaskDesc::new("r").on_node(n).read(c).read(d)));
+        }
+        let graph = b.build();
+        assert_eq!(graph.consumers.links.len(), 6 + 5, "three links reused");
+        let mut want_c = vec![0, 1, 2];
+        want_c.extend(&added);
+        assert_eq!(consumer_tasks(&graph, c.0), want_c);
+        assert_eq!(consumer_tasks(&graph, d.0), added);
+        let nodes: Vec<NodeId> = graph.consumers(d.0).map(|c| c.node).collect();
+        assert_eq!(nodes, vec![2, 0, 1, 2]);
+        // A retired list is reusable too.
+        let mut graph = graph;
+        graph.retire_version(d.0);
+        assert_eq!(consumer_tasks(&graph, d.0), vec![]);
+        assert_eq!(consumer_tasks(&graph, c.0), want_c);
+    }
+
+    #[test]
+    fn walks_skip_consumers_whose_chunk_was_freed() {
+        // 300 consumers of one version on alternating nodes: the first 256
+        // fill task chunk 0.
+        let mut b = GraphBuilder::new(2);
+        let v = b.data(0, 8, 0, None);
+        for t in 0..300 {
+            b.insert(TaskDesc::new("r").on_node(t % 2).read(v));
+        }
+        let mut graph = b.build();
+        let local = |g: &TaskGraph, n| -> Vec<TaskId> {
+            g.live_local_consumers(v.0, n).map(|(t, _)| t).collect()
+        };
+        assert_eq!(local(&graph, 1).len(), 150);
+        // Windowed retirement frees chunk 0 once its tasks completed; the
+        // version's list still names them.
+        graph.free_task_chunk(0);
+        assert_eq!(graph.consumers(v.0).count(), 300);
+        let want: Vec<TaskId> = (256..300).filter(|t| t % 2 == 1).collect();
+        assert_eq!(local(&graph, 1), want);
+        for (t, task) in graph.live_local_consumers(v.0, 0) {
+            assert_eq!((t % 2, task.node()), (0, 0));
+            assert!(t >= 256);
+        }
+    }
+
+    #[test]
+    fn kernels_and_initial_payloads_live_in_side_tables() {
+        let mut g = GraphBuilder::new(1);
+        let v = g.data(0, 1, 0, Some(Bytes::from_static(&[7])));
+        let w = g.data(1, 1, 0, None);
+        let plain = g.insert(TaskDesc::new("plain").read(v).write(2, 1));
+        let with = g.insert(
+            TaskDesc::new("with")
+                .read(w)
+                .write(3, 1)
+                .kernel(|_| vec![Bytes::from_static(&[1])]),
+        );
+        let mut graph = g.build();
+        assert!(graph.kernel(plain).is_none());
+        assert!(graph.kernel(with).is_some());
+        assert_eq!(graph.initial(v.0).map(|b| b[0]), Some(7));
+        assert!(graph.initial(w.0).is_none());
+        graph.retire_version(v.0);
+        assert!(graph.initial(v.0).is_none());
+    }
+
     #[test]
     fn read_after_write_chains() {
         let mut g = GraphBuilder::new(1);
@@ -638,9 +1000,10 @@ mod tests {
         let t2 = g.insert(TaskDesc::new("w2").read_key(0).write(0, 8));
         let graph = g.build();
         // t2 reads the version produced by t1, not the initial one.
-        assert_eq!(graph.version(graph.task(t2).inputs[0].0).producer, Some(t1));
+        let read = graph.inputs(t2).next().expect("t2 reads");
+        assert_eq!(graph.version(read.0).producer(), Some(t1));
         // The initial version's only consumer is t1.
-        assert_eq!(graph.version(0).consumers, vec![t1]);
+        assert_eq!(consumer_tasks(&graph, 0), vec![t1]);
     }
 
     #[test]
@@ -652,8 +1015,8 @@ mod tests {
         let w = g.insert(TaskDesc::new("writer").write(0, 8));
         let graph = g.build();
         // The writer has no inputs at all: no write-after-read edges.
-        assert!(graph.task(w).inputs.is_empty());
-        assert_eq!(graph.version(v0.0).consumers, vec![r1, r2]);
+        assert_eq!(graph.inputs(w).len(), 0);
+        assert_eq!(consumer_tasks(&graph, v0.0), vec![r1, r2]);
     }
 
     #[test]
@@ -662,7 +1025,7 @@ mod tests {
         let v = g.data(0, 8, 3, None);
         let t = g.insert(TaskDesc::new("t").read(v));
         let graph = g.build();
-        assert_eq!(graph.task(t).node, 3);
+        assert_eq!(graph.task(t).node(), 3);
     }
 
     #[test]

@@ -311,12 +311,12 @@ impl NodeRt {
             s.remaining = vec![0; g.local_task_count(rt.node)];
             for &i in sources {
                 sweep_probe();
-                s.store.present(i, g.version(i).initial.clone(), false);
+                s.store.present(i, g.initial(i).cloned(), false);
             }
             for &i in tasks {
                 sweep_probe();
                 let t = g.task(i);
-                let missing = t.inputs.iter().filter(|v| !s.store.is_present(v.0)).count();
+                let missing = g.inputs(i).filter(|v| !s.store.is_present(v.0)).count();
                 s.remaining[t.local_ix as usize] = missing as u32;
                 if missing == 0 {
                     let seq = s.next_seq();
@@ -390,11 +390,9 @@ impl NodeRt {
     /// outputs, release local consumers, announce to remote ones, then
     /// return the worker to the idle pool.
     fn task_done(rt: &RtHandle, sim: &mut Sim, task: TaskId, widx: usize) {
-        let noutputs;
         {
             let g = rt.graph.get();
             let t = g.task(task);
-            noutputs = t.outputs.len();
             if rt.trace_on {
                 // The duration is a pure function of the task, so the
                 // execution span is reconstructed here instead of carrying
@@ -411,14 +409,14 @@ impl NodeRt {
 
             // Execute the kernel on real payloads.
             let kernel = (rt.cfg.mode == ExecMode::Numeric)
-                .then_some(t.kernel.as_ref())
+                .then(|| g.kernel(task))
                 .flatten();
             let outs: Option<Vec<Bytes>> = if let Some(kernel) = kernel {
                 let mut inputs = std::mem::take(&mut rt.state.borrow_mut().inputs_scratch);
                 inputs.clear();
                 {
                     let s = rt.state.borrow();
-                    for v in &t.inputs {
+                    for v in g.inputs(task) {
                         // Control (size-0) inputs carry no payload and
                         // are not handed to kernels.
                         if g.version(v.0).size > 0 {
@@ -429,7 +427,7 @@ impl NodeRt {
                     }
                 }
                 let outs = kernel(&inputs);
-                assert_eq!(outs.len(), t.outputs.len(), "kernel output arity");
+                assert_eq!(outs.len(), g.outputs(task).len(), "kernel output arity");
                 inputs.clear();
                 rt.state.borrow_mut().inputs_scratch = inputs;
                 Some(outs)
@@ -440,21 +438,21 @@ impl NodeRt {
             let mut s = rt.state.borrow_mut();
             s.executed += 1;
             let mut outs = outs.into_iter().flatten();
-            for vid in &t.outputs {
+            for vid in g.outputs(task) {
                 s.store.present(vid.0, outs.next(), false);
             }
         }
 
-        // Release local consumers of each output.
-        for oi in 0..noutputs {
-            let vid = rt.graph.get().task(task).outputs[oi];
-            NodeRt::release_local(rt, vid);
-        }
-
-        // Announce to remote consumers; the send cost extends the
-        // worker's occupancy.
-        let outputs = (0..noutputs).map(|oi| rt.graph.get().task(task).outputs[oi].0);
-        let extra = NodeRt::announce_versions(rt, sim, outputs, Some(SimTime::ZERO));
+        // Release local consumers of each output, then announce to remote
+        // consumers; the send cost extends the worker's occupancy.
+        let extra = {
+            let g = rt.graph.get();
+            for vid in g.outputs(task) {
+                NodeRt::release_local(rt, vid);
+            }
+            let outputs = g.outputs(task).map(|v| v.0);
+            NodeRt::announce_versions(rt, sim, outputs, Some(SimTime::ZERO))
+        };
         let extra = extra
             .filter(|e| !e.is_zero())
             .unwrap_or(SimTime::from_ns(1));
@@ -485,17 +483,7 @@ impl NodeRt {
     fn release_local(rt: &RtHandle, version: VersionId) {
         let g = rt.graph.get();
         let mut s = rt.state.borrow_mut();
-        for &c in &g.version(version.0).consumers {
-            // Data can arrive here while consumers on *other* nodes — long
-            // since satisfied from their own copies — have completed and had
-            // their graph chunk freed by windowed retirement. A freed
-            // consumer finished already, so there is nothing to release.
-            let Some(t) = g.task_if_live(c) else {
-                continue;
-            };
-            if t.node != rt.node {
-                continue;
-            }
+        for (c, t) in g.live_local_consumers(version.0, rt.node) {
             let rem = &mut s.remaining[t.local_ix as usize];
             debug_assert!(*rem > 0, "double release of task {c}");
             *rem -= 1;

@@ -140,23 +140,23 @@ pub(crate) fn announce<P: Port>(
     versions: impl IntoIterator<Item = (usize, usize)>,
 ) {
     for (v, size) in versions {
-        let ver = g.version(v);
+        let home = g.version(v).home();
         fan.epoch += 1;
         fan.dests.clear();
-        for &t in &ver.consumers {
-            let task = g.task(t);
-            if task.node == ver.home {
+        for c in g.consumers(v) {
+            if c.node == home {
                 continue;
             }
-            if fan.best.len() <= task.node {
-                fan.best.resize(task.node + 1, (0, 0));
+            let priority = g.task(c.task).priority;
+            if fan.best.len() <= c.node {
+                fan.best.resize(c.node + 1, (0, 0));
             }
-            let e = &mut fan.best[task.node];
+            let e = &mut fan.best[c.node];
             if e.0 != fan.epoch {
-                *e = (fan.epoch, task.priority);
-                fan.dests.push(task.node);
+                *e = (fan.epoch, priority);
+                fan.dests.push(c.node);
             } else {
-                e.1 = e.1.max(task.priority);
+                e.1 = e.1.max(priority);
             }
         }
         if !fan.dests.is_empty() && tree.min.is_some_and(|m| fan.dests.len() >= m) {

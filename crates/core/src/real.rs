@@ -245,16 +245,15 @@ impl RealRun {
             .tasks()
             .enumerate()
             .map(|(id, t)| {
-                let missing = t
-                    .inputs
-                    .iter()
+                let missing = graph
+                    .inputs(id)
                     .filter(|v| {
                         let ver = graph.version(v.0);
-                        !(ver.producer.is_none() && ver.home == t.node)
+                        !(ver.producer().is_none() && ver.home() == t.node())
                     })
                     .count() as u32;
                 if missing == 0 {
-                    seed_tasks[t.node].push(id);
+                    seed_tasks[t.node()].push(id);
                 }
                 AtomicU32::new(missing)
             })
@@ -264,9 +263,9 @@ impl RealRun {
             .map(|n| VersionStore::new(n, cfg.flyweight))
             .collect();
         for (i, v) in graph.versions().enumerate() {
-            if v.producer.is_none() {
-                init_versions[v.home].push(i);
-                stores[v.home].present(i, v.initial.clone(), false);
+            if v.producer().is_none() {
+                init_versions[v.home()].push(i);
+                stores[v.home()].present(i, graph.initial(i).cloned(), false);
             }
         }
         let shm = ShmWorld::new_observed(nodes, SHM_POOL_BUFS, metrics);
@@ -320,11 +319,12 @@ impl RealRun {
     /// Whether a payload of `v` exists anywhere: only kernels and initial
     /// data make one, so a cost-only version never enters a store.
     fn carries_payload(&self, v: usize) -> bool {
-        let ver = self.graph.version(v);
-        ver.initial.is_some()
-            || ver
-                .producer
-                .is_some_and(|t| self.graph.task(t).kernel.is_some())
+        self.graph.initial(v).is_some()
+            || self
+                .graph
+                .version(v)
+                .producer()
+                .is_some_and(|t| self.graph.kernel(t).is_some())
     }
 
     /// The store of `node`, locked.
@@ -349,9 +349,9 @@ impl RealRun {
         } else if let Some(b) = payload {
             self.store(node).keep_payload(v, b);
         }
-        for &t in &self.graph.version(v).consumers {
-            if self.graph.task(t).node == node && self.remaining[t].fetch_sub(1, SeqCst) == 1 {
-                ready(t);
+        for c in self.graph.consumers(v) {
+            if c.node == node && self.remaining[c.task].fetch_sub(1, SeqCst) == 1 {
+                ready(c.task);
             }
         }
     }
@@ -551,7 +551,8 @@ fn am(src: usize, tag: u64, frames: Frames, sent_at_ns: u64) -> ShmMsg {
 fn exec_task(p: &mut RealPort<'_, '_>, t: TaskId) {
     let run = p.run;
     let task = run.graph.task(t);
-    let node = task.node;
+    let kernel = run.graph.kernel(t);
+    let node = task.node();
     p.node = node;
     // Dispatch-overhead measurement brackets the whole job (input gather,
     // kernel, completion protocol) less the messages this worker handles
@@ -561,10 +562,10 @@ fn exec_task(p: &mut RealPort<'_, '_>, t: TaskId) {
 
     // Gather input payloads (only data-carrying versions feed kernels,
     // exactly like the sequential oracle).
-    let inputs: Vec<Bytes> = if task.kernel.is_some() {
+    let inputs: Vec<Bytes> = if kernel.is_some() {
         let store = run.store(node);
-        task.inputs
-            .iter()
+        run.graph
+            .inputs(t)
             .filter(|v| run.graph.version(v.0).size > 0)
             .map(|v| {
                 store
@@ -578,7 +579,7 @@ fn exec_task(p: &mut RealPort<'_, '_>, t: TaskId) {
     };
 
     let started = p.ctx.now();
-    let outs: Vec<Bytes> = match &task.kernel {
+    let outs: Vec<Bytes> = match kernel {
         Some(k) => k(&inputs),
         None => Vec::new(),
     };
@@ -587,8 +588,12 @@ fn exec_task(p: &mut RealPort<'_, '_>, t: TaskId) {
     // On a traced pool this lands in the worker's lock-free buffer; on an
     // untraced pool it is a no-op.
     p.ctx.trace_task(task.name, node, started, ended);
-    if task.kernel.is_some() {
-        assert_eq!(outs.len(), task.outputs.len(), "kernel output arity");
+    if kernel.is_some() {
+        assert_eq!(
+            outs.len(),
+            run.graph.outputs(t).len(),
+            "kernel output arity"
+        );
     }
 
     // Worker accounting.
@@ -612,13 +617,13 @@ fn exec_task(p: &mut RealPort<'_, '_>, t: TaskId) {
     // consumers (spawned first, so another worker can steal them while
     // this one runs the announces' protocol in line). A kernel's output
     // announces its own length, a cost-only one its declared size.
-    for (i, out) in task.outputs.iter().enumerate() {
+    for (i, out) in run.graph.outputs(t).enumerate() {
         let ctx = &mut *p.ctx;
         run.fulfill_local(node, out.0, outs.get(i).cloned(), false, |t| {
             ctx.defer_task(t)
         });
     }
-    p.announce_versions(task.outputs.iter().enumerate().map(|(i, out)| {
+    p.announce_versions(run.graph.outputs(t).enumerate().map(|(i, out)| {
         let size = outs
             .get(i)
             .map_or(run.graph.version(out.0).size, Bytes::len);
@@ -709,8 +714,8 @@ fn node_startup(p: &mut RealPort<'_, '_>) {
         p.post(child, am(node, AM_COLL_GO, Frames::new(), at));
     }
     p.announce_versions(run.init_versions[node].iter().map(|&v| {
-        let ver = run.graph.version(v);
-        (v, ver.initial.as_ref().map_or(ver.size, Bytes::len))
+        let size = run.graph.version(v).size;
+        (v, run.graph.initial(v).map_or(size, Bytes::len))
     }));
     // Seed only *statically* dependence-free tasks — every input a
     // pre-satisfied initial version homed here. Tasks whose counters hit

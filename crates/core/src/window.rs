@@ -3,11 +3,11 @@
 //! [`crate::Cluster::execute_windowed`] drives a [`GraphSource`] instead of
 //! a fully unrolled [`crate::TaskGraph`]: at most `window` tasks are
 //! unrolled ahead of the completion frontier, and completed tasks (plus
-//! versions that can never be read again) are *retired* — their dependence
-//! lists, kernels and payloads freed, and whole graph-storage chunks
-//! returned to the allocator once every entry in them has retired. Peak
-//! memory is O(window) instead of O(total tasks), which for tile Cholesky
-//! means O(window) instead of O(nt³/6).
+//! versions that can never be read again) are *retired* — their consumer
+//! links and payloads freed, and whole graph-storage chunks (with their
+//! tasks' edges and kernels) returned to the allocator once every entry
+//! in them has retired. Peak memory is O(window) instead of O(total
+//! tasks), which for tile Cholesky means O(window) instead of O(nt³/6).
 //!
 //! Discovery-order bookkeeping mirrors what full-unroll `init` computes up
 //! front:
@@ -58,12 +58,8 @@ struct WindowInner {
     rts: Vec<RtHandle>,
     /// Per task: completed?
     done: Vec<bool>,
-    /// Per version: discovered consumers not yet completed.
-    open_consumers: Vec<u32>,
-    /// Per version: a later write to the same key exists (consumer set is
-    /// final).
-    superseded: Vec<bool>,
-    retired_version: Vec<bool>,
+    /// Per version: open consumers and the superseded / retired flags.
+    versions: Vec<VerState>,
     /// Per graph-storage chunk: retired entries (chunk freed at
     /// [`GRAPH_CHUNK`]).
     task_chunk_retired: Vec<u32>,
@@ -86,6 +82,30 @@ struct WindowInner {
     ids_scratch: Vec<usize>,
 }
 
+/// One version's retirement state in a word: its discovered consumers not
+/// yet completed, and two flags.
+#[derive(Clone, Copy, Default)]
+struct VerState(u32);
+
+impl VerState {
+    /// A later write to the same key exists: the consumer set is final.
+    const SUPERSEDED: u32 = 1 << 31;
+    const RETIRED: u32 = 1 << 30;
+    const OPEN: u32 = Self::RETIRED - 1;
+
+    fn open(self) -> u32 {
+        self.0 & Self::OPEN
+    }
+
+    fn superseded(self) -> bool {
+        self.0 & Self::SUPERSEDED != 0
+    }
+
+    fn retired(self) -> bool {
+        self.0 & Self::RETIRED != 0
+    }
+}
+
 impl WindowCtl {
     pub fn new(
         nodes: usize,
@@ -106,9 +126,7 @@ impl WindowCtl {
                 completed: 0,
                 rts: Vec::new(),
                 done: Vec::new(),
-                open_consumers: Vec::new(),
-                superseded: Vec::new(),
-                retired_version: Vec::new(),
+                versions: Vec::new(),
                 task_chunk_retired: Vec::new(),
                 version_chunk_retired: Vec::new(),
                 version_chunk_freed: Vec::new(),
@@ -151,7 +169,7 @@ impl WindowCtl {
         // currently known remote consumer nodes.
         let g = handle.get();
         for i in 0..g.version_count() {
-            if g.version(i).producer.is_none() {
+            if g.version(i).producer().is_none() {
                 inner.cover_consumers(&g, i);
             }
         }
@@ -169,13 +187,12 @@ impl WindowCtl {
         candidates.clear();
         {
             let g = handle.get();
-            let t = g.task(task);
-            for &v in &t.inputs {
-                debug_assert!(inner.open_consumers[v.0] > 0);
-                inner.open_consumers[v.0] -= 1;
+            for v in g.inputs(task) {
+                debug_assert!(inner.versions[v.0].open() > 0);
+                inner.versions[v.0].0 -= 1;
                 candidates.push(v.0);
             }
-            for &v in &t.outputs {
+            for v in g.outputs(task) {
                 // The completion announce (already sent by task_done)
                 // covered every currently known remote consumer node.
                 inner.cover_consumers(&g, v.0);
@@ -192,7 +209,6 @@ impl WindowCtl {
             inner.maybe_evacuate_version_chunk(&handle, v / GRAPH_CHUNK);
         }
         inner.retire_scratch = candidates;
-        handle.get_mut().retire_task(task);
         let chunk = task / GRAPH_CHUNK;
         inner.task_chunk_retired[chunk] += 1;
         if inner.task_chunk_retired[chunk] as usize == GRAPH_CHUNK {
@@ -224,9 +240,7 @@ impl WindowInner {
             (g.task_count(), g.version_count())
         };
         self.done.resize(ntasks, false);
-        self.open_consumers.resize(nversions, 0);
-        self.superseded.resize(nversions, false);
-        self.retired_version.resize(nversions, false);
+        self.versions.resize(nversions, VerState::default());
         self.task_chunk_retired
             .resize(ntasks.div_ceil(GRAPH_CHUNK), 0);
         self.version_chunk_retired
@@ -239,7 +253,7 @@ impl WindowInner {
                 let (producer_less, home, initial) = {
                     let g = handle.get();
                     let v = g.version(i);
-                    (v.producer.is_none(), v.home, v.initial.clone())
+                    (v.producer().is_none(), v.home(), g.initial(i).cloned())
                 };
                 if producer_less {
                     self.rts[home].window_seed_initial(i, initial);
@@ -254,10 +268,11 @@ impl WindowInner {
             let (node, local_ix, priority, missing) = {
                 let g = handle.get();
                 let task = g.task(t);
-                let node = task.node;
+                let node = task.node();
                 let mut missing = 0u32;
-                for &v in &task.inputs {
-                    self.open_consumers[v.0] += 1;
+                for v in g.inputs(t) {
+                    debug_assert!(self.versions[v.0].open() < VerState::OPEN);
+                    self.versions[v.0].0 += 1;
                     if !self.live {
                         continue;
                     }
@@ -270,10 +285,11 @@ impl WindowInner {
                         continue; // requested: the arrival releases it
                     }
                     let ver = g.version(v.0);
-                    if ver.home == node {
+                    let home = ver.home();
+                    if home == node {
                         continue; // local producer pending
                     }
-                    if !self.rts[ver.home].store_is_present(v.0) {
+                    if !self.rts[home].store_is_present(v.0) {
                         continue; // remote producer pending: its announce covers us
                     }
                     let held = self.holders.entry(v.0).or_default();
@@ -281,8 +297,8 @@ impl WindowInner {
                         // Producer-side announce predates this consumer's
                         // discovery: late direct ACTIVATE from the home.
                         held.insert(at, node);
-                        let size = self.rts[ver.home].announce_size(v.0, ver.size);
-                        late.push((ver.home, node, v.0, size, task.priority));
+                        let size = self.rts[home].announce_size(v.0, ver.size);
+                        late.push((home, node, v.0, size, task.priority));
                     }
                 }
                 (node, task.local_ix, task.priority, missing)
@@ -302,7 +318,7 @@ impl WindowInner {
         // Versions whose `current` slot was overwritten: consumer sets are
         // final, so they become retirement candidates.
         for vid in self.builder.take_superseded() {
-            self.superseded[vid.0] = true;
+            self.versions[vid.0].0 |= VerState::SUPERSEDED;
             if self.live {
                 self.maybe_retire_version(&handle, vid.0);
             }
@@ -313,11 +329,10 @@ impl WindowInner {
     /// version, or its producer's completion announce) reaches every
     /// currently known remote consumer node: they become `v`'s holders.
     fn cover_consumers(&mut self, g: &TaskGraph, v: usize) {
-        let ver = g.version(v);
+        let home = g.version(v).home();
         let mut nodes = std::mem::take(&mut self.ids_scratch);
         nodes.clear();
-        let consumer_nodes = ver.consumers.iter().map(|&c| g.task(c).node);
-        nodes.extend(consumer_nodes.filter(|&n| n != ver.home));
+        nodes.extend(g.consumers(v).map(|c| c.node).filter(|&n| n != home));
         nodes.sort_unstable();
         nodes.dedup();
         if !nodes.is_empty() {
@@ -336,18 +351,19 @@ impl WindowInner {
     /// at its home and its holders — O(fan-out), not O(nodes) — and frees
     /// the version's graph chunk once its whole chunk has retired.
     fn maybe_retire_version(&mut self, handle: &GraphHandle, v: usize) {
-        if self.retired_version[v] || self.open_consumers[v] != 0 {
+        let state = self.versions[v];
+        if state.retired() || state.open() != 0 {
             return;
         }
         let home = {
             let g = handle.get();
             let ver = g.version(v);
-            if ver.producer.is_some_and(|p| !self.done[p]) {
+            if ver.producer().is_some_and(|p| !self.done[p]) {
                 return;
             }
-            ver.home
+            ver.home()
         };
-        if !self.superseded[v] {
+        if !state.superseded() {
             // Final and drained: producer done, every discovered consumer
             // completed (so its data already arrived — no in-flight
             // release will scan the list), and no later write exists.
@@ -370,7 +386,7 @@ impl WindowInner {
             assert!(!stray, "retired version {v} kept payload bytes on node {n}");
         }
         handle.get_mut().retire_version(v);
-        self.retired_version[v] = true;
+        self.versions[v].0 |= VerState::RETIRED;
         let chunk = v / GRAPH_CHUNK;
         if self.version_chunk_freed[chunk] {
             // The chunk was already evacuated; this version lived on in
@@ -392,7 +408,7 @@ impl WindowInner {
     fn maybe_evacuate_version_chunk(&mut self, handle: &GraphHandle, chunk: usize) {
         let lo = chunk * GRAPH_CHUNK;
         let hi = lo + GRAPH_CHUNK;
-        if self.version_chunk_freed[chunk] || hi > self.retired_version.len() {
+        if self.version_chunk_freed[chunk] || hi > self.versions.len() {
             return; // already freed, or the tail chunk is still filling
         }
         let mut keep = std::mem::take(&mut self.ids_scratch);
@@ -400,14 +416,15 @@ impl WindowInner {
         let settled = 'scan: {
             let g = handle.get();
             for v in lo..hi {
-                if self.retired_version[v] {
+                let state = self.versions[v];
+                if state.retired() {
                     continue;
                 }
                 // Superseded, consumers still open or producer pending: it
                 // will retire (or come back here) through the normal path.
-                if self.superseded[v]
-                    || self.open_consumers[v] != 0
-                    || g.version(v).producer.is_some_and(|p| !self.done[p])
+                if state.superseded()
+                    || state.open() != 0
+                    || g.version(v).producer().is_some_and(|p| !self.done[p])
                 {
                     break 'scan false;
                 }

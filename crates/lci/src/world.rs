@@ -130,11 +130,6 @@ struct RecvD {
     on_complete: OnComplete,
 }
 
-struct RtsInfo {
-    src: NodeId,
-    sendd_idx: u32,
-}
-
 /// A message on the fabric, held in [`LciWorld::wires`] while in flight.
 enum LWire {
     Imm {
@@ -195,8 +190,13 @@ struct EpState {
     sendd: Slab<SendD>,
     recvd: Slab<RecvD>,
     posted_count: usize,
-    posted: FastMap<(NodeId, u64), VecDeque<u32>>,
-    pending_rts: FastMap<(NodeId, u64), VecDeque<RtsInfo>>,
+    /// Posted receives per `(src, rtag)`: `recvd` ids, oldest first.
+    posted: FastMap<(NodeId, u64), Fifo>,
+    /// RTSes waiting for a receive per `(src, rtag)`: `sendd` ids of the
+    /// sender `src`, oldest first.
+    pending_rts: FastMap<(NodeId, u64), Fifo>,
+    /// The links of every `posted` and `pending_rts` FIFO.
+    fifo_links: Slab<FifoLink>,
     handlers: Vec<HandlerFn>,
     cqs: Vec<VecDeque<CompEntry>>,
     syncs: Vec<Option<CompEntry>>,
@@ -218,6 +218,7 @@ impl EpState {
             posted_count: 0,
             posted: FastMap::default(),
             pending_rts: FastMap::default(),
+            fifo_links: Slab::default(),
             handlers: Vec::new(),
             cqs: Vec::new(),
             syncs: Vec::new(),
@@ -227,14 +228,51 @@ impl EpState {
     }
 }
 
-/// Pop the front of `key`'s FIFO in `map`, dropping the FIFO once empty.
-fn pop_fifo<T>(map: &mut FastMap<(NodeId, u64), VecDeque<T>>, key: (NodeId, u64)) -> Option<T> {
-    let q = map.get_mut(&key)?;
-    let front = q.pop_front();
-    if q.is_empty() {
-        map.remove(&key);
+/// One matching-FIFO entry in [`EpState::fifo_links`].
+struct FifoLink {
+    id: u32,
+    next: u32,
+}
+
+/// First and last link of one non-empty matching FIFO.
+struct Fifo {
+    head: u32,
+    tail: u32,
+}
+
+/// Append `id` to `key`'s FIFO in `map`.
+fn push_fifo(
+    map: &mut FastMap<(NodeId, u64), Fifo>,
+    links: &mut Slab<FifoLink>,
+    key: (NodeId, u64),
+    id: u32,
+) {
+    let at = links.insert(FifoLink { id, next: u32::MAX });
+    match map.get_mut(&key) {
+        Some(q) => {
+            links.get_mut(q.tail).next = at;
+            q.tail = at;
+        }
+        None => {
+            map.insert(key, Fifo { head: at, tail: at });
+        }
     }
-    front
+}
+
+/// Pop the front of `key`'s FIFO in `map`, dropping the FIFO once empty.
+fn pop_fifo(
+    map: &mut FastMap<(NodeId, u64), Fifo>,
+    links: &mut Slab<FifoLink>,
+    key: (NodeId, u64),
+) -> Option<u32> {
+    let q = map.get_mut(&key)?;
+    let front = links.take(q.head);
+    if q.head == q.tail {
+        map.remove(&key);
+    } else {
+        q.head = front.next;
+    }
+    Some(front.id)
 }
 
 /// The LCI "world": one device spanning every fabric node, one endpoint per
@@ -573,19 +611,19 @@ impl Lci {
                 on_complete,
             });
             // An RTS may already be waiting.
-            let rts = pop_fifo(&mut ep.pending_rts, (src, rtag));
+            let rts = pop_fifo(&mut ep.pending_rts, &mut ep.fifo_links, (src, rtag));
             if rts.is_none() {
-                ep.posted.entry((src, rtag)).or_default().push_back(idx);
+                push_fifo(&mut ep.posted, &mut ep.fifo_links, (src, rtag), idx);
             }
-            (rts.map(|info| (info, idx)), costs)
+            (rts.map(|sendd_idx| (sendd_idx, idx)), costs)
         };
-        if let Some((info, recvd_idx)) = matched {
+        if let Some((sendd_idx, recvd_idx)) = matched {
             let wire = LWire::Rtr {
-                sendd_idx: info.sendd_idx,
+                sendd_idx,
                 recvd_idx,
                 recver: self.rank,
             };
-            self.send_wire(sim, info.src, costs.header_bytes, wire, None);
+            self.send_wire(sim, src, costs.header_bytes, wire, None);
         }
         Ok(costs.call_base + costs.recvd_base)
     }
@@ -784,10 +822,10 @@ impl Lci {
                 rtag,
                 sendd_idx,
             } => {
-                let matched = pop_fifo(
-                    &mut self.world.borrow_mut().eps[self.rank].posted,
-                    (src, rtag),
-                );
+                let matched = {
+                    let ep = &mut self.world.borrow_mut().eps[self.rank];
+                    pop_fifo(&mut ep.posted, &mut ep.fifo_links, (src, rtag))
+                };
                 match matched {
                     Some(recvd_idx) => {
                         let wire = LWire::Rtr {
@@ -798,11 +836,13 @@ impl Lci {
                         self.send_wire(sim, src, costs.header_bytes, wire, None);
                     }
                     None => {
-                        self.world.borrow_mut().eps[self.rank]
-                            .pending_rts
-                            .entry((src, rtag))
-                            .or_default()
-                            .push_back(RtsInfo { src, sendd_idx });
+                        let ep = &mut self.world.borrow_mut().eps[self.rank];
+                        push_fifo(
+                            &mut ep.pending_rts,
+                            &mut ep.fifo_links,
+                            (src, rtag),
+                            sendd_idx,
+                        );
                     }
                 }
             }

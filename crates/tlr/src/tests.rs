@@ -135,15 +135,16 @@ fn smaller_tiles_mean_more_tasks_less_flops_per_task() {
 fn two_flow_trsm_touches_only_v() {
     let problem = TlrProblem::new(128, 32);
     let (_, graph) = TlrCholesky::build_numeric(problem, 1);
-    for t in graph.tasks() {
+    for (id, t) in graph.tasks().enumerate() {
+        let mut outputs = graph.outputs(id);
         if t.name == "trsm" {
-            assert_eq!(t.outputs.len(), 1, "TRSM writes only the V flow");
+            assert_eq!(outputs.len(), 1, "TRSM writes only the V flow");
             // Its output key is odd (V keys are 2*id+1).
-            let vkey = graph.version(t.outputs[0].0).key;
+            let vkey = graph.version(outputs.next().expect("one output").0).key;
             assert_eq!(vkey % 2, 1, "TRSM output must be a V key");
         }
         if t.name == "gemm" {
-            assert_eq!(t.outputs.len(), 2, "GEMM rewrites both flows");
+            assert_eq!(outputs.len(), 2, "GEMM rewrites both flows");
         }
     }
 }

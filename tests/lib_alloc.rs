@@ -1,6 +1,7 @@
 //! Warmed messages through the simulated libraries allocate only what
 //! their matching tables need: wire records live in each world's slab and
-//! travel as ids, and LCI completions name handlers registered once. Each
+//! travel as ids, LCI completions name handlers registered once, and LCI's
+//! matching FIFOs are links in a per-endpoint slab. Each
 //! scenario runs three identical rounds and pins the third round's count.
 //! One test in a binary of its own, so the process-wide counter counts
 //! nothing else.
@@ -138,10 +139,10 @@ fn warmed_library_messages_allocate_no_wire_or_completion() {
     assert!(sendb[0] >= 1, "the counting allocator is not installed");
     assert_eq!(sendb[2], 0, "LCI sendb, 32 messages: {sendb:?}");
 
-    // One posted-receive bucket per transfer (its `(src, rtag)` FIFO is
-    // dropped when the RTS matches it); no wire record, no completion.
+    // Matching FIFOs are links in a per-endpoint slab, so a posted
+    // receive allocates no bucket; no wire record, no completion.
     let rendezvous = lci_rendezvous_rounds();
-    assert_eq!(rendezvous[2], 8, "LCI rendezvous, 8 puts: {rendezvous:?}");
+    assert_eq!(rendezvous[2], 0, "LCI rendezvous, 8 puts: {rendezvous:?}");
 
     // What is left is matching-table state for each fresh tag and
     // `testsome`'s result vectors; no wire record.
