@@ -256,93 +256,3 @@ mod tests {
         assert!((fa / fb - 1.0).abs() < 0.3, "{fa:.2e} vs {fb:.2e}");
     }
 }
-
-#[cfg(test)]
-mod diag {
-    use super::*;
-
-    #[test]
-    #[ignore = "diagnostic"]
-    fn diag_one_point() {
-        for (label, n) in [
-            ("16KiB", 16 * 1024),
-            ("64KiB", 64 * 1024),
-            ("256KiB", 256 * 1024),
-        ] {
-            for backend in [BackendKind::Lci, BackendKind::Mpi] {
-                let cfg = PingPongCfg::bandwidth(n, 1, true, 5);
-                let r = run_pingpong(backend, &cfg);
-                println!(
-                    "{label} {backend:?}: bw={:.1} Gbit/s comm_util={:.2} prog_util={:.2} e2e_mean={:.1}us msg_mean={:.1}us makespan={:.3}s window={}",
-                    r.gbit_per_s,
-                    r.report.comm_util,
-                    r.report.progress_util,
-                    r.report.e2e_latency_us.mean(),
-                    r.report.msg_latency_us.mean(),
-                    r.makespan_s,
-                    cfg.window,
-                );
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod diag2 {
-    use super::*;
-
-    #[test]
-    #[ignore = "diagnostic"]
-    fn diag_overlap_large() {
-        for n in [512 * 1024, 1024 * 1024] {
-            for backend in [BackendKind::Lci, BackendKind::Mpi] {
-                let cfg = PingPongCfg::overlap(n, 6e10);
-                let r = run_pingpong(backend, &cfg);
-                let s = &r.report.engine_stats;
-                let retries: u64 = s.iter().map(|e| e.backend_retries.get()).sum();
-                let delegated: u64 = s.iter().map(|e| e.delegated_recvs.get()).sum();
-                let deferred: u64 = s.iter().map(|e| e.deferred_puts.get()).sum();
-                let dynrecv: u64 = s.iter().map(|e| e.dynamic_recvs.get()).sum();
-                println!(
-                    "{} {backend:?}: tf={:.2} makespan={:.1}ms wutil={:.2} commutil={:.2} progutil={:.2} e2e={:.0}us retries={retries} delegated={delegated} deferred={deferred} dyn={dynrecv} window={} iters={}",
-                    crate::fmt_size(n),
-                    r.tflop_per_s,
-                    r.makespan_s * 1e3,
-                    r.report.worker_util,
-                    r.report.comm_util,
-                    r.report.progress_util,
-                    r.report.e2e_latency_us.mean(),
-                    cfg.window,
-                    cfg.iters,
-                );
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod diag3 {
-    use crate as amt_bench_self;
-    use amt_bench_self::tlrrun::{run_tlr, TlrRunCfg};
-    use amt_comm::BackendKind;
-
-    #[test]
-    #[ignore = "diagnostic"]
-    fn diag_tlr_point() {
-        for backend in [BackendKind::Lci, BackendKind::Mpi] {
-            let t0 = std::time::Instant::now();
-            let r = run_tlr(&TlrRunCfg {
-                backend,
-                nodes: 16,
-                n: 360_000,
-                tile_size: 1200,
-                multithread_am: false,
-            });
-            println!(
-                "{backend:?}: tts={:.3}s e2e={:.0}us msg={:.0}us tasks={} wutil={:.2} cutil={:.2} wall={:.1}s",
-                r.tts_s, r.e2e_us, r.msg_us, r.tasks, r.worker_util, r.comm_util,
-                t0.elapsed().as_secs_f64()
-            );
-        }
-    }
-}

@@ -49,7 +49,6 @@
 //! MPI backend, contends on the library's serializing lock.
 
 mod backend;
-pub mod collectives;
 mod config;
 mod engine;
 mod lci_backend;
@@ -58,7 +57,6 @@ pub mod shm;
 mod stats;
 mod wire;
 
-pub use collectives::{kary_children, kary_parent, ReduceStep, TreeReduce};
 pub use config::{BackendKind, EngineConfig};
 pub use engine::{
     AmCallback, AmEvent, CommEngine, CommWorld, OnesidedCallback, PutEvent, PutLocalCb, PutRequest,

@@ -2,6 +2,7 @@
 //! the run report benches consume.
 
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use amt_comm::{CommEngine, CommWorld, EngineStats};
@@ -14,7 +15,7 @@ use bytes::Bytes;
 use crate::config::ClusterConfig;
 use crate::graph::{GraphHandle, GraphSource, TaskGraph, VersionId};
 use crate::metrics::{LatencySummary, MetricsReport};
-use crate::node::{NodeRt, RtHandle};
+use crate::node::{sweep_probe, NodeRt, RtHandle};
 use crate::protocol::{Lats, AM_ACTIVATE, AM_GETDATA, RTAG_DATA};
 use crate::window::WindowCtl;
 
@@ -58,6 +59,64 @@ pub struct RunReport {
     /// digest compared byte-for-byte across substrates, and pool counters
     /// are wall-clock-dependent.
     pub pool: Option<amt_exec::PoolStats>,
+}
+
+/// What both substrates sum over their nodes or workers for a report.
+#[derive(Default)]
+pub(crate) struct Tally {
+    pub(crate) lats: Lats,
+    pub(crate) executed: u64,
+    pub(crate) worker_busy: SimTime,
+    /// Per task class: executions and busy time.
+    classes: HashMap<&'static str, (u64, SimTime)>,
+}
+
+impl Tally {
+    /// Add `n` executions of class `name` that kept workers busy `busy`.
+    pub(crate) fn class(&mut self, name: &'static str, n: u64, busy: SimTime) {
+        let e = self.classes.entry(name).or_insert((0, SimTime::ZERO));
+        e.0 += n;
+        e.1 += busy;
+    }
+
+    /// The report fields both substrates derive alike: the latency split,
+    /// class statistics by busy time (descending) and the mean utilization
+    /// of `workers` workers over `makespan`. The substrate's own fields
+    /// (simulated-core utilizations, simulator and pool counters) are left
+    /// zero for the caller.
+    pub(crate) fn into_report(
+        self,
+        makespan: SimTime,
+        tasks_total: u64,
+        workers: usize,
+        engine_stats: Vec<EngineStats>,
+    ) -> RunReport {
+        let mut class_stats: Vec<(String, u64, SimTime)> = self
+            .classes
+            .into_iter()
+            .map(|(k, (n, b))| (k.to_string(), n, b))
+            .collect();
+        class_stats.sort_by_key(|c| std::cmp::Reverse(c.2));
+        let [msg, req, e2e] = self.lats.0;
+        let span = makespan.as_secs_f64().max(1e-12);
+        RunReport {
+            makespan,
+            tasks_executed: self.executed,
+            tasks_total,
+            e2e_latency_us: e2e,
+            msg_latency_us: msg,
+            request_latency_us: req,
+            worker_busy: self.worker_busy,
+            worker_util: self.worker_busy.as_secs_f64() / (span * workers as f64),
+            comm_util: 0.0,
+            progress_util: 0.0,
+            engine_stats,
+            class_stats,
+            sim_events: 0,
+            schedule_past_clamped: 0,
+            pool: None,
+        }
+    }
 }
 
 impl RunReport {
@@ -149,7 +208,7 @@ pub struct Cluster {
     net_trace: Shared<Trace>,
     /// Payloads of the last [`Cluster::execute_real`] run (real-substrate
     /// runs have no per-node `NodeRt` stores to query).
-    real_data: Option<std::collections::HashMap<VersionId, Bytes>>,
+    real_data: Option<HashMap<VersionId, Bytes>>,
     /// Observability artifacts of the last [`Cluster::execute_real`] run:
     /// merged wall-clock trace, lifecycle-stage histograms, calibration
     /// profile. Cleared by virtual executions.
@@ -310,28 +369,23 @@ impl Cluster {
         )
     }
 
-    /// Seed every node's initial events. One graph pass buckets tasks and
-    /// producer-less versions by node (ascending within each) instead of
-    /// every node scanning the whole graph; init still runs in ascending
-    /// node order, so event sequence numbers — and virtual time — are
-    /// unchanged. The buckets are O(tasks) and die here, before the run.
+    /// Seed every node's initial events: one start-state pass admits every
+    /// task at its node (ready queues fill in task order), then the nodes
+    /// start in ascending order, so virtual time is unchanged. The pass
+    /// runs once for the cluster, not once per node.
     fn init_nodes(&mut self, graph: &GraphHandle, node_rts: &[RtHandle]) {
-        let mut tasks = vec![Vec::new(); self.cfg.nodes];
-        let mut sources = vec![Vec::new(); self.cfg.nodes];
-        {
+        let sources = {
             let g = graph.get();
-            for i in 0..g.task_count() {
-                tasks[g.task(i).node()].push(i);
+            for rt in node_rts {
+                rt.reserve_tasks(g.local_task_count(rt.node));
             }
-            for i in 0..g.version_count() {
-                let v = g.version(i);
-                if v.producer().is_none() {
-                    sources[v.home()].push(i);
-                }
-            }
-        }
+            g.start_state(self.cfg.nodes, |t, task, missing| {
+                sweep_probe();
+                node_rts[task.node()].admit_local(t, task.local_ix, task.priority, missing);
+            })
+        };
         for rt in node_rts {
-            NodeRt::init(rt, &mut self.sim, &tasks[rt.node], &sources[rt.node]);
+            NodeRt::init(rt, &mut self.sim, &sources[rt.node]);
         }
     }
 
@@ -351,26 +405,10 @@ impl Cluster {
         // After the run: in windowed mode the graph now holds every task
         // the source produced.
         let tasks_total = graph.get().task_count() as u64;
-
-        let mut lats = Lats::default();
-        let mut executed = 0;
-        let mut worker_busy = SimTime::ZERO;
-        let mut classes: std::collections::HashMap<&'static str, (u64, SimTime)> =
-            std::collections::HashMap::new();
+        let mut tally = Tally::default();
         for rt in node_rts {
-            let (n, busy) = rt.merge_stats(&mut lats, &mut classes);
-            executed += n;
-            worker_busy += busy;
+            rt.merge_stats(&mut tally);
         }
-        let mut class_stats: Vec<(String, u64, SimTime)> = classes
-            .into_iter()
-            .map(|(k, (n, b))| (k.to_string(), n, b))
-            .collect();
-        class_stats.sort_by_key(|c| std::cmp::Reverse(c.2));
-        let [msg, req, e2e] = lats.0;
-        let total_workers = (self.cfg.nodes * self.cfg.workers_per_node) as f64;
-        let span = makespan.as_secs_f64().max(1e-12);
-        let worker_util = worker_busy.as_secs_f64() / (span * total_workers);
         let now = self.sim.now();
         let comm_util = self
             .engines
@@ -384,23 +422,17 @@ impl Cluster {
             .filter_map(|e| e.progress_core().map(|c| c.borrow().utilization(now)))
             .sum::<f64>()
             / self.cfg.nodes as f64;
-
         RunReport {
-            makespan,
-            tasks_executed: executed,
-            tasks_total,
-            e2e_latency_us: e2e,
-            msg_latency_us: msg,
-            request_latency_us: req,
-            worker_busy,
-            worker_util,
             comm_util,
             progress_util,
-            engine_stats: self.engines.iter().map(|e| e.stats()).collect(),
-            class_stats,
             sim_events,
             schedule_past_clamped,
-            pool: None,
+            ..tally.into_report(
+                makespan,
+                tasks_total,
+                self.cfg.nodes * self.cfg.workers_per_node,
+                self.engines.iter().map(|e| e.stats()).collect(),
+            )
         }
     }
 
@@ -453,57 +485,39 @@ impl Cluster {
         // Real runs: wall-clock stage histograms from the shm transport
         // and per-worker pool counters. There is no overlap integrator on
         // the real path (no simulated wire), so wire/overlap are 0.
-        if let Some(obs) = &self.real_obs {
-            let mut engine_totals = EngineStats::default();
-            for s in &report.engine_stats {
-                engine_totals.merge(s);
+        let (substrate, stages, peak, (wire, overlap), overlap_fraction) = match &self.real_obs {
+            Some(obs) => ("real", obs.metrics.clone(), 0, Default::default(), 0.0),
+            None => {
+                let mut stages = amt_simnet::MetricsRegistry::new(true);
+                for engine in &self.engines {
+                    stages.merge(&engine.metrics_handle().borrow());
+                }
+                let (now, o) = (self.sim.now(), self.overlap.borrow());
+                let peak = self.sim.events_peak_pending() as u64;
+                ("virtual", stages, peak, o.totals(now), o.fraction(now))
             }
-            return MetricsReport {
-                backend: self.cfg.engine.backend,
-                substrate: "real",
-                nodes: self.cfg.nodes,
-                makespan_ns: report.makespan.as_ns(),
-                sim_events: report.sim_events,
-                schedule_past_clamped: report.schedule_past_clamped,
-                events_peak_pending: 0,
-                stages: obs.metrics.clone(),
-                engine: engine_totals.named_counters().to_vec(),
-                wire_ns: 0,
-                overlap_ns: 0,
-                overlap_fraction: 0.0,
-                activation_msg: LatencySummary::from_stats(&report.msg_latency_us),
-                activation_request: LatencySummary::from_stats(&report.request_latency_us),
-                activation_e2e: LatencySummary::from_stats(&report.e2e_latency_us),
-                pool: report.pool.clone(),
-            };
-        }
-        let mut stages = amt_simnet::MetricsRegistry::new(true);
-        for engine in &self.engines {
-            stages.merge(&engine.metrics_handle().borrow());
-        }
+        };
         let mut engine_totals = EngineStats::default();
         for s in &report.engine_stats {
             engine_totals.merge(s);
         }
-        let now = self.sim.now();
-        let (wire, overlap) = self.overlap.borrow().totals(now);
         MetricsReport {
             backend: self.cfg.engine.backend,
-            substrate: "virtual",
+            substrate,
             nodes: self.cfg.nodes,
             makespan_ns: report.makespan.as_ns(),
             sim_events: report.sim_events,
             schedule_past_clamped: report.schedule_past_clamped,
-            events_peak_pending: self.sim.events_peak_pending() as u64,
+            events_peak_pending: peak,
             stages,
             engine: engine_totals.named_counters().to_vec(),
             wire_ns: wire.as_ns(),
             overlap_ns: overlap.as_ns(),
-            overlap_fraction: self.overlap.borrow().fraction(now),
+            overlap_fraction,
             activation_msg: LatencySummary::from_stats(&report.msg_latency_us),
             activation_request: LatencySummary::from_stats(&report.request_latency_us),
             activation_e2e: LatencySummary::from_stats(&report.e2e_latency_us),
-            pool: None,
+            pool: report.pool.clone(),
         }
     }
 

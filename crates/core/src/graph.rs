@@ -563,6 +563,35 @@ impl TaskGraph {
         self.versions.iter()
     }
 
+    /// The state both substrates start a run from, in one pass over the
+    /// versions and one over the tasks. Returns, per node of `nodes`, the
+    /// producer-less versions homed there, ascending; hands `missing` each
+    /// task, in task order, with the number of its inputs that are not
+    /// such a version homed on the task's node — what it waits for.
+    pub(crate) fn start_state(
+        &self,
+        nodes: usize,
+        mut missing: impl FnMut(TaskId, &Task, u32),
+    ) -> Vec<Vec<usize>> {
+        let mut sources = vec![Vec::new(); nodes];
+        for (i, v) in self.versions.iter().enumerate() {
+            if v.producer == NIL {
+                sources[v.home()].push(i);
+            }
+        }
+        for (t, task) in self.tasks.iter().enumerate() {
+            let n = self
+                .inputs(t)
+                .filter(|v| {
+                    let v = self.versions.get(v.0);
+                    v.producer != NIL || v.home() != task.node()
+                })
+                .count();
+            missing(t, task, n as u32);
+        }
+        sources
+    }
+
     pub fn total_flops(&self) -> f64 {
         self.tasks.iter().map(|t| t.flops).sum()
     }

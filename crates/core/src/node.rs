@@ -31,7 +31,6 @@
 //! `results/` pin virtual time.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use amt_comm::{AmEvent, CommEngine, PutEvent, PutRequest};
@@ -39,6 +38,7 @@ use amt_netmodel::NodeId;
 use amt_simnet::{CoreHandle, FastMap, OverlapTracker, Shared, Sim, SimTime, Trace};
 use bytes::Bytes;
 
+use crate::cluster::Tally;
 use crate::config::{ClusterConfig, ExecMode};
 use crate::graph::{GraphHandle, TaskId, VersionId};
 use crate::protocol::{
@@ -299,29 +299,23 @@ impl NodeRt {
         *self.window.borrow_mut() = w;
     }
 
-    /// Initialize local state: resident initial data, dependence counters,
-    /// initially-ready tasks, and ACTIVATEs for initial data needed
-    /// remotely. `tasks` are this node's tasks and `sources` the
-    /// producer-less versions homed here, both ascending — bucketed by one
-    /// cluster-level graph pass, so init costs O(local) per node.
-    pub fn init(rt: &RtHandle, sim: &mut Sim, tasks: &[TaskId], sources: &[usize]) {
+    /// Size the dependence counters for `local` tasks, before
+    /// [`crate::graph::TaskGraph::start_state`] admits them
+    /// ([`NodeRt::admit_local`]).
+    pub(crate) fn reserve_tasks(&self, local: usize) {
+        self.state.borrow_mut().remaining = vec![0; local];
+    }
+
+    /// Start the node once its tasks are admitted: resident initial data
+    /// (`sources`, the producer-less versions homed here, ascending), then
+    /// ACTIVATEs for the ones needed remotely, then dispatch.
+    pub fn init(rt: &RtHandle, sim: &mut Sim, sources: &[usize]) {
         {
             let g = rt.graph.get();
             let mut s = rt.state.borrow_mut();
-            s.remaining = vec![0; g.local_task_count(rt.node)];
             for &i in sources {
                 sweep_probe();
                 s.store.present(i, g.initial(i).cloned(), false);
-            }
-            for &i in tasks {
-                sweep_probe();
-                let t = g.task(i);
-                let missing = g.inputs(i).filter(|v| !s.store.is_present(v.0)).count();
-                s.remaining[t.local_ix as usize] = missing as u32;
-                if missing == 0 {
-                    let seq = s.next_seq();
-                    s.ready.push(t.priority, seq, i);
-                }
             }
         }
         // Announce initial data to remote consumers (pseudo-completion of a
@@ -625,21 +619,16 @@ impl NodeRt {
 
     // ---- report accessors (cluster.rs) ------------------------------
 
-    /// Merge this node's latencies and class counts; returns its
-    /// executed-task count and worker busy time.
-    pub(crate) fn merge_stats(
-        &self,
-        lats: &mut Lats,
-        classes: &mut HashMap<&'static str, (u64, SimTime)>,
-    ) -> (u64, SimTime) {
+    /// Add this node's latencies, class counts, executed tasks and worker
+    /// busy time to `tally`.
+    pub(crate) fn merge_stats(&self, tally: &mut Tally) {
         let s = self.state.borrow();
-        lats.merge(&s.lats);
-        for (name, (n, busy)) in &s.class_stats {
-            let e = classes.entry(name).or_insert((0, SimTime::ZERO));
-            e.0 += n;
-            e.1 += *busy;
+        tally.lats.merge(&s.lats);
+        for (&name, &(n, busy)) in &s.class_stats {
+            tally.class(name, n, busy);
         }
-        (s.executed, s.worker_busy)
+        tally.executed += s.executed;
+        tally.worker_busy += s.worker_busy;
     }
 
     pub(crate) fn merge_trace_into(&self, t: &mut Trace) {
@@ -679,9 +668,10 @@ impl NodeRt {
         self.state.borrow_mut().store.drop_payload(version);
     }
 
-    /// Record the dependence count of a newly admitted local task; queues
-    /// it when already satisfied. Returns whether it became ready.
-    pub(crate) fn window_admit_local(
+    /// Record the dependence count of a newly admitted local task (at
+    /// start or, windowed, on discovery); queues it when already
+    /// satisfied. Returns whether it became ready.
+    pub(crate) fn admit_local(
         &self,
         task: TaskId,
         local_ix: u32,

@@ -19,12 +19,11 @@
 //!   and take no buffer. Multicast ACTIVATEs with a forward list are
 //!   drawn from thread-safe buffer pools and returned, once decoded in
 //!   place, to the pool they came from;
-//! * startup and quiescence are collectives ([`amt_comm::kary_children`]
-//!   / [`amt_comm::TreeReduce`]): a go-token broadcast down a k-ary tree
-//!   starts each node's announces and seed tasks, and per-node
-//!   executed-task counts reduce back up the same tree to confirm
-//!   completion at the root — no single root job touching every node's
-//!   state.
+//! * the run starts like the simulator's: one startup job announces each
+//!   node's initial versions and seeds its dependence-free tasks, node by
+//!   node in ascending order, and the run is over when the pool is idle;
+//!   the per-worker executed-task counts must then sum to the graph's
+//!   task count, so a protocol stall fails the run.
 //!
 //! ## Progress: the sender handles its own messages, in line
 //!
@@ -35,51 +34,15 @@
 //! only appends, so drains never nest. A whole ACTIVATE → GET DATA → put
 //! flow completes on the thread that announced it. Handlers for one node
 //! may run on several threads at once: stores sit behind their node's
-//! mutex, countdowns and the quiescence reduce are atomics, buffer pools
-//! are shared, statistics per worker. Each flow is causal (the ACTIVATE
-//! handler keeps its forward in the store before it posts the GET; the
-//! put follows the GET) and a thread sends its outbox in order, so no
-//! ordering is lost. Each job locks its worker's [`WorkerState`] once, at
+//! mutex, countdowns are atomics, buffer pools are shared, statistics per
+//! worker. Each flow is causal (the ACTIVATE handler keeps its forward in
+//! the store before it posts the GET; the put follows the GET) and a
+//! thread sends its outbox in order, so no ordering is lost. Each job locks its worker's [`WorkerState`] once, at
 //! entry, and lends it down to every handler it runs.
 //!
-//! Measured on `real_stencil` at 2 threads and rejected (the parent, one
-//! `defer`red job per message, ran 94–110 k tasks/s at 47–50 µs
-//! end-to-end): one flagged progress job per node, still `defer`red —
-//! +30 % tasks/s but 720 µs, the job sits under every newer LIFO task;
-//! in-line drains that nest and hold several flags — 143 k tasks/s but
-//! 310–380 µs, one thread turns into the communication thread of every
-//! node it holds; an atomic park epoch so spawns skip the pool's `sync`
-//! mutex — 96 k, no change. DESIGN.md §3.8 has the table.
-//!
-//! Measured again while sizing PR 18 (immediate records, per-worker
-//! state; the prototype ran 283–316 k tasks/s where its parent ran
-//! 170–175 k) and rejected: a 56-byte `Bytes` handle — same speed,
-//! `peak_live_bytes` +4.6–5.9 %, over the bound; an atomic sleeper flag
-//! in place of the pool's `sync` mutex and `pending` counter — 284–290 k
-//! against 283–289 k, no change for the third time; node-affine progress
-//! (a home worker drains each mailbox between jobs, senders hand over) —
-//! +4 % tasks/s but 34 → 55 µs end-to-end, ten times the steals, and a
-//! new parking protocol in the pool.
-//!
-//! Measured while sizing the direct hand-off (parent 413–451 k tasks/s,
-//! the change 596–673 k) and rejected: the once-per-job worker borrow
-//! alone, over the per-node mailbox mutex — 402–454 k, no change, it pays
-//! only once the mailbox contention is gone; per-worker copies of the
-//! transport's counters — 620–669 k against 661–677 k, noise; the owner
-//! swapping into worker-owned storage instead of the node's owner-only
-//! `batch` mutex (one lock pair per queued batch; 19–24 % of the
-//! messages queue at 2 threads) — 528 k against 511 k tasks/s medians
-//! over six 8 s pairs, 3 won, noise: the mutex stays, the API stays
-//! narrow.
-//!
-//! Measured while sizing handling by the sender (2 threads; the parent —
-//! one owner per node behind a two-bit state word, direct hand-off to a
-//! free node, its inbox otherwise — ran 329–388 k tasks/s at 4.9–15 µs
-//! end-to-end, the prototype 528–580 k at 1.7 µs) and rejected: the owner
-//! protocol itself, 1.25× on top of the other parts (4/4 pairs): every
-//! message paid a CAS pair on a line every sender writes, and one in five
-//! waited in an inbox behind a busy owner. The atomic park epoch rejected
-//! above pays at this rate: 1.04× on its own (4/4 pairs).
+//! The designs measured against this one and rejected (deferred progress
+//! jobs, nested drains, node-affine progress, an owner per node, atomic
+//! park epochs, ...) are in DESIGN.md §3.8's tables.
 //!
 //! ## What is per node and what is per worker
 //!
@@ -123,16 +86,16 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, Ordering::SeqCst};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use amt_comm::{kary_children, EngineStats, ReduceStep, ShmMsg, ShmWorld, TreeReduce};
+use amt_comm::{EngineStats, ShmMsg, ShmWorld};
 use amt_exec::{Pool, TraceEvent, WorkerCtx};
 use amt_netmodel::NodeId;
 use amt_simnet::{MetricsRegistry, SimTime, Trace};
-use bytes::{Buf, Bytes, Frames};
+use bytes::{Bytes, Frames};
 
 use crate::calib::{
     CalibrationProfile, CostSummary, REC_ACTIVATE, REC_ARRIVAL, REC_GET_REQUEST, REC_TASK_OVERHEAD,
 };
-use crate::cluster::RunReport;
+use crate::cluster::{RunReport, Tally};
 use crate::config::ClusterConfig;
 use crate::graph::{TaskGraph, TaskId, VersionId};
 use crate::protocol::{
@@ -140,11 +103,6 @@ use crate::protocol::{
 };
 use crate::records::{ActivateRec, GetRec, PutCb};
 use crate::store::VersionStore;
-
-/// AM tag of the startup go-token broadcast down the collective tree.
-const AM_COLL_GO: u64 = 3;
-/// AM tag of quiescence-reduce partial sums up the collective tree.
-const AM_COLL_SUM: u64 = 4;
 
 /// Steal-victim seed for [`crate::Cluster::execute_real`] pools; fixed so
 /// probe sequences are reproducible run to run.
@@ -164,9 +122,8 @@ struct WorkerState {
     /// `(class, tasks, busy ns)`: a graph has a handful of classes, so a
     /// scan that compares pointers before strings beats hashing the name.
     classes: Vec<(&'static str, u64, u64)>,
-    /// Tasks executed per node — the contributions of the quiescence
-    /// tree reduce, summed over workers ([`RealRun::executed_per_node`]).
-    executed: Vec<u64>,
+    /// Tasks executed: summed over workers, the stall check of [`run`].
+    executed: u64,
     /// Message-lifecycle latencies of the flows this worker handled.
     lats: Lats,
     /// Set while this worker sends its outbox ([`RealPort::post`]):
@@ -216,11 +173,7 @@ struct RealRun {
     seed_tasks: Vec<Vec<TaskId>>,
     shm: ShmWorld,
     workers: Vec<Mutex<WorkerState>>,
-    /// Quiescence reduce over the collective tree (root = node 0).
-    reduce: TreeReduce,
     tree: Tree,
-    /// Arity of the startup/quiescence collective trees.
-    coll_k: usize,
     /// Gate for handler timing and calibration sampling; `false` keeps
     /// the unobserved hot path free of extra clock reads and locks.
     metrics_on: bool,
@@ -237,59 +190,35 @@ impl RealRun {
     fn new(graph: TaskGraph, cfg: &ClusterConfig, pool_threads: usize) -> RealRun {
         let nodes = cfg.nodes;
         let metrics = cfg.engine.metrics;
-        let coll_k = cfg.multicast_k.unwrap_or(2);
-        // One pass over the tasks and one over the versions, whatever the
-        // node count: countdowns, startup buckets and seeded stores.
+        // Countdowns and startup buckets from the start state the
+        // simulator's nodes start from too.
         let mut seed_tasks = vec![Vec::new(); nodes];
-        let remaining = graph
-            .tasks()
-            .enumerate()
-            .map(|(id, t)| {
-                let missing = graph
-                    .inputs(id)
-                    .filter(|v| {
-                        let ver = graph.version(v.0);
-                        !(ver.producer().is_none() && ver.home() == t.node())
-                    })
-                    .count() as u32;
-                if missing == 0 {
-                    seed_tasks[t.node()].push(id);
-                }
-                AtomicU32::new(missing)
-            })
-            .collect();
-        let mut init_versions = vec![Vec::new(); nodes];
+        let mut remaining = Vec::with_capacity(graph.task_count());
+        let init_versions = graph.start_state(nodes, |t, task, missing| {
+            if missing == 0 {
+                seed_tasks[task.node()].push(t);
+            }
+            remaining.push(AtomicU32::new(missing));
+        });
         let mut stores: Vec<VersionStore> = (0..nodes)
             .map(|n| VersionStore::new(n, cfg.flyweight))
             .collect();
-        for (i, v) in graph.versions().enumerate() {
-            if v.producer().is_none() {
-                init_versions[v.home()].push(i);
-                stores[v.home()].present(i, graph.initial(i).cloned(), false);
+        for (store, versions) in stores.iter_mut().zip(&init_versions) {
+            for &v in versions {
+                store.present(v, graph.initial(v).cloned(), false);
             }
         }
         let shm = ShmWorld::new_observed(nodes, SHM_POOL_BUFS, metrics);
         shm.label_tag(AM_ACTIVATE, "activate");
         shm.label_tag(AM_GETDATA, "get");
-        shm.label_tag(AM_COLL_GO, "coll");
-        shm.label_tag(AM_COLL_SUM, "coll");
         RealRun {
             remaining,
             stores: stores.into_iter().map(Mutex::new).collect(),
             init_versions,
             seed_tasks,
             shm,
-            workers: (0..pool_threads)
-                .map(|_| {
-                    Mutex::new(WorkerState {
-                        executed: vec![0; nodes],
-                        ..WorkerState::default()
-                    })
-                })
-                .collect(),
-            reduce: TreeReduce::new(nodes, 0, coll_k),
+            workers: (0..pool_threads).map(|_| Mutex::default()).collect(),
             tree: Tree::of(cfg),
-            coll_k,
             metrics_on: metrics,
             calib: Mutex::new(CalibSamples::default()),
             graph,
@@ -300,20 +229,6 @@ impl RealRun {
     fn calib_sample(&self, family: usize, key: &'static str, ns: u64) {
         let mut calib = self.calib.lock().expect("calib samples");
         calib[family].entry(key).or_default().push(ns);
-    }
-
-    /// Executed tasks per node, summed over the workers' counts. Locks
-    /// each worker's state in turn: call it with none held, at
-    /// quiescence.
-    fn executed_per_node(&self) -> Vec<u64> {
-        let mut counts = vec![0; self.shm.len()];
-        for w in &self.workers {
-            let w = w.lock().expect("worker state");
-            for (c, n) in counts.iter_mut().zip(&w.executed) {
-                *c += n;
-            }
-        }
-        counts
     }
 
     /// Whether a payload of `v` exists anywhere: only kernels and initial
@@ -377,13 +292,12 @@ impl<'a, 'c> RealPort<'a, 'c> {
         ws: &'a mut WorkerState,
         node: usize,
     ) -> Self {
-        let at = None;
         RealPort {
             ctx,
             run,
             ws,
             node,
-            at,
+            at: None,
         }
     }
 
@@ -508,30 +422,22 @@ impl Port for RealPort<'_, '_> {
     }
 }
 
-/// Pool runner ids of the startup and quiescence jobs; every other id
-/// is a task.
+/// Pool runner id of the startup job; every other id is a task.
 const STARTUP: usize = usize::MAX;
-const QUIESCE: usize = usize::MAX - 1;
 
 /// The pool's task runner: lock this worker's state once and run job
-/// `id` — a task, the startup at the collective root, or the quiescence
-/// reduce, in which every node contributes its executed-task count and
-/// partial sums climb to the root, which must see exactly the graph's
-/// task count.
+/// `id` — a task, or the startup, which starts every node in ascending
+/// order, as `Cluster::init_nodes` starts the simulated ones.
 fn run_job(ctx: &mut WorkerCtx<'_>, run: &RealRun, id: usize) {
-    // Summed before this worker's own state is locked.
-    let counts = (id == QUIESCE).then(|| run.executed_per_node());
     let mut ws = run.workers[ctx.worker()].lock().expect("worker state");
     let p = &mut RealPort::new(ctx, run, &mut ws, 0);
-    match (id, counts) {
-        (STARTUP, _) => node_startup(p),
-        (QUIESCE, Some(counts)) => {
-            for (node, count) in counts.into_iter().enumerate() {
-                p.node = node;
-                coll_step(p, run.reduce.contribute(node, count));
-            }
+    if id == STARTUP {
+        for node in 0..run.shm.len() {
+            p.node = node;
+            node_startup(p);
         }
-        (t, _) => exec_task(p, t),
+    } else {
+        exec_task(p, id);
     }
 }
 
@@ -599,7 +505,7 @@ fn exec_task(p: &mut RealPort<'_, '_>, t: TaskId) {
     // Worker accounting.
     let ws = &mut *p.ws;
     ws.busy_ns += busy_ns;
-    ws.executed[node] += 1;
+    ws.executed += 1;
     let name = task.name;
     match ws
         .classes
@@ -674,12 +580,6 @@ fn handle(p: &mut RealPort<'_, '_>, msg: ShmMsg) {
                     }
                     run.shm.record_stage(node, "am.callback_ns", ns);
                 }
-                AM_COLL_GO => node_startup(p),
-                AM_COLL_SUM => {
-                    for mut partial in frames.iter().map(|b| &b[..]) {
-                        coll_step(p, run.reduce.arrive(node, partial.get_u64_le()));
-                    }
-                }
                 _ => panic!("unregistered AM tag {tag}"),
             }
             run.shm.node(src).pool().recycle_frames(frames);
@@ -703,16 +603,10 @@ fn handle(p: &mut RealPort<'_, '_>, msg: ShmMsg) {
     }
 }
 
-/// Startup at `p.node`, triggered by the go-token reaching it: relay the
-/// token to the node's collective-tree children first (subtree startups
-/// overlap with this node's own work), then announce this node's initial
-/// versions and seed its dependence-free tasks, in task order.
+/// Startup at `p.node`: announce the node's initial versions, then seed
+/// its dependence-free tasks, in task order.
 fn node_startup(p: &mut RealPort<'_, '_>) {
     let (run, node) = (p.run, p.node);
-    for child in kary_children(node, 0, run.shm.len(), run.coll_k) {
-        let at = p.now();
-        p.post(child, am(node, AM_COLL_GO, Frames::new(), at));
-    }
     p.announce_versions(run.init_versions[node].iter().map(|&v| {
         let size = run.graph.version(v).size;
         (v, run.graph.initial(v).map_or(size, Bytes::len))
@@ -720,21 +614,10 @@ fn node_startup(p: &mut RealPort<'_, '_>) {
     // Seed only *statically* dependence-free tasks — every input a
     // pre-satisfied initial version homed here. Tasks whose counters hit
     // zero dynamically are spawned by `fulfill_local` at the releasing
-    // delivery; re-checking live counters here would double-spawn any
-    // task released by a remote flow that outran this node's go token.
+    // delivery; re-checking live counters here would double-spawn a task
+    // that an earlier node's startup flow released.
     for &t in &run.seed_tasks[node] {
         p.ctx.defer_task(t);
-    }
-}
-
-/// Act on one quiescence-reduce transition: forward a completed partial
-/// sum to the tree parent (the root's completion is read off
-/// [`TreeReduce::result`] after the pool drains).
-fn coll_step(p: &mut RealPort<'_, '_>, step: ReduceStep) {
-    if let ReduceStep::Send { parent, partial } = step {
-        let frame = Bytes::inline(&partial.to_le_bytes()).expect("8 bytes fit the handle");
-        let at = p.now();
-        p.post(parent, am(p.node, AM_COLL_SUM, Frames::One(frame), at));
     }
 }
 
@@ -822,59 +705,31 @@ pub(crate) fn run(
     };
 
     let t0 = pool.now();
-    // Startup collective: the root's startup job relays a go-token down
-    // the k-ary tree; every node announces its own initial versions and
-    // seeds its own dependence-free tasks when the token reaches it.
     pool.spawn_task(STARTUP);
     pool.run_until_idle();
     let makespan = pool.now() - t0;
-    // Quiescence collective (after the makespan clock stops — it is a
-    // completion check, not part of the workload).
-    pool.spawn_task(QUIESCE);
-    pool.run_until_idle();
-    // Quiescence first, then the observability drains: every worker's
-    // buffer publications happen-before the parked state run_until_idle
-    // observed, so the snapshots are complete.
+    // Every worker's buffer publications happen-before the parked state
+    // run_until_idle observed, so the snapshots are complete.
     let pool_stats = pool.stats();
     let trace = build_trace(pool.drain_trace());
     drop(pool);
 
     let run = Arc::try_unwrap(run).unwrap_or_else(|_| panic!("run state still shared after idle"));
-    let executed: u64 = run.executed_per_node().iter().sum();
+    let mut tally = Tally::default();
+    for w in &run.workers {
+        let w = w.lock().expect("worker state");
+        tally.lats.merge(&w.lats);
+        tally.executed += w.executed;
+        tally.worker_busy += SimTime::from_ns(w.busy_ns);
+        for &(name, n, busy) in &w.classes {
+            tally.class(name, n, SimTime::from_ns(busy));
+        }
+    }
+    let executed = tally.executed;
     assert_eq!(
         executed, tasks_total,
         "real execution drained with unexecuted tasks (protocol stall)"
     );
-    let reduced = run
-        .reduce
-        .result()
-        .expect("quiescence reduce did not complete at the root");
-    assert_eq!(
-        reduced, tasks_total,
-        "quiescence reduce disagrees with the task count"
-    );
-
-    let mut lats = Lats::default();
-    let mut worker_busy_ns = 0u64;
-    let mut classes: HashMap<&'static str, (u64, u64)> = HashMap::new();
-    for w in &run.workers {
-        let w = w.lock().expect("worker state");
-        lats.merge(&w.lats);
-        worker_busy_ns += w.busy_ns;
-        for &(name, n, busy) in &w.classes {
-            let e = classes.entry(name).or_insert((0, 0));
-            e.0 += n;
-            e.1 += busy;
-        }
-    }
-    let mut class_stats: Vec<(String, u64, SimTime)> = classes
-        .into_iter()
-        .map(|(k, (n, b))| (k.to_string(), n, SimTime::from_ns(b)))
-        .collect();
-    class_stats.sort_by_key(|c| std::cmp::Reverse(c.2));
-    let worker_busy = SimTime::from_ns(worker_busy_ns);
-    let [msg, req, e2e] = lats.0;
-    let span = makespan.as_secs_f64().max(1e-12);
 
     let engine_stats: Vec<EngineStats> =
         (0..nodes).map(|n| run.shm.node(n).engine_stats()).collect();
@@ -906,21 +761,8 @@ pub(crate) fn run(
     let metrics = run.shm.merged_metrics();
 
     let report = RunReport {
-        makespan,
-        tasks_executed: executed,
-        tasks_total,
-        e2e_latency_us: e2e,
-        msg_latency_us: msg,
-        request_latency_us: req,
-        worker_busy,
-        worker_util: worker_busy.as_secs_f64() / (span * threads as f64),
-        comm_util: 0.0,
-        progress_util: 0.0,
-        engine_stats,
-        class_stats,
-        sim_events: 0,
-        schedule_past_clamped: 0,
         pool: Some(pool_stats),
+        ..tally.into_report(makespan, tasks_total, threads, engine_stats)
     };
     (
         report,

@@ -1125,9 +1125,12 @@ fn observed_lopsided_run(
     let report = cluster.execute_real(graph, threads);
     assert!(report.complete());
     assert_eq!(report.e2e_latency_us.count(), flows);
+    // One startup job besides the tasks: no message becomes a pool job
+    // and no second job checks for quiescence.
     let spawns = report.pool.as_ref().expect("a real run's pool").spawns();
-    assert!(
-        spawns as f64 <= 1.1 * tasks as f64,
+    assert_eq!(
+        spawns,
+        tasks + 1,
         "{spawns} pool jobs for {tasks} tasks at {threads} thread(s)"
     );
     let stages = cluster.metrics_report(&report).stages;
@@ -1140,7 +1143,7 @@ fn observed_lopsided_run(
 /// thread count: each AM sent was received and each put started landed —
 /// none was left in an inbox or handled twice, whichever threads ran a
 /// node's handlers concurrently — and no message became a pool job
-/// (`observed_lopsided_run` holds spawns to one per task).
+/// (`observed_lopsided_run` holds spawns to one per task plus startup).
 #[test]
 fn real_exec_every_message_is_handled_by_its_sender() {
     for threads in [1, 2, 4] {
@@ -1160,25 +1163,33 @@ fn real_exec_every_message_is_handled_by_its_sender() {
 
 /// Every message records the sender-side samples: zero queue/inject
 /// stages, per-class wire counts and records per message, for every AM
-/// and every put of a two-thread run.
+/// and every put, at any thread count. The only AM classes are ACTIVATE
+/// and GET DATA.
 #[test]
 fn real_exec_observed_sender_samples_count_every_message() {
-    let (stages, ams, puts, _) = observed_lopsided_run(2);
-    let samples = |name: &str| stages.hist(name).map_or(0, |h| h.count());
-    let am_classes = ["activate", "get", "coll"];
-    let per_class = |what: &str, f: &dyn Fn(&str) -> u64| -> u64 {
-        am_classes
-            .iter()
-            .map(|c| f(&format!("msg.{c}.{what}")))
-            .sum()
-    };
-    assert_eq!(samples("am.queue_ns"), ams);
-    assert_eq!(samples("am.inject_ns"), ams);
-    assert_eq!(per_class("msgs_on_wire", &|n| stages.counter(n)), ams);
-    assert_eq!(per_class("records_per_msg", &samples), ams);
-    assert_eq!(samples("put.queue_ns"), puts);
-    assert_eq!(samples("put.inject_ns"), puts);
-    assert_eq!(stages.counter("msg.data.msgs_on_wire"), puts);
+    for threads in [1, 2, 4] {
+        let (stages, ams, puts, _) = observed_lopsided_run(threads);
+        let samples = |name: &str| stages.hist(name).map_or(0, |h| h.count());
+        let am_classes = ["activate", "get"];
+        let per_class = |what: &str, f: &dyn Fn(&str) -> u64| -> u64 {
+            am_classes
+                .iter()
+                .map(|c| f(&format!("msg.{c}.{what}")))
+                .sum()
+        };
+        let ctx = format!("{threads} thread(s)");
+        assert_eq!(samples("am.queue_ns"), ams, "{ctx}");
+        assert_eq!(samples("am.inject_ns"), ams, "{ctx}");
+        assert_eq!(
+            per_class("msgs_on_wire", &|n| stages.counter(n)),
+            ams,
+            "{ctx}"
+        );
+        assert_eq!(per_class("records_per_msg", &samples), ams, "{ctx}");
+        assert_eq!(samples("put.queue_ns"), puts, "{ctx}");
+        assert_eq!(samples("put.inject_ns"), puts, "{ctx}");
+        assert_eq!(stages.counter("msg.data.msgs_on_wire"), puts, "{ctx}");
+    }
 }
 
 #[test]

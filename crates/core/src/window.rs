@@ -306,7 +306,7 @@ impl WindowInner {
             for &(home, dst, version, size, prio) in &late {
                 NodeRt::send_late_activate(&self.rts[home], sim, dst, version, size, prio);
             }
-            if self.live && self.rts[node].window_admit_local(t, local_ix, priority, missing) {
+            if self.live && self.rts[node].admit_local(t, local_ix, priority, missing) {
                 let rt = self.rts[node].clone();
                 sim.schedule_now(move |sim| NodeRt::dispatch(&rt, sim));
             }

@@ -366,10 +366,6 @@ impl Lci {
         }
     }
 
-    pub fn nranks(&self) -> usize {
-        self.world.borrow().eps.len()
-    }
-
     pub fn costs(&self) -> LciCosts {
         self.world.borrow().costs.clone()
     }

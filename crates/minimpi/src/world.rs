@@ -254,10 +254,6 @@ impl Mpi {
         self.rank
     }
 
-    pub fn nranks(&self) -> usize {
-        self.world.borrow().ranks.len()
-    }
-
     pub fn costs(&self) -> MpiCosts {
         self.world.borrow().costs.clone()
     }

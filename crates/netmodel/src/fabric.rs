@@ -369,16 +369,6 @@ impl Fabric {
         &self.nics[node].rx
     }
 
-    /// Total occupancy of pod `p`'s up-link (fat tree only).
-    pub fn pod_up_busy(&self, p: usize) -> SimTime {
-        self.pods[p].up.busy_time()
-    }
-
-    /// Total occupancy of pod `p`'s down-link (fat tree only).
-    pub fn pod_down_busy(&self, p: usize) -> SimTime {
-        self.pods[p].down.busy_time()
-    }
-
     /// Inject a message. `size` is the wire size in bytes (the caller
     /// accounts for headers); `payload` rides along and is handed to the
     /// destination handler; `on_tx_done` fires when the last chunk leaves

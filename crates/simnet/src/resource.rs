@@ -50,12 +50,6 @@ impl CoreResource {
         self.busy_until
     }
 
-    /// Whether the resource is free at virtual time `now`.
-    #[inline]
-    pub fn is_idle(&self, now: SimTime) -> bool {
-        self.busy_until <= now
-    }
-
     /// Total virtual time this resource has been (or is committed to be)
     /// occupied.
     #[inline]

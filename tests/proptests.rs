@@ -296,15 +296,12 @@ fn runtime_matches_oracle() {
     }
 }
 
-/// Collective trees span: for arbitrary `(root, n, k)` the k-ary
-/// parent/child computations agree, every non-root rank is reached exactly
-/// once from the root, and the multicast splitter `tree_children_k` covers
-/// every destination exactly once with fan-out at most `k` at every level.
+/// Multicast trees span: for an arbitrary destination list and arity,
+/// the splitter `tree_children_k` covers every destination exactly once
+/// with fan-out at most `k` at every level.
 #[test]
-fn collective_trees_span_for_arbitrary_shapes() {
-    use amtlc::comm::{kary_children, kary_parent};
+fn multicast_splitter_covers_arbitrary_destinations() {
     use amtlc::core::tree_children_k;
-    use std::collections::VecDeque;
 
     fn walk(subtree: &[u32], k: usize, out: &mut Vec<u32>, case: u64) {
         let splits = tree_children_k(subtree, k);
@@ -317,30 +314,7 @@ fn collective_trees_span_for_arbitrary_shapes() {
 
     for case in 0..CASES {
         let mut rng = DetRng::seed_from_u64(0x7ee_0000 + case);
-        let n = rng.gen_usize(1..200);
-        let root = rng.gen_usize(0..n);
         let k = rng.gen_usize(2..9);
-
-        // BFS from the root over kary_children must visit every rank
-        // exactly once, with kary_parent agreeing edge by edge.
-        assert_eq!(kary_parent(root, root, n, k), None, "case {case}");
-        let mut seen = vec![false; n];
-        seen[root] = true;
-        let mut queue = VecDeque::from([root]);
-        let mut visited = 0usize;
-        while let Some(r) = queue.pop_front() {
-            visited += 1;
-            let children = kary_children(r, root, n, k);
-            assert!(children.len() <= k, "case {case}");
-            for c in children {
-                assert!(!seen[c], "case {case}: rank {c} reached twice");
-                assert_eq!(kary_parent(c, root, n, k), Some(r), "case {case}");
-                seen[c] = true;
-                queue.push_back(c);
-            }
-        }
-        assert_eq!(visited, n, "case {case}: tree does not span");
-
         // Multicast destination splitter: arbitrary dest list, full
         // single coverage.
         let m = rng.gen_usize(0..80);
