@@ -113,80 +113,3 @@ mod tests {
         assert!(r.worker_util > 0.0 && r.worker_util <= 1.0);
     }
 }
-
-#[cfg(test)]
-mod diag {
-    use super::*;
-    use amt_core::{Cluster, ClusterConfig, ExecMode};
-    use amt_tlr::{TlrCholesky, TlrProblem};
-
-    #[test]
-    #[ignore = "diagnostic"]
-    fn diag_window_sweep() {
-        for window in [1usize, 2, 8, 1024] {
-            // MiB of in-flight fetch budget
-            for backend in [BackendKind::Lci, BackendKind::Mpi] {
-                let problem = TlrProblem::new(144_000, 1200);
-                let (_, graph) = TlrCholesky::build_cost_only(problem, 16);
-                let mut cluster = Cluster::new(ClusterConfig {
-                    mode: ExecMode::CostOnly,
-                    get_window_bytes: window << 20,
-                    ..ClusterConfig::expanse(backend, 16)
-                });
-                let r = cluster.execute(graph);
-                println!(
-                    "window={window} {backend:?}: tts={:.3}s e2e={:.0}us msg={:.0}us cutil={:.3}",
-                    r.makespan.as_secs_f64(),
-                    r.e2e_latency_us.mean(),
-                    r.msg_latency_us.mean(),
-                    r.comm_util,
-                );
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod diag2 {
-    use super::*;
-    use amt_core::{Cluster, ClusterConfig, ExecMode};
-    use amt_netmodel::FabricConfig;
-    use amt_simnet::SimTime;
-    use amt_tlr::{TlrCholesky, TlrProblem};
-
-    #[test]
-    #[ignore = "diagnostic"]
-    fn diag_what_binds_e2e() {
-        // (label, bandwidth Gbit/s, activate cost ns)
-        for (label, bw, act) in [
-            ("baseline", 100.0, 2800u64),
-            ("10x bandwidth", 1000.0, 2800),
-            ("cheap activate", 100.0, 300),
-        ] {
-            for backend in [BackendKind::Lci, BackendKind::Mpi] {
-                let problem = TlrProblem::new(360_000, 1200);
-                let (_, graph) = TlrCholesky::build_cost_only(problem, 16);
-                let mut cfg = ClusterConfig {
-                    mode: ExecMode::CostOnly,
-                    ..ClusterConfig::expanse(backend, 16)
-                };
-                cfg.fabric = FabricConfig {
-                    nic_bandwidth_gbps: bw,
-                    ..FabricConfig::expanse(16)
-                };
-                cfg.cost.activate_record_cost = SimTime::from_ns(act);
-                let mut cluster = Cluster::new(cfg);
-                let r = cluster.execute(graph);
-                println!(
-                    "{label} {backend:?}: tts={:.3}s e2e mean={:.0} std={:.0} max={:.0}us msg={:.0}us flows={}",
-                    r.makespan.as_secs_f64(),
-                    r.e2e_latency_us.mean(),
-                    r.e2e_latency_us.std_dev(),
-                    r.e2e_latency_us.max(),
-                    r.msg_latency_us.mean(),
-                    r.e2e_latency_us.count(),
-                );
-            }
-        }
-    }
-}

@@ -311,8 +311,8 @@ impl Cluster {
 
     /// Execute a task graph **for real** on `threads` work-stealing worker
     /// threads (`0` = one per core): wall-clock time, real OS threads, and
-    /// the same ACTIVATE / GET DATA / put protocol over an in-process
-    /// shared-memory transport. One thread is fully deterministic; at any
+    /// the same ACTIVATE / GET DATA / put protocol, its records handed from
+    /// sender to handler in process. One thread is fully deterministic; at any
     /// thread count, Numeric payloads are bitwise identical to the virtual
     /// modes (kernels are pure functions of their fixed input versions).
     ///
@@ -482,7 +482,7 @@ impl Cluster {
     /// Fig. 6 activation-latency breakdown. Deterministic: identical runs
     /// serialize to byte-identical JSON.
     pub fn metrics_report(&self, report: &RunReport) -> MetricsReport {
-        // Real runs: wall-clock stage histograms from the shm transport
+        // Real runs: wall-clock stage histograms merged from the workers
         // and per-worker pool counters. There is no overlap integrator on
         // the real path (no simulated wire), so wire/overlap are 0.
         let (substrate, stages, peak, (wire, overlap), overlap_fraction) = match &self.real_obs {

@@ -10,8 +10,8 @@
 //!   [`Cluster::execute_windowed`]): virtual time, simulated fabric and
 //!   engines, byte-reproducible runs;
 //! * the real work-stealing thread pool ([`Cluster::execute_real`]):
-//!   wall-clock time, real OS threads, the same protocol over an
-//!   in-process shared-memory transport. Numeric payloads are bitwise
+//!   wall-clock time, real OS threads, the same protocol, its records
+//!   passed in process as typed messages. Numeric payloads are bitwise
 //!   identical across substrates and thread counts.
 //!
 //! ## Model

@@ -171,7 +171,7 @@ impl Port for Vport<'_> {
         self.sim.now().as_ns()
     }
 
-    fn send_activate(&mut self, dst: NodeId, rec: &ActivateRec) {
+    fn send_activate(&mut self, dst: NodeId, rec: ActivateRec) {
         let (rt, engine) = (self.rt, &self.rt.engine);
         let wire = ACTIVATE_WIRE_BYTES + 4 * rec.forward.len();
         let payload = Some(rec.encode_one(|n| engine.buf_pool().take(n)));
@@ -705,6 +705,6 @@ impl NodeRt {
         priority: i64,
     ) {
         let rec = ActivateRec::direct(version as u64, size as u64, priority, sim.now().as_ns());
-        Vport::funneled(rt, sim).send_activate(dst, &rec);
+        Vport::funneled(rt, sim).send_activate(dst, rec);
     }
 }

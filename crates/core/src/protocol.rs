@@ -8,8 +8,8 @@
 //! the protocol needs: a clock, three sends (ACTIVATE, GET DATA, put),
 //! four store transitions and a latency sample. Two ports implement it,
 //! statically dispatched: the virtual node runtime (`node.rs`, over a
-//! `CommEngine` on the simulator) and the real run (`real.rs`, over the
-//! shared-memory transport on one pool worker). What differs by substrate
+//! `CommEngine` on the simulator) and the real run (`real.rs`, typed
+//! messages on one pool worker). What differs by substrate
 //! stays in each one's per-message dispatch, around these handlers: trace
 //! flow arrows, modelled costs or measured calibration samples, the GET
 //! window (virtual) and the outbox (real).
@@ -72,8 +72,9 @@ pub(crate) trait Port {
     /// The current instant, in ns: the virtual clock, or wall time since
     /// the pool started.
     fn now(&mut self) -> u64;
-    /// Send one ACTIVATE record from this node to `dst`.
-    fn send_activate(&mut self, dst: NodeId, rec: &ActivateRec);
+    /// Send one ACTIVATE record from this node to `dst`; the record, with
+    /// its forward list, moves into the message.
+    fn send_activate(&mut self, dst: NodeId, rec: ActivateRec);
     /// Ask `owner` for the version of the data flow `rec` announced.
     fn request(&mut self, owner: NodeId, rec: &ActivateRec);
     /// Put `size` bytes of a version (its payload `data`, if any) to
@@ -169,7 +170,7 @@ pub(crate) fn announce<P: Port>(
             for &dst in &fan.dests {
                 let priority = fan.best[dst].1;
                 let rec = ActivateRec::direct(v as u64, size as u64, priority, p.now());
-                p.send_activate(dst, &rec);
+                p.send_activate(dst, rec);
             }
         }
     }
@@ -196,7 +197,7 @@ fn relay<P: Port>(
             sent_at_ns,
             forward,
         };
-        p.send_activate(child as NodeId, &rec);
+        p.send_activate(child as NodeId, rec);
     }
 }
 

@@ -12,13 +12,11 @@
 //!   consumer lists — the release that takes a count to zero spawns the
 //!   task as a pool task id (LIFO local, stealable);
 //! * the protocol's [`Port`] is [`RealPort`]: one worker's view of one
-//!   node, over the in-process shared-memory transport ([`ShmWorld`]),
-//!   with the exact wire records of the simulated engines
-//!   ([`crate::records`]). Records of at most 37 bytes (every one of a
-//!   unicast flow) are *immediate*: they ride inside their `Bytes` handle
-//!   and take no buffer. Multicast ACTIVATEs with a forward list are
-//!   drawn from thread-safe buffer pools and returned, once decoded in
-//!   place, to the pool they came from;
+//!   node. A message is the protocol record itself ([`Msg`]): the
+//!   ACTIVATE, GET DATA or put the sender's port built moves into the
+//!   message and on into its handler, forward list and payload included —
+//!   nothing is serialized, copied or parsed on a path that never leaves
+//!   the address space;
 //! * the run starts like the simulator's: one startup job announces each
 //!   node's initial versions and seeds its dependence-free tasks, node by
 //!   node in ascending order, and the run is over when the pool is idle;
@@ -28,37 +26,40 @@
 //! ## Progress: the sender handles its own messages, in line
 //!
 //! A message is never a pool job. Every send is a [`RealPort::post`] into
-//! the worker's outbox; outside a handler the worker then sends the
-//! outbox one message at a time through [`ShmWorld::send`], which runs the
-//! destination's handler at once, on this thread; a handler that sends
-//! only appends, so drains never nest. A whole ACTIVATE → GET DATA → put
-//! flow completes on the thread that announced it. Handlers for one node
-//! may run on several threads at once: stores sit behind their node's
-//! mutex, countdowns are atomics, buffer pools are shared, statistics per
-//! worker. Each flow is causal (the ACTIVATE handler keeps its forward in
-//! the store before it posts the GET; the put follows the GET) and a
-//! thread sends its outbox in order, so no ordering is lost. Each job locks its worker's [`WorkerState`] once, at
+//! the worker's outbox; outside a handler the worker then takes the
+//! outbox one message at a time and runs the destination's handler at
+//! once, on this thread; a handler that sends only appends, so drains
+//! never nest. A whole ACTIVATE → GET DATA → put flow completes on the
+//! thread that announced it. Handlers for one node may run on several
+//! threads at once: stores sit behind their node's mutex, countdowns are
+//! atomics, statistics are per worker. Each flow is causal (the ACTIVATE
+//! handler keeps its forward in the store before it posts the GET; the
+//! put follows the GET) and a thread sends its outbox in order, so no
+//! ordering is lost. Each job locks its worker's [`WorkerState`] once, at
 //! entry, and lends it down to every handler it runs.
 //!
 //! The designs measured against this one and rejected (deferred progress
 //! jobs, nested drains, node-affine progress, an owner per node, atomic
-//! park epochs, ...) are in DESIGN.md §3.8's tables.
+//! park epochs, serialized records over a shared-memory transport, ...) are
+//! in DESIGN.md §3.8's tables.
 //!
 //! ## What is per node and what is per worker
 //!
-//! Per node is only what is protocol state: the version store and the
-//! transport's lifecycle counters. Everything a thread merely
-//! accumulates — busy time, class counts, executed-task counts, latency
-//! statistics, its outbox, its announce [`Fanout`] scratch — is per
-//! *worker* ([`WorkerState`]), on cache lines of its own and merged once
-//! at the end, so no two threads write one line for bookkeeping. In
-//! release builds a store keeps only what a later lookup reads — payloads
-//! and forward lists — and its mutex is taken only for one of them: a
-//! cost-only unicast flow takes no lock beyond its job's one worker-state
-//! borrow, and a numeric one none at its ACTIVATE (recording every request
-//! there read about 200 ns per handler at 2 threads: a cache miss on a
-//! line other threads write). Debug builds record every transition, so
-//! the store asserts the whole protocol order there.
+//! Per node is only what is protocol state: the version store. Everything
+//! a thread merely accumulates — busy time, class counts, executed-task
+//! counts, latency statistics, the engine counters of every node it sent
+//! or handled a message for, metrics-mode stage histograms and
+//! calibration samples, its outbox, its announce [`Fanout`] scratch — is
+//! per *worker* ([`WorkerState`]), on cache lines of its own and merged
+//! once at the end, so no message takes a lock or an atomic
+//! read-modify-write for bookkeeping. In release builds a store keeps
+//! only what a later lookup reads — payloads and forward lists — and its
+//! mutex is taken only for one of them: a cost-only unicast flow takes no
+//! lock beyond its job's one worker-state borrow, and a numeric one none
+//! at its ACTIVATE (recording every request there read about 200 ns per
+//! handler at 2 threads: a cache miss on a line other threads write).
+//! Debug builds record every transition, so the store asserts the whole
+//! protocol order there.
 //!
 //! ## What the real port does differently
 //!
@@ -69,7 +70,10 @@
 //! * The clock is wall time since pool start. A handler reads it once,
 //!   at the message's arrival, and stamps every reply with that instant;
 //!   an announce outside a handler reads it per destination, since each
-//!   flow before it completes in line.
+//!   flow before it completes in line. A task reads it around its kernel
+//!   only when there is one to time, or a trace span or a metrics sample
+//!   wants the interval: an untraced, unobserved cost-only task counts no
+//!   busy time and reads no clock.
 //! * Latencies are measured through the same record timestamps as
 //!   §6.1.3, so they read the same as the virtual ones, in wall time.
 //!
@@ -86,11 +90,11 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, Ordering::SeqCst};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use amt_comm::{EngineStats, ShmMsg, ShmWorld};
+use amt_comm::EngineStats;
 use amt_exec::{Pool, TraceEvent, WorkerCtx};
 use amt_netmodel::NodeId;
 use amt_simnet::{MetricsRegistry, SimTime, Trace};
-use bytes::{Bytes, Frames};
+use bytes::Bytes;
 
 use crate::calib::{
     CalibrationProfile, CostSummary, REC_ACTIVATE, REC_ARRIVAL, REC_GET_REQUEST, REC_TASK_OVERHEAD,
@@ -98,9 +102,7 @@ use crate::calib::{
 use crate::cluster::{RunReport, Tally};
 use crate::config::ClusterConfig;
 use crate::graph::{TaskGraph, TaskId, VersionId};
-use crate::protocol::{
-    self, Fanout, Forward, Lat, Lats, Port, Tree, AM_ACTIVATE, AM_GETDATA, RTAG_DATA,
-};
+use crate::protocol::{self, Fanout, Forward, Lat, Lats, Port, Tree};
 use crate::records::{ActivateRec, GetRec, PutCb};
 use crate::store::VersionStore;
 
@@ -108,14 +110,51 @@ use crate::store::VersionStore;
 /// probe sequences are reproducible run to run.
 const STEAL_SEED: u64 = 0x5eed_ca11_ab1e;
 
-/// Receive-buffer pool depth per node endpoint.
-const SHM_POOL_BUFS: usize = 64;
+/// One message between nodes: the protocol record, moved from the
+/// sender's port into its handler (module docs).
+enum Msg {
+    Activate(ActivateRec),
+    Get(GetRec),
+    /// `size` bytes of a version, with its payload when the graph carries
+    /// one, completing at the target with `cb`.
+    Put {
+        cb: PutCb,
+        size: usize,
+        data: Option<Bytes>,
+    },
+}
+
+/// A message in a worker's outbox: `msg` from node `src` to node `dst`,
+/// sent at `sent_at_ns` (wall ns since pool start; the wire stage of the
+/// metrics mode ends where its handler starts).
+struct Post {
+    dst: usize,
+    src: usize,
+    sent_at_ns: u64,
+    msg: Msg,
+}
+
+/// Metrics-mode stage names of the simulated backends, in lifecycle order:
+/// queue, inject, wire, deliver, callback.
+const AM_STAGES: [&str; 5] = [
+    "am.queue_ns",
+    "am.inject_ns",
+    "am.wire_ns",
+    "am.deliver_ns",
+    "am.callback_ns",
+];
+const PUT_STAGES: [&str; 5] = [
+    "put.queue_ns",
+    "put.inject_ns",
+    "put.wire_ns",
+    "put.deliver_ns",
+    "put.callback_ns",
+];
 
 /// What one pool worker accumulates over the run (merged into the report
 /// at the end) and keeps between the messages it handles. Only its own
 /// worker ever locks it, once per job, and lends it to the [`RealPort`]s
 /// of that job; the alignment gives every worker cache lines of its own.
-#[derive(Default)]
 #[repr(align(128))]
 struct WorkerState {
     busy_ns: u64,
@@ -126,11 +165,21 @@ struct WorkerState {
     executed: u64,
     /// Message-lifecycle latencies of the flows this worker handled.
     lats: Lats,
+    /// Per node, the engine counters of the messages this worker sent
+    /// from it and handled at it.
+    stats: Vec<EngineStats>,
+    /// Stage histograms and per-class message counts (metrics mode only;
+    /// disabled and empty otherwise).
+    metrics: MetricsRegistry,
+    /// Calibration samples (metrics mode only): kernel wall times per
+    /// task class ([`KERNEL`]), handler wall times per record kind
+    /// ([`RECORD`]).
+    calib: CalibSamples,
     /// Set while this worker sends its outbox ([`RealPort::post`]):
     /// messages the handlers it runs post meanwhile only join the queue.
     draining: bool,
-    /// Messages this worker has posted and not yet sent, oldest first.
-    outbox: VecDeque<(usize, ShmMsg)>,
+    /// Messages this worker has posted and not yet handled, oldest first.
+    outbox: VecDeque<Post>,
     /// Announce grouping scratch.
     fan: Fanout,
     /// Wall time spent draining (metrics mode only): handler time that a
@@ -138,9 +187,30 @@ struct WorkerState {
     drained_ns: u64,
 }
 
-/// Raw calibration samples (only collected when metrics are on): kernel
-/// wall times per task class ([`KERNEL`]), handler wall times per record
-/// kind ([`RECORD`]).
+impl WorkerState {
+    fn new(nodes: usize, metrics: bool) -> WorkerState {
+        WorkerState {
+            busy_ns: 0,
+            classes: Vec::new(),
+            executed: 0,
+            lats: Lats::default(),
+            stats: vec![EngineStats::default(); nodes],
+            metrics: MetricsRegistry::new(metrics),
+            calib: CalibSamples::default(),
+            draining: false,
+            outbox: VecDeque::new(),
+            fan: Fanout::default(),
+            drained_ns: 0,
+        }
+    }
+
+    /// Append one calibration sample of `family` (metrics mode only).
+    fn calib_sample(&mut self, family: usize, key: &'static str, ns: u64) {
+        self.calib[family].entry(key).or_default().push(ns);
+    }
+}
+
+/// Raw calibration samples, per family ([`KERNEL`], [`RECORD`]).
 type CalibSamples = [BTreeMap<&'static str, Vec<u64>>; 2];
 const KERNEL: usize = 0;
 const RECORD: usize = 1;
@@ -153,7 +223,7 @@ pub(crate) struct RealObs {
     /// a disabled real run serializes the same `{"traceEvents":[]}` as a
     /// disabled virtual run).
     pub(crate) trace: Trace,
-    /// Message-lifecycle stage histograms merged across nodes (disabled
+    /// Message-lifecycle stage histograms merged across workers (disabled
     /// and empty when metrics were off).
     pub(crate) metrics: MetricsRegistry,
     /// Measured cost profile (`Some` only when metrics were on).
@@ -171,13 +241,14 @@ struct RealRun {
     /// announces and seeds.
     init_versions: Vec<Vec<usize>>,
     seed_tasks: Vec<Vec<TaskId>>,
-    shm: ShmWorld,
     workers: Vec<Mutex<WorkerState>>,
     tree: Tree,
-    /// Gate for handler timing and calibration sampling; `false` keeps
-    /// the unobserved hot path free of extra clock reads and locks.
+    /// Gate for handler timing, stage histograms and calibration
+    /// sampling; `false` keeps the unobserved hot path free of them.
     metrics_on: bool,
-    calib: Mutex<CalibSamples>,
+    /// Whether the pool records task spans: a cost-only task reads the
+    /// clock only for one (or for a metrics sample).
+    trace_on: bool,
 }
 
 // Compile-time guarantee that the whole run state crosses threads.
@@ -208,27 +279,19 @@ impl RealRun {
                 store.present(v, graph.initial(v).cloned(), false);
             }
         }
-        let shm = ShmWorld::new_observed(nodes, SHM_POOL_BUFS, metrics);
-        shm.label_tag(AM_ACTIVATE, "activate");
-        shm.label_tag(AM_GETDATA, "get");
         RealRun {
             remaining,
             stores: stores.into_iter().map(Mutex::new).collect(),
             init_versions,
             seed_tasks,
-            shm,
-            workers: (0..pool_threads).map(|_| Mutex::default()).collect(),
+            workers: (0..pool_threads)
+                .map(|_| Mutex::new(WorkerState::new(nodes, metrics)))
+                .collect(),
             tree: Tree::of(cfg),
             metrics_on: metrics,
-            calib: Mutex::new(CalibSamples::default()),
+            trace_on: cfg.engine.trace,
             graph,
         }
-    }
-
-    /// Append one calibration sample of `family` (metrics mode only).
-    fn calib_sample(&self, family: usize, key: &'static str, ns: u64) {
-        let mut calib = self.calib.lock().expect("calib samples");
-        calib[family].entry(key).or_default().push(ns);
     }
 
     /// Whether a payload of `v` exists anywhere: only kernels and initial
@@ -301,21 +364,25 @@ impl<'a, 'c> RealPort<'a, 'c> {
         }
     }
 
-    /// Send `msg` to `dst` (module docs). Outside a drain this worker
-    /// becomes the outermost sender and sends its outbox one message at a
-    /// time, each handled at once by [`ShmWorld::send`]; from a handler it
-    /// only appends, so no drain nests inside another.
-    fn post(&mut self, dst: usize, msg: ShmMsg) {
+    /// Send `msg` from this node to `dst`, stamped `sent_at_ns` (module
+    /// docs). Outside a drain this worker becomes the outermost sender and
+    /// handles its outbox one message at a time; from a handler it only
+    /// appends, so no drain nests inside another.
+    fn post(&mut self, dst: usize, sent_at_ns: u64, msg: Msg) {
         let (ctx, run, ws) = (&mut *self.ctx, self.run, &mut *self.ws);
-        ws.outbox.push_back((dst, msg));
+        let src = self.node;
+        ws.outbox.push_back(Post {
+            dst,
+            src,
+            sent_at_ns,
+            msg,
+        });
         if std::mem::replace(&mut ws.draining, true) {
             return;
         }
         let t0 = run.metrics_on.then(|| ctx.now());
-        while let Some((dst, msg)) = ws.outbox.pop_front() {
-            run.shm.send(dst, msg, |node, msg| {
-                handle(&mut RealPort::new(ctx, run, ws, node), msg)
-            });
+        while let Some(post) = ws.outbox.pop_front() {
+            handle(&mut RealPort::new(ctx, run, ws, post.dst), post);
         }
         ws.draining = false;
         ws.drained_ns += t0.map_or(0, |t0| (ctx.now() - t0).as_ns());
@@ -328,7 +395,7 @@ impl<'a, 'c> RealPort<'a, 'c> {
         f(self);
         t0.map_or(0, |t0| {
             let d = (self.ctx.now() - t0).as_ns();
-            self.run.calib_sample(RECORD, key, d);
+            self.ws.calib_sample(RECORD, key, d);
             d
         })
     }
@@ -353,10 +420,9 @@ impl Port for RealPort<'_, '_> {
     }
 
     #[inline]
-    fn send_activate(&mut self, dst: NodeId, rec: &ActivateRec) {
-        let frame = rec.encode_one(|n| self.run.shm.node(self.node).pool().take(n));
+    fn send_activate(&mut self, dst: NodeId, rec: ActivateRec) {
         let at = self.at.unwrap_or(rec.sent_at_ns);
-        self.post(dst, am(self.node, AM_ACTIVATE, Frames::One(frame), at));
+        self.post(dst, at, Msg::Activate(rec));
     }
 
     /// Post the GET DATA at once (no window on this substrate).
@@ -367,23 +433,13 @@ impl Port for RealPort<'_, '_> {
             activate_sent_at_ns: rec.sent_at_ns,
         };
         let at = self.now();
-        self.post(
-            owner,
-            am(self.node, AM_GETDATA, Frames::One(get.encode()), at),
-        );
+        self.post(owner, at, Msg::Get(get));
     }
 
     #[inline]
     fn put(&mut self, dst: NodeId, cb: PutCb, size: usize, data: Option<Bytes>) {
-        let msg = ShmMsg::Put {
-            src: self.node,
-            r_tag: RTAG_DATA,
-            data,
-            size,
-            cb: cb.encode(),
-            sent_at_ns: self.now(),
-        };
-        self.post(dst, msg);
+        let at = self.now();
+        self.post(dst, at, Msg::Put { cb, size, data });
     }
 
     #[inline]
@@ -432,22 +488,12 @@ fn run_job(ctx: &mut WorkerCtx<'_>, run: &RealRun, id: usize) {
     let mut ws = run.workers[ctx.worker()].lock().expect("worker state");
     let p = &mut RealPort::new(ctx, run, &mut ws, 0);
     if id == STARTUP {
-        for node in 0..run.shm.len() {
+        for node in 0..run.stores.len() {
             p.node = node;
             node_startup(p);
         }
     } else {
         exec_task(p, id);
-    }
-}
-
-/// An active message from `src` stamped `sent_at_ns`.
-fn am(src: usize, tag: u64, frames: Frames, sent_at_ns: u64) -> ShmMsg {
-    ShmMsg::Am {
-        src,
-        tag,
-        frames,
-        sent_at_ns,
     }
 }
 
@@ -484,16 +530,21 @@ fn exec_task(p: &mut RealPort<'_, '_>, t: TaskId) {
         Vec::new()
     };
 
-    let started = p.ctx.now();
+    // The clock brackets the kernel only when someone reads the interval
+    // (module docs).
+    let timed = kernel.is_some() || run.trace_on || run.metrics_on;
+    let started = timed.then(|| p.ctx.now());
     let outs: Vec<Bytes> = match kernel {
         Some(k) => k(&inputs),
         None => Vec::new(),
     };
-    let ended = p.ctx.now();
-    let busy_ns = (ended - started).as_ns();
-    // On a traced pool this lands in the worker's lock-free buffer; on an
-    // untraced pool it is a no-op.
-    p.ctx.trace_task(task.name, node, started, ended);
+    let busy_ns = started.map_or(0, |started| {
+        let ended = p.ctx.now();
+        // On a traced pool this lands in the worker's lock-free buffer; on
+        // an untraced pool it is a no-op.
+        p.ctx.trace_task(task.name, node, started, ended);
+        (ended - started).as_ns()
+    });
     if kernel.is_some() {
         assert_eq!(
             outs.len(),
@@ -516,7 +567,7 @@ fn exec_task(p: &mut RealPort<'_, '_>, t: TaskId) {
         None => ws.classes.push((name, 1, busy_ns)),
     }
     if run.metrics_on {
-        run.calib_sample(KERNEL, task.name, busy_ns);
+        ws.calib_sample(KERNEL, task.name, busy_ns);
     }
 
     // Completion: outputs become present locally and release local
@@ -538,7 +589,7 @@ fn exec_task(p: &mut RealPort<'_, '_>, t: TaskId) {
     if let Some((t_entry, drained)) = t_entry {
         let drained = p.ws.drained_ns - drained;
         let total_ns = (p.ctx.now() - t_entry).as_ns();
-        run.calib_sample(
+        p.ws.calib_sample(
             RECORD,
             REC_TASK_OVERHEAD,
             total_ns.saturating_sub(busy_ns + drained),
@@ -547,60 +598,75 @@ fn exec_task(p: &mut RealPort<'_, '_>, t: TaskId) {
 }
 
 /// Handle one message at `p.node`, on the thread that sent it (module
-/// docs). Decoding reads the frames in place; every buffer then returns
-/// to the pool of the node that encoded it, so each pool gets back
-/// exactly what it hands out whatever the traffic's shape (immediate
-/// records have none: their `recycle` is a no-op). The one clock read
+/// docs): count it at both ends in this worker's per-node counters, then
+/// run its protocol handler on the record it carries. The one clock read
 /// here is the message's arrival instant for the handlers and the send
 /// stamp of their replies.
-fn handle(p: &mut RealPort<'_, '_>, msg: ShmMsg) {
+fn handle(p: &mut RealPort<'_, '_>, post: Post) {
     let (run, node, k) = (p.run, p.node, p.run.tree.k);
+    let Post {
+        src,
+        sent_at_ns,
+        msg,
+        ..
+    } = post;
     let now_ns = p.ctx.now().as_ns();
     p.at = Some(now_ns);
-    match msg {
-        ShmMsg::Am {
-            src,
-            tag,
-            frames,
-            sent_at_ns,
-        } => {
-            run.shm.delivered(node, false, 0, now_ns, sent_at_ns);
-            match tag {
-                AM_ACTIVATE | AM_GETDATA => {
-                    let mut ns = 0u64;
-                    if tag == AM_ACTIVATE {
-                        for rec in ActivateRec::iter_frames(&frames) {
-                            ns += p.timed(REC_ACTIVATE, |p| protocol::on_activate(p, k, src, rec));
-                        }
-                    } else {
-                        for rec in GetRec::iter_frames(&frames) {
-                            let get = |p: &mut RealPort| protocol::on_get(p, &run.graph, src, rec);
-                            ns += p.timed(REC_GET_REQUEST, get);
-                        }
-                    }
-                    run.shm.record_stage(node, "am.callback_ns", ns);
-                }
-                _ => panic!("unregistered AM tag {tag}"),
-            }
-            run.shm.node(src).pool().recycle_frames(frames);
-        }
-        ShmMsg::Put {
-            src,
-            r_tag,
-            data,
-            size,
-            cb,
-            sent_at_ns,
-        } => {
-            debug_assert_eq!(r_tag, RTAG_DATA, "unexpected one-sided tag");
-            run.shm.delivered(node, true, size, now_ns, sent_at_ns);
-            let d = p.timed(REC_ARRIVAL, |p| {
-                protocol::on_put(p, k, PutCb::decode(&cb), size, data)
-            });
-            run.shm.record_stage(node, "put.callback_ns", d);
-            run.shm.node(src).pool().recycle(cb);
-        }
+    let ws = &mut *p.ws;
+    if let Msg::Put { size, .. } = msg {
+        ws.stats[src].puts_started.inc();
+        ws.stats[node].put_bytes_in.add(size as u64);
+        ws.stats[node].puts_remote_done.inc();
+    } else {
+        ws.stats[src].am_sent.inc();
+        ws.stats[src].am_submitted.inc();
+        ws.stats[node].am_received.inc();
     }
+    let callback_stage = run
+        .metrics_on
+        .then(|| record_stages(&mut ws.metrics, &msg, now_ns.saturating_sub(sent_at_ns)));
+    let callback_ns = match msg {
+        Msg::Activate(rec) => p.timed(REC_ACTIVATE, |p| protocol::on_activate(p, k, src, rec)),
+        Msg::Get(rec) => p.timed(REC_GET_REQUEST, |p| {
+            protocol::on_get(p, &run.graph, src, rec)
+        }),
+        Msg::Put { cb, size, data } => {
+            p.timed(REC_ARRIVAL, |p| protocol::on_put(p, k, cb, size, data))
+        }
+    };
+    if let Some(stage) = callback_stage {
+        p.ws.metrics.record(stage, callback_ns);
+    }
+}
+
+/// Record the metrics mode's per-message samples under the simulated
+/// backends' names, and return the name of the message's callback stage,
+/// which its handler's duration fills. A send is a
+/// handler call here: the queue and inject stages are structurally zero,
+/// the wait before the handler ran is the wire stage and hand-off is
+/// delivery; recording the zeros keeps the stage *counts* comparable
+/// across substrates.
+fn record_stages(m: &mut MetricsRegistry, msg: &Msg, wire_ns: u64) -> &'static str {
+    let stages = match msg {
+        Msg::Activate(_) => {
+            m.count("msg.activate.msgs_on_wire", 1);
+            m.record("msg.activate.records_per_msg", 1);
+            AM_STAGES
+        }
+        Msg::Get(_) => {
+            m.count("msg.get.msgs_on_wire", 1);
+            m.record("msg.get.records_per_msg", 1);
+            AM_STAGES
+        }
+        Msg::Put { .. } => {
+            m.count("msg.data.msgs_on_wire", 1);
+            PUT_STAGES
+        }
+    };
+    for (stage, ns) in stages.iter().zip([0, 0, wire_ns, 0]) {
+        m.record(stage, ns);
+    }
+    stages[4]
 }
 
 /// Startup at `p.node`: announce the node's initial versions, then seed
@@ -715,14 +781,28 @@ pub(crate) fn run(
     drop(pool);
 
     let run = Arc::try_unwrap(run).unwrap_or_else(|_| panic!("run state still shared after idle"));
+    // Merge every worker's accumulators once: report tallies, per-node
+    // engine counters, stage histograms and calibration samples.
     let mut tally = Tally::default();
-    for w in &run.workers {
-        let w = w.lock().expect("worker state");
+    let mut engine_stats = vec![EngineStats::default(); nodes];
+    let mut metrics = MetricsRegistry::new(cfg.engine.metrics);
+    let mut samples = CalibSamples::default();
+    for w in run.workers {
+        let w = w.into_inner().expect("worker state");
         tally.lats.merge(&w.lats);
         tally.executed += w.executed;
         tally.worker_busy += SimTime::from_ns(w.busy_ns);
         for &(name, n, busy) in &w.classes {
             tally.class(name, n, SimTime::from_ns(busy));
+        }
+        for (all, s) in engine_stats.iter_mut().zip(&w.stats) {
+            all.merge(s);
+        }
+        metrics.merge(&w.metrics);
+        for (all, family) in samples.iter_mut().zip(w.calib) {
+            for (key, v) in family {
+                all.entry(key).or_default().extend(v);
+            }
         }
     }
     let executed = tally.executed;
@@ -730,9 +810,6 @@ pub(crate) fn run(
         executed, tasks_total,
         "real execution drained with unexecuted tasks (protocol stall)"
     );
-
-    let engine_stats: Vec<EngineStats> =
-        (0..nodes).map(|n| run.shm.node(n).engine_stats()).collect();
 
     // Merge every node's payloads for post-run data access; producers win
     // over transferred copies (they are bitwise equal anyway).
@@ -746,7 +823,6 @@ pub(crate) fn run(
     // Calibration profile from the measured samples (metrics mode only):
     // lower medians, deterministic BTreeMap key order.
     let calib = cfg.engine.metrics.then(|| {
-        let samples = run.calib.into_inner().expect("calib samples");
         let [classes, records] = samples.map(|family| {
             let summary = |(k, v): (&str, _)| (k.to_string(), CostSummary::from_samples(v));
             family.into_iter().map(summary).collect()
@@ -758,7 +834,6 @@ pub(crate) fn run(
             records,
         }
     });
-    let metrics = run.shm.merged_metrics();
 
     let report = RunReport {
         pool: Some(pool_stats),

@@ -1054,24 +1054,19 @@ fn lopsided_stencil(nodes: usize, side: i64, sweeps: usize) -> crate::TaskGraph 
     g.build()
 }
 
-/// Deterministic proxies (one thread) for the message path: a message is
+/// Deterministic proxy (one thread) for the message path: a message is
 /// handled in line by the thread that sent it, never as a pool job — pool
 /// spawns stay at one per task (7.03 per task when each ACTIVATE, GET and
-/// put spawned its own progress job) — and no record of a unicast flow
-/// takes a buffer: ACTIVATE, GET and the put's callback descriptor are
-/// immediate. Under a multicast tree the ACTIVATEs that carry a forward
-/// list are buffered, and every such buffer goes back to the pool it was
-/// taken from, so allocating takes do not grow with the run.
+/// put spawned its own progress job) — under unicast and multicast alike.
 #[test]
-fn real_exec_messages_are_not_pool_jobs_and_record_buffers_recycle() {
-    let run = |sweeps: usize, bcast_tree_min: Option<usize>| {
+fn real_exec_messages_are_not_pool_jobs() {
+    for bcast_tree_min in [None, Some(2)] {
         let mut cluster = Cluster::new(ClusterConfig {
             mode: ExecMode::CostOnly,
-            engine: EngineConfig::lci().with_observability(false, true),
             bcast_tree_min,
             ..small_cfg(BackendKind::Lci, 4)
         });
-        let graph = lopsided_stencil(4, 6, sweeps);
+        let graph = lopsided_stencil(4, 6, 10);
         let (tasks, flows) = (graph.task_count() as u64, graph.remote_flows() as u64);
         let report = cluster.execute_real(graph, 1);
         assert!(report.complete());
@@ -1085,39 +1080,21 @@ fn real_exec_messages_are_not_pool_jobs_and_record_buffers_recycle() {
             spawns as f64 <= 1.1 * tasks as f64,
             "{spawns} pool jobs for {tasks} tasks: messages are queuing as jobs again"
         );
-        let stages = cluster.metrics_report(&report).stages;
-        (
-            stages.counter("shm.pool_hits"),
-            stages.counter("shm.pool_misses"),
-        )
-    };
-    assert_eq!(
-        run(10, None),
-        (0, 0),
-        "a record of a unicast flow took a pooled buffer"
-    );
-    let (short, long) = (run(10, Some(2)), run(80, Some(2)));
-    assert!(
-        long.0 > short.0,
-        "no forward list travelled: nothing pooled"
-    );
-    assert_eq!(
-        short.1, long.1,
-        "allocating buffer takes grew with the run length: a record buffer is not recycled"
-    );
-    // Startup announces every initial tile before the first reply lands.
-    assert!(long.1 <= 4 * 36, "{} pool misses", long.1);
+    }
 }
 
 /// An observed real run of the lopsided stencil on `threads` workers
-/// (complete, every flow measured, no message a pool job): its merged
-/// stage registry, the AMs and puts sent, and the report.
+/// under multicast policy `bcast_tree_min` (complete, every flow
+/// measured, no message a pool job): its merged stage registry, the AMs
+/// and puts sent, and the report.
 fn observed_lopsided_run(
     threads: usize,
+    bcast_tree_min: Option<usize>,
 ) -> (amt_simnet::MetricsRegistry, u64, u64, crate::RunReport) {
     let mut cluster = Cluster::new(ClusterConfig {
         mode: ExecMode::CostOnly,
         engine: EngineConfig::lci().with_observability(false, true),
+        bcast_tree_min,
         ..small_cfg(BackendKind::Lci, 4)
     });
     let graph = lopsided_stencil(4, 6, 20);
@@ -1140,23 +1117,39 @@ fn observed_lopsided_run(
 }
 
 /// Every message is handled at once by the thread that sends it, at any
-/// thread count: each AM sent was received and each put started landed —
-/// none was left in an inbox or handled twice, whichever threads ran a
-/// node's handlers concurrently — and no message became a pool job
-/// (`observed_lopsided_run` holds spawns to one per task plus startup).
+/// thread count and under unicast and multicast alike: each AM sent was
+/// received and each put started landed — none was lost or handled twice,
+/// whichever threads ran a node's handlers concurrently — and no message
+/// became a pool job (`observed_lopsided_run` holds spawns to one per
+/// task plus startup). Under the tree, forward lists travel: a tile of
+/// nodes 1–3 has three remote consumer nodes, so its home sends two
+/// ACTIVATEs where the star sends three, and node 0, first in every such
+/// list, relays the third and serves its data.
 #[test]
 fn real_exec_every_message_is_handled_by_its_sender() {
     for threads in [1, 2, 4] {
-        let (_, ams, puts, report) = observed_lopsided_run(threads);
-        let sum = |f: fn(&amt_comm::EngineStats) -> u64| -> u64 {
-            report.engine_stats.iter().map(f).sum()
-        };
-        assert!(ams > 0 && puts > 0, "{threads} thread(s): no traffic");
-        assert_eq!(sum(|s| s.am_received.get()), ams, "{threads} thread(s)");
-        assert_eq!(
-            sum(|s| s.puts_remote_done.get()),
-            puts,
-            "{threads} thread(s)"
+        let [star, tree] = [None, Some(2)].map(|bcast_tree_min| {
+            let (_, ams, puts, report) = observed_lopsided_run(threads, bcast_tree_min);
+            let ctx = format!("{threads} thread(s), tree {bcast_tree_min:?}");
+            let sum = |f: fn(&amt_comm::EngineStats) -> u64| -> u64 {
+                report.engine_stats.iter().map(f).sum()
+            };
+            assert!(ams > 0 && puts > 0, "{ctx}: no traffic");
+            assert_eq!(sum(|s| s.am_received.get()), ams, "{ctx}");
+            assert_eq!(sum(|s| s.puts_remote_done.get()), puts, "{ctx}");
+            report.engine_stats
+        });
+        let roots_ams =
+            |s: &[amt_comm::EngineStats]| -> u64 { s[1..].iter().map(|s| s.am_sent.get()).sum() };
+        assert!(
+            roots_ams(&tree) < roots_ams(&star),
+            "{threads} thread(s): the multicast roots sent {} AMs, the star {}",
+            roots_ams(&tree),
+            roots_ams(&star)
+        );
+        assert!(
+            tree[0].puts_started.get() > star[0].puts_started.get(),
+            "{threads} thread(s): node 0 relayed no data"
         );
     }
 }
@@ -1168,7 +1161,7 @@ fn real_exec_every_message_is_handled_by_its_sender() {
 #[test]
 fn real_exec_observed_sender_samples_count_every_message() {
     for threads in [1, 2, 4] {
-        let (stages, ams, puts, _) = observed_lopsided_run(threads);
+        let (stages, ams, puts, _) = observed_lopsided_run(threads, None);
         let samples = |name: &str| stages.hist(name).map_or(0, |h| h.count());
         let am_classes = ["activate", "get"];
         let per_class = |what: &str, f: &dyn Fn(&str) -> u64| -> u64 {
@@ -1189,6 +1182,26 @@ fn real_exec_observed_sender_samples_count_every_message() {
         assert_eq!(samples("put.queue_ns"), puts, "{ctx}");
         assert_eq!(samples("put.inject_ns"), puts, "{ctx}");
         assert_eq!(stages.counter("msg.data.msgs_on_wire"), puts, "{ctx}");
+    }
+}
+
+/// A traced real run of a cost-only graph records one task span per
+/// executed task, at 1 and 2 threads: a kernel-less task skips its clock
+/// reads only when nobody wants the interval.
+#[test]
+fn real_exec_traced_cost_only_run_spans_every_task() {
+    for threads in [1, 2] {
+        let mut cluster = Cluster::new(ClusterConfig {
+            mode: ExecMode::CostOnly,
+            engine: EngineConfig::lci().with_observability(true, false),
+            ..small_cfg(BackendKind::Lci, 4)
+        });
+        let graph = lopsided_stencil(4, 6, 5);
+        let tasks = graph.task_count();
+        assert!(cluster.execute_real(graph, threads).complete());
+        let json = cluster.trace_json().expect("a real run's trace");
+        let spans = json.matches(r#""name":"stencil","ph":"X""#).count();
+        assert_eq!(spans, tasks, "{threads} thread(s)");
     }
 }
 
@@ -1325,12 +1338,12 @@ mod protocol_port {
         fn now(&mut self) -> u64 {
             1_000
         }
-        fn send_activate(&mut self, dst: usize, rec: &ActivateRec) {
+        fn send_activate(&mut self, dst: usize, rec: ActivateRec) {
             self.calls.push(Call::Activate {
                 dst,
                 priority: rec.priority,
                 size: rec.size,
-                forward: rec.forward.clone(),
+                forward: rec.forward,
             });
         }
         fn request(&mut self, owner: usize, _rec: &ActivateRec) {

@@ -301,7 +301,7 @@ assert m["substrate"] == "virtual" and m["makespan_ns"] > 0
 print("simulator accepted the measured cost model (valid virtual run)")
 PY
 
-echo "== removed forks stay removed: island DES, tuner window loops, offline grid, seed scheduler, per-tag windows, boxed backend micro-tasks, shm node owners, the Substrate seam, engine collectives, the ladder queue, the eager-ceiling tuner, type-erased wires and completions, the LciDirect wrapper, per-task edge and consumer vectors, the real path's startup/quiescence collectives =="
+echo "== removed forks stay removed: island DES, tuner window loops, offline grid, seed scheduler, per-tag windows, boxed backend micro-tasks, shm node owners, the Substrate seam, engine collectives, the ladder queue, the eager-ceiling tuner, type-erased wires and completions, the LciDirect wrapper, per-task edge and consumer vectors, the real path's startup/quiescence collectives, the shm transport's put, send path and registries =="
 if grep -rn -e 'execute_islands\|new_partition\|RemoteChunk\|run_before\|TuneProfile\|WindowState\|--tuned\|--islands\|--autotune-out' \
         -e 'reference_sched\|RefDataState\|ReadyQueue::Reference\|batch_window_overrides\|with_batch_window_override\|batch_window_for\|get_window_min_flows' \
         -e 'Micro::Backend(\|BackendMicro\|fn exec_micro(\|fn micro_label' \
@@ -312,8 +312,18 @@ if grep -rn -e 'execute_islands\|new_partition\|RemoteChunk\|run_before\|TunePro
         -e 'Payload::Any\|fn downcast<\|BackendTask\|LciCmd\|struct LciDirect\|mod lci_direct\|CompHandler' \
         -e 'pub inputs: Vec<VersionId>\|pub outputs: Vec<VersionId>\|pub consumers: Vec<TaskId>' \
         -e 'TreeReduce\|ReduceStep\|kary_children\|kary_parent\|AM_COLL_\|QUIESCE\|executed_per_node\|mod collectives' \
+        -e 'ShmMsg::Put\|fn new_observed\|fn merged_metrics' \
         crates/ examples/ tests/ src/ scripts/ --exclude=verify.sh; then
     echo "a removed name is back"; exit 1
+fi
+
+echo "== the real path sends values: no transport message, frames, encode/decode or buffer recycling in real.rs =="
+if grep -nE 'ShmMsg|Frames|encode|iter_frames|recycle' crates/core/src/real.rs; then
+    echo "real.rs encodes, frames or recycles a message again"; exit 1
+fi
+# The simulated engine keeps its own label_tag; shm's stays deleted.
+if grep -nE 'fn (send|label_tag|record_stage)\(' crates/comm/src/shm.rs; then
+    echo "shm.rs grew a send path or a metrics registry again"; exit 1
 fi
 
 echo "== one typed wire: no type-erased values on the simulated message path =="
