@@ -63,6 +63,76 @@ impl Lats {
     }
 }
 
+/// One latency series as integer nanosecond moments: count, Σx, Σx², min
+/// and max. Recording a sample is integer adds, one multiply and two
+/// compares, with no float divide; the real path keeps its series in these
+/// and converts them once, at the end of the run ([`LatMoments::to_lats`]).
+#[derive(Clone, Copy)]
+pub(crate) struct NsMoments {
+    count: u64,
+    sum: u64,
+    sum_sq: u128,
+    min: u64,
+    max: u64,
+}
+
+impl Default for NsMoments {
+    fn default() -> Self {
+        NsMoments {
+            count: 0,
+            sum: 0,
+            sum_sq: 0,
+            min: u64::MAX,
+            max: 0,
+        }
+    }
+}
+
+impl NsMoments {
+    #[inline]
+    pub(crate) fn record(&mut self, ns: u64) {
+        self.count += 1;
+        self.sum += ns;
+        self.sum_sq += ns as u128 * ns as u128;
+        self.min = self.min.min(ns);
+        self.max = self.max.max(ns);
+    }
+
+    pub(crate) fn merge(&mut self, other: &NsMoments) {
+        self.count += other.count;
+        self.sum += other.sum;
+        self.sum_sq += other.sum_sq;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
+
+    /// The series in microseconds, as a [`Lats`] series reads.
+    pub(crate) fn to_stats_us(self) -> OnlineStats {
+        OnlineStats::from_moments(self.count, self.sum, self.sum_sq, self.min, self.max)
+    }
+}
+
+/// [`Lats`] as integer moments: one worker's (real) latency samples.
+#[derive(Default)]
+pub(crate) struct LatMoments([NsMoments; 3]);
+
+impl LatMoments {
+    #[inline]
+    pub(crate) fn record(&mut self, lat: Lat, t: SimTime) {
+        self.0[lat as usize].record(t.as_ns());
+    }
+
+    pub(crate) fn merge(&mut self, other: &LatMoments) {
+        for (a, b) in self.0.iter_mut().zip(&other.0) {
+            a.merge(b);
+        }
+    }
+
+    pub(crate) fn to_lats(&self) -> Lats {
+        Lats(self.0.map(NsMoments::to_stats_us))
+    }
+}
+
 /// A multicast subtree a node relays once the version's data is local,
 /// and the priority it was announced with.
 pub(crate) type Forward = (Vec<u32>, i64);

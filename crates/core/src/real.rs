@@ -25,11 +25,12 @@
 //!
 //! ## Progress: the sender handles its own messages, in line
 //!
-//! A message is never a pool job. Every send is a [`RealPort::post`] into
-//! the worker's outbox; outside a handler the worker then takes the
-//! outbox one message at a time and runs the destination's handler at
-//! once, on this thread; a handler that sends only appends, so drains
-//! never nest. A whole ACTIVATE → GET DATA → put flow completes on the
+//! A message is never a pool job. Every send is a [`RealPort::post`]:
+//! outside a handler the worker runs the destination's handler at once,
+//! on this thread, then takes its outbox one message at a time; a handler
+//! that sends only appends to the outbox, so drains never nest, and the
+//! outbox is empty whenever a drain starts, so nothing overtakes a message
+//! posted before it. A whole ACTIVATE → GET DATA → put flow completes on the
 //! thread that announced it. Handlers for one node may run on several
 //! threads at once: stores sit behind their node's mutex, countdowns are
 //! atomics, statistics are per worker. Each flow is causal (the ACTIVATE
@@ -67,7 +68,9 @@
 //!   engine-level AM aggregation — those are engine behaviors under
 //!   *study* in the simulator; here every record travels as its own
 //!   message.
-//! * The clock is wall time since pool start. A handler reads it once,
+//! * The clock is wall time since pool start, the pool's
+//!   ([`WorkerCtx::now`]): the CPU's time-stamp counter where it is
+//!   invariant, `Instant` elsewhere. A handler reads it once,
 //!   at the message's arrival, and stamps every reply with that instant;
 //!   an announce outside a handler reads it per destination, since each
 //!   flow before it completes in line. A task reads it around its kernel
@@ -76,6 +79,9 @@
 //!   busy time and reads no clock.
 //! * Latencies are measured through the same record timestamps as
 //!   §6.1.3, so they read the same as the virtual ones, in wall time.
+//!   A worker keeps each series as integer ns moments (count, sum, sum
+//!   of squares, min, max) and the end-of-run merge turns them into the
+//!   report's statistics: a sample costs no float divide.
 //!
 //! ## Determinism
 //!
@@ -102,7 +108,7 @@ use crate::calib::{
 use crate::cluster::{RunReport, Tally};
 use crate::config::ClusterConfig;
 use crate::graph::{TaskGraph, TaskId, VersionId};
-use crate::protocol::{self, Fanout, Forward, Lat, Lats, Port, Tree};
+use crate::protocol::{self, Fanout, Forward, Lat, LatMoments, Port, Tree};
 use crate::records::{ActivateRec, GetRec, PutCb};
 use crate::store::VersionStore;
 
@@ -163,8 +169,9 @@ struct WorkerState {
     classes: Vec<(&'static str, u64, u64)>,
     /// Tasks executed: summed over workers, the stall check of [`run`].
     executed: u64,
-    /// Message-lifecycle latencies of the flows this worker handled.
-    lats: Lats,
+    /// Message-lifecycle latencies of the flows this worker handled, as
+    /// integer ns moments (module docs).
+    lats: LatMoments,
     /// Per node, the engine counters of the messages this worker sent
     /// from it and handled at it.
     stats: Vec<EngineStats>,
@@ -175,10 +182,12 @@ struct WorkerState {
     /// task class ([`KERNEL`]), handler wall times per record kind
     /// ([`RECORD`]).
     calib: CalibSamples,
-    /// Set while this worker sends its outbox ([`RealPort::post`]):
-    /// messages the handlers it runs post meanwhile only join the queue.
+    /// Set while this worker handles a message it sent
+    /// ([`RealPort::post`]): messages the handlers it runs post meanwhile
+    /// only join the outbox.
     draining: bool,
-    /// Messages this worker has posted and not yet handled, oldest first.
+    /// Messages handlers of this worker have posted and it has not yet
+    /// handled, oldest first; empty whenever `draining` is clear.
     outbox: VecDeque<Post>,
     /// Announce grouping scratch.
     fan: Fanout,
@@ -193,7 +202,7 @@ impl WorkerState {
             busy_ns: 0,
             classes: Vec::new(),
             executed: 0,
-            lats: Lats::default(),
+            lats: LatMoments::default(),
             stats: vec![EngineStats::default(); nodes],
             metrics: MetricsRegistry::new(metrics),
             calib: CalibSamples::default(),
@@ -365,22 +374,26 @@ impl<'a, 'c> RealPort<'a, 'c> {
     }
 
     /// Send `msg` from this node to `dst`, stamped `sent_at_ns` (module
-    /// docs). Outside a drain this worker becomes the outermost sender and
-    /// handles its outbox one message at a time; from a handler it only
-    /// appends, so no drain nests inside another.
+    /// docs). Outside a drain this worker becomes the outermost sender: it
+    /// handles the message at once, then its outbox one message at a time;
+    /// from a handler it only appends, so no drain nests inside another.
+    /// The outbox is empty when a drain starts, so messages are handled in
+    /// the order they were posted.
     fn post(&mut self, dst: usize, sent_at_ns: u64, msg: Msg) {
         let (ctx, run, ws) = (&mut *self.ctx, self.run, &mut *self.ws);
-        let src = self.node;
-        ws.outbox.push_back(Post {
+        let post = Post {
             dst,
-            src,
+            src: self.node,
             sent_at_ns,
             msg,
-        });
-        if std::mem::replace(&mut ws.draining, true) {
+        };
+        if ws.draining {
+            ws.outbox.push_back(post);
             return;
         }
+        ws.draining = true;
         let t0 = run.metrics_on.then(|| ctx.now());
+        handle(&mut RealPort::new(ctx, run, ws, dst), post);
         while let Some(post) = ws.outbox.pop_front() {
             handle(&mut RealPort::new(ctx, run, ws, post.dst), post);
         }
@@ -776,20 +789,21 @@ pub(crate) fn run(
     let makespan = pool.now() - t0;
     // Every worker's buffer publications happen-before the parked state
     // run_until_idle observed, so the snapshots are complete.
-    let pool_stats = pool.stats();
-    let trace = build_trace(pool.drain_trace());
+    let (pool_stats, trace) = pool.stats_and_trace();
+    let trace = build_trace(trace);
     drop(pool);
 
     let run = Arc::try_unwrap(run).unwrap_or_else(|_| panic!("run state still shared after idle"));
     // Merge every worker's accumulators once: report tallies, per-node
     // engine counters, stage histograms and calibration samples.
     let mut tally = Tally::default();
+    let mut lats = LatMoments::default();
     let mut engine_stats = vec![EngineStats::default(); nodes];
     let mut metrics = MetricsRegistry::new(cfg.engine.metrics);
     let mut samples = CalibSamples::default();
     for w in run.workers {
         let w = w.into_inner().expect("worker state");
-        tally.lats.merge(&w.lats);
+        lats.merge(&w.lats);
         tally.executed += w.executed;
         tally.worker_busy += SimTime::from_ns(w.busy_ns);
         for &(name, n, busy) in &w.classes {
@@ -805,6 +819,7 @@ pub(crate) fn run(
             }
         }
     }
+    tally.lats = lats.to_lats();
     let executed = tally.executed;
     assert_eq!(
         executed, tasks_total,

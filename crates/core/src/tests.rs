@@ -1511,3 +1511,70 @@ mod protocol_port {
         assert_eq!(p.calls, [down(1), down(2)]);
     }
 }
+
+/// The real path keeps latency series as integer ns moments; converted at
+/// the end of a run they must read as the virtual path's Welford
+/// statistics over the same samples.
+mod lat_moments {
+    use amt_simnet::{DetRng, OnlineStats, SimTime};
+
+    use crate::protocol::NsMoments;
+
+    fn close(a: f64, b: f64, what: &str) {
+        let same = a == b || (a.is_nan() && b.is_nan());
+        assert!(
+            same || (a - b).abs() <= 1e-9 * a.abs().max(b.abs()),
+            "{what}: moments {a} vs Welford {b}"
+        );
+    }
+
+    /// Moments and Welford over `samples`; the moments also split in two
+    /// and merged, as the per-worker series are.
+    fn check(samples: &[u64]) {
+        let (mut whole, mut halves) = (NsMoments::default(), [NsMoments::default(); 2]);
+        let mut welford = OnlineStats::new();
+        for (i, &ns) in samples.iter().enumerate() {
+            whole.record(ns);
+            halves[i % 2].record(ns);
+            welford.record_time_us(SimTime::from_ns(ns));
+        }
+        let [mut merged, odd] = halves;
+        merged.merge(&odd);
+        for m in [whole, merged] {
+            let s = m.to_stats_us();
+            assert_eq!(s.count(), welford.count());
+            assert_eq!(s.min().to_bits(), welford.min().to_bits(), "min");
+            assert_eq!(s.max().to_bits(), welford.max().to_bits(), "max");
+            close(s.mean(), welford.mean(), "mean");
+            close(s.std_dev(), welford.std_dev(), "std-dev");
+        }
+    }
+
+    #[test]
+    fn integer_moments_match_welford() {
+        check(&[]);
+        check(&[271]);
+        let mut rng = DetRng::seed_from_u64(35);
+        // Latency-like: a few hundred ns with a tail to tens of µs.
+        let spread: Vec<u64> = (0..10_000)
+            .map(|_| {
+                100 + rng.gen_usize(0..400) as u64 + 40_000 * (rng.gen_usize(0..100) == 0) as u64
+            })
+            .collect();
+        check(&spread);
+        // A large mean with a small spread: a float sum of squares would
+        // cancel, and Welford itself drifts by about 5e-9 here, so the
+        // spread is checked against Welford over the samples shifted down
+        // to the small ones (the spread does not move with a shift).
+        let small: Vec<u64> = (0..10_000).map(|_| rng.gen_usize(0..7) as u64).collect();
+        let mut offset = NsMoments::default();
+        let mut shifted = OnlineStats::new();
+        for &ns in &small {
+            offset.record(1_000_000_000 + ns);
+            shifted.record_time_us(SimTime::from_ns(ns));
+        }
+        let s = offset.to_stats_us();
+        close(s.mean(), 1e6 + shifted.mean(), "mean");
+        close(s.std_dev(), shifted.std_dev(), "std-dev");
+    }
+}

@@ -11,7 +11,8 @@
 //!   `DetRng` (reproducible probe sequences per run seed), an atomic
 //!   epoch parker/wake protocol for idle workers, and quiescence detection
 //!   ([`Pool::run_until_idle`]) from the parked-worker count and an
-//!   injector-job counter.
+//!   injector-job counter. Its clock ([`WorkerCtx::now`]) reads the
+//!   CPU's time-stamp counter where it is invariant, `Instant` elsewhere.
 //! * Observability — always-on per-worker scheduling counters
 //!   ([`PoolStats`]: spawns, executions, steals, failed probes, parks)
 //!   and, on a traced pool ([`Pool::new_traced`]), per-worker lock-free

@@ -19,8 +19,9 @@
 //! ## Counters
 //!
 //! [`PoolStats`] counters are always on: per-worker relaxed atomics
-//! bumped on the paths they describe (a relaxed `fetch_add` on the miss
-//! or spawn path, never inside the deque fast path). They feed the
+//! bumped on the paths they describe. Only the owning worker writes its
+//! counters, so a bump is a relaxed load and store ([`bump`]), not a
+//! lock-prefixed `fetch_add`; other threads only read them. They feed the
 //! conservation invariant *spawns = executions* checked by the unit
 //! tests and surfaced through `RunReport`.
 
@@ -199,7 +200,8 @@ impl PoolStats {
 }
 
 /// The atomic originals the snapshot above is read from, on cache lines
-/// of their own: each worker bumps its counters on every job.
+/// of their own: each worker bumps its counters on every job, and no
+/// other thread writes them.
 #[derive(Debug, Default)]
 #[repr(align(128))]
 pub(crate) struct WorkerCounters {
@@ -209,6 +211,13 @@ pub(crate) struct WorkerCounters {
     pub(crate) steals: AtomicU64,
     pub(crate) failed_probes: AtomicU64,
     pub(crate) parks: AtomicU64,
+}
+
+/// Add one to a counter that only the calling worker writes (module
+/// docs): a relaxed load and store, with no read-modify-write to pay for.
+#[inline]
+pub(crate) fn bump(counter: &AtomicU64) {
+    counter.store(counter.load(Relaxed) + 1, Relaxed);
 }
 
 impl WorkerCounters {

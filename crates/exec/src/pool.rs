@@ -42,21 +42,39 @@
 //! [`Pool::run_until_idle`] waits, under `sync`, for exactly that: the last
 //! worker to park signals it. Parking takes the `sync` mutex, so
 //! everything a worker wrote before — counters, trace events, whatever its
-//! jobs touched — happens-before the caller's return, and nothing moves
-//! until the next spawn.
+//! jobs touched — happens-before the caller's return, and no job runs
+//! until the next spawn. One worker may still move: a parked worker woken
+//! by a push whose job another worker took before it woke is counted as a
+//! sleeper until it retakes `sync`, so the caller can return first; the
+//! woken worker then rescans, finds nothing and parks again, under `sync`.
+//! [`Pool::stats_and_trace`] reads the counters and the trace under
+//! `sync`, so that they agree about its parks.
+//!
+//! ## Clock
+//!
+//! [`WorkerCtx::now`] and [`Pool::now`] read wall time since the pool
+//! started from the CPU's time-stamp counter where it is invariant (x86-64
+//! with CPUID `0x8000_0007` EDX bit 8: constant rate, never stopped, so
+//! one scale holds for every core and every power state). The scale is
+//! calibrated once per process, on the first pool, against [`Instant`]
+//! over a spin of about 2 ms, as a Q32 ns-per-tick multiplier. Everywhere
+//! else the clock is [`Instant::elapsed`]. The real substrate stamps every
+//! message with it, so a read is on its hot path: ≈ 22 ns for the scaled
+//! counter against ≈ 45 ns for `Instant::elapsed` on the 2-core x86-64
+//! box of DESIGN.md §3.8.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{
     AtomicU64, AtomicUsize,
     Ordering::{Relaxed, SeqCst},
 };
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 use amt_simnet::{DetRng, SimTime};
 
 use crate::deque::{self, Steal, Stealer, Worker};
-use crate::obs::{PoolStats, TraceBuf, TraceEvent, WorkerCounters, TRACE_CAP};
+use crate::obs::{bump, PoolStats, TraceBuf, TraceEvent, WorkerCounters, TRACE_CAP};
 
 /// A closure job: runs on whichever worker takes it, and may defer
 /// more. `Send` because a thief may run it on another thread.
@@ -110,7 +128,7 @@ struct PoolShared {
     /// Signalled (under `sync`) by the last worker to park.
     quiet: Condvar,
     runner: Box<Runner>,
-    start: Instant,
+    clock: Clock,
     seed: u64,
     /// Always-on per-worker scheduling counters (relaxed atomics).
     counters: Vec<WorkerCounters>,
@@ -124,8 +142,9 @@ struct PoolShared {
 }
 
 impl PoolShared {
+    #[inline]
     fn now_ns(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
+        self.clock.now_ns()
     }
 
     /// The trace buffer of worker `index`, if tracing is on.
@@ -157,6 +176,105 @@ impl PoolShared {
         self.inject(job);
         self.notify_push();
     }
+}
+
+/// Wall time since a pool started (module docs): time-stamp counter
+/// ticks scaled by the process's calibration, or [`Instant`] where the
+/// counter is not invariant.
+struct Clock {
+    start: Instant,
+    /// The tick at `start` and the Q32 ns-per-tick scale; `None` reads
+    /// `start.elapsed()`.
+    tsc: Option<(u64, u64)>,
+}
+
+impl Clock {
+    /// A clock from now; on the time-stamp counter if `tsc` asks for it
+    /// and the CPU has an invariant one.
+    fn new(tsc: bool) -> Clock {
+        let q32 = tsc.then(ns_per_tick_q32).flatten();
+        let (tick, start) = tick_pair();
+        Clock {
+            start,
+            tsc: q32.map(|q32| (tick, q32)),
+        }
+    }
+
+    #[inline]
+    fn now_ns(&self) -> u64 {
+        match self.tsc {
+            // Saturating: another core's counter may trail the starting
+            // one by a few ticks.
+            Some((start, q32)) => {
+                ((ticks().saturating_sub(start) as u128 * q32 as u128) >> 32) as u64
+            }
+            None => self.start.elapsed().as_nanos() as u64,
+        }
+    }
+}
+
+/// How long the calibration spins.
+const CALIBRATION: Duration = Duration::from_millis(2);
+
+/// The process's ns per time-stamp-counter tick, in Q32 fixed point,
+/// measured against [`Instant`] on first use; `None` without an invariant
+/// counter.
+fn ns_per_tick_q32() -> Option<u64> {
+    static SCALE: OnceLock<Option<u64>> = OnceLock::new();
+    *SCALE.get_or_init(|| {
+        if !invariant_tsc() {
+            return None;
+        }
+        let (t0, i0) = tick_pair();
+        while i0.elapsed() < CALIBRATION {
+            std::hint::spin_loop();
+        }
+        let (t1, i1) = tick_pair();
+        let ticks = t1.checked_sub(t0).filter(|&t| t > 0)?;
+        let q32 = ((i1 - i0).as_nanos() << 32) / ticks as u128;
+        u64::try_from(q32).ok().filter(|&q| q > 0)
+    })
+}
+
+/// A tick and an [`Instant`] read together: of three tries, the one whose
+/// two tick reads around the `Instant` lie closest, at their midpoint (a
+/// preemption between the reads would skew the calibration).
+fn tick_pair() -> (u64, Instant) {
+    (0..3)
+        .map(|_| {
+            let a = ticks();
+            let at = Instant::now();
+            let b = ticks().max(a);
+            (b - a, a + (b - a) / 2, at)
+        })
+        .min_by_key(|&(width, ..)| width)
+        .map(|(_, tick, at)| (tick, at))
+        .expect("three tries")
+}
+
+#[cfg(target_arch = "x86_64")]
+fn invariant_tsc() -> bool {
+    use std::arch::x86_64::__cpuid;
+    __cpuid(0x8000_0000).eax >= 0x8000_0007 && __cpuid(0x8000_0007).edx & (1 << 8) != 0
+}
+
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn ticks() -> u64 {
+    // SAFETY: RDTSC exists on every x86-64 CPU; it reads the time-stamp
+    // counter into registers and touches no memory.
+    unsafe { std::arch::x86_64::_rdtsc() }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn invariant_tsc() -> bool {
+    false
+}
+
+/// Never scaled: without an invariant counter every clock reads `Instant`.
+#[cfg(not(target_arch = "x86_64"))]
+fn ticks() -> u64 {
+    0
 }
 
 /// Capacity of each worker's bounded deque; overflow spills to the
@@ -210,7 +328,7 @@ impl WorkerCtx<'_> {
         *slot = Some(job);
         // LIFO local push; a full deque overflows to the injector.
         if let Err(slot) = self.local.push(slot) {
-            c.overflow_pushes.fetch_add(1, Relaxed);
+            bump(&c.overflow_pushes);
             let depth = self.shared.inject(take_job(slot, self.spare));
             if let Some(buf) = self.shared.buf(self.index) {
                 buf.push(TraceEvent::InjectorDepth {
@@ -219,7 +337,7 @@ impl WorkerCtx<'_> {
                 });
             }
         } else {
-            c.deque_pushes.fetch_add(1, Relaxed);
+            bump(&c.deque_pushes);
             if let Some(buf) = self.shared.buf(self.index) {
                 buf.push(TraceEvent::DequeDepth {
                     at_ns: self.shared.now_ns(),
@@ -298,7 +416,7 @@ impl Pool {
             wake: Condvar::new(),
             quiet: Condvar::new(),
             runner: Box::new(runner),
-            start: Instant::now(),
+            clock: Clock::new(true),
             seed,
             counters: (0..threads).map(|_| WorkerCounters::default()).collect(),
             injector_pushes: AtomicU64::new(0),
@@ -337,7 +455,7 @@ impl Pool {
     /// Wall-clock time since the pool started (the anchor of
     /// [`WorkerCtx::now`]).
     pub fn now(&self) -> SimTime {
-        SimTime::from_ns(self.shared.start.elapsed().as_nanos() as u64)
+        SimTime::from_ns(self.shared.now_ns())
     }
 
     /// Block until every spawned job (including jobs they spawned) has
@@ -374,6 +492,16 @@ impl Pool {
             .trace
             .as_ref()
             .map(|bufs| bufs.iter().map(|b| b.drain()).collect())
+    }
+
+    /// [`Pool::stats`] and [`Pool::drain_trace`] read together under
+    /// `sync`, at quiescence: a worker that parks again after
+    /// [`Pool::run_until_idle`] returned (module docs) does so either
+    /// wholly before or wholly after, so the park counts and park instants
+    /// agree.
+    pub fn stats_and_trace(&self) -> (PoolStats, Option<Vec<Vec<TraceEvent>>>) {
+        let _sync = self.shared.sync.lock().expect("pool sync");
+        (self.stats(), self.drain_trace())
     }
 }
 
@@ -416,7 +544,7 @@ fn worker_loop(index: usize, local: Worker<Slot>, shared: &PoolShared) {
                 Job::Task(id) => (shared.runner)(&mut ctx, id),
                 Job::Closure(f) => f(&mut ctx),
             }
-            shared.counters[index].executed.fetch_add(1, Relaxed);
+            bump(&shared.counters[index].executed);
             continue;
         }
         let mut s = shared.sync.lock().expect("pool sync");
@@ -427,7 +555,7 @@ fn worker_loop(index: usize, local: Worker<Slot>, shared: &PoolShared) {
         // Moved: work arrived mid-scan; rescan. Unchanged: a later pusher
         // sees this sleeper and notifies (module docs).
         if p.epoch.load(SeqCst) == epoch {
-            shared.counters[index].parks.fetch_add(1, Relaxed);
+            bump(&shared.counters[index].parks);
             if let Some(buf) = shared.buf(index) {
                 buf.push(TraceEvent::Park {
                     at_ns: shared.now_ns(),
@@ -495,7 +623,7 @@ fn find_job(
             };
             match shared.stealers[victim].steal() {
                 Steal::Taken(slot) => {
-                    shared.counters[index].steals.fetch_add(1, Relaxed);
+                    bump(&shared.counters[index].steals);
                     if let Some(buf) = shared.buf(index) {
                         buf.push(TraceEvent::Steal {
                             id: shared.steal_seq.fetch_add(1, Relaxed),
@@ -506,7 +634,7 @@ fn find_job(
                     return Some(take_job(slot, spare));
                 }
                 Steal::Empty | Steal::Retry => {
-                    shared.counters[index].failed_probes.fetch_add(1, Relaxed);
+                    bump(&shared.counters[index].failed_probes);
                 }
             }
         }
@@ -677,6 +805,44 @@ mod tests {
         assert_eq!(*ran.lock().unwrap(), [3, 2, 1, 0]);
         let s = pool.stats();
         assert_eq!((s.injector_pushes, s.spawns(), s.executions()), (1, 4, 4));
+    }
+
+    /// `now` never runs backwards over many back-to-back reads, and over a
+    /// 25 ms sleep it advances as far as [`Instant`] does, within 2 %. Each
+    /// end is bracketed by two `Instant` reads, so a preemption between
+    /// the reads widens the bracket instead of failing the check.
+    fn check_clock(now: impl Fn() -> u64) {
+        let mut last = now();
+        for _ in 0..100_000 {
+            let t = now();
+            assert!(t >= last, "clock ran backwards: {last} -> {t}");
+            last = t;
+        }
+        let (a0, t0, b0) = (Instant::now(), now(), Instant::now());
+        std::thread::sleep(Duration::from_millis(25));
+        let (a1, t1, b1) = (Instant::now(), now(), Instant::now());
+        let (lo, hi) = ((a1 - b0).as_nanos() as f64, (b1 - a0).as_nanos() as f64);
+        let d = (t1 - t0) as f64;
+        assert!(
+            d >= 0.98 * lo && d <= 1.02 * hi,
+            "clock advanced {d} ns while Instant advanced {lo}..{hi} ns"
+        );
+    }
+
+    #[test]
+    fn worker_clock_is_monotone_and_keeps_wall_time() {
+        let pool = Pool::new(1, 0);
+        pool.spawn(Box::new(|ctx| check_clock(|| ctx.now().as_ns())));
+        pool.run_until_idle();
+        // The pool reads the time-stamp counter wherever it is invariant.
+        assert_eq!(pool.shared.clock.tsc.is_some(), invariant_tsc());
+    }
+
+    #[test]
+    fn instant_fallback_clock_is_monotone_and_keeps_wall_time() {
+        let clock = Clock::new(false);
+        assert!(clock.tsc.is_none());
+        check_clock(|| clock.now_ns());
     }
 
     /// The tree below tree id `id`: `id / 8` levels deep, `id % 8`

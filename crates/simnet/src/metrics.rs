@@ -34,23 +34,34 @@ impl MetricsRegistry {
         self.enabled
     }
 
-    /// Add `n` to the named counter (no-op when disabled).
+    /// Add `n` to the named counter (no-op when disabled). The key is
+    /// allocated only when the name is new.
     pub fn count(&mut self, name: &str, n: u64) {
         if !self.enabled {
             return;
         }
-        *self.counters.entry(name.to_string()).or_insert(0) += n;
+        match self.counters.get_mut(name) {
+            Some(c) => *c += n,
+            None => {
+                self.counters.insert(name.to_string(), n);
+            }
+        }
     }
 
-    /// Record a sample into the named histogram (no-op when disabled).
+    /// Record a sample into the named histogram (no-op when disabled). The
+    /// key is allocated only when the name is new.
     pub fn record(&mut self, name: &str, value: u64) {
         if !self.enabled {
             return;
         }
-        self.hists
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
+        match self.hists.get_mut(name) {
+            Some(h) => h.record(value),
+            None => self
+                .hists
+                .entry(name.to_string())
+                .or_default()
+                .record(value),
+        }
     }
 
     /// Record a virtual duration in nanoseconds (no-op when disabled).

@@ -67,6 +67,33 @@ impl OnlineStats {
         self.max = self.max.max(x);
     }
 
+    /// The statistics, in microseconds as [`OnlineStats::record_time_us`]
+    /// keeps them, of integer nanosecond samples given by their raw
+    /// moments: `count`, `sum` = Σx, `sum_sq` = Σx², `min` and `max`. The
+    /// spread is taken from the exact integer n·Σx² − (Σx)² while that
+    /// fits in a `u128`, so it keeps the precision a float sum of squares
+    /// would cancel away.
+    pub fn from_moments(count: u64, sum: u64, sum_sq: u128, min: u64, max: u64) -> OnlineStats {
+        if count == 0 {
+            return OnlineStats::new();
+        }
+        let n = count as f64;
+        // n·Σx² ≥ (Σx)² (Cauchy–Schwarz), so the square fits when this does.
+        let m2 = match (count as u128).checked_mul(sum_sq) {
+            Some(nq) => (nq - sum as u128 * sum as u128) as f64 / n,
+            None => (sum_sq as f64 - sum as f64 * sum as f64 / n).max(0.0),
+        };
+        // ns → µs exactly as `SimTime::as_us_f64` does, so min and max
+        // match a Welford series over the same samples bit for bit.
+        OnlineStats {
+            count,
+            mean: sum as f64 / n * 1e-3,
+            m2: m2 * 1e-6,
+            min: min as f64 * 1e-3,
+            max: max as f64 * 1e-3,
+        }
+    }
+
     /// Record a virtual duration in microseconds.
     pub fn record_time_us(&mut self, t: SimTime) {
         self.record(t.as_us_f64());

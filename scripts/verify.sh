@@ -326,6 +326,21 @@ if grep -nE 'fn (send|label_tag|record_stage)\(' crates/comm/src/shm.rs; then
     echo "shm.rs grew a send path or a metrics registry again"; exit 1
 fi
 
+echo "== the real path's clock and statistics: the pool clock reads no Instant on its fast path, real.rs keeps no float latency statistics =="
+if grep -nE 'OnlineStats|record_time_us' crates/core/src/real.rs; then
+    echo "real.rs records latency samples as floats again"; exit 1
+fi
+python3 - <<'PY'
+import re, sys
+src = open("crates/exec/src/pool.rs").read()
+body = re.search(r"\nimpl PoolShared \{.*?fn now_ns\(&self\) -> u64 \{(.*?)\n    \}", src, re.S)
+if body is None:
+    sys.exit("PoolShared::now_ns not found in pool.rs")
+if "elapsed(" in body.group(1):
+    sys.exit("PoolShared::now_ns reads Instant::elapsed again")
+print("pool clock: PoolShared::now_ns reads no Instant")
+PY
+
 echo "== one typed wire: no type-erased values on the simulated message path =="
 if grep -rnE 'dyn Any|std::any' crates/netmodel/src crates/lci/src crates/minimpi/src crates/comm/src; then
     echo "a type-erased value is back on the simulated message path"; exit 1
