@@ -15,8 +15,8 @@ use bytes::Bytes;
 use crate::config::ClusterConfig;
 use crate::graph::{GraphHandle, GraphSource, TaskGraph, VersionId};
 use crate::metrics::{LatencySummary, MetricsReport};
-use crate::node::{sweep_probe, NodeRt, RtHandle};
-use crate::protocol::{Lats, AM_ACTIVATE, AM_GETDATA, RTAG_DATA};
+use crate::node::{sweep_probe, NodeRt, RtHandle, ThreadState};
+use crate::protocol::{LatMoments, AM_ACTIVATE, AM_GETDATA, RTAG_DATA};
 use crate::window::WindowCtl;
 
 /// Outcome of one [`Cluster::execute`] run.
@@ -61,22 +61,61 @@ pub struct RunReport {
     pub pool: Option<amt_exec::PoolStats>,
 }
 
-/// What both substrates sum over their nodes or workers for a report.
+/// What a run counts for its report, kept once per thread: the
+/// simulator's one thread counts every node's tasks and flows in one
+/// (`node.rs`'s `ThreadState`), each real worker in its own, merged at the
+/// end of the run.
 #[derive(Default)]
 pub(crate) struct Tally {
-    pub(crate) lats: Lats,
-    pub(crate) executed: u64,
-    pub(crate) worker_busy: SimTime,
-    /// Per task class: executions and busy time.
-    classes: HashMap<&'static str, (u64, SimTime)>,
+    executed: u64,
+    worker_busy: SimTime,
+    /// `(class, tasks, busy time)` in first-seen order: a graph has a
+    /// handful of classes, so a scan that compares pointers before strings
+    /// beats hashing the name, and equal busy times keep one order.
+    classes: Vec<(&'static str, u64, SimTime)>,
+    /// Message-lifecycle latencies of the flows this thread handled.
+    pub(crate) lats: LatMoments,
 }
 
 impl Tally {
-    /// Add `n` executions of class `name` that kept workers busy `busy`.
-    pub(crate) fn class(&mut self, name: &'static str, n: u64, busy: SimTime) {
-        let e = self.classes.entry(name).or_insert((0, SimTime::ZERO));
-        e.0 += n;
-        e.1 += busy;
+    /// One task of class `name` ran, keeping its worker busy `busy`.
+    #[inline]
+    pub(crate) fn task(&mut self, name: &'static str, busy: SimTime) {
+        self.executed += 1;
+        self.worker_busy += busy;
+        self.class(name, 1, busy);
+    }
+
+    /// Worker time outside any task's class (the simulated send cost a
+    /// worker pays for its task's announces).
+    pub(crate) fn busy(&mut self, t: SimTime) {
+        self.worker_busy += t;
+    }
+
+    pub(crate) fn executed(&self) -> u64 {
+        self.executed
+    }
+
+    #[inline]
+    fn class(&mut self, name: &'static str, n: u64, busy: SimTime) {
+        match self
+            .classes
+            .iter_mut()
+            .find(|c| std::ptr::eq(c.0, name) || c.0 == name)
+        {
+            Some(c) => (c.1, c.2) = (c.1 + n, c.2 + busy),
+            None => self.classes.push((name, n, busy)),
+        }
+    }
+
+    /// Add `other`'s counts to this one's.
+    pub(crate) fn merge(&mut self, other: &Tally) {
+        self.executed += other.executed;
+        self.worker_busy += other.worker_busy;
+        for &(name, n, busy) in &other.classes {
+            self.class(name, n, busy);
+        }
+        self.lats.merge(&other.lats);
     }
 
     /// The report fields both substrates derive alike: the latency split,
@@ -94,10 +133,10 @@ impl Tally {
         let mut class_stats: Vec<(String, u64, SimTime)> = self
             .classes
             .into_iter()
-            .map(|(k, (n, b))| (k.to_string(), n, b))
+            .map(|(k, n, b)| (k.to_string(), n, b))
             .collect();
         class_stats.sort_by_key(|c| std::cmp::Reverse(c.2));
-        let [msg, req, e2e] = self.lats.0;
+        let [msg, req, e2e] = self.lats.stats_us();
         let span = makespan.as_secs_f64().max(1e-12);
         RunReport {
             makespan,
@@ -332,8 +371,11 @@ impl Cluster {
     fn execute_handle(&mut self, graph: GraphHandle, window: Option<Rc<WindowCtl>>) -> RunReport {
         self.real_data = None;
         self.real_obs = None;
-        // One shared config allocation for every runtime.
+        // One shared config allocation for every runtime, and one tally and
+        // scratch for the thread that runs them all.
         let shared_cfg = Rc::new(self.cfg.clone());
+        let overlap = self.cfg.engine.metrics.then(|| self.overlap.clone());
+        let thread = shared(ThreadState::new(overlap));
         let node_rts: Vec<RtHandle> = (0..self.cfg.nodes)
             .map(|n| {
                 Rc::new(NodeRt::new(
@@ -342,7 +384,7 @@ impl Cluster {
                     self.engines[n].clone(),
                     shared_cfg.clone(),
                     self.workers[n].clone(),
-                    self.cfg.engine.metrics.then(|| self.overlap.clone()),
+                    thread.clone(),
                 ))
             })
             .collect();
@@ -360,9 +402,11 @@ impl Cluster {
         let clamp0 = self.sim.schedule_past_clamped();
         self.init_nodes(&graph, &node_rts);
         self.sim.run();
+        let tally = std::mem::take(&mut thread.borrow_mut().tally);
         self.finish_execution(
             &graph,
             &node_rts,
+            tally,
             self.sim.now() - t0,
             self.sim.events_executed() - ev0,
             self.sim.schedule_past_clamped() - clamp0,
@@ -394,6 +438,7 @@ impl Cluster {
         &self,
         graph: &GraphHandle,
         node_rts: &[RtHandle],
+        tally: Tally,
         makespan: SimTime,
         sim_events: u64,
         schedule_past_clamped: u64,
@@ -405,10 +450,6 @@ impl Cluster {
         // After the run: in windowed mode the graph now holds every task
         // the source produced.
         let tasks_total = graph.get().task_count() as u64;
-        let mut tally = Tally::default();
-        for rt in node_rts {
-            rt.merge_stats(&mut tally);
-        }
         let now = self.sim.now();
         let comm_util = self
             .engines

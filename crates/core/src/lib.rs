@@ -74,7 +74,6 @@ mod graph;
 mod metrics;
 mod node;
 mod protocol;
-mod queue;
 mod real;
 mod records;
 mod store;

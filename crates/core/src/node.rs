@@ -9,42 +9,43 @@
 //! multithreaded ACTIVATE sends, trace flow arrows, and the windowed
 //! discovery hooks.
 //!
-//! The scheduler hot path is built on dense, allocation-lean structures
-//! (PaRSEC keeps its task/dependence bookkeeping dense for exactly this
-//! reason — §4 of the paper attributes small-granularity scaling to
-//! per-task runtime overhead):
+//! ## What is per node and what is per thread
 //!
-//! * the data store is a per-version **byte table** (`crate::store`,
-//!   shared with the real path) indexed by the contiguous `VersionId`,
-//!   with real payloads held in a side map only for versions that carry
-//!   bytes;
-//! * the ready and pending-GET queues are bucketed per-priority FIFO rings
-//!   ([`crate::queue::BucketQueue`]) reproducing the seed heap's exact
-//!   `(priority, Reverse(seq))` pop order;
-//! * per-completion allocations are swept: trace track names are interned
-//!   at construction, ACTIVATE destination grouping reuses the node's
-//!   [`Fanout`] scratch, and kernel input marshaling reuses one scratch
-//!   buffer.
+//! The rule of the real substrate (`real.rs`) holds here too: per node is
+//! only protocol state — the ready and pending-GET queues, the dependence
+//! counters, the version store ([`crate::store`], shared with the real
+//! path), the GET window's occupancy and the node's trace. What a thread
+//! merely accumulates or reuses is per *thread*, and the simulator runs
+//! every node on one: one [`ThreadState`] per run, made in
+//! `Cluster::execute_handle` and shared by every [`NodeRt`], holds the
+//! report [`Tally`] (executed tasks, worker busy time, task classes,
+//! latency moments), the announce [`Fanout`] scratch and the kernel-input
+//! scratch. A `Fanout` per node would grow to the highest node id that
+//! node announces to: O(nodes²) bytes when many nodes feed one far
+//! consumer.
 //!
-//! This is the only scheduler datapath. The seed's `BinaryHeap` queue
-//! survives as the oracle of `queue.rs`'s lockstep tests; the goldens in
-//! `results/` pin virtual time.
+//! The ready and pending-GET queues are `BinaryHeap`s of [`Entry`],
+//! ordered by `(priority, Reverse(seq))`: highest priority first, and
+//! within a priority the earliest push, since `seq` is the node's monotone
+//! push counter. Their traffic is not a few clustered priorities: on many
+//! nodes the TLR graphs give most of a node's tasks a priority of their
+//! own, so a FIFO ring per priority would cost an allocation per task.
+//! The goldens in `results/` pin virtual time.
 
 use std::cell::RefCell;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 use amt_comm::{AmEvent, CommEngine, PutEvent, PutRequest};
 use amt_netmodel::NodeId;
-use amt_simnet::{CoreHandle, FastMap, OverlapTracker, Shared, Sim, SimTime, Trace};
+use amt_simnet::{CoreHandle, OverlapTracker, Shared, Sim, SimTime, Trace};
 use bytes::Bytes;
 
 use crate::cluster::Tally;
 use crate::config::{ClusterConfig, ExecMode};
 use crate::graph::{GraphHandle, TaskId, VersionId};
-use crate::protocol::{
-    self, Fanout, Forward, Lat, Lats, Port, Tree, AM_ACTIVATE, AM_GETDATA, RTAG_DATA,
-};
-use crate::queue::BucketQueue;
+use crate::protocol::{self, Fanout, Forward, Lat, Port, Tree, AM_ACTIVATE, AM_GETDATA, RTAG_DATA};
 use crate::records::{ActivateRec, GetRec, PutCb, ACTIVATE_WIRE_BYTES, GET_WIRE_BYTES};
 use crate::store::VersionStore;
 use crate::window::WindowCtl;
@@ -58,13 +59,6 @@ const FLOW_DATA: u64 = 1;
 /// dst) — 12 bits per node id, 38 for the version.
 fn flow_id(kind: u64, version: u64, src: NodeId, dst: NodeId) -> u64 {
     (kind << 62) | (version << 24) | ((src as u64) << 12) | dst as u64
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Store lookups issued by windowed retirement plus graph entries
-    /// visited by init; tests compare the count across cluster sizes.
-    pub(crate) static SWEEP_PROBES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 #[inline]
@@ -86,43 +80,89 @@ struct GetInfo {
     size: usize,
 }
 
+/// A queued item with its ordering key: a `BinaryHeap` of entries pops
+/// the highest `priority` first and, within a priority, the lowest `seq`
+/// (module docs).
+struct Entry<T> {
+    priority: i64,
+    seq: u64,
+    item: T,
+}
+
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl<T> Eq for Entry<T> {}
+impl<T> Ord for Entry<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.priority, Reverse(self.seq)).cmp(&(other.priority, Reverse(other.seq)))
+    }
+}
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// What the simulator's one thread accumulates and reuses for every node
+/// of a run (module docs): made once per run and shared by its
+/// [`NodeRt`]s, as a real worker keeps its own `WorkerState`.
+pub(crate) struct ThreadState {
+    /// The run's report tally: every node's tasks and flows.
+    pub(crate) tally: Tally,
+    /// Cluster-wide compute/wire concurrency integrator (metrics mode).
+    overlap: Option<Shared<OverlapTracker>>,
+    /// ACTIVATE destination-grouping scratch.
+    fan: Fanout,
+    /// Kernel-input marshaling scratch.
+    inputs: Vec<Bytes>,
+}
+
+impl ThreadState {
+    pub(crate) fn new(overlap: Option<Shared<OverlapTracker>>) -> ThreadState {
+        ThreadState {
+            tally: Tally::default(),
+            overlap,
+            fan: Fanout::default(),
+            inputs: Vec::new(),
+        }
+    }
+}
+
 /// Mutable scheduler state, behind one `RefCell` (the immutable identity —
 /// node id, graph handle, engine, config, interned trace names — lives
-/// directly on [`NodeRt`], so hot paths borrow only what mutates).
+/// directly on [`NodeRt`], so hot paths borrow only what mutates). Only
+/// protocol state: nothing a thread merely accumulates (module docs).
 struct NodeState {
     idle_workers: Vec<usize>,
-    ready: BucketQueue<TaskId>,
+    ready: BinaryHeap<Entry<TaskId>>,
     /// Unsatisfied input count per *local* task, indexed by
     /// [`crate::graph::Task::local_ix`] — O(tasks-on-this-node), not
     /// O(total tasks).
     remaining: Vec<u32>,
     store: VersionStore,
-    pending_gets: BucketQueue<GetInfo>,
+    pending_gets: BinaryHeap<Entry<GetInfo>>,
     inflight_gets: usize,
     inflight_get_bytes: usize,
+    /// Pushes onto either queue so far: the next entry's `seq`.
     seq: u64,
-    executed: u64,
-    worker_busy: SimTime,
-    /// Per task-class execution counts and busy time.
-    class_stats: FastMap<&'static str, (u64, SimTime)>,
-    /// Message-lifecycle latencies of the flows this node received.
-    lats: Lats,
     /// Optional execution timeline (Chrome-trace export).
     trace: Trace,
-    /// Cluster-wide compute/wire concurrency integrator (metrics mode).
-    overlap: Option<Shared<OverlapTracker>>,
-    /// Kernel-input marshaling scratch (reused across completions).
-    inputs_scratch: Vec<Bytes>,
-    /// ACTIVATE destination-grouping scratch (grown on demand: nodes that
-    /// never announce keep it empty).
-    fan: Fanout,
 }
 
 impl NodeState {
-    fn next_seq(&mut self) -> u64 {
-        let s = self.seq;
+    /// An entry for one of this node's queues, ordered after every entry
+    /// of its priority made before it.
+    fn entry<T>(&mut self, priority: i64, item: T) -> Entry<T> {
+        let seq = self.seq;
         self.seq += 1;
-        s
+        Entry {
+            priority,
+            seq,
+            item,
+        }
     }
 }
 
@@ -142,6 +182,8 @@ pub(crate) struct NodeRt {
     /// empty when tracing is off.
     worker_tracks: Vec<String>,
     state: RefCell<NodeState>,
+    /// The run's per-thread tally and scratch, shared by every node.
+    thread: Shared<ThreadState>,
     /// Windowed-discovery driver, when executing via
     /// [`crate::Cluster::execute_windowed`].
     window: RefCell<Option<Rc<WindowCtl>>>,
@@ -193,7 +235,6 @@ impl Port for Vport<'_> {
     /// Queue behind the GET window; the message's dispatch pumps it.
     fn request(&mut self, owner: NodeId, rec: &ActivateRec) {
         let mut s = self.rt.state.borrow_mut();
-        let seq = s.next_seq();
         let get = GetInfo {
             rec: GetRec {
                 version: rec.version,
@@ -202,7 +243,8 @@ impl Port for Vport<'_> {
             src: owner,
             size: rec.size as usize,
         };
-        s.pending_gets.push(rec.priority, seq, get);
+        let entry = s.entry(rec.priority, get);
+        s.pending_gets.push(entry);
     }
 
     fn put(&mut self, dst: NodeId, cb: PutCb, size: usize, data: Option<Bytes>) {
@@ -235,7 +277,7 @@ impl Port for Vport<'_> {
     }
 
     fn sample(&mut self, lat: Lat, t: SimTime) {
-        self.rt.state.borrow_mut().lats.record(lat, t);
+        self.rt.thread.borrow_mut().tally.lats.record(lat, t);
     }
 }
 
@@ -246,7 +288,7 @@ impl NodeRt {
         engine: Rc<CommEngine>,
         cfg: Rc<ClusterConfig>,
         workers: Vec<CoreHandle>,
-        overlap: Option<Shared<OverlapTracker>>,
+        thread: Shared<ThreadState>,
     ) -> NodeRt {
         let nworkers = workers.len();
         // Task/worker indices are packed into one closure word in
@@ -273,22 +315,16 @@ impl NodeRt {
             worker_tracks,
             state: RefCell::new(NodeState {
                 idle_workers: (0..nworkers).rev().collect(),
-                ready: BucketQueue::new(),
+                ready: BinaryHeap::new(),
                 remaining: Vec::new(),
                 store: VersionStore::new(node, cfg.flyweight),
-                pending_gets: BucketQueue::new(),
+                pending_gets: BinaryHeap::new(),
                 inflight_gets: 0,
                 inflight_get_bytes: 0,
                 seq: 0,
-                executed: 0,
-                worker_busy: SimTime::ZERO,
-                class_stats: FastMap::default(),
-                lats: Lats::default(),
                 trace,
-                overlap,
-                inputs_scratch: Vec::new(),
-                fan: Fanout::default(),
             }),
+            thread,
             window: RefCell::new(None),
             cfg,
             workers,
@@ -332,12 +368,12 @@ impl NodeRt {
         versions: impl Iterator<Item = usize>,
         worker: Option<SimTime>,
     ) -> Option<SimTime> {
-        let mut fan = std::mem::take(&mut rt.state.borrow_mut().fan);
+        let mut fan = std::mem::take(&mut rt.thread.borrow_mut().fan);
         let mut port = Vport { rt, sim, worker };
         let g = rt.graph.get();
         let sized = versions.map(|v| (v, rt.announce_size(v, g.version(v).size)));
         protocol::announce(&mut port, &g, &mut fan, Tree::of(&rt.cfg), sized);
-        rt.state.borrow_mut().fan = fan;
+        rt.thread.borrow_mut().fan = fan;
         port.worker
     }
 
@@ -354,11 +390,9 @@ impl NodeRt {
                 let g = rt.graph.get();
                 let t = g.task(task);
                 let dur = rt.cfg.cost.task_charge(t.name, t.flops, t.efficiency);
-                s.worker_busy += dur;
-                let entry = s.class_stats.entry(t.name).or_insert((0, SimTime::ZERO));
-                entry.0 += 1;
-                entry.1 += dur;
-                if let Some(o) = &s.overlap {
+                let mut th = rt.thread.borrow_mut();
+                th.tally.task(t.name, dur);
+                if let Some(o) = &th.overlap {
                     o.borrow_mut().busy_add(rt.node, sim.now(), 1);
                 }
                 (task, widx, dur)
@@ -406,8 +440,7 @@ impl NodeRt {
                 .then(|| g.kernel(task))
                 .flatten();
             let outs: Option<Vec<Bytes>> = if let Some(kernel) = kernel {
-                let mut inputs = std::mem::take(&mut rt.state.borrow_mut().inputs_scratch);
-                inputs.clear();
+                let mut inputs = std::mem::take(&mut rt.thread.borrow_mut().inputs);
                 {
                     let s = rt.state.borrow();
                     for v in g.inputs(task) {
@@ -423,14 +456,13 @@ impl NodeRt {
                 let outs = kernel(&inputs);
                 assert_eq!(outs.len(), g.outputs(task).len(), "kernel output arity");
                 inputs.clear();
-                rt.state.borrow_mut().inputs_scratch = inputs;
+                rt.thread.borrow_mut().inputs = inputs;
                 Some(outs)
             } else {
                 None
             };
 
             let mut s = rt.state.borrow_mut();
-            s.executed += 1;
             let mut outs = outs.into_iter().flatten();
             for vid in g.outputs(task) {
                 s.store.present(vid.0, outs.next(), false);
@@ -460,14 +492,11 @@ impl NodeRt {
 
         let rt2 = rt.clone();
         let core = rt.workers[widx].clone();
-        rt.state.borrow_mut().worker_busy += extra;
+        rt.thread.borrow_mut().tally.busy(extra);
         core.borrow_mut().charge(sim, extra, move |sim| {
-            {
-                let mut s = rt2.state.borrow_mut();
-                s.idle_workers.push(widx);
-                if let Some(o) = &s.overlap {
-                    o.borrow_mut().busy_add(rt2.node, sim.now(), -1);
-                }
+            rt2.state.borrow_mut().idle_workers.push(widx);
+            if let Some(o) = &rt2.thread.borrow().overlap {
+                o.borrow_mut().busy_add(rt2.node, sim.now(), -1);
             }
             NodeRt::dispatch(&rt2, sim);
         });
@@ -482,8 +511,8 @@ impl NodeRt {
             debug_assert!(*rem > 0, "double release of task {c}");
             *rem -= 1;
             if *rem == 0 {
-                let seq = s.next_seq();
-                s.ready.push(t.priority, seq, c);
+                let entry = s.entry(t.priority, c);
+                s.ready.push(entry);
             }
         }
     }
@@ -524,7 +553,7 @@ impl NodeRt {
                     return cost;
                 }
                 let next_size = match s.pending_gets.peek() {
-                    Some(g) => g.size,
+                    Some(g) => g.item.size,
                     None => return cost,
                 };
                 // Byte budget (priority-relative deferral): beyond the
@@ -619,18 +648,6 @@ impl NodeRt {
 
     // ---- report accessors (cluster.rs) ------------------------------
 
-    /// Add this node's latencies, class counts, executed tasks and worker
-    /// busy time to `tally`.
-    pub(crate) fn merge_stats(&self, tally: &mut Tally) {
-        let s = self.state.borrow();
-        tally.lats.merge(&s.lats);
-        for (&name, &(n, busy)) in &s.class_stats {
-            tally.class(name, n, busy);
-        }
-        tally.executed += s.executed;
-        tally.worker_busy += s.worker_busy;
-    }
-
     pub(crate) fn merge_trace_into(&self, t: &mut Trace) {
         t.merge_from(&self.state.borrow().trace);
     }
@@ -685,8 +702,8 @@ impl NodeRt {
         }
         s.remaining[ix] = missing;
         if missing == 0 {
-            let seq = s.next_seq();
-            s.ready.push(priority, seq, task);
+            let entry = s.entry(priority, task);
+            s.ready.push(entry);
             true
         } else {
             false
@@ -706,5 +723,66 @@ impl NodeRt {
     ) {
         let rec = ActivateRec::direct(version as u64, size as u64, priority, sim.now().as_ns());
         Vport::funneled(rt, sim).send_activate(dst, rec);
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Store lookups issued by windowed retirement plus graph entries
+    /// visited by init; tests compare the count across cluster sizes.
+    pub(crate) static SWEEP_PROBES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Push `(priority, item)` pairs and pops, in `ops` order (`None` is a
+    /// pop), through a heap of entries numbered as a node numbers them;
+    /// returns the popped items.
+    fn run(ops: &[Option<(i64, u32)>]) -> Vec<u32> {
+        let (mut heap, mut seq, mut popped) = (BinaryHeap::new(), 0, Vec::new());
+        for op in ops {
+            match *op {
+                Some((priority, item)) => {
+                    heap.push(Entry {
+                        priority,
+                        seq,
+                        item,
+                    });
+                    seq += 1;
+                }
+                None => popped.push(heap.pop().expect("a pop of an empty queue").item),
+            }
+        }
+        popped.extend(std::iter::from_fn(|| heap.pop().map(|e| e.item)));
+        popped
+    }
+
+    #[test]
+    fn entries_pop_by_priority_then_in_push_order() {
+        // Highest priority first.
+        assert_eq!(run(&[Some((1, 0)), Some((3, 1)), Some((2, 2))]), [1, 2, 0]);
+        // FIFO within one priority.
+        let same: Vec<_> = (0..100).map(|i| Some((7, i))).collect();
+        assert_eq!(run(&same), (0..100).collect::<Vec<_>>());
+        // Negative priorities order below zero, ties still FIFO.
+        let neg = [Some((-5, 0)), Some((0, 1)), Some((-1, 2)), Some((-5, 3))];
+        assert_eq!(run(&neg), [1, 2, 0, 3]);
+        // Interleaved pushes and pops: a later push of a higher priority
+        // overtakes what is queued, one of an equal priority does not.
+        let mixed = [
+            Some((2, 0)),
+            Some((2, 1)),
+            None,
+            Some((5, 2)),
+            Some((2, 3)),
+            None,
+            None,
+            Some((-1, 4)),
+            Some((2, 5)),
+            None,
+        ];
+        assert_eq!(run(&mixed), [0, 2, 1, 3, 5, 4]);
     }
 }

@@ -46,27 +46,11 @@ pub(crate) enum Lat {
     E2e,
 }
 
-/// One node's (virtual) or one worker's (real) latency samples, a series
-/// per [`Lat`], in declaration order.
-#[derive(Default)]
-pub(crate) struct Lats(pub [OnlineStats; 3]);
-
-impl Lats {
-    pub(crate) fn record(&mut self, lat: Lat, t: SimTime) {
-        self.0[lat as usize].record_time_us(t);
-    }
-
-    pub(crate) fn merge(&mut self, other: &Lats) {
-        for (a, b) in self.0.iter_mut().zip(&other.0) {
-            a.merge(b);
-        }
-    }
-}
-
 /// One latency series as integer nanosecond moments: count, Σx, Σx², min
 /// and max. Recording a sample is integer adds, one multiply and two
-/// compares, with no float divide; the real path keeps its series in these
-/// and converts them once, at the end of the run ([`LatMoments::to_lats`]).
+/// compares, with no float divide; both substrates keep their series in
+/// these and convert them once, at the end of the run
+/// ([`LatMoments::stats_us`]).
 #[derive(Clone, Copy)]
 pub(crate) struct NsMoments {
     count: u64,
@@ -106,13 +90,14 @@ impl NsMoments {
         self.max = self.max.max(other.max);
     }
 
-    /// The series in microseconds, as a [`Lats`] series reads.
+    /// The series in microseconds, as the report reads it.
     pub(crate) fn to_stats_us(self) -> OnlineStats {
         OnlineStats::from_moments(self.count, self.sum, self.sum_sq, self.min, self.max)
     }
 }
 
-/// [`Lats`] as integer moments: one worker's (real) latency samples.
+/// A thread's latency samples as integer moments, a series per [`Lat`] in
+/// declaration order.
 #[derive(Default)]
 pub(crate) struct LatMoments([NsMoments; 3]);
 
@@ -128,8 +113,8 @@ impl LatMoments {
         }
     }
 
-    pub(crate) fn to_lats(&self) -> Lats {
-        Lats(self.0.map(NsMoments::to_stats_us))
+    pub(crate) fn stats_us(&self) -> [OnlineStats; 3] {
+        self.0.map(NsMoments::to_stats_us)
     }
 }
 
@@ -185,7 +170,7 @@ impl Tree {
 /// Announce grouping scratch: remote consumer nodes in first-appearance
 /// order, and per node the best consumer priority, stamped with the epoch
 /// of the announce that wrote it — one pass, no clearing, no quadratic
-/// rescans. One per node (virtual) or per worker (real).
+/// rescans. One per thread: one per simulated run, one per real worker.
 #[derive(Default)]
 pub(crate) struct Fanout {
     dests: Vec<NodeId>,

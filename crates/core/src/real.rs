@@ -47,13 +47,14 @@
 //! ## What is per node and what is per worker
 //!
 //! Per node is only what is protocol state: the version store. Everything
-//! a thread merely accumulates — busy time, class counts, executed-task
-//! counts, latency statistics, the engine counters of every node it sent
-//! or handled a message for, metrics-mode stage histograms and
-//! calibration samples, its outbox, its announce [`Fanout`] scratch — is
-//! per *worker* ([`WorkerState`]), on cache lines of its own and merged
-//! once at the end, so no message takes a lock or an atomic
-//! read-modify-write for bookkeeping. In release builds a store keeps
+//! a thread merely accumulates — its report [`Tally`] (executed tasks,
+//! busy time, task classes, latency moments), the engine counters of
+//! every node it sent or handled a message for, metrics-mode stage
+//! histograms and calibration samples, its outbox, its announce [`Fanout`]
+//! scratch — is per *worker* ([`WorkerState`]), on cache lines of its own
+//! and merged once at the end, so no message takes a lock or an atomic
+//! read-modify-write for bookkeeping. The simulator keeps the same rule,
+//! with one thread for every node (`node.rs`). In release builds a store keeps
 //! only what a later lookup reads — payloads and forward lists — and its
 //! mutex is taken only for one of them: a cost-only unicast flow takes no
 //! lock beyond its job's one worker-state borrow, and a numeric one none
@@ -80,8 +81,8 @@
 //! * Latencies are measured through the same record timestamps as
 //!   §6.1.3, so they read the same as the virtual ones, in wall time.
 //!   A worker keeps each series as integer ns moments (count, sum, sum
-//!   of squares, min, max) and the end-of-run merge turns them into the
-//!   report's statistics: a sample costs no float divide.
+//!   of squares, min, max), as the simulator does, and the report turns
+//!   them into statistics once: a sample costs no float divide.
 //!
 //! ## Determinism
 //!
@@ -108,7 +109,7 @@ use crate::calib::{
 use crate::cluster::{RunReport, Tally};
 use crate::config::ClusterConfig;
 use crate::graph::{TaskGraph, TaskId, VersionId};
-use crate::protocol::{self, Fanout, Forward, Lat, LatMoments, Port, Tree};
+use crate::protocol::{self, Fanout, Forward, Lat, Port, Tree};
 use crate::records::{ActivateRec, GetRec, PutCb};
 use crate::store::VersionStore;
 
@@ -163,15 +164,9 @@ const PUT_STAGES: [&str; 5] = [
 /// of that job; the alignment gives every worker cache lines of its own.
 #[repr(align(128))]
 struct WorkerState {
-    busy_ns: u64,
-    /// `(class, tasks, busy ns)`: a graph has a handful of classes, so a
-    /// scan that compares pointers before strings beats hashing the name.
-    classes: Vec<(&'static str, u64, u64)>,
-    /// Tasks executed: summed over workers, the stall check of [`run`].
-    executed: u64,
-    /// Message-lifecycle latencies of the flows this worker handled, as
-    /// integer ns moments (module docs).
-    lats: LatMoments,
+    /// The tasks this worker ran and the flows it handled; the executed
+    /// counts, summed over workers, are the stall check of [`run`].
+    tally: Tally,
     /// Per node, the engine counters of the messages this worker sent
     /// from it and handled at it.
     stats: Vec<EngineStats>,
@@ -199,10 +194,7 @@ struct WorkerState {
 impl WorkerState {
     fn new(nodes: usize, metrics: bool) -> WorkerState {
         WorkerState {
-            busy_ns: 0,
-            classes: Vec::new(),
-            executed: 0,
-            lats: LatMoments::default(),
+            tally: Tally::default(),
             stats: vec![EngineStats::default(); nodes],
             metrics: MetricsRegistry::new(metrics),
             calib: CalibSamples::default(),
@@ -487,7 +479,7 @@ impl Port for RealPort<'_, '_> {
 
     #[inline]
     fn sample(&mut self, lat: Lat, t: SimTime) {
-        self.ws.lats.record(lat, t);
+        self.ws.tally.lats.record(lat, t);
     }
 }
 
@@ -566,21 +558,9 @@ fn exec_task(p: &mut RealPort<'_, '_>, t: TaskId) {
         );
     }
 
-    // Worker accounting.
-    let ws = &mut *p.ws;
-    ws.busy_ns += busy_ns;
-    ws.executed += 1;
-    let name = task.name;
-    match ws
-        .classes
-        .iter_mut()
-        .find(|c| std::ptr::eq(c.0, name) || c.0 == name)
-    {
-        Some(c) => (c.1, c.2) = (c.1 + 1, c.2 + busy_ns),
-        None => ws.classes.push((name, 1, busy_ns)),
-    }
+    p.ws.tally.task(task.name, SimTime::from_ns(busy_ns));
     if run.metrics_on {
-        ws.calib_sample(KERNEL, task.name, busy_ns);
+        p.ws.calib_sample(KERNEL, task.name, busy_ns);
     }
 
     // Completion: outputs become present locally and release local
@@ -797,18 +777,12 @@ pub(crate) fn run(
     // Merge every worker's accumulators once: report tallies, per-node
     // engine counters, stage histograms and calibration samples.
     let mut tally = Tally::default();
-    let mut lats = LatMoments::default();
     let mut engine_stats = vec![EngineStats::default(); nodes];
     let mut metrics = MetricsRegistry::new(cfg.engine.metrics);
     let mut samples = CalibSamples::default();
     for w in run.workers {
         let w = w.into_inner().expect("worker state");
-        lats.merge(&w.lats);
-        tally.executed += w.executed;
-        tally.worker_busy += SimTime::from_ns(w.busy_ns);
-        for &(name, n, busy) in &w.classes {
-            tally.class(name, n, SimTime::from_ns(busy));
-        }
+        tally.merge(&w.tally);
         for (all, s) in engine_stats.iter_mut().zip(&w.stats) {
             all.merge(s);
         }
@@ -819,8 +793,7 @@ pub(crate) fn run(
             }
         }
     }
-    tally.lats = lats.to_lats();
-    let executed = tally.executed;
+    let executed = tally.executed();
     assert_eq!(
         executed, tasks_total,
         "real execution drained with unexecuted tasks (protocol stall)"

@@ -495,7 +495,7 @@ fn report_utilizations_are_sane() {
 /// nodes in interleaved insertion order (duplicate destination nodes,
 /// mixed — including negative — priorities), write-after-read renaming,
 /// and a final cross-node reduction. Exercises announce grouping, the
-/// bucketed ready queue, and CTL flows.
+/// priority ready queue, and CTL flows.
 fn stress_graph(nodes: usize) -> crate::TaskGraph {
     let mut g = GraphBuilder::new(nodes);
     for k in 0..4u64 {
@@ -1205,6 +1205,29 @@ fn real_exec_traced_cost_only_run_spans_every_task() {
     }
 }
 
+/// An untraced cost-only real run times no task, so every class ties at
+/// 0 ns of busy time: the report then lists the classes in the order the
+/// run first met them, the same in every run (a hash map listed them in a
+/// random order).
+#[test]
+fn real_exec_tied_classes_keep_one_order() {
+    let classes = || {
+        let mut cluster = Cluster::new(ClusterConfig {
+            mode: ExecMode::CostOnly,
+            ..small_cfg(BackendKind::Lci, 4)
+        });
+        let report = cluster.execute_real(stress_graph(4), 1);
+        assert!(report.complete());
+        report.class_stats
+    };
+    let first = classes();
+    assert_eq!(first.len(), 2, "{first:?}");
+    assert!(first.iter().all(|c| c.2.is_zero()), "{first:?}");
+    for _ in 0..8 {
+        assert_eq!(classes(), first);
+    }
+}
+
 #[test]
 fn real_then_virtual_data_stores_supersede_each_other() {
     let mut cluster = Cluster::new(small_cfg(BackendKind::Lci, 1));
@@ -1512,9 +1535,9 @@ mod protocol_port {
     }
 }
 
-/// The real path keeps latency series as integer ns moments; converted at
-/// the end of a run they must read as the virtual path's Welford
-/// statistics over the same samples.
+/// Both substrates keep latency series as integer ns moments; converted at
+/// the end of a run they must read as Welford statistics over the same
+/// samples.
 mod lat_moments {
     use amt_simnet::{DetRng, OnlineStats, SimTime};
 
@@ -1536,7 +1559,7 @@ mod lat_moments {
         for (i, &ns) in samples.iter().enumerate() {
             whole.record(ns);
             halves[i % 2].record(ns);
-            welford.record_time_us(SimTime::from_ns(ns));
+            welford.record(SimTime::from_ns(ns).as_us_f64());
         }
         let [mut merged, odd] = halves;
         merged.merge(&odd);
@@ -1571,7 +1594,7 @@ mod lat_moments {
         let mut shifted = OnlineStats::new();
         for &ns in &small {
             offset.record(1_000_000_000 + ns);
-            shifted.record_time_us(SimTime::from_ns(ns));
+            shifted.record(SimTime::from_ns(ns).as_us_f64());
         }
         let s = offset.to_stats_us();
         close(s.mean(), 1e6 + shifted.mean(), "mean");

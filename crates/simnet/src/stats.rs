@@ -67,12 +67,11 @@ impl OnlineStats {
         self.max = self.max.max(x);
     }
 
-    /// The statistics, in microseconds as [`OnlineStats::record_time_us`]
-    /// keeps them, of integer nanosecond samples given by their raw
-    /// moments: `count`, `sum` = Σx, `sum_sq` = Σx², `min` and `max`. The
-    /// spread is taken from the exact integer n·Σx² − (Σx)² while that
-    /// fits in a `u128`, so it keeps the precision a float sum of squares
-    /// would cancel away.
+    /// The statistics, in microseconds, of integer nanosecond samples given
+    /// by their raw moments: `count`, `sum` = Σx, `sum_sq` = Σx², `min`
+    /// and `max`. The spread is taken from the exact integer n·Σx² − (Σx)²
+    /// while that fits in a `u128`, so it keeps the precision a float sum
+    /// of squares would cancel away.
     pub fn from_moments(count: u64, sum: u64, sum_sq: u128, min: u64, max: u64) -> OnlineStats {
         if count == 0 {
             return OnlineStats::new();
@@ -92,11 +91,6 @@ impl OnlineStats {
             min: min as f64 * 1e-3,
             max: max as f64 * 1e-3,
         }
-    }
-
-    /// Record a virtual duration in microseconds.
-    pub fn record_time_us(&mut self, t: SimTime) {
-        self.record(t.as_us_f64());
     }
 
     pub fn count(&self) -> u64 {

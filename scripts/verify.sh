@@ -301,7 +301,7 @@ assert m["substrate"] == "virtual" and m["makespan_ns"] > 0
 print("simulator accepted the measured cost model (valid virtual run)")
 PY
 
-echo "== removed forks stay removed: island DES, tuner window loops, offline grid, seed scheduler, per-tag windows, boxed backend micro-tasks, shm node owners, the Substrate seam, engine collectives, the ladder queue, the eager-ceiling tuner, type-erased wires and completions, the LciDirect wrapper, per-task edge and consumer vectors, the real path's startup/quiescence collectives, the shm transport's put, send path and registries =="
+echo "== removed forks stay removed: island DES, tuner window loops, offline grid, seed scheduler, per-tag windows, boxed backend micro-tasks, shm node owners, the Substrate seam, engine collectives, the ladder queue, the eager-ceiling tuner, type-erased wires and completions, the LciDirect wrapper, per-task edge and consumer vectors, the real path's startup/quiescence collectives, the shm transport's put, send path and registries, the bucket ready queue, per-node report tallies and float latency recording =="
 if grep -rn -e 'execute_islands\|new_partition\|RemoteChunk\|run_before\|TuneProfile\|WindowState\|--tuned\|--islands\|--autotune-out' \
         -e 'reference_sched\|RefDataState\|ReadyQueue::Reference\|batch_window_overrides\|with_batch_window_override\|batch_window_for\|get_window_min_flows' \
         -e 'Micro::Backend(\|BackendMicro\|fn exec_micro(\|fn micro_label' \
@@ -313,6 +313,7 @@ if grep -rn -e 'execute_islands\|new_partition\|RemoteChunk\|run_before\|TunePro
         -e 'pub inputs: Vec<VersionId>\|pub outputs: Vec<VersionId>\|pub consumers: Vec<TaskId>' \
         -e 'TreeReduce\|ReduceStep\|kary_children\|kary_parent\|AM_COLL_\|QUIESCE\|executed_per_node\|mod collectives' \
         -e 'ShmMsg::Put\|fn new_observed\|fn merged_metrics' \
+        -e 'BucketQueue\|MAX_SPAN\|spill_to_heap\|struct Lats\|fn merge_stats\|record_time_us' \
         crates/ examples/ tests/ src/ scripts/ --exclude=verify.sh; then
     echo "a removed name is back"; exit 1
 fi
@@ -339,6 +340,19 @@ if body is None:
 if "elapsed(" in body.group(1):
     sys.exit("PoolShared::now_ns reads Instant::elapsed again")
 print("pool clock: PoolShared::now_ns reads no Instant")
+PY
+
+echo "== simulated nodes keep only protocol state: no per-node scratch in NodeState =="
+python3 - <<'PY'
+import re, sys
+src = open("crates/core/src/node.rs").read()
+body = re.search(r"\nstruct NodeState \{(.*?)\n\}", src, re.S)
+if body is None:
+    sys.exit("struct NodeState not found in node.rs")
+bad = re.findall(r"^\s*(fan|inputs_scratch)\s*:", body.group(1), re.M)
+if bad:
+    sys.exit(f"NodeState declares per-node scratch again: {bad}")
+print("NodeState: no fan or inputs_scratch field")
 PY
 
 echo "== one typed wire: no type-erased values on the simulated message path =="
