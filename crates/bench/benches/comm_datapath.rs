@@ -89,8 +89,9 @@ fn backend_slug(kind: BackendKind) -> &'static str {
 /// paced in virtual time (one per 5 µs) so each message traverses the full
 /// per-message datapath — submission, wire framing, fabric chunking,
 /// progress rounds, delivery — instead of collapsing into one aggregate.
-/// The handler recycles arrival frames into the engine pool exactly as the
-/// runtime's ACTIVATE consumer does.
+/// The handler recycles each arrival frame into the engine pool, as a
+/// caller owning its payload buffers may; the runtime recycles nothing, as
+/// its records travel as slab ids in immediate frames.
 fn am_flood(cfg: &EngineConfig, msgs: usize) -> f64 {
     let mut sim = Sim::new();
     let fabric = Fabric::new(FabricConfig::expanse(2));

@@ -13,13 +13,14 @@ use std::rc::Rc;
 use amt_netmodel::{FabricHandle, NodeId};
 use amt_simnet::{
     shared, CoreHandle, CoreResource, FastMap, MetricsRegistry, OverlapTracker, Shared, Sim,
-    SimTime, Trace,
+    SimTime, Slab, Trace,
 };
 use bytes::{BufPool, Bytes, Frames};
 
 use crate::backend::{make_backends, CommBackend};
 use crate::config::{BackendKind, EngineConfig, CMD_OVERHEAD, WAKE_LATENCY};
 use crate::stats::EngineStats;
+use crate::wire::{frame_slot, slot_frame, PutHandshake};
 
 /// Active-message tags ≥ this value are reserved for the engine's internal
 /// protocol (put handshakes, data transfers).
@@ -32,10 +33,7 @@ pub struct AmEvent {
     pub tag: u64,
     pub size: usize,
     /// Payload frames, zero-copy. With aggregation, each submission's
-    /// payload arrives as its own frame, in submission order; the
-    /// consumer's records must be self-delimiting within a frame. Consumers
-    /// that finish with the payload should return it via
-    /// [`CommEngine::buf_pool`] so the buffers get reused.
+    /// payload arrives as its own frame, in submission order.
     pub data: Frames,
 }
 
@@ -183,14 +181,16 @@ pub struct CommEngine {
     cmdq_name: String,
     /// Counter-track name for origin-side in-flight puts.
     puts_name: String,
-    /// Recycled payload buffers: consumers return delivered frames here,
-    /// producers (handshake/record encoders) draw from it, so steady-state
-    /// traffic reuses a bounded working set instead of allocating per
-    /// message.
+    /// A buffer pool for callers that recycle payload buffers; nothing in
+    /// the engine draws from it.
     pool: BufPool,
-    /// Human-readable labels per registered AM tag, for the per-class
-    /// `msg.<class>.msgs_on_wire` / `records_per_msg` metrics.
-    tag_labels: RefCell<FastMap<u64, &'static str>>,
+    /// Per labeled AM tag, the names of its per-class wire metrics
+    /// (`msg.<class>.msgs_on_wire`, `msg.<class>.records_per_msg`), built
+    /// once by [`CommEngine::label_tag`] in metrics mode.
+    tag_names: RefCell<FastMap<u64, [String; 2]>>,
+    /// Put handshakes in flight, one slab for the whole world: a
+    /// handshake is inserted at the origin and taken at the target.
+    handshakes: Rc<RefCell<Slab<PutHandshake>>>,
 }
 
 /// Factory for per-node engines over a shared fabric.
@@ -202,6 +202,7 @@ impl CommWorld {
     /// (MPI's persistent handshake receives), which is why `sim` is needed.
     pub fn create(sim: &mut Sim, fabric: &FabricHandle, cfg: EngineConfig) -> Vec<Rc<CommEngine>> {
         let backends = make_backends(fabric, &cfg);
+        let handshakes = Rc::new(RefCell::new(Slab::default()));
         let mut engines = Vec::with_capacity(backends.len());
         for (node, backend) in backends.into_iter().enumerate() {
             let progress_cores = (0..backend.progress_threads())
@@ -222,7 +223,8 @@ impl CommWorld {
                 cmdq_name: format!("n{node}.cmdq"),
                 puts_name: format!("n{node}.puts"),
                 pool: BufPool::new(64),
-                tag_labels: RefCell::new(FastMap::default()),
+                tag_names: RefCell::new(FastMap::default()),
+                handshakes: handshakes.clone(),
             });
             eng.backend.init(&eng, sim);
             engines.push(eng);
@@ -283,11 +285,30 @@ impl CommEngine {
         self.backend.stats(base)
     }
 
-    /// The engine's payload-buffer pool. Consumers of delivered
-    /// [`AmEvent`]s recycle spent frames here; internal encoders draw from
-    /// it.
+    /// The engine's payload-buffer pool, for callers that recycle the
+    /// buffers of delivered [`AmEvent`]s. Nothing in the engine draws
+    /// from it: handshakes travel as slab ids.
     pub fn buf_pool(&self) -> &BufPool {
         &self.pool
+    }
+
+    /// Store a put handshake in the world's slab; returns the frame that
+    /// carries its id.
+    pub(crate) fn stash_handshake(&self, hs: PutHandshake) -> Bytes {
+        slot_frame(self.handshakes.borrow_mut().insert(hs))
+    }
+
+    /// Take out the handshake a [`CommEngine::stash_handshake`] frame
+    /// names.
+    pub(crate) fn take_handshake(&self, frame: &[u8]) -> PutHandshake {
+        self.handshakes.borrow_mut().take(frame_slot(frame))
+    }
+
+    /// Handshakes of the whole world in flight: zero once a run has
+    /// drained.
+    #[cfg(test)]
+    pub(crate) fn handshakes_in_flight(&self) -> usize {
+        self.handshakes.borrow().len()
     }
 
     /// The engine's trace collector (communication + progress tracks). Empty
@@ -769,10 +790,14 @@ impl CommEngine {
             inner.stats.am_sent.inc();
         }
         if self.cfg.metrics {
-            let label = self.tag_label(tag);
+            let names = self.tag_names.borrow();
+            let (wire, records) = names.get(&tag).map_or(
+                ("msg.am.msgs_on_wire", "msg.am.records_per_msg"),
+                |[w, r]| (w.as_str(), r.as_str()),
+            );
             let mut m = self.metrics.borrow_mut();
-            m.count(&format!("msg.{label}.msgs_on_wire"), 1);
-            m.record(&format!("msg.{label}.records_per_msg"), submissions);
+            m.count(wire, 1);
+            m.record(records, submissions);
         }
         let c = self.backend.issue_am(self, sim, dst, tag, size, frames);
         self.record_stage("am.inject_ns", c);
@@ -783,11 +808,14 @@ impl CommEngine {
     /// per-class wire counters (`msg.<label>.msgs_on_wire`,
     /// `msg.<label>.records_per_msg`). Unlabeled tags count under `am`.
     pub fn label_tag(&self, tag: u64, label: &'static str) {
-        self.tag_labels.borrow_mut().insert(tag, label);
-    }
-
-    fn tag_label(&self, tag: u64) -> &'static str {
-        self.tag_labels.borrow().get(&tag).copied().unwrap_or("am")
+        // Only metrics mode reads the names: an unobserved run keeps none.
+        if self.cfg.metrics {
+            let names = [
+                format!("msg.{label}.msgs_on_wire"),
+                format!("msg.{label}.records_per_msg"),
+            ];
+            self.tag_names.borrow_mut().insert(tag, names);
+        }
     }
 
     pub(crate) fn issue_put(self: &Rc<Self>, sim: &mut Sim, req: PutRequest) -> SimTime {

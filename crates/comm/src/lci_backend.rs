@@ -147,7 +147,8 @@ pub(crate) struct LciBackend {
 
 /// The endpoint AM handler, executed on the **progress thread** inside
 /// `LCI_progress`. User AMs are queued to the communication thread;
-/// handshakes take the specialized path: decode, free the packet, and either
+/// handshakes take the specialized path: take the handshake its frame
+/// names out of the world's slab, free the packet, and either
 /// deliver the eager payload or post the direct receive immediately —
 /// delegating to the communication thread on `Retry`.
 fn on_am(
@@ -177,7 +178,7 @@ fn on_am(
 
     // Specialized handshake path.
     let mut cost = HS_HANDLER_COST;
-    let hs = PutHandshake::decode(msg.data.into_bytes().expect("handshake payload"));
+    let hs = eng.take_handshake(&msg.data.into_bytes().expect("handshake frame"));
     if msg.owns_packet {
         ep.buffer_free(sim);
     }
@@ -254,7 +255,7 @@ fn on_put(eng: &Rc<CommEngine>, st: &Rc<RefCell<LciState>>, sim: &mut Sim, msg: 
     let now = sim.now();
     eng.record_stage("put.wire_ns", now.saturating_sub(msg.sent_at));
     eng.wire_add(eng.node, now, -1);
-    let hs = PutHandshake::decode(msg.cb_data);
+    let hs = eng.take_handshake(&msg.cb_data);
     st.borrow_mut().data_fifo.push_back(DataDone::Remote {
         src: msg.src,
         size: msg.size,
@@ -279,9 +280,32 @@ impl LciBackend {
         }
     }
 
-    /// Undo a put whose send hit `Retry` and queue it at the front of the
-    /// command queue; it is retried on the next wake.
-    fn retry_put(&self, eng: &Rc<CommEngine>, sim: &mut Sim, req: PutRequest) -> SimTime {
+    /// Undo a put whose send hit `Retry`: take its handshake back out of
+    /// the slab, rebuild the request from it and `data` (unless the payload
+    /// rode in the handshake), and queue it at the front of the command
+    /// queue; it is retried on the next wake.
+    fn retry_put(
+        &self,
+        eng: &Rc<CommEngine>,
+        sim: &mut Sim,
+        dst: NodeId,
+        frame: &[u8],
+        data: Option<Bytes>,
+        on_local: PutLocalCb,
+    ) -> SimTime {
+        let hs = eng.take_handshake(frame);
+        let data = match hs.eager {
+            EagerMode::EagerBytes(b) => Some(b),
+            _ => data,
+        };
+        let req = PutRequest {
+            dst,
+            size: hs.size as usize,
+            data,
+            r_tag: hs.r_tag,
+            cb_data: hs.cb_data,
+            on_local,
+        };
         {
             let mut st = self.st.borrow_mut();
             st.stat_retries.inc();
@@ -583,8 +607,14 @@ impl CommBackend for LciBackend {
                 eager,
             };
             let wire_len = hs.wire_len();
-            let enc = Frames::from(hs.encode_with(eng.buf_pool()));
-            return match self.ep.sendb(sim, dst, HS_FLAG | rtag, wire_len, enc) {
+            let frame = eng.stash_handshake(hs);
+            return match self.ep.sendb(
+                sim,
+                dst,
+                HS_FLAG | rtag,
+                wire_len,
+                Frames::from(frame.clone()),
+            ) {
                 Ok(c) => {
                     eng.wire_add(dst, sim.now(), 1);
                     // Data copied into the packet: local completion
@@ -596,22 +626,8 @@ impl CommBackend for LciBackend {
                         .push_back(Micro::BackendUnit(MICRO_EAGER_DONE));
                     c
                 }
-                Err(LciError::Retry) => {
-                    // Requeue the whole put; retried on the next wake.
-                    let data = match hs.eager {
-                        EagerMode::EagerBytes(b) => Some(b),
-                        _ => None,
-                    };
-                    let req = PutRequest {
-                        dst,
-                        size,
-                        data,
-                        r_tag: hs.r_tag,
-                        cb_data: hs.cb_data,
-                        on_local,
-                    };
-                    self.retry_put(eng, sim, req)
-                }
+                // Requeue the whole put; retried on the next wake.
+                Err(LciError::Retry) => self.retry_put(eng, sim, dst, &frame, None, on_local),
             };
         }
 
@@ -622,12 +638,22 @@ impl CommBackend for LciBackend {
             cb_data,
             eager: EagerMode::Rendezvous,
         };
+        let wire_len = hs.wire_len();
+        let hs_frame = eng.stash_handshake(hs);
         let on_sent = self.on_sent.get();
         let send_res = if self.direct_put {
-            // One one-sided write; the handshake rides as immediate data.
-            let imm = hs.encode_with(eng.buf_pool());
-            self.ep
-                .putd(sim, dst, rtag, size, data.clone(), imm, rtag, on_sent)
+            // One one-sided write; the handshake's slot id rides as its
+            // immediate data.
+            self.ep.putd(
+                sim,
+                dst,
+                rtag,
+                size,
+                data.clone(),
+                hs_frame.clone(),
+                rtag,
+                on_sent,
+            )
         } else {
             // Rendezvous: direct send first (its RTS waits at the target
             // until the handshake posts the receive), then the handshake.
@@ -640,15 +666,7 @@ impl CommBackend for LciBackend {
                 c
             }
             Err(LciError::Retry) => {
-                let req = PutRequest {
-                    dst,
-                    size,
-                    data,
-                    r_tag: hs.r_tag,
-                    cb_data: hs.cb_data,
-                    on_local,
-                };
-                return self.retry_put(eng, sim, req);
+                return self.retry_put(eng, sim, dst, &hs_frame, data, on_local)
             }
         };
         self.st
@@ -658,20 +676,16 @@ impl CommBackend for LciBackend {
         if self.direct_put {
             return cost;
         }
-        let enc = hs.encode_with(eng.buf_pool());
-        let wire_len = enc.len();
-        match self.ep.sendb(
-            sim,
-            dst,
-            HS_FLAG | rtag,
-            wire_len,
-            Frames::from(enc.clone()),
-        ) {
+        let frame = Frames::from(hs_frame);
+        match self
+            .ep
+            .sendb(sim, dst, HS_FLAG | rtag, wire_len, frame.clone())
+        {
             Ok(c) => cost += c,
             // The data send is in flight; only the handshake needs
-            // retrying.
+            // retrying, and it re-sends the same slot id.
             Err(LciError::Retry) => {
-                self.requeue_sendb(eng, sim, dst, HS_FLAG | rtag, wire_len, Frames::from(enc))
+                self.requeue_sendb(eng, sim, dst, HS_FLAG | rtag, wire_len, frame)
             }
         }
         cost

@@ -63,6 +63,7 @@ pub use engine::{
 };
 pub use shm::{ShmMsg, ShmNode, ShmWorld};
 pub use stats::EngineStats;
+pub use wire::{frame_slot, slot_frame};
 
 #[cfg(test)]
 mod tests;

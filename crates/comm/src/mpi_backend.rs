@@ -174,8 +174,9 @@ impl MpiBackend {
                 // Execute the callback, then re-enable the persistent
                 // receive.
                 if tag == HS_TAG {
-                    let payload = c.status.data.into_bytes().expect("handshake payload");
-                    cost += self.handle_handshake(eng, sim, c.status.src, payload);
+                    let frame = c.status.data.into_bytes().expect("handshake frame");
+                    let hs = eng.take_handshake(&frame);
+                    cost += self.handle_handshake(eng, sim, c.status.src, hs);
                 } else {
                     // Wire stage ends when `Testsome` discovers the receive;
                     // the callback then runs inline (§4.2.3), so the deliver
@@ -259,10 +260,9 @@ impl MpiBackend {
             cb_data: req.cb_data,
             eager: EagerMode::Rendezvous,
         };
-        let enc = hs.encode_with(eng.buf_pool());
-        let mut cost = self
-            .mpi
-            .send(sim, req.dst, HS_TAG, enc.len(), Frames::from(enc));
+        let wire_len = hs.wire_len();
+        let frame = Frames::from(eng.stash_handshake(hs));
+        let mut cost = self.mpi.send(sim, req.dst, HS_TAG, wire_len, frame);
         let (sreq, c2) = self
             .mpi
             .isend(sim, req.dst, data_tag, req.size, Frames::from(req.data));
@@ -288,9 +288,8 @@ impl MpiBackend {
         eng: &Rc<CommEngine>,
         sim: &mut Sim,
         src: NodeId,
-        payload: Bytes,
+        hs: PutHandshake,
     ) -> SimTime {
-        let hs = PutHandshake::decode(payload);
         debug_assert!(
             matches!(hs.eager, EagerMode::Rendezvous),
             "MPI puts never ride eagerly"

@@ -55,7 +55,7 @@ impl ShmNode {
         }
     }
 
-    /// This node's thread-safe buffer pool (encode records into it;
+    /// This node's thread-safe buffer pool (fill message buffers from it;
     /// recycle drained frames back).
     pub fn pool(&self) -> &SharedBufPool {
         &self.pool
@@ -175,12 +175,11 @@ mod shm_tests {
     #[test]
     fn pool_recycles_across_send_receive() {
         let w = ShmWorld::new(2, 8);
-        // Steady-state record traffic: encode from the pool, ship, take,
+        // Steady-state buffer traffic: fill from the pool, ship, take,
         // recycle at the receiver's pool.
-        for round in 0..10 {
+        for round in 0..10u64 {
             let mut b = w.node(0).pool().take(32);
-            use bytes::BufMut;
-            b.put_u64_le(round);
+            b.extend_from_slice(&round.to_le_bytes());
             w.send_am(0, 1, 1, Frames::One(b.freeze()), 0);
             let Some(ShmMsg::Am { frames, .. }) = w.node(1).pop() else {
                 panic!("message lost");

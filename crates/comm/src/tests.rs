@@ -292,46 +292,56 @@ fn zero_window_disables_batching() {
 
 /// Conformance: saturating the backend's transfer resources must never lose
 /// a put — MPI defers beyond its 30-transfer cap, LCI delegates receives on
-/// `Retry`, direct put retries the `putd` itself.
+/// `Retry`, direct put retries the `putd` itself, and an eager put whose
+/// `sendb` finds LCI's send packets exhausted retries whole. Every
+/// handshake a retry stored is taken back out: the world's handshake slab
+/// is empty once the run drains.
 #[test]
 fn saturating_puts_all_complete_on_every_backend() {
     for cfg in all_backends() {
         let backend = cfg.backend;
-        let (mut sim, engines) = setup(2, cfg);
-        let done = Rc::new(RefCell::new(0));
-        let d = done.clone();
-        engines[1].register_onesided(
-            1,
-            Rc::new(move |_sim, _eng, _ev| {
-                *d.borrow_mut() += 1;
-                SimTime::ZERO
-            }),
-        );
-        let n = 600; // beyond max_posted_recvd=512 and the MPI transfer cap
-        for _ in 0..n {
-            engines[0].put(
-                &mut sim,
-                PutRequest {
-                    dst: 1,
-                    size: 64 << 10,
-                    data: None,
-                    r_tag: 1,
-                    cb_data: Bytes::new(),
-                    on_local: Box::new(|_s, _e| SimTime::ZERO),
-                },
+        // Rendezvous-sized puts beyond max_posted_recvd=512 and the MPI
+        // transfer cap; eager-sized ones beyond LCI's 1024 send packets.
+        for (size, n) in [(64 << 10, 600), (cfg.eager_put_max, 1500)] {
+            let (mut sim, engines) = setup(2, cfg.clone());
+            let done = Rc::new(RefCell::new(0));
+            let d = done.clone();
+            engines[1].register_onesided(
+                1,
+                Rc::new(move |_sim, _eng, _ev| {
+                    *d.borrow_mut() += 1;
+                    SimTime::ZERO
+                }),
             );
+            for _ in 0..n {
+                engines[0].put(
+                    &mut sim,
+                    PutRequest {
+                        dst: 1,
+                        size,
+                        data: None,
+                        r_tag: 1,
+                        cb_data: Bytes::new(),
+                        on_local: Box::new(|_s, _e| SimTime::ZERO),
+                    },
+                );
+            }
+            sim.run();
+            assert_eq!(
+                *done.borrow(),
+                n,
+                "{backend}/{size}: all puts must complete despite back-pressure"
+            );
+            let stats = engines[0].stats();
+            assert_eq!(stats.puts_local_done.get(), n as u64, "{backend}/{size}");
+            if backend != BackendKind::Mpi && size <= cfg.eager_put_max {
+                assert!(
+                    stats.backend_retries.get() > 0,
+                    "{backend}: the eager sendb never hit Retry"
+                );
+            }
+            assert_eq!(engines[0].handshakes_in_flight(), 0, "{backend}/{size}");
         }
-        sim.run();
-        assert_eq!(
-            *done.borrow(),
-            n,
-            "{backend}: all puts must complete despite back-pressure"
-        );
-        assert_eq!(
-            engines[0].stats().puts_local_done.get(),
-            n as u64,
-            "{backend}"
-        );
     }
 }
 

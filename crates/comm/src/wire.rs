@@ -1,12 +1,19 @@
-//! Handshake encoding for put operations.
+//! Put handshakes, and slot ids as wire frames.
 //!
-//! Real backends serialize a small header (transfer tag, size, remote
-//! callback id, callback data) into the handshake message; we do the same so
-//! handshake wire sizes are honest. The LCI backend can additionally carry
-//! the put payload *eagerly* inside the handshake (§5.3.3); in cost-only
-//! simulations the payload bytes are absent but still counted on the wire.
+//! A put's handshake (transfer tag, size, remote callback id, callback data
+//! and, for an eager put, its payload) is a typed record. It never becomes
+//! bytes: the origin stores it in its world's handshake slab, sends only
+//! the slot id as a 4-byte immediate frame ([`slot_frame`]), and the target
+//! reads the id back ([`frame_slot`]) and takes the record out, its eager
+//! payload and callback data moved, not copied. The runtime's ACTIVATE and
+//! GET DATA records travel the same way. What the fabric is *charged* is
+//! [`PutHandshake::wire_len`], the size of a real library's serialized
+//! header, so virtual time does not depend on how the record travels. The
+//! LCI backend can carry the put payload *eagerly* inside the handshake
+//! (§5.3.3); in cost-only simulations the payload bytes are absent but
+//! still counted on the wire.
 
-use bytes::{Buf, BufMut, BufPool, Bytes};
+use bytes::Bytes;
 
 /// How the put payload travels.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,7 +26,7 @@ pub enum EagerMode {
     EagerBytes(Bytes),
 }
 
-/// Decoded put handshake.
+/// A put handshake in flight.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PutHandshake {
     /// Transfer tag: MPI data tag or LCI rendezvous tag.
@@ -49,64 +56,40 @@ impl PutHandshake {
         !matches!(self.eager, EagerMode::Rendezvous)
     }
 
-    /// Encoded wire length in bytes (header + cb data + any eager payload).
+    /// Charged wire length in bytes: a serialized header (three `u64`s, a
+    /// `u32` callback-data length and a mode byte) plus the callback data
+    /// and any eager payload.
     pub fn wire_len(&self) -> usize {
         8 + 8 + 8 + 4 + self.cb_data.len() + 1 + self.eager_len()
     }
+}
 
-    /// Encode into a buffer drawn from `pool` — steady-state handshake
-    /// traffic then reuses recycled payload storage instead of allocating.
-    pub fn encode_with(&self, pool: &BufPool) -> Bytes {
-        let mut b = pool.take(self.wire_len().min(64 * 1024));
-        self.encode_into(b.as_mut_vec());
-        b.freeze()
-    }
+/// A slot id as an immediate frame: 4 bytes inside the `Bytes` handle,
+/// nothing allocated.
+pub fn slot_frame(id: u32) -> Bytes {
+    Bytes::inline(&id.to_le_bytes()).expect("4 bytes fit the handle")
+}
 
-    fn encode_into(&self, b: &mut Vec<u8>) {
-        b.put_u64_le(self.data_tag);
-        b.put_u64_le(self.size);
-        b.put_u64_le(self.r_tag);
-        b.put_u32_le(self.cb_data.len() as u32);
-        b.put_slice(&self.cb_data);
-        match &self.eager {
-            EagerMode::Rendezvous => b.put_u8(0),
-            EagerMode::EagerCostOnly => b.put_u8(1),
-            EagerMode::EagerBytes(e) => {
-                debug_assert_eq!(e.len() as u64, self.size);
-                b.put_u8(2);
-                b.put_slice(e);
-            }
-        }
-    }
-
-    pub fn decode(mut b: Bytes) -> Self {
-        let data_tag = b.get_u64_le();
-        let size = b.get_u64_le();
-        let r_tag = b.get_u64_le();
-        let cb_len = b.get_u32_le() as usize;
-        let cb_data = b.split_to(cb_len);
-        let eager = match b.get_u8() {
-            0 => EagerMode::Rendezvous,
-            1 => EagerMode::EagerCostOnly,
-            2 => EagerMode::EagerBytes(b.split_to(size as usize)),
-            m => panic!("bad eager mode {m}"),
-        };
-        PutHandshake {
-            data_tag,
-            size,
-            r_tag,
-            cb_data,
-            eager,
-        }
-    }
+/// The slot id a [`slot_frame`] carries.
+pub fn frame_slot(frame: &[u8]) -> u32 {
+    u32::from_le_bytes(frame.try_into().expect("torn slot frame"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amt_simnet::Slab;
 
-    fn encode(hs: &PutHandshake) -> Bytes {
-        hs.encode_with(&BufPool::new(4))
+    /// Through a slab by id, as the engine sends it: the same record comes
+    /// back, payload and callback data included.
+    fn trip(hs: PutHandshake) -> PutHandshake {
+        let mut slab = Slab::default();
+        let frame = slot_frame(slab.insert(hs));
+        assert_eq!(frame.len(), 4);
+        let hs = slab.take(frame_slot(&frame));
+        assert!(slab.is_empty());
+        assert!(frame.try_reclaim().is_err(), "an immediate frame");
+        hs
     }
 
     #[test]
@@ -118,9 +101,9 @@ mod tests {
             cb_data: Bytes::from_static(b"callback-data"),
             eager: EagerMode::Rendezvous,
         };
-        let enc = encode(&hs);
-        assert_eq!(enc.len(), hs.wire_len());
-        assert_eq!(PutHandshake::decode(enc), hs);
+        // Three u64s, the u32 length, 13 callback bytes, the mode byte.
+        assert_eq!(hs.wire_len(), 8 * 3 + 4 + 13 + 1);
+        assert_eq!(trip(hs.clone()), hs);
         assert!(!hs.is_eager());
     }
 
@@ -133,14 +116,13 @@ mod tests {
             cb_data: Bytes::new(),
             eager: EagerMode::EagerBytes(Bytes::from_static(b"tiny!")),
         };
-        let enc = encode(&hs);
-        assert_eq!(enc.len(), hs.wire_len());
-        let dec = PutHandshake::decode(enc);
+        assert_eq!(hs.wire_len(), 8 * 3 + 4 + 1 + 5);
+        let dec = trip(hs);
+        assert!(dec.is_eager());
         assert_eq!(
             dec.eager,
             EagerMode::EagerBytes(Bytes::from_static(b"tiny!"))
         );
-        assert!(dec.is_eager());
     }
 
     #[test]
@@ -153,11 +135,17 @@ mod tests {
             eager: EagerMode::EagerCostOnly,
         };
         assert!(hs.wire_len() > 4096);
-        // The encoded header is small; the wire size is declared, not
+        // The frame is 4 bytes; the wire size is declared, not
         // materialized.
-        assert!(encode(&hs).len() < 100);
-        let dec = PutHandshake::decode(encode(&hs));
+        let dec = trip(hs);
         assert_eq!(dec.eager, EagerMode::EagerCostOnly);
         assert_eq!(dec.eager_len(), 4096);
+    }
+
+    #[test]
+    fn slot_frames_carry_any_id() {
+        for id in [0, 1, 0x0102_0304, u32::MAX] {
+            assert_eq!(frame_slot(&slot_frame(id)), id);
+        }
     }
 }

@@ -403,14 +403,19 @@ impl Cluster {
         self.init_nodes(&graph, &node_rts);
         self.sim.run();
         let tally = std::mem::take(&mut thread.borrow_mut().tally);
-        self.finish_execution(
+        let report = self.finish_execution(
             &graph,
             &node_rts,
             tally,
             self.sim.now() - t0,
             self.sim.events_executed() - ev0,
             self.sim.schedule_past_clamped() - clamp0,
-        )
+        );
+        debug_assert!(
+            !report.complete() || thread.borrow().records.is_empty(),
+            "a complete run left records in flight"
+        );
+        report
     }
 
     /// Seed every node's initial events: one start-state pass admits every

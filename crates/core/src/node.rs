@@ -46,7 +46,9 @@ use crate::cluster::Tally;
 use crate::config::{ClusterConfig, ExecMode};
 use crate::graph::{GraphHandle, TaskId, VersionId};
 use crate::protocol::{self, Fanout, Forward, Lat, Port, Tree, AM_ACTIVATE, AM_GETDATA, RTAG_DATA};
-use crate::records::{ActivateRec, GetRec, PutCb, ACTIVATE_WIRE_BYTES, GET_WIRE_BYTES};
+use crate::records::{
+    ActivateRec, GetRec, InFlight, PutCb, Record, ACTIVATE_WIRE_BYTES, GET_WIRE_BYTES,
+};
 use crate::store::VersionStore;
 use crate::window::WindowCtl;
 
@@ -118,6 +120,9 @@ pub(crate) struct ThreadState {
     fan: Fanout,
     /// Kernel-input marshaling scratch.
     inputs: Vec<Bytes>,
+    /// ACTIVATE and GET DATA records between send and handling; their
+    /// messages carry slot ids.
+    pub(crate) records: InFlight,
 }
 
 impl ThreadState {
@@ -127,6 +132,7 @@ impl ThreadState {
             overlap,
             fan: Fanout::default(),
             inputs: Vec::new(),
+            records: InFlight::default(),
         }
     }
 }
@@ -215,10 +221,10 @@ impl Port for Vport<'_> {
 
     fn send_activate(&mut self, dst: NodeId, rec: ActivateRec) {
         let (rt, engine) = (self.rt, &self.rt.engine);
-        let wire = ACTIVATE_WIRE_BYTES + 4 * rec.forward.len();
-        let payload = Some(rec.encode_one(|n| engine.buf_pool().take(n)));
+        let (wire, version) = (ACTIVATE_WIRE_BYTES + 4 * rec.forward.len(), rec.version);
+        let payload = Some(rt.thread.borrow_mut().records.send(Record::Activate(rec)));
         let now = self.sim.now();
-        rt.flow(true, FLOW_ACTIVATE, rec.version, rt.node, dst, now);
+        rt.flow(true, FLOW_ACTIVATE, version, rt.node, dst, now);
         match &mut self.worker {
             Some(c) if rt.cfg.engine.multithread_am => {
                 *c += engine.send_am_direct(self.sim, dst, AM_ACTIVATE, wire, payload);
@@ -522,7 +528,8 @@ impl NodeRt {
     /// flows it announced then fetch as the GET window allows (§4.1).
     pub fn on_activate(rt: &RtHandle, sim: &mut Sim, ev: AmEvent) -> SimTime {
         let (mut cost, mut control) = (SimTime::ZERO, false);
-        for rec in ActivateRec::iter_frames(&ev.data) {
+        for frame in &ev.data {
+            let rec = rt.thread.borrow_mut().records.take_activate(frame);
             cost += rt.cfg.cost.activate_record_cost;
             let now = sim.now();
             rt.flow(false, FLOW_ACTIVATE, rec.version, ev.src, rt.node, now);
@@ -530,9 +537,6 @@ impl NodeRt {
             let mut port = Vport::funneled(rt, sim);
             protocol::on_activate(&mut port, rt.cfg.multicast_k, ev.src, rec);
         }
-        // The arrival buffers are dead after decoding: feed them back to
-        // the engine's pool so outgoing encodes reuse them.
-        rt.engine.buf_pool().recycle_frames(ev.data);
         if control {
             // Control flows released consumers; workers dispatch outside
             // the communication thread.
@@ -574,14 +578,8 @@ impl NodeRt {
             // never aggregate; with a batching window configured they are
             // batch-eligible like any other record.
             let batch = engine.config().batch_window_ns > 0;
-            engine.send_am_opts(
-                sim,
-                get.src,
-                AM_GETDATA,
-                GET_WIRE_BYTES,
-                Some(get.rec.encode()),
-                batch,
-            );
+            let frame = rt.thread.borrow_mut().records.send(Record::Get(get.rec));
+            engine.send_am_opts(sim, get.src, AM_GETDATA, GET_WIRE_BYTES, Some(frame), batch);
             cost += rt.cfg.cost.get_send_cost;
         }
     }
@@ -590,13 +588,13 @@ impl NodeRt {
     /// (Figure 1), charged `get_request_cost`.
     pub fn on_getdata(rt: &RtHandle, sim: &mut Sim, ev: AmEvent) -> SimTime {
         let mut cost = SimTime::ZERO;
-        for rec in GetRec::iter_frames(&ev.data) {
+        for frame in &ev.data {
+            let rec = rt.thread.borrow_mut().records.take_get(frame);
             cost += rt.cfg.cost.get_request_cost;
             rt.flow(true, FLOW_DATA, rec.version, rt.node, ev.src, sim.now());
             let g = rt.graph.get();
             protocol::on_get(&mut Vport::funneled(rt, sim), &g, ev.src, rec);
         }
-        rt.engine.buf_pool().recycle_frames(ev.data);
         cost
     }
 

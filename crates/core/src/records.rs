@@ -1,20 +1,25 @@
-//! Wire-record encodings for the runtime's protocol messages.
+//! The runtime's protocol records.
 //!
 //! ACTIVATE messages carry one record per announced dataflow; the
 //! communication engine may aggregate several records to the same
-//! destination into one wire message (§4.3), so records are fixed-size and
-//! self-delimiting. Timestamps ride along so the receiver can measure
-//! per-message and end-to-end latency exactly as the paper does (§6.1.3 —
-//! our virtual clock is global, so no clock synchronization is required).
+//! destination into one wire message (§4.3), one frame per record.
+//! Timestamps ride along so the receiver can measure per-message and
+//! end-to-end latency exactly as the paper does (§6.1.3 — our virtual
+//! clock is global, so no clock synchronization is required).
 //!
-//! Encoders pick the protocol by encoded length, as LCI does (DESIGN.md
-//! §3.4): a record of at most [`Bytes::INLINE_CAP`] bytes — every GET DATA
-//! and put-callback record, and every ACTIVATE without a forward list — is
-//! *immediate*: it travels inside the `Bytes` handle, with no buffer to
-//! take, count or recycle. Only multicast ACTIVATEs (≥ 38 B) are buffered.
-//! What the fabric is *charged* is the wire sizes below, never the handle.
+//! No record is encoded. On the real substrate a message *is* its record
+//! (`real.rs`); on the simulated one a record waits in the run's
+//! [`InFlight`] slab from its send to its handling, and its frame is only
+//! its 4-byte slot id, an immediate `Bytes` (`amt_comm::slot_frame`), as
+//! the engine carries put handshakes. Forward lists move with their
+//! record; nothing is copied. What the fabric is *charged* is the wire
+//! sizes below, never the frame. The one byte format left is [`PutCb`]:
+//! a put's callback data is 16 immediate bytes, because the handshake's
+//! charged length counts them.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut, Frames};
+use amt_comm::{frame_slot, slot_frame};
+use amt_simnet::Slab;
+use bytes::Bytes;
 
 /// Wire size charged per ACTIVATE record (the real runtime sends remote-deps
 /// descriptors of roughly this size).
@@ -35,9 +40,6 @@ pub struct ActivateRec {
 }
 
 impl ActivateRec {
-    /// Fixed header bytes (excluding the forward list).
-    pub const HDR_BYTES: usize = 34;
-
     pub fn direct(version: u64, size: u64, priority: i64, sent_at_ns: u64) -> Self {
         ActivateRec {
             version,
@@ -47,76 +49,45 @@ impl ActivateRec {
             forward: Vec::new(),
         }
     }
-
-    pub fn enc_len(&self) -> usize {
-        Self::HDR_BYTES + 4 * self.forward.len()
-    }
-
-    pub fn encode_into(&self, b: &mut impl BufMut) {
-        b.put_u64_le(self.version);
-        b.put_u64_le(self.size);
-        b.put_i64_le(self.priority);
-        b.put_u64_le(self.sent_at_ns);
-        b.put_u16_le(self.forward.len() as u16);
-        for &n in &self.forward {
-            b.put_u32_le(n);
-        }
-    }
-
-    #[cfg(test)]
-    pub fn decode_all(b: Bytes) -> Vec<ActivateRec> {
-        Self::iter_frames(&Frames::One(b)).collect()
-    }
-
-    /// Decode an aggregated delivery frame by frame, one record at a time
-    /// straight off the frames (nothing is allocated for a record without
-    /// a forward list). Frames align to submission boundaries, so
-    /// per-frame decoding yields exactly the records a decode of the
-    /// concatenation would — without materializing the concatenation.
-    pub fn iter_frames(f: &Frames) -> impl Iterator<Item = ActivateRec> + '_ {
-        f.iter().flat_map(|frame| {
-            let mut b: &[u8] = frame;
-            std::iter::from_fn(move || b.has_remaining().then(|| Self::decode_one(&mut b)))
-        })
-    }
-
-    fn decode_one(b: &mut &[u8]) -> ActivateRec {
-        assert!(b.remaining() >= Self::HDR_BYTES, "torn ACTIVATE payload");
-        let version = b.get_u64_le();
-        let size = b.get_u64_le();
-        let priority = b.get_i64_le();
-        let sent_at_ns = b.get_u64_le();
-        let n = b.get_u16_le() as usize;
-        assert!(b.remaining() >= 4 * n, "torn ACTIVATE forward list");
-        ActivateRec {
-            version,
-            size,
-            priority,
-            sent_at_ns,
-            forward: (0..n).map(|_| b.get_u32_le()).collect(),
-        }
-    }
-
-    /// Encode one record: immediate when it fits the handle (module
-    /// docs), otherwise into a buffer from `take` — a pool's `take`, so
-    /// steady-state multicast traffic reuses recycled arrival buffers.
-    pub fn encode_one(&self, take: impl FnOnce(usize) -> BytesMut) -> Bytes {
-        let len = self.enc_len();
-        if len <= Bytes::INLINE_CAP {
-            return immediate(len, |b| self.encode_into(b));
-        }
-        let mut b = take(len);
-        self.encode_into(b.as_mut_vec());
-        b.freeze()
-    }
 }
 
-/// Encode a record of `len <= Bytes::INLINE_CAP` bytes on the stack into
-/// an immediate `Bytes`.
-fn immediate(len: usize, encode: impl FnOnce(&mut &mut [u8])) -> Bytes {
-    let mut buf = [0u8; Bytes::INLINE_CAP];
-    encode(&mut &mut buf[..len]);
-    Bytes::inline(&buf[..len]).expect("caller checked the length")
+/// A simulated record between its send and its handling.
+#[derive(Debug)]
+pub(crate) enum Record {
+    Activate(ActivateRec),
+    Get(GetRec),
+}
+
+/// The simulated run's records in flight, named on the wire by slot id
+/// (module docs): one per run, shared by every node.
+#[derive(Default)]
+pub(crate) struct InFlight(Slab<Record>);
+
+impl InFlight {
+    /// Store `rec` until its message is handled; returns its frame.
+    pub(crate) fn send(&mut self, rec: Record) -> Bytes {
+        slot_frame(self.0.insert(rec))
+    }
+
+    /// Take out the ACTIVATE record `frame` names.
+    pub(crate) fn take_activate(&mut self, frame: &[u8]) -> ActivateRec {
+        match self.0.take(frame_slot(frame)) {
+            Record::Activate(rec) => rec,
+            other => panic!("an ACTIVATE frame named {other:?}"),
+        }
+    }
+
+    /// Take out the GET DATA record `frame` names.
+    pub(crate) fn take_get(&mut self, frame: &[u8]) -> GetRec {
+        match self.0.take(frame_slot(frame)) {
+            Record::Get(rec) => rec,
+            other => panic!("a GET DATA frame named {other:?}"),
+        }
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
 }
 
 /// Recursive-halving children assignment for a binomial multicast over the
@@ -172,35 +143,6 @@ pub struct GetRec {
     pub activate_sent_at_ns: u64,
 }
 
-impl GetRec {
-    pub const ENC_BYTES: usize = 16;
-
-    /// Always immediate: 16 bytes.
-    pub fn encode(&self) -> Bytes {
-        immediate(Self::ENC_BYTES, |b| {
-            b.put_u64_le(self.version);
-            b.put_u64_le(self.activate_sent_at_ns);
-        })
-    }
-
-    #[cfg(test)]
-    pub fn decode_all(b: Bytes) -> Vec<GetRec> {
-        Self::iter_frames(&Frames::One(b)).collect()
-    }
-
-    /// Decode an aggregated delivery frame by frame (see
-    /// [`ActivateRec::iter_frames`]).
-    pub fn iter_frames(f: &Frames) -> impl Iterator<Item = GetRec> + '_ {
-        f.iter().flat_map(|frame| {
-            assert_eq!(frame.len() % Self::ENC_BYTES, 0, "torn GET DATA payload");
-            frame.chunks_exact(Self::ENC_BYTES).map(|mut b| GetRec {
-                version: b.get_u64_le(),
-                activate_sent_at_ns: b.get_u64_le(),
-            })
-        })
-    }
-}
-
 /// Callback data attached to the put, echoed to the target's one-sided
 /// callback on data arrival.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -212,16 +154,17 @@ pub struct PutCb {
 impl PutCb {
     /// Always immediate: 16 bytes.
     pub fn encode(&self) -> Bytes {
-        immediate(16, |b| {
-            b.put_u64_le(self.version);
-            b.put_u64_le(self.activate_sent_at_ns);
-        })
+        let mut b = [0u8; 16];
+        b[..8].copy_from_slice(&self.version.to_le_bytes());
+        b[8..].copy_from_slice(&self.activate_sent_at_ns.to_le_bytes());
+        Bytes::inline(&b).expect("16 bytes fit the handle")
     }
 
-    pub fn decode(mut b: &[u8]) -> Self {
+    pub fn decode(b: &[u8]) -> Self {
+        let (version, sent) = b.split_at(8);
         PutCb {
-            version: b.get_u64_le(),
-            activate_sent_at_ns: b.get_u64_le(),
+            version: u64::from_le_bytes(version.try_into().expect("torn put callback")),
+            activate_sent_at_ns: u64::from_le_bytes(sent.try_into().expect("torn put callback")),
         }
     }
 }
@@ -229,73 +172,34 @@ impl PutCb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Frames;
+
+    fn multicast() -> ActivateRec {
+        ActivateRec {
+            version: 2,
+            size: 200,
+            priority: 7,
+            sent_at_ns: 43,
+            forward: vec![3, 9, 11],
+        }
+    }
 
     #[test]
     fn activate_records_roundtrip_aggregated() {
         let recs = [
             ActivateRec::direct(1, 100, -5, 42),
-            ActivateRec {
-                version: 2,
-                size: 200,
-                priority: 7,
-                sent_at_ns: 43,
-                forward: vec![3, 9, 11],
-            },
-        ];
-        // Simulate engine-level aggregation: concatenated frames.
-        let mut b = BytesMut::new();
-        for r in &recs {
-            r.encode_into(&mut b);
-        }
-        let dec = ActivateRec::decode_all(b.freeze());
-        assert_eq!(dec, recs.to_vec());
-    }
-
-    #[test]
-    fn frame_decode_matches_concatenated_decode() {
-        let recs = [
-            ActivateRec::direct(1, 100, -5, 42),
-            ActivateRec {
-                version: 2,
-                size: 200,
-                priority: 7,
-                sent_at_ns: 43,
-                forward: vec![3, 9, 11],
-            },
+            multicast(),
             ActivateRec::direct(3, 300, 0, 44),
         ];
-        // Zero-copy aggregation: one frame per submission.
+        // Engine-level aggregation: one frame per submission, in order.
+        let mut slab = InFlight::default();
         let mut frames = Frames::new();
-        let mut concat = BytesMut::new();
         for r in &recs {
-            frames.push(r.encode_one(BytesMut::with_capacity));
-            r.encode_into(&mut concat);
+            frames.push(slab.send(Record::Activate(r.clone())));
         }
-        assert_eq!(
-            ActivateRec::iter_frames(&frames).collect::<Vec<_>>(),
-            ActivateRec::decode_all(concat.freeze())
-        );
-
-        let gets = [
-            GetRec {
-                version: 1,
-                activate_sent_at_ns: 10,
-            },
-            GetRec {
-                version: 2,
-                activate_sent_at_ns: 20,
-            },
-        ];
-        let mut frames = Frames::new();
-        let mut concat = BytesMut::new();
-        for g in &gets {
-            frames.push(g.encode());
-            concat.put_slice(&g.encode());
-        }
-        assert_eq!(
-            GetRec::iter_frames(&frames).collect::<Vec<_>>(),
-            GetRec::decode_all(concat.freeze())
-        );
+        let got: Vec<_> = frames.iter().map(|f| slab.take_activate(f)).collect();
+        assert_eq!(got, recs.to_vec());
+        assert!(slab.is_empty(), "every record taken exactly once");
     }
 
     #[test]
@@ -348,39 +252,43 @@ mod tests {
             version: 9,
             activate_sent_at_ns: 1234,
         };
-        assert_eq!(GetRec::decode_all(g.encode()), vec![g]);
+        let mut slab = InFlight::default();
+        let frame = slab.send(Record::Get(g));
+        assert_eq!(slab.take_get(&frame), g);
         let p = PutCb {
             version: 9,
             activate_sent_at_ns: 1234,
         };
-        assert_eq!(PutCb::decode(&p.encode()), p);
+        let b = p.encode();
+        assert_eq!((b.len(), PutCb::decode(&b)), (16, p));
     }
 
-    /// The protocol is chosen by encoded length: up to the handle's 37
-    /// bytes no buffer is asked for; one forward entry (38 B) is buffered.
+    /// Every record travels as its 4-byte slot id, an immediate frame: no
+    /// buffer to take or recycle, however long its forward list.
     #[test]
     fn records_that_fit_the_handle_take_no_buffer() {
-        let mut rec = ActivateRec::direct(7, 2048, -3, 99);
-        assert!(rec.enc_len() <= Bytes::INLINE_CAP);
-        let b = rec.encode_one(|_| panic!("an immediate record asked for a buffer"));
-        assert_eq!(ActivateRec::decode_all(b.clone()), vec![rec.clone()]);
-        assert!(b.try_reclaim().is_err(), "nothing to recycle");
-
-        rec.forward.push(5);
-        assert_eq!(rec.enc_len(), Bytes::INLINE_CAP + 1);
-        let mut asked = None;
-        let b = rec.encode_one(|n| {
-            asked = Some(n);
-            BytesMut::with_capacity(n)
-        });
-        assert_eq!(asked, Some(38));
-        assert_eq!(ActivateRec::decode_all(b.clone()), vec![rec]);
-        assert!(b.try_reclaim().is_ok(), "a buffered record recycles");
+        let mut slab = InFlight::default();
+        let mut rec = multicast();
+        rec.forward = (0..1000).collect();
+        let frame = slab.send(Record::Activate(rec.clone()));
+        assert_eq!(frame.len(), 4);
+        assert_eq!(slab.take_activate(&frame), rec);
+        assert!(frame.try_reclaim().is_err(), "nothing to recycle");
+        assert!(PutCb::decode(
+            &PutCb {
+                version: 1,
+                activate_sent_at_ns: 2
+            }
+            .encode()
+        )
+        .encode()
+        .try_reclaim()
+        .is_err());
     }
 
     #[test]
-    #[should_panic(expected = "torn ACTIVATE payload")]
+    #[should_panic(expected = "torn slot frame")]
     fn torn_payload_detected() {
-        ActivateRec::decode_all(Bytes::from_static(&[0u8; 33]));
+        InFlight::default().take_activate(&[0u8; 33]);
     }
 }

@@ -301,7 +301,7 @@ assert m["substrate"] == "virtual" and m["makespan_ns"] > 0
 print("simulator accepted the measured cost model (valid virtual run)")
 PY
 
-echo "== removed forks stay removed: island DES, tuner window loops, offline grid, seed scheduler, per-tag windows, boxed backend micro-tasks, shm node owners, the Substrate seam, engine collectives, the ladder queue, the eager-ceiling tuner, type-erased wires and completions, the LciDirect wrapper, per-task edge and consumer vectors, the real path's startup/quiescence collectives, the shm transport's put, send path and registries, the bucket ready queue, per-node report tallies and float latency recording =="
+echo "== removed forks stay removed: island DES, tuner window loops, offline grid, seed scheduler, per-tag windows, boxed backend micro-tasks, shm node owners, the Substrate seam, engine collectives, the ladder queue, the eager-ceiling tuner, type-erased wires and completions, the LciDirect wrapper, per-task edge and consumer vectors, the real path's startup/quiescence collectives, the shm transport's put, send path and registries, the bucket ready queue, per-node report tallies and float latency recording, the simulated wire's record and handshake codecs and the byte cursor traits =="
 if grep -rn -e 'execute_islands\|new_partition\|RemoteChunk\|run_before\|TuneProfile\|WindowState\|--tuned\|--islands\|--autotune-out' \
         -e 'reference_sched\|RefDataState\|ReadyQueue::Reference\|batch_window_overrides\|with_batch_window_override\|batch_window_for\|get_window_min_flows' \
         -e 'Micro::Backend(\|BackendMicro\|fn exec_micro(\|fn micro_label' \
@@ -314,6 +314,7 @@ if grep -rn -e 'execute_islands\|new_partition\|RemoteChunk\|run_before\|TunePro
         -e 'TreeReduce\|ReduceStep\|kary_children\|kary_parent\|AM_COLL_\|QUIESCE\|executed_per_node\|mod collectives' \
         -e 'ShmMsg::Put\|fn new_observed\|fn merged_metrics' \
         -e 'BucketQueue\|MAX_SPAN\|spill_to_heap\|struct Lats\|fn merge_stats\|record_time_us' \
+        -e 'encode_with\|fn encode_one\|fn iter_frames\|fn decode_one\|pub trait Buf\|pub trait BufMut' \
         crates/ examples/ tests/ src/ scripts/ --exclude=verify.sh; then
     echo "a removed name is back"; exit 1
 fi
@@ -325,6 +326,11 @@ fi
 # The simulated engine keeps its own label_tag; shm's stays deleted.
 if grep -nE 'fn (send|label_tag|record_stage)\(' crates/comm/src/shm.rs; then
     echo "shm.rs grew a send path or a metrics registry again"; exit 1
+fi
+
+echo "== the simulated runtime hands records over as slab ids: crates/core/src draws no buffer from an engine pool =="
+if grep -rn 'buf_pool(' crates/core/src; then
+    echo "the runtime draws or recycles engine pool buffers again"; exit 1
 fi
 
 echo "== the real path's clock and statistics: the pool clock reads no Instant on its fast path, real.rs keeps no float latency statistics =="

@@ -434,7 +434,6 @@ fn tlr_addition_matches_dense() {
 /// `Vec<u8>` model, and `Eq` / `Ord` / `Hash` cannot tell them apart.
 #[test]
 fn bytes_representations_agree_with_a_vec_model() {
-    use bytes::Buf;
     use std::hash::{Hash, Hasher};
 
     fn hash_of(b: &Bytes) -> u64 {
@@ -465,29 +464,29 @@ fn bytes_representations_agree_with_a_vec_model() {
             for _ in 0..12 {
                 let at = rng.gen_usize(0..model.len() + 1);
                 let keep_piece = rng.gen_bool(0.5);
-                match rng.gen_usize(0..7) {
+                match rng.gen_usize(0..6) {
                     0 => {
-                        let head: Vec<u8> = model.drain(..at).collect();
-                        all(&mut reprs, head.clone(), |b| {
-                            let piece = b.split_to(at);
+                        let rest = model.split_off(at);
+                        all(&mut reprs, model.clone(), |b| {
+                            let piece = b.slice(0..at);
                             let out = piece.to_vec();
-                            if keep_piece {
-                                *b = piece;
-                            }
+                            *b = if keep_piece {
+                                piece
+                            } else {
+                                b.slice(at..b.len())
+                            };
                             out
                         });
-                        if keep_piece {
-                            model = head;
+                        if !keep_piece {
+                            model = rest;
                         }
                     }
                     1 => {
                         let tail = model.split_off(at);
                         all(&mut reprs, tail.clone(), |b| {
-                            let piece = b.split_off(at);
+                            let piece = b.slice(at..b.len());
                             let out = piece.to_vec();
-                            if keep_piece {
-                                *b = piece;
-                            }
+                            *b = if keep_piece { piece } else { b.slice(0..at) };
                             out
                         });
                         if keep_piece {
@@ -499,19 +498,23 @@ fn bytes_representations_agree_with_a_vec_model() {
                         model = model[from..at].to_vec();
                         all(&mut reprs, (), |b| *b = b.slice(from..at));
                     }
-                    3 => {
-                        model.drain(..at);
-                        all(&mut reprs, (), |b| b.advance(at));
-                    }
-                    4 if model.len() >= 8 => {
+                    3 if model.len() >= 8 => {
                         let want = u64::from_le_bytes(model[..8].try_into().unwrap());
                         model.drain(..8);
-                        all(&mut reprs, want, |b| b.get_u64_le());
+                        all(&mut reprs, want, |b| {
+                            let v = u64::from_le_bytes(b[..8].try_into().unwrap());
+                            *b = b.slice(8..b.len());
+                            v
+                        });
                     }
-                    5 if model.len() >= 3 => {
+                    4 if model.len() >= 3 => {
                         let want = (model[0], u16::from_le_bytes([model[1], model[2]]));
                         model.drain(..3);
-                        all(&mut reprs, want, |b| (b.get_u8(), b.get_u16_le()));
+                        all(&mut reprs, want, |b| {
+                            let v = (b[0], u16::from_le_bytes([b[1], b[2]]));
+                            *b = b.slice(3..b.len());
+                            v
+                        });
                     }
                     _ => all(&mut reprs, (), |b| *b = b.clone()),
                 }
