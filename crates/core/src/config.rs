@@ -131,15 +131,14 @@ pub struct ClusterConfig {
     /// with the MPI backend (1 communication thread), 126 with LCI
     /// (+1 progress thread); single-node runs use all 128 (§6.1.2).
     pub workers_per_node: usize,
-    /// Maximum GET DATA requests in flight per node before lower-priority
-    /// flows are deferred (§4.1 prioritization).
-    pub get_window: usize,
     /// Byte budget for in-flight GET DATA payloads (0 = unlimited). Models
     /// PaRSEC's priority-relative deferral: fetches beyond the budget wait
     /// in the priority queue, so critical-path flows see queue-free
     /// latency instead of burst serialization. At least
     /// `GET_WINDOW_MIN_FLOWS` (4, a constant in `node.rs`) fetches proceed
-    /// regardless of size.
+    /// regardless of size, and never more than `GET_WINDOW` (512, beside
+    /// it) are in flight per node whatever the budget (§4.1
+    /// prioritization).
     pub get_window_bytes: usize,
     /// Broadcast versions to `Some(k)` or more remote nodes through a
     /// binomial multicast tree (Figure 1): children receive the data, then
@@ -183,7 +182,6 @@ impl Default for ClusterConfig {
         ClusterConfig {
             nodes: 2,
             workers_per_node: 8,
-            get_window: 512,
             get_window_bytes: 0,
             bcast_tree_min: None,
             multicast_k: None,

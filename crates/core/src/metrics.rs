@@ -154,13 +154,8 @@ impl MetricsReport {
                     }
                     let _ = write!(
                         out,
-                        r#"{{"executed":{},"deque_pushes":{},"overflow_pushes":{},"steals":{},"failed_probes":{},"parks":{}}}"#,
-                        w.executed,
-                        w.deque_pushes,
-                        w.overflow_pushes,
-                        w.steals,
-                        w.failed_probes,
-                        w.parks
+                        r#"{{"executed":{},"deque_pushes":{},"steals":{},"failed_probes":{},"parks":{}}}"#,
+                        w.executed, w.deque_pushes, w.steals, w.failed_probes, w.parks
                     );
                 }
                 out.push_str("]}");

@@ -4,7 +4,7 @@
 //!
 //! What is virtual stays here: dispatch onto simulated cores and the cost
 //! charged for each task and each record handler, the GET DATA window
-//! (`get_window` / `get_window_bytes`: a request queues by priority and
+//! (`GET_WINDOW` / `get_window_bytes`: a request queues by priority and
 //! is pumped once the whole message is handled), funneled versus
 //! multithreaded ACTIVATE sends, trace flow arrows, and the windowed
 //! discovery hooks.
@@ -68,6 +68,10 @@ pub(crate) fn sweep_probe() {
     #[cfg(test)]
     SWEEP_PROBES.with(|c| c.set(c.get() + 1));
 }
+
+/// Most GET DATA requests in flight per node: lower-priority flows beyond
+/// it wait in the pending queue (§4.1 prioritization).
+const GET_WINDOW: usize = 512;
 
 /// GET DATA fetches that proceed regardless of
 /// [`ClusterConfig::get_window_bytes`]: the byte budget only defers flows
@@ -553,7 +557,7 @@ impl NodeRt {
         loop {
             let get = {
                 let mut s = rt.state.borrow_mut();
-                if s.inflight_gets >= rt.cfg.get_window {
+                if s.inflight_gets >= GET_WINDOW {
                     return cost;
                 }
                 let next_size = match s.pending_gets.peek() {

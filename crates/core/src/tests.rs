@@ -272,28 +272,39 @@ fn multithread_am_mode_completes() {
     }
 }
 
+/// More GET DATA requests than the in-flight window (512 per node) wait
+/// for fetches to complete: with 600 flows into one node, the lowest-
+/// priority requests reach the owner only after data has arrived, so the
+/// longest activation → request latency exceeds the shortest end-to-end
+/// one. With 256 flows no request waits and the order is reversed.
 #[test]
 fn get_window_defers_low_priority_flows() {
-    // A tiny window still completes everything.
     for backend in backends() {
-        let mut cfg = small_cfg(backend, 2);
-        cfg.get_window = 1;
-        cfg.mode = ExecMode::CostOnly;
-        let mut cluster = Cluster::new(cfg);
-        let mut g = GraphBuilder::new(2);
-        for i in 0..10u64 {
-            let v = g.data(i, 256 << 10, 0, None);
-            g.insert(
-                TaskDesc::new("c")
-                    .on_node(1)
-                    .flops(1e6)
-                    .priority(i as i64)
-                    .read(v),
+        for flows in [256u64, 600] {
+            let mut cfg = small_cfg(backend, 2);
+            cfg.mode = ExecMode::CostOnly;
+            let mut cluster = Cluster::new(cfg);
+            let mut g = GraphBuilder::new(2);
+            for i in 0..flows {
+                let v = g.data(i, 1 << 20, 0, None);
+                g.insert(
+                    TaskDesc::new("c")
+                        .on_node(1)
+                        .flops(1e6)
+                        .priority(i as i64)
+                        .read(v),
+                );
+            }
+            let report = cluster.execute(g.build());
+            assert!(report.complete(), "{backend}");
+            assert_eq!(report.e2e_latency_us.count(), flows, "{backend}");
+            let (request, e2e) = (report.request_latency_us.max(), report.e2e_latency_us.min());
+            assert_eq!(
+                request > e2e,
+                flows > 512,
+                "{backend}, {flows} flows: request latency max {request} µs, e2e min {e2e} µs"
             );
         }
-        let report = cluster.execute(g.build());
-        assert!(report.complete(), "{backend}");
-        assert_eq!(report.e2e_latency_us.count(), 10, "{backend}");
     }
 }
 

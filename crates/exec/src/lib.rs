@@ -5,9 +5,9 @@
 //! and ACTIVATE / GET DATA / put protocol as the deterministic
 //! discrete-event simulator, on real hardware threads.
 //!
-//! * [`deque`] — a bounded lock-free Chase–Lev-style deque per worker:
-//!   LIFO local push/pop, FIFO stealing, overflow to a shared injector.
-//! * [`Pool`] — the pool itself: randomized steal-victim probing seeded by
+//! * [`Pool`] — the pool itself: one mutex-guarded queue per worker (LIFO
+//!   local push/pop, FIFO stealing by `try_lock`), a shared injector for
+//!   spawns from outside, randomized steal-victim probing seeded by
 //!   `DetRng` (reproducible probe sequences per run seed), an atomic
 //!   epoch parker/wake protocol for idle workers, and quiescence detection
 //!   ([`Pool::run_until_idle`]) from the parked-worker count and an
@@ -21,7 +21,7 @@
 //!   quiescence by [`Pool::drain_trace`].
 //!
 //! Jobs are [`PoolJob`] closures taking the running worker's
-//! [`WorkerCtx`] (its clock, identity, deque and trace buffer) — or bare
+//! [`WorkerCtx`] (its clock, identity, queue and trace buffer) — or bare
 //! task ids for a runner installed with the pool ([`Pool::with_runner`]),
 //! which cost no allocation. With `threads == 1` execution order is fully
 //! deterministic; at any thread count a pure-kernel dataflow graph
@@ -30,13 +30,8 @@
 
 #![deny(missing_docs)]
 
-pub mod deque;
 mod obs;
 mod pool;
 
-pub use deque::{deque, Steal, Stealer, Worker};
 pub use obs::{PoolStats, TraceEvent, WorkerStats};
 pub use pool::{Pool, PoolJob, WorkerCtx};
-
-#[cfg(test)]
-mod tests;

@@ -48,7 +48,7 @@ pub enum TraceEvent {
         /// Span end, ns since pool start.
         end_ns: u64,
     },
-    /// A successful steal: this worker took a job from `victim`'s deque.
+    /// A successful steal: this worker took a job from `victim`'s queue.
     /// `id` is globally unique so the victim/thief endpoints of the flow
     /// arrow pair up at export time.
     Steal {
@@ -69,19 +69,18 @@ pub enum TraceEvent {
         /// Wake instant, ns since pool start.
         at_ns: u64,
     },
-    /// Own-deque depth after a local push or pop.
+    /// Own-queue depth after a local push or pop.
     DequeDepth {
         /// Sample instant, ns since pool start.
         at_ns: u64,
-        /// Deque length after the operation.
+        /// Queue length after the operation.
         depth: u32,
     },
-    /// Shared-injector depth after this worker pushed to or popped from
-    /// it.
+    /// Shared-injector depth after this worker took a job from it.
     InjectorDepth {
         /// Sample instant, ns since pool start.
         at_ns: u64,
-        /// Injector length after the operation.
+        /// Injector length after the take.
         depth: u32,
     },
 }
@@ -142,10 +141,9 @@ impl TraceBuf {
 pub struct WorkerStats {
     /// Jobs this worker ran to completion.
     pub executed: u64,
-    /// Jobs this worker pushed onto its own deque (`WorkerCtx::defer`).
+    /// Jobs this worker pushed onto its own queue (`WorkerCtx::defer`,
+    /// `WorkerCtx::defer_task`).
     pub deque_pushes: u64,
-    /// Deferred jobs that overflowed the bounded deque to the injector.
-    pub overflow_pushes: u64,
     /// Successful steals by this worker (as the thief).
     pub steals: u64,
     /// Steal probes that found the victim empty or contended.
@@ -168,14 +166,9 @@ pub struct PoolStats {
 
 impl PoolStats {
     /// Total jobs that entered the pool: external injector pushes plus
-    /// every worker-side defer (local or overflowed).
+    /// every worker-side defer.
     pub fn spawns(&self) -> u64 {
-        self.injector_pushes
-            + self
-                .per_worker
-                .iter()
-                .map(|w| w.deque_pushes + w.overflow_pushes)
-                .sum::<u64>()
+        self.injector_pushes + self.per_worker.iter().map(|w| w.deque_pushes).sum::<u64>()
     }
 
     /// Total jobs run to completion.
@@ -207,7 +200,6 @@ impl PoolStats {
 pub(crate) struct WorkerCounters {
     pub(crate) executed: AtomicU64,
     pub(crate) deque_pushes: AtomicU64,
-    pub(crate) overflow_pushes: AtomicU64,
     pub(crate) steals: AtomicU64,
     pub(crate) failed_probes: AtomicU64,
     pub(crate) parks: AtomicU64,
@@ -225,7 +217,6 @@ impl WorkerCounters {
         WorkerStats {
             executed: self.executed.load(Relaxed),
             deque_pushes: self.deque_pushes.load(Relaxed),
-            overflow_pushes: self.overflow_pushes.load(Relaxed),
             steals: self.steals.load(Relaxed),
             failed_probes: self.failed_probes.load(Relaxed),
             parks: self.parks.load(Relaxed),
@@ -255,8 +246,7 @@ mod tests {
             per_worker: vec![
                 WorkerStats {
                     executed: 3,
-                    deque_pushes: 2,
-                    overflow_pushes: 1,
+                    deque_pushes: 3,
                     steals: 1,
                     failed_probes: 5,
                     parks: 2,
@@ -264,7 +254,6 @@ mod tests {
                 WorkerStats {
                     executed: 4,
                     deque_pushes: 0,
-                    overflow_pushes: 0,
                     steals: 2,
                     failed_probes: 0,
                     parks: 1,

@@ -1,13 +1,17 @@
 //! The work-stealing thread pool: the **real substrate**.
 //!
-//! `threads` OS workers each own one [`deque`](crate::deque) (LIFO local
-//! push/pop); spawns from outside the pool land in a shared FIFO injector.
-//! An idle worker tries, in order: its own deque, the injector, then
-//! stealing from victims chosen by a [`DetRng`] seeded from
-//! `seed ^ worker-index` — so the victim *sequence* each worker probes is
-//! reproducible per run seed even though which probe wins depends on
-//! wall-clock interleaving. With `threads == 1` there is no interleaving
-//! at all and execution order is fully deterministic.
+//! `threads` OS workers each own one queue, a `VecDeque` behind a mutex:
+//! the owner pushes and pops at the back (LIFO — freshly released work
+//! runs while its data is hot), a thief pops the front (FIFO — it gets the
+//! oldest, usually largest, work). Spawns from outside the pool land in a
+//! shared FIFO injector. An idle worker tries, in order: its own queue,
+//! the injector, then stealing from victims chosen by a [`DetRng`] seeded
+//! from `seed ^ worker-index` — so the victim *sequence* each worker probes
+//! is reproducible per run seed even though which probe wins depends on
+//! wall-clock interleaving. A thief only `try_lock`s a victim's queue: a
+//! held lock counts as a failed probe and the sweep moves on. With
+//! `threads == 1` there is no interleaving at all and execution order is
+//! fully deterministic.
 //!
 //! A queued job is a closure ([`WorkerCtx::defer`], [`Pool::spawn`]) or a
 //! bare task id ([`WorkerCtx::defer_task`], [`Pool::spawn_task`]) that the
@@ -33,12 +37,12 @@
 //!
 //! ## Quiescence
 //!
-//! `pending` counts injector jobs only — external spawns and deque
-//! overflow — raised before the push and lowered when a worker takes the
-//! job. Deque jobs need no count: a worker parks only after its own pop
-//! found its deque empty, and only a job running on that worker pushes to
-//! its deque. So while every worker is parked no deque holds a job and no
-//! job runs, and with `pending == 0` the injector holds none either.
+//! `pending` counts injector jobs only — external spawns — raised before
+//! the push and lowered when a worker takes the job. Queued jobs need no
+//! count: a worker parks only after its own pop found its queue empty, and
+//! only a job running on that worker pushes to its queue. So while every
+//! worker is parked no queue holds a job and no job runs, and with
+//! `pending == 0` the injector holds none either.
 //! [`Pool::run_until_idle`] waits, under `sync`, for exactly that: the last
 //! worker to park signals it. Parking takes the `sync` mutex, so
 //! everything a worker wrote before — counters, trace events, whatever its
@@ -68,12 +72,11 @@ use std::sync::atomic::{
     AtomicU64, AtomicUsize,
     Ordering::{Relaxed, SeqCst},
 };
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use amt_simnet::{DetRng, SimTime};
 
-use crate::deque::{self, Steal, Stealer, Worker};
 use crate::obs::{bump, PoolStats, TraceBuf, TraceEvent, WorkerCounters, TRACE_CAP};
 
 /// A closure job: runs on whichever worker takes it, and may defer
@@ -87,21 +90,6 @@ enum Job {
     /// A closure.
     Closure(PoolJob),
 }
-
-/// What a deque slot points at: a job, or `None` once a worker has taken
-/// it. The deque needs thin pointers, so each queued job sits in a box of
-/// its own; emptied boxes go on the taking worker's spare list and are
-/// refilled by its next push instead of being freed and allocated again.
-type Slot = Option<Job>;
-
-/// A worker's emptied slot boxes (it is their allocations that are kept,
-/// so the boxes must stay boxes).
-#[allow(clippy::vec_box)]
-type Spare = Vec<Box<Slot>>;
-
-/// Most boxes a worker keeps spare; a thief that never defers would
-/// otherwise hoard one per steal.
-const SPARE_SLOTS: usize = 256;
 
 /// The pool's task runner: runs a task id on the calling worker.
 type Runner = dyn Fn(&mut WorkerCtx<'_>, usize) + Send + Sync;
@@ -118,8 +106,14 @@ struct Parking {
     pending: AtomicUsize,
 }
 
+/// A worker's queue (module docs), on a cache line of its own so that one
+/// worker's pushes do not evict its neighbours' locks.
+#[repr(align(128))]
+struct Queue(Mutex<VecDeque<Job>>);
+
 struct PoolShared {
-    stealers: Vec<Stealer<Slot>>,
+    /// One queue per worker, index = worker index.
+    queues: Vec<Queue>,
     injector: Mutex<VecDeque<Job>>,
     parking: Parking,
     /// The shutdown flag; parkers and notifiers lock it (module docs).
@@ -147,6 +141,11 @@ impl PoolShared {
         self.clock.now_ns()
     }
 
+    /// Worker `index`'s queue, locked.
+    fn queue(&self, index: usize) -> MutexGuard<'_, VecDeque<Job>> {
+        self.queues[index].0.lock().expect("pool queue")
+    }
+
     /// The trace buffer of worker `index`, if tracing is on.
     fn buf(&self, index: usize) -> Option<&TraceBuf> {
         self.trace.as_ref().map(|bufs| &bufs[index])
@@ -163,17 +162,11 @@ impl PoolShared {
         }
     }
 
-    /// Queue `job` on the injector; returns the injector's depth after.
-    fn inject(&self, job: Job) -> usize {
-        self.parking.pending.fetch_add(1, SeqCst);
-        let mut inj = self.injector.lock().expect("pool injector");
-        inj.push_back(job);
-        inj.len()
-    }
-
+    /// Queue `job` on the injector (a spawn from outside the pool).
     fn spawn_injected(&self, job: Job) {
         self.injector_pushes.fetch_add(1, Relaxed);
-        self.inject(job);
+        self.parking.pending.fetch_add(1, SeqCst);
+        self.injector.lock().expect("pool injector").push_back(job);
         self.notify_push();
     }
 }
@@ -277,10 +270,6 @@ fn ticks() -> u64 {
     0
 }
 
-/// Capacity of each worker's bounded deque; overflow spills to the
-/// injector.
-const DEQUE_CAP: usize = 8192;
-
 /// A running work-stealing pool. Dropping it shuts the workers down
 /// (outstanding jobs are still completed first if you call
 /// [`Pool::run_until_idle`] before dropping).
@@ -290,11 +279,9 @@ pub struct Pool {
 }
 
 /// The per-worker execution context jobs run against: the clock, this
-/// worker's identity, its deque, and its trace buffer.
+/// worker's identity, its queue, and its trace buffer.
 pub struct WorkerCtx<'a> {
     shared: &'a PoolShared,
-    local: &'a Worker<Slot>,
-    spare: &'a mut Spare,
     index: usize,
 }
 
@@ -309,41 +296,31 @@ impl WorkerCtx<'_> {
         self.index
     }
 
-    /// Queue `job` on this worker's deque: LIFO, so freshly released work
+    /// Queue `job` on this worker's queue: LIFO, so freshly released work
     /// runs hot, and stealable by idle workers.
     pub fn defer(&mut self, job: PoolJob) {
         self.push(Job::Closure(job));
     }
 
     /// Queue task `id` for the pool's runner ([`Pool::with_runner`]) on
-    /// this worker's deque, like [`WorkerCtx::defer`] but with nothing to
+    /// this worker's queue, like [`WorkerCtx::defer`] but with nothing to
     /// allocate.
     pub fn defer_task(&mut self, id: usize) {
         self.push(Job::Task(id));
     }
 
     fn push(&mut self, job: Job) {
-        let c = &self.shared.counters[self.index];
-        let mut slot = self.spare.pop().unwrap_or_default();
-        *slot = Some(job);
-        // LIFO local push; a full deque overflows to the injector.
-        if let Err(slot) = self.local.push(slot) {
-            bump(&c.overflow_pushes);
-            let depth = self.shared.inject(take_job(slot, self.spare));
-            if let Some(buf) = self.shared.buf(self.index) {
-                buf.push(TraceEvent::InjectorDepth {
-                    at_ns: self.shared.now_ns(),
-                    depth: depth as u32,
-                });
-            }
-        } else {
-            bump(&c.deque_pushes);
-            if let Some(buf) = self.shared.buf(self.index) {
-                buf.push(TraceEvent::DequeDepth {
-                    at_ns: self.shared.now_ns(),
-                    depth: self.local.len() as u32,
-                });
-            }
+        let depth = {
+            let mut q = self.shared.queue(self.index);
+            q.push_back(job);
+            q.len()
+        };
+        bump(&self.shared.counters[self.index].deque_pushes);
+        if let Some(buf) = self.shared.buf(self.index) {
+            buf.push(TraceEvent::DequeDepth {
+                at_ns: self.shared.now_ns(),
+                depth: depth as u32,
+            });
         }
         self.shared.notify_push();
     }
@@ -397,15 +374,10 @@ impl Pool {
         } else {
             threads
         };
-        let mut workers = Vec::with_capacity(threads);
-        let mut stealers = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let (w, s) = deque::deque::<Slot>(DEQUE_CAP);
-            workers.push(w);
-            stealers.push(s);
-        }
         let shared = Arc::new(PoolShared {
-            stealers,
+            queues: (0..threads)
+                .map(|_| Queue(Mutex::new(VecDeque::new())))
+                .collect(),
             injector: Mutex::new(VecDeque::new()),
             parking: Parking {
                 epoch: AtomicU64::new(0),
@@ -423,14 +395,12 @@ impl Pool {
             steal_seq: AtomicU64::new(0),
             trace: traced.then(|| (0..threads).map(|_| TraceBuf::new(TRACE_CAP)).collect()),
         });
-        let threads = workers
-            .into_iter()
-            .enumerate()
-            .map(|(index, local)| {
+        let threads = (0..threads)
+            .map(|index| {
                 let shared = shared.clone();
                 std::thread::Builder::new()
                     .name(format!("amt-exec-{index}"))
-                    .spawn(move || worker_loop(index, local, &shared))
+                    .spawn(move || worker_loop(index, &shared))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -439,7 +409,7 @@ impl Pool {
 
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
-        self.shared.stealers.len()
+        self.shared.queues.len()
     }
 
     /// Enqueue `job` from outside the pool.
@@ -515,31 +485,16 @@ impl Drop for Pool {
     }
 }
 
-/// Move the job out of a popped or stolen slot and keep the emptied box.
-fn take_job(mut slot: Box<Slot>, spare: &mut Spare) -> Job {
-    let job = slot.take().expect("queued slots hold a job");
-    if spare.len() < SPARE_SLOTS {
-        spare.push(slot);
-    }
-    job
-}
-
-fn worker_loop(index: usize, local: Worker<Slot>, shared: &PoolShared) {
+fn worker_loop(index: usize, shared: &PoolShared) {
     let mut rng = DetRng::seed_from_u64(shared.seed ^ (index as u64).wrapping_mul(0x9e3779b9));
-    let n = shared.stealers.len();
+    let n = shared.queues.len();
     let p = &shared.parking;
-    let mut spare = Spare::new();
     loop {
         // Snapshot the epoch before scanning so a push racing the scan
         // forces a rescan instead of a lost wakeup.
         let epoch = p.epoch.load(SeqCst);
-        if let Some(job) = find_job(index, &local, shared, &mut rng, n, &mut spare) {
-            let mut ctx = WorkerCtx {
-                shared,
-                local: &local,
-                spare: &mut spare,
-                index,
-            };
+        if let Some(job) = find_job(index, shared, &mut rng, n) {
+            let mut ctx = WorkerCtx { shared, index };
             match job {
                 Job::Task(id) => (shared.runner)(&mut ctx, id),
                 Job::Closure(f) => f(&mut ctx),
@@ -577,22 +532,19 @@ fn worker_loop(index: usize, local: Worker<Slot>, shared: &PoolShared) {
     }
 }
 
-fn find_job(
-    index: usize,
-    local: &Worker<Slot>,
-    shared: &PoolShared,
-    rng: &mut DetRng,
-    n: usize,
-    spare: &mut Spare,
-) -> Option<Job> {
-    if let Some(slot) = local.pop() {
+fn find_job(index: usize, shared: &PoolShared, rng: &mut DetRng, n: usize) -> Option<Job> {
+    let popped = {
+        let mut q = shared.queue(index);
+        q.pop_back().map(|job| (job, q.len()))
+    };
+    if let Some((job, depth)) = popped {
         if let Some(buf) = shared.buf(index) {
             buf.push(TraceEvent::DequeDepth {
                 at_ns: shared.now_ns(),
-                depth: local.len() as u32,
+                depth: depth as u32,
             });
         }
-        return Some(take_job(slot, spare));
+        return Some(job);
     }
     {
         let mut inj = shared.injector.lock().expect("pool injector");
@@ -611,7 +563,8 @@ fn find_job(
     }
     if n > 1 {
         // Randomized victim probing: up to 4 sweeps over the other
-        // workers, DetRng-ordered; `Retry` results keep a sweep alive.
+        // workers, DetRng-ordered; a held lock is a failed probe, so a
+        // thief never waits on a victim.
         for _ in 0..4 * (n - 1) {
             let victim = {
                 let v = rng.gen_usize(0..n - 1);
@@ -621,22 +574,24 @@ fn find_job(
                     v
                 }
             };
-            match shared.stealers[victim].steal() {
-                Steal::Taken(slot) => {
-                    bump(&shared.counters[index].steals);
-                    if let Some(buf) = shared.buf(index) {
-                        buf.push(TraceEvent::Steal {
-                            id: shared.steal_seq.fetch_add(1, Relaxed),
-                            victim: victim as u32,
-                            at_ns: shared.now_ns(),
-                        });
-                    }
-                    return Some(take_job(slot, spare));
-                }
-                Steal::Empty | Steal::Retry => {
-                    bump(&shared.counters[index].failed_probes);
-                }
+            let stolen = shared.queues[victim]
+                .0
+                .try_lock()
+                .ok()
+                .and_then(|mut q| q.pop_front());
+            let Some(job) = stolen else {
+                bump(&shared.counters[index].failed_probes);
+                continue;
+            };
+            bump(&shared.counters[index].steals);
+            if let Some(buf) = shared.buf(index) {
+                buf.push(TraceEvent::Steal {
+                    id: shared.steal_seq.fetch_add(1, Relaxed),
+                    victim: victim as u32,
+                    at_ns: shared.now_ns(),
+                });
             }
+            return Some(job);
         }
     }
     None
@@ -708,7 +663,7 @@ mod tests {
         for _ in 0..200 {
             pool.spawn(Box::new(move |sub| {
                 // Two generations of nested defers exercise the local
-                // deque path alongside the injector path.
+                // queue path alongside the injector path.
                 sub.defer(Box::new(move |sub| {
                     sub.defer(Box::new(|_| {}));
                 }));
@@ -805,6 +760,54 @@ mod tests {
         assert_eq!(*ran.lock().unwrap(), [3, 2, 1, 0]);
         let s = pool.stats();
         assert_eq!((s.injector_pushes, s.spawns(), s.executions()), (1, 4, 4));
+    }
+
+    /// The owner's end of a queue is LIFO: at one thread, the ids a job
+    /// defers run newest-first once it returns.
+    #[test]
+    fn deferred_task_ids_run_newest_first_on_their_worker() {
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let pool = {
+            let ran = ran.clone();
+            Pool::with_runner(1, 0, false, move |ctx, id| {
+                ran.lock().unwrap().push(id);
+                if id == 0 {
+                    (1..=4).for_each(|child| ctx.defer_task(child));
+                }
+            })
+        };
+        pool.spawn_task(0);
+        pool.run_until_idle();
+        assert_eq!(*ran.lock().unwrap(), [0, 4, 3, 2, 1]);
+    }
+
+    /// The thief's end of a queue is FIFO: with two workers, a thief
+    /// whose victim is held inside a job takes the victim's oldest queued
+    /// id first. The victim's job waits until the thief has run one.
+    #[test]
+    fn a_thief_takes_its_victims_oldest_queued_id() {
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let pool = {
+            let ran = ran.clone();
+            Pool::with_runner(2, 9, false, move |ctx, id| {
+                if id > 0 {
+                    ran.lock().unwrap().push((ctx.worker(), id));
+                    return;
+                }
+                (1..=3).for_each(|child| ctx.defer_task(child));
+                let t0 = Instant::now();
+                spin_until(|| {
+                    !ran.lock().unwrap().is_empty() || t0.elapsed() > Duration::from_secs(10)
+                });
+                ran.lock().unwrap().push((ctx.worker(), 0));
+            })
+        };
+        pool.spawn_task(0);
+        pool.run_until_idle();
+        let ran = ran.lock().unwrap();
+        let victim = ran.iter().find(|&&(_, id)| id == 0).expect("root ran").0;
+        assert_eq!(ran.len(), 4, "{ran:?}");
+        assert_eq!(ran[0], (1 - victim, 1), "the thief's first job: {ran:?}");
     }
 
     /// `now` never runs backwards over many back-to-back reads, and over a

@@ -24,13 +24,12 @@
 //!   (and the zero-cost hardware enqueue the fabric performs on delivery).
 //!   This is what lets the PaRSEC LCI backend dedicate a *progress thread*
 //!   separate from the communication thread.
-//! * Completion can be signalled through a **handler** (run inside
-//!   `progress`), a **completion queue** polled by any thread, or a
-//!   **synchronizer** tested/waited individually — all three are provided.
-//!   Like queues and synchronizers, a handler is a registered object
-//!   (`LCI_handler_create`: [`Lci::handler_new`]) that operations name by
-//!   a `Copy` id in [`OnComplete`]; the completion's `ctx` tells the
-//!   operations apart. No operation carries a closure.
+//! * Completion is signalled through a **handler** run inside `progress`
+//!   (LCI also offers completion queues and synchronizers; the engine
+//!   needs neither, so the model leaves them out). A handler is a
+//!   registered object (`LCI_handler_create`: [`Lci::handler_new`]) that
+//!   operations name by a `Copy` id in [`OnComplete`]; the completion's
+//!   `ctx` tells the operations apart. No operation carries a closure.
 //! * Messages on the simulated fabric are plain records in the world's
 //!   slab, sent as their id (`Payload::Wire`); nothing on the message path
 //!   is boxed, so a warmed buffered send allocates nothing.
@@ -51,7 +50,7 @@ mod world;
 
 pub use costs::LciCosts;
 pub use world::{
-    AmMsg, CompEntry, CqId, HandlerId, Lci, LciError, LciWorld, OnComplete, PutMsg, SyncId, WeakLci,
+    AmMsg, CompEntry, HandlerId, Lci, LciError, LciWorld, OnComplete, PutMsg, WeakLci,
 };
 
 #[cfg(test)]

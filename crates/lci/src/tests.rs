@@ -151,28 +151,6 @@ fn rts_before_recvd_matches_later() {
 }
 
 #[test]
-fn completion_queue_and_synchronizer() {
-    let (mut sim, eps) = setup(2);
-    eps[0].set_am_handler(|_, _| SimTime::ZERO);
-    eps[1].set_am_handler(|_, _| SimTime::ZERO);
-    let cq = eps[1].cq_new();
-    let sync = eps[0].sync_new();
-    eps[1]
-        .recvd(&mut sim, 0, 1, 11, OnComplete::Queue(cq))
-        .expect("recvd");
-    eps[0]
-        .sendd(&mut sim, 1, 1, 128 << 10, None, 22, OnComplete::Sync(sync))
-        .expect("sendd");
-    run_progressed(&mut sim, &eps);
-    let e = eps[1].cq_poll(cq).expect("cq entry");
-    assert_eq!(e.ctx, 11);
-    assert!(eps[1].cq_poll(cq).is_none());
-    let s = eps[0].sync_test(sync).expect("sync signalled");
-    assert_eq!(s.ctx, 22);
-    assert!(eps[0].sync_test(sync).is_none(), "sync consumed");
-}
-
-#[test]
 fn sendb_retries_when_tx_pool_exhausted() {
     let costs = LciCosts {
         tx_packets: 2,

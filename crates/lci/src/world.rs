@@ -5,8 +5,8 @@
 //! [`Slab`], sent as its id. The receiving node's handler queues the id;
 //! `progress` takes the record out by value. Direct sends and receives
 //! live in per-endpoint slabs, and
-//! completions name a registered handler, queue or synchronizer by id —
-//! nothing on the message path is boxed.
+//! completions name a registered handler by id — nothing on the message
+//! path is boxed.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -58,8 +58,7 @@ pub struct PutMsg {
     pub sent_at: SimTime,
 }
 
-/// A completion record delivered through a handler, completion queue, or
-/// synchronizer.
+/// A completion record delivered to a handler.
 #[derive(Debug, Clone)]
 pub struct CompEntry {
     /// Peer rank (destination for send completions, source for receives).
@@ -74,20 +73,6 @@ pub struct CompEntry {
     /// For receive completions: when the peer injected the data
     /// ([`SimTime::ZERO`] for local send completions).
     pub sent_at: SimTime,
-}
-
-/// Completion-queue handle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CqId {
-    rank: NodeId,
-    idx: usize,
-}
-
-/// Synchronizer handle (one-shot; re-armed by `sync_test` consuming it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SyncId {
-    rank: NodeId,
-    idx: usize,
 }
 
 /// Completion-handler handle (`LCI_handler_create`): the handler is
@@ -106,10 +91,6 @@ pub enum OnComplete {
     /// Run the handler inside `progress` on the progressing thread; the
     /// returned cost is charged to that thread.
     Handler(HandlerId),
-    /// Push onto a completion queue (polled by any thread).
-    Queue(CqId),
-    /// Signal a synchronizer.
-    Sync(SyncId),
     /// Drop the completion.
     None,
 }
@@ -198,8 +179,6 @@ struct EpState {
     /// The links of every `posted` and `pending_rts` FIFO.
     fifo_links: Slab<FifoLink>,
     handlers: Vec<HandlerFn>,
-    cqs: Vec<VecDeque<CompEntry>>,
-    syncs: Vec<Option<CompEntry>>,
     waker: Option<Waker>,
     retries: u64,
 }
@@ -220,8 +199,6 @@ impl EpState {
             pending_rts: FastMap::default(),
             fifo_links: Slab::default(),
             handlers: Vec::new(),
-            cqs: Vec::new(),
-            syncs: Vec::new(),
             waker: None,
             retries: 0,
         }
@@ -657,40 +634,6 @@ impl Lci {
         }
     }
 
-    /// Create a completion queue.
-    pub fn cq_new(&self) -> CqId {
-        let mut w = self.world.borrow_mut();
-        let ep = &mut w.eps[self.rank];
-        ep.cqs.push(VecDeque::new());
-        CqId {
-            rank: self.rank,
-            idx: ep.cqs.len() - 1,
-        }
-    }
-
-    /// Pop one entry from a completion queue.
-    pub fn cq_poll(&self, cq: CqId) -> Option<CompEntry> {
-        assert_eq!(cq.rank, self.rank, "CQ used on wrong rank");
-        self.world.borrow_mut().eps[self.rank].cqs[cq.idx].pop_front()
-    }
-
-    /// Create a synchronizer.
-    pub fn sync_new(&self) -> SyncId {
-        let mut w = self.world.borrow_mut();
-        let ep = &mut w.eps[self.rank];
-        ep.syncs.push(None);
-        SyncId {
-            rank: self.rank,
-            idx: ep.syncs.len() - 1,
-        }
-    }
-
-    /// Test-and-consume a synchronizer.
-    pub fn sync_test(&self, sync: SyncId) -> Option<CompEntry> {
-        assert_eq!(sync.rank, self.rank, "synchronizer used on wrong rank");
-        self.world.borrow_mut().eps[self.rank].syncs[sync.idx].take()
-    }
-
     fn deliver(&self, sim: &mut Sim, on: OnComplete, entry: CompEntry) -> SimTime {
         let costs = self.costs();
         match on {
@@ -698,17 +641,6 @@ impl Lci {
                 assert_eq!(h.rank, self.rank, "handler used on wrong rank");
                 let f = self.world.borrow().eps[self.rank].handlers[h.idx].clone();
                 costs.handler_base + f(sim, entry)
-            }
-            OnComplete::Queue(cq) => {
-                assert_eq!(cq.rank, self.rank);
-                self.world.borrow_mut().eps[self.rank].cqs[cq.idx].push_back(entry);
-                costs.handler_base
-            }
-            OnComplete::Sync(s) => {
-                assert_eq!(s.rank, self.rank);
-                let prev = self.world.borrow_mut().eps[self.rank].syncs[s.idx].replace(entry);
-                assert!(prev.is_none(), "synchronizer signalled twice");
-                costs.handler_base
             }
             OnComplete::None => SimTime::ZERO,
         }

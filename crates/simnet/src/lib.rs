@@ -57,7 +57,7 @@ pub use metrics::{MetricsRegistry, OverlapTracker};
 pub use resource::{CoreHandle, CoreResource, TokenPool, TokenPoolHandle};
 pub use rng::DetRng;
 pub use slab::Slab;
-pub use stats::{Counter, Histogram, OnlineStats, TimeWeighted};
+pub use stats::{Counter, Histogram, OnlineStats};
 pub use time::SimTime;
 pub use trace::{json_escape, CounterSample, FlowEvent, FlowPhase, InstantEvent, Span, Trace};
 

@@ -1,7 +1,5 @@
 //! Lightweight statistics collectors used across the workspace to measure
-//! simulated quantities: message latencies, queue depths, utilizations.
-
-use crate::time::SimTime;
+//! simulated quantities: message latencies, sizes, counts.
 
 /// A plain monotonically-increasing counter.
 #[derive(Debug, Default, Clone, Copy)]
@@ -143,68 +141,6 @@ impl OnlineStats {
         self.count += other.count;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-    }
-}
-
-/// Time-weighted average of a piecewise-constant signal (e.g. queue depth).
-#[derive(Debug, Clone, Copy)]
-pub struct TimeWeighted {
-    last_t: SimTime,
-    last_v: f64,
-    integral: f64,
-    start: SimTime,
-    peak: f64,
-}
-
-impl Default for TimeWeighted {
-    fn default() -> Self {
-        Self::new(SimTime::ZERO, 0.0)
-    }
-}
-
-impl TimeWeighted {
-    pub fn new(start: SimTime, initial: f64) -> Self {
-        TimeWeighted {
-            last_t: start,
-            last_v: initial,
-            integral: 0.0,
-            start,
-            peak: initial,
-        }
-    }
-
-    /// Record that the signal changed to `v` at time `t`.
-    pub fn set(&mut self, t: SimTime, v: f64) {
-        debug_assert!(t >= self.last_t, "time-weighted signal went backwards");
-        self.integral += self.last_v * (t.saturating_sub(self.last_t)).as_secs_f64();
-        self.last_t = t;
-        self.last_v = v;
-        self.peak = self.peak.max(v);
-    }
-
-    /// Adjust the signal by `dv` at time `t`.
-    pub fn add(&mut self, t: SimTime, dv: f64) {
-        let v = self.last_v + dv;
-        self.set(t, v);
-    }
-
-    pub fn value(&self) -> f64 {
-        self.last_v
-    }
-
-    pub fn peak(&self) -> f64 {
-        self.peak
-    }
-
-    /// Time-weighted mean over `[start, now]`.
-    pub fn mean(&self, now: SimTime) -> f64 {
-        let span = now.saturating_sub(self.start).as_secs_f64();
-        if span == 0.0 {
-            self.last_v
-        } else {
-            let tail = self.last_v * now.saturating_sub(self.last_t).as_secs_f64();
-            (self.integral + tail) / span
-        }
     }
 }
 
@@ -351,16 +287,6 @@ mod tests {
         let s = OnlineStats::new();
         assert!(s.mean().is_nan());
         assert_eq!(s.count(), 0);
-    }
-
-    #[test]
-    fn time_weighted_mean() {
-        let mut g = TimeWeighted::new(SimTime::ZERO, 0.0);
-        g.set(SimTime::from_s(1), 10.0); // 0 for 1s
-        g.set(SimTime::from_s(3), 0.0); // 10 for 2s
-                                        // mean over [0, 4s] = (0*1 + 10*2 + 0*1) / 4 = 5
-        assert!((g.mean(SimTime::from_s(4)) - 5.0).abs() < 1e-12);
-        assert_eq!(g.peak(), 10.0);
     }
 
     #[test]
