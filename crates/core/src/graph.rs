@@ -424,6 +424,20 @@ impl ConsumerLinks {
 pub struct Consumers<'a> {
     links: &'a [Link],
     at: u32,
+    #[cfg(test)]
+    probe: &'a WalkProbe,
+}
+
+/// Deterministic walk counters (tests only), per graph so that tests
+/// running side by side keep their counts apart, and atomic so that a
+/// real run's pool workers can count too.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct WalkProbe {
+    /// Consumer links visited, by any walk.
+    pub(crate) links: std::sync::atomic::AtomicU64,
+    /// Consumer priorities an announce loaded.
+    pub(crate) priorities: std::sync::atomic::AtomicU64,
 }
 
 impl Iterator for Consumers<'_> {
@@ -435,6 +449,10 @@ impl Iterator for Consumers<'_> {
         }
         let link = self.links[self.at as usize];
         self.at = link.next;
+        #[cfg(test)]
+        self.probe
+            .links
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         Some(Consumer {
             task: link.task as TaskId,
             node: link.node as NodeId,
@@ -457,6 +475,8 @@ pub struct TaskGraph {
     /// survives windowed growth because the windowed driver appends through
     /// the same shared graph).
     local_counts: Vec<u32>,
+    #[cfg(test)]
+    pub(crate) probe: Arc<WalkProbe>,
 }
 
 impl TaskGraph {
@@ -471,6 +491,8 @@ impl TaskGraph {
             initial: FastMap::default(),
             edge_hint: 0,
             local_counts: Vec::new(),
+            #[cfg(test)]
+            probe: Arc::default(),
         }
     }
 
@@ -530,7 +552,18 @@ impl TaskGraph {
         Consumers {
             links: &self.consumers.links,
             at: self.versions.get(id).head,
+            #[cfg(test)]
+            probe: &self.probe,
         }
+    }
+
+    /// Count one consumer priority an announce loads (tests only).
+    #[inline]
+    pub(crate) fn priority_probe(&self) {
+        #[cfg(test)]
+        self.probe
+            .priorities
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// The consumers of version `id` placed on `node` whose task is still

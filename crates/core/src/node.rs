@@ -44,7 +44,7 @@ use bytes::Bytes;
 
 use crate::cluster::Tally;
 use crate::config::{ClusterConfig, ExecMode};
-use crate::graph::{GraphHandle, TaskId, VersionId};
+use crate::graph::{GraphHandle, Task, TaskGraph, TaskId, VersionId};
 use crate::protocol::{self, Fanout, Forward, Lat, Port, Tree, AM_ACTIVATE, AM_GETDATA, RTAG_DATA};
 use crate::records::{
     ActivateRec, GetRec, InFlight, PutCb, Record, ACTIVATE_WIRE_BYTES, GET_WIRE_BYTES,
@@ -219,6 +219,9 @@ impl<'a> Vport<'a> {
 }
 
 impl Port for Vport<'_> {
+    /// The GET window queues requests by priority (§4.1).
+    const ORDERS_GETS: bool = true;
+
     fn now(&mut self) -> u64 {
         self.sim.now().as_ns()
     }
@@ -272,6 +275,12 @@ impl Port for Vport<'_> {
     fn present(&mut self, v: usize, data: Option<Bytes>, requested: bool) {
         self.rt.state.borrow_mut().store.present(v, data, requested);
         NodeRt::release_local(self.rt, VersionId(v));
+    }
+
+    fn release(&mut self, g: &TaskGraph, task: TaskId) {
+        if let Some(t) = g.task_if_live(task) {
+            self.rt.release_one(task, t);
+        }
     }
 
     fn requested(&mut self, v: usize, forward: Option<Forward>) {
@@ -366,15 +375,17 @@ impl NodeRt {
         }
         // Announce initial data to remote consumers (pseudo-completion of a
         // "source" task at t=0), funneled.
-        NodeRt::announce_versions(rt, sim, sources.iter().copied(), None);
+        NodeRt::announce_versions(rt, sim, false, sources.iter().copied(), None);
         NodeRt::dispatch(rt, sim);
     }
 
-    /// Announce `versions` to their remote consumers; returns the send
-    /// cost `worker` accumulated (see [`Vport`]).
+    /// Announce `versions` to their remote consumers, releasing the local
+    /// ones of those `produced` here; returns the send cost `worker`
+    /// accumulated (see [`Vport`]).
     fn announce_versions(
         rt: &RtHandle,
         sim: &mut Sim,
+        produced: bool,
         versions: impl Iterator<Item = usize>,
         worker: Option<SimTime>,
     ) -> Option<SimTime> {
@@ -382,7 +393,8 @@ impl NodeRt {
         let mut port = Vport { rt, sim, worker };
         let g = rt.graph.get();
         let sized = versions.map(|v| (v, rt.announce_size(v, g.version(v).size)));
-        protocol::announce(&mut port, &g, &mut fan, Tree::of(&rt.cfg), sized);
+        let tree = Tree::of(&rt.cfg);
+        protocol::announce(&mut port, &g, &mut fan, tree, produced, sized);
         rt.thread.borrow_mut().fan = fan;
         port.worker
     }
@@ -425,8 +437,9 @@ impl NodeRt {
     }
 
     /// A task finished on a worker: run its kernel (Numeric mode), store
-    /// outputs, release local consumers, announce to remote ones, then
-    /// return the worker to the idle pool.
+    /// outputs, announce them (one walk per output releases the local
+    /// consumers and groups the remote ones), then return the worker to
+    /// the idle pool.
     fn task_done(rt: &RtHandle, sim: &mut Sim, task: TaskId, widx: usize) {
         {
             let g = rt.graph.get();
@@ -479,15 +492,12 @@ impl NodeRt {
             }
         }
 
-        // Release local consumers of each output, then announce to remote
-        // consumers; the send cost extends the worker's occupancy.
+        // Release local consumers of each output and announce to remote
+        // ones; the send cost extends the worker's occupancy.
         let extra = {
             let g = rt.graph.get();
-            for vid in g.outputs(task) {
-                NodeRt::release_local(rt, vid);
-            }
             let outputs = g.outputs(task).map(|v| v.0);
-            NodeRt::announce_versions(rt, sim, outputs, Some(SimTime::ZERO))
+            NodeRt::announce_versions(rt, sim, true, outputs, Some(SimTime::ZERO))
         };
         let extra = extra
             .filter(|e| !e.is_zero())
@@ -513,17 +523,23 @@ impl NodeRt {
         NodeRt::dispatch(rt, sim);
     }
 
+    /// An arrival: walk `version`'s consumers for this node's.
     fn release_local(rt: &RtHandle, version: VersionId) {
         let g = rt.graph.get();
-        let mut s = rt.state.borrow_mut();
         for (c, t) in g.live_local_consumers(version.0, rt.node) {
-            let rem = &mut s.remaining[t.local_ix as usize];
-            debug_assert!(*rem > 0, "double release of task {c}");
-            *rem -= 1;
-            if *rem == 0 {
-                let entry = s.entry(t.priority, c);
-                s.ready.push(entry);
-            }
+            rt.release_one(c, t);
+        }
+    }
+
+    /// Count down local task `c`'s inputs; queue it once none is missing.
+    fn release_one(&self, c: TaskId, t: &Task) {
+        let mut s = self.state.borrow_mut();
+        let rem = &mut s.remaining[t.local_ix as usize];
+        debug_assert!(*rem > 0, "double release of task {c}");
+        *rem -= 1;
+        if *rem == 0 {
+            let entry = s.entry(t.priority, c);
+            s.ready.push(entry);
         }
     }
 

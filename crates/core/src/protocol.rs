@@ -6,10 +6,10 @@
 //!
 //! The handlers are generic over a [`Port`], the few services of one node
 //! the protocol needs: a clock, three sends (ACTIVATE, GET DATA, put),
-//! four store transitions and a latency sample. Two ports implement it,
-//! statically dispatched: the virtual node runtime (`node.rs`, over a
-//! `CommEngine` on the simulator) and the real run (`real.rs`, typed
-//! messages on one pool worker). What differs by substrate
+//! four store transitions, a consumer release and a latency sample. Two
+//! ports implement it, statically dispatched: the virtual node runtime
+//! (`node.rs`, over a `CommEngine` on the simulator) and the real run
+//! (`real.rs`, typed messages on one pool worker). What differs by substrate
 //! stays in each one's per-message dispatch, around these handlers: trace
 //! flow arrows, modelled costs or measured calibration samples, the GET
 //! window (virtual) and the outbox (real).
@@ -24,7 +24,7 @@ use amt_simnet::{OnlineStats, SimTime};
 use bytes::Bytes;
 
 use crate::config::ClusterConfig;
-use crate::graph::TaskGraph;
+use crate::graph::{TaskGraph, TaskId};
 use crate::records::{split_subtree, ActivateRec, GetRec, PutCb};
 
 /// AM tag for task-activation messages.
@@ -124,6 +124,11 @@ pub(crate) type Forward = (Vec<u32>, i64);
 
 /// One node's services, as the protocol sees them (module docs).
 pub(crate) trait Port {
+    /// Whether this port orders its GET DATA requests by the priority an
+    /// ACTIVATE carries. The simulated node's GET window does; the real
+    /// port posts each request at once, so its announces carry priority 0
+    /// and load no consumer's task record for one.
+    const ORDERS_GETS: bool;
     /// The current instant, in ns: the virtual clock, or wall time since
     /// the pool started.
     fn now(&mut self) -> u64;
@@ -138,6 +143,10 @@ pub(crate) trait Port {
     /// Mark version `v` present here — it was `requested`, or it arrives
     /// with its announce — and release its local consumers.
     fn present(&mut self, v: usize, data: Option<Bytes>, requested: bool);
+    /// Count down the inputs of `task`, a consumer at this node of a
+    /// version this node has just produced, and queue the task if that
+    /// was its last.
+    fn release(&mut self, g: &TaskGraph, task: TaskId);
     /// Mark version `v` requested, keeping `forward` for its arrival.
     fn requested(&mut self, v: usize, forward: Option<Forward>);
     /// The forward kept for version `v`, if any.
@@ -186,13 +195,21 @@ fn since(now: u64, sent_at_ns: u64) -> SimTime {
 /// (the held payload's length, or the declared size without one): one
 /// ACTIVATE per remote consumer node, in first-appearance order, carrying
 /// the best consumer priority there — or, from `tree.min` nodes on, one
-/// per multicast subtree, carrying the best priority of them all.
+/// per multicast subtree, carrying the best priority of them all. The
+/// priorities are read only for a port that orders its GETs by them
+/// ([`Port::ORDERS_GETS`]).
+///
+/// The one walk over each version's consumers also releases the ones at
+/// home when the version was `produced` here ([`Port::release`]), so a
+/// finishing task walks each output's list once. Initial versions are not
+/// `produced`: the start state already counts them present at home.
 #[inline]
 pub(crate) fn announce<P: Port>(
     p: &mut P,
     g: &TaskGraph,
     fan: &mut Fanout,
     tree: Tree,
+    produced: bool,
     versions: impl IntoIterator<Item = (usize, usize)>,
 ) {
     for (v, size) in versions {
@@ -201,9 +218,17 @@ pub(crate) fn announce<P: Port>(
         fan.dests.clear();
         for c in g.consumers(v) {
             if c.node == home {
+                if produced {
+                    p.release(g, c.task);
+                }
                 continue;
             }
-            let priority = g.task(c.task).priority;
+            let priority = if P::ORDERS_GETS {
+                g.priority_probe();
+                g.task(c.task).priority
+            } else {
+                0
+            };
             if fan.best.len() <= c.node {
                 fan.best.resize(c.node + 1, (0, 0));
             }

@@ -312,26 +312,13 @@ impl RealRun {
     }
 
     /// Mark `v` present at `node` (payload optional; `requested` says
-    /// whether `node` asked for it) and hand `ready` each local consumer
-    /// task this release made ready, in task order. Release builds only
-    /// keep the payload (module docs).
-    fn fulfill_local(
-        &self,
-        node: usize,
-        v: usize,
-        payload: Option<Bytes>,
-        requested: bool,
-        mut ready: impl FnMut(TaskId),
-    ) {
+    /// whether `node` asked for it). Release builds only keep the payload
+    /// (module docs).
+    fn hold(&self, node: usize, v: usize, payload: Option<Bytes>, requested: bool) {
         if cfg!(debug_assertions) {
             self.store(node).present(v, payload, requested);
         } else if let Some(b) = payload {
             self.store(node).keep_payload(v, b);
-        }
-        for c in self.graph.consumers(v) {
-            if c.node == node && self.remaining[c.task].fetch_sub(1, SeqCst) == 1 {
-                ready(c.task);
-            }
         }
     }
 }
@@ -406,16 +393,23 @@ impl<'a, 'c> RealPort<'a, 'c> {
     }
 
     /// Announce `versions` (with the sizes they are held with) to their
-    /// remote consumers.
-    fn announce_versions(&mut self, versions: impl Iterator<Item = (usize, usize)>) {
+    /// remote consumers, releasing the local ones of those `produced` here.
+    fn announce_versions(
+        &mut self,
+        produced: bool,
+        versions: impl Iterator<Item = (usize, usize)>,
+    ) {
         let mut fan = std::mem::take(&mut self.ws.fan);
         let run = self.run;
-        protocol::announce(self, &run.graph, &mut fan, run.tree, versions);
+        protocol::announce(self, &run.graph, &mut fan, run.tree, produced, versions);
         self.ws.fan = fan;
     }
 }
 
 impl Port for RealPort<'_, '_> {
+    /// Every GET DATA is posted at once (module docs).
+    const ORDERS_GETS: bool = false;
+
     #[inline]
     fn now(&mut self) -> u64 {
         match self.at {
@@ -447,11 +441,24 @@ impl Port for RealPort<'_, '_> {
         self.post(dst, at, Msg::Put { cb, size, data });
     }
 
+    /// An arrival: hold `v`, then walk its consumers for this node's.
     #[inline]
     fn present(&mut self, v: usize, data: Option<Bytes>, requested: bool) {
-        let ctx = &mut *self.ctx;
-        let ready = |t| ctx.defer_task(t);
-        self.run.fulfill_local(self.node, v, data, requested, ready);
+        let g = &self.run.graph;
+        self.run.hold(self.node, v, data, requested);
+        for c in g.consumers(v) {
+            if c.node == self.node {
+                self.release(g, c.task);
+            }
+        }
+    }
+
+    /// The release that takes the countdown to zero spawns the task.
+    #[inline]
+    fn release(&mut self, _: &TaskGraph, task: TaskId) {
+        if self.run.remaining[task].fetch_sub(1, SeqCst) == 1 {
+            self.ctx.defer_task(task);
+        }
     }
 
     /// Release builds only keep a forward list (module docs).
@@ -563,22 +570,23 @@ fn exec_task(p: &mut RealPort<'_, '_>, t: TaskId) {
         p.ws.calib_sample(KERNEL, task.name, busy_ns);
     }
 
-    // Completion: outputs become present locally and release local
-    // consumers (spawned first, so another worker can steal them while
-    // this one runs the announces' protocol in line). A kernel's output
+    // Completion: outputs become present locally, then the announce's one
+    // walk over each output's consumers releases the local ones (spawned
+    // before that output's flows run in line, so another worker can steal
+    // them meanwhile) and groups the remote ones. A kernel's output
     // announces its own length, a cost-only one its declared size.
     for (i, out) in run.graph.outputs(t).enumerate() {
-        let ctx = &mut *p.ctx;
-        run.fulfill_local(node, out.0, outs.get(i).cloned(), false, |t| {
-            ctx.defer_task(t)
-        });
+        run.hold(node, out.0, outs.get(i).cloned(), false);
     }
-    p.announce_versions(run.graph.outputs(t).enumerate().map(|(i, out)| {
-        let size = outs
-            .get(i)
-            .map_or(run.graph.version(out.0).size, Bytes::len);
-        (out.0, size)
-    }));
+    p.announce_versions(
+        true,
+        run.graph.outputs(t).enumerate().map(|(i, out)| {
+            let size = outs
+                .get(i)
+                .map_or(run.graph.version(out.0).size, Bytes::len);
+            (out.0, size)
+        }),
+    );
     if let Some((t_entry, drained)) = t_entry {
         let drained = p.ws.drained_ns - drained;
         let total_ns = (p.ctx.now() - t_entry).as_ns();
@@ -666,15 +674,18 @@ fn record_stages(m: &mut MetricsRegistry, msg: &Msg, wire_ns: u64) -> &'static s
 /// its dependence-free tasks, in task order.
 fn node_startup(p: &mut RealPort<'_, '_>) {
     let (run, node) = (p.run, p.node);
-    p.announce_versions(run.init_versions[node].iter().map(|&v| {
-        let size = run.graph.version(v).size;
-        (v, run.graph.initial(v).map_or(size, Bytes::len))
-    }));
+    p.announce_versions(
+        false,
+        run.init_versions[node].iter().map(|&v| {
+            let size = run.graph.version(v).size;
+            (v, run.graph.initial(v).map_or(size, Bytes::len))
+        }),
+    );
     // Seed only *statically* dependence-free tasks — every input a
     // pre-satisfied initial version homed here. Tasks whose counters hit
-    // zero dynamically are spawned by `fulfill_local` at the releasing
-    // delivery; re-checking live counters here would double-spawn a task
-    // that an earlier node's startup flow released.
+    // zero dynamically are spawned by the release that takes them there;
+    // re-checking live counters here would double-spawn a task that an
+    // earlier node's startup flow released.
     for &t in &run.seed_tasks[node] {
         p.ctx.defer_task(t);
     }
@@ -767,10 +778,11 @@ pub(crate) fn run(
     pool.spawn_task(STARTUP);
     pool.run_until_idle();
     let makespan = pool.now() - t0;
-    // Every worker's buffer publications happen-before the parked state
-    // run_until_idle observed, so the snapshots are complete.
-    let (pool_stats, trace) = pool.stats_and_trace();
-    let trace = build_trace(trace);
+    // Every worker's counters and buffer publications happen-before the
+    // parked state run_until_idle observed, and no worker moves again
+    // until the next spawn, so the snapshots are complete and agree.
+    let pool_stats = pool.stats();
+    let trace = build_trace(pool.drain_trace());
     drop(pool);
 
     let run = Arc::try_unwrap(run).unwrap_or_else(|_| panic!("run state still shared after idle"));
@@ -851,7 +863,7 @@ mod tests {
         let mut g = GraphBuilder::new(1);
         g.insert(TaskDesc::new("w").write(0, 0));
         let run = RealRun::new(g.build(), &ClusterConfig::default(), 1);
-        run.fulfill_local(0, 0, None, false, |_| {});
-        run.fulfill_local(0, 0, None, false, |_| {});
+        run.hold(0, 0, None, false);
+        run.hold(0, 0, None, false);
     }
 }

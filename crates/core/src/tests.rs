@@ -1,6 +1,8 @@
 //! Runtime tests: dataflow correctness across nodes and backends, priority
 //! scheduling, latency instrumentation, determinism.
 
+use std::sync::atomic::Ordering::Relaxed;
+
 use amt_comm::{BackendKind, EngineConfig};
 use bytes::Bytes;
 
@@ -1094,6 +1096,57 @@ fn real_exec_messages_are_not_pool_jobs() {
     }
 }
 
+/// Deterministic proxy for a finishing task's walk over its outputs'
+/// consumers, on a 1-thread cost-only real stencil of 8 × 8 tiles on 4
+/// nodes. Each version's consumer list is walked once by its announce,
+/// which also releases the consumers at home, and once more at each node
+/// it arrives at (a producer used to walk it twice: once to release, once
+/// to announce). The real port loads no consumer priority, since it posts
+/// every GET at once; the simulated port loads one per remote consumer
+/// link, for its GET window.
+#[test]
+fn a_producer_walks_each_consumer_list_once() {
+    let graph = || lopsided_stencil(4, 8, 4);
+    let g = graph();
+    let (mut links, mut remote, mut arrivals) = (0, 0, 0);
+    for v in 0..g.version_count() {
+        let home = g.version(v).home();
+        let nodes: Vec<usize> = g.consumers(v).map(|c| c.node).collect();
+        let mut away: Vec<usize> = nodes.iter().copied().filter(|&n| n != home).collect();
+        remote += away.len() as u64;
+        away.sort_unstable();
+        away.dedup();
+        links += nodes.len() as u64;
+        arrivals += (away.len() * nodes.len()) as u64;
+    }
+    assert!(
+        remote > 0 && remote < links,
+        "{remote} of {links} links remote"
+    );
+    let cfg = ClusterConfig {
+        mode: ExecMode::CostOnly,
+        ..small_cfg(BackendKind::Lci, 4)
+    };
+    let g = graph();
+    let probe = g.probe.clone();
+    assert!(Cluster::new(cfg.clone()).execute_real(g, 1).complete());
+    let real = (probe.links.load(Relaxed), probe.priorities.load(Relaxed));
+    assert_eq!(
+        real,
+        (links + arrivals, 0),
+        "real: (link visits, priority loads)"
+    );
+    let g = graph();
+    let probe = g.probe.clone();
+    assert!(Cluster::new(cfg).execute(g).complete());
+    let virt = (probe.links.load(Relaxed), probe.priorities.load(Relaxed));
+    assert_eq!(
+        virt,
+        (links + arrivals, remote),
+        "virtual: (link visits, priority loads)"
+    );
+}
+
 /// An observed real run of the lopsided stencil on `threads` workers
 /// under multicast policy `bcast_tree_min` (complete, every flow
 /// measured, no message a pool job): its merged stage registry, the AMs
@@ -1334,7 +1387,7 @@ mod protocol_port {
 
     use crate::protocol::{self, Fanout, Forward, Lat, Port, Tree};
     use crate::records::{ActivateRec, GetRec, PutCb};
-    use crate::{GraphBuilder, TaskDesc, TaskGraph};
+    use crate::{GraphBuilder, TaskDesc, TaskGraph, TaskId};
 
     #[derive(Debug, PartialEq)]
     enum Call {
@@ -1354,6 +1407,7 @@ mod protocol_port {
             data: bool,
             requested: bool,
         },
+        Release(TaskId),
         Requested(Option<Forward>),
         TakeForward,
         Payload,
@@ -1361,14 +1415,20 @@ mod protocol_port {
     }
 
     /// Records every call; holds the node's payload and kept forwards.
+    /// `ORDERED` is its [`Port::ORDERS_GETS`].
     #[derive(Default)]
-    struct Recorder {
+    struct Recording<const ORDERED: bool> {
         calls: Vec<Call>,
         payload: Option<Bytes>,
         forwards: HashMap<usize, Forward>,
     }
 
-    impl Port for Recorder {
+    /// The recording port of most tests: one that orders its GETs.
+    type Recorder = Recording<true>;
+
+    impl<const ORDERED: bool> Port for Recording<ORDERED> {
+        const ORDERS_GETS: bool = ORDERED;
+
         fn now(&mut self) -> u64 {
             1_000
         }
@@ -1390,6 +1450,9 @@ mod protocol_port {
         fn present(&mut self, _v: usize, data: Option<Bytes>, requested: bool) {
             let data = data.is_some();
             self.calls.push(Call::Present { data, requested });
+        }
+        fn release(&mut self, _g: &TaskGraph, task: TaskId) {
+            self.calls.push(Call::Release(task));
         }
         fn requested(&mut self, v: usize, forward: Option<Forward>) {
             self.calls.push(Call::Requested(forward.clone()));
@@ -1519,9 +1582,9 @@ mod protocol_port {
             g.insert(TaskDesc::new("use").on_node(node).priority(prio).read(v));
         }
         let g = g.build();
-        let mut p = Recorder::default();
+        let (mut p, mut fan) = (Recorder::default(), Fanout::default());
         let unicast = Tree { min: None, k: None };
-        protocol::announce(&mut p, &g, &mut Fanout::default(), unicast, [(v.0, 8)]);
+        protocol::announce(&mut p, &g, &mut fan, unicast, false, [(v.0, 8)]);
         let to = |dst, priority| Call::Activate {
             dst,
             priority,
@@ -1529,13 +1592,22 @@ mod protocol_port {
             forward: vec![],
         };
         assert_eq!(p.calls, [to(2, 9), to(1, 5)]);
+        // A version produced at home: the same walk releases task 1, its
+        // consumer there, before the ACTIVATEs go out.
+        let mut p = Recorder::default();
+        protocol::announce(&mut p, &g, &mut fan, unicast, true, [(v.0, 8)]);
+        assert_eq!(p.calls, [Call::Release(1), to(2, 9), to(1, 5)]);
+        // A port that does not order its GETs reads no priority.
+        let mut p = Recording::<false>::default();
+        protocol::announce(&mut p, &g, &mut fan, unicast, true, [(v.0, 8)]);
+        assert_eq!(p.calls, [Call::Release(1), to(2, 0), to(1, 0)]);
         // Over a tree, one record per subtree, with the best priority.
         let mut p = Recorder::default();
         let tree = Tree {
             min: Some(2),
             k: None,
         };
-        protocol::announce(&mut p, &g, &mut Fanout::default(), tree, [(v.0, 8)]);
+        protocol::announce(&mut p, &g, &mut Fanout::default(), tree, false, [(v.0, 8)]);
         let down = |dst| Call::Activate {
             dst,
             priority: 9,

@@ -8,8 +8,10 @@
 //! * [`Pool`] — the pool itself: one mutex-guarded queue per worker (LIFO
 //!   local push/pop, FIFO stealing by `try_lock`), a shared injector for
 //!   spawns from outside, randomized steal-victim probing seeded by
-//!   `DetRng` (reproducible probe sequences per run seed), an atomic
-//!   epoch parker/wake protocol for idle workers, and quiescence detection
+//!   `DetRng` (reproducible probe sequences per run seed), a park/wake
+//!   protocol for idle workers whose pushes write nothing shared unless a
+//!   worker sleeps (checked over every interleaving by the test-only
+//!   `park_check` module), and quiescence detection
 //!   ([`Pool::run_until_idle`]) from the parked-worker count and an
 //!   injector-job counter. Its clock ([`WorkerCtx::now`]) reads the
 //!   CPU's time-stamp counter where it is invariant, `Instant` elsewhere.
@@ -31,6 +33,8 @@
 #![deny(missing_docs)]
 
 mod obs;
+#[cfg(test)]
+mod park_check;
 mod pool;
 
 pub use obs::{PoolStats, TraceEvent, WorkerStats};

@@ -3,14 +3,19 @@
 //!
 //! ## Trace buffers
 //!
-//! Each worker owns one fixed-capacity [`TraceBuf`]: a slot array written
-//! only by the owning worker (single writer), published slot by slot with
-//! a release store of the length. Recording is wait-free and allocation-
-//! free; when a buffer fills, further events increment a dropped counter
-//! instead of blocking or reallocating, so tracing never perturbs the
-//! run's memory behavior mid-flight. Buffers are only allocated when the
-//! pool is constructed traced ([`crate::Pool::new_traced`]) — an untraced
-//! pool carries `None` and every record site is a single branch.
+//! Each worker owns one fixed-capacity buffer: a slot array published
+//! slot by slot with a release store of the length. [`trace_buf`] makes a
+//! buffer as two ends: the one [`TraceWriter`], which its worker thread
+//! owns and pushes through `&mut`, and the [`TraceReader`] the pool keeps
+//! to drain it. The writer is neither `Clone` nor made any other way, so
+//! one writer per buffer is a property of the types, not of the pool's
+//! habit of passing each worker its own index. Recording is wait-free and
+//! allocation-free; when a buffer fills, further events increment a
+//! dropped counter instead of blocking or reallocating, so tracing never
+//! perturbs the run's memory behavior mid-flight. Buffers are only
+//! allocated when the pool is constructed traced
+//! ([`crate::Pool::new_traced`]) — an untraced pool carries `None` and
+//! every record site is a single branch.
 //!
 //! The drain ([`crate::Pool::drain_trace`]) is a snapshot taken at
 //! quiescence (after [`crate::Pool::run_until_idle`]): workers are parked,
@@ -31,6 +36,7 @@ use std::sync::atomic::{
     AtomicU64, AtomicUsize,
     Ordering::{Acquire, Relaxed, Release},
 };
+use std::sync::Arc;
 
 /// One recorded pool event. Timestamps are nanoseconds since pool start
 /// (the real substrate's clock anchor), matching `WorkerCtx::now`.
@@ -88,50 +94,71 @@ pub enum TraceEvent {
 /// Events each worker's trace buffer can hold before dropping.
 pub(crate) const TRACE_CAP: usize = 1 << 16;
 
-/// A single-writer, fixed-capacity event buffer (see module docs).
-pub(crate) struct TraceBuf {
+/// The slots and counts a [`TraceWriter`] and its [`TraceReader`] share.
+struct TraceSlots {
     slots: Box<[UnsafeCell<MaybeUninit<TraceEvent>>]>,
     len: AtomicUsize,
     dropped: AtomicU64,
 }
 
-// The owning worker is the only writer; concurrent readers only touch
-// slots below the published length (release/acquire on `len`).
-unsafe impl Sync for TraceBuf {}
+// The one `TraceWriter` writes only the slot at the published length and
+// then publishes it (release); a reader only touches slots below the
+// length it loaded (acquire). No slot is ever read and written at once.
+unsafe impl Sync for TraceSlots {}
 
-impl TraceBuf {
-    pub(crate) fn new(cap: usize) -> TraceBuf {
-        let slots = (0..cap)
+/// The writing end of a trace buffer: one per buffer, owned by its worker
+/// (module docs).
+pub(crate) struct TraceWriter(Arc<TraceSlots>);
+
+/// The reading end of a trace buffer, kept by the pool.
+pub(crate) struct TraceReader(Arc<TraceSlots>);
+
+/// A fixed-capacity event buffer of `cap` slots, as its only writer and
+/// its reader.
+pub(crate) fn trace_buf(cap: usize) -> (TraceWriter, TraceReader) {
+    let slots = Arc::new(TraceSlots {
+        slots: (0..cap)
             .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-            .collect();
-        TraceBuf {
-            slots,
-            len: AtomicUsize::new(0),
-            dropped: AtomicU64::new(0),
-        }
-    }
+            .collect(),
+        len: AtomicUsize::new(0),
+        dropped: AtomicU64::new(0),
+    });
+    (TraceWriter(slots.clone()), TraceReader(slots))
+}
 
-    /// Owner-only push. Full buffers count the event as dropped.
-    pub(crate) fn push(&self, ev: TraceEvent) {
-        let len = self.len.load(Relaxed);
-        if len >= self.slots.len() {
-            self.dropped.fetch_add(1, Relaxed);
+impl TraceWriter {
+    /// Record `ev`; a full buffer counts it as dropped.
+    pub(crate) fn push(&mut self, ev: TraceEvent) {
+        let b = &*self.0;
+        let len = b.len.load(Relaxed);
+        if len >= b.slots.len() {
+            bump(&b.dropped);
             return;
         }
-        unsafe { (*self.slots[len].get()).write(ev) };
-        self.len.store(len + 1, Release);
+        // SAFETY: this writer is the buffer's only one and `&mut self`
+        // excludes a concurrent push, so nothing else writes slot `len`;
+        // readers read only below the published length, which is `len`
+        // until the store below.
+        unsafe { (*b.slots[len].get()).write(ev) };
+        b.len.store(len + 1, Release);
     }
+}
 
+impl TraceReader {
     /// Snapshot of every published event (call at quiescence).
     pub(crate) fn drain(&self) -> Vec<TraceEvent> {
-        let len = self.len.load(Acquire);
+        let b = &*self.0;
+        let len = b.len.load(Acquire);
         (0..len)
-            .map(|i| unsafe { (*self.slots[i].get()).assume_init() })
+            // SAFETY: the writer initialized every slot below `len` before
+            // its release store of `len`, which the acquire load above
+            // read; it never writes those slots again.
+            .map(|i| unsafe { (*b.slots[i].get()).assume_init() })
             .collect()
     }
 
     pub(crate) fn dropped(&self) -> u64 {
-        self.dropped.load(Relaxed)
+        self.0.dropped.load(Relaxed)
     }
 }
 
@@ -230,14 +257,14 @@ mod tests {
 
     #[test]
     fn trace_buf_drops_past_capacity_and_counts() {
-        let b = TraceBuf::new(4);
+        let (mut w, r) = trace_buf(4);
         for i in 0..6 {
-            b.push(TraceEvent::Park { at_ns: i });
+            w.push(TraceEvent::Park { at_ns: i });
         }
-        let evs = b.drain();
+        let evs = r.drain();
         assert_eq!(evs.len(), 4);
         assert!(matches!(evs[3], TraceEvent::Park { at_ns: 3 }));
-        assert_eq!(b.dropped(), 2);
+        assert_eq!(r.dropped(), 2);
     }
 
     #[test]

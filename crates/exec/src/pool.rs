@@ -21,38 +21,49 @@
 //!
 //! ## Parker / wake protocol
 //!
-//! Workers that find nothing park on a condvar. Every push bumps an
-//! atomic `epoch`; a worker snapshots it *before* scanning for work. To
-//! park, a worker takes the `sync` mutex, raises the atomic `sleepers`
-//! count and then re-reads the epoch: if it moved, work may have arrived
-//! mid-scan, so it lowers `sleepers` and rescans; otherwise it waits on
-//! the condvar until the epoch moves. A pusher bumps the epoch, then reads
-//! `sleepers`, and takes `sync` to notify only when it is non-zero. Each
-//! side writes one variable and then reads the other's, all `SeqCst` (a
-//! Dekker pairing), so at least one sees the other: either the parker's
-//! re-read sees the bump, or the pusher sees the sleeper and notifies
-//! under `sync` — which the parker holds from raising `sleepers` until its
-//! wait releases it, so the notify cannot fall between its check and its
-//! wait. No wakeup is lost, and a push with nobody parked takes no lock.
+//! Workers that find nothing park on a condvar. A push writes nothing
+//! shared unless a worker sleeps: the pusher queues its job, issues a
+//! `SeqCst` fence and loads the atomic `sleepers` count. Only when that is
+//! non-zero does it take the `sync` mutex and, if a sleeper is still
+//! counted there, *claim* it: lower `sleepers`, add a wake token and
+//! notify one waiter. A parker takes `sync`, raises `sleepers`, issues a
+//! `SeqCst` fence and, still under `sync`, rescans every queue and the
+//! injector. If it finds a job it lowers `sleepers` and scans again;
+//! otherwise it waits on the condvar until a token is there, and takes it.
+//!
+//! The two fences pair as in Dekker's algorithm. Each side writes, fences,
+//! then reads what the other wrote: the pusher its queue (under the
+//! queue's mutex, unlocked before the fence) then `sleepers`, the parker
+//! `sleepers` then each queue (locked after the fence). `SeqCst` fences
+//! are totally ordered. If the pusher's comes first, the parker's lock of
+//! that queue reads its unlock or a later one, so the rescan sees the job.
+//! If the parker's comes first, the pusher's load reads the raise or a
+//! later change: a claim by another pusher, which wakes a worker, or the
+//! parker lowering its count after a rescan that found work, after which
+//! it scans again. Either way some worker scans after the job was queued:
+//! no wakeup is lost. The parker holds `sync` from its raise until its
+//! wait releases it, so a claim cannot fall between rescan and wait.
+//!
+//! A push from a worker with nobody asleep thus writes nothing outside its
+//! own queue and counters, and takes no lock but its queue's. The protocol is transcribed as step machines in
+//! `park_check.rs`, which enumerates every interleaving of two workers
+//! and an external spawner.
 //!
 //! ## Quiescence
 //!
 //! `pending` counts injector jobs only — external spawns — raised before
 //! the push and lowered when a worker takes the job. Queued jobs need no
-//! count: a worker parks only after its own pop found its queue empty, and
-//! only a job running on that worker pushes to its queue. So while every
-//! worker is parked no queue holds a job and no job runs, and with
-//! `pending == 0` the injector holds none either.
-//! [`Pool::run_until_idle`] waits, under `sync`, for exactly that: the last
-//! worker to park signals it. Parking takes the `sync` mutex, so
+//! count: only a running job pushes to a worker queue, and a parker's
+//! rescan found every queue empty after its raise. `sleepers` counts the
+//! waiting workers nobody has claimed: a woken worker stops counting when
+//! its waker claims it, before it runs again. So `sleepers == threads`
+//! means every worker waits with no token outstanding — no queue holds a
+//! job and no job runs — and with `pending == 0` the injector holds none
+//! either. [`Pool::run_until_idle`] waits, under `sync`, for exactly that:
+//! the last worker to park signals it. Parking takes the `sync` mutex, so
 //! everything a worker wrote before — counters, trace events, whatever its
-//! jobs touched — happens-before the caller's return, and no job runs
-//! until the next spawn. One worker may still move: a parked worker woken
-//! by a push whose job another worker took before it woke is counted as a
-//! sleeper until it retakes `sync`, so the caller can return first; the
-//! woken worker then rescans, finds nothing and parks again, under `sync`.
-//! [`Pool::stats_and_trace`] reads the counters and the trace under
-//! `sync`, so that they agree about its parks.
+//! jobs touched — happens-before the caller's return, and no worker runs,
+//! parks or records anything until the next spawn.
 //!
 //! ## Clock
 //!
@@ -69,7 +80,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{
-    AtomicU64, AtomicUsize,
+    fence, AtomicU64, AtomicUsize,
     Ordering::{Relaxed, SeqCst},
 };
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
@@ -77,7 +88,9 @@ use std::time::{Duration, Instant};
 
 use amt_simnet::{DetRng, SimTime};
 
-use crate::obs::{bump, PoolStats, TraceBuf, TraceEvent, WorkerCounters, TRACE_CAP};
+use crate::obs::{
+    bump, trace_buf, PoolStats, TraceEvent, TraceReader, TraceWriter, WorkerCounters, TRACE_CAP,
+};
 
 /// A closure job: runs on whichever worker takes it, and may defer
 /// more. `Send` because a thief may run it on another thread.
@@ -94,16 +107,24 @@ enum Job {
 /// The pool's task runner: runs a task id on the calling worker.
 type Runner = dyn Fn(&mut WorkerCtx<'_>, usize) + Send + Sync;
 
-/// The atomics every push touches (module docs), on cache lines of their
-/// own so that bumping the epoch does not evict the read-mostly fields
-/// every worker loads.
+/// The atomics of the park protocol (module docs), on a cache line of
+/// their own: every push reads `sleepers`, and a park writes it.
 #[repr(align(128))]
 struct Parking {
-    epoch: AtomicU64,
-    /// Workers parked or committing to park; changed only under `sync`.
+    /// Waiting workers not yet claimed by a waker; changed only under
+    /// `sync`.
     sleepers: AtomicUsize,
     /// Injector jobs not yet taken.
     pending: AtomicUsize,
+}
+
+/// What `sync` guards (module docs).
+struct Sleep {
+    /// Set when the pool drops: every worker returns.
+    shutdown: bool,
+    /// Claimed sleepers whose waiter has not yet woken and taken its
+    /// token.
+    wakes: usize,
 }
 
 /// A worker's queue (module docs), on a cache line of its own so that one
@@ -116,8 +137,8 @@ struct PoolShared {
     queues: Vec<Queue>,
     injector: Mutex<VecDeque<Job>>,
     parking: Parking,
-    /// The shutdown flag; parkers and notifiers lock it (module docs).
-    sync: Mutex<bool>,
+    /// Parkers, wakers and [`Pool::run_until_idle`] lock it (module docs).
+    sync: Mutex<Sleep>,
     wake: Condvar,
     /// Signalled (under `sync`) by the last worker to park.
     quiet: Condvar,
@@ -130,9 +151,9 @@ struct PoolShared {
     injector_pushes: AtomicU64,
     /// Globally-unique steal flow-arrow ids.
     steal_seq: AtomicU64,
-    /// Per-worker trace buffers; `None` on an untraced pool, making
-    /// every record site a single branch (zero-cost when disabled).
-    trace: Option<Vec<TraceBuf>>,
+    /// The reading ends of the per-worker trace buffers; `None` on an
+    /// untraced pool. Each worker owns its buffer's writer.
+    trace: Option<Vec<TraceReader>>,
 }
 
 impl PoolShared {
@@ -146,20 +167,29 @@ impl PoolShared {
         self.queues[index].0.lock().expect("pool queue")
     }
 
-    /// The trace buffer of worker `index`, if tracing is on.
-    fn buf(&self, index: usize) -> Option<&TraceBuf> {
-        self.trace.as_ref().map(|bufs| &bufs[index])
-    }
-
-    /// After a push: bump the epoch; wake a sleeper if there is one
-    /// (module docs).
+    /// After a push: wake a sleeper if there is one (module docs). With
+    /// nobody asleep this writes nothing shared.
     fn notify_push(&self) {
         let p = &self.parking;
-        p.epoch.fetch_add(1, SeqCst);
-        if p.sleepers.load(SeqCst) > 0 {
-            let _sync = self.sync.lock().expect("pool sync");
-            self.wake.notify_one();
+        // Pairs with the parker's fence after its raise (module docs).
+        fence(SeqCst);
+        if p.sleepers.load(Relaxed) > 0 {
+            let mut s = self.sync.lock().expect("pool sync");
+            // Claim one sleeper, if another waker has not claimed the last.
+            if p.sleepers.load(Relaxed) > 0 {
+                p.sleepers.fetch_sub(1, SeqCst);
+                s.wakes += 1;
+                self.wake.notify_one();
+            }
         }
+    }
+
+    /// Whether a queue or the injector holds a job: a parker's rescan.
+    fn has_work(&self) -> bool {
+        self.queues
+            .iter()
+            .any(|q| !q.0.lock().expect("pool queue").is_empty())
+            || !self.injector.lock().expect("pool injector").is_empty()
     }
 
     /// Queue `job` on the injector (a spawn from outside the pool).
@@ -279,10 +309,14 @@ pub struct Pool {
 }
 
 /// The per-worker execution context jobs run against: the clock, this
-/// worker's identity, its queue, and its trace buffer.
+/// worker's identity, its queue, and its trace buffer. Each worker thread
+/// makes one and lends it to every job it runs.
 pub struct WorkerCtx<'a> {
     shared: &'a PoolShared,
     index: usize,
+    /// This worker's trace buffer; `None` on an untraced pool, making
+    /// every record site a single branch (zero-cost when disabled).
+    trace: Option<TraceWriter>,
 }
 
 impl WorkerCtx<'_> {
@@ -316,21 +350,27 @@ impl WorkerCtx<'_> {
             q.len()
         };
         bump(&self.shared.counters[self.index].deque_pushes);
-        if let Some(buf) = self.shared.buf(self.index) {
-            buf.push(TraceEvent::DequeDepth {
-                at_ns: self.shared.now_ns(),
-                depth: depth as u32,
-            });
-        }
+        self.record(|at_ns| TraceEvent::DequeDepth {
+            at_ns,
+            depth: depth as u32,
+        });
         self.shared.notify_push();
+    }
+
+    /// On a traced pool, record the event `ev` makes of the current
+    /// instant in this worker's buffer.
+    fn record(&mut self, ev: impl FnOnce(u64) -> TraceEvent) {
+        if let Some(w) = &mut self.trace {
+            w.push(ev(self.shared.now_ns()));
+        }
     }
 
     /// A task named `name`, of simulated node `node`, ran on this worker
     /// over `[start, end]`: on a traced pool, a span in this worker's
     /// trace buffer (the same Chrome-trace vocabulary as virtual runs).
     pub fn trace_task(&mut self, name: &'static str, node: usize, start: SimTime, end: SimTime) {
-        if let Some(buf) = self.shared.buf(self.index) {
-            buf.push(TraceEvent::Span {
+        if let Some(w) = &mut self.trace {
+            w.push(TraceEvent::Span {
                 name,
                 node: node as u32,
                 start_ns: start.as_ns(),
@@ -374,17 +414,24 @@ impl Pool {
         } else {
             threads
         };
+        let (writers, readers): (Vec<_>, Vec<_>) = if traced {
+            (0..threads).map(|_| trace_buf(TRACE_CAP)).unzip()
+        } else {
+            (Vec::new(), Vec::new())
+        };
         let shared = Arc::new(PoolShared {
             queues: (0..threads)
                 .map(|_| Queue(Mutex::new(VecDeque::new())))
                 .collect(),
             injector: Mutex::new(VecDeque::new()),
             parking: Parking {
-                epoch: AtomicU64::new(0),
                 sleepers: AtomicUsize::new(0),
                 pending: AtomicUsize::new(0),
             },
-            sync: Mutex::new(false),
+            sync: Mutex::new(Sleep {
+                shutdown: false,
+                wakes: 0,
+            }),
             wake: Condvar::new(),
             quiet: Condvar::new(),
             runner: Box::new(runner),
@@ -393,14 +440,15 @@ impl Pool {
             counters: (0..threads).map(|_| WorkerCounters::default()).collect(),
             injector_pushes: AtomicU64::new(0),
             steal_seq: AtomicU64::new(0),
-            trace: traced.then(|| (0..threads).map(|_| TraceBuf::new(TRACE_CAP)).collect()),
+            trace: traced.then_some(readers),
         });
+        let mut writers = writers.into_iter();
         let threads = (0..threads)
             .map(|index| {
-                let shared = shared.clone();
+                let (shared, trace) = (shared.clone(), writers.next());
                 std::thread::Builder::new()
                     .name(format!("amt-exec-{index}"))
-                    .spawn(move || worker_loop(index, &shared))
+                    .spawn(move || worker_loop(index, &shared, trace))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -438,8 +486,9 @@ impl Pool {
         }
     }
 
-    /// Snapshot the pool's scheduling counters. Stable once the pool is
-    /// quiescent ([`Pool::run_until_idle`]); advisory while jobs run.
+    /// Snapshot the pool's scheduling counters. Stable from the return of
+    /// [`Pool::run_until_idle`] to the next spawn; advisory while jobs
+    /// run.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
             per_worker: self.shared.counters.iter().map(|c| c.snapshot()).collect(),
@@ -463,21 +512,11 @@ impl Pool {
             .as_ref()
             .map(|bufs| bufs.iter().map(|b| b.drain()).collect())
     }
-
-    /// [`Pool::stats`] and [`Pool::drain_trace`] read together under
-    /// `sync`, at quiescence: a worker that parks again after
-    /// [`Pool::run_until_idle`] returned (module docs) does so either
-    /// wholly before or wholly after, so the park counts and park instants
-    /// agree.
-    pub fn stats_and_trace(&self) -> (PoolStats, Option<Vec<Vec<TraceEvent>>>) {
-        let _sync = self.shared.sync.lock().expect("pool sync");
-        (self.stats(), self.drain_trace())
-    }
 }
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        *self.shared.sync.lock().expect("pool sync") = true;
+        self.shared.sync.lock().expect("pool sync").shutdown = true;
         self.shared.wake.notify_all();
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -485,16 +524,16 @@ impl Drop for Pool {
     }
 }
 
-fn worker_loop(index: usize, shared: &PoolShared) {
+fn worker_loop(index: usize, shared: &PoolShared, trace: Option<TraceWriter>) {
     let mut rng = DetRng::seed_from_u64(shared.seed ^ (index as u64).wrapping_mul(0x9e3779b9));
-    let n = shared.queues.len();
+    let mut ctx = WorkerCtx {
+        shared,
+        index,
+        trace,
+    };
     let p = &shared.parking;
     loop {
-        // Snapshot the epoch before scanning so a push racing the scan
-        // forces a rescan instead of a lost wakeup.
-        let epoch = p.epoch.load(SeqCst);
-        if let Some(job) = find_job(index, shared, &mut rng, n) {
-            let mut ctx = WorkerCtx { shared, index };
+        if let Some(job) = find_job(&mut ctx, &mut rng) {
             match job {
                 Job::Task(id) => (shared.runner)(&mut ctx, id),
                 Job::Closure(f) => f(&mut ctx),
@@ -503,47 +542,47 @@ fn worker_loop(index: usize, shared: &PoolShared) {
             continue;
         }
         let mut s = shared.sync.lock().expect("pool sync");
-        if *s {
+        if s.shutdown {
             return;
         }
         p.sleepers.fetch_add(1, SeqCst);
-        // Moved: work arrived mid-scan; rescan. Unchanged: a later pusher
-        // sees this sleeper and notifies (module docs).
-        if p.epoch.load(SeqCst) == epoch {
-            bump(&shared.counters[index].parks);
-            if let Some(buf) = shared.buf(index) {
-                buf.push(TraceEvent::Park {
-                    at_ns: shared.now_ns(),
-                });
-            }
-            if p.sleepers.load(SeqCst) == n {
-                shared.quiet.notify_all();
-            }
-            while p.epoch.load(SeqCst) == epoch && !*s {
-                s = shared.wake.wait(s).expect("pool wake wait");
-            }
-            if let Some(buf) = shared.buf(index) {
-                buf.push(TraceEvent::Unpark {
-                    at_ns: shared.now_ns(),
-                });
-            }
+        // Pairs with a pusher's fence (module docs): a job queued after
+        // the scan above is found here, or its pusher sees this sleeper.
+        fence(SeqCst);
+        if shared.has_work() {
+            p.sleepers.fetch_sub(1, SeqCst);
+            continue;
         }
-        p.sleepers.fetch_sub(1, SeqCst);
+        bump(&shared.counters[index].parks);
+        ctx.record(|at_ns| TraceEvent::Park { at_ns });
+        if p.sleepers.load(SeqCst) == shared.queues.len() {
+            shared.quiet.notify_all();
+        }
+        while s.wakes == 0 && !s.shutdown {
+            s = shared.wake.wait(s).expect("pool wake wait");
+        }
+        if s.shutdown {
+            return;
+        }
+        // Its waker already lowered `sleepers` for it.
+        s.wakes -= 1;
+        drop(s);
+        ctx.record(|at_ns| TraceEvent::Unpark { at_ns });
     }
 }
 
-fn find_job(index: usize, shared: &PoolShared, rng: &mut DetRng, n: usize) -> Option<Job> {
+fn find_job(ctx: &mut WorkerCtx<'_>, rng: &mut DetRng) -> Option<Job> {
+    let (shared, index) = (ctx.shared, ctx.index);
+    let n = shared.queues.len();
     let popped = {
         let mut q = shared.queue(index);
         q.pop_back().map(|job| (job, q.len()))
     };
     if let Some((job, depth)) = popped {
-        if let Some(buf) = shared.buf(index) {
-            buf.push(TraceEvent::DequeDepth {
-                at_ns: shared.now_ns(),
-                depth: depth as u32,
-            });
-        }
+        ctx.record(|at_ns| TraceEvent::DequeDepth {
+            at_ns,
+            depth: depth as u32,
+        });
         return Some(job);
     }
     {
@@ -552,12 +591,10 @@ fn find_job(index: usize, shared: &PoolShared, rng: &mut DetRng, n: usize) -> Op
             shared.parking.pending.fetch_sub(1, SeqCst);
             let depth = inj.len();
             drop(inj);
-            if let Some(buf) = shared.buf(index) {
-                buf.push(TraceEvent::InjectorDepth {
-                    at_ns: shared.now_ns(),
-                    depth: depth as u32,
-                });
-            }
+            ctx.record(|at_ns| TraceEvent::InjectorDepth {
+                at_ns,
+                depth: depth as u32,
+            });
             return Some(job);
         }
     }
@@ -584,13 +621,11 @@ fn find_job(index: usize, shared: &PoolShared, rng: &mut DetRng, n: usize) -> Op
                 continue;
             };
             bump(&shared.counters[index].steals);
-            if let Some(buf) = shared.buf(index) {
-                buf.push(TraceEvent::Steal {
-                    id: shared.steal_seq.fetch_add(1, Relaxed),
-                    victim: victim as u32,
-                    at_ns: shared.now_ns(),
-                });
-            }
+            ctx.record(|at_ns| TraceEvent::Steal {
+                id: shared.steal_seq.fetch_add(1, Relaxed),
+                victim: victim as u32,
+                at_ns,
+            });
             return Some(job);
         }
     }
@@ -900,8 +935,8 @@ mod tests {
     ///   is awake. The test then takes `sync` and opens the gate: no worker
     ///   can park now, and each that runs dry stops between its scan and
     ///   its park — the lost-wakeup window. A leaf pushed then sees no
-    ///   sleeper and notifies nobody; only the parker's epoch re-read finds
-    ///   it.
+    ///   sleeper and notifies nobody; only the parker's rescan of the
+    ///   queues, after it raises `sleepers`, finds it.
     ///
     /// A lost wakeup strands a job and hangs `run_until_idle`; the
     /// watchdog turns the hang into a failure. Violations are noted and
@@ -1035,7 +1070,33 @@ mod tests {
         );
     }
 
-    /// A parker that waits without re-reading the epoch after raising
+    /// After [`Pool::run_until_idle`] returns, no worker runs, parks or
+    /// counts anything until the next spawn: two `stats()` reads 5 ms
+    /// apart agree. Each round's root defers children, and each push wakes
+    /// a parked worker that the root's own worker may beat to the child.
+    #[test]
+    fn stats_hold_still_after_run_until_idle() {
+        for workers in [2, 4] {
+            let pool = Pool::new(workers, 21);
+            for round in 0..200 {
+                pool.spawn(Box::new(|sub| {
+                    for _ in 0..3 {
+                        sub.defer(Box::new(|_| {}));
+                    }
+                }));
+                pool.run_until_idle();
+                let before = pool.stats();
+                std::thread::sleep(Duration::from_millis(5));
+                let after = pool.stats();
+                assert_eq!(
+                    before.per_worker, after.per_worker,
+                    "{workers} workers, round {round}: a worker moved after idle"
+                );
+            }
+        }
+    }
+
+    /// A parker that waits without rescanning the queues after raising
     /// `sleepers` hangs here in the first even round whose window opens.
     #[test]
     fn hammer_wakeups_and_quiescence_lose_no_job() {

@@ -352,6 +352,34 @@ if "elapsed(" in body.group(1):
 print("pool clock: PoolShared::now_ns reads no Instant")
 PY
 
+echo "== the pool's push writes nothing shared unless a worker sleeps; a finishing real task walks each output's consumers once =="
+python3 - <<'PY'
+import re, sys
+src = open("crates/exec/src/pool.rs").read()
+body = re.search(r"\n    fn notify_push\(&self\) \{(.*?)\n    \}\n", src, re.S)
+if body is None:
+    sys.exit("PoolShared::notify_push not found in pool.rs")
+body = body.group(1)
+# Cut the `sleepers > 0` branch (through its matching brace) out of the body.
+branch = re.search(r"\bif [^{]*sleepers[^{]*> 0 \{", body)
+if branch is not None:
+    depth, end = 1, branch.end()
+    while depth:
+        depth += {"{": 1, "}": -1}.get(body[end], 0)
+        end += 1
+    body = body[:branch.start()] + body[end:]
+rmw = re.findall(r"\b(fetch_\w+|swap|compare_exchange\w*)\(", body)
+if rmw:
+    sys.exit(f"PoolShared::notify_push writes a shared atomic with nobody asleep: {rmw}")
+src = open("crates/core/src/real.rs").read()
+body = re.search(r"\nfn exec_task\(.*?\n\}\n", src, re.S)
+if body is None:
+    sys.exit("exec_task not found in real.rs")
+if "fulfill_local" in body.group(0):
+    sys.exit("real.rs exec_task walks its outputs' consumers before the announce walks them again")
+print("pool push: no read-modify-write outside the sleepers branch; exec_task: one consumer walk")
+PY
+
 echo "== simulated nodes keep only protocol state: no per-node scratch in NodeState =="
 python3 - <<'PY'
 import re, sys
