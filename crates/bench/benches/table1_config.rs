@@ -1,7 +1,7 @@
 //! Table 1: hardware and software configuration — printed for the
 //! *simulated* platform, side by side with the paper's real one.
 
-use amt_comm::EngineConfig;
+use amt_comm::{EngineConfig, AM_BATCH, AM_RECV_DEPTH};
 use amt_core::CostModel;
 use amt_netmodel::FabricConfig;
 
@@ -34,11 +34,11 @@ fn main() {
     println!("Backends          MiniMPI (Open MPI 4.1.5/UCX model) | LCI (v1.7 model)");
     println!(
         "MPI backend       {} persistent recvs/tag, {} concurrent transfers",
-        eng.am_recv_depth, eng.max_concurrent_transfers
+        AM_RECV_DEPTH, eng.max_concurrent_transfers
     );
     println!(
         "LCI backend       progress thread on own core, {} AM completions/round,",
-        eng.am_batch
+        AM_BATCH
     );
     println!(
         "                  eager puts <= {} B, AM aggregation <= {} B",

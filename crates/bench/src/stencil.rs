@@ -1,6 +1,5 @@
 //! Five-point stencil task-graph builder — the communication-bound halo
-//! exchange pattern shared by the `stencil` example and the message-rate
-//! harness.
+//! exchange pattern shared by the `stencil` example and the tests.
 //!
 //! The domain is a `tiles × tiles` grid (one task per tile per sweep);
 //! each sweep's task reads its own tile plus the four neighbour tiles

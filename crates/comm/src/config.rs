@@ -50,6 +50,12 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
+/// Persistent receives posted per registered AM tag (MPI backend; the
+/// paper's implementation uses five).
+pub const AM_RECV_DEPTH: usize = 5;
+/// AM completions processed per communication-thread round before the
+/// bulk-data queue is drained (LCI backend; the paper uses five).
+pub const AM_BATCH: usize = 5;
 /// CPU cost of dequeueing/bookkeeping one submitted command on the
 /// communication thread.
 pub(crate) const CMD_OVERHEAD: SimTime = SimTime::from_ns(100);
@@ -63,15 +69,9 @@ pub(crate) const WAKE_LATENCY: SimTime = SimTime::from_ns(100);
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     pub backend: BackendKind,
-    /// Persistent receives posted per registered AM tag (MPI backend; the
-    /// paper's implementation uses five).
-    pub am_recv_depth: usize,
     /// Maximum concurrently polled data transfers, sends plus receives
     /// (MPI backend; the paper's implementation uses 30).
     pub max_concurrent_transfers: usize,
-    /// AM completions processed per communication-thread round before the
-    /// bulk-data queue is drained (LCI backend; the paper uses five).
-    pub am_batch: usize,
     /// Puts at or below this size ride eagerly inside the LCI handshake
     /// message (§5.3.3 optimization). The direct-put backend uses the same
     /// threshold: payloads under it stay inline in the buffered message.
@@ -115,9 +115,7 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             backend: BackendKind::Lci,
-            am_recv_depth: 5,
             max_concurrent_transfers: 30,
-            am_batch: 5,
             eager_put_max: 4096,
             agg_max_bytes: 8192,
             batch_window_ns: 0,
@@ -200,9 +198,7 @@ mod tests {
     #[test]
     fn defaults_match_paper() {
         let c = EngineConfig::mpi();
-        assert_eq!(c.am_recv_depth, 5);
         assert_eq!(c.max_concurrent_transfers, 30);
-        assert_eq!(c.am_batch, 5);
         assert!(!c.multithread_am);
         // Batching is off by default: zero window = flush-immediately.
         assert_eq!(c.batch_window_ns, 0);

@@ -29,7 +29,7 @@ use amt_simnet::{Counter, FastMap, Sim, SimTime, Slab};
 use bytes::{Bytes, Frames};
 
 use crate::backend::CommBackend;
-use crate::config::{EngineConfig, CMD_OVERHEAD, FIFO_POP, WAKE_LATENCY};
+use crate::config::{EngineConfig, AM_BATCH, CMD_OVERHEAD, FIFO_POP, WAKE_LATENCY};
 use crate::engine::{
     dispatch_am, dispatch_onesided, dispatch_put_local, AmEvent, CommEngine, Command, Micro,
     PutEvent, PutLocalCb, PutRequest,
@@ -342,14 +342,14 @@ impl LciBackend {
         });
     }
 
-    /// One §5.3.4 fairness round: up to `am_batch` AM completions, then all
+    /// One §5.3.4 fairness round: up to `AM_BATCH` AM completions, then all
     /// bulk-data completions; repeat while anything was processed. Each
     /// completion becomes one micro-task code; its entry stays at its
     /// FIFO's front until the code runs.
     fn exec_fifo_round(&self, eng: &Rc<CommEngine>) -> SimTime {
         let mut st = self.st.borrow_mut();
         let mut inner = eng.inner.borrow_mut();
-        let ams = (st.am_fifo.len() - st.am_claimed).min(eng.cfg.am_batch);
+        let ams = (st.am_fifo.len() - st.am_claimed).min(AM_BATCH);
         let datas = st.data_fifo.len() - st.data_claimed;
         st.am_claimed += ams;
         st.data_claimed += datas;

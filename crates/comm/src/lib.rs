@@ -57,7 +57,7 @@ pub mod shm;
 mod stats;
 mod wire;
 
-pub use config::{BackendKind, EngineConfig};
+pub use config::{BackendKind, EngineConfig, AM_BATCH, AM_RECV_DEPTH};
 pub use engine::{
     AmCallback, AmEvent, CommEngine, CommWorld, OnesidedCallback, PutEvent, PutLocalCb, PutRequest,
 };

@@ -12,7 +12,7 @@ use amt_simnet::{CoreHandle, CoreResource, Counter, FastMap, Sim, SimTime};
 use bytes::{Bytes, Frames};
 
 use crate::backend::CommBackend;
-use crate::config::CMD_OVERHEAD;
+use crate::config::{AM_RECV_DEPTH, CMD_OVERHEAD};
 use crate::engine::{
     dispatch_am, dispatch_onesided, dispatch_put_local, AmEvent, CommEngine, Micro, PutEvent,
     PutLocalCb, PutRequest, RESERVED_TAG_BASE,
@@ -108,8 +108,8 @@ impl MpiBackend {
         }
     }
 
-    fn post_persistent(&self, eng: &Rc<CommEngine>, sim: &mut Sim, tag: u64) {
-        for _ in 0..eng.cfg.am_recv_depth {
+    fn post_persistent(&self, sim: &mut Sim, tag: u64) {
+        for _ in 0..AM_RECV_DEPTH {
             let (req, _c) = self.mpi.recv_init(SrcSel::Any, tag);
             self.mpi.start(sim, req);
             let mut st = self.st.borrow_mut();
@@ -127,20 +127,24 @@ impl MpiBackend {
     /// (§4.2.3: "if no communications were completed ... the progress
     /// function returns; otherwise, it repeats").
     fn exec_progress(&self, eng: &Rc<CommEngine>, sim: &mut Sim) -> SimTime {
-        let reqs = {
+        let (reqs, mut completions) = {
             let mut st = self.st.borrow_mut();
             let mut reqs = std::mem::take(&mut st.req_scratch);
             reqs.clear();
             reqs.extend(st.tracked.iter().map(|t| t.req));
-            reqs
+            (reqs, std::mem::take(&mut st.completions))
         };
-        let (completions, cost) = self.mpi.testsome(sim, &reqs);
-        self.st.borrow_mut().req_scratch = reqs;
-        if !completions.is_empty() {
+        let queued = completions.len();
+        let cost = self.mpi.testsome_into(sim, &reqs, &mut completions);
+        let found = completions.len() - queued;
+        {
             let mut st = self.st.borrow_mut();
+            st.req_scratch = reqs;
+            st.completions = completions;
+        }
+        if found > 0 {
             let mut inner = eng.inner.borrow_mut();
-            for c in completions {
-                st.completions.push_back(c);
+            for _ in 0..found {
                 inner.micro.push_back(Micro::BackendUnit(MICRO_COMPLETION));
             }
             inner.micro.push_back(Micro::BackendUnit(MICRO_PROGRESS));
@@ -392,11 +396,11 @@ impl CommBackend for MpiBackend {
             }
         });
         // Post the persistent receives for the internal handshake tag.
-        self.post_persistent(eng, sim, HS_TAG);
+        self.post_persistent(sim, HS_TAG);
     }
 
-    fn register_am_tag(&self, eng: &Rc<CommEngine>, sim: &mut Sim, tag: u64) {
-        self.post_persistent(eng, sim, tag);
+    fn register_am_tag(&self, _eng: &Rc<CommEngine>, sim: &mut Sim, tag: u64) {
+        self.post_persistent(sim, tag);
     }
 
     fn issue_am(

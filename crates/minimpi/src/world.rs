@@ -724,10 +724,22 @@ impl Mpi {
     /// inactive (re-arm with [`Mpi::start`]); completed non-persistent
     /// requests are freed.
     pub fn testsome(&self, sim: &mut Sim, reqs: &[ReqId]) -> (Vec<Completion>, SimTime) {
+        let mut done = Vec::new();
+        let cost = self.testsome_into(sim, reqs, &mut done);
+        (done, cost)
+    }
+
+    /// [`Mpi::testsome`] appending the completions, in request order, to a
+    /// collection the caller keeps, so a warmed sweep allocates nothing.
+    pub fn testsome_into(
+        &self,
+        sim: &mut Sim,
+        reqs: &[ReqId],
+        done: &mut impl Extend<Completion>,
+    ) -> SimTime {
         let costs = self.world.borrow().costs.clone();
         let mut cost = costs.call_base + costs.testsome_per_req * reqs.len() as u64;
         cost += self.drain_incoming(sim);
-        let mut done = Vec::new();
         for &req in reqs {
             self.check(req);
             let mut w = self.world.borrow_mut();
@@ -742,10 +754,10 @@ impl Mpi {
                 if !persistent {
                     self.release(req);
                 }
-                done.push(Completion { req, status });
+                done.extend([Completion { req, status }]);
             }
         }
-        (done, cost)
+        cost
     }
 
     /// `MPI_Iprobe`: make progress, then report (without consuming) the

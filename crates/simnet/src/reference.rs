@@ -2,15 +2,10 @@
 //!
 //! [`RefSim`] is intentionally the seed implementation of the event loop:
 //! every event, same-instant ones included, goes through one heap as a
-//! boxed closure. It serves two purposes:
-//!
-//! * **determinism oracle** — property tests drive [`crate::Sim`] and
-//!   `RefSim` with identical `schedule_at`/`schedule_in`/`schedule_now`
-//!   sequences and assert the execution orders match exactly;
-//! * **performance baseline** — the engine micro-benchmarks report
-//!   [`crate::Sim`]'s throughput as a ratio over this engine: what inline
-//!   [`crate::EventFn`] bodies in a radix queue buy over boxed closures on
-//!   a heap.
+//! boxed closure. It is the determinism oracle: property tests drive
+//! [`crate::Sim`] and `RefSim` with identical
+//! `schedule_at`/`schedule_in`/`schedule_now` sequences and assert the
+//! execution orders match exactly.
 //!
 //! Keep this file dumb and stable; it must not adopt engine optimisations.
 
