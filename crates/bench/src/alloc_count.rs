@@ -2,13 +2,13 @@
 //!
 //! The simulator is single-threaded and deterministic, so the number of
 //! heap allocations a scenario performs is a *repeatable* number, not a
-//! noisy wall-clock measurement. The comm-datapath benchmark registers
-//! [`CountingAlloc`] as its `#[global_allocator]` and reports
-//! allocations-per-delivered-message; verify.sh then diffs those columns
-//! against the committed `BENCH_comm.json` bounds.
+//! noisy wall-clock measurement. The benchmark of record (`benchmark/`)
+//! registers [`CountingAlloc`] as its `#[global_allocator]` for its
+//! allocation and peak-live-bytes metrics, and each `tests/*_alloc.rs`
+//! binary does for the budgets it gates.
 //!
-//! Only the benchmark binary that wants the metric registers the allocator
-//! — the library crates stay on the system allocator.
+//! Only a binary that wants the metric registers the allocator — the
+//! library crates stay on the system allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

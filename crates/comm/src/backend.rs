@@ -137,6 +137,14 @@ pub(crate) trait CommBackend {
     /// yet delivered): zero once a run has drained.
     #[cfg(test)]
     fn wires_in_flight(&self) -> usize;
+
+    /// Slots and buckets the library's unexpected-message table holds:
+    /// `(0, 0)` once a run has drained. Libraries without one keep the
+    /// default.
+    #[cfg(test)]
+    fn unexpected_footprint(&self) -> (usize, usize) {
+        (0, 0)
+    }
 }
 
 /// Construct one backend per fabric node. This factory is the single place

@@ -503,4 +503,9 @@ impl CommBackend for MpiBackend {
     fn wires_in_flight(&self) -> usize {
         self.mpi.wires_in_flight()
     }
+
+    #[cfg(test)]
+    fn unexpected_footprint(&self) -> (usize, usize) {
+        self.mpi.unexpected_footprint()
+    }
 }

@@ -740,6 +740,45 @@ fn drained_runs_leave_no_wire_record_in_flight() {
     }
 }
 
+/// MPI's unexpected-message table keeps nothing once a put storm has
+/// drained. A put's data RTS arrives before the target's comm thread has
+/// posted the receive its handshake asks for, so it waits in the table, on
+/// a tag of its own, until that receive matches it by `(src, tag)`; no
+/// `ANY_SOURCE` receive ever probes it. The table's slots and buckets must
+/// not grow with the number of puts.
+#[test]
+fn mpi_unexpected_table_holds_nothing_after_a_put_storm() {
+    for puts in [200, 800] {
+        let (mut sim, engines) = setup(4, EngineConfig::for_backend(BackendKind::Mpi));
+        for e in &engines {
+            e.register_onesided(1, Rc::new(|_s, _e, _ev| SimTime::ZERO));
+        }
+        for i in 0..puts {
+            let src = i % 4;
+            engines[src].put(
+                &mut sim,
+                PutRequest {
+                    dst: (src + 1 + i / 4 % 3) % 4,
+                    size: 4096,
+                    data: None,
+                    r_tag: 1,
+                    cb_data: Bytes::new(),
+                    on_local: Box::new(|_s, _e| SimTime::ZERO),
+                },
+            );
+        }
+        sim.run();
+        let done: u64 = engines
+            .iter()
+            .map(|e| e.stats().puts_remote_done.get())
+            .sum();
+        assert_eq!(done, puts as u64);
+        for e in &engines {
+            assert_eq!(e.backend.unexpected_footprint(), (0, 0), "{puts} puts");
+        }
+    }
+}
+
 /// A comm world must die with its engines. Regression: the LCI backend's
 /// AM handler, stored inside the `LciWorld`, held a strong endpoint, so
 /// every LCI world (and through it the fabric) was an `Rc` cycle that

@@ -19,8 +19,8 @@
 //! before communication shows — the regime the paper's effect lives in.
 //! Hence every routine walks contiguous column slices (bounds-check-free,
 //! vectorized by the compiler), and the SVD spends its effort on
-//! convergence: cached norms, de Rijk pivoting, no accumulated `V`
-//! (DESIGN.md §3.7).
+//! convergence: sweeps on the triangular factor of a column-pivoted QR,
+//! cached norms, de Rijk pivoting, nothing accumulated (DESIGN.md §3.7).
 
 mod blas;
 mod gen;

@@ -91,6 +91,12 @@ impl Matrix {
         &mut self.data
     }
 
+    /// The column-major storage, by value: a kernel that reduces its input
+    /// in place takes it over without a copy.
+    pub(crate) fn into_data(self) -> Vec<f64> {
+        self.data
+    }
+
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
         for (j, col) in self.data.chunks_exact(self.rows.max(1)).enumerate() {

@@ -1,4 +1,5 @@
-//! Thin Householder QR, used for low-rank recompression.
+//! Householder QR: the thin factorization used for low-rank recompression,
+//! and the column-pivoted, `R`-only one that preconditions the Jacobi SVD.
 
 use crate::blas::{axpy, dot};
 use crate::matrix::Matrix;
@@ -18,26 +19,7 @@ pub fn qr_thin(a: &Matrix) -> (Matrix, Matrix) {
     let mut q = vec![0.0; m * k];
 
     for j in 0..k {
-        let (head, rest) = r.split_at_mut((j + 1) * m);
-        let x = &mut head[j * m + j..];
-        let norm = dot(x, x).sqrt();
-        if norm == 0.0 {
-            continue;
-        }
-        // v = x − α·e₀ with α = −sign(x₀)·‖x‖, so vᵀv = 2·‖x‖·(‖x‖ + |x₀|).
-        let alpha = if x[0] >= 0.0 { -norm } else { norm };
-        let v = &mut q[j * m + j..(j + 1) * m];
-        v.copy_from_slice(x);
-        v[0] -= alpha;
-        let scale = 1.0 / (norm * (norm + x[0].abs())).sqrt();
-        for vi in v.iter_mut() {
-            *vi *= scale;
-        }
-        x[0] = alpha;
-        for col in rest.chunks_exact_mut(m) {
-            let tail = &mut col[j..];
-            axpy(-dot(v, tail), v, tail);
-        }
+        reflect(&mut r, m, j, &mut q[j * m + j..(j + 1) * m]);
     }
 
     // Q = H₀·…·H_{k−1}·[I; 0], last reflector first: when H_j is applied,
@@ -59,13 +41,82 @@ pub fn qr_thin(a: &Matrix) -> (Matrix, Matrix) {
         v[0] += 1.0;
     }
 
-    // R is the upper triangle of the first k rows.
+    (Matrix::from_vec(m, k, q), upper_triangle(&r, m, n))
+}
+
+/// `R` and the column order of a Householder QR with column pivoting,
+/// `A·P = Q·R` (Businger–Golub): `R` is upper-triangular `min(m,n) × n`
+/// with non-increasing diagonal magnitudes, and column `j` of `A·P` is
+/// column `perm[j]` of `A`. `Q` is never formed.
+///
+/// Before step `j` the column whose rows `j..m` have the largest norm is
+/// swapped into place; those norms are recomputed at each step, exactly.
+/// The steps themselves are `qr_thin`'s, with the reflector in a scratch
+/// column since nothing reads it once it has been applied.
+pub(crate) fn qr_pivoted_r(a: Matrix) -> (Matrix, Vec<usize>) {
+    let (m, n) = (a.rows(), a.cols());
+    let mut r = a.into_data();
+    let mut perm: Vec<usize> = (0..n).collect();
+    let mut v = vec![0.0; m];
+    for j in 0..m.min(n) {
+        let tail2 = |c: usize| {
+            let t = &r[c * m + j..(c + 1) * m];
+            dot(t, t)
+        };
+        let (mut big, mut best) = (j, tail2(j));
+        for c in j + 1..n {
+            let x = tail2(c);
+            if x > best {
+                (big, best) = (c, x);
+            }
+        }
+        if big != j {
+            let (head, rest) = r.split_at_mut(big * m);
+            head[j * m..(j + 1) * m].swap_with_slice(&mut rest[..m]);
+            perm.swap(j, big);
+        }
+        reflect(&mut r, m, j, &mut v[j..]);
+    }
+    (upper_triangle(&r, m, n), perm)
+}
+
+/// One Householder step on the column-major `m`-row panel `r`: writes to
+/// `v` (length `m − j`) the reflector `H = I − v·vᵀ` that maps the tail
+/// `x = r[j.., j]` onto `α·e₀`, stores `α` in `x₀`, and applies `H` to the
+/// tails of every later column. A zero tail needs no reflector; `v` and
+/// the panel are left as they are then.
+fn reflect(r: &mut [f64], m: usize, j: usize, v: &mut [f64]) {
+    let (head, rest) = r.split_at_mut((j + 1) * m);
+    let x = &mut head[j * m + j..];
+    let norm = dot(x, x).sqrt();
+    if norm == 0.0 {
+        return;
+    }
+    // v = x − α·e₀ with α = −sign(x₀)·‖x‖, so vᵀv = 2·‖x‖·(‖x‖ + |x₀|).
+    let alpha = if x[0] >= 0.0 { -norm } else { norm };
+    v.copy_from_slice(x);
+    v[0] -= alpha;
+    let scale = 1.0 / (norm * (norm + x[0].abs())).sqrt();
+    for vi in v.iter_mut() {
+        *vi *= scale;
+    }
+    x[0] = alpha;
+    for col in rest.chunks_exact_mut(m) {
+        let tail = &mut col[j..];
+        axpy(-dot(v, tail), v, tail);
+    }
+}
+
+/// `R`: the upper triangle of the first `min(m, n)` rows of the reduced
+/// `m × n` panel (below the diagonal it still holds the input's tails).
+fn upper_triangle(r: &[f64], m: usize, n: usize) -> Matrix {
+    let k = m.min(n);
     let mut rk = Matrix::zeros(k, n);
     for (j, col) in r.chunks_exact(m.max(1)).enumerate() {
         let d = k.min(j + 1);
         rk.col_mut(j)[..d].copy_from_slice(&col[..d]);
     }
-    (Matrix::from_vec(m, k, q), rk)
+    rk
 }
 
 #[cfg(test)]
@@ -240,6 +291,32 @@ mod tests {
         check_qr(&a.transpose());
         let holed = Matrix::from_fn(6, 4, |i, j| if j == 1 { 0.0 } else { pseudo(i, j) });
         check_qr(&holed);
+    }
+
+    #[test]
+    fn pivoted_r_is_qr_thin_of_the_permuted_columns() {
+        // The same reflector steps taken in pivot order: `R` equals
+        // `qr_thin`'s of A·P bit for bit, and its diagonal does not grow.
+        let dup = Matrix::from_fn(9, 4, |i, j| pseudo(i, j % 2));
+        let holed = Matrix::from_fn(6, 4, |i, j| if j == 1 { 0.0 } else { pseudo(i, j) });
+        let mut cases: Vec<Matrix> = [(1, 1), (5, 1), (1, 5), (8, 3), (3, 8), (33, 32), (32, 46)]
+            .into_iter()
+            .map(|(m, n)| Matrix::from_fn(m, n, pseudo))
+            .collect();
+        cases.extend([dup, holed, Matrix::zeros(4, 3)]);
+        for a in cases {
+            let (m, n) = (a.rows(), a.cols());
+            let (r, perm) = qr_pivoted_r(a.clone());
+            let mut seen = perm.clone();
+            seen.sort_unstable();
+            assert!(seen.into_iter().eq(0..n), "perm {perm:?}");
+            let ap = Matrix::from_fn(m, n, |i, j| a.get(i, perm[j]));
+            assert_eq!(r, qr_thin(&ap).1, "{m} x {n}");
+            for j in 1..m.min(n) {
+                let (d, prev) = (r.get(j, j).abs(), r.get(j - 1, j - 1).abs());
+                assert!(d <= prev * (1.0 + 1e-12), "|R[{j},{j}]| = {d} > {prev}");
+            }
+        }
     }
 
     #[test]

@@ -416,6 +416,7 @@ impl PostTable {
 
 struct UnexpEntry<T> {
     seq: u64,
+    src: NodeId,
     live: bool,
     /// Index references still outstanding (the entry sits in two buckets).
     refs: u8,
@@ -427,40 +428,24 @@ struct UnexpEntry<T> {
 /// Arrivals carry a concrete `(src, tag)` but receives may probe with
 /// `ANY_SOURCE`, so every entry is indexed twice: under `(src, tag)` and
 /// under `tag` alone. A slot is reclaimed once both bucket references have
-/// been popped.
+/// been popped. A match pops the dead fronts of both of the entry's
+/// buckets, so an entry matched through one index leaves the other at once
+/// when it is at that bucket's front: a rendezvous RTS on a put's own data
+/// tag, matched by `(src, tag)` and never by `ANY_SOURCE`, leaves nothing
+/// behind.
 #[derive(Default)]
 pub struct UnexpTable<T> {
     entries: Vec<UnexpEntry<T>>,
     free: Vec<u32>,
     by_src_tag: FastMap<(NodeId, Tag), VecDeque<u32>>,
     by_tag: FastMap<Tag, VecDeque<u32>>,
+    /// Buffers of emptied buckets, for the next new key (as in
+    /// [`PostTable`]: every put's data tag is a key of its own).
+    spare: Vec<VecDeque<u32>>,
     order: SeqRank,
     next_seq: u64,
     comparisons: u64,
     matches: u64,
-}
-
-/// Pops dead slots off a bucket front (dropping one reference each, freeing
-/// at zero) and returns the first live slot, left in place.
-fn unexp_front_live<T>(
-    entries: &mut [UnexpEntry<T>],
-    free: &mut Vec<u32>,
-    q: &mut VecDeque<u32>,
-    comparisons: &mut u64,
-) -> Option<u32> {
-    while let Some(&slot) = q.front() {
-        *comparisons += 1;
-        let e = &mut entries[slot as usize];
-        if e.live {
-            return Some(slot);
-        }
-        q.pop_front();
-        e.refs -= 1;
-        if e.refs == 0 {
-            free.push(slot);
-        }
-    }
-    None
 }
 
 impl<T> UnexpTable<T> {
@@ -471,6 +456,7 @@ impl<T> UnexpTable<T> {
             free: Vec::new(),
             by_src_tag: FastMap::default(),
             by_tag: FastMap::default(),
+            spare: Vec::new(),
             order: SeqRank::new(),
             next_seq: 0,
             comparisons: 0,
@@ -482,37 +468,64 @@ impl<T> UnexpTable<T> {
     pub fn push(&mut self, src: NodeId, tag: Tag, item: T) {
         let seq = self.next_seq;
         self.next_seq += 1;
+        let entry = UnexpEntry {
+            seq,
+            src,
+            live: true,
+            refs: 2,
+            item: Some(item),
+        };
         let slot = if let Some(slot) = self.free.pop() {
-            let e = &mut self.entries[slot as usize];
-            e.seq = seq;
-            e.live = true;
-            e.refs = 2;
-            e.item = Some(item);
+            self.entries[slot as usize] = entry;
             slot
         } else {
-            self.entries.push(UnexpEntry {
-                seq,
-                live: true,
-                refs: 2,
-                item: Some(item),
-            });
+            self.entries.push(entry);
             (self.entries.len() - 1) as u32
         };
+        let spare = &mut self.spare;
         self.by_src_tag
             .entry((src, tag))
-            .or_default()
+            .or_insert_with(|| spare.pop().unwrap_or_default())
             .push_back(slot);
-        self.by_tag.entry(tag).or_default().push_back(slot);
+        self.by_tag
+            .entry(tag)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
+            .push_back(slot);
         self.order.insert(seq);
     }
 
-    fn front_for(&mut self, src: SrcSel, tag: Tag) -> Option<u32> {
-        self.comparisons += 1; // one bucket lookup
+    /// Pops dead slots off the front of the bucket `src` selects (dropping
+    /// one reference each, freeing at zero) and returns the first live
+    /// slot, left in place. A bucket left empty leaves its map, and its
+    /// buffer goes to `spare`.
+    fn front_live(&mut self, src: SrcSel, tag: Tag) -> Option<u32> {
         let q = match src {
             SrcSel::Rank(r) => self.by_src_tag.get_mut(&(r, tag)),
             SrcSel::Any => self.by_tag.get_mut(&tag),
         }?;
-        unexp_front_live(&mut self.entries, &mut self.free, q, &mut self.comparisons)
+        while let Some(&slot) = q.front() {
+            self.comparisons += 1;
+            let e = &mut self.entries[slot as usize];
+            if e.live {
+                return Some(slot);
+            }
+            q.pop_front();
+            e.refs -= 1;
+            if e.refs == 0 {
+                self.free.push(slot);
+            }
+        }
+        let q = match src {
+            SrcSel::Rank(r) => self.by_src_tag.remove(&(r, tag)),
+            SrcSel::Any => self.by_tag.remove(&tag),
+        };
+        self.spare.extend(q);
+        None
+    }
+
+    fn front_for(&mut self, src: SrcSel, tag: Tag) -> Option<u32> {
+        self.comparisons += 1; // one bucket lookup
+        self.front_live(src, tag)
     }
 
     /// Takes the oldest entry matching the selector, reporting the
@@ -521,19 +534,18 @@ impl<T> UnexpTable<T> {
         self.matches += 1;
         match self.front_for(src, tag) {
             Some(slot) => {
-                let q = match src {
-                    SrcSel::Rank(r) => self.by_src_tag.get_mut(&(r, tag)).expect("bucket exists"),
-                    SrcSel::Any => self.by_tag.get_mut(&tag).expect("bucket exists"),
-                };
-                q.pop_front();
                 let e = &mut self.entries[slot as usize];
                 e.live = false;
-                e.refs -= 1;
-                if e.refs == 0 {
-                    self.free.push(slot);
-                }
                 let seq = e.seq;
+                let other = match src {
+                    SrcSel::Rank(_) => SrcSel::Any,
+                    SrcSel::Any => SrcSel::Rank(e.src),
+                };
                 let item = e.item.take().expect("live entry has item");
+                // The entry is the selected bucket's front; in the other
+                // one it leaves now only if nothing live is ahead of it.
+                self.front_live(src, tag);
+                self.front_live(other, tag);
                 let scanned = self.order.rank(seq) + 1;
                 self.order.remove(seq);
                 MatchOutcome {
@@ -587,6 +599,17 @@ impl<T> UnexpTable<T> {
     /// Number of match/probe attempts performed.
     pub fn match_calls(&self) -> u64 {
         self.matches
+    }
+
+    /// Slots held by live or dead entries, and buckets in the two indexes:
+    /// what the table keeps beyond its free list and spare buffers. A
+    /// drained table holds `(0, 0)` unless an entry matched through one
+    /// index still waits behind a live one in the other.
+    pub fn footprint(&self) -> (usize, usize) {
+        (
+            self.entries.len() - self.free.len(),
+            self.by_src_tag.len() + self.by_tag.len(),
+        )
     }
 }
 
@@ -844,6 +867,40 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!((a.found, a.scanned), (Some(400), 1));
         assert!(t.is_empty() && r.is_empty());
+    }
+
+    #[test]
+    fn a_take_through_one_index_frees_the_entry_from_the_other() {
+        // A put's data RTS: one entry per private tag, matched by
+        // `(src, tag)` eight arrivals later, never through `ANY_SOURCE`.
+        for n in [100u64, 1000] {
+            let mut t = UnexpTable::new();
+            let take = |t: &mut UnexpTable<u64>, tag: u64| {
+                let out = t.match_take(SrcSel::Rank((tag % 4) as usize), 1000 + tag);
+                assert_eq!(out.found, Some(tag));
+            };
+            for tag in 0..n {
+                t.push((tag % 4) as usize, 1000 + tag, tag);
+                if tag >= 8 {
+                    take(&mut t, tag - 8);
+                }
+            }
+            for tag in n - 8..n {
+                take(&mut t, tag);
+            }
+            assert_eq!(t.footprint(), (0, 0), "{n} tags");
+            // Slots and bucket buffers are reused, not grown per tag.
+            assert!(t.entries.len() <= 9 && t.spare.len() <= 18, "{n} tags");
+        }
+        // An entry behind a live one in its other bucket waits there, and
+        // leaves with it.
+        let mut t = UnexpTable::new();
+        t.push(1, 5, 'a');
+        t.push(2, 5, 'b');
+        assert_eq!(t.match_take(SrcSel::Rank(2), 5).found, Some('b'));
+        assert_eq!(t.footprint(), (2, 2));
+        assert_eq!(t.match_take(SrcSel::Any, 5).found, Some('a'));
+        assert_eq!(t.footprint(), (0, 0));
     }
 
     #[test]

@@ -819,6 +819,13 @@ impl Mpi {
         self.world.borrow().ranks[self.rank].unexpected.len()
     }
 
+    /// Slots and buckets the unexpected-message table holds
+    /// ([`UnexpTable::footprint`]); `(0, 0)` once a run has drained
+    /// (diagnostics).
+    pub fn unexpected_footprint(&self) -> (usize, usize) {
+        self.world.borrow().ranks[self.rank].unexpected.footprint()
+    }
+
     /// Depth of the incoming hardware queue (diagnostics).
     pub fn incoming_depth(&self) -> usize {
         self.world.borrow().ranks[self.rank].incoming.len()

@@ -239,6 +239,33 @@ if grep -nE 'BinaryHeap|^\s*(pub(\([a-z]+\))? )?seq\s*:' crates/simnet/src/engin
     echo "engine.rs holds a BinaryHeap or a seq field again"; exit 1
 fi
 
+echo "== one rounding path: the kernel crates read no environment, svd.rs calls jacobi once =="
+if grep -rnE 'std::env|env::var|option_env!' crates/linalg/src crates/tlr/src; then
+    echo "a kernel crate reads an environment variable: a switch between rounding paths is back"; exit 1
+fi
+python3 - <<'PY'
+import re, sys
+# svd.rs without its `#[cfg(test)]` items (a module, a thread-local, a
+# statement), the way the size stage below skips them.
+out, skip = [], False
+for line in open("crates/linalg/src/svd.rs"):
+    s = line.strip()
+    if not skip and s == "#[cfg(test)]":
+        skip, depth, opened = True, 0, False
+    elif skip:
+        if opened or not s.startswith("#["):
+            c = s.split("//")[0]
+            depth += c.count("{") - c.count("}")
+            opened = opened or "{" in c
+            skip = not (depth <= 0 and (opened or s.endswith((";", ","))))
+    else:
+        out.append(line.split("//")[0])
+calls = re.findall(r"(?<!fn )\bjacobi\(", "".join(out))
+if len(calls) != 1:
+    sys.exit(f"non-test svd.rs calls jacobi( {len(calls)} times: one rounding path has one call")
+print("one rounding path: no std::env in linalg/tlr, one jacobi( call in svd.rs")
+PY
+
 echo "== config surface: ClusterConfig + EngineConfig pub fields =="
 python3 - <<'PY'
 import re, sys

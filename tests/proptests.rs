@@ -4,7 +4,7 @@
 
 use amtlc::comm::{BackendKind, EngineConfig};
 use amtlc::core::{Cluster, ClusterConfig, GraphBuilder, TaskDesc};
-use amtlc::linalg::{gemm, Matrix, Trans};
+use amtlc::linalg::{gemm, qr_thin, svd_truncate, Matrix, Trans};
 use amtlc::simnet::{DetRng, Sim, SimTime};
 use amtlc::tlr::LrTile;
 use bytes::Bytes;
@@ -425,6 +425,198 @@ fn tlr_addition_matches_dense() {
         gemm(1.0, &w, Trans::No, &z, Trans::Yes, 1.0, &mut dense);
         let err = sum.to_dense().max_diff(&dense);
         assert!(err < 1e-8 * scale.max(1.0), "case {case}: err {err}");
+    }
+}
+
+/// `U·diag(sigma)·Vᵀ`, `m × n`, with random orthonormal `U` (`m × k`) and
+/// `V` (`n × k`), `k = sigma.len() ≤ min(m, n)`: a matrix whose singular
+/// values are known by construction, to `eps·‖sigma‖`.
+fn with_spectrum(rng: &mut DetRng, m: usize, n: usize, sigma: &[f64]) -> Matrix {
+    let k = sigma.len();
+    let mut orth = |rows: usize| qr_thin(&Matrix::from_fn(rows, k, |_, _| rng.gen_f64() - 0.5)).0;
+    let (u, v) = (orth(m), orth(n));
+    let us = Matrix::from_fn(m, k, |i, j| u.get(i, j) * sigma[j]);
+    let mut a = Matrix::zeros(m, n);
+    gemm(1.0, &us, Trans::No, &v, Trans::Yes, 0.0, &mut a);
+    a
+}
+
+/// `svd_truncate`'s contract, against `sigma`, the singular values of `a`
+/// (all `min(m, n)` of them, descending): the rank counts `σ > tol`
+/// (either count when a value lies within 1e-3 relative of `tol`), capped
+/// at `maxrank` and at least 1; the scaled factor's column norms are `s`,
+/// descending and equal to `sigma`; the other factor is orthonormal to
+/// 1e-12; the error is at most the discarded tail plus 1e-12·‖A‖.
+fn check_rounding(what: &str, a: &Matrix, sigma: &[f64], tol: f64, maxrank: usize) -> usize {
+    let (x, y) = svd_truncate(a, tol, maxrank);
+    let k = x.cols();
+    assert_eq!(
+        (x.rows(), y.rows(), y.cols()),
+        (a.rows(), a.cols(), k),
+        "{what}"
+    );
+    let rank_at = |t: f64| sigma.iter().filter(|&&s| s > t).count().min(maxrank).max(1);
+    let (lo, hi) = (rank_at(tol * (1.0 + 1e-3)), rank_at(tol * (1.0 - 1e-3)));
+    assert!((lo..=hi).contains(&k), "{what}: rank {k}, want {lo}..={hi}");
+
+    let norm = sigma.iter().map(|s| s * s).sum::<f64>().sqrt();
+    let (us, v) = if a.rows() < a.cols() {
+        (&y, &x)
+    } else {
+        (&x, &y)
+    };
+    let s: Vec<f64> = (0..k)
+        .map(|j| us.col(j).iter().map(|x| x * x).sum::<f64>().sqrt())
+        .collect();
+    for j in 0..k {
+        assert!(
+            j == 0 || s[j - 1] >= s[j],
+            "{what}: s not descending: {s:?}"
+        );
+        assert!(
+            (s[j] - sigma[j]).abs() <= 1e-12 * norm.max(1e-300),
+            "{what}: s[{j}] = {} vs {}",
+            s[j],
+            sigma[j]
+        );
+    }
+    if s[k - 1] > 0.0 {
+        let mut gram = Matrix::zeros(k, k);
+        gemm(1.0, v, Trans::Yes, v, Trans::No, 0.0, &mut gram);
+        let off = gram.max_diff(&Matrix::identity(k));
+        assert!(off <= 1e-12, "{what}: orthonormal factor off by {off}");
+    }
+    let mut err = Matrix::zeros(a.rows(), a.cols());
+    gemm(1.0, &x, Trans::No, &y, Trans::Yes, 0.0, &mut err);
+    let err = err
+        .data()
+        .iter()
+        .zip(a.data())
+        .map(|(p, q)| (p - q) * (p - q))
+        .sum::<f64>()
+        .sqrt();
+    let tail = sigma[k.min(sigma.len())..]
+        .iter()
+        .map(|s| s * s)
+        .sum::<f64>()
+        .sqrt();
+    assert!(
+        err <= tail + 1e-12 * norm,
+        "{what}: error {err} above the tail {tail}"
+    );
+    k
+}
+
+/// Rounding on random shapes — row and column vectors, 33 × 32 and
+/// 32 × 33, anything up to 40 × 40 — with a random spectrum over twelve
+/// decades and a threshold inside it, and on rank-deficient inputs built
+/// from one: duplicated columns (`[B B]` has `√2·σ(B)` and zeros), zero
+/// columns, and the zero matrix.
+#[test]
+fn rounding_keeps_its_contract_on_random_shapes_and_deficient_inputs() {
+    for case in 0..CASES {
+        let mut rng = DetRng::seed_from_u64(0x5fd_0000 + case);
+        let mut shapes = vec![
+            (1, rng.gen_usize(1..40)),
+            (rng.gen_usize(1..40), 1),
+            (33, 32),
+            (32, 33),
+        ];
+        shapes.push((rng.gen_usize(1..41), rng.gen_usize(1..41)));
+        for (m, n) in shapes {
+            let k = m.min(n);
+            let mut sigma: Vec<f64> = (0..k).map(|_| 10f64.powf(-12.0 * rng.gen_f64())).collect();
+            sigma.sort_by(|p, q| q.total_cmp(p));
+            let tol = 10f64.powf(-1.0 - 10.0 * rng.gen_f64());
+            let maxrank = if rng.gen_bool(0.25) {
+                rng.gen_usize(0..k + 1)
+            } else {
+                usize::MAX
+            };
+            let a = with_spectrum(&mut rng, m, n, &sigma);
+            let what = format!("case {case}: {m} x {n}, tol {tol:e}, maxrank {maxrank}");
+            check_rounding(&what, &a, &sigma, tol, maxrank);
+
+            // [B B]: duplicated columns.
+            let dup = Matrix::from_fn(m, 2 * n, |i, j| a.get(i, j % n));
+            let mut s2: Vec<f64> = sigma.iter().map(|s| s * 2f64.sqrt()).collect();
+            s2.resize(m.min(2 * n), 0.0);
+            check_rounding(&format!("{what}, [B B]"), &dup, &s2, tol, maxrank);
+            // B with a zero column inserted at `z`, and its transpose.
+            let z = rng.gen_usize(0..n + 1);
+            let holed = Matrix::from_fn(m, n + 1, |i, j| match j.cmp(&z) {
+                std::cmp::Ordering::Less => a.get(i, j),
+                std::cmp::Ordering::Equal => 0.0,
+                std::cmp::Ordering::Greater => a.get(i, j - 1),
+            });
+            let mut s0 = sigma.clone();
+            s0.resize(m.min(n + 1), 0.0);
+            check_rounding(
+                &format!("{what}, zero column {z}"),
+                &holed,
+                &s0,
+                tol,
+                maxrank,
+            );
+            check_rounding(
+                &format!("{what}, zero row {z}"),
+                &holed.transpose(),
+                &s0,
+                tol,
+                maxrank,
+            );
+            // The zero matrix: a forced rank-1 pair of zeros.
+            let zero = Matrix::zeros(m, n);
+            assert_eq!(
+                check_rounding(&format!("{what}, zero"), &zero, &vec![0.0; k], tol, maxrank),
+                1
+            );
+        }
+    }
+}
+
+/// Rounded addition against the dense sum, with the stacked rank
+/// `k1 + k2` below the tile size (both QRs tall) and above it (both wide,
+/// the core `ts × ts`): the error is at most `√ts·tol` plus rounding, and
+/// the rank at most `min(ts, k1 + k2)`.
+#[test]
+fn tlr_addition_matches_dense_below_and_above_the_tile_size() {
+    const TS: usize = 16;
+    for case in 0..CASES {
+        let mut rng = DetRng::seed_from_u64(0xadd_1000 + case);
+        for (k1, k2) in [
+            (rng.gen_usize(1..6), rng.gen_usize(1..6)),
+            (rng.gen_usize(9..17), rng.gen_usize(9..17)),
+        ] {
+            // Graded columns give the sum a decaying spectrum to cut.
+            let mut graded = |k: usize| {
+                Matrix::from_fn(TS, k, |_, j| (rng.gen_f64() - 0.5) * 0.5f64.powi(j as i32))
+            };
+            let (u, v, w, z) = (graded(k1), graded(k1), graded(k2), graded(k2));
+            let mut dense = Matrix::zeros(TS, TS);
+            gemm(1.0, &u, Trans::No, &v, Trans::Yes, 0.0, &mut dense);
+            gemm(1.0, &w, Trans::No, &z, Trans::Yes, 1.0, &mut dense);
+            let tol = 1e-8;
+            let sum = LrTile { u, v }.add_truncate(&w, &z, tol, usize::MAX);
+            assert!(
+                sum.rank() <= TS.min(k1 + k2),
+                "case {case}: rank {} for {k1} + {k2}",
+                sum.rank()
+            );
+            let got = sum.to_dense();
+            let err = got
+                .data()
+                .iter()
+                .zip(dense.data())
+                .map(|(p, q)| (p - q) * (p - q))
+                .sum::<f64>()
+                .sqrt();
+            let bound = (TS as f64).sqrt() * tol + 1e-12 * dense.norm_fro();
+            assert!(
+                err <= bound,
+                "case {case}: {k1} + {k2}: error {err} above {bound}"
+            );
+        }
     }
 }
 
