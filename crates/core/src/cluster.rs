@@ -577,7 +577,11 @@ impl Cluster {
     }
 
     /// Payload of `version` from whichever node holds it (after a Numeric
-    /// execution).
+    /// execution). Which versions keep one depends on the run: every
+    /// version after [`Cluster::execute`]; only the *final* ones — those no
+    /// later write of their key supersedes — after
+    /// [`Cluster::execute_windowed`] and [`Cluster::execute_real`], which
+    /// free every other payload once nothing reads it any more.
     pub fn data(&self, version: VersionId) -> Option<Bytes> {
         if let Some(real) = &self.real_data {
             return real.get(&version).cloned();

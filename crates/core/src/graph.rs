@@ -25,7 +25,7 @@
 //!   Pruned and retired lists go to a free list, so windowed runs reuse
 //!   the links of the versions they retire.
 //! * Initial payloads (producer-less versions, Numeric mode) live in a
-//!   side table.
+//!   side table, which a real run empties into its node stores.
 
 use std::cell::{Ref, RefCell, RefMut};
 use std::collections::HashMap;
@@ -469,6 +469,9 @@ pub struct TaskGraph {
     consumers: ConsumerLinks,
     /// Initial payloads of producer-less versions (Numeric mode).
     initial: FastMap<usize, Bytes>,
+    /// Whether any version was declared with a payload or any task with a
+    /// kernel ([`TaskGraph::carries_payloads`]).
+    payloads: bool,
     /// Capacity of a new chunk's edge arena: the longest arena so far.
     edge_hint: usize,
     /// Tasks assigned to each node so far (source of [`Task::local_ix`];
@@ -489,6 +492,7 @@ impl TaskGraph {
                 free: NIL,
             },
             initial: FastMap::default(),
+            payloads: false,
             edge_hint: 0,
             local_counts: Vec::new(),
             #[cfg(test)]
@@ -583,6 +587,18 @@ impl TaskGraph {
     /// The initial payload of producer-less version `id` (Numeric mode).
     pub fn initial(&self, id: usize) -> Option<&Bytes> {
         self.initial.get(&id)
+    }
+
+    /// Move the initial payload of version `id` out of the graph.
+    pub(crate) fn take_initial(&mut self, id: usize) -> Option<Bytes> {
+        self.initial.remove(&id)
+    }
+
+    /// Whether any payload can exist in a run of this graph: some version
+    /// was declared with initial bytes or some task has a kernel. O(1),
+    /// recorded as the graph is built.
+    pub(crate) fn carries_payloads(&self) -> bool {
+        self.payloads
     }
 
     /// All tasks in insertion order (panics on graphs with retired chunks).
@@ -821,6 +837,7 @@ impl GraphBuilder {
         });
         if let Some(b) = bytes {
             g.initial.insert(vid.0, b);
+            g.payloads = true;
         }
         let prev = self.current.insert(key, vid);
         assert!(prev.is_none(), "initial data for key {key} declared twice");
@@ -887,6 +904,7 @@ impl GraphBuilder {
                 side.kernels.resize(CHUNK, None);
             }
             side.kernels[id & (CHUNK - 1)] = Some(k);
+            g.payloads = true;
         }
         if g.local_counts.len() <= node {
             g.local_counts.resize(node + 1, 0);
@@ -1031,6 +1049,19 @@ mod tests {
             assert_eq!((t % 2, task.node()), (0, 0));
             assert!(t >= 256);
         }
+    }
+
+    #[test]
+    fn the_builder_records_whether_payloads_exist() {
+        let mut g = GraphBuilder::new(1);
+        g.data(0, 1, 0, None);
+        g.insert(TaskDesc::new("cost").read_key(0).write(0, 1));
+        assert!(!g.handle().get().carries_payloads());
+        g.insert(TaskDesc::new("numeric").write(1, 1).kernel(|_| vec![]));
+        assert!(g.build().carries_payloads());
+        let mut g = GraphBuilder::new(1);
+        g.data(0, 1, 0, Some(Bytes::from_static(&[7])));
+        assert!(g.build().carries_payloads());
     }
 
     #[test]

@@ -700,7 +700,7 @@ impl NodeRt {
     /// Release a retired version's payload bytes (windowed reclamation).
     pub(crate) fn window_drop_payload(&self, version: usize) {
         sweep_probe();
-        self.state.borrow_mut().store.drop_payload(version);
+        self.state.borrow_mut().store.take_payload(version);
     }
 
     /// Record the dependence count of a newly admitted local task (at

@@ -187,6 +187,44 @@ pub(crate) struct Fanout {
     epoch: u64,
 }
 
+impl Fanout {
+    /// Start grouping the consumers of another version.
+    #[inline]
+    fn start(&mut self) {
+        self.epoch += 1;
+        self.dests.clear();
+    }
+
+    /// Count a consumer at `node` with `priority`: the node's first one
+    /// adds it to `dests`, later ones raise its best priority.
+    #[inline]
+    fn add(&mut self, node: NodeId, priority: i64) {
+        if self.best.len() <= node {
+            self.best.resize(node + 1, (0, 0));
+        }
+        let e = &mut self.best[node];
+        if e.0 != self.epoch {
+            *e = (self.epoch, priority);
+            self.dests.push(node);
+        } else {
+            e.1 = e.1.max(priority);
+        }
+    }
+
+    /// The distinct nodes other than `home` with a consumer of version
+    /// `v`, in first-appearance order: one walk, and no allocation once
+    /// the scratch has grown to the cluster.
+    pub(crate) fn remote_nodes(&mut self, g: &TaskGraph, v: usize, home: NodeId) -> &[NodeId] {
+        self.start();
+        for c in g.consumers(v) {
+            if c.node != home {
+                self.add(c.node, 0);
+            }
+        }
+        &self.dests
+    }
+}
+
 fn since(now: u64, sent_at_ns: u64) -> SimTime {
     SimTime::from_ns(now.saturating_sub(sent_at_ns))
 }
@@ -214,8 +252,7 @@ pub(crate) fn announce<P: Port>(
 ) {
     for (v, size) in versions {
         let home = g.version(v).home();
-        fan.epoch += 1;
-        fan.dests.clear();
+        fan.start();
         for c in g.consumers(v) {
             if c.node == home {
                 if produced {
@@ -229,16 +266,7 @@ pub(crate) fn announce<P: Port>(
             } else {
                 0
             };
-            if fan.best.len() <= c.node {
-                fan.best.resize(c.node + 1, (0, 0));
-            }
-            let e = &mut fan.best[c.node];
-            if e.0 != fan.epoch {
-                *e = (fan.epoch, priority);
-                fan.dests.push(c.node);
-            } else {
-                e.1 = e.1.max(priority);
-            }
+            fan.add(c.node, priority);
         }
         if !fan.dests.is_empty() && tree.min.is_some_and(|m| fan.dests.len() >= m) {
             let best = fan.dests.iter().map(|&n| fan.best[n].1).max();

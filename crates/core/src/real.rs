@@ -63,6 +63,35 @@
 //! Debug builds record every transition, so the store asserts the whole
 //! protocol order there.
 //!
+//! ## Payload lifetime
+//!
+//! A payload lives only while some task still has to read it, as PaRSEC
+//! frees a data copy once its last reader has consumed it. In a graph
+//! that carries payloads ([`TaskGraph::carries_payloads`], recorded as it
+//! is built) every payload-carrying version gets a reader countdown: its
+//! consumer links, plus one hold when it is *final* — no later write of
+//! its key supersedes it. A version without a payload counts 0. A task
+//! counts itself off each of its inputs when it starts, after it has
+//! cloned them from its node's store, kernel or not; the decrement that
+//! reaches zero takes the payload out of every store that can hold it —
+//! the version's home and its consumer nodes, among them every multicast
+//! relay (`protocol::announce` builds the tree over the remote consumer
+//! nodes), found in one more walk of the version's consumer list — and
+//! drops it outside the store lock. A payload that nobody
+//! reads and a later write supersedes is never stored, and an initial one
+//! moves out of the graph into its home store, or is dropped there.
+//!
+//! Why this is safe: a reader starts only after its copy has arrived at
+//! its node — produced there, or put there by the owner or a tree parent
+//! answering a GET DATA. Each consumer node receives the version once, so
+//! while one reader has not started, a copy that some GET, relay or local
+//! read may still need is counted. Once the last reader has started,
+//! every consumer node holds its copy and has relayed it: no GET, relay or
+//! local read of the version is left. The final holds keep exactly the
+//! versions [`crate::Cluster::data`] answers for. A cost-only graph has no
+//! countdowns and pays nothing: no array, no pass over the versions, no
+//! decrement.
+//!
 //! ## What the real port does differently
 //!
 //! * A request posts its GET DATA at once: no GET window and no
@@ -94,13 +123,14 @@
 //! scheduling order does.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU32, Ordering::SeqCst};
+use std::sync::atomic::AtomicU32;
+use std::sync::atomic::Ordering::{AcqRel, Relaxed, SeqCst};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use amt_comm::EngineStats;
 use amt_exec::{Pool, TraceEvent, WorkerCtx};
 use amt_netmodel::NodeId;
-use amt_simnet::{MetricsRegistry, SimTime, Trace};
+use amt_simnet::{FastMap, MetricsRegistry, SimTime, Trace};
 use bytes::Bytes;
 
 use crate::calib::{
@@ -108,7 +138,7 @@ use crate::calib::{
 };
 use crate::cluster::{RunReport, Tally};
 use crate::config::ClusterConfig;
-use crate::graph::{TaskGraph, TaskId, VersionId};
+use crate::graph::{DataKey, TaskGraph, TaskId, VersionId};
 use crate::protocol::{self, Fanout, Forward, Lat, Port, Tree};
 use crate::records::{ActivateRec, GetRec, PutCb};
 use crate::store::VersionStore;
@@ -236,6 +266,10 @@ pub(crate) struct RealObs {
 struct RealRun {
     graph: TaskGraph,
     remaining: Vec<AtomicU32>,
+    /// Per version, the readers its payload still waits for (module docs,
+    /// "Payload lifetime"); 0 for a version that carries none. Empty for a
+    /// graph that carries no payloads.
+    readers: Vec<AtomicU32>,
     stores: Vec<Mutex<VersionStore>>,
     /// Per node, ascending: the initial versions homed there and the tasks
     /// all of whose inputs are such versions — what [`node_startup`]
@@ -259,7 +293,7 @@ const _: fn() = || {
 };
 
 impl RealRun {
-    fn new(graph: TaskGraph, cfg: &ClusterConfig, pool_threads: usize) -> RealRun {
+    fn new(mut graph: TaskGraph, cfg: &ClusterConfig, pool_threads: usize) -> RealRun {
         let nodes = cfg.nodes;
         let metrics = cfg.engine.metrics;
         // Countdowns and startup buckets from the start state the
@@ -272,16 +306,25 @@ impl RealRun {
             }
             remaining.push(AtomicU32::new(missing));
         });
+        let readers = if graph.carries_payloads() {
+            reader_counts(&graph)
+        } else {
+            Vec::new()
+        };
+        // Initial payloads move into their home stores; one that nothing
+        // reads and a later write supersedes is dropped here.
         let mut stores: Vec<VersionStore> = (0..nodes)
             .map(|n| VersionStore::new(n, cfg.flyweight))
             .collect();
         for (store, versions) in stores.iter_mut().zip(&init_versions) {
             for &v in versions {
-                store.present(v, graph.initial(v).cloned(), false);
+                let payload = graph.take_initial(v).filter(|_| awaited(&readers, v));
+                store.present(v, payload, false);
             }
         }
         RealRun {
             remaining,
+            readers,
             stores: stores.into_iter().map(Mutex::new).collect(),
             init_versions,
             seed_tasks,
@@ -295,15 +338,22 @@ impl RealRun {
         }
     }
 
-    /// Whether a payload of `v` exists anywhere: only kernels and initial
-    /// data make one, so a cost-only version never enters a store.
-    fn carries_payload(&self, v: usize) -> bool {
-        self.graph.initial(v).is_some()
-            || self
-                .graph
-                .version(v)
-                .producer()
-                .is_some_and(|t| self.graph.kernel(t).is_some())
+    /// One reader of `v` has taken its copy: the last one frees the
+    /// payload everywhere (module docs, "Payload lifetime").
+    fn read_done(&self, fan: &mut Fanout, v: usize) {
+        let left = &self.readers[v];
+        // A payload-less version counts 0 and stays there. A payload's
+        // count is at least 1 until this reader's own decrement, so the
+        // load cannot read 0 for it.
+        if left.load(Relaxed) == 0 || left.fetch_sub(1, AcqRel) != 1 {
+            return;
+        }
+        let home = self.graph.version(v).home();
+        let nodes = fan.remote_nodes(&self.graph, v, home);
+        for &node in std::iter::once(&home).chain(nodes) {
+            // The guard goes at the end of the `let`, the bytes after it.
+            let _freed = self.store(node).take_payload(v);
+        }
     }
 
     /// The store of `node`, locked.
@@ -321,6 +371,40 @@ impl RealRun {
             self.store(node).keep_payload(v, b);
         }
     }
+}
+
+/// Each version's starting reader count (module docs, "Payload
+/// lifetime"): for a payload, its consumer links plus one hold when it is
+/// final — no later write of its key supersedes it; 0 for a version that
+/// carries none. Read before the initial payloads leave the graph.
+fn reader_counts(g: &TaskGraph) -> Vec<AtomicU32> {
+    // Sized once: growing it would allocate at every doubling.
+    let mut last: FastMap<DataKey, usize> =
+        FastMap::with_capacity_and_hasher(g.version_count(), Default::default());
+    for (v, version) in g.versions().enumerate() {
+        last.insert(version.key, v);
+    }
+    g.versions()
+        .enumerate()
+        .map(|(v, version)| {
+            let carries = match version.producer() {
+                Some(t) => g.kernel(t).is_some(),
+                None => g.initial(v).is_some(),
+            };
+            let count = if carries {
+                g.consumers(v).count() as u32 + u32::from(last[&version.key] == v)
+            } else {
+                0
+            };
+            AtomicU32::new(count)
+        })
+        .collect()
+}
+
+/// Whether some reader still waits for a payload of `v`: never in a graph
+/// without payloads or for a version without one.
+fn awaited(readers: &[AtomicU32], v: usize) -> bool {
+    readers.get(v).is_some_and(|left| left.load(Relaxed) != 0)
 }
 
 /// One worker's view of `node`, the protocol's [`Port`] on this
@@ -480,7 +564,7 @@ impl Port for RealPort<'_, '_> {
 
     #[inline]
     fn payload(&mut self, v: usize) -> Option<Bytes> {
-        let tracked = cfg!(debug_assertions) || self.run.carries_payload(v);
+        let tracked = cfg!(debug_assertions) || awaited(&self.run.readers, v);
         tracked.then(|| self.run.store(self.node).held(v)).flatten()
     }
 
@@ -541,6 +625,12 @@ fn exec_task(p: &mut RealPort<'_, '_>, t: TaskId) {
     } else {
         Vec::new()
     };
+    // This task has its copies: count it off every input it reads.
+    if !run.readers.is_empty() {
+        for v in run.graph.inputs(t) {
+            run.read_done(&mut p.ws.fan, v.0);
+        }
+    }
 
     // The clock brackets the kernel only when someone reads the interval
     // (module docs).
@@ -574,9 +664,11 @@ fn exec_task(p: &mut RealPort<'_, '_>, t: TaskId) {
     // walk over each output's consumers releases the local ones (spawned
     // before that output's flows run in line, so another worker can steal
     // them meanwhile) and groups the remote ones. A kernel's output
-    // announces its own length, a cost-only one its declared size.
+    // announces its own length, a cost-only one its declared size. A
+    // payload that nobody reads and a later write supersedes is not kept.
     for (i, out) in run.graph.outputs(t).enumerate() {
-        run.hold(node, out.0, outs.get(i).cloned(), false);
+        let payload = outs.get(i).filter(|_| awaited(&run.readers, out.0));
+        run.hold(node, out.0, payload.cloned(), false);
     }
     p.announce_versions(
         true,
@@ -676,10 +768,10 @@ fn node_startup(p: &mut RealPort<'_, '_>) {
     let (run, node) = (p.run, p.node);
     p.announce_versions(
         false,
-        run.init_versions[node].iter().map(|&v| {
-            let size = run.graph.version(v).size;
-            (v, run.graph.initial(v).map_or(size, Bytes::len))
-        }),
+        // An initial payload's length is its declared size.
+        run.init_versions[node]
+            .iter()
+            .map(|&v| (v, run.graph.version(v).size)),
     );
     // Seed only *statically* dependence-free tasks — every input a
     // pre-satisfied initial version homed here. Tasks whose counters hit
@@ -753,8 +845,8 @@ fn build_trace(drained: Option<Vec<Vec<TraceEvent>>>) -> Trace {
 
 /// Execute `graph` for real on `threads` pool workers (`0` = one per
 /// core). Returns the run report, every payload held anywhere at the
-/// end (for [`crate::Cluster::data`]), and the run's observability
-/// artifacts.
+/// end — the final versions' (module docs, "Payload lifetime"), for
+/// [`crate::Cluster::data`] — and the run's observability artifacts.
 pub(crate) fn run(
     graph: TaskGraph,
     cfg: &ClusterConfig,

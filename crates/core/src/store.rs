@@ -143,12 +143,15 @@ impl VersionStore {
         held
     }
 
-    /// Release a retired version's payload bytes, keeping it Present
-    /// (windowed-mode memory reclamation).
-    pub(crate) fn drop_payload(&mut self, v: usize) {
-        if self.payloads.remove(&v).is_some() {
+    /// Take the payload of `v` out of the store, keeping a recorded
+    /// arrival Present: a version that nothing here reads again gives its
+    /// bytes back (windowed retirement, the real run's last reader).
+    pub(crate) fn take_payload(&mut self, v: usize) -> Option<Bytes> {
+        let bytes = self.payloads.remove(&v)?;
+        if self.get(v) == V_PRESENT_DATA {
             self.set(v, V_PRESENT);
         }
+        Some(bytes)
     }
 
     /// Every payload held here.

@@ -1019,6 +1019,89 @@ fn real_exec_payloads_match_virtual_execution_bitwise() {
     }
 }
 
+/// Payload release under contention: every version is read on every node
+/// of six, through a 3-ary multicast tree, and superseded by the next
+/// stage, so each one is freed by whichever of its six readers starts
+/// last, while relays may still be serving their subtrees. Fifty rounds at
+/// 2 and at 4 threads: every final payload matches the sequential oracle,
+/// and no superseded one is left anywhere. A payload freed too early makes
+/// a task panic on a pool worker, which hangs the run instead of failing
+/// it, so the rounds run on a thread of their own under a watchdog.
+#[test]
+fn real_exec_frees_each_payload_after_its_last_reader_under_a_tree() {
+    let (nodes, stages) = (6usize, 8u64);
+    let build = move || {
+        let mut g = GraphBuilder::new(nodes);
+        for n in 0..nodes {
+            g.data(n as u64, 64, n, Some(Bytes::from(vec![n as u8 + 1; 64])));
+        }
+        for _ in 0..stages {
+            let read: Vec<_> = (0..nodes as u64)
+                .map(|k| g.current(k).expect("version"))
+                .collect();
+            for n in 0..nodes {
+                let mut task = TaskDesc::new("mix").on_node(n).write(n as u64, 64);
+                for &v in &read {
+                    task = task.read(v);
+                }
+                g.insert(task.kernel(move |ins| {
+                    let mixed = (0..64).map(|i| {
+                        ins.iter().enumerate().fold(n as u8, |acc, (j, b)| {
+                            acc.rotate_left(1) ^ b[i].wrapping_mul(j as u8 + 3)
+                        })
+                    });
+                    vec![Bytes::from(mixed.collect::<Vec<u8>>())]
+                }));
+            }
+        }
+        let finals: Vec<_> = (0..nodes as u64)
+            .map(|k| g.current(k).expect("final"))
+            .collect();
+        (g.build(), finals)
+    };
+    let (graph, finals) = build();
+    let versions = graph.version_count();
+    let oracle = graph.sequential_oracle();
+    let cfg = ClusterConfig {
+        bcast_tree_min: Some(2),
+        multicast_k: Some(3),
+        mode: ExecMode::Numeric,
+        ..small_cfg(BackendKind::Lci, nodes)
+    };
+    let (done, rounds) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for threads in [2usize, 4] {
+            for round in 0..50 {
+                let mut cluster = Cluster::new(cfg.clone());
+                let report = cluster.execute_real(build().0, threads);
+                assert!(report.complete(), "threads={threads} round={round}");
+                // Unicast, each node would put each of its `stages` read
+                // versions to its five remote readers; the tree hands some
+                // of those puts to relays.
+                let unicast = 5 * stages;
+                let puts = report.engine_stats.iter().map(|s| s.puts_started.get());
+                assert!(puts.clone().any(|p| p != unicast), "no relay served");
+                assert_eq!(puts.sum::<u64>(), unicast * nodes as u64);
+                for v in (0..versions).map(crate::VersionId) {
+                    let want = finals.contains(&v).then(|| &oracle[&v][..]);
+                    assert_eq!(
+                        cluster.data(v).as_deref(),
+                        want,
+                        "threads={threads} round={round} version {}",
+                        v.0
+                    );
+                }
+                done.send(()).expect("test thread waits");
+            }
+        }
+    });
+    for _ in 0..100 {
+        rounds
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("a round failed or hung");
+    }
+}
+
 #[test]
 fn real_exec_source_unrolls_and_matches_windowed() {
     let full_graph = chain_graph(30);

@@ -104,9 +104,9 @@ pub struct TlrCholesky {
     /// Final factor versions per tile (filled by the builders).
     pub diag_out: Vec<VersionId>,
     pub lr_out: HashMap<(u64, u64), (VersionId, VersionId)>,
-    /// Dense original (Numeric builds only; for residual checks).
-    pub dense_a: Option<Matrix>,
     pub stats: CholeskyStats,
+    /// Real kernels on real tiles ([`TlrCholesky::build_numeric`]).
+    numeric: bool,
 }
 
 // Key scheme: tile (i,j) has id i*nt+j; U rides on 2*id, V on 2*id+1;
@@ -178,50 +178,51 @@ impl Step {
 }
 
 impl TlrCholesky {
-    /// Problem/distribution shell with empty stats; `dense_a` is built for
-    /// Numeric mode and doubles as the mode flag.
+    /// Problem/distribution shell with empty stats.
     fn shell(problem: TlrProblem, nodes: usize, numeric: bool) -> TlrCholesky {
         let nt = problem.nt();
         let dist = TileDist2d::square_grid(nt, nt, nodes);
-        let dense_a = numeric.then(|| {
-            let grid = Grid2d::new(problem.n);
-            sqexp_covariance(
-                &grid,
-                0,
-                0,
-                problem.n,
-                problem.n,
-                problem.length_scale,
-                problem.nugget,
-            )
-        });
         TlrCholesky {
             problem,
             dist,
             diag_out: Vec::new(),
             lr_out: HashMap::new(),
-            dense_a,
             stats: CholeskyStats::default(),
+            numeric,
         }
     }
 
+    /// The `n × n` covariance matrix the factorization starts from,
+    /// generated anew on each call (Numeric builds only, `None`
+    /// otherwise): the builder makes it a tile at a time and keeps none of
+    /// it.
+    pub fn dense_a(&self) -> Option<Matrix> {
+        let p = &self.problem;
+        let (n, ls, nugget) = (p.n, p.length_scale, p.nugget);
+        self.numeric
+            .then(|| sqexp_covariance(&Grid2d::new(n), 0, 0, n, n, ls, nugget))
+    }
+
     /// Declare all initial tiles (compressing them in Numeric mode) and
-    /// fill the rank/bytes statistics.
+    /// fill the rank/bytes statistics. A Numeric tile is generated on its
+    /// own, bit-identical to its block of [`TlrCholesky::dense_a`]: every
+    /// entry is a function of its global row and column alone.
     fn declare_tiles(&mut self, g: &mut GraphBuilder) {
         let nt = self.problem.nt();
         let ts = self.problem.tile_size;
         let model = RankModel::new(ts, self.problem.maxrank);
+        let grid = self.numeric.then(|| Grid2d::new(self.problem.n));
+        let (ls, nugget) = (self.problem.length_scale, self.problem.nugget);
         let mut rank_sum = 0.0;
         let mut bytes_sum = 0.0;
         let mut lr_count = 0.0;
         for i in 0..nt {
             for j in 0..=i {
                 let owner = self.dist.owner(i * nt + j);
-                match &self.dense_a {
-                    Some(dense_a) => {
-                        let r0 = (i as usize) * ts;
-                        let c0 = (j as usize) * ts;
-                        let block = dense_a.submatrix(r0, c0, ts, ts);
+                match &grid {
+                    Some(grid) => {
+                        let (r0, c0) = (i as usize * ts, j as usize * ts);
+                        let block = sqexp_covariance(grid, r0, c0, ts, ts, ls, nugget);
                         if i == j {
                             g.data(kd(nt, i), ts * ts * 8, owner, Some(block.to_bytes()));
                         } else {
@@ -295,7 +296,7 @@ impl TlrCholesky {
         let ts = self.problem.tile_size;
         let tol = self.problem.tol;
         let maxrank = self.problem.maxrank;
-        let numeric = self.dense_a.is_some();
+        let numeric = self.numeric;
         let flops = KernelFlops::new(ts);
         let model = RankModel::new(ts, maxrank);
         let rank_of = |i: u64, j: u64| model.rank(i, j);
@@ -442,10 +443,7 @@ impl TlrCholesky {
     /// Assemble the dense lower factor from a completed Numeric run and
     /// return the relative residual ‖A − L·Lᵀ‖_F / ‖A‖_F.
     pub fn residual(&self, cluster: &Cluster) -> f64 {
-        let a = self
-            .dense_a
-            .as_ref()
-            .expect("residual needs a Numeric build");
+        let a = self.dense_a().expect("residual needs a Numeric build");
         let nt = self.problem.nt();
         let ts = self.problem.tile_size;
         let n = self.problem.n;
@@ -468,7 +466,7 @@ impl TlrCholesky {
             };
             l.set_submatrix(i as usize * ts, j as usize * ts, &tile.to_dense());
         }
-        cholesky_residual(a, &l)
+        cholesky_residual(&a, &l)
     }
 }
 

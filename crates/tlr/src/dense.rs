@@ -24,6 +24,10 @@ use amt_linalg::{
 /// Dense-kernel efficiency (large BLAS-3 tiles run near peak).
 const DENSE_EFF: f64 = 0.85;
 
+/// Covariance length scale and diagonal nugget of the Numeric problem.
+const LENGTH_SCALE: f64 = 0.1;
+const NUGGET: f64 = 1e-2;
+
 /// Builder for dense tile Cholesky task graphs.
 pub struct DenseCholesky {
     pub n: usize,
@@ -31,9 +35,10 @@ pub struct DenseCholesky {
     pub dist: TileDist2d,
     /// Final version per lower tile (i, j), i ≥ j.
     pub out: HashMap<(u64, u64), VersionId>,
-    pub dense_a: Option<Matrix>,
     pub total_flops: f64,
     pub tasks: u64,
+    /// Real kernels on real tiles ([`DenseCholesky::build_numeric`]).
+    numeric: bool,
 }
 
 fn key(nt: u64, i: u64, j: u64) -> DataKey {
@@ -43,6 +48,16 @@ fn key(nt: u64, i: u64, j: u64) -> DataKey {
 impl DenseCholesky {
     fn nt(&self) -> u64 {
         (self.n / self.tile_size) as u64
+    }
+
+    /// The `n × n` covariance matrix the factorization starts from,
+    /// generated anew on each call (Numeric builds only, `None`
+    /// otherwise): the builder makes it a tile at a time and keeps none of
+    /// it.
+    pub fn dense_a(&self) -> Option<Matrix> {
+        let n = self.n;
+        self.numeric
+            .then(|| sqexp_covariance(&Grid2d::new(n), 0, 0, n, n, LENGTH_SCALE, NUGGET))
     }
 
     /// Build with real kernels and real covariance data (Numeric mode).
@@ -59,21 +74,18 @@ impl DenseCholesky {
         assert_eq!(n % ts, 0, "n must be a multiple of tile_size");
         let nt = (n / ts) as u64;
         let dist = TileDist2d::square_grid(nt, nt, nodes);
-        let dense_a = if numeric {
-            let grid = Grid2d::new(n);
-            Some(sqexp_covariance(&grid, 0, 0, n, n, 0.1, 1e-2))
-        } else {
-            None
-        };
+        // Each tile is generated on its own, bit-identical to its block of
+        // `dense_a()`: an entry is a function of its global row and column.
+        let grid = numeric.then(|| Grid2d::new(n));
 
         let mut g = GraphBuilder::new(nodes);
         let tile_bytes = ts * ts * 8;
         for i in 0..nt {
             for j in 0..=i {
                 let owner = dist.owner(i * nt + j);
-                let bytes = dense_a.as_ref().map(|a| {
-                    a.submatrix(i as usize * ts, j as usize * ts, ts, ts)
-                        .to_bytes()
+                let bytes = grid.as_ref().map(|grid| {
+                    let (r0, c0) = (i as usize * ts, j as usize * ts);
+                    sqexp_covariance(grid, r0, c0, ts, ts, LENGTH_SCALE, NUGGET).to_bytes()
                 });
                 g.data(key(nt, i, j), tile_bytes, owner, bytes);
             }
@@ -199,9 +211,9 @@ impl DenseCholesky {
                 tile_size: ts,
                 dist,
                 out,
-                dense_a,
                 total_flops,
                 tasks,
+                numeric,
             },
             g.build(),
         )
@@ -209,7 +221,7 @@ impl DenseCholesky {
 
     /// Relative residual of a completed Numeric run.
     pub fn residual(&self, cluster: &Cluster) -> f64 {
-        let a = self.dense_a.as_ref().expect("numeric build");
+        let a = self.dense_a().expect("numeric build");
         let nt = self.nt();
         let ts = self.tile_size;
         let mut l = Matrix::zeros(self.n, self.n);
@@ -225,7 +237,7 @@ impl DenseCholesky {
                 l.set_submatrix(i as usize * ts, j as usize * ts, &block);
             }
         }
-        cholesky_residual(a, &l)
+        cholesky_residual(&a, &l)
     }
 }
 

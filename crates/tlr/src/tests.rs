@@ -204,3 +204,42 @@ fn windowed_execution_matches_full_unroll_on_three_nodes() {
     assert_eq!(report.tasks_total as usize, ntasks);
     check_payloads(&win, "window 12");
 }
+
+/// Both builders generate A a tile at a time and keep none of it; every
+/// initial dense tile must still be bit-identical to its block of the
+/// whole matrix that `dense_a()` regenerates.
+#[test]
+fn tiles_generated_alone_are_blocks_of_the_whole_matrix() {
+    let (n, ts, nt) = (96, 32, 3u64);
+    let block = |a: &amt_linalg::Matrix, id: u64| {
+        let (i, j) = (id / nt, id % nt);
+        a.submatrix(i as usize * ts, j as usize * ts, ts, ts)
+            .to_bytes()
+    };
+    let (dense, graph) = crate::DenseCholesky::build_numeric(n, ts, 2);
+    let a = dense.dense_a().expect("numeric build");
+    let mut tiles = 0;
+    for (v, version) in graph.versions().enumerate() {
+        if version.producer().is_none() {
+            let tile = graph.initial(v).expect("numeric tile");
+            assert_eq!(tile[..], block(&a, version.key)[..], "key {}", version.key);
+            tiles += 1;
+        }
+    }
+    assert_eq!(tiles, nt * (nt + 1) / 2);
+    // TLR: the diagonal tiles stay dense (key 2·(k·nt + k)).
+    let (tlr, graph) = TlrCholesky::build_numeric(TlrProblem::new(n, ts), 2);
+    let a = tlr.dense_a().expect("numeric build");
+    let mut diagonal = 0;
+    for (v, version) in graph.versions().enumerate() {
+        let id = version.key / 2;
+        if version.producer().is_none() && version.key % 2 == 0 && id % (nt + 1) == 0 {
+            let tile = graph.initial(v).expect("numeric tile");
+            assert_eq!(tile[..], block(&a, id)[..], "diagonal {id}");
+            diagonal += 1;
+        }
+    }
+    assert_eq!(diagonal, nt);
+    let (cost_only, _) = TlrCholesky::build_cost_only(TlrProblem::new(n, ts), 2);
+    assert!(cost_only.dense_a().is_none());
+}

@@ -52,13 +52,14 @@ for jobs in 1 3; do
 done
 echo "golden fig4 report is byte-identical (jobs 1, 3)"
 
-echo "== benchmark of record: its own tests + sim_scale, real_tlr and real_stencil --quick smokes =="
+echo "== benchmark of record: its own tests + sim_scale, sim_fig4, real_tlr and real_stencil --quick smokes =="
 cargo test --quiet --offline --manifest-path benchmark/Cargo.toml
 # real_tlr's warm-up rep runs the factorization residual check and every
 # later rep is compared with it by digest: "correct" covers the kernels.
 # real_stencil checks that every cross-node flow arrived: "correct" covers
 # the record path (immediate records, per-worker flow statistics).
-for workload in sim_scale real_tlr real_stencil; do
+# sim_fig4 is the only workload that runs amt-minimpi.
+for workload in sim_scale sim_fig4 real_tlr real_stencil; do
     cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
         --quick --workload "$workload" --trace 0 > "$TMP_DIR/benchmark_smoke.txt"
     tail -n 1 "$TMP_DIR/benchmark_smoke.txt" | python3 -c '
@@ -66,8 +67,9 @@ import json, sys
 d = json.loads(sys.stdin.read())
 assert d["correct"] is True and d["failed"] == 0, d
 m = d["metrics"]
-print("benchmark %s --quick: correct, %d checks, %.0f tasks/s"
-      % (sys.argv[1], d["attempted"], m["tasks_per_s"]["value"]))
+print("benchmark %s --quick: correct, %d checks, %.0f tasks/s, %d peak live bytes"
+      % (sys.argv[1], d["attempted"], m["tasks_per_s"]["value"],
+         m["peak_live_bytes"]["value"]))
 ' "$workload"
 done
 

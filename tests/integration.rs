@@ -102,7 +102,7 @@ fn tlr_factor_solves_linear_system() {
     let ts = 48;
     let problem = TlrProblem::new(n, ts);
     let (chol, graph) = TlrCholesky::build_numeric(problem, 2);
-    let a = chol.dense_a.clone().expect("numeric build");
+    let a = chol.dense_a().expect("numeric build");
     let mut cluster = Cluster::new(ClusterConfig {
         nodes: 2,
         workers_per_node: 4,
