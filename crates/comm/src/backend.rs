@@ -138,12 +138,11 @@ pub(crate) trait CommBackend {
     #[cfg(test)]
     fn wires_in_flight(&self) -> usize;
 
-    /// Slots and buckets the library's unexpected-message table holds:
-    /// `(0, 0)` once a run has drained. Libraries without one keep the
-    /// default.
+    /// Messages waiting in the library's unexpected-message table: 0 once
+    /// a run has drained. Libraries without one keep the default.
     #[cfg(test)]
-    fn unexpected_footprint(&self) -> (usize, usize) {
-        (0, 0)
+    fn unexpected_depth(&self) -> usize {
+        0
     }
 }
 

@@ -505,7 +505,7 @@ impl CommBackend for MpiBackend {
     }
 
     #[cfg(test)]
-    fn unexpected_footprint(&self) -> (usize, usize) {
-        self.mpi.unexpected_footprint()
+    fn unexpected_depth(&self) -> usize {
+        self.mpi.unexpected_depth()
     }
 }

@@ -950,6 +950,44 @@ fn real_exec_control_dependencies_cross_nodes_without_data() {
     assert_eq!(report.bytes_transferred(), 0);
 }
 
+/// A kernel that panics fails `execute_real` with its message: its
+/// worker keeps running, so the pool still quiesces and the run does not
+/// hang (a hang trips the watchdog).
+#[test]
+fn real_exec_fails_with_a_panicking_kernels_message() {
+    let run = std::thread::spawn(|| {
+        let mut cluster = Cluster::new(small_cfg(BackendKind::Lci, 2));
+        let mut g = GraphBuilder::new(2);
+        g.data(0, 8, 0, Some(Bytes::from(vec![0u8; 8])));
+        // A chain across both nodes: the failed step strands the rest.
+        for step in 0..6usize {
+            g.insert(
+                TaskDesc::new("step")
+                    .on_node(step % 2)
+                    .flops(1e5)
+                    .read_key(0)
+                    .write(0, 8)
+                    .kernel(move |ins| {
+                        assert_ne!(step, 3, "kernel {step} failed");
+                        vec![ins[0].clone()]
+                    }),
+            );
+        }
+        cluster.execute_real(g.build(), 2);
+    });
+    let t0 = std::time::Instant::now();
+    while !run.is_finished() {
+        if t0.elapsed() > std::time::Duration::from_secs(10) {
+            eprintln!("a panicking kernel hung execute_real for 10 s");
+            std::process::abort();
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let err = run.join().expect_err("execute_real must fail");
+    let msg = err.downcast_ref::<String>().expect("a formatted message");
+    assert!(msg.contains("kernel 3 failed"), "{msg}");
+}
+
 #[test]
 fn real_exec_payloads_match_virtual_execution_bitwise() {
     let build = || {

@@ -138,7 +138,7 @@ impl Model {
     /// A parker holding `sync` checks its wait condition: waits, releasing
     /// `sync`, or leaves.
     fn wait_check(&self, n: &mut State, t: usize) {
-        // pool.rs:561 `while s.wakes == 0 && !s.shutdown {`; the epoch
+        // pool.rs:587 `while s.wakes == 0 && !s.shutdown {`; the epoch
         // protocol waited while the epoch was its snapshot.
         if !self.claim && n.epoch != n.threads[t].snap {
             n.threads[t].pc = Pc::Lower;
@@ -146,7 +146,7 @@ impl Model {
         }
         n.sync = None;
         n.threads[t].pc = if self.claim && n.wakes > 0 {
-            // pool.rs:568 `s.wakes -= 1;`
+            // pool.rs:594 `s.wakes -= 1;`
             n.wakes -= 1;
             Pc::Top
         } else {
@@ -162,30 +162,30 @@ impl Model {
         match th.pc {
             // The epoch protocol's snapshot before the scan.
             Pc::Top => (th.snap, th.pc) = (s.epoch, Pc::Pop),
-            // pool.rs:579 `q.pop_back().map(|job| (job, q.len()))`
+            // pool.rs:605 `q.pop_back().map(|job| (job, q.len()))`
             Pc::Pop if s.queues[t] > 0 => (th.pc, n.queues[t]) = (Pc::Run(false), s.queues[t] - 1),
             Pc::Pop => th.pc = Pc::Inject,
-            // pool.rs:590 `if let Some(job) = inj.pop_front() {`, and
-            // pool.rs:591 `shared.parking.pending.fetch_sub(1, SeqCst);`
+            // pool.rs:616 `if let Some(job) = inj.pop_front() {`, and
+            // pool.rs:617 `shared.parking.pending.fetch_sub(1, SeqCst);`
             Pc::Inject if s.injector > 0 => {
                 (th.pc, n.injector, n.pending) = (Pc::Run(true), s.injector - 1, s.pending - 1);
             }
             Pc::Inject => th.pc = Pc::Steal,
-            // pool.rs:616 `.try_lock()`, then `pop_front`.
+            // pool.rs:642 `.try_lock()`, then `pop_front`.
             Pc::Steal if s.queues[1 - t] > 0 => {
                 (th.pc, n.queues[1 - t]) = (Pc::Run(false), s.queues[1 - t] - 1);
             }
             Pc::Steal => th.pc = Pc::Lock,
-            // pool.rs:538 `Job::Task(id) => (shared.runner)(&mut ctx, id),`
+            // pool.rs:556 `Job::Task(id) => (shared.runner)(&mut ctx, id),`
             Pc::Run(_) if s.idle => return Err(Violation::MovedAfterIdle),
             Pc::Run(true) if self.children > 0 => th.pc = Pc::Push(self.children - 1),
             Pc::Run(_) => th.pc = Pc::Done,
-            // pool.rs:541 `bump(&shared.counters[index].executed);`
+            // pool.rs:567 `bump(&shared.counters[index].executed);`
             Pc::Done => (n.done, th.pc) = (s.done + 1, Pc::Top),
-            // pool.rs:198 `self.parking.pending.fetch_add(1, SeqCst);`
+            // pool.rs:208 `self.parking.pending.fetch_add(1, SeqCst);`
             Pc::Spawn(k) => (n.pending, th.pc) = (s.pending + 1, Pc::Push(k)),
-            // A worker's pool.rs:349 `q.push_back(job);`, or the external
-            // thread's pool.rs:199 `.push_back(job);`
+            // A worker's pool.rs:359 `q.push_back(job);`, or the external
+            // thread's pool.rs:209 `.push_back(job);`
             Pc::Push(k) => {
                 th.pc = Pc::Notify(k);
                 match t {
@@ -197,14 +197,14 @@ impl Model {
             Pc::Notify(k) if !self.claim => {
                 (n.epoch, th.pc) = (s.epoch.wrapping_add(1), Pc::Load(k));
             }
-            // pool.rs:175 `fence(SeqCst);`, then
-            // pool.rs:176 `if p.sleepers.load(Relaxed) > 0 {`
+            // pool.rs:185 `fence(SeqCst);`, then
+            // pool.rs:186 `if p.sleepers.load(Relaxed) > 0 {`
             Pc::Notify(k) | Pc::Load(k) if s.sleepers > 0 => th.pc = Pc::Wake(k),
             Pc::Notify(k) | Pc::Load(k) => th.pc = self.after_push(t, k),
-            // Under `sync`: pool.rs:179 `if p.sleepers.load(Relaxed) > 0 {`
-            // pool.rs:180 `p.sleepers.fetch_sub(1, SeqCst);`
-            // pool.rs:181 `s.wakes += 1;`
-            // pool.rs:182 `self.wake.notify_one();` (both protocols).
+            // Under `sync`: pool.rs:189 `if p.sleepers.load(Relaxed) > 0 {`
+            // pool.rs:190 `p.sleepers.fetch_sub(1, SeqCst);`
+            // pool.rs:191 `s.wakes += 1;`
+            // pool.rs:192 `self.wake.notify_one();` (both protocols).
             Pc::Wake(k) if free => {
                 th.pc = self.after_push(t, k);
                 if self.claim {
@@ -215,8 +215,8 @@ impl Model {
                 }
                 return Ok(self.notify_one(n));
             }
-            // pool.rs:544 `let mut s = shared.sync.lock().expect("pool sync");`
-            // pool.rs:548 `p.sleepers.fetch_add(1, SeqCst);`
+            // pool.rs:570 `let mut s = shared.sync.lock().expect("pool sync");`
+            // pool.rs:574 `p.sleepers.fetch_add(1, SeqCst);`
             Pc::Lock if free => {
                 th.pc = match (self.claim, self.recheck) {
                     (true, true) => Pc::Rescan(0),
@@ -225,8 +225,8 @@ impl Model {
                 };
                 (n.sync, n.sleepers) = (Some(me), s.sleepers + 1);
             }
-            // pool.rs:551 `fence(SeqCst);`, then
-            // pool.rs:552 `if shared.has_work() {`: each queue under its
+            // pool.rs:577 `fence(SeqCst);`, then
+            // pool.rs:578 `if shared.has_work() {`: each queue under its
             // lock, then the injector.
             Pc::Rescan(i) => {
                 let found = match i as usize {
@@ -250,9 +250,9 @@ impl Model {
                     Pc::Lower
                 };
             }
-            // pool.rs:556 `bump(&shared.counters[index].parks);`
-            // pool.rs:558 `if p.sleepers.load(SeqCst) == shared.queues.len() {`
-            // pool.rs:559 `shared.quiet.notify_all();`
+            // pool.rs:582 `bump(&shared.counters[index].parks);`
+            // pool.rs:584 `if p.sleepers.load(SeqCst) == shared.queues.len() {`
+            // pool.rs:585 `shared.quiet.notify_all();`
             Pc::Park if s.idle => return Err(Violation::MovedAfterIdle),
             Pc::Park => {
                 if s.sleepers as usize == W && s.threads[W].pc == Pc::IdleWaiting {
@@ -260,20 +260,20 @@ impl Model {
                 }
                 self.wait_check(&mut n, t);
             }
-            // pool.rs:562 `s = shared.wake.wait(s).expect("pool wake wait");`
+            // pool.rs:588 `s = shared.wake.wait(s).expect("pool wake wait");`
             // returns, spuriously or notified, holding `sync` again.
             Pc::Waiting => th.pc = Pc::Woken,
             Pc::Woken if free => {
                 n.sync = Some(me);
                 self.wait_check(&mut n, t);
             }
-            // pool.rs:553 `p.sleepers.fetch_sub(1, SeqCst);`, unlock.
+            // pool.rs:579 `p.sleepers.fetch_sub(1, SeqCst);`, unlock.
             Pc::Lower => {
                 (n.sleepers, n.sync) = (s.sleepers - 1, None);
                 th.pc = Pc::Top;
             }
-            // Under `sync`, pool.rs:484 `while p.pending.load(SeqCst) > 0 ||`
-            // pool.rs:485 `s = self.shared.quiet.wait(s).expect("pool quiet wait");`
+            // Under `sync`, pool.rs:496 `while p.pending.load(SeqCst) > 0 ||`
+            // pool.rs:497 `s = self.shared.quiet.wait(s).expect("pool quiet wait");`
             Pc::Idle if free => {
                 let work = s.injector > 0 || s.queues.iter().any(|&q| q > 0);
                 if s.pending > 0 || (s.sleepers as usize) < W {

@@ -65,6 +65,11 @@
 //! jobs touched — happens-before the caller's return, and no worker runs,
 //! parks or records anything until the next spawn.
 //!
+//! A job that panics does not take its worker down, which would leave
+//! `sleepers` short of `threads` for good: the worker keeps the first
+//! panic's payload and carries on, and [`Pool::run_until_idle`] raises it
+//! once the pool is quiet.
+//!
 //! ## Clock
 //!
 //! [`WorkerCtx::now`] and [`Pool::now`] read wall time since the pool
@@ -78,7 +83,9 @@
 //! counter against ≈ 45 ns for `Instant::elapsed` on the 2-core x86-64
 //! box of DESIGN.md §3.8.
 
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{
     fence, AtomicU64, AtomicUsize,
     Ordering::{Relaxed, SeqCst},
@@ -142,6 +149,9 @@ struct PoolShared {
     wake: Condvar,
     /// Signalled (under `sync`) by the last worker to park.
     quiet: Condvar,
+    /// The payload of the first job that panicked, until
+    /// [`Pool::run_until_idle`] raises it.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
     runner: Box<Runner>,
     clock: Clock,
     seed: u64,
@@ -434,6 +444,7 @@ impl Pool {
             }),
             wake: Condvar::new(),
             quiet: Condvar::new(),
+            panic: Mutex::new(None),
             runner: Box::new(runner),
             clock: Clock::new(true),
             seed,
@@ -477,12 +488,19 @@ impl Pool {
     }
 
     /// Block until every spawned job (including jobs they spawned) has
-    /// finished and every worker has parked (module docs).
+    /// finished and every worker has parked (module docs). Then, if a job
+    /// panicked since the last call, panic with the first such payload.
     pub fn run_until_idle(&self) {
         let p = &self.shared.parking;
         let mut s = self.shared.sync.lock().expect("pool sync");
         while p.pending.load(SeqCst) > 0 || p.sleepers.load(SeqCst) < self.threads() {
             s = self.shared.quiet.wait(s).expect("pool quiet wait");
+        }
+        drop(s);
+        // Taken before the unwind, which would poison a held lock.
+        let panic = self.shared.panic.lock().expect("pool panic").take();
+        if let Some(payload) = panic {
+            resume_unwind(payload);
         }
     }
 
@@ -534,9 +552,17 @@ fn worker_loop(index: usize, shared: &PoolShared, trace: Option<TraceWriter>) {
     let p = &shared.parking;
     loop {
         if let Some(job) = find_job(&mut ctx, &mut rng) {
-            match job {
+            let ran = catch_unwind(AssertUnwindSafe(|| match job {
                 Job::Task(id) => (shared.runner)(&mut ctx, id),
                 Job::Closure(f) => f(&mut ctx),
+            }));
+            if let Err(payload) = ran {
+                // The first panic is the cause; later ones may follow from it.
+                shared
+                    .panic
+                    .lock()
+                    .expect("pool panic")
+                    .get_or_insert(payload);
             }
             bump(&shared.counters[index].executed);
             continue;
@@ -1094,6 +1120,49 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A job that panics fails [`Pool::run_until_idle`] with its message
+    /// instead of killing its worker, which would hang the call: every
+    /// other job still runs, and the pool runs later jobs and drops
+    /// cleanly. A hang trips the watchdog.
+    #[test]
+    fn a_panicking_job_fails_run_until_idle_and_the_pool_carries_on() {
+        let worker = std::thread::spawn(|| {
+            let ran = Arc::new(Mutex::new(Vec::new()));
+            let pool = {
+                let ran = ran.clone();
+                Pool::with_runner(2, 3, false, move |_, id| {
+                    assert_ne!(id, 3, "task {id} failed");
+                    ran.lock().unwrap().push(id);
+                })
+            };
+            for id in 0..8 {
+                pool.spawn_task(id);
+            }
+            let err = catch_unwind(AssertUnwindSafe(|| pool.run_until_idle()))
+                .expect_err("run_until_idle must raise the job's panic");
+            let msg = err
+                .downcast_ref::<String>()
+                .expect("a formatted panic message");
+            assert!(msg.contains("task 3 failed"), "{msg}");
+            let mut ids = std::mem::take(&mut *ran.lock().unwrap());
+            ids.sort_unstable();
+            assert_eq!(ids, [0, 1, 2, 4, 5, 6, 7]);
+            pool.spawn_task(8);
+            pool.run_until_idle();
+            assert_eq!(*ran.lock().unwrap(), [8]);
+            drop(pool);
+        });
+        let t0 = Instant::now();
+        while !worker.is_finished() {
+            if t0.elapsed() > Duration::from_secs(10) {
+                eprintln!("a panicking job hung the pool for 10 s");
+                std::process::abort();
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        worker.join().expect("the test body");
     }
 
     /// A parker that waits without rescanning the queues after raising

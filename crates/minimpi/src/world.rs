@@ -1,12 +1,10 @@
 //! MiniMPI state machines: requests, matching tables, eager and rendezvous
 //! wire protocols.
 //!
-//! Matching is O(1)-average via the hash-bucketed tables in
-//! [`crate::matcher`]; the *virtual* cost charged per match is still the
-//! seed's linear-scan count (`match_per_item × entries the scan would have
-//! examined`), so results are byte-identical to the original `VecDeque`
-//! implementation (proven by `tests/proptests.rs` and the golden fig4
-//! report).
+//! Matching scans the arrival-ordered queues of [`crate::matcher`]; each
+//! match charges `match_per_item` × the entries its scan examined, so the
+//! host does exactly the work the model charges for (the golden fig4
+//! report pins that charge).
 //!
 //! Every message on the fabric is a [`Wire`] record in the world's
 //! [`Slab`], sent as its id. The receiving rank's handler queues the id;
@@ -89,7 +87,7 @@ enum RState {
     SendInFlight { tag: Tag, size: usize, data: Frames },
     /// Rendezvous DATA transmitted; completion latched for the next poll.
     Complete(Status),
-    /// Receive sitting in the posted table; the token cancels it in O(1).
+    /// Receive sitting in the posted table; the token cancels it.
     RecvPosted { tok: PostToken },
     /// Receive matched to an RTS; CTS sent, awaiting DATA.
     RecvAwaitData { src: NodeId, tag: Tag },
@@ -147,10 +145,9 @@ enum Wire {
 struct RankState {
     requests: Vec<Request>,
     free: Vec<usize>,
-    /// Posted receives, hash-bucketed by `(src, tag)` with a wildcard
-    /// side-list, ordered by arrival sequence number.
+    /// Posted receives in post order.
     posted: PostTable,
-    /// Unexpected-message table, dual-indexed by `(src, tag)` and `tag`.
+    /// Unexpected messages in arrival order.
     unexpected: UnexpTable<Unexpected>,
     /// Hardware queue of delivered-but-unprogressed wire messages (their
     /// [`MpiWorld::wires`] ids), with their injection timestamps.
@@ -791,9 +788,8 @@ impl Mpi {
         (None, cost)
     }
 
-    /// Cancel-and-free a posted receive or inactive persistent request.
-    /// Cancellation is O(1): the posted entry is tombstoned through its
-    /// generation-tagged table token instead of filtering the whole queue.
+    /// Cancel-and-free a posted receive or inactive persistent request: a
+    /// posted entry leaves its table through its token.
     pub fn release(&self, req: ReqId) {
         self.check(req);
         let mut w = self.world.borrow_mut();
@@ -817,13 +813,6 @@ impl Mpi {
     /// Depth of the unexpected-message table (diagnostics).
     pub fn unexpected_depth(&self) -> usize {
         self.world.borrow().ranks[self.rank].unexpected.len()
-    }
-
-    /// Slots and buckets the unexpected-message table holds
-    /// ([`UnexpTable::footprint`]); `(0, 0)` once a run has drained
-    /// (diagnostics).
-    pub fn unexpected_footprint(&self) -> (usize, usize) {
-        self.world.borrow().ranks[self.rank].unexpected.footprint()
     }
 
     /// Depth of the incoming hardware queue (diagnostics).

@@ -1,8 +1,7 @@
 //! Warmed messages through the simulated libraries allocate nothing: wire
 //! records live in each world's slab and travel as ids, LCI completions
 //! name handlers registered once, LCI's matching FIFOs are links in a
-//! per-endpoint slab, and MPI's posted-receive buckets reuse the buffers
-//! of emptied ones. Each
+//! per-endpoint slab, and MPI's match queues keep their capacity. Each
 //! scenario runs three identical rounds and pins the third round's count.
 //! One test in a binary of its own, so the process-wide counter counts
 //! nothing else.
@@ -147,8 +146,8 @@ fn warmed_library_messages_allocate_no_wire_or_completion() {
     let rendezvous = lci_rendezvous_rounds();
     assert_eq!(rendezvous[2], 0, "LCI rendezvous, 8 puts: {rendezvous:?}");
 
-    // A fresh tag's posted-receive bucket reuses the buffer of one a
-    // match emptied; no wire record, no completion vector.
+    // A post on a fresh tag lands in the rank's one posted queue, whose
+    // capacity the first round grew; no wire record, no completion vector.
     let mpi = mpi_eager_rounds();
     assert_eq!(mpi[2], 0, "MPI eager, 30 messages: {mpi:?}");
 }
