@@ -27,7 +27,7 @@
 //! * Initial payloads (producer-less versions, Numeric mode) live in a
 //!   side table, which a real run empties into its node stores.
 
-use std::cell::{Ref, RefCell, RefMut};
+use std::cell::{Cell, Ref, RefCell, RefMut};
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -224,26 +224,50 @@ pub struct TaskDesc {
     pub(crate) flops: f64,
     pub(crate) efficiency: f64,
     pub(crate) priority: i64,
-    pub(crate) reads: Vec<ReadRef>,
-    pub(crate) writes: Vec<(DataKey, usize)>,
+    /// Reads and writes in declaration order.
+    pub(crate) edges: Vec<Edge>,
     pub(crate) kernel: Option<Kernel>,
 }
 
+#[derive(Clone, Copy)]
+pub(crate) enum Edge {
+    Read(ReadRef),
+    /// A new version of `key` of the declared size.
+    Write(DataKey, usize),
+}
+
+#[derive(Clone, Copy)]
 pub(crate) enum ReadRef {
     Version(VersionId),
     Current(DataKey),
 }
 
+/// Edges a fresh descriptor reserves: a stencil task's five reads and one
+/// write fit without a grow.
+const DESC_EDGES: usize = 8;
+/// Longest spent edge list kept for the next descriptor: one wide task
+/// must not pin its list for the rest of the thread.
+const SPARE_EDGES_CAP: usize = 64;
+
+thread_local! {
+    /// The cleared edge list of the last descriptor this thread inserted;
+    /// [`TaskDesc::new`] takes it, so build-and-insert loops reuse one list.
+    static SPARE_EDGES: Cell<Vec<Edge>> = const { Cell::new(Vec::new()) };
+}
+
 impl TaskDesc {
     pub fn new(name: &'static str) -> Self {
+        let mut edges = SPARE_EDGES.try_with(Cell::take).unwrap_or_default();
+        if edges.capacity() == 0 {
+            edges.reserve_exact(DESC_EDGES);
+        }
         TaskDesc {
             name,
             node: None,
             flops: 0.0,
             efficiency: 1.0,
             priority: 0,
-            reads: Vec::new(),
-            writes: Vec::new(),
+            edges,
             kernel: None,
         }
     }
@@ -278,19 +302,19 @@ impl TaskDesc {
 
     /// Read a specific version.
     pub fn read(mut self, v: VersionId) -> Self {
-        self.reads.push(ReadRef::Version(v));
+        self.edges.push(Edge::Read(ReadRef::Version(v)));
         self
     }
 
     /// Read the current (insertion-time) version of `key`.
     pub fn read_key(mut self, key: DataKey) -> Self {
-        self.reads.push(ReadRef::Current(key));
+        self.edges.push(Edge::Read(ReadRef::Current(key)));
         self
     }
 
     /// Write `key`, producing a new version of declared `size` bytes.
     pub fn write(mut self, key: DataKey, size: usize) -> Self {
-        self.writes.push((key, size));
+        self.edges.push(Edge::Write(key, size));
         self
     }
 
@@ -801,8 +825,12 @@ impl GraphBuilder {
         self.track_superseded = true;
     }
 
-    pub(crate) fn take_superseded(&mut self) -> Vec<VersionId> {
-        std::mem::take(&mut self.superseded)
+    /// Hand the versions superseded since the last call over in `spent`
+    /// (which must be empty) and keep its buffer for the next ones, so
+    /// neither side regrows a list per call.
+    pub(crate) fn swap_superseded(&mut self, spent: &mut Vec<VersionId>) {
+        debug_assert!(spent.is_empty());
+        std::mem::swap(&mut self.superseded, spent);
     }
 
     pub(crate) fn handle(&self) -> &GraphHandle {
@@ -849,39 +877,47 @@ impl GraphBuilder {
         self.current.get(&key).copied()
     }
 
-    /// Insert a task; returns its id.
+    /// Insert a task; returns its id. Every read binds before any write
+    /// applies, so a task that reads and writes one key reads the version
+    /// before its own, whatever the declaration order.
     pub fn insert(&mut self, desc: TaskDesc) -> TaskId {
         let mut guard = self.graph.get_mut();
         let g = &mut *guard;
         let id = g.tasks.len();
         let current = &self.current;
-        let resolve = |r: &ReadRef| match *r {
+        let resolve = |r: ReadRef| match r {
             ReadRef::Version(v) => v,
             ReadRef::Current(k) => *current
                 .get(&k)
                 .unwrap_or_else(|| panic!("read of key {k} with no version")),
         };
         let node = desc.node.unwrap_or_else(|| {
-            desc.reads
-                .first()
-                .map_or(0, |r| g.versions.get(resolve(r).0).home())
+            desc.edges
+                .iter()
+                .find_map(|e| match *e {
+                    Edge::Read(r) => Some(g.versions.get(resolve(r).0).home()),
+                    Edge::Write(..) => None,
+                })
+                .unwrap_or(0)
         });
         assert!(node < self.nodes, "node {node} out of range");
         let (task32, node32) = (id32(id), id32(node));
-        let n_in = u16::try_from(desc.reads.len()).expect("at most 65 535 reads per task");
-        let n_out = u16::try_from(desc.writes.len()).expect("at most 65 535 writes per task");
         let hint = g.edge_hint;
         let side = g.tasks.tail_side(|| TaskSide {
             edges: Vec::with_capacity(hint),
             kernels: Vec::new(),
         });
         let edges = id32(side.edges.len());
-        for r in &desc.reads {
-            let v = resolve(r);
-            side.edges.push(id32(v.0));
-            g.consumers.push(g.versions.get_mut(v.0), task32, node32);
+        for e in &desc.edges {
+            if let Edge::Read(r) = *e {
+                let v = resolve(r);
+                side.edges.push(id32(v.0));
+                g.consumers.push(g.versions.get_mut(v.0), task32, node32);
+            }
         }
-        for &(key, size) in &desc.writes {
+        let n_in = side.edges.len() - edges as usize;
+        for e in &desc.edges {
+            let Edge::Write(key, size) = *e else { continue };
             let vid = VersionId(g.versions.len());
             g.versions.push(Version {
                 key,
@@ -898,6 +934,9 @@ impl GraphBuilder {
                 }
             }
         }
+        let n_out = desc.edges.len() - n_in;
+        let n_in = u16::try_from(n_in).expect("at most 65 535 reads per task");
+        let n_out = u16::try_from(n_out).expect("at most 65 535 writes per task");
         g.edge_hint = g.edge_hint.max(side.edges.len());
         if let Some(k) = desc.kernel {
             if side.kernels.is_empty() {
@@ -922,6 +961,11 @@ impl GraphBuilder {
             n_in,
             n_out,
         });
+        let mut spent = desc.edges;
+        if spent.capacity() <= SPARE_EDGES_CAP {
+            spent.clear();
+            let _ = SPARE_EDGES.try_with(|s| s.set(spent));
+        }
         id
     }
 
@@ -1191,6 +1235,91 @@ mod tests {
         let _ = c.get(256);
     }
 
+    /// Reads bind before writes apply, whatever the declaration order.
+    #[test]
+    fn a_write_declared_before_its_read_still_reads_the_previous_version() {
+        let mut g = GraphBuilder::new(1);
+        let v0 = g.data(0, 8, 0, None);
+        let t = g.insert(TaskDesc::new("t").write(0, 8).read_key(0));
+        let v1 = g.current(0).expect("written");
+        let graph = g.build();
+        assert_eq!(graph.inputs(t).collect::<Vec<_>>(), vec![v0]);
+        assert_eq!(graph.outputs(t).collect::<Vec<_>>(), vec![v1]);
+        assert_ne!(v0, v1);
+    }
+
+    #[test]
+    fn an_unpinned_task_runs_at_its_first_reads_home_even_after_a_write() {
+        let mut g = GraphBuilder::new(3);
+        g.data(5, 8, 2, None);
+        g.data(6, 8, 1, None);
+        let t = g.insert(TaskDesc::new("t").write(9, 8).read_key(5).read_key(6));
+        let graph = g.build();
+        assert_eq!(graph.task(t).node(), 2);
+        let out = graph.outputs(t).next().expect("one output");
+        assert_eq!(graph.version(out.0).home(), 2);
+    }
+
+    /// Past the eight reserved entries the list grows, and the edges keep
+    /// declaration order: inputs first, then outputs.
+    #[test]
+    fn a_wide_descriptor_keeps_every_edge_in_order() {
+        let mut g = GraphBuilder::new(1);
+        let initial: Vec<VersionId> = (0..40).map(|k| g.data(k, 8, 0, None)).collect();
+        let mut d = TaskDesc::new("wide").write(100, 8);
+        for k in (0..40).rev() {
+            d = d.read_key(k);
+        }
+        let t = g.insert(d.write(101, 8));
+        let outs = [g.current(100).expect("w"), g.current(101).expect("w")];
+        let graph = g.build();
+        let want: Vec<VersionId> = initial.iter().rev().copied().collect();
+        assert_eq!(graph.inputs(t).collect::<Vec<_>>(), want);
+        assert_eq!(graph.outputs(t).collect::<Vec<_>>(), outs);
+        for (k, v) in initial.iter().enumerate() {
+            assert_eq!(consumer_tasks(&graph, v.0), vec![t], "key {k}");
+        }
+    }
+
+    #[test]
+    fn a_descriptor_dropped_without_insert_is_harmless() {
+        let mut g = GraphBuilder::new(1);
+        g.data(0, 8, 0, None);
+        drop(TaskDesc::new("unused").read_key(0).write(0, 8));
+        let d = TaskDesc::new("used");
+        assert!(d.edges.is_empty() && d.edges.capacity() >= DESC_EDGES);
+        let t = g.insert(d.read_key(0).write(0, 8));
+        let graph = g.build();
+        assert_eq!((graph.inputs(t).len(), graph.outputs(t).len()), (1, 1));
+    }
+
+    /// An inserted descriptor's list is the next one's, cleared; a list
+    /// grown past the cap is dropped instead.
+    #[test]
+    fn the_spent_edge_list_is_recycled_up_to_the_cap() {
+        let mut g = GraphBuilder::new(1);
+        g.data(0, 8, 0, None);
+        let d = TaskDesc::new("a").read_key(0).write(0, 8);
+        let list = d.edges.as_ptr();
+        g.insert(d);
+        let d = TaskDesc::new("b");
+        assert_eq!(d.edges.as_ptr(), list, "the spare is reused");
+        assert!(d.edges.is_empty());
+
+        let mut wide = d;
+        for _ in 0..=SPARE_EDGES_CAP {
+            wide = wide.read_key(0);
+        }
+        assert!(wide.edges.capacity() > SPARE_EDGES_CAP);
+        g.insert(wide);
+        let d = TaskDesc::new("c");
+        assert_eq!(
+            d.edges.capacity(),
+            DESC_EDGES,
+            "an over-cap list is not kept"
+        );
+    }
+
     #[test]
     fn builder_logs_superseded_versions() {
         let mut g = GraphBuilder::new(1);
@@ -1199,7 +1328,11 @@ mod tests {
         g.insert(TaskDesc::new("w1").read_key(0).write(0, 8));
         let v1 = g.current(0).expect("current");
         g.insert(TaskDesc::new("w2").read_key(0).write(0, 8));
-        assert_eq!(g.take_superseded(), vec![v0, v1]);
-        assert!(g.take_superseded().is_empty());
+        let mut spent = Vec::new();
+        g.swap_superseded(&mut spent);
+        assert_eq!(spent, vec![v0, v1]);
+        spent.clear();
+        g.swap_superseded(&mut spent);
+        assert!(spent.is_empty());
     }
 }

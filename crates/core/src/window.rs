@@ -36,8 +36,13 @@ use std::rc::Rc;
 
 use amt_simnet::{FastMap, Sim};
 
-use crate::graph::{GraphBuilder, GraphHandle, GraphSource, TaskGraph, TaskId, GRAPH_CHUNK};
+use crate::graph::{
+    GraphBuilder, GraphHandle, GraphSource, TaskGraph, TaskId, VersionId, GRAPH_CHUNK,
+};
 use crate::node::{NodeRt, RtHandle};
+
+/// Longest superseded-version list the window keeps between refills.
+const SUPERSEDED_KEEP: usize = 1024;
 
 /// The windowed-discovery driver, shared by every node runtime of one
 /// execution (each completion notifies it; it refills the window from the
@@ -77,6 +82,10 @@ struct WindowInner {
     retire_scratch: Vec<usize>,
     /// Scratch: late activations collected under the graph borrow.
     late_scratch: Vec<(usize, usize, usize, usize, i64)>,
+    /// Scratch: the versions the builder logged as superseded, swapped
+    /// with its log so neither list regrows per refill (kept only up to
+    /// [`SUPERSEDED_KEEP`] entries).
+    superseded_scratch: Vec<VersionId>,
     /// Scratch, one use at a time: the remote consumer nodes of a version
     /// being announced, or the finals surviving a chunk evacuation.
     ids_scratch: Vec<usize>,
@@ -135,6 +144,7 @@ impl WindowCtl {
                 seeded_versions: 0,
                 retire_scratch: Vec::new(),
                 late_scratch: Vec::new(),
+                superseded_scratch: Vec::new(),
                 ids_scratch: Vec::new(),
             }),
         })
@@ -317,11 +327,20 @@ impl WindowInner {
 
         // Versions whose `current` slot was overwritten: consumer sets are
         // final, so they become retirement candidates.
-        for vid in self.builder.take_superseded() {
+        let mut superseded = std::mem::take(&mut self.superseded_scratch);
+        self.builder.swap_superseded(&mut superseded);
+        for &vid in &superseded {
             self.versions[vid.0].0 |= VerState::SUPERSEDED;
             if self.live {
                 self.maybe_retire_version(&handle, vid.0);
             }
+        }
+        // The prefill supersedes up to a window of versions at once, a
+        // refill a few: keep only a refill-sized list, so the prefill's
+        // does not stay live for the whole run.
+        if superseded.capacity() <= SUPERSEDED_KEEP {
+            superseded.clear();
+            self.superseded_scratch = superseded;
         }
     }
 

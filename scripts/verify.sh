@@ -133,7 +133,7 @@ assert m["substrate"] == "virtual" and m["makespan_ns"] > 0
 print("simulator accepted the measured cost model (valid virtual run)")
 PY
 
-echo "== removed forks stay removed: island DES, tuner window loops, offline grid, seed scheduler, per-tag windows, boxed backend micro-tasks, shm node owners, the Substrate seam, engine collectives, the ladder queue, the eager-ceiling tuner, type-erased wires and completions, the LciDirect wrapper, per-task edge and consumer vectors, the real path's startup/quiescence collectives, the shm transport's put, send path and registries, the bucket ready queue, per-node report tallies and float latency recording, the simulated wire's record and handshake codecs and the byte cursor traits, the pool's lock-free deque, its slot boxes and overflow path, the time-weighted gauge, LCI completion queues and synchronizers, the configurable GET count window, the six side harnesses with their BENCH_*.json, and the hash/treap matcher =="
+echo "== removed forks stay removed: island DES, tuner window loops, offline grid, seed scheduler, per-tag windows, boxed backend micro-tasks, shm node owners, the Substrate seam, engine collectives, the ladder queue, the eager-ceiling tuner, type-erased wires and completions, the LciDirect wrapper, per-task edge and consumer vectors, the real path's startup/quiescence collectives, the shm transport's put, send path and registries, the bucket ready queue, per-node report tallies and float latency recording, the simulated wire's record and handshake codecs and the byte cursor traits, the pool's lock-free deque, its slot boxes and overflow path, the time-weighted gauge, LCI completion queues and synchronizers, the configurable GET count window, the six side harnesses with their BENCH_*.json, the hash/treap matcher, and the task descriptor's separate read and write vectors with the builder's superseded-feed take =="
 if grep -rn -e 'execute_islands\|new_partition\|RemoteChunk\|run_before\|TuneProfile\|WindowState\|--tuned\|--islands\|--autotune-out' \
         -e 'reference_sched\|RefDataState\|ReadyQueue::Reference\|batch_window_overrides\|with_batch_window_override\|batch_window_for\|get_window_min_flows' \
         -e 'Micro::Backend(\|BackendMicro\|fn exec_micro(\|fn micro_label' \
@@ -148,6 +148,7 @@ if grep -rn -e 'execute_islands\|new_partition\|RemoteChunk\|run_before\|TunePro
         -e 'BucketQueue\|MAX_SPAN\|spill_to_heap\|struct Lats\|fn merge_stats\|record_time_us' \
         -e 'encode_with\|fn encode_one\|fn iter_frames\|fn decode_one\|pub trait Buf\|pub trait BufMut' \
         -e 'SPARE_SLOTS\|DEQUE_CAP\|fn take_job\|overflow_pushes\|TimeWeighted\|fn cq_new\|fn sync_new\|pub get_window:' \
+        -e 'reads: Vec<ReadRef>\|writes: Vec<(DataKey\|fn take_superseded' \
         crates/ examples/ tests/ src/ scripts/ --exclude=verify.sh; then
     echo "a removed name is back"; exit 1
 fi

@@ -1,6 +1,7 @@
 //! A task graph owns O(chunks) heap blocks, not O(tasks): inserting a
 //! task allocates nothing of its own (records, edges and consumer links
-//! go into chunk- and graph-owned arenas), and the built graph stays
+//! go into chunk- and graph-owned arenas; the descriptor's edge list is
+//! the previous descriptor's, recycled), and the built graph stays
 //! small. The shape is the benchmark's `real_stencil` (a 5-point stencil
 //! over a 32 × 32 tile grid on 4 nodes, tiles owned at random), at 20
 //! sweeps. One test in a binary of its own, so the process-wide counter
@@ -18,31 +19,23 @@ const TILES: i64 = 32;
 const SWEEPS: usize = 20;
 const BYTES: usize = 16 * 16 * 8;
 
-/// Every task of the stencil, built before the measurement so that the
-/// descriptors' own `Vec`s are not counted.
-fn stencil_descs(owners: &[usize]) -> Vec<TaskDesc> {
+/// One stencil task, built the way every caller builds one: a fresh
+/// descriptor per task, inserted at once.
+fn stencil_desc(owners: &[usize], r: i64, c: i64) -> TaskDesc {
     let key = |r: i64, c: i64| (r * TILES + c) as u64;
-    let mut descs = Vec::new();
-    for _ in 0..SWEEPS {
-        for r in 0..TILES {
-            for c in 0..TILES {
-                let k = key(r, c);
-                let mut desc = TaskDesc::new("stencil")
-                    .on_node(owners[k as usize])
-                    .flops(1280.0)
-                    .efficiency(0.15)
-                    .read_key(k)
-                    .write(k, BYTES);
-                for (nr, nc) in [(r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)] {
-                    if (0..TILES).contains(&nr) && (0..TILES).contains(&nc) {
-                        desc = desc.read_key(key(nr, nc));
-                    }
-                }
-                descs.push(desc);
-            }
+    let k = key(r, c);
+    let mut desc = TaskDesc::new("stencil")
+        .on_node(owners[k as usize])
+        .flops(1280.0)
+        .efficiency(0.15)
+        .read_key(k)
+        .write(k, BYTES);
+    for (nr, nc) in [(r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)] {
+        if (0..TILES).contains(&nr) && (0..TILES).contains(&nc) {
+            desc = desc.read_key(key(nr, nc));
         }
     }
-    descs
+    desc
 }
 
 #[test]
@@ -51,8 +44,7 @@ fn inserting_a_task_allocates_nothing_of_its_own() {
     let owners: Vec<usize> = (0..(TILES * TILES) as usize)
         .map(|_| rng.gen_usize(0..NODES))
         .collect();
-    let descs = stencil_descs(&owners);
-    let tasks = descs.len();
+    let tasks = SWEEPS * (TILES * TILES) as usize;
     assert_eq!(tasks, 20_480);
 
     let mut g = GraphBuilder::new(NODES);
@@ -60,8 +52,12 @@ fn inserting_a_task_allocates_nothing_of_its_own() {
         g.data(k as u64, BYTES, owner, None);
     }
     let snap = AllocSnapshot::now();
-    for desc in descs {
-        g.insert(desc);
+    for _ in 0..SWEEPS {
+        for r in 0..TILES {
+            for c in 0..TILES {
+                g.insert(stencil_desc(&owners, r, c));
+            }
+        }
     }
     let allocs = snap.since().allocs;
     assert!(allocs > 0, "the counting allocator is not installed");
