@@ -27,6 +27,12 @@ use crate::qr::qr_pivoted_r;
 /// the converged columns, orthonormal to the sweeps' own accuracy whatever
 /// `σ_k` is, and `U_k·Σ_k = W·V_k` is one small GEMM. Neither `Q` nor `J`
 /// is ever formed.
+///
+/// For a tall `a`, the pivots, `R` and so the sweeps, `σ` and `V_k` depend
+/// on `a` only through `aᵀa` (up to signs and rounding): rounding `Q·a`,
+/// `Q` with orthonormal columns, does the same work as rounding `a` and
+/// returns `(Q·(a·V_k), V_k)`. `LrTile::add_truncate` relies on this to skip the
+/// QR of its left stack.
 pub fn svd_truncate(a: &Matrix, tol: f64, maxrank: usize) -> (Matrix, Matrix) {
     let wide = a.rows() < a.cols();
     let (r, perm) = qr_pivoted_r(if wide { a.transpose() } else { a.clone() });
@@ -408,17 +414,17 @@ mod tests {
         }
         // The core SVD of `LrTile::add_truncate` on its tile test's stacks
         // (amt-tlr `add_truncate_with_stacks_wider_than_the_tile`): graded
-        // 32 × 23 factors, [U W] and [V Z] of 32 × 46, core Ru·Rvᵀ.
+        // 32 × 23 factors, [U W] and [V Z] of 32 × 46, core [U W]·Rvᵀ.
         let graded = |di: usize, dj: usize| {
             Matrix::from_fn(32, 23, |i, j| {
                 pseudo(i + di, j + dj) * 0.4f64.powi(j as i32)
             })
         };
         let (u, v, w, z) = (graded(0, 0), graded(40, 3), graded(7, 50), graded(90, 20));
-        let (_, ru) = qr_thin(&Matrix::from_vec(32, 46, [u.data(), w.data()].concat()));
+        let su = Matrix::from_vec(32, 46, [u.data(), w.data()].concat());
         let (_, rv) = qr_thin(&Matrix::from_vec(32, 46, [v.data(), z.data()].concat()));
         let mut core = Matrix::zeros(32, 32);
-        gemm(1.0, &ru, Trans::No, &rv, Trans::Yes, 0.0, &mut core);
+        gemm(1.0, &su, Trans::No, &rv, Trans::Yes, 0.0, &mut core);
         let (_, rotations) = counted(|| svd_truncate(&core, 1e-8, 150));
         assert_eq!(rotations, STACKS_ROTATIONS);
     }

@@ -42,8 +42,14 @@ impl LrTile {
         d
     }
 
-    /// Rounded addition `self + W·Zᵀ`, re-truncated at `tol`/`maxrank`:
-    /// QR of the stacked factors, small SVD of the product of the R's.
+    /// Rounded addition `self + W·Zᵀ`, re-truncated at `tol`/`maxrank`,
+    /// with one QR: `[V Z] = Qv·Rv` makes the sum `C·Qvᵀ` with the core
+    /// `C = [U W]·Rvᵀ`, and `svd_truncate(C) = (C·V_k, V_k)` gives
+    /// `U' = C·V_k` and `V' = Qv·V_k` (orthonormal columns on a square
+    /// tile). The left stack needs no QR: with `[U W] = Qu·Ru`,
+    /// `C = Qu·(Ru·Rvᵀ)`, and a column-pivoted QR — the Jacobi SVD's
+    /// preconditioner — sees only `CᵀC`, which `Qu` leaves unchanged, so
+    /// the sweeps, `σ` and the rank are those of `Ru·Rvᵀ` (DESIGN.md §3.7).
     pub fn add_truncate(&self, w: &Matrix, z: &Matrix, tol: f64, maxrank: usize) -> LrTile {
         assert_eq!(w.rows(), self.rows());
         assert_eq!(z.rows(), self.cols());
@@ -53,14 +59,10 @@ impl LrTile {
         // Stack [U  W] and [V  Z]: column-major, so side by side is end to end.
         let su = Matrix::from_vec(self.rows(), cols, [self.u.data(), w.data()].concat());
         let sv = Matrix::from_vec(self.cols(), cols, [self.v.data(), z.data()].concat());
-        let (qu, ru) = qr_thin(&su);
         let (qv, rv) = qr_thin(&sv);
-        // Core = Ru · Rvᵀ, small; U' = Qu · (Cu·diag(s))[:, :k], V' = Qv · Cv[:, :k].
-        let mut core = Matrix::zeros(ru.rows(), rv.rows());
-        gemm(1.0, &ru, Trans::No, &rv, Trans::Yes, 0.0, &mut core);
-        let (cus, cv) = svd_truncate(&core, tol, maxrank);
-        let mut u = Matrix::zeros(self.rows(), cus.cols());
-        gemm(1.0, &qu, Trans::No, &cus, Trans::No, 0.0, &mut u);
+        let mut core = Matrix::zeros(self.rows(), rv.rows());
+        gemm(1.0, &su, Trans::No, &rv, Trans::Yes, 0.0, &mut core);
+        let (u, cv) = svd_truncate(&core, tol, maxrank);
         let mut v = Matrix::zeros(self.cols(), cv.cols());
         gemm(1.0, &qv, Trans::No, &cv, Trans::No, 0.0, &mut v);
         LrTile { u, v }
@@ -94,6 +96,31 @@ mod tests {
             .wrapping_mul(0x9e3779b97f4a7c15)
             .wrapping_add((j as u64).wrapping_mul(0xc2b2ae3d27d4eb4f));
         ((h >> 11) % 100_000) as f64 / 100_000.0 - 0.5
+    }
+
+    /// The routine `add_truncate` replaced — a thin QR of each stack and
+    /// the SVD of `Ru·Rvᵀ`, multiplied back by `Qu` and `Qv` — kept as the
+    /// oracle.
+    fn ref_add_truncate(t: &LrTile, w: &Matrix, z: &Matrix, tol: f64, maxrank: usize) -> LrTile {
+        let cols = t.rank() + w.cols();
+        let su = Matrix::from_vec(t.rows(), cols, [t.u.data(), w.data()].concat());
+        let sv = Matrix::from_vec(t.cols(), cols, [t.v.data(), z.data()].concat());
+        let (qu, ru) = qr_thin(&su);
+        let (qv, rv) = qr_thin(&sv);
+        let mut core = Matrix::zeros(ru.rows(), rv.rows());
+        gemm(1.0, &ru, Trans::No, &rv, Trans::Yes, 0.0, &mut core);
+        let (cus, cv) = svd_truncate(&core, tol, maxrank);
+        let mut u = Matrix::zeros(t.rows(), cus.cols());
+        gemm(1.0, &qu, Trans::No, &cus, Trans::No, 0.0, &mut u);
+        let mut v = Matrix::zeros(t.cols(), cv.cols());
+        gemm(1.0, &qv, Trans::No, &cv, Trans::No, 0.0, &mut v);
+        LrTile { u, v }
+    }
+
+    /// `32 × k` factor whose column `j` is scaled by `0.4^j`: sums of such
+    /// tiles have a decaying spectrum for the truncation to cut.
+    fn graded(k: usize, di: usize, dj: usize) -> Matrix {
+        Matrix::from_fn(32, k, |i, j| pseudo(i + di, j + dj) * 0.4f64.powi(j as i32))
     }
 
     fn low_rank_block(m: usize, n: usize, k: usize) -> Matrix {
@@ -151,19 +178,15 @@ mod tests {
     #[test]
     fn add_truncate_with_stacks_wider_than_the_tile() {
         // The regime the benchmark's TLR workload runs (mean rank 23 on
-        // 32 × 32 tiles): k1 + k2 = 46 > ts, so both QRs are of wide
-        // matrices and the core is ts × ts. Graded columns give the sum a
-        // decaying spectrum, so the truncation at 1e-8 has something to cut.
-        let graded = |di: usize, dj: usize| {
-            Matrix::from_fn(32, 23, |i, j| {
-                pseudo(i + di, j + dj) * 0.4f64.powi(j as i32)
-            })
-        };
+        // 32 × 32 tiles): k1 + k2 = 46 > ts, so the QR of [V Z] is of a
+        // wide matrix and the core [U W]·Rvᵀ is ts × ts. Graded columns
+        // give the sum a decaying spectrum, so the truncation at 1e-8 has
+        // something to cut.
         let t = LrTile {
-            u: graded(0, 0),
-            v: graded(40, 3),
+            u: graded(23, 0, 0),
+            v: graded(23, 40, 3),
         };
-        let (w, z) = (graded(7, 50), graded(90, 20));
+        let (w, z) = (graded(23, 7, 50), graded(23, 90, 20));
         let sum = t.add_truncate(&w, &z, 1e-8, 150);
         let mut want = t.to_dense();
         gemm(1.0, &w, Trans::No, &z, Trans::Yes, 1.0, &mut want);
@@ -174,6 +197,38 @@ mod tests {
         assert!(err.norm_fro() < 32f64.sqrt() * 1e-8, "{}", err.norm_fro());
         // A rank cap below the numerical rank still applies.
         assert_eq!(t.add_truncate(&w, &z, 1e-8, 5).rank(), 5);
+    }
+
+    #[test]
+    fn add_truncate_matches_the_two_qr_oracle() {
+        // k1 + k2 below, equal to and above ts = 32, and a rank cap below
+        // the numerical rank: the same rank, the same sum to rounding, and
+        // a `V` with orthonormal columns.
+        for (k1, k2, maxrank) in [(5, 7, 150), (16, 16, 150), (23, 23, 150), (23, 23, 5)] {
+            let t = LrTile {
+                u: graded(k1, 0, 0),
+                v: graded(k1, 40, 3),
+            };
+            let (w, z) = (graded(k2, 7, 50), graded(k2, 90, 20));
+            let got = t.add_truncate(&w, &z, 1e-8, maxrank);
+            let want = ref_add_truncate(&t, &w, &z, 1e-8, maxrank);
+            let case = format!("{k1} + {k2}, maxrank {maxrank}");
+            assert_eq!(got.rank(), want.rank(), "{case}");
+            let mut sum = t.to_dense();
+            gemm(1.0, &w, Trans::No, &z, Trans::Yes, 1.0, &mut sum);
+            let (g, r) = (got.to_dense(), want.to_dense());
+            let diff = Matrix::from_fn(32, 32, |i, j| g.get(i, j) - r.get(i, j));
+            assert!(
+                diff.norm_fro() <= 1e-12 * sum.norm_fro(),
+                "{case}: {} apart",
+                diff.norm_fro()
+            );
+            let k = got.rank();
+            let mut gram = Matrix::zeros(k, k);
+            gemm(1.0, &got.v, Trans::Yes, &got.v, Trans::No, 0.0, &mut gram);
+            let off = gram.max_diff(&Matrix::identity(k));
+            assert!(off <= 1e-12, "{case}: VᵀV off I by {off}");
+        }
     }
 
     #[test]

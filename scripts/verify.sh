@@ -245,31 +245,39 @@ if grep -nE 'BinaryHeap|^\s*(pub(\([a-z]+\))? )?seq\s*:' crates/simnet/src/engin
     echo "engine.rs holds a BinaryHeap or a seq field again"; exit 1
 fi
 
-echo "== one rounding path: the kernel crates read no environment, svd.rs calls jacobi once =="
+echo "== one rounding path: the kernel crates read no environment, svd.rs calls jacobi once, tile.rs qr_thin once =="
 if grep -rnE 'std::env|env::var|option_env!' crates/linalg/src crates/tlr/src; then
     echo "a kernel crate reads an environment variable: a switch between rounding paths is back"; exit 1
 fi
 python3 - <<'PY'
 import re, sys
-# svd.rs without its `#[cfg(test)]` items (a module, a thread-local, a
-# statement), the way the size stage below skips them.
-out, skip = [], False
-for line in open("crates/linalg/src/svd.rs"):
-    s = line.strip()
-    if not skip and s == "#[cfg(test)]":
-        skip, depth, opened = True, 0, False
-    elif skip:
-        if opened or not s.startswith("#["):
-            c = s.split("//")[0]
-            depth += c.count("{") - c.count("}")
-            opened = opened or "{" in c
-            skip = not (depth <= 0 and (opened or s.endswith((";", ","))))
-    else:
-        out.append(line.split("//")[0])
-calls = re.findall(r"(?<!fn )\bjacobi\(", "".join(out))
+def non_test(path):
+    """`path` without its `#[cfg(test)]` items (a module, a thread-local, a
+    statement) or comments, the way the size stage below skips them."""
+    out, skip = [], False
+    for line in open(path):
+        s = line.strip()
+        if not skip and s == "#[cfg(test)]":
+            skip, depth, opened = True, 0, False
+        elif skip:
+            if opened or not s.startswith("#["):
+                c = s.split("//")[0]
+                depth += c.count("{") - c.count("}")
+                opened = opened or "{" in c
+                skip = not (depth <= 0 and (opened or s.endswith((";", ","))))
+        else:
+            out.append(line.split("//")[0])
+    return "".join(out)
+calls = re.findall(r"(?<!fn )\bjacobi\(", non_test("crates/linalg/src/svd.rs"))
 if len(calls) != 1:
     sys.exit(f"non-test svd.rs calls jacobi( {len(calls)} times: one rounding path has one call")
-print("one rounding path: no std::env in linalg/tlr, one jacobi( call in svd.rs")
+# A rounded addition QR-factors [V Z] alone: a QR of [U W] cannot change
+# what the pivoted-QR-preconditioned SVD of [U W]·Rvᵀ sees (DESIGN.md §3.7).
+qrs = re.findall(r"\bqr_thin\(", non_test("crates/tlr/src/tile.rs"))
+if len(qrs) > 1:
+    sys.exit(f"non-test tile.rs calls qr_thin( {len(qrs)} times: a rounded addition needs one QR")
+print("one rounding path: no std::env in linalg/tlr, one jacobi( call in svd.rs, "
+      f"{len(qrs)} qr_thin( call in tile.rs")
 PY
 
 echo "== config surface: ClusterConfig + EngineConfig pub fields =="

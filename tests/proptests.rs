@@ -576,9 +576,10 @@ fn rounding_keeps_its_contract_on_random_shapes_and_deficient_inputs() {
 }
 
 /// Rounded addition against the dense sum, with the stacked rank
-/// `k1 + k2` below the tile size (both QRs tall) and above it (both wide,
-/// the core `ts × ts`): the error is at most `√ts·tol` plus rounding, and
-/// the rank at most `min(ts, k1 + k2)`.
+/// `k1 + k2` below the tile size (the QR of `[V Z]` tall, the core
+/// `[U W]·Rvᵀ` of `ts × (k1 + k2)`) and above it (the QR wide, the core
+/// `ts × ts`): the error is at most `√ts·tol` plus rounding, the rank at
+/// most `min(ts, k1 + k2)`, and `V` has orthonormal columns.
 #[test]
 fn tlr_addition_matches_dense_below_and_above_the_tile_size() {
     const TS: usize = 16;
@@ -616,6 +617,11 @@ fn tlr_addition_matches_dense_below_and_above_the_tile_size() {
                 err <= bound,
                 "case {case}: {k1} + {k2}: error {err} above {bound}"
             );
+            let k = sum.rank();
+            let mut gram = Matrix::zeros(k, k);
+            gemm(1.0, &sum.v, Trans::Yes, &sum.v, Trans::No, 0.0, &mut gram);
+            let off = gram.max_diff(&Matrix::identity(k));
+            assert!(off <= 1e-12, "case {case}: {k1} + {k2}: VᵀV off I by {off}");
         }
     }
 }
