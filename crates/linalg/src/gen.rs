@@ -73,7 +73,7 @@ pub fn sqexp_covariance(
 mod tests {
     use super::*;
     use crate::blas::potrf;
-    use crate::svd::svd_truncate;
+    use crate::qr::qr_truncate;
 
     #[test]
     fn grid_stays_in_unit_square() {
@@ -104,7 +104,7 @@ mod tests {
         let block = sqexp_covariance(&g, 0, 192, 64, 64, 0.1, 0.0);
         // HiCMA truncates at absolute accuracy: the covariance scale is
         // O(1), so tiny far-field singular values drop out.
-        let r = svd_truncate(&block, 1e-8, 64).0.cols();
+        let r = qr_truncate(block, 1e-8, 64).0.cols();
         assert!(r < 32, "distant block should be low rank, got {r}");
         assert!(r > 0);
     }
@@ -114,6 +114,6 @@ mod tests {
         let g = Grid2d::new(256);
         let block = sqexp_covariance(&g, 0, 0, 32, 32, 0.1, 1e-4);
         // σ₁ of a 32 × 32 block with entries in (0, 1] is below 32.
-        assert_eq!(svd_truncate(&block, 32.0 * 1e-12, 32).0.cols(), 32);
+        assert_eq!(qr_truncate(block, 32.0 * 1e-12, 32).0.cols(), 32);
     }
 }

@@ -2,10 +2,9 @@
 //!
 //! Dense double-precision linear algebra for the HiCMA reproduction:
 //! column-major matrices, the BLAS-3 kernels a tile Cholesky needs
-//! (GEMM / SYRK / TRSM / POTRF), Householder QR and a one-sided Jacobi SVD
-//! shaped as the rounding routine of low-rank compression
-//! ([`svd_truncate`]), and the paper's `st-2d-sqexp` covariance problem
-//! generator (§6.4.1).
+//! (GEMM / SYRK / TRSM / POTRF), Householder QR, a truncated column-pivoted
+//! QR as the rounding routine of low-rank compression ([`qr_truncate`]),
+//! and the paper's `st-2d-sqexp` covariance problem generator (§6.4.1).
 //!
 //! Everything is implemented from scratch in safe Rust (no BLAS/LAPACK
 //! binding, no intrinsics) and validated against the naive implementations
@@ -18,21 +17,21 @@
 //! benchmark's `real_tlr` workload, so they decide how small a task can be
 //! before communication shows — the regime the paper's effect lives in.
 //! Hence every routine walks contiguous column slices (bounds-check-free,
-//! vectorized by the compiler), and the SVD spends its effort on
-//! convergence: sweeps on the triangular factor of a column-pivoted QR,
-//! cached norms, de Rijk pivoting, nothing accumulated (DESIGN.md §3.7).
+//! vectorized by the compiler), and the rounding does no more than the
+//! rank needs: a pivoted QR that stops at the tolerance, with no SVD
+//! iteration behind it (DESIGN.md §3.7).
 
 mod blas;
 mod gen;
 mod matrix;
 mod qr;
+#[cfg(test)]
 mod svd;
 
 pub use blas::{gemm, potrf, syrk_lower, trsm_left_lower, trsm_right_lower_t, Trans};
 pub use gen::{sqexp_covariance, Grid2d};
 pub use matrix::Matrix;
-pub use qr::qr_thin;
-pub use svd::svd_truncate;
+pub use qr::{qr_thin, qr_truncate};
 
 /// Relative Frobenius-norm residual of a Cholesky factorization:
 /// ‖A − L·Lᵀ‖_F / ‖A‖_F.

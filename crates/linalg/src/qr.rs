@@ -1,5 +1,5 @@
 //! Householder QR: the thin factorization used for low-rank recompression,
-//! and the column-pivoted, `R`-only one that preconditions the Jacobi SVD.
+//! and the truncated column-pivoted one that rounds a block to a tolerance.
 
 use crate::blas::{axpy, dot};
 use crate::matrix::Matrix;
@@ -17,15 +17,142 @@ pub fn qr_thin(a: &Matrix) -> (Matrix, Matrix) {
     let k = m.min(n);
     let mut r = a.data().to_vec();
     let mut q = vec![0.0; m * k];
-
     for j in 0..k {
-        reflect(&mut r, m, j, &mut q[j * m + j..(j + 1) * m]);
+        let tail = j * m + j..(j + 1) * m;
+        let alpha = reflect(&mut r, m, j);
+        q[tail.clone()].copy_from_slice(&r[tail]);
+        r[j * m + j] = alpha;
     }
+    accumulate_q(&mut q, m, k);
+    (Matrix::from_vec(m, k, q), upper_triangle(&r, m, n))
+}
 
-    // Q = H₀·…·H_{k−1}·[I; 0], last reflector first: when H_j is applied,
-    // columns before `j` are still unit vectors it cannot touch, and
-    // column `j` itself is e_j, so H_j·e_j = e_j − v₀·v overwrites `v`.
-    for j in (0..k).rev() {
+/// Round `a` (`m × n`) to the rank a truncated column-pivoted QR reveals:
+/// returns `(X, Y)`, `X: m × k`, `Y: n × k`, with `A ≈ X·Yᵀ`.
+///
+/// With `W` the tall orientation of `a` (`aᵀ` when `m < n`) and `W·P = Q·R`
+/// its Businger–Golub QR, the steps stop before step `j` once every
+/// remaining column tail `‖W[j.., c]‖` is at most the *absolute* threshold
+/// `tol` (what an accuracy-bounded TLR compression uses when the global
+/// matrix scale is O(1), as for covariance matrices), or at `maxrank`; `k`
+/// is never below 1, so the factors stay well-formed. The pair is
+/// `(Q_k, P·R_kᵀ)` for `m ≥ n` and `(P·R_kᵀ, Q_k)` otherwise; `Q_k` has
+/// orthonormal columns. The error is exactly the trailing block `R₂₂`, so
+/// when the tolerance stops the steps, `‖A − X·Yᵀ‖_F ≤ √(min(m,n) − k)·tol`.
+///
+/// The steps see `W` only through `WᵀW` (the tail norms they pivot on and
+/// `R`, its Cholesky factor, up to the sign of each row): rounding `Q·W`,
+/// `Q` with orthonormal columns, takes the same pivots and rank and
+/// returns `(Q·Q_k, P·R_kᵀ)`. `LrTile::add_truncate` relies on this to
+/// skip the QR of its left stack.
+pub fn qr_truncate(a: Matrix, tol: f64, maxrank: usize) -> (Matrix, Matrix) {
+    let wide = a.rows() < a.cols();
+    let w = if wide { a.transpose() } else { a };
+    let (m, n) = (w.rows(), w.cols());
+    let mut r = w.into_data();
+    let (perm, diag) = pivoted_steps(&mut r, m, n, tol, maxrank.max(1));
+    let k = diag.len().max(1);
+
+    // Y = P·R_kᵀ: row `perm[c]` of Y is column `c` of R_k, whose entries
+    // above the diagonal are still in the panel.
+    let mut y = Matrix::zeros(n, k);
+    for (c, (col, &row)) in r.chunks_exact(m.max(1)).zip(&perm).enumerate() {
+        for (i, &x) in col[..c.min(diag.len())].iter().enumerate() {
+            y.set(row, i, x);
+        }
+        if let Some(&d) = diag.get(c) {
+            y.set(row, c, d);
+        }
+    }
+    let mut q = vec![0.0; m * k];
+    for j in 0..diag.len() {
+        let tail = j * m + j..(j + 1) * m;
+        q[tail.clone()].copy_from_slice(&r[tail]);
+    }
+    accumulate_q(&mut q, m, k);
+    let q = Matrix::from_vec(m, k, q);
+    if wide {
+        (y, q)
+    } else {
+        (q, y)
+    }
+}
+
+/// Householder steps with column pivoting on the column-major `m × n`
+/// panel `r`, at most `kmax`, stopping before step `j > 0` once no column
+/// tail `r[j.., c]` is longer than `tol`: before each step the column with
+/// the longest tail is swapped into place (tail norms recomputed each step,
+/// exactly). Returns the column order (column `j` of the pivoted panel is
+/// column `perm[j]` of the input) and `R`'s diagonal, one entry per step
+/// taken. Column `j < steps` holds `R[..j, j]` above reflector `j`, and
+/// rows `..steps` of every later column are final rows of `R`.
+fn pivoted_steps(
+    r: &mut [f64],
+    m: usize,
+    n: usize,
+    tol: f64,
+    kmax: usize,
+) -> (Vec<usize>, Vec<f64>) {
+    let mut perm: Vec<usize> = (0..n).collect();
+    let mut diag = Vec::with_capacity(m.min(n).min(kmax));
+    for j in 0..m.min(n).min(kmax) {
+        let tail2 = |c: usize| {
+            let t = &r[c * m + j..(c + 1) * m];
+            dot(t, t)
+        };
+        let (mut big, mut best) = (j, tail2(j));
+        for c in j + 1..n {
+            let x = tail2(c);
+            if x > best {
+                (big, best) = (c, x);
+            }
+        }
+        if j > 0 && best.sqrt() <= tol {
+            break;
+        }
+        if big != j {
+            let (head, rest) = r.split_at_mut(big * m);
+            head[j * m..(j + 1) * m].swap_with_slice(&mut rest[..m]);
+            perm.swap(j, big);
+        }
+        diag.push(reflect(r, m, j));
+    }
+    (perm, diag)
+}
+
+/// One Householder step on the column-major `m`-row panel `r`: overwrites
+/// the tail `x = r[j.., j]` with the reflector `v` of `H = I − v·vᵀ` that
+/// maps it onto `α·e₀`, applies `H` to the tails of every later column and
+/// returns `α`, `R`'s diagonal entry. A zero tail is its own (zero)
+/// reflector, with `α = 0`.
+fn reflect(r: &mut [f64], m: usize, j: usize) -> f64 {
+    let (head, rest) = r.split_at_mut((j + 1) * m);
+    let v = &mut head[j * m + j..];
+    let norm = dot(v, v).sqrt();
+    if norm == 0.0 {
+        return 0.0;
+    }
+    // v = x − α·e₀ with α = −sign(x₀)·‖x‖, so vᵀv = 2·‖x‖·(‖x‖ + |x₀|).
+    let alpha = if v[0] >= 0.0 { -norm } else { norm };
+    let scale = 1.0 / (norm * (norm + v[0].abs())).sqrt();
+    v[0] -= alpha;
+    for vi in v.iter_mut() {
+        *vi *= scale;
+    }
+    for col in rest.chunks_exact_mut(m) {
+        let tail = &mut col[j..];
+        axpy(-dot(v, tail), v, tail);
+    }
+    alpha
+}
+
+/// `Q = H₀·…·H_{k−1}·[I; 0]` in place, for the column-major `m × k` buffer
+/// `q` whose column `j` holds reflector `j` in rows `j..m` and zeros above
+/// (all zeros: no reflector). Last reflector first: when `H_j` is applied,
+/// columns before `j` are still unit vectors it cannot touch, and column
+/// `j` itself is `e_j`, so `H_j·e_j = e_j − v₀·v` overwrites `v`.
+fn accumulate_q(q: &mut [f64], m: usize, k: usize) {
+    for j in (0..k.min(m)).rev() {
         let (head, rest) = q.split_at_mut((j + 1) * m);
         let v = &mut head[j * m + j..];
         let v0 = v[0];
@@ -40,75 +167,10 @@ pub fn qr_thin(a: &Matrix) -> (Matrix, Matrix) {
         }
         v[0] += 1.0;
     }
-
-    (Matrix::from_vec(m, k, q), upper_triangle(&r, m, n))
-}
-
-/// `R` and the column order of a Householder QR with column pivoting,
-/// `A·P = Q·R` (Businger–Golub): `R` is upper-triangular `min(m,n) × n`
-/// with non-increasing diagonal magnitudes, and column `j` of `A·P` is
-/// column `perm[j]` of `A`. `Q` is never formed.
-///
-/// Before step `j` the column whose rows `j..m` have the largest norm is
-/// swapped into place; those norms are recomputed at each step, exactly.
-/// The steps themselves are `qr_thin`'s, with the reflector in a scratch
-/// column since nothing reads it once it has been applied.
-pub(crate) fn qr_pivoted_r(a: Matrix) -> (Matrix, Vec<usize>) {
-    let (m, n) = (a.rows(), a.cols());
-    let mut r = a.into_data();
-    let mut perm: Vec<usize> = (0..n).collect();
-    let mut v = vec![0.0; m];
-    for j in 0..m.min(n) {
-        let tail2 = |c: usize| {
-            let t = &r[c * m + j..(c + 1) * m];
-            dot(t, t)
-        };
-        let (mut big, mut best) = (j, tail2(j));
-        for c in j + 1..n {
-            let x = tail2(c);
-            if x > best {
-                (big, best) = (c, x);
-            }
-        }
-        if big != j {
-            let (head, rest) = r.split_at_mut(big * m);
-            head[j * m..(j + 1) * m].swap_with_slice(&mut rest[..m]);
-            perm.swap(j, big);
-        }
-        reflect(&mut r, m, j, &mut v[j..]);
-    }
-    (upper_triangle(&r, m, n), perm)
-}
-
-/// One Householder step on the column-major `m`-row panel `r`: writes to
-/// `v` (length `m − j`) the reflector `H = I − v·vᵀ` that maps the tail
-/// `x = r[j.., j]` onto `α·e₀`, stores `α` in `x₀`, and applies `H` to the
-/// tails of every later column. A zero tail needs no reflector; `v` and
-/// the panel are left as they are then.
-fn reflect(r: &mut [f64], m: usize, j: usize, v: &mut [f64]) {
-    let (head, rest) = r.split_at_mut((j + 1) * m);
-    let x = &mut head[j * m + j..];
-    let norm = dot(x, x).sqrt();
-    if norm == 0.0 {
-        return;
-    }
-    // v = x − α·e₀ with α = −sign(x₀)·‖x‖, so vᵀv = 2·‖x‖·(‖x‖ + |x₀|).
-    let alpha = if x[0] >= 0.0 { -norm } else { norm };
-    v.copy_from_slice(x);
-    v[0] -= alpha;
-    let scale = 1.0 / (norm * (norm + x[0].abs())).sqrt();
-    for vi in v.iter_mut() {
-        *vi *= scale;
-    }
-    x[0] = alpha;
-    for col in rest.chunks_exact_mut(m) {
-        let tail = &mut col[j..];
-        axpy(-dot(v, tail), v, tail);
-    }
 }
 
 /// `R`: the upper triangle of the first `min(m, n)` rows of the reduced
-/// `m × n` panel (below the diagonal it still holds the input's tails).
+/// `m × n` panel (below the diagonal it holds the reflectors).
 fn upper_triangle(r: &[f64], m: usize, n: usize) -> Matrix {
     let k = m.min(n);
     let mut rk = Matrix::zeros(k, n);
@@ -295,8 +357,10 @@ mod tests {
 
     #[test]
     fn pivoted_r_is_qr_thin_of_the_permuted_columns() {
-        // The same reflector steps taken in pivot order: `R` equals
-        // `qr_thin`'s of A·P bit for bit, and its diagonal does not grow.
+        // The same reflector steps taken in pivot order: run to the end
+        // (tol 0), `R` equals `qr_thin`'s of A·P bit for bit and its
+        // diagonal does not grow; stopped by a tolerance, the rows it kept
+        // are those rows of `qr_thin`'s, and no tail it left is longer.
         let dup = Matrix::from_fn(9, 4, |i, j| pseudo(i, j % 2));
         let holed = Matrix::from_fn(6, 4, |i, j| if j == 1 { 0.0 } else { pseudo(i, j) });
         let mut cases: Vec<Matrix> = [(1, 1), (5, 1), (1, 5), (8, 3), (3, 8), (33, 32), (32, 46)]
@@ -305,16 +369,30 @@ mod tests {
             .collect();
         cases.extend([dup, holed, Matrix::zeros(4, 3)]);
         for a in cases {
-            let (m, n) = (a.rows(), a.cols());
-            let (r, perm) = qr_pivoted_r(a.clone());
-            let mut seen = perm.clone();
-            seen.sort_unstable();
-            assert!(seen.into_iter().eq(0..n), "perm {perm:?}");
-            let ap = Matrix::from_fn(m, n, |i, j| a.get(i, perm[j]));
-            assert_eq!(r, qr_thin(&ap).1, "{m} x {n}");
-            for j in 1..m.min(n) {
-                let (d, prev) = (r.get(j, j).abs(), r.get(j - 1, j - 1).abs());
-                assert!(d <= prev * (1.0 + 1e-12), "|R[{j},{j}]| = {d} > {prev}");
+            for tol in [0.0, 0.3] {
+                let (m, n) = (a.rows(), a.cols());
+                let mut r = a.data().to_vec();
+                let (perm, diag) = pivoted_steps(&mut r, m, n, tol, usize::MAX);
+                let mut seen = perm.clone();
+                seen.sort_unstable();
+                assert!(seen.into_iter().eq(0..n), "perm {perm:?}");
+                let steps = diag.len();
+                let full = qr_thin(&Matrix::from_fn(m, n, |i, j| a.get(i, perm[j]))).1;
+                for c in 0..n {
+                    for i in 0..steps.min(c + 1) {
+                        let got = if i == c { diag[c] } else { r[c * m + i] };
+                        assert_eq!(got, full.get(i, c), "{m} x {n}, tol {tol}: R[{i},{c}]");
+                    }
+                }
+                assert!(steps >= 1);
+                for c in steps..n {
+                    let tail = &r[c * m + steps..(c + 1) * m];
+                    assert!(dot(tail, tail).sqrt() <= tol, "{m} x {n}, tol {tol}");
+                }
+                for j in 1..steps {
+                    let (d, prev) = (diag[j].abs(), diag[j - 1].abs());
+                    assert!(d <= prev * (1.0 + 1e-12), "|R[{j},{j}]| = {d} > {prev}");
+                }
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Low-rank tiles: compression, rounded arithmetic, serialization.
 
-use amt_linalg::{gemm, qr_thin, svd_truncate, Matrix, Trans};
+use amt_linalg::{gemm, qr_thin, qr_truncate, Matrix, Trans};
 use bytes::Bytes;
 
 /// A tile in `U·Vᵀ` form: `u` is `m × k`, `v` is `n × k`.
@@ -31,7 +31,7 @@ impl LrTile {
     /// Compress a dense block at absolute accuracy `tol`, rank capped at
     /// `maxrank` (and never below 1 so the factor stays well-formed).
     pub fn compress(a: &Matrix, tol: f64, maxrank: usize) -> LrTile {
-        let (u, v) = svd_truncate(a, tol, maxrank);
+        let (u, v) = qr_truncate(a.clone(), tol, maxrank);
         LrTile { u, v }
     }
 
@@ -44,12 +44,12 @@ impl LrTile {
 
     /// Rounded addition `self + W·Zᵀ`, re-truncated at `tol`/`maxrank`,
     /// with one QR: `[V Z] = Qv·Rv` makes the sum `C·Qvᵀ` with the core
-    /// `C = [U W]·Rvᵀ`, and `svd_truncate(C) = (C·V_k, V_k)` gives
-    /// `U' = C·V_k` and `V' = Qv·V_k` (orthonormal columns on a square
-    /// tile). The left stack needs no QR: with `[U W] = Qu·Ru`,
-    /// `C = Qu·(Ru·Rvᵀ)`, and a column-pivoted QR — the Jacobi SVD's
-    /// preconditioner — sees only `CᵀC`, which `Qu` leaves unchanged, so
-    /// the sweeps, `σ` and the rank are those of `Ru·Rvᵀ` (DESIGN.md §3.7).
+    /// `C = [U W]·Rvᵀ` (`ts × min(ts, k1 + k2)`, never wide), and
+    /// `qr_truncate(C) = (Q_k, P·R_kᵀ)` gives `U' = Q_k` (orthonormal
+    /// columns) and `V' = Qv·P·R_kᵀ`. The left stack needs no QR: with
+    /// `[U W] = Qu·Ru`, `C = Qu·(Ru·Rvᵀ)`, and a column-pivoted QR sees
+    /// only `CᵀC`, which `Qu` leaves unchanged, so the pivots, `R` and the
+    /// rank are those of `Ru·Rvᵀ` (DESIGN.md §3.7).
     pub fn add_truncate(&self, w: &Matrix, z: &Matrix, tol: f64, maxrank: usize) -> LrTile {
         assert_eq!(w.rows(), self.rows());
         assert_eq!(z.rows(), self.cols());
@@ -62,9 +62,9 @@ impl LrTile {
         let (qv, rv) = qr_thin(&sv);
         let mut core = Matrix::zeros(self.rows(), rv.rows());
         gemm(1.0, &su, Trans::No, &rv, Trans::Yes, 0.0, &mut core);
-        let (u, cv) = svd_truncate(&core, tol, maxrank);
-        let mut v = Matrix::zeros(self.cols(), cv.cols());
-        gemm(1.0, &qv, Trans::No, &cv, Trans::No, 0.0, &mut v);
+        let (u, cy) = qr_truncate(core, tol, maxrank);
+        let mut v = Matrix::zeros(self.cols(), cy.cols());
+        gemm(1.0, &qv, Trans::No, &cy, Trans::No, 0.0, &mut v);
         LrTile { u, v }
     }
 
@@ -98,8 +98,8 @@ mod tests {
         ((h >> 11) % 100_000) as f64 / 100_000.0 - 0.5
     }
 
-    /// The routine `add_truncate` replaced — a thin QR of each stack and
-    /// the SVD of `Ru·Rvᵀ`, multiplied back by `Qu` and `Qv` — kept as the
+    /// The routine `add_truncate` replaced — a thin QR of each stack,
+    /// `Ru·Rvᵀ` rounded, multiplied back by `Qu` and `Qv` — kept as the
     /// oracle.
     fn ref_add_truncate(t: &LrTile, w: &Matrix, z: &Matrix, tol: f64, maxrank: usize) -> LrTile {
         let cols = t.rank() + w.cols();
@@ -109,11 +109,11 @@ mod tests {
         let (qv, rv) = qr_thin(&sv);
         let mut core = Matrix::zeros(ru.rows(), rv.rows());
         gemm(1.0, &ru, Trans::No, &rv, Trans::Yes, 0.0, &mut core);
-        let (cus, cv) = svd_truncate(&core, tol, maxrank);
-        let mut u = Matrix::zeros(t.rows(), cus.cols());
-        gemm(1.0, &qu, Trans::No, &cus, Trans::No, 0.0, &mut u);
-        let mut v = Matrix::zeros(t.cols(), cv.cols());
-        gemm(1.0, &qv, Trans::No, &cv, Trans::No, 0.0, &mut v);
+        let (cq, cy) = qr_truncate(core, tol, maxrank);
+        let mut u = Matrix::zeros(t.rows(), cq.cols());
+        gemm(1.0, &qu, Trans::No, &cq, Trans::No, 0.0, &mut u);
+        let mut v = Matrix::zeros(t.cols(), cy.cols());
+        gemm(1.0, &qv, Trans::No, &cy, Trans::No, 0.0, &mut v);
         LrTile { u, v }
     }
 
@@ -203,7 +203,9 @@ mod tests {
     fn add_truncate_matches_the_two_qr_oracle() {
         // k1 + k2 below, equal to and above ts = 32, and a rank cap below
         // the numerical rank: the same rank, the same sum to rounding, and
-        // a `V` with orthonormal columns.
+        // a `U` with orthonormal columns. `U` is the rounding's `Q_k`: the
+        // pivoted QR runs on the core's tall orientation, and that `Q_k` is
+        // `Qu` times the oracle's, which `Qu` keeps orthonormal.
         for (k1, k2, maxrank) in [(5, 7, 150), (16, 16, 150), (23, 23, 150), (23, 23, 5)] {
             let t = LrTile {
                 u: graded(k1, 0, 0),
@@ -225,9 +227,9 @@ mod tests {
             );
             let k = got.rank();
             let mut gram = Matrix::zeros(k, k);
-            gemm(1.0, &got.v, Trans::Yes, &got.v, Trans::No, 0.0, &mut gram);
+            gemm(1.0, &got.u, Trans::Yes, &got.u, Trans::No, 0.0, &mut gram);
             let off = gram.max_diff(&Matrix::identity(k));
-            assert!(off <= 1e-12, "{case}: VᵀV off I by {off}");
+            assert!(off <= 1e-12, "{case}: UᵀU off I by {off}");
         }
     }
 

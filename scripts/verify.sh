@@ -245,12 +245,12 @@ if grep -nE 'BinaryHeap|^\s*(pub(\([a-z]+\))? )?seq\s*:' crates/simnet/src/engin
     echo "engine.rs holds a BinaryHeap or a seq field again"; exit 1
 fi
 
-echo "== one rounding path: the kernel crates read no environment, svd.rs calls jacobi once, tile.rs qr_thin once =="
+echo "== one rounding path: the kernel crates read no environment, no jacobi in linalg, tile.rs rounds through qr_truncate with one qr_thin =="
 if grep -rnE 'std::env|env::var|option_env!' crates/linalg/src crates/tlr/src; then
     echo "a kernel crate reads an environment variable: a switch between rounding paths is back"; exit 1
 fi
 python3 - <<'PY'
-import re, sys
+import glob, os, re, sys
 def non_test(path):
     """`path` without its `#[cfg(test)]` items (a module, a thread-local, a
     statement) or comments, the way the size stage below skips them."""
@@ -268,16 +268,24 @@ def non_test(path):
         else:
             out.append(line.split("//")[0])
     return "".join(out)
-calls = re.findall(r"(?<!fn )\bjacobi\(", non_test("crates/linalg/src/svd.rs"))
-if len(calls) != 1:
-    sys.exit(f"non-test svd.rs calls jacobi( {len(calls)} times: one rounding path has one call")
+# Files a lib.rs declares only under #[cfg(test)] (svd.rs, the σ oracle).
+test_only = re.findall(r"^#\[cfg\(test\)\]\n(?:#\[.*\]\n)*(?:pub(?:\([a-z]+\))? )?mod (\w+);",
+                       open("crates/linalg/src/lib.rs").read(), re.M)
+jac = [p for p in sorted(glob.glob("crates/linalg/src/*.rs"))
+       if os.path.basename(p)[:-3] not in test_only and re.search(r"\bjacobi\b", non_test(p))]
+if jac:
+    sys.exit(f"non-test linalg code names jacobi again ({jac}): tiles are rounded by the truncated pivoted QR alone")
+tile = non_test("crates/tlr/src/tile.rs")
+routines = set(re.findall(r"\b(qr_truncate|svd_\w+)\(", tile))
+if routines != {"qr_truncate"}:
+    sys.exit(f"non-test tile.rs rounds through {sorted(routines)}: one rounding routine, qr_truncate")
 # A rounded addition QR-factors [V Z] alone: a QR of [U W] cannot change
-# what the pivoted-QR-preconditioned SVD of [U W]·Rvᵀ sees (DESIGN.md §3.7).
-qrs = re.findall(r"\bqr_thin\(", non_test("crates/tlr/src/tile.rs"))
+# what the pivoted QR of [U W]·Rvᵀ sees (DESIGN.md §3.7).
+qrs = re.findall(r"\bqr_thin\(", tile)
 if len(qrs) > 1:
     sys.exit(f"non-test tile.rs calls qr_thin( {len(qrs)} times: a rounded addition needs one QR")
-print("one rounding path: no std::env in linalg/tlr, one jacobi( call in svd.rs, "
-      f"{len(qrs)} qr_thin( call in tile.rs")
+print("one rounding path: no std::env in linalg/tlr, no jacobi in non-test linalg, "
+      f"tile.rs rounds through qr_truncate only, {len(qrs)} qr_thin( call in tile.rs")
 PY
 
 echo "== config surface: ClusterConfig + EngineConfig pub fields =="

@@ -4,7 +4,7 @@
 
 use amtlc::comm::{BackendKind, EngineConfig};
 use amtlc::core::{Cluster, ClusterConfig, GraphBuilder, TaskDesc};
-use amtlc::linalg::{gemm, qr_thin, svd_truncate, Matrix, Trans};
+use amtlc::linalg::{gemm, qr_thin, qr_truncate, Matrix, Trans};
 use amtlc::simnet::{DetRng, Sim, SimTime};
 use amtlc::tlr::LrTile;
 use bytes::Bytes;
@@ -441,51 +441,38 @@ fn with_spectrum(rng: &mut DetRng, m: usize, n: usize, sigma: &[f64]) -> Matrix 
     a
 }
 
-/// `svd_truncate`'s contract, against `sigma`, the singular values of `a`
-/// (all `min(m, n)` of them, descending): the rank counts `σ > tol`
-/// (either count when a value lies within 1e-3 relative of `tol`), capped
-/// at `maxrank` and at least 1; the scaled factor's column norms are `s`,
-/// descending and equal to `sigma`; the other factor is orthonormal to
-/// 1e-12; the error is at most the discarded tail plus 1e-12·‖A‖.
+/// `qr_truncate`'s contract, against `sigma`, the singular values of `a`
+/// (all `s = min(m, n)` of them, descending, exact to `eps·‖A‖`):
+/// `1 ≤ k ≤ max(1, min(s, maxrank))`; `k` at least the count of
+/// `σ > √(s−k)·tol` unless the cap stopped it; `Q_k` — the factor with the
+/// longer side's rows — orthonormal to 1e-12; and, when the cap did not
+/// stop it, an error of at most `√(s−k)·tol + 1e-12·‖A‖`.
 fn check_rounding(what: &str, a: &Matrix, sigma: &[f64], tol: f64, maxrank: usize) -> usize {
-    let (x, y) = svd_truncate(a, tol, maxrank);
+    let (x, y) = qr_truncate(a.clone(), tol, maxrank);
     let k = x.cols();
     assert_eq!(
         (x.rows(), y.rows(), y.cols()),
         (a.rows(), a.cols(), k),
         "{what}"
     );
-    let rank_at = |t: f64| sigma.iter().filter(|&&s| s > t).count().min(maxrank).max(1);
-    let (lo, hi) = (rank_at(tol * (1.0 + 1e-3)), rank_at(tol * (1.0 - 1e-3)));
-    assert!((lo..=hi).contains(&k), "{what}: rank {k}, want {lo}..={hi}");
-
+    let s = sigma.len();
+    assert!(
+        (1..=s.min(maxrank).max(1)).contains(&k),
+        "{what}: rank {k} above the cap"
+    );
     let norm = sigma.iter().map(|s| s * s).sum::<f64>().sqrt();
-    let (us, v) = if a.rows() < a.cols() {
-        (&y, &x)
-    } else {
-        (&x, &y)
-    };
-    let s: Vec<f64> = (0..k)
-        .map(|j| us.col(j).iter().map(|x| x * x).sum::<f64>().sqrt())
-        .collect();
-    for j in 0..k {
-        assert!(
-            j == 0 || s[j - 1] >= s[j],
-            "{what}: s not descending: {s:?}"
-        );
-        assert!(
-            (s[j] - sigma[j]).abs() <= 1e-12 * norm.max(1e-300),
-            "{what}: s[{j}] = {} vs {}",
-            s[j],
-            sigma[j]
-        );
-    }
-    if s[k - 1] > 0.0 {
-        let mut gram = Matrix::zeros(k, k);
-        gemm(1.0, v, Trans::Yes, v, Trans::No, 0.0, &mut gram);
-        let off = gram.max_diff(&Matrix::identity(k));
-        assert!(off <= 1e-12, "{what}: orthonormal factor off by {off}");
-    }
+    let bound = ((s - k.min(s)) as f64).sqrt() * tol;
+    let revealed = sigma.iter().filter(|&&x| x > bound + 1e-12 * norm).count();
+    assert!(
+        k >= revealed.min(maxrank).max(1),
+        "{what}: rank {k}, but {revealed} σ above √(s−k)·tol = {bound}"
+    );
+
+    let q = if a.rows() < a.cols() { &y } else { &x };
+    let mut gram = Matrix::zeros(k, k);
+    gemm(1.0, q, Trans::Yes, q, Trans::No, 0.0, &mut gram);
+    let off = gram.max_diff(&Matrix::identity(k));
+    assert!(off <= 1e-12, "{what}: orthonormal factor off by {off}");
     let mut err = Matrix::zeros(a.rows(), a.cols());
     gemm(1.0, &x, Trans::No, &y, Trans::Yes, 0.0, &mut err);
     let err = err
@@ -495,15 +482,13 @@ fn check_rounding(what: &str, a: &Matrix, sigma: &[f64], tol: f64, maxrank: usiz
         .map(|(p, q)| (p - q) * (p - q))
         .sum::<f64>()
         .sqrt();
-    let tail = sigma[k.min(sigma.len())..]
-        .iter()
-        .map(|s| s * s)
-        .sum::<f64>()
-        .sqrt();
-    assert!(
-        err <= tail + 1e-12 * norm,
-        "{what}: error {err} above the tail {tail}"
-    );
+    assert!(!err.is_nan(), "{what}: NaN in the product");
+    if k < maxrank || k == s {
+        assert!(
+            err <= bound + 1e-12 * norm,
+            "{what}: error {err} above √(s−k)·tol = {bound}"
+        );
+    }
     k
 }
 
@@ -565,12 +550,16 @@ fn rounding_keeps_its_contract_on_random_shapes_and_deficient_inputs() {
                 tol,
                 maxrank,
             );
-            // The zero matrix: a forced rank-1 pair of zeros.
+            // The zero matrix: a forced rank-1 pair with a zero product.
             let zero = Matrix::zeros(m, n);
             assert_eq!(
                 check_rounding(&format!("{what}, zero"), &zero, &vec![0.0; k], tol, maxrank),
                 1
             );
+            let (x, y) = qr_truncate(zero, tol, maxrank);
+            let mut xy = Matrix::zeros(m, n);
+            gemm(1.0, &x, Trans::No, &y, Trans::Yes, 0.0, &mut xy);
+            assert!(xy.data().iter().all(|&v| v == 0.0), "{what}: zero");
         }
     }
 }
@@ -579,7 +568,9 @@ fn rounding_keeps_its_contract_on_random_shapes_and_deficient_inputs() {
 /// `k1 + k2` below the tile size (the QR of `[V Z]` tall, the core
 /// `[U W]·Rvᵀ` of `ts × (k1 + k2)`) and above it (the QR wide, the core
 /// `ts × ts`): the error is at most `√ts·tol` plus rounding, the rank at
-/// most `min(ts, k1 + k2)`, and `V` has orthonormal columns.
+/// most `min(ts, k1 + k2)`, and `U` has orthonormal columns (the rounding's
+/// `Q_k`, from a pivoted QR of the core's tall orientation; the left stack
+/// needs no QR for it, since `Qu·Q_k` is orthonormal whenever `Q_k` is).
 #[test]
 fn tlr_addition_matches_dense_below_and_above_the_tile_size() {
     const TS: usize = 16;
@@ -619,9 +610,9 @@ fn tlr_addition_matches_dense_below_and_above_the_tile_size() {
             );
             let k = sum.rank();
             let mut gram = Matrix::zeros(k, k);
-            gemm(1.0, &sum.v, Trans::Yes, &sum.v, Trans::No, 0.0, &mut gram);
+            gemm(1.0, &sum.u, Trans::Yes, &sum.u, Trans::No, 0.0, &mut gram);
             let off = gram.max_diff(&Matrix::identity(k));
-            assert!(off <= 1e-12, "case {case}: {k1} + {k2}: VᵀV off I by {off}");
+            assert!(off <= 1e-12, "case {case}: {k1} + {k2}: UᵀU off I by {off}");
         }
     }
 }
