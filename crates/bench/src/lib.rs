@@ -22,30 +22,21 @@ use std::sync::Mutex;
 use amt_core::{Cluster, ClusterConfig, RunReport};
 
 /// Process-wide observability sink behind the `--trace-out <path>` /
-/// `--metrics-out <path>` / `--calibrate-out <path>` flags. A harness (or
-/// example) installs it once from its arguments; the shared runners
-/// ([`pingpong::run_pingpong`], [`tlrrun::run_tlr`]) — or the caller, via
-/// [`ObsSink::arm`] / [`ObsSink::capture`] — then record the **first**
-/// executed configuration: its Chrome trace goes to `--trace-out` and its
-/// metrics report to `--metrics-out`. The rest of the sweep runs
-/// unobserved, so the flags never perturb more than one measurement.
-///
-/// `--calibrate-out` implies metrics and writes the measured
-/// `amtlc-calib-v1` cost profile of the first captured run that *has* one
-/// — i.e. the first **real** execution (`Cluster::execute_real`); virtual
-/// runs carry no wall-clock costs, so the sink keeps arming until a real
-/// run supplies the profile.
+/// `--metrics-out <path>` flags. A harness (or example) installs it once
+/// from its arguments; the shared runners ([`pingpong::run_pingpong`],
+/// [`tlrrun::run_tlr`]) — or the caller, via [`ObsSink::arm`] /
+/// [`ObsSink::capture`] — then record the **first** executed
+/// configuration: its Chrome trace goes to `--trace-out` and its metrics
+/// report to `--metrics-out`. The rest of the sweep runs unobserved, so
+/// the flags never perturb more than one measurement.
 pub struct ObsSink {
     trace_out: Option<PathBuf>,
     metrics_out: Option<PathBuf>,
-    calibrate_out: Option<PathBuf>,
     captured: bool,
-    calib_captured: bool,
 }
 
 static OBS: Mutex<Option<ObsSink>> = Mutex::new(None);
 
-/// Parse a `--name <path>` / `--name=<path>` flag.
 /// Parse a `--name <path>` / `--name=<path>` flag.
 fn path_flag(args: &[String], name: &str) -> Option<PathBuf> {
     let eq = format!("{name}=");
@@ -69,16 +60,13 @@ impl ObsSink {
     pub fn install(args: &[String]) {
         let trace_out = path_flag(args, "--trace-out");
         let metrics_out = path_flag(args, "--metrics-out");
-        let calibrate_out = path_flag(args, "--calibrate-out");
-        if trace_out.is_none() && metrics_out.is_none() && calibrate_out.is_none() {
+        if trace_out.is_none() && metrics_out.is_none() {
             return;
         }
         *OBS.lock().expect("obs sink lock") = Some(ObsSink {
             trace_out,
             metrics_out,
-            calibrate_out,
             captured: false,
-            calib_captured: false,
         });
     }
 
@@ -90,28 +78,14 @@ impl ObsSink {
                 cfg.engine.trace |= s.trace_out.is_some();
                 cfg.engine.metrics |= s.metrics_out.is_some();
             }
-            if !s.calib_captured {
-                // Calibration needs the measured stage/kernel samples.
-                cfg.engine.metrics |= s.calibrate_out.is_some();
-            }
         }
     }
 
     /// Write the artifacts of an armed cluster's last execution to the
-    /// requested paths. Trace/metrics write on the first capture; the
-    /// calibration profile writes on the first capture whose cluster has
-    /// one (real executions only).
+    /// requested paths, on the first capture only.
     pub fn capture(cluster: &Cluster, report: &RunReport) {
         let mut guard = OBS.lock().expect("obs sink lock");
         let Some(s) = guard.as_mut() else { return };
-        if !s.calib_captured {
-            if let (Some(path), Some(profile)) = (&s.calibrate_out, cluster.calibration_profile()) {
-                std::fs::write(path, profile.to_json())
-                    .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-                eprintln!("calibration profile written to {}", path.display());
-                s.calib_captured = true;
-            }
-        }
         if s.captured {
             return;
         }
@@ -223,21 +197,6 @@ pub fn threads_arg_opt(args: &[String]) -> Option<usize> {
         );
     }
     None
-}
-
-/// Parse the `--cost-model <file>` / `--cost-model=<file>` flag: load an
-/// `amtlc-calib-v1` profile (written by `--calibrate-out`) so the caller
-/// can overlay measured charges onto its simulated cost model with
-/// [`amt_core::CostModel::apply_profile`]. Panics loudly on a missing or
-/// malformed file.
-pub fn cost_model_arg(args: &[String]) -> Option<amt_core::CalibrationProfile> {
-    let path = path_flag(args, "--cost-model")?;
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("--cost-model {}: {e}", path.display()));
-    Some(
-        amt_core::CalibrationProfile::from_json(&text)
-            .unwrap_or_else(|e| panic!("--cost-model {}: {e}", path.display())),
-    )
 }
 
 /// Run `point(i)` for every `i` in `0..n` across up to `jobs` threads and
@@ -500,32 +459,6 @@ mod tests {
         assert_eq!(threads_arg_opt(&args(&["--full"])), None);
         assert_eq!(threads_arg_opt(&args(&["--threads", "0"])), Some(0));
         assert_eq!(threads_arg_opt(&args(&["--threads=3"])), Some(3));
-    }
-
-    #[test]
-    fn cost_model_arg_round_trips_a_profile_file() {
-        use amt_core::{CalibrationProfile, CostSummary};
-        let mut p = CalibrationProfile {
-            threads: 2,
-            tasks: 4,
-            ..Default::default()
-        };
-        p.classes.insert(
-            "gemm".into(),
-            CostSummary {
-                count: 4,
-                median_ns: 123,
-                mean_ns: 130,
-            },
-        );
-        let dir = std::env::temp_dir().join("amtlc-cost-model-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("profile.json");
-        std::fs::write(&path, p.to_json()).expect("write profile");
-        let args = vec![format!("--cost-model={}", path.display())];
-        let loaded = cost_model_arg(&args).expect("flag present");
-        assert_eq!(loaded, p);
-        assert_eq!(cost_model_arg(&["--full".to_string()]), None);
     }
 
     #[test]

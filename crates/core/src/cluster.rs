@@ -249,8 +249,8 @@ pub struct Cluster {
     /// runs have no per-node `NodeRt` stores to query).
     real_data: Option<HashMap<VersionId, Bytes>>,
     /// Observability artifacts of the last [`Cluster::execute_real`] run:
-    /// merged wall-clock trace, lifecycle-stage histograms, calibration
-    /// profile. Cleared by virtual executions.
+    /// merged wall-clock trace and lifecycle-stage histograms. Cleared by
+    /// virtual executions.
     real_obs: Option<crate::real::RealObs>,
 }
 
@@ -565,15 +565,6 @@ impl Cluster {
             activation_e2e: LatencySummary::from_stats(&report.e2e_latency_us),
             pool: report.pool.clone(),
         }
-    }
-
-    /// Measured cost profile of the last [`Cluster::execute_real`] run
-    /// (schema `amtlc-calib-v1`). `Some` only after a real execution with
-    /// [`crate::ClusterConfig::metrics`] on. Feed it back to the simulator
-    /// with [`crate::CostModel::from_profile`] to re-run with measured
-    /// charges.
-    pub fn calibration_profile(&self) -> Option<crate::calib::CalibrationProfile> {
-        self.real_obs.as_ref().and_then(|o| o.calib.clone())
     }
 
     /// Payload of `version` from whichever node holds it (after a Numeric

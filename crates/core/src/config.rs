@@ -1,14 +1,8 @@
 //! Cluster and cost-model configuration.
 
-use std::collections::BTreeMap;
-
 use amt_comm::{BackendKind, EngineConfig};
 use amt_netmodel::FabricConfig;
 use amt_simnet::SimTime;
-
-use crate::calib::{
-    CalibrationProfile, REC_ACTIVATE, REC_ARRIVAL, REC_GET_REQUEST, REC_TASK_OVERHEAD,
-};
 
 /// Whether kernels really execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -43,11 +37,6 @@ pub struct CostModel {
     pub get_send_cost: SimTime,
     /// Communication-thread cost of releasing dependencies on data arrival.
     pub arrival_cost: SimTime,
-    /// Measured kernel wall time per task class, keyed by task name.
-    /// Populated by [`CostModel::from_profile`]; when a task's class is
-    /// present here, [`CostModel::task_charge`] uses the measured time
-    /// instead of the flops/throughput formula. Empty by default.
-    pub class_cost: BTreeMap<String, SimTime>,
 }
 
 impl Default for CostModel {
@@ -63,7 +52,6 @@ impl Default for CostModel {
             get_request_cost: SimTime::from_ns(900),
             get_send_cost: SimTime::from_ns(150),
             arrival_cost: SimTime::from_ns(900),
-            class_cost: BTreeMap::new(),
         }
     }
 }
@@ -74,51 +62,6 @@ impl CostModel {
     pub fn task_duration(&self, flops: f64, efficiency: f64) -> SimTime {
         debug_assert!(efficiency > 0.0 && efficiency <= 1.0);
         self.task_overhead + SimTime::from_ns_f64(flops / (self.gflops_per_worker * efficiency))
-    }
-
-    /// Virtual duration of a task of class `name`: the measured kernel
-    /// time from [`CostModel::class_cost`] when the class was calibrated
-    /// (plus `task_overhead`, which calibration also replaces with its
-    /// measured median), otherwise the [`CostModel::task_duration`]
-    /// formula. This is the charge the scheduler applies per execution.
-    pub fn task_charge(&self, name: &str, flops: f64, efficiency: f64) -> SimTime {
-        match self.class_cost.get(name) {
-            Some(&kernel) => self.task_overhead + kernel,
-            None => self.task_duration(flops, efficiency),
-        }
-    }
-
-    /// Overlay measured medians from a real-execution
-    /// [`CalibrationProfile`] (`--calibrate-out` → `--cost-model`): every
-    /// calibrated task class gets its measured kernel median, and the
-    /// ACTIVATE / GET DATA / arrival record costs and the task dispatch
-    /// overhead move to their measured medians. Charges the real path
-    /// cannot observe (`get_send_cost`, `submit_cost`, throughput for
-    /// uncalibrated classes) keep their current values.
-    pub fn from_profile(profile: &CalibrationProfile) -> CostModel {
-        let mut cost = CostModel::default();
-        cost.apply_profile(profile);
-        cost
-    }
-
-    /// In-place form of [`CostModel::from_profile`], overlaying onto an
-    /// already-customized model.
-    pub fn apply_profile(&mut self, profile: &CalibrationProfile) {
-        for (name, summary) in &profile.classes {
-            self.class_cost
-                .insert(name.clone(), SimTime::from_ns(summary.median_ns));
-        }
-        let set = |slot: &mut SimTime, key: &str| {
-            if let Some(s) = profile.records.get(key) {
-                if s.count > 0 {
-                    *slot = SimTime::from_ns(s.median_ns);
-                }
-            }
-        };
-        set(&mut self.activate_record_cost, REC_ACTIVATE);
-        set(&mut self.get_request_cost, REC_GET_REQUEST);
-        set(&mut self.arrival_cost, REC_ARRIVAL);
-        set(&mut self.task_overhead, REC_TASK_OVERHEAD);
     }
 }
 
@@ -233,52 +176,6 @@ mod tests {
         // Half efficiency doubles the time.
         let d2 = c.task_duration(36e9, 0.5);
         assert!(d2 > d * 1.9);
-    }
-
-    #[test]
-    fn from_profile_moves_every_charge_to_the_measured_median() {
-        use crate::calib::{CalibrationProfile, CostSummary};
-        let summary = |median_ns: u64| CostSummary {
-            count: 3,
-            median_ns,
-            mean_ns: median_ns + 1,
-        };
-        let mut profile = CalibrationProfile {
-            threads: 2,
-            tasks: 10,
-            ..Default::default()
-        };
-        profile.classes.insert("gemm".into(), summary(41_000));
-        profile.classes.insert("potrf".into(), summary(7_000));
-        profile.records.insert(REC_ACTIVATE.into(), summary(2_100));
-        profile.records.insert(REC_GET_REQUEST.into(), summary(640));
-        profile.records.insert(REC_ARRIVAL.into(), summary(880));
-        profile
-            .records
-            .insert(REC_TASK_OVERHEAD.into(), summary(1_250));
-
-        let c = CostModel::from_profile(&profile);
-        // Record charges moved to the measured medians.
-        assert_eq!(c.activate_record_cost, SimTime::from_ns(2_100));
-        assert_eq!(c.get_request_cost, SimTime::from_ns(640));
-        assert_eq!(c.arrival_cost, SimTime::from_ns(880));
-        assert_eq!(c.task_overhead, SimTime::from_ns(1_250));
-        // Calibrated classes charge overhead + measured kernel median,
-        // ignoring the flops formula entirely.
-        assert_eq!(
-            c.task_charge("gemm", 1e12, 1.0),
-            SimTime::from_ns(1_250 + 41_000)
-        );
-        assert_eq!(
-            c.task_charge("potrf", 0.0, 1.0),
-            SimTime::from_ns(1_250 + 7_000)
-        );
-        // Uncalibrated classes fall back to the throughput formula.
-        assert_eq!(c.task_charge("syrk", 36e9, 1.0), c.task_duration(36e9, 1.0));
-        // Charges the real path cannot observe keep their defaults.
-        let d = CostModel::default();
-        assert_eq!(c.get_send_cost, d.get_send_cost);
-        assert_eq!(c.submit_cost, d.submit_cost);
     }
 
     #[test]

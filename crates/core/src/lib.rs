@@ -66,7 +66,6 @@
 //! assert_eq!(report.tasks_executed, 1);
 //! ```
 
-mod calib;
 mod cluster;
 mod config;
 mod dist;
@@ -79,10 +78,6 @@ mod records;
 mod store;
 mod window;
 
-pub use calib::{
-    CalibrationProfile, CostSummary, CALIB_SCHEMA, REC_ACTIVATE, REC_ARRIVAL, REC_GET_REQUEST,
-    REC_TASK_OVERHEAD,
-};
 pub use cluster::{Cluster, RunReport};
 pub use config::{ClusterConfig, CostModel, ExecMode};
 pub use dist::{Cyclic1d, DataDist, TileDist2d};

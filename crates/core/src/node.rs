@@ -180,8 +180,7 @@ pub(crate) struct NodeRt {
     pub node: NodeId,
     pub graph: GraphHandle,
     pub engine: Rc<CommEngine>,
-    /// Shared cluster config — one allocation for the whole cluster
-    /// (the cost-model map alone would otherwise be cloned per node).
+    /// Shared cluster config — one allocation for the whole cluster.
     pub cfg: Rc<ClusterConfig>,
     pub workers: Vec<CoreHandle>,
     trace_on: bool,
@@ -411,7 +410,7 @@ impl NodeRt {
                 let widx = s.idle_workers.pop().expect("checked non-empty");
                 let g = rt.graph.get();
                 let t = g.task(task);
-                let dur = rt.cfg.cost.task_charge(t.name, t.flops, t.efficiency);
+                let dur = rt.cfg.cost.task_duration(t.flops, t.efficiency);
                 let mut th = rt.thread.borrow_mut();
                 th.tally.task(t.name, dur);
                 if let Some(o) = &th.overlap {
@@ -448,7 +447,7 @@ impl NodeRt {
                 // The duration is a pure function of the task, so the
                 // execution span is reconstructed here instead of carrying
                 // it through the completion closure.
-                let dur = rt.cfg.cost.task_charge(t.name, t.flops, t.efficiency);
+                let dur = rt.cfg.cost.task_duration(t.flops, t.efficiency);
                 let end = sim.now();
                 rt.state.borrow_mut().trace.record(
                     rt.worker_tracks[widx].clone(),

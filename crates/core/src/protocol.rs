@@ -11,7 +11,7 @@
 //! (`node.rs`, over a `CommEngine` on the simulator) and the real run
 //! (`real.rs`, typed messages on one pool worker). What differs by substrate
 //! stays in each one's per-message dispatch, around these handlers: trace
-//! flow arrows, modelled costs or measured calibration samples, the GET
+//! flow arrows, modelled costs or measured handler times, the GET
 //! window (virtual) and the outbox (real).
 //!
 //! The handlers and the real port's methods are `#[inline]`: left to

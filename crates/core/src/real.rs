@@ -50,11 +50,11 @@
 //! a thread merely accumulates — its report [`Tally`] (executed tasks,
 //! busy time, task classes, latency moments), the engine counters of
 //! every node it sent or handled a message for, metrics-mode stage
-//! histograms and calibration samples, its outbox, its announce [`Fanout`]
-//! scratch — is per *worker* ([`WorkerState`]), on cache lines of its own
-//! and merged once at the end, so no message takes a lock or an atomic
-//! read-modify-write for bookkeeping. The simulator keeps the same rule,
-//! with one thread for every node (`node.rs`). In release builds a store keeps
+//! histograms, its outbox, its announce [`Fanout`] scratch — is per
+//! *worker* ([`WorkerState`]), on cache lines of its own and merged once
+//! at the end, so no message takes a lock or an atomic read-modify-write
+//! for bookkeeping. The simulator keeps the same rule, with one thread for
+//! every node (`node.rs`). In release builds a store keeps
 //! only what a later lookup reads — payloads and forward lists — and its
 //! mutex is taken only for one of them: a cost-only unicast flow takes no
 //! lock beyond its job's one worker-state borrow, and a numeric one none
@@ -104,9 +104,9 @@
 //!   at the message's arrival, and stamps every reply with that instant;
 //!   an announce outside a handler reads it per destination, since each
 //!   flow before it completes in line. A task reads it around its kernel
-//!   only when there is one to time, or a trace span or a metrics sample
-//!   wants the interval: an untraced, unobserved cost-only task counts no
-//!   busy time and reads no clock.
+//!   only when there is one to time, or a trace span or metrics mode's
+//!   busy time wants the interval: an untraced, unobserved cost-only task
+//!   counts no busy time and reads no clock.
 //! * Latencies are measured through the same record timestamps as
 //!   §6.1.3, so they read the same as the virtual ones, in wall time.
 //!   A worker keeps each series as integer ns moments (count, sum, sum
@@ -122,7 +122,7 @@
 //! dependence, so no floating-point reduction order ever varies — only
 //! scheduling order does.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::AtomicU32;
 use std::sync::atomic::Ordering::{AcqRel, Relaxed, SeqCst};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -133,9 +133,6 @@ use amt_netmodel::NodeId;
 use amt_simnet::{FastMap, MetricsRegistry, SimTime, Trace};
 use bytes::Bytes;
 
-use crate::calib::{
-    CalibrationProfile, CostSummary, REC_ACTIVATE, REC_ARRIVAL, REC_GET_REQUEST, REC_TASK_OVERHEAD,
-};
 use crate::cluster::{RunReport, Tally};
 use crate::config::ClusterConfig;
 use crate::graph::{DataKey, TaskGraph, TaskId, VersionId};
@@ -203,10 +200,6 @@ struct WorkerState {
     /// Stage histograms and per-class message counts (metrics mode only;
     /// disabled and empty otherwise).
     metrics: MetricsRegistry,
-    /// Calibration samples (metrics mode only): kernel wall times per
-    /// task class ([`KERNEL`]), handler wall times per record kind
-    /// ([`RECORD`]).
-    calib: CalibSamples,
     /// Set while this worker handles a message it sent
     /// ([`RealPort::post`]): messages the handlers it runs post meanwhile
     /// only join the outbox.
@@ -216,9 +209,6 @@ struct WorkerState {
     outbox: VecDeque<Post>,
     /// Announce grouping scratch.
     fan: Fanout,
-    /// Wall time spent draining (metrics mode only): handler time that a
-    /// task's dispatch-overhead sample must not be charged.
-    drained_ns: u64,
 }
 
 impl WorkerState {
@@ -227,28 +217,16 @@ impl WorkerState {
             tally: Tally::default(),
             stats: vec![EngineStats::default(); nodes],
             metrics: MetricsRegistry::new(metrics),
-            calib: CalibSamples::default(),
             draining: false,
             outbox: VecDeque::new(),
             fan: Fanout::default(),
-            drained_ns: 0,
         }
-    }
-
-    /// Append one calibration sample of `family` (metrics mode only).
-    fn calib_sample(&mut self, family: usize, key: &'static str, ns: u64) {
-        self.calib[family].entry(key).or_default().push(ns);
     }
 }
 
-/// Raw calibration samples, per family ([`KERNEL`], [`RECORD`]).
-type CalibSamples = [BTreeMap<&'static str, Vec<u64>>; 2];
-const KERNEL: usize = 0;
-const RECORD: usize = 1;
-
 /// Observability artifacts of one real execution, carried back to the
-/// [`crate::Cluster`] so `trace_json` / `metrics_report` /
-/// `calibration_profile` answer for real runs exactly like virtual ones.
+/// [`crate::Cluster`] so `trace_json` / `metrics_report` answer for real
+/// runs exactly like virtual ones.
 pub(crate) struct RealObs {
     /// Merged wall-clock trace (the empty shell when tracing was off, so
     /// a disabled real run serializes the same `{"traceEvents":[]}` as a
@@ -257,8 +235,6 @@ pub(crate) struct RealObs {
     /// Message-lifecycle stage histograms merged across workers (disabled
     /// and empty when metrics were off).
     pub(crate) metrics: MetricsRegistry,
-    /// Measured cost profile (`Some` only when metrics were on).
-    pub(crate) calib: Option<CalibrationProfile>,
 }
 
 /// Shared state of one real execution. `Sync`: the graph is read-only
@@ -278,11 +254,11 @@ struct RealRun {
     seed_tasks: Vec<Vec<TaskId>>,
     workers: Vec<Mutex<WorkerState>>,
     tree: Tree,
-    /// Gate for handler timing, stage histograms and calibration
-    /// sampling; `false` keeps the unobserved hot path free of them.
+    /// Gate for handler timing and stage histograms; `false` keeps the
+    /// unobserved hot path free of them.
     metrics_on: bool,
     /// Whether the pool records task spans: a cost-only task reads the
-    /// clock only for one (or for a metrics sample).
+    /// clock only for one (or for its busy time in metrics mode).
     trace_on: bool,
 }
 
@@ -455,25 +431,19 @@ impl<'a, 'c> RealPort<'a, 'c> {
             return;
         }
         ws.draining = true;
-        let t0 = run.metrics_on.then(|| ctx.now());
         handle(&mut RealPort::new(ctx, run, ws, dst), post);
         while let Some(post) = ws.outbox.pop_front() {
             handle(&mut RealPort::new(ctx, run, ws, post.dst), post);
         }
         ws.draining = false;
-        ws.drained_ns += t0.map_or(0, |t0| (ctx.now() - t0).as_ns());
     }
 
-    /// Run `f`; in metrics mode also sample its wall time under `key`.
-    /// Returns the sampled nanoseconds (0 when unobserved).
-    fn timed(&mut self, key: &'static str, f: impl FnOnce(&mut Self)) -> u64 {
+    /// Run `f`; in metrics mode also return its wall time in nanoseconds
+    /// (0 when unobserved).
+    fn timed(&mut self, f: impl FnOnce(&mut Self)) -> u64 {
         let t0 = self.run.metrics_on.then(|| self.ctx.now());
         f(self);
-        t0.map_or(0, |t0| {
-            let d = (self.ctx.now() - t0).as_ns();
-            self.ws.calib_sample(RECORD, key, d);
-            d
-        })
+        t0.map_or(0, |t0| (self.ctx.now() - t0).as_ns())
     }
 
     /// Announce `versions` (with the sizes they are held with) to their
@@ -602,11 +572,6 @@ fn exec_task(p: &mut RealPort<'_, '_>, t: TaskId) {
     let kernel = run.graph.kernel(t);
     let node = task.node();
     p.node = node;
-    // Dispatch-overhead measurement brackets the whole job (input gather,
-    // kernel, completion protocol) less the messages this worker handles
-    // in line on the way, which have samples of their own; metrics mode
-    // only.
-    let t_entry = run.metrics_on.then(|| (p.ctx.now(), p.ws.drained_ns));
 
     // Gather input payloads (only data-carrying versions feed kernels,
     // exactly like the sequential oracle).
@@ -656,9 +621,6 @@ fn exec_task(p: &mut RealPort<'_, '_>, t: TaskId) {
     }
 
     p.ws.tally.task(task.name, SimTime::from_ns(busy_ns));
-    if run.metrics_on {
-        p.ws.calib_sample(KERNEL, task.name, busy_ns);
-    }
 
     // Completion: outputs become present locally, then the announce's one
     // walk over each output's consumers releases the local ones (spawned
@@ -679,15 +641,6 @@ fn exec_task(p: &mut RealPort<'_, '_>, t: TaskId) {
             (out.0, size)
         }),
     );
-    if let Some((t_entry, drained)) = t_entry {
-        let drained = p.ws.drained_ns - drained;
-        let total_ns = (p.ctx.now() - t_entry).as_ns();
-        p.ws.calib_sample(
-            RECORD,
-            REC_TASK_OVERHEAD,
-            total_ns.saturating_sub(busy_ns + drained),
-        );
-    }
 }
 
 /// Handle one message at `p.node`, on the thread that sent it (module
@@ -719,13 +672,9 @@ fn handle(p: &mut RealPort<'_, '_>, post: Post) {
         .metrics_on
         .then(|| record_stages(&mut ws.metrics, &msg, now_ns.saturating_sub(sent_at_ns)));
     let callback_ns = match msg {
-        Msg::Activate(rec) => p.timed(REC_ACTIVATE, |p| protocol::on_activate(p, k, src, rec)),
-        Msg::Get(rec) => p.timed(REC_GET_REQUEST, |p| {
-            protocol::on_get(p, &run.graph, src, rec)
-        }),
-        Msg::Put { cb, size, data } => {
-            p.timed(REC_ARRIVAL, |p| protocol::on_put(p, k, cb, size, data))
-        }
+        Msg::Activate(rec) => p.timed(|p| protocol::on_activate(p, k, src, rec)),
+        Msg::Get(rec) => p.timed(|p| protocol::on_get(p, &run.graph, src, rec)),
+        Msg::Put { cb, size, data } => p.timed(|p| protocol::on_put(p, k, cb, size, data)),
     };
     if let Some(stage) = callback_stage {
         p.ws.metrics.record(stage, callback_ns);
@@ -879,11 +828,10 @@ pub(crate) fn run(
 
     let run = Arc::try_unwrap(run).unwrap_or_else(|_| panic!("run state still shared after idle"));
     // Merge every worker's accumulators once: report tallies, per-node
-    // engine counters, stage histograms and calibration samples.
+    // engine counters and stage histograms.
     let mut tally = Tally::default();
     let mut engine_stats = vec![EngineStats::default(); nodes];
     let mut metrics = MetricsRegistry::new(cfg.engine.metrics);
-    let mut samples = CalibSamples::default();
     for w in run.workers {
         let w = w.into_inner().expect("worker state");
         tally.merge(&w.tally);
@@ -891,11 +839,6 @@ pub(crate) fn run(
             all.merge(s);
         }
         metrics.merge(&w.metrics);
-        for (all, family) in samples.iter_mut().zip(w.calib) {
-            for (key, v) in family {
-                all.entry(key).or_default().extend(v);
-            }
-        }
     }
     let executed = tally.executed();
     assert_eq!(
@@ -912,34 +855,11 @@ pub(crate) fn run(
         }
     }
 
-    // Calibration profile from the measured samples (metrics mode only):
-    // lower medians, deterministic BTreeMap key order.
-    let calib = cfg.engine.metrics.then(|| {
-        let [classes, records] = samples.map(|family| {
-            let summary = |(k, v): (&str, _)| (k.to_string(), CostSummary::from_samples(v));
-            family.into_iter().map(summary).collect()
-        });
-        CalibrationProfile {
-            threads,
-            tasks: executed,
-            classes,
-            records,
-        }
-    });
-
     let report = RunReport {
         pool: Some(pool_stats),
         ..tally.into_report(makespan, tasks_total, threads, engine_stats)
     };
-    (
-        report,
-        data,
-        RealObs {
-            trace,
-            metrics,
-            calib,
-        },
-    )
+    (report, data, RealObs { trace, metrics })
 }
 
 /// The `present` / `requested` protocol checks are debug-build state;

@@ -12,7 +12,7 @@
 //! ```
 
 use amtlc::bench::stencil::build_stencil;
-use amtlc::bench::{comm_tuning_args, cost_model_arg, threads_arg, threads_arg_opt, ObsSink};
+use amtlc::bench::{comm_tuning_args, threads_arg, threads_arg_opt, ObsSink};
 use amtlc::comm::BackendKind;
 use amtlc::core::{Cluster, ClusterConfig, ExecMode, TileDist2d};
 
@@ -22,9 +22,6 @@ fn main() {
     // An explicit --threads directs the observability flags at the real
     // execution below instead of the first simulated backend.
     let threads_flag = threads_arg_opt(&args);
-    // --cost-model: overlay measured charges (from a --calibrate-out
-    // profile) onto the simulated runs.
-    let profile = cost_model_arg(&args);
     // --batch-window-ns / --multicast-k: message-layer tuning, applied
     // identically to every backend and the real run.
     let tuning = comm_tuning_args(&args);
@@ -49,9 +46,6 @@ fn main() {
                 mode: ExecMode::CostOnly,
                 ..ClusterConfig::expanse(backend, nodes)
             };
-            if let Some(p) = &profile {
-                cfg.cost.apply_profile(p);
-            }
             tuning.apply(&mut cfg);
             if threads_flag.is_none() {
                 ObsSink::arm(&mut cfg);
@@ -95,9 +89,8 @@ fn main() {
         ..ClusterConfig::expanse(BackendKind::Lci, nodes)
     };
     tuning.apply(&mut cfg);
-    // Arm unconditionally: if the virtual sweep already captured, this
-    // only turns on what is still pending (e.g. the calibration profile,
-    // which only a real run can supply).
+    // Arm unconditionally: a no-op once the virtual sweep has captured,
+    // so this records the real run only under an explicit --threads.
     ObsSink::arm(&mut cfg);
     let mut cluster = Cluster::new(cfg);
     let report = cluster.execute_real(graph, threads);

@@ -106,34 +106,7 @@ print(f"real trace valid: {len(spans)} spans, {starts} steal arrows, "
       f"{pool['executions']} pool executions")
 PY
 
-echo "== observability: calibrate -> re-simulate round trip (quickstart) =="
-timeout 120 cargo run --release --quiet --example quickstart -- --threads 2 \
-    --calibrate-out "$TMP_DIR/calib.json" > /dev/null
-python3 - "$TMP_DIR/calib.json" <<'PY'
-import json, sys
-c = json.load(open(sys.argv[1]))
-assert c["schema"] == "amtlc-calib-v1", c.get("schema")
-assert c["threads"] == 2 and c["tasks"] > 0
-assert set(c["classes"]) == {"map", "shuffle", "reduce"}, c["classes"]
-want = {"activate_record_ns", "get_request_ns", "arrival_ns", "task_overhead_ns"}
-assert set(c["records"]) == want, c["records"]
-for fam in ("classes", "records"):
-    for name, s in c[fam].items():
-        assert s["count"] > 0 and s["median_ns"] >= 0, (fam, name, s)
-print(f"calibration profile valid ({c['tasks']} tasks sampled)")
-PY
-timeout 120 cargo run --release --quiet --example quickstart -- \
-    --cost-model "$TMP_DIR/calib.json" \
-    --metrics-out "$TMP_DIR/resim_metrics.json" > "$TMP_DIR/resim.txt"
-grep -q "matches sequential oracle" "$TMP_DIR/resim.txt"
-python3 - "$TMP_DIR/resim_metrics.json" <<'PY'
-import json, sys
-m = json.load(open(sys.argv[1]))
-assert m["substrate"] == "virtual" and m["makespan_ns"] > 0
-print("simulator accepted the measured cost model (valid virtual run)")
-PY
-
-echo "== removed forks stay removed: island DES, tuner window loops, offline grid, seed scheduler, per-tag windows, boxed backend micro-tasks, shm node owners, the Substrate seam, engine collectives, the ladder queue, the eager-ceiling tuner, type-erased wires and completions, the LciDirect wrapper, per-task edge and consumer vectors, the real path's startup/quiescence collectives, the shm transport's put, send path and registries, the bucket ready queue, per-node report tallies and float latency recording, the simulated wire's record and handshake codecs and the byte cursor traits, the pool's lock-free deque, its slot boxes and overflow path, the time-weighted gauge, LCI completion queues and synchronizers, the configurable GET count window, the six side harnesses with their BENCH_*.json, the hash/treap matcher, and the task descriptor's separate read and write vectors with the builder's superseded-feed take =="
+echo "== removed forks stay removed: island DES, tuner window loops, offline grid, seed scheduler, per-tag windows, boxed backend micro-tasks, shm node owners, the Substrate seam, engine collectives, the ladder queue, the eager-ceiling tuner, type-erased wires and completions, the LciDirect wrapper, per-task edge and consumer vectors, the real path's startup/quiescence collectives, the shm transport's put, send path and registries, the bucket ready queue, per-node report tallies and float latency recording, the simulated wire's record and handshake codecs and the byte cursor traits, the pool's lock-free deque, its slot boxes and overflow path, the time-weighted gauge, LCI completion queues and synchronizers, the configurable GET count window, the six side harnesses with their BENCH_*.json, the hash/treap matcher, the task descriptor's separate read and write vectors with the builder's superseded-feed take, and the DES-calibration loop =="
 if grep -rn -e 'execute_islands\|new_partition\|RemoteChunk\|run_before\|TuneProfile\|WindowState\|--tuned\|--islands\|--autotune-out' \
         -e 'reference_sched\|RefDataState\|ReadyQueue::Reference\|batch_window_overrides\|with_batch_window_override\|batch_window_for\|get_window_min_flows' \
         -e 'Micro::Backend(\|BackendMicro\|fn exec_micro(\|fn micro_label' \
@@ -149,6 +122,7 @@ if grep -rn -e 'execute_islands\|new_partition\|RemoteChunk\|run_before\|TunePro
         -e 'encode_with\|fn encode_one\|fn iter_frames\|fn decode_one\|pub trait Buf\|pub trait BufMut' \
         -e 'SPARE_SLOTS\|DEQUE_CAP\|fn take_job\|overflow_pushes\|TimeWeighted\|fn cq_new\|fn sync_new\|pub get_window:' \
         -e 'reads: Vec<ReadRef>\|writes: Vec<(DataKey\|fn take_superseded' \
+        -e 'CalibrationProfile\|calibration_profile\|class_cost\|apply_profile\|calib_sample\|--calibrate-out\|--cost-model' \
         crates/ examples/ tests/ src/ scripts/ --exclude=verify.sh; then
     echo "a removed name is back"; exit 1
 fi

@@ -6,10 +6,7 @@
 use std::collections::HashMap;
 
 use amtlc::comm::{BackendKind, EngineConfig};
-use amtlc::core::{
-    CalibrationProfile, Cluster, ClusterConfig, CostModel, ExecMode, GraphBuilder, TaskDesc,
-    TaskGraph,
-};
+use amtlc::core::{Cluster, ClusterConfig, ExecMode, GraphBuilder, TaskDesc, TaskGraph};
 use amtlc::tlr::{TlrCholesky, TlrProblem};
 
 // ---------------------------------------------------------------------------
@@ -600,36 +597,6 @@ fn real_and_virtual_lifecycle_counts_agree_on_cholesky() {
 }
 
 #[test]
-fn calibration_profile_round_trips_through_cluster_and_cost_model() {
-    let (cluster, report) = observed_real_run(2);
-    let profile = cluster
-        .calibration_profile()
-        .expect("metrics-on real run yields a calibration profile");
-    assert_eq!(profile.threads, 2);
-    assert_eq!(profile.tasks, report.tasks_executed);
-    assert!(profile.classes.contains_key("hop"));
-    for rec in [
-        amtlc::core::REC_ACTIVATE,
-        amtlc::core::REC_GET_REQUEST,
-        amtlc::core::REC_ARRIVAL,
-        amtlc::core::REC_TASK_OVERHEAD,
-    ] {
-        let s = profile.records.get(rec).unwrap_or_else(|| panic!("{rec}"));
-        assert!(s.count > 0, "{rec}: no samples");
-    }
-    // Byte-stable serialization and a faithful parse round trip.
-    let json = profile.to_json();
-    let back = CalibrationProfile::from_json(&json).expect("parse own output");
-    assert_eq!(back.to_json(), json);
-    // Loading the profile moves the simulator's charges to the medians.
-    let cost = CostModel::from_profile(&profile);
-    assert_eq!(
-        cost.task_charge("hop", 1e9, 1.0),
-        cost.task_overhead + amtlc::simnet::SimTime::from_ns(profile.classes["hop"].median_ns)
-    );
-}
-
-#[test]
 fn disabled_real_observability_emits_nothing() {
     let mut cluster = Cluster::new(ClusterConfig {
         nodes: 2,
@@ -651,10 +618,6 @@ fn disabled_real_observability_emits_nothing() {
     );
     let metrics = cluster.metrics_report(&report);
     assert!(metrics.stages.is_empty(), "unmetered real run stays empty");
-    assert!(
-        cluster.calibration_profile().is_none(),
-        "no profile without metrics"
-    );
     // Pool conservation counters are always-on (they are plain atomics).
     let pool = report.pool.as_ref().expect("pool stats");
     assert_eq!(pool.spawns(), pool.executions());
